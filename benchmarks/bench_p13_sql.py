@@ -8,8 +8,9 @@ and through the SQL hybrid over the same store, emitted to
   emitted statements re-execute against the live shred every run;
   the shred itself is warm), the hybrid's SQL feed count and the
   number of plan operators left running in Python;
-* once: the cost of building the shred (the quantity the epoch gate
-  amortizes across queries).
+* once: the cost of building the shred from cold — the backend's
+  structural-index fold plus the projection of its blocks (the
+  quantity the index's dirty-block protocol amortizes across queries).
 
 Result equality against the structural plan is asserted for every
 query.  The acceptance bar is *recorded*, not asserted: timings from

@@ -162,13 +162,15 @@ class DiffHarness:
             for tree in spec.trees():
                 store.load_tree(tree, validate=False)
             store.build_text_index()
-            store.build_structural_index()
-            # the ``sql`` configuration's relational backend, sharing
-            # the store's epoch so the shred stays fresh
+            # the ``sql`` configuration's relational backend; installed
+            # before the structural index is built so the store adopts
+            # the backend's index — scans and shred share one encoding,
+            # as in a ``backend="sql"`` store
             from repro.sqlbackend.backend import SQLBackend
             store._engine.sql_backend = SQLBackend(
                 store.instance, epoch_source=store.plan_cache,
                 metrics=self.metrics)
+            store.build_structural_index()
             self._stores[spec] = store
             if self.metrics is not None:
                 self.metrics.inc("diffcheck.corpora_built")

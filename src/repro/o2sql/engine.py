@@ -79,7 +79,9 @@ class QueryEngine:
         #: The relational backend (``backend="sql"`` only): plans are
         #: still compiled and optimized as usual, then the maximal
         #: relational prefix is emitted as SQL over the instance's
-        #: shred; anything the emitter refuses runs as the plan.
+        #: shred; anything the emitter refuses runs as the plan.  The
+        #: backend owns the structural index its shred projects (over
+        #: the same ``cache`` epoch; cacheless, every run rebuilds it).
         self.sql_backend = None
         if backend == "sql":
             from repro.sqlbackend.backend import SQLBackend
@@ -227,7 +229,7 @@ class QueryEngine:
             self.cache = PlanCache()
             if self.sql_backend is not None:
                 # freshness rides the cache epoch from here on
-                self.sql_backend.shred.epoch_source = self.cache
+                self.sql_backend.shred.index.epoch_source = self.cache
         return PreparedQuery(self, text)
 
     def run_many(self, texts) -> list[SetValue]:

@@ -96,6 +96,21 @@ class Instance:
         for members in self._extent.values():
             yield from members
 
+    def oids_since(self, first: int) -> Iterator[Oid]:
+        """The oids numbered ``first`` or above, in :meth:`all_oids`
+        order, in time proportional to their count (plus one step per
+        class) — never to the instance's size.
+
+        Numbers only grow and every extent is appended to, so the
+        objects allocated since ``first`` was the next free number sit
+        at the tail of their extents; :meth:`remove_object` leaves gaps
+        in the numbering but keeps that order."""
+        for members in self._extent.values():
+            start = len(members)
+            while start and members[start - 1].number >= first:
+                start -= 1
+            yield from members[start:]
+
     def object_count(self) -> int:
         return len(self._values)
 

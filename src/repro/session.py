@@ -92,11 +92,27 @@ class DocumentStore:
         self.mapped: MappedSchema = map_dtd(self.dtd)
         self.loader = DocumentLoader(self.mapped)
         self.store = ObjectStore(self.loader.instance)
+        self.text_index: TextIndex | None = None
+        self._metrics = None
+        #: Writer coordination: mutations serialize on this lock and
+        #: run inside :meth:`mutating`, which keeps :attr:`write_seq`
+        #: odd for their duration (a seqlock readers validate against).
+        self._write_lock = threading.RLock()
+        self._write_seq = 0
+        self._mutation_depth = 0
+        self._wire(self.loader.provenance, path_semantics, backend,
+                   optimize, structural)
+
+    def _wire(self, provenance: dict | None, path_semantics: str,
+              backend: str, optimize: bool, structural: bool) -> None:
+        """Build everything that hangs off :attr:`instance` — cold plan
+        cache, engine, statistics, structural index — for ``__init__``
+        and for :meth:`load` once the restored instance is in place."""
         #: Prepared-query plan cache; every mutation this facade
         #: performs bumps its epoch, so cached plans are never stale.
         self.plan_cache = PlanCache()
         self._engine = QueryEngine(
-            self.loader.instance, self.loader.provenance,
+            self.instance, provenance,
             path_semantics=path_semantics, backend=backend,
             optimize=optimize, cache=self.plan_cache,
             structural=structural)
@@ -105,20 +121,15 @@ class DocumentStore:
         #: cardinalities back (adaptive re-costing is opt-in —
         #: ``store.stats_manager.adaptive = True``).
         self.stats_manager = StatisticsManager(
-            self.loader.instance, epoch_source=self.plan_cache,
+            self.instance, epoch_source=self.plan_cache,
             context=self._engine.ctx)
         self._engine.stats = self.stats_manager
-        self.text_index: TextIndex | None = None
         self.struct_index: StructuralIndex | None = None
-        self._metrics = None
         self._parents: dict[Oid, list[Oid]] | None = None
-        #: Writer coordination: mutations serialize on this lock and
-        #: run inside :meth:`mutating`, which keeps :attr:`write_seq`
-        #: odd for their duration (a seqlock readers validate against).
-        self._write_lock = threading.RLock()
-        self._write_seq = 0
-        self._mutation_depth = 0
-        if structural:
+        # ``structural`` only decides whether plans are rewritten into
+        # range scans; the relational backend needs the blocks either
+        # way (its tables are their projection)
+        if structural or backend == "sql":
             self.build_structural_index()
 
     # -- writer fence (snapshot-epoch serving protocol) -----------------------
@@ -185,22 +196,19 @@ class DocumentStore:
             oid = self.loader.load(tree)
             self._absorb_new_objects(first_new)
             if name is not None:
-                self.define_name(name, oid)
-            self._bump_epoch()
-            if self.struct_index is not None:
-                self.struct_index.note_data_change(
-                    epoch=self.plan_cache.epoch)
+                self._bind_root(name, oid)
+            self._publish()
         return oid
 
     def _absorb_new_objects(self, first_new: int) -> None:
         """Keep incremental structures current for a fresh document:
         index its objects' text (when an index exists) and extend the
-        parent map (when one has been built)."""
+        parent map (when one has been built).  Only the objects the
+        load allocated are visited — the cost of a load does not grow
+        with the corpus."""
         if self.text_index is None and self._parents is None:
             return
-        for oid in self.instance.all_oids():
-            if oid.number < first_new:
-                continue
+        for oid in self.instance.oids_since(first_new):
             if self.text_index is not None:
                 content = text_of(oid, self.instance,
                                   self.loader.provenance)
@@ -212,13 +220,30 @@ class DocumentStore:
     def define_name(self, name: str, value: object) -> None:
         """Register an extra persistence root (an O₂ *name*)."""
         with self.mutating():
-            self.schema.roots[name] = _root_type(value, self.instance)
-            self.instance.set_root(name, value)
+            self._bind_root(name, value)
             # a new root changes what identifiers translate to
-            self._bump_epoch()
-            if self.struct_index is not None:
-                self.struct_index.note_data_change(
-                    epoch=self.plan_cache.epoch)
+            self._publish()
+
+    def _bind_root(self, name: str, value: object) -> None:
+        self.schema.roots[name] = _root_type(value, self.instance)
+        self.instance.set_root(name, value)
+
+    def _publish(self, edited_oid: Oid | None = None) -> None:
+        """Make one applied mutation visible: one epoch bump (cached
+        plans and statistics go stale) and one structural-index
+        notification — a character-data edit of ``edited_oid`` dirties
+        only the blocks containing it, anything else all of them.  The
+        SQL shred needs no word: it re-projects whichever blocks the
+        index rebuilds."""
+        self.plan_cache.bump_epoch(metrics=self._metrics)
+        index = self.struct_index
+        if index is None:
+            return
+        if edited_oid is None:
+            index.note_data_change(epoch=self.plan_cache.epoch)
+        else:
+            index.note_object_update(edited_oid,
+                                     epoch=self.plan_cache.epoch)
 
     # -- integrity ------------------------------------------------------------
 
@@ -264,8 +289,14 @@ class DocumentStore:
         with self._write_lock:
             index = self.struct_index
             if index is None:
-                index = StructuralIndex(self.instance,
-                                        epoch_source=self.plan_cache)
+                # one encoding per root: a relational backend already
+                # owns an index over this instance and epoch, so the
+                # scans read the very blocks its tables project
+                backend = self._engine.sql_backend
+                index = (backend.shred.index if backend is not None
+                         else StructuralIndex(
+                             self.instance,
+                             epoch_source=self.plan_cache))
                 index.metrics = self._metrics
                 self.struct_index = index
                 self._engine.ctx.struct_index = index
@@ -313,9 +344,6 @@ class DocumentStore:
         configuration — what :mod:`repro.serve` collapses identical
         in-flight requests on."""
         return self._engine.cache_key(text)
-
-    def _bump_epoch(self) -> None:
-        self.plan_cache.bump_epoch(metrics=self._metrics)
 
     def explain(self, text: str) -> str:
         return self._engine.explain(text)
@@ -438,13 +466,7 @@ class DocumentStore:
                     content = text_of(target, self.instance,
                                       self.loader.provenance)
                     self.text_index.replace(target, content or "")
-            self._bump_epoch()
-            if self.struct_index is not None:
-                # targeted staleness: only the interval blocks whose
-                # arrays contain the edited object are rebuilt on the
-                # next refresh
-                self.struct_index.note_object_update(
-                    oid, epoch=self.plan_cache.epoch)
+            self._publish(edited_oid=oid)
 
     # -- containment (for incremental index maintenance) --------------------
 
@@ -524,25 +546,11 @@ class DocumentStore:
         restored = ObjectStore.load(store.schema, path, declare)
         store.loader.instance = restored.instance
         store.store = ObjectStore(restored.instance)
-        # a reloaded store starts cold: fresh cache at epoch 0, metrics
-        # counting from zero, no parent map yet
-        store.plan_cache = PlanCache()
-        store._parents = None
-        was_structural = store._engine.structural
-        store._engine = QueryEngine(
-            restored.instance, provenance=None,
-            path_semantics=store._engine.ctx.path_semantics,
-            backend=store._engine.backend,
-            optimize=store._engine.optimize,
-            cache=store.plan_cache,
-            structural=was_structural)
-        store.struct_index = None
-        store.stats_manager = StatisticsManager(
-            restored.instance, epoch_source=store.plan_cache,
-            context=store._engine.ctx)
-        store._engine.stats = store.stats_manager
-        if was_structural:
-            store.build_structural_index()
+        # a reloaded store starts cold over the restored instance:
+        # fresh cache at epoch 0, no provenance, no parent map yet
+        engine = store._engine
+        store._wire(None, engine.ctx.path_semantics, engine.backend,
+                    engine.optimize, engine.structural)
         return store
 
     # -- reporting ------------------------------------------------------------

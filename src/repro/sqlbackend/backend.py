@@ -13,16 +13,18 @@ The backend *refuses* (raises :class:`SQLUnsupportedError`, so
 callers fall back to plan execution) instead of approximating when
 
 * the plan's root is not the standard ``ProjectOp``,
-* a touched persistence root shredded non-navigably (node budget,
-  suppressed dereference, over-cap dereference chain),
+* a touched persistence root is not navigable (its block overflowed
+  the index's node budget or holds a suppressed dereference, or a
+  dereference chain runs over the cap),
 * the program contains structural scans but the context's path
   semantics is not ``restricted``, or its ``max_paths`` budget could
   bite (SQL range scans cannot reproduce the enumeration-limit error
   contract).
 
-Freshness is epoch-gated: :meth:`SQLBackend.execute` calls
-:meth:`~repro.sqlbackend.shred.Shred.refresh` first, which is a single
-epoch comparison when the store has not changed.
+Freshness is the structural index's: :meth:`SQLBackend.execute` calls
+:meth:`~repro.sqlbackend.shred.Shred.refresh` first, which refreshes
+the index and re-inserts only the roots whose blocks it rebuilt —
+nothing when the store has not changed.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from repro.sqlbackend.emit import (
     _Unsupported,
 )
 from repro.sqlbackend.shred import Shred
+from repro.structindex import StructuralIndex
 
 
 class HybridPlan:
@@ -102,15 +105,21 @@ class _SQLRowsOp(Operator):
 
 
 class SQLBackend:
-    """The relational execution engine over one instance's shred."""
+    """The relational execution engine over one instance's shred.
+
+    The backend creates the structural index its shred projects
+    (``shred.index``, following ``epoch_source``); a
+    :class:`~repro.session.DocumentStore` serves its scans from that
+    same object, so no root is ever encoded twice."""
 
     def __init__(self, instance: Any, epoch_source: Any = None,
                  dialect: Dialect | None = None,
                  metrics: Any = None) -> None:
         self.instance = instance
         self.metrics = metrics
-        self.shred = Shred(instance, epoch_source=epoch_source,
-                           dialect=dialect, metrics=metrics)
+        self.shred = Shred(
+            StructuralIndex(instance, epoch_source=epoch_source),
+            dialect=dialect, metrics=metrics)
 
     # -- compilation -----------------------------------------------------------
 
@@ -218,11 +227,10 @@ class SQLBackend:
 
     def _guard(self, program: SQLProgram, ctx: Any) -> None:
         for name in program.roots:
-            shredded = self.shred.root_shred(name)
-            if shredded is not None and not shredded.navigable:
+            why = self.shred.refused.get(name)
+            if why is not None:
                 raise SQLUnsupportedError(
-                    f"root {name!r} is not navigable: "
-                    f"{shredded.reason}")
+                    f"root {name!r} is not navigable: {why}")
         if not program.has_scans:
             return
         if ctx.path_semantics != RESTRICTED:
@@ -230,7 +238,7 @@ class SQLBackend:
                 "structural SQL scans require restricted path "
                 "semantics")
         if ctx.max_paths is not None:
-            largest = self.shred.max_root_size(iter(program.roots))
+            largest = self.shred.max_root_size(program.roots)
             if largest + 1 > ctx.max_paths:
                 raise SQLUnsupportedError(
                     "a shredded root outgrew the enumeration budget; "
@@ -252,27 +260,29 @@ class SQLBackend:
         position = {name: i for i, name in enumerate(names)}
         columns = [(variable, desc)
                    for variable, desc in program.columns.items()]
-        shreds = self.shred.roots
+        blocks = self.shred.roots
         for row in rows:
             binding: dict = {}
             for variable, desc in columns:
                 if isinstance(desc, ValCol):
-                    shredded = shreds[row[position[desc.root]]]
+                    block = blocks[row[position[desc.root]]]
                     pre = row[position[desc.pre]]
                     if row[position[desc.mode]] == "n":
-                        binding[variable] = shredded.values[pre]
+                        binding[variable] = block.values[pre]
                     else:
+                        # a wrapper is over a tuple field: the node was
+                        # reached by the AttrStep that names it
                         binding[variable] = TupleValue(
-                            [(shredded.names[pre],
-                              shredded.values[pre])])
+                            [(block.paths[pre].steps[-1].name,
+                              block.values[pre])])
                 elif isinstance(desc, ConstCol):
                     binding[variable] = desc.value
                 elif isinstance(desc, PathCol):
-                    shredded = shreds[row[position[desc.root]]]
+                    block = blocks[row[position[desc.root]]]
                     node = row[position[desc.node]]
                     depth = row[position[desc.depth]]
                     binding[variable] = Path._unsafe(
-                        shredded.paths[node].steps[depth:])
+                        block.paths[node].steps[depth:])
                 elif isinstance(desc, (IntCol, StrCol)):
                     binding[variable] = row[position[desc.col]]
                 else:  # pragma: no cover

@@ -1,20 +1,21 @@
 """The SQL-dialect seam of the relational backend.
 
-Everything engine-specific — connecting, the accel DDL, parameter
-markers, the recursive-CTE spelling — lives behind :class:`Dialect`,
-so a server engine (Postgres) can slot in without touching the
-shredder or the emitter.  :class:`SQLiteDialect` is the in-process
-default and the only one shipped.
+Everything engine-specific — connecting, the accel DDL, per-root
+deletion — lives behind :class:`Dialect`, so a server engine
+(Postgres) can slot in without touching the shredder or the emitter.
+:class:`SQLiteDialect` is the in-process default and the only one
+shipped.
 
-The accel schema mirrors the structural index encoding
-(:mod:`repro.structindex`): one ``node`` row per ``walk_events``
-enter event with its (pre, post, level, parent) ranks and interval
-end, plus the navigation closures the emitter joins through:
+The accel schema is the relational image of the structural index
+encoding (:mod:`repro.structindex`): one ``node`` row per pre rank of
+a block with its (pre, post, level, parent) ranks and interval end,
+plus the navigation closures the emitter joins through (the shredder
+fills them while it projects a block — no dialect re-spells them):
 
 * ``deref_base`` — the fixpoint of the implicit dereference
   (``_auto_deref``): the node selections and indexings actually apply
-  to.  Computed *in SQL* with a recursive CTE over the ``deref``
-  edges (chains are data-bounded; the evaluator caps them at 16).
+  to (``NULL`` below a suppressed dereference or past the evaluator's
+  16-step chain cap).
 * ``cont``  — the container node after the marked-union swap: the
   payload tuple when ``deref_base`` is a one-field (marked) tuple
   wrapping another tuple, else ``deref_base`` itself.
@@ -77,47 +78,6 @@ CREATE TABLE attr (
 ) WITHOUT ROWID;
 """
 
-#: The implicit-dereference closure, as SQL: from every oid node,
-#: follow ``deref`` child edges while the target is still an oid.
-#: ``depth`` mirrors the evaluator's 16-step chain cap — a chain that
-#: is still an oid at depth 17 would raise in the calculus, so the
-#: shredder marks its root non-navigable instead of guessing.
-DEREF_CHASE = """
-WITH RECURSIVE chase (root, origin, cur, depth) AS (
-    SELECT root, pre, pre, 0 FROM node WHERE kind = 'oid'
-    UNION ALL
-    SELECT c.root, c.origin, child.pre, c.depth + 1
-    FROM chase AS c
-    JOIN node AS cur
-      ON cur.root = c.root AND cur.pre = c.cur AND cur.kind = 'oid'
-    JOIN node AS child
-      ON child.root = c.root AND child.parent = cur.pre
-     AND child.step = 'deref'
-    WHERE c.depth <= 16
-)
-SELECT c.root, c.origin, c.cur, c.depth, t.kind
-FROM chase AS c
-JOIN node AS t ON t.root = c.root AND t.pre = c.cur
-WHERE t.kind != 'oid' OR c.depth > 16
-"""
-
-#: Marked-union container swap: when the dereferenced base is a
-#: one-field tuple whose single field is itself a tuple, positional
-#: access applies to the payload (its first child, at ``pre + 1``).
-CONT_SWAP = """
-UPDATE node SET cont = deref_base + 1
-WHERE deref_base IS NOT NULL AND EXISTS (
-    SELECT 1 FROM node AS b
-    JOIN node AS p
-      ON p.root = b.root AND p.pre = b.pre + 1 AND p.kind = 'tuple'
-    WHERE b.root = node.root AND b.pre = node.deref_base
-      AND b.kind = 'tuple'
-      AND (SELECT COUNT(*) FROM node AS ch
-           WHERE ch.root = b.root AND ch.parent = b.pre) = 1
-)
-"""
-
-
 class Dialect:
     """Abstract SQL dialect: connection + DDL + spelling details."""
 
@@ -129,16 +89,12 @@ class Dialect:
     def create_schema(self, connection: Any) -> None:
         connection.executescript(SCHEMA)
 
-    def reset(self, connection: Any) -> None:
-        """Empty every accel table (full re-shred)."""
+    def delete_root(self, connection: Any, root: str) -> None:
+        """Drop one root's rows from every accel table (its block was
+        rebuilt or dropped; the other roots stay as they are)."""
         for table in ("node", "sel", "content", "attr"):
-            connection.execute(f"DELETE FROM {table}")
-
-    def deref_chase_sql(self) -> str:
-        return DEREF_CHASE
-
-    def cont_swap_sql(self) -> str:
-        return CONT_SWAP
+            connection.execute(
+                f"DELETE FROM {table} WHERE root = ?", (root,))
 
     def errors(self) -> tuple[type, ...]:
         """Exception classes the underlying driver raises."""

@@ -27,8 +27,9 @@ Semantics notes, mirrored operator by operator from
 
 * structural scans are pre/post interval range predicates
   (``d.pre >= s.pre AND d.pre < s.end_pre``) — the recursive path
-  fan-out is already materialized by the shredder's recursive deref
-  CTE, so no per-query recursion is needed;
+  fan-out is already materialized in the shredded blocks (and the
+  dereference closure in ``deref_base``), so no per-query recursion
+  is needed;
 * :class:`~repro.algebra.operators.IntervalJoinOp` becomes the same
   interval theta-join plus a sound ``vkey`` equality prefilter; the
   exact recheck atom always re-runs in Python (the operator documents

@@ -1,38 +1,44 @@
-"""Shred persistence roots into the relational accel tables.
+"""Project structural-index blocks into the relational accel tables.
 
-One :class:`Shred` folds the *same*
-:func:`~repro.paths.enumeration.walk_events` stream the structural
-index consumes — one source of truth, so a SQL range scan enumerates
-exactly what a live walk (or an indexed scan) would.  The fold mirrors
-:func:`repro.structindex.index._build_block` bit for bit:
+There is one pre/post encoding in the process — the
+:class:`~repro.structindex.Block` arrays a
+:class:`~repro.structindex.StructuralIndex` folds from the instance and
+keeps fresh — and a :class:`Shred` is its relational image, nothing
+more: it never walks the instance.  Per published block,
 
-* every ENTER event becomes one ``node`` row with its pre rank, post
-  rank, level, parent and subtree end (``end_pre``);
-* BLOCKED events mark every open node strictly below the crossing oid
-  *incomplete* — a fresh walk started inside those subtrees would
-  cross the dereference this walk suppressed, so range scans starting
-  there would lie;
-* a node-budget overflow yields an empty, truncated root.
+* every pre rank becomes one ``node`` row carrying the block's post
+  rank, level, parent and subtree end (``end_pre``); ``kind``, ``step``,
+  ``name`` and ``position`` are read off ``values[pre]``, the last step
+  of ``paths[pre]`` and the parent array;
+* ``deref_base`` (the fixpoint of the implicit dereference) and
+  ``cont`` (the container after the marked-union swap) are filled in
+  the same pass: pre ranks are visited in reverse, so an oid's
+  ``deref`` child is resolved before the oid itself;
+* ``sel``/``content``/``attr`` rows follow from the same arrays.
 
-A root is **navigable** when every node is complete and no implicit
-dereference chain overflows the evaluator's 16-step cap; the backend
-refuses (and falls back) otherwise, instead of approximating.
+A root is **navigable** when its block is neither truncated (the
+index's node budget) nor holds an incomplete node (a suppressed
+dereference), and no implicit dereference chain overflows the
+evaluator's 16-step cap; :attr:`Shred.refused` names the others and
+the backend refuses them (and falls back) instead of approximating.
 
-Freshness is epoch-gated off the plan cache: :meth:`Shred.refresh`
-rebuilds everything when the store epoch moved, exactly like
-:meth:`repro.structindex.StructuralIndex.refresh` — the same bump
-that invalidates cached plans marks the shred stale.
+Freshness is the index's protocol, not a second one:
+:meth:`Shred.refresh` refreshes the index and re-inserts exactly the
+roots whose published block *object* changed — blocks are immutable
+once published, so identity is the staleness test, and a targeted
+block rebuild after ``update_text`` re-shreds the touched roots, not
+the corpus.
 
-Python-side hydration state (``values``/``paths`` arrays per root)
-turns result rows back into model values without re-walking: the
-arrays hold the *actual* objects of the instance, so hydrated rows
-are indistinguishable from interpreter bindings.
+Result rows hydrate from the projected blocks' own
+``values``/``paths`` arrays: they hold the *actual* objects of the
+instance, so hydrated rows are indistinguishable from interpreter
+bindings.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Iterator
+from typing import Any, Iterable
 
 from repro.oodb.values import (
     ATOM_PYTYPES,
@@ -42,22 +48,12 @@ from repro.oodb.values import (
     SetValue,
     TupleValue,
 )
-from repro.errors import EvaluationError
-from repro.paths.enumeration import (
-    BLOCKED,
-    ENTER,
-    RESTRICTED,
-    walk_events,
-)
 from repro.paths.steps import AttrStep, DerefStep, ElemStep, IndexStep, Path
 from repro.sqlbackend.dialect import Dialect, SQLiteDialect
+from repro.structindex import Block, StructuralIndex
 
-#: Same ceiling as the structural index: a root larger than this
-#: shreds to an (unusable) truncated stub instead of a memory blowup.
-DEFAULT_MAX_NODES = 1_000_000
-
-#: The evaluator raises after this many implicit dereferences; the
-#: shredder marks roots whose chains exceed it non-navigable.
+#: The evaluator raises after this many implicit dereferences; roots
+#: whose chains exceed it are refused.
 DEREF_CAP = 16
 
 
@@ -105,83 +101,76 @@ def _kind_of(value: object) -> str:
     return "atom"
 
 
-class ShreddedRoot:
-    """One persistence root's shred: hydration arrays + usability."""
-
-    __slots__ = ("name", "origin", "values", "paths", "names", "size",
-                 "navigable", "reason")
-
-    def __init__(self, name: str, origin: object) -> None:
-        self.name = name
-        self.origin = origin
-        #: pre -> the reached model value (the actual object).
-        self.values: list[object] = []
-        #: pre -> absolute :class:`Path` from the root.
-        self.paths: list[Path] = []
-        #: pre -> the attribute name when the node was reached through
-        #: an :class:`AttrStep` (hetero-wrapper hydration), else None.
-        self.names: list[str | None] = []
-        self.size = 0
-        self.navigable = True
-        self.reason: str | None = None
-
-    def block(self, why: str) -> None:
-        self.navigable = False
-        if self.reason is None:
-            self.reason = why
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (f"ShreddedRoot({self.name!r}, size={self.size}, "
-                f"navigable={self.navigable})")
-
-
 class Shred:
-    """The relational image of every persistence root.
+    """The relational image of a :class:`StructuralIndex`'s blocks.
 
-    ``epoch_source`` is any object with an ``epoch`` attribute (the
-    store's plan cache in practice); ``None`` disables staleness
-    tracking and every :meth:`refresh` rebuilds — correct, just slow,
-    for cacheless engines.
+    The index owns the walk, the node budget (``max_block_nodes``) and
+    freshness.  An index without an ``epoch_source`` cannot tell when
+    the instance moved, so every :meth:`refresh` rebuilds it — correct,
+    just slow, for cacheless engines.
     """
 
-    def __init__(self, instance: Any, epoch_source: Any = None,
+    def __init__(self, index: StructuralIndex,
                  dialect: Dialect | None = None,
-                 metrics: Any = None,
-                 max_nodes: int | None = DEFAULT_MAX_NODES) -> None:
-        self.instance = instance
-        self.epoch_source = epoch_source
+                 metrics: Any = None) -> None:
+        self.index = index
         self.dialect = dialect if dialect is not None else SQLiteDialect()
         self.metrics = metrics
-        self.max_nodes = max_nodes
-        self.roots: dict[str, ShreddedRoot] = {}
+        #: root name -> the published block its rows were projected
+        #: from (and result rows hydrate from).
+        self.roots: dict[str, Block] = {}
+        #: root name -> why the backend must refuse to navigate it.
+        self.refused: dict[str, str] = {}
         self._lock = threading.RLock()
         self._connection: Any = None
-        self._built = False
-        self._synced_epoch: int | None = None
 
     # -- freshness ------------------------------------------------------------
 
-    @property
-    def epoch(self) -> int | None:
-        source = self.epoch_source
-        return None if source is None else int(source.epoch)
-
-    def stale(self) -> bool:
-        if not self._built:
-            return True
-        if self.epoch_source is None:
-            return True
-        return self.epoch != self._synced_epoch
-
     def refresh(self) -> int:
-        """Bring the shred up to date; returns roots (re)shredded.
-        Cheap when clean (single epoch comparison, no lock)."""
-        if not self.stale():
+        """Bring the tables up to date; returns roots (re)inserted.
+        Cheap when clean: the index's own clean check plus one identity
+        comparison per root, without taking the shred lock."""
+        index = self.index
+        if index.epoch_source is None:
+            index.note_data_change()
+        index.refresh()
+        # Block defines no __eq__: equal dicts hold the same objects
+        if index.blocks == self.roots:
             return 0
         with self._lock:
-            if not self.stale():
+            published = index.blocks
+            projected = self.roots
+            changed = [name for name, block in published.items()
+                       if projected.get(name) is not block]
+            stale = [name for name, block in projected.items()
+                     if published.get(name) is not block]
+            if not changed and not stale:
                 return 0
-            return self._rebuild()
+            connection = self.connection()
+            refused = {name: why for name, why in self.refused.items()
+                       if name not in stale}
+            try:
+                for name in stale:
+                    self.dialect.delete_root(connection, name)
+                for name in changed:
+                    why = self._project(connection, name,
+                                        published[name])
+                    if why is not None:
+                        refused[name] = why
+            except BaseException:
+                # keep the tables the image of ``self.roots``: a
+                # half-applied per-root swap would not heal by itself
+                connection.rollback()
+                raise
+            connection.commit()
+            self.refused = refused
+            self.roots = published
+            if self.metrics is not None:
+                self.metrics.inc("sql.shreds")
+                self.metrics.inc("sql.shred_nodes",
+                                 sum(published[name].size
+                                     for name in changed))
+            return len(changed)
 
     def connection(self) -> Any:
         if self._connection is None:
@@ -203,153 +192,91 @@ class Shred:
             names = [entry[0] for entry in cursor.description or ()]
             return names, cursor.fetchall()
 
-    # -- the fold -------------------------------------------------------------
+    # -- the projection -------------------------------------------------------
 
-    def _rebuild(self) -> int:
-        connection = self.connection()
-        self.dialect.reset(connection)
-        self.roots = {}
-        count = 0
-        for name in self.instance.root_names:
-            if not self.instance.has_root(name):  # pragma: no cover
+    def _project(self, connection: Any, name: str,
+                 block: Block) -> str | None:
+        """Insert one block's rows; returns why the root is not
+        navigable (``None`` when it is)."""
+        if block.truncated:
+            return "node budget exceeded"
+        values = block.values
+        posts = block.post
+        levels = block.level
+        parents = block.parent
+        ends = block.end
+        size = block.size
+        kinds = [_kind_of(value) for value in values]
+        steps = [_step_of(path) for path in block.paths]
+        positions = [0] * size
+        child_counts = [0] * size
+        for pre in range(1, size):
+            parent = parents[pre]
+            positions[pre] = child_counts[parent]
+            child_counts[parent] += 1
+        # the implicit-dereference closure: an oid's only child is its
+        # deref target at pre + 1, already resolved when walking down
+        bases: list[int | None] = list(range(size))
+        hops = [0] * size
+        over_cap = False
+        for pre in range(size - 1, -1, -1):
+            if kinds[pre] != "oid":
                 continue
-            origin = self.instance.root(name)
-            self.roots[name] = self._shred_root(
-                connection, name, origin)
-            count += 1
-        self._close_derefs(connection)
-        connection.commit()
-        self._built = True
-        self._synced_epoch = self.epoch
-        if self.metrics is not None:
-            self.metrics.inc("sql.shreds")
-            self.metrics.inc("sql.shred_nodes",
-                             sum(r.size for r in self.roots.values()))
-        return count
-
-    def _shred_root(self, connection: Any, name: str,
-                    origin: object) -> ShreddedRoot:
-        root = ShreddedRoot(name, origin)
-        values = root.values
-        paths = root.paths
-        names = root.names
-        posts: list[int] = []
-        levels: list[int] = []
-        parents: list[int] = []
-        ends: list[int] = []
-        complete: list[bool] = []
-        kinds: list[str] = []
-        steps: list[str] = []
-        positions: list[int] = []
-        child_counts: list[int] = []
-        open_nodes: list[int] = []
-        crossings: dict[str, int] = {}
-        restore: dict[int, tuple] = {}
-        post_counter = 0
-        try:
-            for kind, path, value, level in walk_events(
-                    origin, self.instance, RESTRICTED, self.max_nodes):
-                if kind is ENTER:
-                    pre = len(values)
-                    parent = open_nodes[-1] if open_nodes else -1
-                    if parent >= 0 and isinstance(values[parent], Oid):
-                        crossed = values[parent].class_name
-                        restore[pre] = (crossed,
-                                        crossings.get(crossed))
-                        crossings[crossed] = parent
-                    step, step_name = _step_of(path)
-                    if parent >= 0:
-                        position = child_counts[parent]
-                        child_counts[parent] += 1
-                    else:
-                        position = 0
-                    values.append(value)
-                    paths.append(path)
-                    names.append(step_name)
-                    levels.append(level)
-                    parents.append(parent)
-                    posts.append(-1)
-                    ends.append(-1)
-                    complete.append(True)
-                    kinds.append(_kind_of(value))
-                    steps.append(step)
-                    positions.append(position)
-                    child_counts.append(0)
-                    open_nodes.append(pre)
-                elif kind is BLOCKED:
-                    crossing = crossings.get(value.class_name, -1)
-                    for open_pre in reversed(open_nodes):
-                        if open_pre == crossing:
-                            break
-                        complete[open_pre] = False
-                else:  # LEAVE
-                    pre = open_nodes.pop()
-                    posts[pre] = post_counter
-                    post_counter += 1
-                    ends[pre] = len(values)
-                    undo = restore.pop(pre, None)
-                    if undo is not None:
-                        crossed, previous = undo
-                        if previous is None:
-                            del crossings[crossed]
-                        else:
-                            crossings[crossed] = previous
-        except EvaluationError:
-            stub = ShreddedRoot(name, origin)
-            stub.block("node budget exceeded")
-            return stub
-        root.size = len(values)
-        if not all(complete):
-            root.block("suppressed dereference (incomplete subtree)")
-        self._insert_root(connection, name, root, posts, levels,
-                          parents, ends, kinds, steps, positions)
-        return root
-
-    def _insert_root(self, connection: Any, name: str,
-                     root: ShreddedRoot, posts: list[int],
-                     levels: list[int], parents: list[int],
-                     ends: list[int], kinds: list[str],
-                     steps: list[str], positions: list[int]) -> None:
-        values = root.values
-        names = root.names
+            if ends[pre] > pre + 1:
+                hops[pre] = hops[pre + 1] + 1
+                bases[pre] = bases[pre + 1]
+            else:           # suppressed dereference: nothing to apply to
+                bases[pre] = None
+            if hops[pre] > DEREF_CAP:
+                over_cap = True
+                bases[pre] = None
         node_rows = []
         sel_rows = []
         content_rows = []
         attr_rows = []
         for pre, value in enumerate(values):
             kind = kinds[pre]
+            step, step_name = steps[pre]
+            base = bases[pre]
+            cont = base
+            if (base is not None and kinds[base] == "tuple"
+                    and ends[base] > base + 1
+                    and ends[base + 1] == ends[base]
+                    and kinds[base + 1] == "tuple"):
+                # marked union (a one-field tuple wrapping a tuple):
+                # positional access applies to the payload
+                cont = base + 1
             node_rows.append((
-                name, pre, posts[pre], levels[pre], parents[pre],
-                ends[pre], kind,
+                name, pre, posts[pre], levels[pre],
+                parents[pre], ends[pre], kind,
                 value.class_name if isinstance(value, Oid) else None,
-                steps[pre], names[pre], positions[pre],
-                value_key(value),
-                None if kind == "oid" else pre,
+                step, step_name, positions[pre], value_key(value),
+                base, cont,
             ))
             if kind == "atom" and isinstance(value, str):
                 content_rows.append((name, pre, value))
-            if steps[pre] == "attr":
+            if step == "attr":
                 rendered = (str(value)
                             if isinstance(value, ATOM_PYTYPES)
                             else None)
-                attr_rows.append((name, pre, names[pre], rendered))
+                attr_rows.append((name, pre, step_name, rendered))
             if kind == "tuple":
                 children = _children(pre, ends)
                 for child in children:
-                    sel_rows.append((name, pre, names[child], child))
+                    sel_rows.append((name, pre, steps[child][1], child))
                 if len(children) == 1:
-                    marker = names[children[0]]
                     payload = children[0]
+                    marker = steps[payload][1]
                     if kinds[payload] == "tuple":
                         for grand in _children(payload, ends):
-                            if names[grand] != marker:
+                            if steps[grand][1] != marker:
                                 sel_rows.append(
-                                    (name, pre, names[grand], grand))
+                                    (name, pre, steps[grand][1], grand))
         connection.executemany(
             "INSERT INTO node (root, pre, post, level, parent, "
             "end_pre, kind, class, step, name, position, vkey, "
-            "deref_base) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            "deref_base, cont) "
+            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
             node_rows)
         connection.executemany(
             "INSERT INTO sel (root, base, name, target) "
@@ -360,35 +287,19 @@ class Shred:
         connection.executemany(
             "INSERT INTO attr (root, pre, name, value) "
             "VALUES (?, ?, ?, ?)", attr_rows)
-
-    def _close_derefs(self, connection: Any) -> None:
-        """Resolve ``deref_base`` for oid nodes with the dialect's
-        recursive chase, then derive the ``cont`` swap column."""
-        updates = []
-        for row in connection.execute(self.dialect.deref_chase_sql()):
-            root_name, origin, cur, depth, kind = row
-            if kind == "oid" or depth > DEREF_CAP:
-                shredded = self.roots.get(root_name)
-                if shredded is not None:
-                    shredded.block("dereference chain over the "
-                                   f"{DEREF_CAP}-step cap")
-                continue
-            updates.append((cur, root_name, origin))
-        connection.executemany(
-            "UPDATE node SET deref_base = ? WHERE root = ? AND pre = ?",
-            updates)
-        connection.execute("UPDATE node SET cont = deref_base")
-        connection.execute(self.dialect.cont_swap_sql())
+        if not all(block.complete):
+            return "suppressed dereference (incomplete subtree)"
+        if over_cap:
+            return f"dereference chain over the {DEREF_CAP}-step cap"
+        return None
 
     # -- lookups --------------------------------------------------------------
 
-    def root_shred(self, name: str) -> ShreddedRoot | None:
-        return self.roots.get(name)
-
-    def max_root_size(self, names: Iterator[str] | None = None) -> int:
-        pool = (self.roots.values() if names is None
-                else [self.roots[n] for n in names if n in self.roots])
-        return max((r.size for r in pool), default=0)
+    def max_root_size(self, names: Iterable[str] | None = None) -> int:
+        roots = self.roots
+        pool = (roots.values() if names is None
+                else [roots[n] for n in names if n in roots])
+        return max((block.size for block in pool), default=0)
 
 
 def _step_of(path: Path) -> tuple[str, str | None]:

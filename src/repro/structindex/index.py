@@ -39,12 +39,19 @@ the blocks containing the edited object), and :meth:`refresh` rebuilds
 exactly the dirty blocks.  An epoch bump the index was *not* told about
 (someone mutated the instance behind the facade's back) degrades to a
 full rebuild — stale answers are structurally impossible.
+
+**One encoding.**  These blocks are the only pre/post encoding in the
+process: the relational backend's tables
+(:mod:`repro.sqlbackend.shred`) are a projection of the published
+blocks, re-inserted per root whenever :meth:`refresh` publishes a new
+block object for it.
 """
 
 from __future__ import annotations
 
 import threading
 from bisect import bisect_left
+from typing import Any, Iterator, cast
 
 from repro.errors import EvaluationError
 from repro.oodb.values import ATOM_PYTYPES, Nil, Oid
@@ -103,7 +110,8 @@ class Block:
     def subtree_size(self, pre: int) -> int:
         return self.end[pre] - pre
 
-    def relative_pairs(self, pre: int, max_paths: int | None = None):
+    def relative_pairs(self, pre: int, max_paths: int | None = None
+                       ) -> Iterator[tuple[Path, object]]:
         """``(relative path, value)`` for the subtree at ``pre`` — the
         materialized ``paths_from(values[pre], ...)`` (same pairs, same
         order, same ``max_paths`` error contract)."""
@@ -168,8 +176,8 @@ class Block:
         out.sort()
         return out
 
-    def _climb_derefs(self, i: int, pre: int, seen: set,
-                      out: list) -> None:
+    def _climb_derefs(self, i: int, pre: int, seen: set[int],
+                      out: list[int]) -> None:
         while i not in seen:
             seen.add(i)
             out.append(i)
@@ -178,7 +186,8 @@ class Block:
                 return
             i = self.parent[i]
 
-    def matches_in(self, pre: int, probe: object):
+    def matches_in(self, pre: int, probe: object
+                   ) -> list[tuple[Path, object]] | None:
         """Occurrences of ``probe`` inside the subtree at ``pre`` as
         ``(relative path, value)`` pairs, via the secondary slices —
         or ``None`` when the probe's type has no slice (collections:
@@ -201,7 +210,7 @@ class Block:
                 for j in positions[lo:hi]]
 
 
-def _build_block(root_name: str, origin: object, instance,
+def _build_block(root_name: str, origin: object, instance: Any,
                  max_nodes: int | None) -> Block:
     """Fold one :func:`walk_events` stream into a :class:`Block`."""
     block = Block(root_name, origin)
@@ -251,7 +260,8 @@ def _build_block(root_name: str, origin: object, instance,
                 # fresh walk from any open node strictly below that
                 # crossing would deref here, so those subtrees are
                 # truncated relative to paths_from
-                crossing = crossings.get(value.class_name, -1)
+                crossing = crossings.get(
+                    cast(Oid, value).class_name, -1)
                 for open_pre in reversed(open_nodes):
                     if open_pre == crossing:
                         break
@@ -290,13 +300,13 @@ class StructuralIndex:
     disabled; counters land under ``structindex.*``).
     """
 
-    def __init__(self, instance, epoch_source=None,
+    def __init__(self, instance: Any, epoch_source: Any = None,
                  max_block_nodes: int | None = DEFAULT_MAX_BLOCK_NODES
                  ) -> None:
         self.instance = instance
         self.epoch_source = epoch_source
         self.max_block_nodes = max_block_nodes
-        self.metrics = None
+        self.metrics: Any = None
         self._lock = threading.RLock()
         self._blocks: dict[str, Block] = {}
         # every occurrence (complete or not), for dirty marking
@@ -306,11 +316,11 @@ class StructuralIndex:
         self._value_nodes: dict[int, tuple[str, int]] = {}
         self._dirty: set[str] = set()
         self._all_dirty = True
-        self._synced_epoch = None
+        self._synced_epoch: int | None = None
 
     # -- maintenance hooks ----------------------------------------------------
 
-    def note_data_change(self, epoch=None) -> None:
+    def note_data_change(self, epoch: int | None = None) -> None:
         """A structural mutation (document load, new root): everything
         is stale; ``epoch`` records the post-mutation epoch so
         :meth:`refresh` knows the change was accounted for."""
@@ -318,7 +328,8 @@ class StructuralIndex:
             self._all_dirty = True
             self._synced_epoch = epoch
 
-    def note_object_update(self, oid: Oid, epoch=None) -> None:
+    def note_object_update(self, oid: Oid,
+                           epoch: int | None = None) -> None:
         """An in-database edit of one object: only the blocks whose
         interval arrays contain the oid are stale (the TextIndex-style
         targeted maintenance).  An oid the index has never seen forces
@@ -438,7 +449,8 @@ class StructuralIndex:
 
     @property
     def blocks(self) -> dict[str, Block]:
-        """Root name → block (read-only view for tests/diagnostics)."""
+        """Root name → published block, as a snapshot: what the SQL
+        shred projects (and compares by identity), and diagnostics."""
         with self._lock:
             return dict(self._blocks)
 

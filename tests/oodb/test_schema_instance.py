@@ -169,6 +169,20 @@ class TestInstance:
         oids = [db.new_object("Title", "x") for _ in range(10)]
         assert len({o.number for o in oids}) == 10
 
+    def test_oids_since_is_the_tail_of_all_oids(self, article_schema):
+        db = Instance(article_schema)
+        old = [db.new_object("Title", "t"), db.new_object("Author", "a")]
+        first = db._next_oid
+        assert list(db.oids_since(first)) == []
+        dropped = db.new_object("Title", "backtracked")
+        new = [db.new_object("Author", "b"), db.new_object("Title", "u"),
+               db.new_object("Author", "c")]
+        db.remove_object(dropped)           # a gap in the numbering
+        assert list(db.oids_since(first)) == [
+            oid for oid in db.all_oids() if oid not in old]
+        assert set(db.oids_since(first)) == set(new)
+        assert list(db.oids_since(1)) == list(db.all_oids())
+
     def test_set_value_and_dangling(self, article_schema):
         db = Instance(article_schema)
         oid = db.new_object("Title", "old")

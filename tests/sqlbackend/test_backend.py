@@ -93,9 +93,10 @@ class TestRefusals:
         from repro.algebra.execute import execute_plan
         store = build_store("algebra")
         backend, hybrid, plan = structural_hybrid(store, QUERIES[0])
-        # sabotage the shred the way a node-budget overflow would
-        backend.shred.max_nodes = 2
-        backend.shred._built = False
+        # a node-budget overflow: the index publishes truncated blocks
+        index = backend.shred.index
+        index.max_block_nodes = 2
+        index.note_data_change(epoch=store.epoch)
         with pytest.raises(SQLUnsupportedError, match="navigable"):
             backend.execute(hybrid, store._engine.ctx.fork())
         # the serving fallback runs the same plan exactly

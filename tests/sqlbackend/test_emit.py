@@ -57,7 +57,9 @@ class TestEmitProgram:
         assert program.columns  # at least the head variable survives
         # the statement actually runs on the live shred
         from repro.sqlbackend.shred import Shred
-        shred = Shred(store.instance, epoch_source=store.plan_cache)
+        from repro.structindex import StructuralIndex
+        shred = Shred(StructuralIndex(store.instance,
+                                      epoch_source=store.plan_cache))
         shred.refresh()
         names, rows = shred.execute(program.sql, program.params)
         assert rows

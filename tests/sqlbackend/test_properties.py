@@ -22,6 +22,7 @@ from repro.corpus import ARTICLE_DTD
 from repro.corpus.generator import generate_corpus
 from repro.paths.enumeration import ENTER, RESTRICTED, walk_events
 from repro.sqlbackend.shred import Shred, value_key
+from repro.structindex import StructuralIndex
 
 
 @lru_cache(maxsize=None)
@@ -29,7 +30,8 @@ def shredded_store(size: int, seed: int):
     store = DocumentStore(ARTICLE_DTD)
     for position, tree in enumerate(generate_corpus(size, seed=seed)):
         store.load_tree(tree, name=f"doc{position}", validate=False)
-    shred = Shred(store.instance, epoch_source=store.plan_cache)
+    shred = Shred(StructuralIndex(store.instance,
+                                 epoch_source=store.plan_cache))
     shred.refresh()
     return store, shred
 
@@ -47,7 +49,7 @@ class TestWalkRoundTrip:
             enters = [(path, value, level)
                       for kind, path, value, level in walk_events(
                           root.origin, store.instance, RESTRICTED,
-                          shred.max_nodes)
+                          shred.index.max_block_nodes)
                       if kind is ENTER]
             assert len(enters) == root.size
             _, rows = shred.execute(

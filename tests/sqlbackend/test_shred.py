@@ -8,12 +8,19 @@ from repro import DocumentStore
 from repro.corpus import ARTICLE_DTD, SAMPLE_ARTICLE
 from repro.oodb.values import Nil, Oid
 from repro.sqlbackend.shred import Shred, value_key
+from repro.structindex import StructuralIndex
 
 
 def build_store():
     store = DocumentStore(ARTICLE_DTD)
     store.load_text(SAMPLE_ARTICLE, name="my_article")
     return store
+
+
+def shred_of(store, **index_options):
+    return Shred(StructuralIndex(store.instance,
+                                 epoch_source=store.plan_cache,
+                                 **index_options))
 
 
 class TestValueKey:
@@ -52,7 +59,7 @@ class TestValueKey:
 class TestShredBuild:
     def test_content_rows_are_exactly_the_string_atoms(self):
         store = build_store()
-        shred = Shred(store.instance, epoch_source=store.plan_cache)
+        shred = shred_of(store)
         shred.refresh()
         for name, root in shred.roots.items():
             _, rows = shred.execute(
@@ -65,29 +72,28 @@ class TestShredBuild:
 
     def test_node_count_matches_hydration_arrays(self):
         store = build_store()
-        shred = Shred(store.instance, epoch_source=store.plan_cache)
+        shred = shred_of(store)
         shred.refresh()
         for name, root in shred.roots.items():
             _, rows = shred.execute(
                 "SELECT COUNT(*) FROM node WHERE root = ?", (name,))
             assert rows[0][0] == root.size == len(root.values) \
-                == len(root.paths) == len(root.names)
+                == len(root.paths)
 
     def test_refresh_is_epoch_gated(self):
         store = build_store()
-        shred = Shred(store.instance, epoch_source=store.plan_cache)
+        shred = shred_of(store)
         assert shred.refresh() > 0
         # clean: a second refresh is a no-op
         assert shred.refresh() == 0
         # any store mutation bumps the cache epoch -> stale again
         store.load_text(SAMPLE_ARTICLE, name="another")
-        assert shred.stale()
         assert shred.refresh() > 0
         assert "another" in shred.roots
 
     def test_no_epoch_source_means_always_stale(self):
         store = build_store()
-        shred = Shred(store.instance, epoch_source=None)
+        shred = Shred(StructuralIndex(store.instance))
         first = shred.refresh()
         assert first > 0
         # correct-but-slow mode: every refresh rebuilds
@@ -95,12 +101,10 @@ class TestShredBuild:
 
     def test_node_budget_yields_unusable_stub(self):
         store = build_store()
-        shred = Shred(store.instance, epoch_source=store.plan_cache,
-                      max_nodes=3)
+        shred = shred_of(store, max_block_nodes=3)
         shred.refresh()
-        root = shred.root_shred("my_article")
-        assert root is not None
-        assert not root.navigable
-        assert root.size == 0
-        assert "budget" in root.reason
+        assert shred.roots["my_article"].truncated
+        assert "budget" in shred.refused["my_article"]
         assert shred.max_root_size() == 0
+        _, rows = shred.execute("SELECT COUNT(*) FROM node", ())
+        assert rows == [(0,)]

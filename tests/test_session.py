@@ -92,3 +92,50 @@ class TestQuerying:
         s.load_text(SAMPLE_ARTICLE, name="my_article")
         result = s.query("select t from my_article PATH_p.title(t)")
         assert len(result) == 3
+
+
+class TestLiveIndexIngest:
+    """Loading into a store with live incremental structures (text
+    index, parent map) visits the objects the load allocated — never
+    the corpus loaded before it."""
+
+    @staticmethod
+    def visited_by_one_more_load(already_loaded):
+        from repro.corpus.generator import generate_corpus
+        store = DocumentStore(ARTICLE_DTD)
+        store.build_text_index()
+        for tree in generate_corpus(already_loaded, seed=5):
+            store.load_tree(tree, validate=False)
+        store._parent_map()
+        instance = store.instance
+        visited = []
+
+        def forbidden():
+            raise AssertionError("a load scanned the whole instance")
+
+        def counting(first, enumerate_new=instance.oids_since):
+            for oid in enumerate_new(first):
+                visited.append(oid)
+                yield oid
+
+        instance.all_oids = forbidden
+        instance.oids_since = counting
+        before = instance.object_count()
+        store.load_text(SAMPLE_ARTICLE)
+        assert len(visited) == instance.object_count() - before
+        return store, visited
+
+    def test_objects_visited_do_not_grow_with_the_corpus(self):
+        _, small = self.visited_by_one_more_load(1)
+        _, large = self.visited_by_one_more_load(12)
+        assert len(small) == len(large) > 0
+
+    def test_new_objects_still_reach_both_structures(self):
+        store, visited = self.visited_by_one_more_load(3)
+        title = max((oid for oid in visited
+                     if oid.class_name == "Title"),
+                    key=lambda oid: oid.number)
+        assert title in store._parents
+        live = store.text_index.document_count
+        del store.instance.all_oids         # the full rebuild may scan
+        assert store.build_text_index().document_count == live
