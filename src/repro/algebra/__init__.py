@@ -42,6 +42,7 @@ from repro.algebra.operators import (
     StructuralScanOp,
     UnionOp,
     UnnestOp,
+    walk_once,
 )
 from repro.algebra.optimizer import factor_shared_prefixes, optimize
 
@@ -51,5 +52,5 @@ __all__ = [
     "SelectOp", "SharedOp", "StepOp", "StructuralAttrScanOp",
     "StructuralScanOp", "UnionOp",
     "UnnestOp", "compile_query", "execute_plan",
-    "factor_shared_prefixes", "optimize",
+    "factor_shared_prefixes", "optimize", "walk_once",
 ]

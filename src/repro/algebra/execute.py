@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from repro.errors import SafetyError
 from repro.calculus.evaluator import EvalContext
 from repro.oodb.values import SetValue, TupleValue
-from repro.algebra.operators import Operator, ProjectOp
+from repro.algebra.operators import (
+    Operator,
+    ProjectOp,
+    SharedOp,
+    UnionOp,
+    walk_once,
+)
 
 
 def execute_plan(plan: ProjectOp, ctx: EvalContext) -> SetValue:
@@ -55,36 +59,20 @@ def execute_plan(plan: ProjectOp, ctx: EvalContext) -> SetValue:
     return SetValue(results)
 
 
-def _walk_once(plan: Operator) -> Iterator[Operator]:
-    """Every distinct operator in the plan DAG, once — shared subplans
-    are not re-visited through their other consumers."""
-    seen: set[int] = set()
-    stack = [plan]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        yield node
-        stack.extend(node.children())
-
-
 def plan_size(plan: Operator) -> int:
     """Number of distinct operators in the plan DAG (for
     tests/benchmarks); a shared subplan counts once."""
-    return sum(1 for _ in _walk_once(plan))
+    return len(walk_once(plan))
 
 
 def count_unions(plan: Operator) -> int:
     """Number of distinct UnionOp nodes (the variable-elimination
     fan-out)."""
-    from repro.algebra.operators import UnionOp
-    return sum(1 for node in _walk_once(plan)
+    return sum(1 for node in walk_once(plan)
                if isinstance(node, UnionOp))
 
 
 def count_shared(plan: Operator) -> int:
     """Number of SharedOp nodes (the factoring's merge points)."""
-    from repro.algebra.operators import SharedOp
-    return sum(1 for node in _walk_once(plan)
+    return sum(1 for node in walk_once(plan)
                if isinstance(node, SharedOp))

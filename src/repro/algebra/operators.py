@@ -29,11 +29,19 @@ additions:
   index rewrite: an unbound path variable's whole union fan-out as one
   pre/post interval range scan (and, joined with a bound variable, two
   bisections) over :mod:`repro.structindex`.
+
+Every class declares its non-child constructor parameters
+(:attr:`Operator.params`) and renders its own line
+(:meth:`Operator.label`); rebuilding, structural hashing, rendering and
+traversal (:func:`walk_once`) are derived from that once, in the base
+class — adding an operator touches no generic plan code.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+import inspect
+from operator import attrgetter
+from typing import Any, Callable, ClassVar, Iterator
 
 from repro.errors import CompilationError, EvaluationError
 from repro.calculus.evaluator import (
@@ -56,6 +64,18 @@ from repro.paths.steps import (
 )
 
 
+_BY_VALUE = frozenset((str, int, bool, type(None)))
+
+
+def _reader(names: tuple[str, ...]) -> Callable[[Any], tuple]:
+    """``op -> (op.<name>, ...)`` — one C call for the usual several
+    names (``attrgetter`` returns a bare value for one name and refuses
+    none, hence the fallback)."""
+    if len(names) > 1:
+        return attrgetter(*names)
+    return lambda op: tuple([getattr(op, name) for name in names])
+
+
 class Operator:
     """Base class of plan operators.
 
@@ -64,7 +84,27 @@ class Operator:
     context it meters the stream (actual row counts, elapsed time per
     node — the EXPLAIN ANALYZE numbers); otherwise the subclass stream
     is returned untouched.  Subclasses implement :meth:`_rows`.
+
+    Every operator also describes itself, once, so generic plan code
+    (the optimizer's rewrites and factoring, the verifier, the plan
+    renderers) never dispatches on the operator class: a subclass
+    declares :attr:`params` and writes :meth:`label`; the base derives
+    :meth:`children`, :meth:`with_children`, :meth:`param_key` and
+    :meth:`describe` from them.  The declaration is checked against the
+    constructor when the class is created.
     """
+
+    #: The constructor's parameters after its input, in order; each is
+    #: stored under the attribute of the same name.  The input itself
+    #: is read off the constructor: a first parameter ``child`` is one
+    #: input operator, ``branches`` a list of them, anything else makes
+    #: the operator a leaf.
+    params: ClassVar[tuple[str, ...]] = ()
+    # derived from the constructor and ``params`` at class creation
+    _input: ClassVar[str | None] = None
+    _read: ClassVar[Callable[[Any], tuple]]
+    child: "Operator"
+    branches: list["Operator"]
 
     #: Estimated output cardinality / total cost, stamped by the
     #: optimizer's cost stage (:mod:`repro.stats`); ``None`` on plans
@@ -77,6 +117,17 @@ class Operator:
     #: ``PC-COST`` checks re-validate.  ``None`` everywhere else.
     cost_evidence: Any = None
 
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        names = list(inspect.signature(cls).parameters)
+        cls._input = (names.pop(0) if names[:1] in (["child"], ["branches"])
+                      else None)
+        cls._read = staticmethod(_reader(cls.params))
+        if names != list(cls.params):
+            raise TypeError(
+                f"{cls.__name__}.params {cls.params!r} does not match "
+                f"its constructor parameters {names!r}")
+
     def rows(self, ctx: EvalContext) -> Iterator[Binding]:
         profiler = ctx.profiler
         if profiler is None:
@@ -86,11 +137,44 @@ class Operator:
     def _rows(self, ctx: EvalContext) -> Iterator[Binding]:
         raise NotImplementedError
 
-    def describe(self, indent: int = 0) -> str:
-        raise NotImplementedError
+    # -- self-description ---------------------------------------------------
 
     def children(self) -> list["Operator"]:
-        return []
+        if self._input == "child":
+            return [self.child]
+        return list(self.branches) if self._input == "branches" else []
+
+    def with_children(self, children: list["Operator"]) -> "Operator":
+        """This operator over other inputs, rebuilt through the
+        constructor: everything stamped on a node after construction
+        (estimates, cost evidence, memoized probes, the compiler's
+        ``structural_alternative``) stays behind on the original."""
+        if self._input is None:
+            return self
+        construct: Callable[..., Operator] = type(self)
+        return construct(
+            children[0] if self._input == "child" else list(children),
+            *self._read(self))
+
+    def param_key(self) -> tuple:
+        """The non-child parameters as a hashable key — strings, ints,
+        booleans and ``None`` by value, everything else by identity —
+        for the optimizer's structural hashing: the compiler and the
+        rewrites reuse the same term/variable objects, so equal keys
+        over equal children mean the same subplan."""
+        return tuple([
+            value if type(value) in _BY_VALUE else id(value)
+            for value in self._read(self)])
+
+    def label(self) -> str:
+        """The operator's own line of a plan rendering (no subtree)."""
+        return type(self).__name__
+
+    def describe(self, indent: int = 0) -> str:
+        lines = ["  " * indent + self.label()]
+        lines.extend(child.describe(indent + 1)
+                     for child in self.children())
+        return "\n".join(lines)
 
     # -- dataflow contracts (checked statically by repro.plancheck) --------
 
@@ -121,8 +205,20 @@ class Operator:
         return self.describe()
 
 
-def _pad(indent: int) -> str:
-    return "  " * indent
+def walk_once(plan: Operator,
+              stop_at: type[Operator] | tuple[()] = ()) -> list[Operator]:
+    """Every distinct operator of the plan DAG, once — shared subplans
+    are not re-visited through their other consumers.  Operators of
+    class ``stop_at`` are listed but not entered."""
+    seen: dict[int, Operator] = {}
+    stack = [plan]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            if not isinstance(node, stop_at):
+                stack.extend(node.children())
+    return list(seen.values())
 
 
 class SeedOp(Operator):
@@ -131,13 +227,15 @@ class SeedOp(Operator):
     def _rows(self, ctx: EvalContext) -> Iterator[Binding]:
         yield {}
 
-    def describe(self, indent: int = 0) -> str:
-        return _pad(indent) + "Seed"
+    def label(self) -> str:
+        return "Seed"
 
 
 class BindOp(Operator):
     """Bind ``var`` to the value of a ground term; rows where the term
     does not evaluate (wrong union branch) are dropped."""
+
+    params = ("variable", "term")
 
     def __init__(self, child: Operator, variable: Any,
                  term: Any) -> None:
@@ -166,12 +264,8 @@ class BindOp(Operator):
     def produces(self) -> frozenset:
         return frozenset((self.variable,))
 
-    def children(self) -> list[Operator]:
-        return [self.child]
-
-    def describe(self, indent: int = 0) -> str:
-        return (_pad(indent) + f"Bind {self.variable} = {self.term}\n"
-                + self.child.describe(indent + 1))
+    def label(self) -> str:
+        return f"Bind {self.variable} = {self.term}"
 
 
 class UnnestOp(Operator):
@@ -188,6 +282,8 @@ class UnnestOp(Operator):
       tuples — never sets;
     * ``"set"`` — a ``{X}`` step: auto-dereference, then sets only.
     """
+
+    params = ("collection_term", "element_var", "index_var", "mode")
 
     def __init__(self, child: Operator, collection_term: Any,
                  element_var: Any, index_var: Any = None,
@@ -248,16 +344,11 @@ class UnnestOp(Operator):
             produced.add(self.index_var)
         return frozenset(produced)
 
-    def children(self) -> list[Operator]:
-        return [self.child]
-
-    def describe(self, indent: int = 0) -> str:
+    def label(self) -> str:
         position = (f" @{self.index_var}" if self.index_var is not None
                     else "")
-        return (_pad(indent)
-                + f"Unnest {self.element_var}{position} in "
-                f"{self.collection_term}\n"
-                + self.child.describe(indent + 1))
+        return (f"Unnest {self.element_var}{position} in "
+                f"{self.collection_term}")
 
 
 class StepOp(Operator):
@@ -268,6 +359,8 @@ class StepOp(Operator):
     ``index`` uses the heterogeneous-list view on ordered tuples (this is
     the paper's variant-based selection over heterogeneous collections).
     """
+
+    params = ("source_var", "kind", "argument", "out_var")
 
     def __init__(self, child: Operator, source_var: Any, kind: str,
                  argument: Any, out_var: Any) -> None:
@@ -325,14 +418,9 @@ class StepOp(Operator):
     def produces(self) -> frozenset:
         return frozenset((self.out_var,))
 
-    def children(self) -> list[Operator]:
-        return [self.child]
-
-    def describe(self, indent: int = 0) -> str:
-        return (_pad(indent)
-                + f"Step {self.out_var} = {self.source_var}"
-                f".{self.kind}({self.argument})\n"
-                + self.child.describe(indent + 1))
+    def label(self) -> str:
+        return (f"Step {self.out_var} = {self.source_var}"
+                f".{self.kind}({self.argument})")
 
 
 class MakePathOp(Operator):
@@ -342,6 +430,8 @@ class MakePathOp(Operator):
     ``('attr', name)``, ``('index', i)``, ``('index_from', var)``,
     ``('deref',)``, ``('elem_from', var)``.
     """
+
+    params = ("template", "out_var")
 
     def __init__(self, child: Operator, template: list,
                  out_var: Any) -> None:
@@ -388,24 +478,21 @@ class MakePathOp(Operator):
     def produces(self) -> frozenset:
         return frozenset((self.out_var,))
 
-    def children(self) -> list[Operator]:
-        return [self.child]
-
-    def describe(self, indent: int = 0) -> str:
+    def label(self) -> str:
         rendered = "".join(
             f".{part[1]}" if part[0] == "attr"
             else f"[{part[1]}]" if part[0] in ("index", "index_from")
             else "->" if part[0] == "deref"
             else "{...}"
             for part in self.template)
-        return (_pad(indent)
-                + f"MakePath {self.out_var} = {rendered or 'ε'}\n"
-                + self.child.describe(indent + 1))
+        return f"MakePath {self.out_var} = {rendered or 'ε'}"
 
 
 class SelectOp(Operator):
     """Filter by a ground atom (delegated to the calculus atom
     semantics, preserving wrong-branch-is-false)."""
+
+    params = ("atom",)
 
     def __init__(self, child: Operator, atom: Any) -> None:
         self.child = child
@@ -420,16 +507,14 @@ class SelectOp(Operator):
     def consumes(self) -> frozenset:
         return frozenset(self.atom.free_variables())
 
-    def children(self) -> list[Operator]:
-        return [self.child]
-
-    def describe(self, indent: int = 0) -> str:
-        return (_pad(indent) + f"Select {self.atom}\n"
-                + self.child.describe(indent + 1))
+    def label(self) -> str:
+        return f"Select {self.atom}"
 
 
 class NegationOp(Operator):
     """Anti-filter: keep rows where the subformula has no witness."""
+
+    params = ("formula",)
 
     def __init__(self, child: Operator, formula: Any) -> None:
         self.child = child
@@ -446,18 +531,16 @@ class NegationOp(Operator):
         # here would silently change semantics, so the verifier insists.
         return frozenset(self.formula.free_variables())
 
-    def children(self) -> list[Operator]:
-        return [self.child]
-
-    def describe(self, indent: int = 0) -> str:
-        return (_pad(indent) + f"AntiFilter ¬({self.formula})\n"
-                + self.child.describe(indent + 1))
+    def label(self) -> str:
+        return f"AntiFilter ¬({self.formula})"
 
 
 class FormulaOp(Operator):
     """Generality fallback: satisfy an arbitrary residual formula per
     row via the calculus interpreter (used for quantifiers the purely
     algebraic operators do not cover)."""
+
+    params = ("formula",)
 
     def __init__(self, child: Operator, formula: Any) -> None:
         self.child = child
@@ -475,12 +558,8 @@ class FormulaOp(Operator):
         # interpreter leaves unbound would already fail dynamically.
         return frozenset(self.formula.free_variables())
 
-    def children(self) -> list[Operator]:
-        return [self.child]
-
-    def describe(self, indent: int = 0) -> str:
-        return (_pad(indent) + f"Formula {self.formula}\n"
-                + self.child.describe(indent + 1))
+    def label(self) -> str:
+        return f"Formula {self.formula}"
 
 
 class UnionOp(Operator):
@@ -504,7 +583,7 @@ class UnionOp(Operator):
     def _probes(self) -> list[list["IndexFilterOp"]]:
         probes = self._branch_probes
         if probes is None:
-            probes = [_gating_index_filters(branch)
+            probes = [gating_index_filters(branch)
                       for branch in self.branches]
             self._branch_probes = probes
         return probes
@@ -527,32 +606,18 @@ class UnionOp(Operator):
                 continue
             yield from branch.rows(ctx)
 
-    def children(self) -> list[Operator]:
-        return list(self.branches)
-
-    def describe(self, indent: int = 0) -> str:
-        lines = [_pad(indent) + f"Union ({len(self.branches)} branches)"]
-        for branch in self.branches:
-            lines.append(branch.describe(indent + 1))
-        return "\n".join(lines)
+    def label(self) -> str:
+        return f"Union ({len(self.branches)} branches)"
 
 
-def _gating_index_filters(branch: Operator) -> list["IndexFilterOp"]:
+def gating_index_filters(branch: Operator) -> list["IndexFilterOp"]:
     """The oid-covered IndexFilterOps every row of ``branch`` must pass.
 
     Walks the branch spine (through shared nodes) but not into nested
     unions — those prune their own branches.
     """
-    found: list[IndexFilterOp] = []
-    stack = [branch]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, UnionOp):
-            continue
-        if isinstance(node, IndexFilterOp) and node.oid_only:
-            found.append(node)
-        stack.extend(node.children())
-    return found
+    return [node for node in walk_once(branch, stop_at=UnionOp)
+            if isinstance(node, IndexFilterOp) and node.oid_only]
 
 
 class SharedOp(Operator):
@@ -568,6 +633,8 @@ class SharedOp(Operator):
     runs never share state.  Replaying the same binding dicts is safe
     because operators extend rows by copying, never in place.
     """
+
+    params = ("ref_count", "shared_id")
 
     def __init__(self, child: Operator, ref_count: int = 1,
                  shared_id: int = 0) -> None:
@@ -602,13 +669,12 @@ class SharedOp(Operator):
         # truncated prefix
         memo[id(self)] = rows
 
-    def children(self) -> list[Operator]:
-        return [self.child]
+    def param_key(self) -> tuple:
+        # a shared node is already a merge point: never merged again
+        return (id(self),)
 
-    def describe(self, indent: int = 0) -> str:
-        return (_pad(indent)
-                + f"Shared[{self.shared_id}] ×{self.ref_count}\n"
-                + self.child.describe(indent + 1))
+    def label(self) -> str:
+        return f"Shared[{self.shared_id}] ×{self.ref_count}"
 
 
 _NO_CANDIDATES = object()  # "probe not yet run" (None = "no pruning")
@@ -630,6 +696,8 @@ class IndexFilterOp(Operator):
     *empty* candidate set means the filter passes nothing — which lets
     :class:`UnionOp` skip the whole branch before it runs.
     """
+
+    params = ("variable", "pattern", "recheck_atom", "oid_only")
 
     def __init__(self, child: Operator, variable: Any, pattern: Any,
                  recheck_atom: Any, oid_only: bool = False) -> None:
@@ -679,13 +747,8 @@ class IndexFilterOp(Operator):
         return frozenset({self.variable}
                          | set(self.recheck_atom.free_variables()))
 
-    def children(self) -> list[Operator]:
-        return [self.child]
-
-    def describe(self, indent: int = 0) -> str:
-        return (_pad(indent)
-                + f"IndexFilter {self.variable} contains {self.pattern}\n"
-                + self.child.describe(indent + 1))
+    def label(self) -> str:
+        return f"IndexFilter {self.variable} contains {self.pattern}"
 
 
 class StructuralScanOp(Operator):
@@ -702,6 +765,8 @@ class StructuralScanOp(Operator):
     (``structindex.fallback_walks``) — identical pairs either way, so
     the rewrite is an execution-strategy change only.
     """
+
+    params = ("source_var", "path_var", "out_var")
 
     def __init__(self, child: Operator, source_var: Any,
                  path_var: Any, out_var: Any) -> None:
@@ -743,14 +808,9 @@ class StructuralScanOp(Operator):
     def produces(self) -> frozenset:
         return frozenset((self.path_var, self.out_var))
 
-    def children(self) -> list[Operator]:
-        return [self.child]
-
-    def describe(self, indent: int = 0) -> str:
-        return (_pad(indent)
-                + f"StructuralScan {self.path_var}, {self.out_var} "
-                f"⇐ subtree({self.source_var})\n"
-                + self.child.describe(indent + 1))
+    def label(self) -> str:
+        return (f"StructuralScan {self.path_var}, {self.out_var} "
+                f"⇐ subtree({self.source_var})")
 
 
 class StructuralAttrScanOp(StructuralScanOp):
@@ -774,6 +834,9 @@ class StructuralAttrScanOp(StructuralScanOp):
     ``value_var`` (the selected value).  Sources without a usable
     occurrence fall back to the live walk, identically filtered.
     """
+
+    params = ("source_var", "path_var", "out_var", "attr", "attr_var",
+              "value_var")
 
     def __init__(self, child: Operator, source_var: Any,
                  path_var: Any, out_var: Any, attr: Any,
@@ -848,14 +911,12 @@ class StructuralAttrScanOp(StructuralScanOp):
             produced.add(self.attr_var)
         return frozenset(produced)
 
-    def describe(self, indent: int = 0) -> str:
+    def label(self) -> str:
         selector = (f".{self.attr}" if self.attr is not None
                     else f".{self.attr_var}")
-        return (_pad(indent)
-                + f"StructuralAttrScan {self.path_var}, {self.out_var}"
+        return (f"StructuralAttrScan {self.path_var}, {self.out_var}"
                 f"{selector} ⇒ {self.value_var} "
-                f"⇐ subtree({self.source_var})\n"
-                + self.child.describe(indent + 1))
+                f"⇐ subtree({self.source_var})")
 
 
 class IntervalJoinOp(Operator):
@@ -871,6 +932,9 @@ class IntervalJoinOp(Operator):
     sources without a complete occurrence fall back to scan + the exact
     recheck atom, preserving ``≡`` semantics bit-for-bit.
     """
+
+    params = ("source_var", "path_var", "out_var", "probe_var",
+              "recheck_atom")
 
     def __init__(self, child: Operator, source_var: Any,
                  path_var: Any, out_var: Any, probe_var: Any,
@@ -927,22 +991,31 @@ class IntervalJoinOp(Operator):
     def produces(self) -> frozenset:
         return frozenset((self.path_var, self.out_var))
 
-    def children(self) -> list[Operator]:
-        return [self.child]
-
-    def describe(self, indent: int = 0) -> str:
-        return (_pad(indent)
-                + f"IntervalJoin {self.out_var} ≡ {self.probe_var} "
-                f"in subtree({self.source_var}), path {self.path_var}\n"
-                + self.child.describe(indent + 1))
+    def label(self) -> str:
+        return (f"IntervalJoin {self.out_var} ≡ {self.probe_var} "
+                f"in subtree({self.source_var}), path {self.path_var}")
 
 
 class ProjectOp(Operator):
     """Final projection/deduplication on the head variables."""
 
+    params = ("head",)
+    #: Candidate types per variable, recorded by the compiler for the
+    #: index rewrite and the verifier's ``PC-TYPE`` replay.
+    var_types: dict | None = None
+
     def __init__(self, child: Operator, head: list) -> None:
         self.child = child
         self.head = list(head)
+
+    def with_children(self, children: list[Operator]) -> Operator:
+        rebuilt = ProjectOp(children[0], self.head)
+        rebuilt.var_types = self.var_types
+        return rebuilt
+
+    def param_key(self) -> tuple:
+        # the constructor copies the head list: key on its variables
+        return tuple(id(variable) for variable in self.head)
 
     def _rows(self, ctx: EvalContext) -> Iterator[Binding]:
         seen: set = set()
@@ -960,10 +1033,6 @@ class ProjectOp(Operator):
     def consumes(self) -> frozenset:
         return frozenset(self.head)
 
-    def children(self) -> list[Operator]:
-        return [self.child]
-
-    def describe(self, indent: int = 0) -> str:
+    def label(self) -> str:
         names = ", ".join(str(v) for v in self.head)
-        return (_pad(indent) + f"Project [{names}]\n"
-                + self.child.describe(indent + 1))
+        return f"Project [{names}]"

@@ -43,11 +43,21 @@ Every reordered/pruned union carries a
 :class:`~repro.stats.CostEvidence` record, and the stage runs under the
 same plancheck gate as every other rewrite: the verifier's ``PC-COST``
 checks re-validate the evidence (experiment P12).
+
+None of the rewrites knows how to rebuild or hash an operator class:
+nodes are reconstructed with
+:meth:`~repro.algebra.operators.Operator.with_children` (through the
+constructor, so estimates, cost evidence, memoized probes and the
+compiler's ``structural_alternative`` never travel onto a rewritten
+node) and the factoring keys on
+:meth:`~repro.algebra.operators.Operator.param_key`.  The ``isinstance``
+tests left in this module choose *which* nodes a rewrite applies to.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from typing import Any, Callable
 
 from repro.calculus.formulas import Eq, Pred
@@ -56,13 +66,10 @@ from repro.oodb.types import ClassType
 from repro.text.patterns import PatternExpr
 from repro.algebra.operators import (
     BindOp,
-    FormulaOp,
     IndexFilterOp,
     IntervalJoinOp,
     MakePathOp,
-    NegationOp,
     Operator,
-    ProjectOp,
     SeedOp,
     SelectOp,
     SharedOp,
@@ -71,6 +78,7 @@ from repro.algebra.operators import (
     StructuralScanOp,
     UnionOp,
     UnnestOp,
+    gating_index_filters,
 )
 
 
@@ -97,8 +105,8 @@ def optimize(plan: Operator, use_text_index: bool = True,
     ``structural=True`` swaps every path-variable union fan-out for the
     compiler's pre-attached :class:`StructuralScanOp` alternative (the
     pre/post-interval physical layer, experiment P9).  This pass must
-    run *first*: the other rewrites clone operators, and clones do not
-    carry the ``structural_alternative`` attribute.
+    run *first*: the other rewrites rebuild operators, and rebuilt
+    nodes do not carry the ``structural_alternative`` attribute.
 
     Every stage is gated by the :mod:`repro.plancheck` verifier.
     ``verify`` selects the failure policy: ``"raise"`` (tests,
@@ -250,103 +258,31 @@ def _pushdown(plan: Operator) -> Operator:
     return plan
 
 
-def _sink(select: Any) -> Operator | None:
+def _sink(select: SelectOp | IndexFilterOp) -> Operator | None:
     """Move a filter below its child when the child binds none of the
-    variables the filter needs."""
+    variables the filter needs — the operators' own dataflow contract
+    (checked by repro.plancheck) is exactly the commutation condition."""
     child = select.child
-    needed = _needed_vars(select)
     if isinstance(child, (BindOp, StepOp, UnnestOp, MakePathOp,
                           StructuralScanOp, IntervalJoinOp)):
-        produced = _produced_vars(child)
         # seeded bug for the plancheck mutation test: sinking without
         # the producer guard pushes a filter below its binder
-        if needed & produced and _TEST_MUTATION != "pushdown_unguarded":
+        if (select.consumes() & child.produces()
+                and _TEST_MUTATION != "pushdown_unguarded"):
             return None
-        relocated = _clone_filter(select, child.child)
-        rebuilt = _rebuild_single_child(child, _pushdown(relocated))
-        return rebuilt
+        relocated = select.with_children([child.child])
+        return child.with_children([_pushdown(relocated)])
     if isinstance(child, UnionOp):
-        branches = [_pushdown(_clone_filter(select, branch))
-                    for branch in child.branches]
-        return UnionOp(branches)
+        return UnionOp([_pushdown(select.with_children([branch]))
+                        for branch in child.branches])
     return None
-
-
-def _needed_vars(select: Any) -> set:
-    # the operator's own dataflow contract (checked by repro.plancheck)
-    # is exactly the pushdown's commutation condition
-    return set(select.consumes())
-
-
-def _produced_vars(operator: Operator) -> set:
-    return set(operator.produces())
-
-
-def _clone_filter(select: Any,
-                  new_child: Operator) -> Operator:
-    if isinstance(select, IndexFilterOp):
-        return IndexFilterOp(new_child, select.variable, select.pattern,
-                             select.recheck_atom,
-                             oid_only=select.oid_only)
-    return SelectOp(new_child, select.atom)
-
-
-def _rebuild_single_child(operator: Operator,
-                          new_child: Operator) -> Operator:
-    if isinstance(operator, BindOp):
-        return BindOp(new_child, operator.variable, operator.term)
-    if isinstance(operator, StepOp):
-        return StepOp(new_child, operator.source_var, operator.kind,
-                      operator.argument, operator.out_var)
-    if isinstance(operator, UnnestOp):
-        return UnnestOp(new_child, operator.collection_term,
-                        operator.element_var, operator.index_var,
-                        operator.mode)
-    if isinstance(operator, MakePathOp):
-        return MakePathOp(new_child, operator.template, operator.out_var)
-    if isinstance(operator, StructuralAttrScanOp):
-        return StructuralAttrScanOp(new_child, operator.source_var,
-                                    operator.path_var, operator.out_var,
-                                    operator.attr, operator.attr_var,
-                                    operator.value_var)
-    if isinstance(operator, StructuralScanOp):
-        return StructuralScanOp(new_child, operator.source_var,
-                                operator.path_var, operator.out_var)
-    if isinstance(operator, IntervalJoinOp):
-        return IntervalJoinOp(new_child, operator.source_var,
-                              operator.path_var, operator.out_var,
-                              operator.probe_var, operator.recheck_atom)
-    raise TypeError(f"cannot rebuild {operator!r}")  # pragma: no cover
 
 
 def _rebuild(plan: Operator,
              transform: Callable[[Operator], Operator]) -> Operator:
     """Apply ``transform`` to children, reconstructing the node."""
-    if isinstance(plan, ProjectOp):
-        rebuilt = ProjectOp(transform(plan.child), plan.head)
-        rebuilt.var_types = getattr(plan, "var_types", None)
-        return rebuilt
-    if isinstance(plan, SelectOp):
-        return SelectOp(transform(plan.child), plan.atom)
-    if isinstance(plan, IndexFilterOp):
-        return IndexFilterOp(transform(plan.child), plan.variable,
-                             plan.pattern, plan.recheck_atom,
-                             oid_only=plan.oid_only)
-    if isinstance(plan, NegationOp):
-        return NegationOp(transform(plan.child), plan.formula)
-    if isinstance(plan, UnionOp):
-        return UnionOp([transform(branch) for branch in plan.branches])
-    if isinstance(plan, SharedOp):
-        return SharedOp(transform(plan.child), plan.ref_count,
-                        plan.shared_id)
-    if isinstance(plan, (BindOp, StepOp, UnnestOp, MakePathOp,
-                         StructuralScanOp, IntervalJoinOp)):
-        return _rebuild_single_child(plan, transform(plan.child))
-    if isinstance(plan, FormulaOp):
-        return FormulaOp(transform(plan.child), plan.formula)
-    if isinstance(plan, SeedOp):
-        return plan
-    return plan
+    return plan.with_children([transform(child)
+                               for child in plan.children()])
 
 
 # -- common-prefix factoring ------------------------------------------------
@@ -376,7 +312,7 @@ def factor_shared_prefixes(plan: Operator) -> Operator:
         if found is not None:
             return found
         child_keys = tuple(intern(child) for child in node.children())
-        raw = (type(node).__name__, _params_of(node), child_keys)
+        raw = (type(node).__name__, node.param_key(), child_keys)
         key = interned.setdefault(raw, len(interned))
         key_of[id(node)] = key
         canonical.setdefault(key, node)
@@ -384,20 +320,11 @@ def factor_shared_prefixes(plan: Operator) -> Operator:
 
     root_key = intern(plan)
 
-    # reference counts over the canonical DAG (a node consumed twice by
-    # the same parent — duplicate union branches — counts twice)
-    refs: dict[int, int] = {}
-    visited: set[int] = set()
-    stack = [root_key]
-    while stack:
-        key = stack.pop()
-        if key in visited:
-            continue
-        visited.add(key)
-        for child in canonical[key].children():
-            child_key = key_of[id(child)]
-            refs[child_key] = refs.get(child_key, 0) + 1
-            stack.append(child_key)
+    # reference counts over the canonical DAG, every key of which is
+    # reachable from the root's (a node consumed twice by the same
+    # parent — duplicate union branches — counts twice)
+    refs = Counter(key_of[id(child)] for node in canonical.values()
+                   for child in node.children())
 
     built: dict[int, Operator] = {}
     wrappers: dict[int, SharedOp] = {}
@@ -411,14 +338,14 @@ def factor_shared_prefixes(plan: Operator) -> Operator:
             if children == node.children():  # identity: nothing changed
                 done = node
             else:
-                done = _with_children(node, children)
+                done = node.with_children(children)
             built[key] = done
         return done
 
     def resolve(child: Operator) -> Operator:
         key = key_of[id(child)]
         node = build(key)
-        if refs.get(key, 0) >= 2 and _shareable(canonical[key]):
+        if refs[key] >= 2 and _shareable(canonical[key]):
             wrapper = wrappers.get(key)
             if wrapper is None:
                 counter[0] += 1
@@ -434,46 +361,6 @@ def factor_shared_prefixes(plan: Operator) -> Operator:
 def _shareable(node: Operator) -> bool:
     # a Seed stream is free to recompute; nested SharedOps add nothing
     return not isinstance(node, (SeedOp, SharedOp))
-
-
-def _params_of(node: Operator) -> tuple:
-    """The node's non-child parameters, compared by identity."""
-    if isinstance(node, BindOp):
-        return (id(node.variable), id(node.term))
-    if isinstance(node, UnnestOp):
-        return (id(node.collection_term), id(node.element_var),
-                id(node.index_var), node.mode)
-    if isinstance(node, StepOp):
-        argument = (node.argument
-                    if isinstance(node.argument, (str, int))
-                    or node.argument is None else id(node.argument))
-        return (id(node.source_var), node.kind, argument,
-                id(node.out_var))
-    if isinstance(node, MakePathOp):
-        return (id(node.template), id(node.out_var))
-    if isinstance(node, SelectOp):
-        return (id(node.atom),)
-    if isinstance(node, IndexFilterOp):
-        return (id(node.variable), id(node.pattern),
-                id(node.recheck_atom), node.oid_only)
-    if isinstance(node, (NegationOp, FormulaOp)):
-        return (id(node.formula),)
-    if isinstance(node, StructuralAttrScanOp):
-        return (id(node.source_var), id(node.path_var),
-                id(node.out_var), node.attr,
-                None if node.attr_var is None else id(node.attr_var),
-                id(node.value_var))
-    if isinstance(node, StructuralScanOp):
-        return (id(node.source_var), id(node.path_var), id(node.out_var))
-    if isinstance(node, IntervalJoinOp):
-        return (id(node.source_var), id(node.path_var), id(node.out_var),
-                id(node.probe_var), id(node.recheck_atom))
-    if isinstance(node, ProjectOp):
-        return tuple(id(variable) for variable in node.head)
-    if isinstance(node, (UnionOp, SeedOp)):
-        return ()
-    # unknown/SharedOp nodes never merge with anything else
-    return (id(node),)
 
 
 # -- the cost stage ---------------------------------------------------------
@@ -506,7 +393,7 @@ def apply_cost_stage(plan: Operator, stats: Any,
         if children == node.children():
             rebuilt = node
         else:
-            rebuilt = _with_children(node, children)
+            rebuilt = node.with_children(children)
         if isinstance(rebuilt, IndexFilterOp):
             rebuilt = _choose_access_path(rebuilt, stats, est_memo,
                                           metrics)
@@ -561,15 +448,9 @@ def _zero_evidence(branch: Operator,
     verifier's ``PC-COST`` check re-validates against the same
     statistics snapshot.
     """
-    stack = [branch]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, UnionOp):
-            continue
-        if (isinstance(node, IndexFilterOp) and node.oid_only
-                and stats.candidate_upper_bound(node.pattern) == 0):
-            return ("empty_candidates", node.pattern)
-        stack.extend(node.children())
+    for probe in gating_index_filters(branch):
+        if stats.candidate_upper_bound(probe.pattern) == 0:
+            return ("empty_candidates", probe.pattern)
     return None
 
 
@@ -635,27 +516,3 @@ def _order_and_prune(union: UnionOp, stats: Any, est_memo: dict,
                                          stats.generation,
                                          ordinal=this_ordinal)
     return rebuilt
-
-
-def _with_children(node: Operator, children: list[Operator]) -> Operator:
-    if isinstance(node, ProjectOp):
-        rebuilt = ProjectOp(children[0], node.head)
-        rebuilt.var_types = getattr(node, "var_types", None)
-        return rebuilt
-    if isinstance(node, SelectOp):
-        return SelectOp(children[0], node.atom)
-    if isinstance(node, IndexFilterOp):
-        return IndexFilterOp(children[0], node.variable, node.pattern,
-                             node.recheck_atom, oid_only=node.oid_only)
-    if isinstance(node, NegationOp):
-        return NegationOp(children[0], node.formula)
-    if isinstance(node, FormulaOp):
-        return FormulaOp(children[0], node.formula)
-    if isinstance(node, UnionOp):
-        return UnionOp(list(children))
-    if isinstance(node, SharedOp):
-        return SharedOp(children[0], node.ref_count, node.shared_id)
-    if isinstance(node, (BindOp, StepOp, UnnestOp, MakePathOp,
-                         StructuralScanOp, IntervalJoinOp)):
-        return _rebuild_single_child(node, children[0])
-    raise TypeError(f"cannot rebuild {node!r}")  # pragma: no cover

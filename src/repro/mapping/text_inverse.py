@@ -6,8 +6,11 @@ logical object (or any value) back to the corresponding portion of text.
 
 Two strategies are available:
 
-* **provenance** — when the value is an object the loader created, its
-  source SGML subtree is re-serialised (exact inverse mapping);
+* **provenance** — when the value is an object the loader created, the
+  character data of its source SGML subtree is returned in document
+  order, the data of adjacent child elements separated by one space
+  (a tag boundary between two elements is a word boundary; text and
+  entity siblings inside one element stay glued);
 * **structural** — otherwise the value tree is walked, concatenating
   every string encountered (dereferencing objects, at most once each, so
   cyclic cross references terminate).
@@ -16,6 +19,7 @@ Two strategies are available:
 from __future__ import annotations
 
 from repro.oodb.values import ListValue, Nil, Oid, SetValue, TupleValue
+from repro.sgml.instance import Element
 
 
 def text_of(value: object, instance=None, provenance=None) -> str:
@@ -30,10 +34,32 @@ def text_of(value: object, instance=None, provenance=None) -> str:
         # subscript could land on either side of the clear
         element = provenance.get(value.number)
         if element is not None:
-            return element.text_content()
+            return _source_text(element)
     pieces: list[str] = []
     _collect(value, instance, set(), pieces)
     return " ".join(piece for piece in pieces if piece)
+
+
+def _source_text(element: Element) -> str:
+    """The element's character data; a new segment starts between two
+    adjacent child elements, and segments are joined by one space."""
+    segments = []
+    current = ""
+    after_element = False
+    for child in element.children:
+        if isinstance(child, Element):
+            if after_element:
+                segments.append(current)
+                current = ""
+            current += _source_text(child)
+            after_element = True
+        else:
+            current += child.content
+            after_element = False
+    if not segments:
+        return current
+    segments.append(current)
+    return " ".join(filter(None, segments))
 
 
 def _collect(value: object, instance, visited: set[int],

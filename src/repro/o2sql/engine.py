@@ -247,41 +247,31 @@ class QueryEngine:
             if entry is None:
                 entry, _ = self._artifacts(text, tracer, self.ctx.metrics)
                 memo[key] = entry
-            results.append(self._execute(entry, tracer))
+            results.append(self._run(text, tracer, entry)[0])
         return results
 
-    def _run(self, text: str, tracer):
+    def _run(self, text: str, tracer, entry: CachedArtifacts | None = None):
         """Run all stages under spans; returns
-        ``(result, executed-plan-or-None, emitted-sql-or-None)``."""
+        ``(result, executed-plan-or-None, emitted-sql-or-None)``.
+        ``entry`` is the artifacts a batch already resolved for this
+        text; without it they are resolved here, inside the ``query``
+        span, so a miss shows its compile-side spans."""
         with tracer.span("query", backend=self.backend) as root:
             ctx = self.ctx.fork()
-            entry, hit = self._artifacts(text, tracer, ctx.metrics)
-            if self.cache is not None:
-                root.annotate("plan_cache", "hit" if hit else "miss")
+            if entry is None:
+                entry, hit = self._artifacts(text, tracer, ctx.metrics)
+                if self.cache is not None:
+                    root.annotate("plan_cache", "hit" if hit else "miss")
+            plan = sql = None
             if entry.plan is not None:
                 result, plan, sql = self._execute_plan_entry(
-                    entry, ctx, tracer)
-                self._feedback(entry, result, ctx)
-                root.annotate("rows", len(result))
-                return result, plan, sql
-            with tracer.span("evaluate"):
-                result = evaluate_query(entry.query, ctx)
-            root.annotate("rows", len(result))
-            return result, None, None
-
-    def _execute(self, entry: CachedArtifacts, tracer) -> SetValue:
-        """Execute already-resolved artifacts under a fresh context."""
-        with tracer.span("query", backend=self.backend) as root:
-            ctx = self.ctx.fork()
-            if entry.plan is not None:
-                result, _, _ = self._execute_plan_entry(
                     entry, ctx, tracer)
                 self._feedback(entry, result, ctx)
             else:
                 with tracer.span("evaluate"):
                     result = evaluate_query(entry.query, ctx)
             root.annotate("rows", len(result))
-            return result
+            return result, plan, sql
 
     def _execute_plan_entry(self, entry: CachedArtifacts, ctx, tracer):
         """Execute a plan-bearing entry and report what actually ran:

@@ -24,13 +24,8 @@ from repro.observe.profile import PlanProfiler
 from repro.observe.trace import Span
 
 
-def _label(operator) -> str:
-    """The operator's own describe line (no children)."""
-    return operator.describe(0).split("\n", 1)[0]
-
-
 def plan_tree(operator, profiler: PlanProfiler | None = None,
-              _seen: set | None = None) -> dict:
+              _labels: dict[int, str] | None = None) -> dict:
     """Nested ``{operator, label, rows, pulls, elapsed, children}``.
 
     Factored plans are DAGs: a shared subplan is expanded only at its
@@ -38,27 +33,24 @@ def plan_tree(operator, profiler: PlanProfiler | None = None,
     ``"ref": True``, no children, and a ``(ref)`` label suffix — so the
     display, like the execution, visits every shared node once.
     """
-    if _seen is None:
-        _seen = set()
+    if _labels is None:
+        _labels = {}
+    ref = id(operator) in _labels
+    if not ref:
+        _labels[id(operator)] = operator.label()
     stats = profiler.stats_for(operator) if profiler is not None else None
-    node = {
+    return {
         "operator": type(operator).__name__,
-        "label": _label(operator),
+        "label": _labels[id(operator)] + ("  (ref)" if ref else ""),
         "rows": stats.rows_out if stats is not None else None,
         "pulls": stats.pulls if stats is not None else None,
         "elapsed": stats.elapsed if stats is not None else None,
-        "est_rows": getattr(operator, "est_rows", None),
+        "est_rows": operator.est_rows,
+        "ref": ref,
+        "children": ([] if ref else
+                     [plan_tree(child, profiler, _labels)
+                      for child in operator.children()]),
     }
-    if id(operator) in _seen:
-        node["label"] += "  (ref)"
-        node["ref"] = True
-        node["children"] = []
-        return node
-    _seen.add(id(operator))
-    node["ref"] = False
-    node["children"] = [plan_tree(child, profiler, _seen)
-                        for child in operator.children()]
-    return node
 
 
 def render_plan_tree(tree: dict, indent: int = 0) -> str:
@@ -141,21 +133,10 @@ class ExplainReport:
         plan (a union inside a shared subplan is counted once)."""
         if self.plan is None:
             return []
-        from repro.algebra.operators import UnionOp
-        found: list[int] = []
-        seen: set[int] = set()
-
-        def visit(operator) -> None:
-            if id(operator) in seen:
-                return
-            seen.add(id(operator))
-            if isinstance(operator, UnionOp):
-                found.append(len(operator.branches))
-            for child in operator.children():
-                visit(child)
-
-        visit(self.plan)
-        return found
+        from repro.algebra.operators import UnionOp, walk_once
+        return [len(operator.branches)
+                for operator in walk_once(self.plan)
+                if isinstance(operator, UnionOp)]
 
     def counter(self, name: str, default: int = 0) -> int:
         return self.metrics.get("counters", {}).get(name, default)

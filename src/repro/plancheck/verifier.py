@@ -54,24 +54,13 @@ from repro.algebra.operators import (
     StructuralAttrScanOp,
     StructuralScanOp,
     UnionOp,
+    walk_once,
 )
 from repro.calculus.formulas import Eq, Query
 from repro.calculus.terms import Const
 from repro.errors import PlanVerificationError
 from repro.oodb.types import ClassType
 from repro.plancheck.diagnostics import PlanFault
-
-
-def _describe(node: Operator) -> str:
-    """First line of the operator's rendering (no subtree).
-
-    ``describe`` renders the whole subtree before we take its first
-    line — on a *cyclic* plan (exactly what PC-CYCLE reports) that
-    recursion never terminates, so fall back to the class name."""
-    try:
-        return node.describe().splitlines()[0].strip()
-    except RecursionError:
-        return type(node).__name__
 
 
 class _TopEnv:
@@ -194,17 +183,14 @@ def _env_of(node: Operator, envs: dict[int, Env], active: set[int],
         return done
     if key in active:
         faults.append(PlanFault(
-            "PC-CYCLE", "plan graph is cyclic", _describe(node), stage,
+            "PC-CYCLE", "plan graph is cyclic", node.label(), stage,
             hint="a rewrite linked an operator below itself"))
         envs[key] = frozenset()
         return envs[key]
     active.add(key)
     try:
         children = node.children()
-        if isinstance(node, UnionOp):
-            env = _meet([_env_of(branch, envs, active, stage, faults)
-                         for branch in node.branches])
-        elif children:
+        if children:
             env = _meet([_env_of(child, envs, active, stage, faults)
                          for child in children])
         else:
@@ -212,14 +198,14 @@ def _env_of(node: Operator, envs: dict[int, Env], active: set[int],
             if not isinstance(node, SeedOp):
                 faults.append(PlanFault(
                     "PC-LEAF", "leaf operator is not a Seed",
-                    _describe(node), stage))
+                    node.label(), stage))
         unbound = _minus(node.consumes(), env)
         if unbound:
             names = ", ".join(sorted(str(v) for v in unbound))
             faults.append(PlanFault(
                 "PC-UNBOUND",
                 f"operator consumes unbound variable(s) {names}",
-                _describe(node), stage,
+                node.label(), stage,
                 hint="a rewrite moved this operator below the "
                      "operator that binds them"))
         _check_shape(node, stage, faults)
@@ -248,32 +234,32 @@ def _check_shape(node: Operator, stage: str | None,
                 "PC-ATTRSCAN",
                 "attribute scan needs exactly one of a fixed attribute "
                 "name and an attribute variable",
-                _describe(node), stage))
+                node.label(), stage))
         if node.value_var in (node.path_var, node.out_var):
             faults.append(PlanFault(
                 "PC-ATTRSCAN",
                 "attribute scan value variable collides with its "
-                "path/holder variable", _describe(node), stage))
+                "path/holder variable", node.label(), stage))
     if isinstance(node, StructuralScanOp):
         produced = [node.path_var, node.out_var]
         if node.source_var in produced:
             faults.append(PlanFault(
                 "PC-SCAN",
                 "structural scan binds the variable it scans from",
-                _describe(node), stage,
+                node.label(), stage,
                 hint="source_var must stay distinct from "
                      "path_var/out_var"))
         if node.path_var is node.out_var:
             faults.append(PlanFault(
                 "PC-SCAN", "structural scan path and output variables "
-                "coincide", _describe(node), stage))
+                "coincide", node.label(), stage))
     if isinstance(node, IntervalJoinOp):
         if node.probe_var in (node.out_var, node.path_var,
                               node.source_var):
             faults.append(PlanFault(
                 "PC-JOIN",
                 "interval-join probe variable collides with the "
-                "scan's own variables", _describe(node), stage,
+                "scan's own variables", node.label(), stage,
                 hint="the probe must be bound upstream, not by the "
                      "join itself"))
         atom = node.recheck_atom
@@ -283,7 +269,7 @@ def _check_shape(node: Operator, stage: str | None,
             faults.append(PlanFault(
                 "PC-JOIN",
                 "interval-join recheck atom is not the fused "
-                "out ≡ probe equality", _describe(node), stage))
+                "out ≡ probe equality", node.label(), stage))
 
 
 def _check_sharing(plan: Operator, stage: str | None,
@@ -292,20 +278,14 @@ def _check_sharing(plan: Operator, stage: str | None,
     reference counts.  (Acyclicity is the dataflow pass's job — it
     visits the same graph anyway.)"""
     by_id: dict[int, SharedOp] = {}
-    seen: set[int] = set()
-    stack: list[Operator] = [plan]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
+    for node in walk_once(plan):
         if isinstance(node, SharedOp):
             other = by_id.get(node.shared_id)
             if other is not None and other is not node:
                 faults.append(PlanFault(
                     "PC-SHARED",
                     f"two distinct shared nodes carry id "
-                    f"{node.shared_id}", _describe(node), stage,
+                    f"{node.shared_id}", node.label(), stage,
                     hint="factoring must mint one wrapper per merged "
                          "subtree"))
             by_id.setdefault(node.shared_id, node)
@@ -313,12 +293,11 @@ def _check_sharing(plan: Operator, stage: str | None,
                 faults.append(PlanFault(
                     "PC-SHARED",
                     f"shared node has ref_count {node.ref_count}",
-                    _describe(node), stage))
+                    node.label(), stage))
             if isinstance(node.child, SharedOp):
                 faults.append(PlanFault(
                     "PC-SHARED", "shared node directly wraps another "
-                    "shared node", _describe(node), stage))
-        stack.extend(node.children())
+                    "shared node", node.label(), stage))
 
 
 def _check_root(plan: Operator, query: Query | None,
@@ -327,7 +306,7 @@ def _check_root(plan: Operator, query: Query | None,
     if not isinstance(plan, ProjectOp):
         faults.append(PlanFault(
             "PC-ROOT", "plan root is not a projection",
-            _describe(plan), stage))
+            plan.label(), stage))
         return
     child_env = envs.get(id(plan.child), frozenset())
     unbound = [v for v in plan.head if v not in child_env]
@@ -336,28 +315,21 @@ def _check_root(plan: Operator, query: Query | None,
         faults.append(PlanFault(
             "PC-HEAD",
             f"projection head variable(s) {names} are not bound by "
-            "the plan", _describe(plan), stage))
+            "the plan", plan.label(), stage))
     if query is not None and tuple(plan.head) != tuple(query.head):
         faults.append(PlanFault(
             "PC-HEAD",
             f"projection head {list(plan.head)} does not match the "
-            f"query head {list(query.head)}", _describe(plan), stage))
-    var_types = getattr(plan, "var_types", None) or {}
-    if var_types:
-        _check_types(plan, var_types, stage, faults)
+            f"query head {list(query.head)}", plan.label(), stage))
+    if plan.var_types:
+        _check_types(plan, plan.var_types, stage, faults)
 
 
 def _check_types(plan: Operator, var_types: dict, stage: str | None,
                  faults: list[PlanFault]) -> None:
     """Replay compile-time type facts embedded in operators against the
     compiler's recorded candidate types."""
-    seen: set[int] = set()
-    stack: list[Operator] = [plan]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
+    for node in walk_once(plan):
         if isinstance(node, IndexFilterOp) and node.oid_only:
             types = var_types.get(node.variable)
             if types is not None and not all(
@@ -366,10 +338,9 @@ def _check_types(plan: Operator, var_types: dict, stage: str | None,
                     "PC-TYPE",
                     f"index filter on {node.variable} claims oid-only "
                     "but a candidate type is not a class",
-                    _describe(node), stage,
+                    node.label(), stage,
                     hint="oid_only lets unions prune whole branches; "
                          "a non-class candidate makes that unsound"))
-        stack.extend(node.children())
 
 
 # -- cost-evidence checks ---------------------------------------------------
@@ -386,21 +357,14 @@ def _check_cost(plan: Operator, stats: Any, stage: str | None,
     When ``stats`` is the same snapshot generation the stage costed
     against, the posting-size bound is recomputed and must still be 0.
     """
-    seen: set[int] = set()
-    stack: list[Operator] = [plan]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.extend(node.children())
-        evidence = getattr(node, "cost_evidence", None)
+    for node in walk_once(plan):
+        evidence = node.cost_evidence
         if evidence is None:
             continue
 
         def fault(message: str, hint: str | None = None) -> None:
             faults.append(PlanFault("PC-COST", message,
-                                    _describe(node), stage, hint=hint))
+                                    node.label(), stage, hint=hint))
 
         if not isinstance(node, UnionOp):
             fault("cost evidence attached to a non-union operator")

@@ -40,7 +40,6 @@ from repro.algebra.operators import (
     SelectOp,
     SharedOp,
     UnionOp,
-    _pad,
 )
 from repro.errors import SQLExecutionError, SQLUnsupportedError
 from repro.oodb.values import TupleValue
@@ -86,6 +85,8 @@ class HybridPlan:
 class _SQLRowsOp(Operator):
     """The feed operator: one SQL statement, hydrated row by row."""
 
+    params = ("backend", "program")
+
     def __init__(self, backend: "SQLBackend",
                  program: SQLProgram) -> None:
         self.backend = backend
@@ -98,10 +99,10 @@ class _SQLRowsOp(Operator):
     def produces(self) -> frozenset:
         return frozenset(self.program.columns)
 
-    def describe(self, indent: int = 0) -> str:
+    def label(self) -> str:
         variables = ", ".join(
             sorted(str(v) for v in self.program.columns))
-        return _pad(indent) + f"SQLRows [{variables}]"
+        return f"SQLRows [{variables}]"
 
 
 class SQLBackend:
@@ -121,7 +122,7 @@ class SQLBackend:
             StructuralIndex(instance, epoch_source=epoch_source),
             dialect=dialect, metrics=metrics)
 
-    # -- compilation -----------------------------------------------------------
+    # -- compilation ----------------------------------------------------------
 
     def compile(self, plan: Any, metrics: Any = None) -> HybridPlan:
         """Hybridize a (verified) algebra plan.
@@ -216,7 +217,7 @@ class SQLBackend:
             metrics.inc("sql.prefilters", hybrid.prefilters)
         return hybrid
 
-    # -- execution -------------------------------------------------------------
+    # -- execution ------------------------------------------------------------
 
     def execute(self, hybrid: HybridPlan, ctx: Any) -> Any:
         """Refresh the shred, check the guards, run the hybrid plan."""

@@ -27,7 +27,7 @@ What makes the estimates data-driven rather than guesses:
 
 from __future__ import annotations
 
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
 from repro.calculus.formulas import Eq
 from repro.calculus.terms import Const, Name
@@ -48,6 +48,7 @@ from repro.algebra.operators import (
     StructuralScanOp,
     UnionOp,
     UnnestOp,
+    walk_once,
 )
 from repro.stats.statistics import DEFAULT_SELECTIVITY, Statistics
 
@@ -176,18 +177,6 @@ def annotate_estimates(plan: Operator, stats: Statistics,
     estimate."""
     if memo is None:
         memo = {}
-    root = estimate(plan, stats, memo)
-    seen: set[int] = set()
-    stack: list[Operator] = [plan]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        found = memo.get(id(node))
-        if found is None:
-            found = estimate(node, stats, memo)
-        node.est_rows = found.rows
-        node.est_cost = found.cost
-        stack.extend(node.children())
-    return root
+    for node in walk_once(plan):
+        node.est_rows, node.est_cost = estimate(node, stats, memo)
+    return estimate(plan, stats, memo)

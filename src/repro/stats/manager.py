@@ -29,8 +29,9 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Any, Iterator
+from typing import Any
 
+from repro.algebra.operators import Operator, walk_once
 from repro.oodb.values import ListValue, SetValue
 from repro.stats.statistics import Statistics
 
@@ -206,7 +207,7 @@ class StatisticsManager:
             self.metrics.inc("stats.recostings")
         return True
 
-    def ingest_profile(self, plan: Any, profiler: Any,
+    def ingest_profile(self, plan: Operator, profiler: Any,
                        key: Any = None) -> None:
         """Harvest a profiled run: EMA-update per-operator-class unit
         costs, and record per-branch actual cardinalities for every
@@ -214,17 +215,17 @@ class StatisticsManager:
         and the union's evidence ordinal)."""
         per_class: dict[str, tuple[float, int]] = {}
         with self._lock:
-            for node in _walk_once(plan):
+            for node in walk_once(plan):
                 stats = profiler.stats_for(node)
                 if stats.rows_out > 0 and stats.elapsed > 0.0:
                     name = type(node).__name__
                     elapsed, rows = per_class.get(name, (0.0, 0))
                     per_class[name] = (elapsed + stats.elapsed,
                                        rows + stats.rows_out)
-                evidence = getattr(node, "cost_evidence", None)
+                evidence = node.cost_evidence
                 if evidence is not None and key is not None:
-                    for position, original in enumerate(evidence.order):
-                        branch = node.branches[position]
+                    for branch, original in zip(node.children(),
+                                                evidence.order):
                         self._branch_actuals[
                             (key, evidence.ordinal, original)] = (
                             profiler.rows_out(branch))
@@ -273,16 +274,3 @@ def _normalized(raw: dict[str, float]) -> dict[str, float]:
         return {}
     return {name: max(0.25, min(50.0, value / base))
             for name, value in raw.items()}
-
-
-def _walk_once(plan: Any) -> Iterator[Any]:
-    """Every distinct operator in the plan DAG, once."""
-    seen: set[int] = set()
-    stack = [plan]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        yield node
-        stack.extend(node.children())

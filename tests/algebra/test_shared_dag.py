@@ -232,7 +232,7 @@ class TestFactoringRewrite:
 
     def test_duplicate_union_branches_merge(self):
         # clones of the same compiled fragment share their term objects
-        # (as the pushdown's _clone_filter and the compiler's trie do)
+        # (as the pushdown's with_children and the compiler's trie do)
         x = DataVar("x")
         seed = SeedOp()
         one = Const(1)

@@ -94,6 +94,33 @@ class TestQuerying:
         assert len(result) == 3
 
 
+class TestTextAtElementBoundaries:
+    """``text()`` separates the character data of adjacent elements, so
+    a word that ends one element matches the same on a fresh store
+    (source-subtree text), on its reloaded copy and after any edit
+    (structural text) — with and without the text index."""
+
+    @pytest.mark.parametrize("indexed", [False, True])
+    @pytest.mark.parametrize("word",
+                             ["Facilities", "Christophides", "Scholl"])
+    def test_same_rows_fresh_reloaded_and_edited(self, store, tmp_path,
+                                                 word, indexed):
+        if indexed:
+            store.build_text_index()
+        query = f'select a from a in Articles where a contains ("{word}")'
+        fresh = store.query(query)
+        assert len(fresh) == 1
+        store.save(tmp_path / "session.db")
+        reloaded = DocumentStore.load(tmp_path / "session.db")
+        if indexed:
+            reloaded.build_text_index()
+        assert reloaded.query(query) == fresh
+        heading = next(iter(store.query(
+            "select s.title from a in Articles, s in a.sections")))
+        store.update_text(heading, "Unrelated Heading")
+        assert store.query(query) == fresh
+
+
 class TestLiveIndexIngest:
     """Loading into a store with live incremental structures (text
     index, parent map) visits the objects the load allocated — never
