@@ -8,21 +8,23 @@ information, one can find candidate valuations for the P_i and A_j", so
 a query with such variables becomes a **union of queries without
 attribute or path variables**.
 
-* :mod:`repro.algebra.operators` — the operator algebra (binding
-  streams),
+* :mod:`repro.algebra.operators` — the operator algebra,
+* :mod:`repro.algebra.batch` — the column batches operators exchange,
 * :mod:`repro.algebra.compile` — calculus → algebra, including the
   schema-driven variable elimination,
 * :mod:`repro.algebra.optimizer` — rewrites (full-text index
   utilisation for ``contains``, selection pushdown, and the
   common-prefix factoring that turns union-of-plans trees into
   shared-work DAGs),
-* :mod:`repro.algebra.execute` — plan interpreter.
+* :mod:`repro.algebra.execute` — plan execution (one batch per
+  operator per run).
 
 The restricted path semantics is required: under the liberal semantics
 the same compilation would need a transitive-closure operator (the
 paper's closing remark), which this algebra intentionally lacks.
 """
 
+from repro.algebra.batch import Batch
 from repro.algebra.compile import compile_query
 from repro.algebra.execute import execute_plan
 from repro.algebra.operators import (
@@ -47,7 +49,7 @@ from repro.algebra.operators import (
 from repro.algebra.optimizer import factor_shared_prefixes, optimize
 
 __all__ = [
-    "BindOp", "FormulaOp", "IndexFilterOp", "IntervalJoinOp",
+    "Batch", "BindOp", "FormulaOp", "IndexFilterOp", "IntervalJoinOp",
     "MakePathOp", "NegationOp", "Operator", "ProjectOp", "SeedOp",
     "SelectOp", "SharedOp", "StepOp", "StructuralAttrScanOp",
     "StructuralScanOp", "UnionOp",

@@ -1,4 +1,6 @@
-"""Plan execution."""
+"""Plan execution: one :meth:`~repro.algebra.operators.Operator.batch`
+call on the plan's root, whose distinct head columns become the result
+set."""
 
 from __future__ import annotations
 
@@ -19,44 +21,32 @@ def execute_plan(plan: ProjectOp, ctx: EvalContext) -> SetValue:
     :func:`repro.calculus.evaluator.evaluate_query`.
 
     The call owns the lifetime of the shared-subplan memo: a factored
-    (DAG-shaped) plan computes each :class:`SharedOp` stream once per
-    ``execute_plan`` call, and the memo is dropped afterwards so cached
-    plans re-read current data on their next run.
+    (DAG-shaped) plan computes each :class:`SharedOp` batch once per
+    ``execute_plan`` call, and the memo is dropped afterwards — also
+    when an operator raises — so cached plans re-read current data on
+    their next run.
     """
     if not isinstance(plan, ProjectOp):
         raise SafetyError("a plan must be rooted at a ProjectOp")
-    head = plan.head
-    results = []
-    seen: set = set()
-    unhashable: list = []
     # nested execute_plan calls (a FormulaOp falling back into a
     # sub-plan) reuse the outer run's memo
     owns_memo = getattr(ctx, "shared_memo", None) is None
     if owns_memo:
         ctx.shared_memo = {}
     try:
-        for row in plan.rows(ctx):
-            if len(head) == 1:
-                value = row[head[0]]
-            else:
-                value = TupleValue([(str(variable), row[variable])
-                                    for variable in head])
-            try:
-                duplicate = value in seen
-            except TypeError:
-                # unhashable result value: equality-scan fallback
-                duplicate = any(value == prior for prior in unhashable)
-                if not duplicate:
-                    unhashable.append(value)
-            else:
-                if not duplicate:
-                    seen.add(value)
-            if not duplicate:
-                results.append(value)
+        batch = plan.batch(ctx)
     finally:
         if owns_memo:
             ctx.shared_memo = None
-    return SetValue(results)
+    # the projection de-duplicated: its rows are the result's elements
+    head = plan.head
+    if len(head) == 1:
+        return SetValue.of_distinct(batch.column(head[0]))
+    names = [str(variable) for variable in head]
+    columns = [batch.column(variable) for variable in head]
+    return SetValue.of_distinct(
+        TupleValue(zip(names, values))
+        for values in (zip(*columns) if head else [()] * batch.size))
 
 
 def plan_size(plan: Operator) -> int:

@@ -1,8 +1,20 @@
 """The operator algebra (Section 5.4).
 
-Operators are streams of variable bindings (environments).  A plan is an
-operator tree; executing it yields bindings which the final
-:class:`ProjectOp` turns into the query's result set.
+Operators map column batches to column batches
+(:mod:`repro.algebra.batch`): :meth:`Operator.batch` asks the
+operator's input for *its* whole batch and returns one
+:class:`~repro.algebra.batch.Batch` — the rows it produces, as the
+columns it adds over (an index vector into) its input's rows.  A plan
+is an operator DAG; executing it is one ``batch`` call on the final
+:class:`ProjectOp`, whose distinct head columns are the query's result
+set.  No dict, generator frame or copy exists per row: filters build
+one index vector, expanding operators one index vector plus their own
+columns, the structural operators loop once per *source* over the
+index arrays, and only the operators whose meaning is the calculus
+(:class:`SelectOp`, :class:`NegationOp`, :class:`FormulaOp`,
+term-valued :class:`BindOp`/:class:`UnnestOp`) build an environment
+per row — of just the variables they consume — to hand to
+``satisfy``/``eval_term``.
 
 The algebra corresponds to a complex-object algebra with the paper's
 additions:
@@ -39,21 +51,29 @@ class — adding an operator touches no generic plan code.
 
 from __future__ import annotations
 
+import functools
 import inspect
+from itertools import repeat
 from operator import attrgetter
-from typing import Any, Callable, ClassVar, Iterator
+from typing import Any, Callable, ClassVar, Iterable
 
 from repro.errors import CompilationError, EvaluationError
+from repro.algebra.batch import MISSING, Batch, Column, Late, concat
 from repro.calculus.evaluator import (
-    Binding,
     EvalContext,
     _auto_deref,
     _select_attribute,
     eval_term,
     satisfy,
 )
-from repro.calculus.terms import term_variables
-from repro.oodb.values import ListValue, Oid, SetValue, TupleValue
+from repro.calculus.terms import Variable, term_variables
+from repro.oodb.values import (
+    ListValue,
+    Oid,
+    SetValue,
+    TupleValue,
+    equivalent,
+)
 from repro.paths.enumeration import RESTRICTED, paths_from
 from repro.paths.steps import (
     AttrStep,
@@ -76,14 +96,63 @@ def _reader(names: tuple[str, ...]) -> Callable[[Any], tuple]:
     return lambda op: tuple([getattr(op, name) for name in names])
 
 
+def _metered(produce: Callable[[Any, EvalContext], Batch]
+             ) -> Callable[[Any, EvalContext], Batch]:
+    """``produce`` behind the profiler hook: with a
+    :class:`~repro.observe.profile.PlanProfiler` on the context the
+    call is timed and its ``batch.size`` counted (the EXPLAIN ANALYZE
+    numbers); otherwise it is just made."""
+    @functools.wraps(produce)
+    def batch(self: Any, ctx: EvalContext) -> Batch:
+        profiler = ctx.profiler
+        if profiler is None:
+            return produce(self, ctx)
+        return profiler.wrap(self, produce, ctx)
+    return batch
+
+
+def _count(ctx: EvalContext, name: str, amount: int) -> None:
+    """Add a batch's worth to a counter (a counter nothing was added
+    to stays absent from the snapshot, as when counting by one)."""
+    if amount and ctx.metrics is not None:
+        ctx.metrics.inc(name, amount)
+
+
+def _holds(formula: Any, env: dict, ctx: EvalContext) -> bool:
+    """Does the calculus find a witness for ``formula`` under
+    ``env``?"""
+    for _ in satisfy(formula, env, ctx):
+        return True
+    return False
+
+
+def _evaluate(term: Any, source: Batch, ctx: EvalContext) -> Column:
+    """``term``'s value per row of ``source`` — :data:`MISSING` where
+    it does not evaluate (an unbound variable, a wrong union branch).
+    A plain variable is its column, untouched."""
+    if isinstance(term, Variable):
+        if source.has(term):
+            return source.column(term)
+        return [MISSING] * source.size
+    values = []
+    for env in source.envs(term_variables(term)):
+        try:
+            values.append(eval_term(term, env, ctx))
+        except EvaluationError:
+            values.append(MISSING)
+    return values
+
+
 class Operator:
     """Base class of plan operators.
 
-    ``rows`` is the public entry point: when a
-    :class:`~repro.observe.profile.PlanProfiler` is installed on the
-    context it meters the stream (actual row counts, elapsed time per
-    node — the EXPLAIN ANALYZE numbers); otherwise the subclass stream
-    is returned untouched.  Subclasses implement :meth:`_rows`.
+    A subclass implements :meth:`batch`: ask the input operator(s) for
+    their batch, return one :class:`~repro.algebra.batch.Batch`.  The
+    method is wrapped at class creation so that a
+    :class:`~repro.observe.profile.PlanProfiler` installed on the
+    context meters every call (actual row counts, elapsed time per
+    node — the EXPLAIN ANALYZE numbers); without one the call goes
+    straight through.
 
     Every operator also describes itself, once, so generic plan code
     (the optimizer's rewrites and factoring, the verifier, the plan
@@ -127,14 +196,15 @@ class Operator:
             raise TypeError(
                 f"{cls.__name__}.params {cls.params!r} does not match "
                 f"its constructor parameters {names!r}")
+        if "batch" in cls.__dict__:
+            setattr(cls, "batch", _metered(cls.__dict__["batch"]))
 
-    def rows(self, ctx: EvalContext) -> Iterator[Binding]:
-        profiler = ctx.profiler
-        if profiler is None:
-            return self._rows(ctx)
-        return profiler.wrap(self, self._rows(ctx))
-
-    def _rows(self, ctx: EvalContext) -> Iterator[Binding]:
+    def batch(self, ctx: EvalContext) -> Batch:
+        """The operator's output over the whole input.  What it may
+        assume of its input batch: every variable in :meth:`consumes`
+        is there (the verifier's dataflow contract) though possibly
+        with holes; columns have no order, only names; a column it
+        does not ask for costs nothing."""
         raise NotImplementedError
 
     # -- self-description ---------------------------------------------------
@@ -179,7 +249,9 @@ class Operator:
     # -- dataflow contracts (checked statically by repro.plancheck) --------
 
     def consumes(self) -> frozenset:
-        """Variables this operator requires *bound* in every input row.
+        """Variables this operator requires *bound* in every input row
+        — and, for the operators that call the calculus interpreter,
+        exactly the environment they hand it per row.
 
         The static half of the operator's dataflow contract: the
         :mod:`repro.plancheck` verifier threads a binding environment
@@ -224,8 +296,8 @@ def walk_once(plan: Operator,
 class SeedOp(Operator):
     """One empty binding — the start of every plan."""
 
-    def _rows(self, ctx: EvalContext) -> Iterator[Binding]:
-        yield {}
+    def batch(self, ctx: EvalContext) -> Batch:
+        return Batch(1, {})
 
     def label(self) -> str:
         return "Seed"
@@ -243,20 +315,31 @@ class BindOp(Operator):
         self.variable = variable
         self.term = term
 
-    def _rows(self, ctx: EvalContext) -> Iterator[Binding]:
-        for row in self.child.rows(ctx):
-            try:
-                value = eval_term(self.term, row, ctx)
-            except EvaluationError:
+    def batch(self, ctx: EvalContext) -> Batch:
+        source = self.child.batch(ctx)
+        if not source.size:
+            return source
+        variable, term = self.variable, self.term
+        rebinds = source.has(variable)
+        if (isinstance(term, Variable) and source.total(term)
+                and not rebinds):
+            # an alias: the same column under another name
+            return source.derive(
+                {variable: functools.partial(source.column, term)})
+        bound = source.column(variable) if rebinds else None
+        keep = []
+        values = []
+        for row, value in enumerate(_evaluate(term, source, ctx)):
+            if value is MISSING:
                 continue
-            if self.variable in row:
-                from repro.oodb.values import equivalent
-                if equivalent(row[self.variable], value):
-                    yield row
-                continue
-            extended = dict(row)
-            extended[self.variable] = value
-            yield extended
+            if bound is not None and bound[row] is not MISSING:
+                # already bound: the row survives if the values agree
+                if not equivalent(bound[row], value):
+                    continue
+                value = bound[row]
+            keep.append(row)
+            values.append(value)
+        return source.select(keep, {variable: values})
 
     def consumes(self) -> frozenset:
         return frozenset(term_variables(self.term))
@@ -315,25 +398,40 @@ class UnnestOp(Operator):
             return collection
         return None
 
-    def _rows(self, ctx: EvalContext) -> Iterator[Binding]:
-        for row in self.child.rows(ctx):
-            try:
-                collection = eval_term(self.collection_term, row, ctx)
-            except EvaluationError:
+    def batch(self, ctx: EvalContext) -> Batch:
+        source = self.child.batch(ctx)
+        if not source.size:
+            return source
+        index_var = self.index_var
+        bound = (source.column(index_var)
+                 if index_var is not None and source.has(index_var)
+                 else None)
+        index: list[int] = []
+        elements: Column = []
+        positions: Column = []
+        for row, collection in enumerate(
+                _evaluate(self.collection_term, source, ctx)):
+            if collection is MISSING:
                 continue
             collection = self._resolve(collection, ctx)
             if collection is None:
                 continue
+            if bound is None or bound[row] is MISSING:
+                elements.extend(collection)
+                index.extend(repeat(row, len(collection)))
+                if index_var is not None:
+                    positions.extend(range(len(collection)))
+                continue
+            # position already bound: only the element at it
             for position, element in enumerate(collection):
-                extended = dict(row)
-                extended[self.element_var] = element
-                if self.index_var is not None:
-                    if self.index_var in row:
-                        if row[self.index_var] != position:
-                            continue
-                    else:
-                        extended[self.index_var] = position
-                yield extended
+                if bound[row] == position:
+                    elements.append(element)
+                    index.append(row)
+                    positions.append(bound[row])
+        columns: dict[Any, Late] = {self.element_var: elements}
+        if index_var is not None:
+            columns[index_var] = positions
+        return source.derive(columns, index)
 
     def consumes(self) -> frozenset:
         return frozenset(term_variables(self.collection_term))
@@ -370,33 +468,43 @@ class StepOp(Operator):
         self.argument = argument
         self.out_var = out_var
 
-    def _rows(self, ctx: EvalContext) -> Iterator[Binding]:
-        for row in self.child.rows(ctx):
-            source = row.get(self.source_var)
-            if source is None and self.source_var not in row:
+    def batch(self, ctx: EvalContext) -> Batch:
+        source = self.child.batch(ctx)
+        if not source.size:
+            return source
+        if not source.has(self.source_var):
+            return source.select([])
+        arguments: Iterable[Any] = repeat(self.argument)
+        if self.kind in ("attr_by_var", "index_by_var"):
+            arguments = (source.column(self.argument)
+                         if source.has(self.argument)
+                         else repeat(MISSING))
+        keep = []
+        values = []
+        for row, (start, argument) in enumerate(
+                zip(source.column(self.source_var), arguments)):
+            if start is MISSING:
                 continue
-            for value in self._apply(source, row, ctx):
-                extended = dict(row)
-                extended[self.out_var] = value
-                yield extended
+            for value in self._apply(start, argument, ctx):
+                keep.append(row)
+                values.append(value)
+        return source.select(keep, {self.out_var: values})
 
-    def _apply(self, source: Any, row: Binding,
+    def _apply(self, source: Any, argument: Any,
                ctx: EvalContext) -> list:
+        """The 0 or 1 values the step reaches from ``source``;
+        ``argument`` is the attribute name / position, resolved."""
         if self.kind == "deref":
             if isinstance(source, Oid):
                 return [ctx.instance.deref(source)]
             return []
         if self.kind in ("attr", "attr_by_var"):
-            attribute = (self.argument if self.kind == "attr"
-                         else row.get(self.argument))
-            if not isinstance(attribute, str):
+            if not isinstance(argument, str):
                 return []
             base = _auto_deref(source, ctx)
-            return _select_attribute(base, attribute)
+            return _select_attribute(base, argument)
         if self.kind in ("index", "index_by_var"):
-            index = (self.argument if self.kind == "index"
-                     else row.get(self.argument))
-            if not isinstance(index, int):
+            if not isinstance(argument, int):
                 return []
             base = _auto_deref(source, ctx)
             if isinstance(base, TupleValue):
@@ -404,8 +512,9 @@ class StepOp(Operator):
                         and isinstance(base.marked_value, TupleValue)):
                     base = base.marked_value
                 base = base.as_heterogeneous_list()
-            if isinstance(base, ListValue) and 0 <= index < len(base):
-                return [base[index]]
+            if (isinstance(base, ListValue)
+                    and 0 <= argument < len(base)):
+                return [base[argument]]
             return []
         raise CompilationError(f"unknown step kind {self.kind!r}")
 
@@ -439,34 +548,51 @@ class MakePathOp(Operator):
         self.template = template
         self.out_var = out_var
 
-    def _rows(self, ctx: EvalContext) -> Iterator[Binding]:
-        for row in self.child.rows(ctx):
-            steps = []
-            valid = True
-            for instruction in self.template:
-                kind = instruction[0]
-                if kind == "attr":
-                    steps.append(AttrStep(instruction[1]))
-                elif kind == "index":
-                    steps.append(IndexStep(instruction[1]))
-                elif kind == "index_from":
-                    position = row.get(instruction[1])
-                    if not isinstance(position, int):
-                        valid = False
-                        break
-                    steps.append(IndexStep(position))
-                elif kind == "deref":
-                    steps.append(DEREF)
-                elif kind == "elem_from":
-                    steps.append(ElemStep(row.get(instruction[1])))
+    def batch(self, ctx: EvalContext) -> Batch:
+        source = self.child.batch(ctx)
+        if not source.size:
+            return source
+        # per instruction: the fixed step, or the column a step is
+        # made from row by row
+        fixed: list[Any] = []
+        varying: dict[int, tuple[Callable[[Any], Any], Column]] = {}
+        keep = list(range(source.size))
+        for slot, instruction in enumerate(self.template):
+            kind = instruction[0]
+            fixed.append(None)
+            if kind == "attr":
+                fixed[slot] = AttrStep(instruction[1])
+            elif kind == "index":
+                fixed[slot] = IndexStep(instruction[1])
+            elif kind == "deref":
+                fixed[slot] = DEREF
+            elif kind in ("index_from", "elem_from"):
+                column = (source.column(instruction[1])
+                          if source.has(instruction[1])
+                          else [MISSING] * source.size)
+                if kind == "index_from":
+                    # rows without an integer position are dropped
+                    keep = [row for row in keep
+                            if isinstance(column[row], int)]
+                    varying[slot] = (IndexStep, column)
                 else:
-                    raise CompilationError(
-                        f"unknown template instruction {instruction!r}")
-            if not valid:
-                continue
-            extended = dict(row)
-            extended[self.out_var] = Path(steps)
-            yield extended
+                    varying[slot] = (_elem_step, column)
+            else:
+                raise CompilationError(
+                    f"unknown template instruction {instruction!r}")
+
+        def paths() -> Column:
+            if not varying:
+                return [Path(fixed)] * len(keep)
+            built = []
+            for row in keep:
+                steps = list(fixed)
+                for slot, (make, column) in varying.items():
+                    steps[slot] = make(column[row])
+                built.append(Path(steps))
+            return built
+
+        return source.select(keep, {self.out_var: paths})
 
     def consumes(self) -> frozenset:
         needed = set()
@@ -488,6 +614,10 @@ class MakePathOp(Operator):
         return f"MakePath {self.out_var} = {rendered or 'ε'}"
 
 
+def _elem_step(value: Any) -> ElemStep:
+    return ElemStep(None if value is MISSING else value)
+
+
 class SelectOp(Operator):
     """Filter by a ground atom (delegated to the calculus atom
     semantics, preserving wrong-branch-is-false)."""
@@ -498,11 +628,14 @@ class SelectOp(Operator):
         self.child = child
         self.atom = atom
 
-    def _rows(self, ctx: EvalContext) -> Iterator[Binding]:
-        for row in self.child.rows(ctx):
-            for _ in satisfy(self.atom, row, ctx):
-                yield row
-                break
+    def batch(self, ctx: EvalContext) -> Batch:
+        source = self.child.batch(ctx)
+        if not source.size:
+            return source
+        atom = self.atom
+        return source.select(
+            [row for row, env in enumerate(source.envs(self.consumes()))
+             if _holds(atom, env, ctx)])
 
     def consumes(self) -> frozenset:
         return frozenset(self.atom.free_variables())
@@ -520,10 +653,14 @@ class NegationOp(Operator):
         self.child = child
         self.formula = formula
 
-    def _rows(self, ctx: EvalContext) -> Iterator[Binding]:
-        for row in self.child.rows(ctx):
-            if not any(True for _ in satisfy(self.formula, row, ctx)):
-                yield row
+    def batch(self, ctx: EvalContext) -> Batch:
+        source = self.child.batch(ctx)
+        if not source.size:
+            return source
+        formula = self.formula
+        return source.select(
+            [row for row, env in enumerate(source.envs(self.consumes()))
+             if not _holds(formula, env, ctx)])
 
     def consumes(self) -> frozenset:
         # compile.py only emits NegationOp once every free variable of
@@ -546,9 +683,31 @@ class FormulaOp(Operator):
         self.child = child
         self.formula = formula
 
-    def _rows(self, ctx: EvalContext) -> Iterator[Binding]:
-        for row in self.child.rows(ctx):
-            yield from satisfy(self.formula, row, ctx)
+    def batch(self, ctx: EvalContext) -> Batch:
+        source = self.child.batch(ctx)
+        if not source.size:
+            return source
+        formula = self.formula
+        # the interpreter sees the formula's free variables the row
+        # already binds, and extends them with its witnesses
+        index = []
+        witnesses = []
+        for row, env in enumerate(
+                source.envs(formula.free_variables())):
+            for witness in satisfy(formula, env, ctx):
+                index.append(row)
+                witnesses.append(witness)
+        names: dict[Any, None] = {}
+        for witness in witnesses:
+            names.update(dict.fromkeys(witness))
+        columns = {name: [witness.get(name, MISSING)
+                          for witness in witnesses]
+                   for name in names if not source.total(name)}
+        holes = [name for name, column in columns.items()
+                 if any(value is MISSING for value in column)]
+        extended = source.derive(columns, index)
+        extended.holes = frozenset(holes)
+        return extended
 
     def produces(self) -> frozenset:
         # The interpreter extends rows with witnesses for the formula's
@@ -588,11 +747,12 @@ class UnionOp(Operator):
             self._branch_probes = probes
         return probes
 
-    def _rows(self, ctx: EvalContext) -> Iterator[Binding]:
+    def batch(self, ctx: EvalContext) -> Batch:
         metrics = ctx.metrics
         if metrics is not None:
             # the (⋆)-elimination fan-out of Section 5.4, per execution
             metrics.inc("algebra.union_fanout", len(self.branches))
+        parts = []
         for branch, probes in zip(self.branches, self._probes()):
             pruned = False
             for probe in probes:
@@ -604,7 +764,8 @@ class UnionOp(Operator):
                 if metrics is not None:
                     metrics.inc("algebra.branches_pruned")
                 continue
-            yield from branch.rows(ctx)
+            parts.append(branch.batch(ctx))
+        return concat(parts)
 
     def label(self) -> str:
         return f"Union ({len(self.branches)} branches)"
@@ -624,14 +785,15 @@ class SharedOp(Operator):
     """A subplan referenced by several consumers — the DAG node the
     optimizer's common-prefix factoring introduces.
 
-    The first consumer in an execution streams the child and records
-    the rows; later consumers replay the recorded stream
-    (``algebra.subplan_hits`` / ``algebra.rows_saved``).  The memo
-    table is **per execution**: :func:`repro.algebra.execute.execute_plan`
-    installs ``ctx.shared_memo`` for the duration of one run, so a plan
-    cached across epochs (PR 2) never replays stale rows and concurrent
-    runs never share state.  Replaying the same binding dicts is safe
-    because operators extend rows by copying, never in place.
+    The first consumer in an execution computes the child's batch;
+    later consumers are handed the same :class:`Batch` object
+    (``algebra.subplan_hits`` / ``algebra.rows_saved``) — safe because
+    columns are never mutated, and what one consumer gathers from it
+    is cached for the next.  The memo table is **per execution**:
+    :func:`repro.algebra.execute.execute_plan` installs
+    ``ctx.shared_memo`` for the duration of one run, so a plan cached
+    across epochs (PR 2) never replays stale rows and concurrent runs
+    never share state.
     """
 
     params = ("ref_count", "shared_id")
@@ -644,30 +806,22 @@ class SharedOp(Operator):
         #: 1-based label shown in plan renderings (``Shared[2] ×3``)
         self.shared_id = shared_id
 
-    def _rows(self, ctx: EvalContext) -> Iterator[Binding]:
+    def batch(self, ctx: EvalContext) -> Batch:
         memo = getattr(ctx, "shared_memo", None)
         if memo is None:
-            # bare execution outside execute_plan: no memo, stream through
-            yield from self.child.rows(ctx)
-            return
+            # bare execution outside execute_plan: nothing to share
+            return self.child.batch(ctx)
         metrics = ctx.metrics
-        cached = memo.get(id(self))
+        cached: Batch | None = memo.get(id(self))
         if cached is not None:
             if metrics is not None:
                 metrics.inc("algebra.subplan_hits")
-                metrics.inc("algebra.rows_saved", len(cached))
-            yield from cached
-            return
+                metrics.inc("algebra.rows_saved", cached.size)
+            return cached
         if metrics is not None:
             metrics.inc("algebra.subplan_misses")
-        rows: list[Binding] = []
-        for row in self.child.rows(ctx):
-            rows.append(row)
-            yield row
-        # publish only complete streams: an abandoned generator leaves no
-        # entry, so the next consumer recomputes instead of replaying a
-        # truncated prefix
-        memo[id(self)] = rows
+        computed = memo[id(self)] = self.child.batch(ctx)
+        return computed
 
     def param_key(self) -> tuple:
         # a shared node is already a merge point: never merged again
@@ -718,30 +872,26 @@ class IndexFilterOp(Operator):
             self._candidates = index.candidates(self.pattern)
         return self._candidates
 
-    def _rows(self, ctx: EvalContext) -> Iterator[Binding]:
-        metrics = ctx.metrics
+    def batch(self, ctx: EvalContext) -> Batch:
+        source = self.child.batch(ctx)
+        # no index (or no pruning possible): a plain select
         candidates = self.candidate_set(ctx)
-        if getattr(ctx, "text_index", None) is None:
-            # no index available: behave like a plain select
-            for row in self.child.rows(ctx):
-                if metrics is not None:
-                    metrics.inc("algebra.contains_rechecks")
-                for _ in satisfy(self.recheck_atom, row, ctx):
-                    yield row
-                    break
-            return
-        for row in self.child.rows(ctx):
-            value = row.get(self.variable)
-            if candidates is not None and isinstance(value, Oid):
-                if value not in candidates:
-                    if metrics is not None:
-                        metrics.inc("algebra.index_pruned")
-                    continue
-            if metrics is not None:
-                metrics.inc("algebra.contains_rechecks")
-            for _ in satisfy(self.recheck_atom, row, ctx):
-                yield row
-                break
+        if not source.size:
+            return source
+        survivors = list(range(source.size))
+        if candidates is not None and source.has(self.variable):
+            # mask the whole column: an oid the probe did not return
+            # cannot satisfy the pattern
+            survivors = [
+                row for row, value
+                in enumerate(source.column(self.variable))
+                if not isinstance(value, Oid) or value in candidates]
+        _count(ctx, "algebra.index_pruned", source.size - len(survivors))
+        _count(ctx, "algebra.contains_rechecks", len(survivors))
+        atom = self.recheck_atom
+        envs = source.select(survivors).envs(self.consumes())
+        return source.select([row for row, env in zip(survivors, envs)
+                              if _holds(atom, env, ctx)])
 
     def consumes(self) -> frozenset:
         return frozenset({self.variable}
@@ -749,6 +899,100 @@ class IndexFilterOp(Operator):
 
     def label(self) -> str:
         return f"IndexFilter {self.variable} contains {self.pattern}"
+
+
+class _Scan:
+    """One execution of a structural operator: the loop state the
+    three of them share, and their output batch.
+
+    An output row is ``(index[r], positions[r])``: it continues input
+    row ``index[r]``, and ``positions[r]`` is a pre rank in the block
+    that row's source was located in (``frames[index[r]]`` holds the
+    block's ``paths`` and ``values`` arrays and the source's depth) —
+    or, for a source the index could not serve, the live walk's
+    ``(path, value)`` pair itself.  The path and node columns are
+    derived from that on first use: a query that only reads what the
+    scan *reaches* never builds a :class:`Path`.
+    """
+
+    def __init__(self, op: "StructuralScanOp | IntervalJoinOp",
+                 source: Batch, ctx: EvalContext) -> None:
+        self.op = op
+        self.source = source
+        self.ctx = ctx
+        index = getattr(ctx, "struct_index", None)
+        self.struct_index = (
+            index if ctx.path_semantics == RESTRICTED else None)
+        self.frames: list[tuple[list, list, int] | None] = (
+            [None] * source.size)
+        self.index: list[int] = []
+        self.positions: Column = []
+        self.range_scans = self.nodes_scanned = self.fallback_walks = 0
+
+    def sources(self) -> list[tuple[int, Any]]:
+        """``(row, source value)`` for the rows that bind the
+        operator's source variable."""
+        variable = self.op.source_var
+        if not self.source.has(variable):
+            return []
+        return [(row, value) for row, value
+                in enumerate(self.source.column(variable))
+                if value is not MISSING]
+
+    def locate(self, start: Any) -> Any:
+        """A complete indexed occurrence ``(block, pre)`` or ``None``."""
+        if self.struct_index is None:
+            return None
+        return self.struct_index.locate(start)
+
+    def live_pairs(self, start: Any) -> Any:
+        """The live walk's ``(path, value)`` pairs — what serves a
+        source the index cannot."""
+        if self.struct_index is not None:
+            self.fallback_walks += 1
+        ctx = self.ctx
+        return paths_from(start, ctx.instance, ctx.path_semantics,
+                          ctx.max_paths)
+
+    def enter(self, row: int, block: Any, pre: int) -> None:
+        """Input row ``row``'s source is the node ``pre`` of
+        ``block``: positions recorded for it are pre ranks there."""
+        self.frames[row] = (block.paths, block.values,
+                            len(block.paths[pre].steps))
+
+    def _paths(self) -> Column:
+        built = []
+        frames = self.frames
+        for row, position in zip(self.index, self.positions):
+            frame = frames[row]
+            if frame is None:
+                built.append(position[0])
+            else:
+                built.append(Path._unsafe(
+                    frame[0][position].steps[frame[2]:]))
+        return built
+
+    def _nodes(self) -> Column:
+        frames = self.frames
+        nodes = []
+        for row, position in zip(self.index, self.positions):
+            frame = frames[row]
+            nodes.append(position[1] if frame is None
+                         else frame[1][position])
+        return nodes
+
+    def result(self, columns: dict[Any, Late]) -> Batch:
+        """Count what the loop did, hand out the batch."""
+        metrics = self.ctx.metrics
+        if metrics is not None and self.range_scans:
+            metrics.inc("structindex.range_scans", self.range_scans)
+            # present (possibly 0) whenever a range scan ran
+            metrics.inc("structindex.nodes_scanned", self.nodes_scanned)
+        _count(self.ctx, "structindex.fallback_walks",
+               self.fallback_walks)
+        columns[self.op.path_var] = self._paths
+        columns[self.op.out_var] = self._nodes
+        return self.source.derive(columns, self.index)
 
 
 class StructuralScanOp(Operator):
@@ -775,32 +1019,31 @@ class StructuralScanOp(Operator):
         self.path_var = path_var
         self.out_var = out_var
 
-    def _pairs(self, source: Any, ctx: EvalContext) -> Any:
-        index = getattr(ctx, "struct_index", None)
-        if index is not None and ctx.path_semantics == RESTRICTED:
-            located = index.locate(source)
-            if located is not None:
-                block, pre = located
-                if ctx.metrics is not None:
-                    ctx.metrics.inc("structindex.range_scans")
-                    ctx.metrics.inc("structindex.nodes_scanned",
-                                    block.subtree_size(pre))
-                return block.relative_pairs(pre, ctx.max_paths)
-            if ctx.metrics is not None:
-                ctx.metrics.inc("structindex.fallback_walks")
-        return paths_from(source, ctx.instance, ctx.path_semantics,
-                          ctx.max_paths)
-
-    def _rows(self, ctx: EvalContext) -> Iterator[Binding]:
-        for row in self.child.rows(ctx):
-            source = row.get(self.source_var)
-            if source is None and self.source_var not in row:
+    def batch(self, ctx: EvalContext) -> Batch:
+        source = self.child.batch(ctx)
+        if not source.size:
+            return source
+        scan = _Scan(self, source, ctx)
+        max_paths = ctx.max_paths
+        for row, start in scan.sources():
+            located = scan.locate(start)
+            if located is None:
+                pairs = list(scan.live_pairs(start))
+                scan.index.extend(repeat(row, len(pairs)))
+                scan.positions.extend(pairs)
                 continue
-            for path, value in self._pairs(source, ctx):
-                extended = dict(row)
-                extended[self.path_var] = path
-                extended[self.out_var] = value
-                yield extended
+            block, pre = located
+            stop = block.end[pre]
+            scan.range_scans += 1
+            scan.nodes_scanned += stop - pre
+            if max_paths is not None and stop - pre > max_paths:
+                # the live walk's enumeration-limit contract
+                raise EvaluationError(
+                    f"path enumeration exceeded {max_paths} paths")
+            scan.enter(row, block, pre)
+            scan.index.extend(repeat(row, stop - pre))
+            scan.positions.extend(range(pre, stop))
+        return scan.result({})
 
     def consumes(self) -> frozenset:
         return frozenset((self.source_var,))
@@ -846,64 +1089,77 @@ class StructuralAttrScanOp(StructuralScanOp):
         self.attr_var = attr_var
         self.value_var = value_var
 
-    def _rows(self, ctx: EvalContext) -> Iterator[Binding]:
-        index = getattr(ctx, "struct_index", None)
-        usable = index is not None and ctx.path_semantics == RESTRICTED
-        metrics = ctx.metrics
-        for row in self.child.rows(ctx):
-            source = row.get(self.source_var)
-            if source is None and self.source_var not in row:
-                continue
-            located = index.locate(source) if usable else None
+    def batch(self, ctx: EvalContext) -> Batch:
+        source = self.child.batch(ctx)
+        if not source.size:
+            return source
+        scan = _Scan(self, source, ctx)
+        max_paths = ctx.max_paths
+        attr = self.attr
+        selected: Column = []
+        names: Column = []
+        index, positions = scan.index, scan.positions
+        for row, start in scan.sources():
+            located = scan.locate(start)
             if located is not None:
                 block, pre = located
-                if (ctx.max_paths is None
-                        or block.subtree_size(pre) <= ctx.max_paths):
-                    if metrics is not None:
-                        metrics.inc("structindex.range_scans")
-                    depth = len(block.paths[pre].steps)
-                    candidates = block.attr_candidates(pre, self.attr)
-                    if metrics is not None:
-                        metrics.inc("structindex.nodes_scanned",
-                                    len(candidates))
-                    for position in candidates:
-                        path = Path._unsafe(
-                            block.paths[position].steps[depth:])
-                        yield from self._emit(
-                            row, path, block.values[position], ctx)
-                    continue
-                # subtree larger than max_paths: only the live walk
-                # reproduces the enumeration-limit error contract
-            if usable and metrics is not None:
-                metrics.inc("structindex.fallback_walks")
-            for path, node in paths_from(source, ctx.instance,
-                                         ctx.path_semantics,
-                                         ctx.max_paths):
-                yield from self._emit(row, path, node, ctx)
+                if (max_paths is not None
+                        and block.subtree_size(pre) > max_paths):
+                    # only the live walk reproduces the
+                    # enumeration-limit error contract
+                    located = None
+            if located is None:
+                for pair in scan.live_pairs(start):
+                    for name, value in self._select(pair[1], ctx):
+                        index.append(row)
+                        positions.append(pair)
+                        names.append(name)
+                        selected.append(value)
+                continue
+            values = block.values
+            scan.enter(row, block, pre)
+            candidates = block.attr_candidates(pre, attr)
+            scan.range_scans += 1
+            scan.nodes_scanned += len(candidates)
+            if attr is None:
+                for position in candidates:
+                    for name, value in self._select(values[position],
+                                                    ctx):
+                        index.append(row)
+                        positions.append(position)
+                        names.append(name)
+                        selected.append(value)
+                continue
+            for position in candidates:
+                for value in _select_attribute(
+                        _auto_deref(values[position], ctx), attr):
+                    index.append(row)
+                    positions.append(position)
+                    selected.append(value)
+        columns: dict[Any, Late] = {self.value_var: selected}
+        if self.attr_var is not None:
+            columns[self.attr_var] = names
+        return scan.result(columns)
 
-    def _emit(self, row: Binding, path: Any, node: Any,
-              ctx: EvalContext) -> Iterator[Binding]:
+    def _select(self, node: Any, ctx: EvalContext
+                ) -> list[tuple[str, Any]]:
+        """``(attribute name, selected value)`` for every selection
+        the operator makes on ``node`` — :class:`StepOp`'s ``attr``
+        logic, over the fixed name or every name the holder carries."""
         base = _auto_deref(node, ctx)
         if self.attr is not None:
-            names = (self.attr,)
+            names = [self.attr]
         else:
             if not isinstance(base, TupleValue):
-                return
+                return []
             names = [name for name, _ in base.fields]
             if (base.is_marked
                     and isinstance(base.marked_value, TupleValue)):
                 for name, _ in base.marked_value.fields:
                     if name not in names:
                         names.append(name)
-        for name in names:
-            for value in _select_attribute(base, name):
-                extended = dict(row)
-                extended[self.path_var] = path
-                extended[self.out_var] = node
-                if self.attr_var is not None:
-                    extended[self.attr_var] = name
-                extended[self.value_var] = value
-                yield extended
+        return [(name, value) for name in names
+                for value in _select_attribute(base, name)]
 
     def produces(self) -> frozenset:
         produced = {self.path_var, self.out_var, self.value_var}
@@ -946,44 +1202,47 @@ class IntervalJoinOp(Operator):
         self.probe_var = probe_var
         self.recheck_atom = recheck_atom
 
-    def _rows(self, ctx: EvalContext) -> Iterator[Binding]:
-        index = getattr(ctx, "struct_index", None)
-        usable = index is not None and ctx.path_semantics == RESTRICTED
-        metrics = ctx.metrics
-        for row in self.child.rows(ctx):
-            source = row.get(self.source_var)
-            if source is None and self.source_var not in row:
-                continue
+    def batch(self, ctx: EvalContext) -> Batch:
+        source = self.child.batch(ctx)
+        if not source.size:
+            return source
+        scan = _Scan(self, source, ctx)
+        probes = (source.column(self.probe_var)
+                  if source.has(self.probe_var)
+                  else [MISSING] * source.size)
+        probed = hits = 0
+        atom = self.recheck_atom
+        envs: list[dict] | None = None
+        for row, start in scan.sources():
             matches = None
-            if usable and self.probe_var in row:
-                located = index.locate(source)
+            if probes[row] is not MISSING:
+                located = scan.locate(start)
                 if located is not None:
                     block, pre = located
-                    matches = block.matches_in(pre, row[self.probe_var])
+                    matches = block.matches_in(pre, probes[row])
             if matches is not None:
-                if metrics is not None:
-                    metrics.inc("structindex.interval_probes")
-                    metrics.inc("structindex.interval_hits",
-                                len(matches))
-                for path, value in matches:
-                    extended = dict(row)
-                    extended[self.path_var] = path
-                    extended[self.out_var] = value
-                    yield extended
+                probed += 1
+                hits += len(matches)
+                scan.enter(row, block, pre)
+                scan.index.extend(repeat(row, len(matches)))
+                scan.positions.extend(matches)
                 continue
             # fallback: full scan + exact atom recheck (= SelectOp over
             # StructuralScanOp, which itself falls back to the live walk)
-            if usable and metrics is not None:
-                metrics.inc("structindex.fallback_walks")
-            for path, value in paths_from(
-                    source, ctx.instance, ctx.path_semantics,
-                    ctx.max_paths):
-                extended = dict(row)
-                extended[self.path_var] = path
-                extended[self.out_var] = value
-                for _ in satisfy(self.recheck_atom, extended, ctx):
-                    yield extended
-                    break
+            if envs is None:
+                envs = source.envs(
+                    set(atom.free_variables())
+                    - {self.path_var, self.out_var})
+            for pair in scan.live_pairs(start):
+                env = dict(envs[row])
+                env[self.path_var], env[self.out_var] = pair
+                if _holds(atom, env, ctx):
+                    scan.index.append(row)
+                    scan.positions.append(pair)
+        if probed and ctx.metrics is not None:
+            ctx.metrics.inc("structindex.interval_probes", probed)
+            ctx.metrics.inc("structindex.interval_hits", hits)
+        return scan.result({})
 
     def consumes(self) -> frozenset:
         return frozenset((self.source_var, self.probe_var))
@@ -997,7 +1256,11 @@ class IntervalJoinOp(Operator):
 
 
 class ProjectOp(Operator):
-    """Final projection/deduplication on the head variables."""
+    """Final projection/deduplication on the head variables: the
+    output batch holds the head columns only, one row per distinct
+    head value (first occurrence, in input order) — the one place a
+    plan de-duplicates, and where late columns the head names are
+    finally built."""
 
     params = ("head",)
     #: Candidate types per variable, recorded by the compiler for the
@@ -1017,18 +1280,38 @@ class ProjectOp(Operator):
         # the constructor copies the head list: key on its variables
         return tuple(id(variable) for variable in self.head)
 
-    def _rows(self, ctx: EvalContext) -> Iterator[Binding]:
-        seen: set = set()
-        for row in self.child.rows(ctx):
-            projected = {variable: row[variable] for variable in self.head
-                         if variable in row}
-            if len(projected) != len(self.head):
-                continue
-            key = tuple(repr(projected[variable])
-                        for variable in self.head)
-            if key not in seen:
-                seen.add(key)
-                yield projected
+    def batch(self, ctx: EvalContext) -> Batch:
+        source = self.child.batch(ctx)
+        head = self.head
+        if not all(source.has(variable) for variable in head):
+            return Batch(0, {variable: [] for variable in head})
+        columns = [source.column(variable) for variable in head]
+        holes = not all(source.total(variable) for variable in head)
+        # one key per row that binds the whole head: the value itself
+        # under a one-variable head, else the tuple of values
+        keys: Column
+        if len(head) == 1:
+            keys = columns[0]
+            if holes:
+                keys = [key for key in keys if key is not MISSING]
+        else:
+            keys = list(zip(*columns)) if head else [()] * source.size
+            if holes:
+                keys = [key for key in keys
+                        if not any(value is MISSING for value in key)]
+        try:
+            distinct = list(dict.fromkeys(keys))
+        except TypeError:
+            # a key that does not hash (a head bound to a raw host
+            # list): SetValue's equality-scan de-duplication
+            distinct = list(SetValue(keys))
+        if len(head) == 1:
+            return Batch(len(distinct), {head[0]: distinct})
+        transposed: Iterable[Any] = (zip(*distinct) if distinct
+                                     else repeat(()))
+        return Batch(len(distinct), {
+            variable: list(column)
+            for variable, column in zip(head, transposed)})
 
     def consumes(self) -> frozenset:
         return frozenset(self.head)

@@ -27,6 +27,8 @@ from repro.errors import QueryError
 class _Node:
     """Shared equality/hash for term nodes."""
 
+    __slots__ = ()
+
     def __eq__(self, other: object) -> bool:
         return type(other) is type(self) and other.__dict__ == self.__dict__
 
@@ -42,34 +44,49 @@ class _Node:
 # ---------------------------------------------------------------------------
 
 
-class DataVar(_Node):
+class _Variable(_Node):
+    """A named variable.  Variables are the keys of every binding
+    environment, so the hash is computed once, at construction
+    (``name`` is never reassigned); equality is :class:`_Node`'s — same
+    sort, same name."""
+
+    __slots__ = ("name", "_hash")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self._hash = hash((type(self).__name__, name))
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and other.name == self.name
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        # copies and unpickled variables are rebuilt through the
+        # constructor: string hashes differ between processes
+        return (type(self), (self.name,))
+
+    def __str__(self) -> str:
+        return self.name
+
+
+class DataVar(_Variable):
     """A variable of sort **val** (written X, Y, Z in the paper)."""
 
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-    def __str__(self) -> str:
-        return self.name
+    __slots__ = ()
 
 
-class PathVar(_Node):
+class PathVar(_Variable):
     """A variable of sort **path** (written P, Q, R)."""
 
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-    def __str__(self) -> str:
-        return self.name
+    __slots__ = ()
 
 
-class AttVar(_Node):
+class AttVar(_Variable):
     """A variable of sort **att** (written A, B, C)."""
 
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-    def __str__(self) -> str:
-        return self.name
+    __slots__ = ()
 
 
 Variable = (DataVar, PathVar, AttVar)

@@ -1,14 +1,16 @@
 """Per-operator profiling of algebra plans, and observer installation.
 
-:class:`PlanProfiler` wraps each operator's row stream, recording
+:class:`PlanProfiler` meters each operator's
+:meth:`~repro.algebra.operators.Operator.batch` call, recording
 
-* ``rows_out`` — rows the operator yielded (the EXPLAIN ANALYZE "actual
-  rows", deterministic for a given corpus),
-* ``pulls`` — how many times the stream was opened (a shared subtree is
-  pulled once per consuming branch),
-* ``elapsed`` — inclusive wall-clock seconds spent producing those rows
-  (the operator plus its subtree; informational only — never assert on
-  it).
+* ``rows_out`` — rows in the batches the operator returned (the
+  EXPLAIN ANALYZE "actual rows", deterministic for a given corpus),
+* ``pulls`` — how many times the operator was asked for its batch (a
+  shared subtree is asked once per consuming branch, and computes it
+  once),
+* ``elapsed`` — inclusive wall-clock seconds of those calls (the
+  operator plus its subtree; a late column is paid for by the operator
+  that first reads it; informational only — never assert on it).
 
 :func:`observed` temporarily installs a metrics registry, tracer and
 profiler on an :class:`~repro.calculus.evaluator.EvalContext` — and on
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Iterator
 
 
 class OperatorStats:
@@ -58,27 +59,20 @@ class PlanProfiler:
         entry = self._stats.get(id(operator))
         return entry[1].rows_out if entry is not None else 0
 
-    def wrap(self, operator, inner: Iterator) -> Iterator:
-        """Meter ``inner``: count yielded rows, time each pull.
-
-        Elapsed time covers only the production of rows (the time between
-        a ``next()`` request and its answer) — the consumer's own work in
-        between is excluded, so a node's time is inclusive of its subtree
-        but not of its parents.
-        """
+    def wrap(self, operator, produce, ctx):
+        """Meter one ``produce(operator, ctx)`` call — the operator's
+        own ``batch`` — and return its batch: one more pull, the
+        call's elapsed time (inclusive of the subtree the call asks),
+        ``batch.size`` more rows."""
         stats = self.stats_for(operator)
         stats.pulls += 1
-        perf_counter = time.perf_counter
-        while True:
-            started = perf_counter()
-            try:
-                row = next(inner)
-            except StopIteration:
-                stats.elapsed += perf_counter() - started
-                return
-            stats.elapsed += perf_counter() - started
-            stats.rows_out += 1
-            yield row
+        started = time.perf_counter()
+        try:
+            batch = produce(operator, ctx)
+        finally:
+            stats.elapsed += time.perf_counter() - started
+        stats.rows_out += batch.size
+        return batch
 
 
 @contextmanager

@@ -245,6 +245,15 @@ class SetValue:
             ordered.append(item)
         self.items = tuple(ordered)
 
+    @classmethod
+    def of_distinct(cls, items: Iterable[object]) -> "SetValue":
+        """The set of ``items``, which the caller guarantees pairwise
+        distinct already (a plan's de-duplicated head rows): no second
+        de-duplication pass."""
+        made = cls.__new__(cls)
+        made.items = tuple(items)
+        return made
+
     def __contains__(self, value: object) -> bool:
         return value in self.items
 

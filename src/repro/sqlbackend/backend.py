@@ -2,12 +2,14 @@
 
 :class:`SQLBackend` turns a verified algebra plan into a **hybrid**:
 the maximal relational prefix of the plan compiles into SQL statements
-(:mod:`repro.sqlbackend.emit`), a :class:`_SQLRowsOp` feed hydrates
-the result rows back into ordinary binding dicts, and every operator
-outside the relational subset keeps running as plain Python on top —
-through the ordinary :func:`repro.algebra.execute.execute_plan`, so
-projection, deduplication, profiling and the ``SharedOp`` memo behave
-identically to the algebra backend.
+(:mod:`repro.sqlbackend.emit`), a :class:`_SQLRowsOp` feed turns the
+fetched rows into an ordinary :class:`~repro.algebra.batch.Batch`
+(one late column per variable, hydrated from the shred's blocks only
+if an operator above reads it), and every operator outside the
+relational subset keeps running as plain Python on top — through the
+ordinary :func:`repro.algebra.execute.execute_plan`, so projection,
+deduplication, profiling and the ``SharedOp`` memo behave identically
+to the algebra backend.
 
 The backend *refuses* (raises :class:`SQLUnsupportedError`, so
 callers fall back to plan execution) instead of approximating when
@@ -30,8 +32,10 @@ nothing when the store has not changed.
 from __future__ import annotations
 
 import copy
-from typing import Any, Iterator
+from functools import partial
+from typing import Any
 
+from repro.algebra.batch import Batch, Column
 from repro.algebra.execute import execute_plan
 from repro.algebra.operators import (
     IntervalJoinOp,
@@ -83,7 +87,8 @@ class HybridPlan:
 
 
 class _SQLRowsOp(Operator):
-    """The feed operator: one SQL statement, hydrated row by row."""
+    """The feed operator: one SQL statement, its result set as a
+    batch."""
 
     params = ("backend", "program")
 
@@ -92,9 +97,8 @@ class _SQLRowsOp(Operator):
         self.backend = backend
         self.program = program
 
-    def _rows(self, ctx: Any) -> Iterator[dict]:
-        return self.backend._stream(self.program,
-                                    metrics=ctx.metrics)
+    def batch(self, ctx: Any) -> Batch:
+        return self.backend._fetch(self.program, metrics=ctx.metrics)
 
     def produces(self) -> frozenset:
         return frozenset(self.program.columns)
@@ -245,8 +249,8 @@ class SQLBackend:
                     "a shredded root outgrew the enumeration budget; "
                     "only the live walk reproduces the limit error")
 
-    def _stream(self, program: SQLProgram,
-                metrics: Any = None) -> Iterator[dict]:
+    def _fetch(self, program: SQLProgram,
+               metrics: Any = None) -> Batch:
         if metrics is None:
             metrics = self.metrics
         try:
@@ -259,34 +263,37 @@ class SQLBackend:
             metrics.inc("sql.statements")
             metrics.inc("sql.rows_fetched", len(rows))
         position = {name: i for i, name in enumerate(names)}
-        columns = [(variable, desc)
-                   for variable, desc in program.columns.items()]
         blocks = self.shred.roots
-        for row in rows:
-            binding: dict = {}
-            for variable, desc in columns:
-                if isinstance(desc, ValCol):
-                    block = blocks[row[position[desc.root]]]
-                    pre = row[position[desc.pre]]
-                    if row[position[desc.mode]] == "n":
-                        binding[variable] = block.values[pre]
-                    else:
-                        # a wrapper is over a tuple field: the node was
-                        # reached by the AttrStep that names it
-                        binding[variable] = TupleValue(
-                            [(block.paths[pre].steps[-1].name,
-                              block.values[pre])])
-                elif isinstance(desc, ConstCol):
-                    binding[variable] = desc.value
-                elif isinstance(desc, PathCol):
-                    block = blocks[row[position[desc.root]]]
-                    node = row[position[desc.node]]
-                    depth = row[position[desc.depth]]
-                    binding[variable] = Path._unsafe(
-                        block.paths[node].steps[depth:])
-                elif isinstance(desc, (IntCol, StrCol)):
-                    binding[variable] = row[position[desc.col]]
-                else:  # pragma: no cover
-                    raise SQLExecutionError(
-                        f"unknown descriptor {type(desc).__name__}")
-            yield binding
+        return Batch(len(rows), {
+            variable: partial(_hydrate, desc, rows, position, blocks)
+            for variable, desc in program.columns.items()})
+
+
+def _hydrate(desc: Any, rows: list, position: dict[str, int],
+             blocks: dict) -> Column:
+    """One variable's column of a fetched result set, from the SQL
+    columns its descriptor names."""
+    if isinstance(desc, ConstCol):
+        return [desc.value] * len(rows)
+    if isinstance(desc, (IntCol, StrCol)):
+        at = position[desc.col]
+        return [row[at] for row in rows]
+    if isinstance(desc, ValCol):
+        root, pre, mode = (position[desc.root], position[desc.pre],
+                           position[desc.mode])
+        # a wrapper (mode "w") is over a tuple field: the node was
+        # reached by the AttrStep that names it
+        return [
+            blocks[row[root]].values[row[pre]] if row[mode] == "n"
+            else TupleValue([(
+                blocks[row[root]].paths[row[pre]].steps[-1].name,
+                blocks[row[root]].values[row[pre]])])
+            for row in rows]
+    if isinstance(desc, PathCol):
+        root, node, depth = (position[desc.root], position[desc.node],
+                             position[desc.depth])
+        return [Path._unsafe(
+            blocks[row[root]].paths[row[node]].steps[row[depth]:])
+            for row in rows]
+    raise SQLExecutionError(  # pragma: no cover
+        f"unknown descriptor {type(desc).__name__}")

@@ -178,7 +178,7 @@ class Emitter:
         self._counter = 0
         self._memo: dict[int, Fragment | None] = {}
 
-    # -- naming ----------------------------------------------------------------
+    # -- naming ---------------------------------------------------------------
 
     def _fresh(self, prefix: str) -> str:
         self._counter += 1
@@ -198,7 +198,7 @@ class Emitter:
         base = self._fresh("v")
         return f"{base}r", f"{base}p", f"{base}m"
 
-    # -- rendering -------------------------------------------------------------
+    # -- rendering ------------------------------------------------------------
 
     def render(self, fragment: Fragment) -> str:
         """The full statement for one fragment.  Every CTE emitted so
@@ -214,7 +214,7 @@ class Emitter:
                           frozenset(self.roots_used), self.has_scans,
                           self.prefilters)
 
-    # -- dispatch --------------------------------------------------------------
+    # -- dispatch -------------------------------------------------------------
 
     def emit(self, op: Any) -> Fragment:
         key = id(op)
@@ -254,7 +254,7 @@ class Emitter:
             return self.emit(op.child)
         raise _Unsupported(type(op).__name__)
 
-    # -- operators -------------------------------------------------------------
+    # -- operators ------------------------------------------------------------
 
     def _seed(self) -> Fragment:
         name = self._cte("SELECT 0 AS seed0")
@@ -571,7 +571,7 @@ class Emitter:
         columns[op.out_var] = ValCol(src.root, o_p, o_m, _N)
         return self._union_arms(arms, columns)
 
-    # -- structural operators --------------------------------------------------
+    # -- structural operators -------------------------------------------------
 
     def _scan_arms(self, child: Fragment, src: ValCol,
                    pd: str, pn: str, o_p: str, o_m: str,
@@ -759,7 +759,7 @@ class Emitter:
             columns[op.attr_var] = StrCol(an)
         return self._union_arms(arms, columns)
 
-    # -- union -----------------------------------------------------------------
+    # -- union ----------------------------------------------------------------
 
     def _union(self, op: UnionOp) -> Fragment:
         fragments = [self.emit(branch) for branch in op.branches]
@@ -836,7 +836,7 @@ class Emitter:
             arms.append(f"SELECT {exprs} FROM {fragment.name} AS b")
         return self._union_arms(arms, columns)
 
-    # -- the contains prefilter ------------------------------------------------
+    # -- the contains prefilter -----------------------------------------------
 
     def contains_prefilter(self, fragment: Fragment,
                            atom: Any) -> Fragment | None:

@@ -124,7 +124,7 @@ class Statistics:
         # index: the snapshot is keyed to an epoch, and any mutation
         # bumps the epoch, so the reads stay coherent with the rest
         self._text_index = text_index
-        self._bound_memo: dict[int, int | None] = {}
+        self._bound_memo: dict[PatternExpr, int | None] = {}
 
     # -- cardinalities --------------------------------------------------------
 
@@ -174,12 +174,14 @@ class Statistics:
         matches nothing, so the cost stage may prune a branch gated on
         it before any index probe runs.
         """
-        memo_key = id(expression)
-        if memo_key in self._bound_memo:
-            return self._bound_memo[memo_key]
-        bound = self._bound_of(expression)
-        self._bound_memo[memo_key] = bound
-        return bound
+        if not isinstance(expression, PatternExpr):
+            return None
+        # keyed by the pattern's text (PatternExpr equality), never by
+        # id(): the snapshot outlives the plans it costs, and a
+        # collected pattern's id is reused by the next one
+        if expression not in self._bound_memo:
+            self._bound_memo[expression] = self._bound_of(expression)
+        return self._bound_memo[expression]
 
     def _bound_of(self, expression: Any) -> int | None:
         index = self._text_index

@@ -186,12 +186,11 @@ class Block:
                 return
             i = self.parent[i]
 
-    def matches_in(self, pre: int, probe: object
-                   ) -> list[tuple[Path, object]] | None:
-        """Occurrences of ``probe`` inside the subtree at ``pre`` as
-        ``(relative path, value)`` pairs, via the secondary slices —
-        or ``None`` when the probe's type has no slice (collections:
-        their ``≡`` has structural cases a hash bucket cannot model)."""
+    def matches_in(self, pre: int, probe: object) -> list[int] | None:
+        """Pre ranks of the occurrences of ``probe`` inside the subtree
+        at ``pre``, ascending, via the secondary slices — or ``None``
+        when the probe's type has no slice (collections: their ``≡``
+        has structural cases a hash bucket cannot model)."""
         if isinstance(probe, Oid):
             positions = self.oids.get(probe, ())
         elif isinstance(probe, (Nil,) + ATOM_PYTYPES):
@@ -201,13 +200,9 @@ class Block:
             positions = self.atoms.get(probe, ())
         else:
             return None
-        stop = self.end[pre]
         lo = bisect_left(positions, pre)
-        hi = bisect_left(positions, stop, lo)
-        depth = len(self.paths[pre].steps)
-        return [(Path._unsafe(self.paths[j].steps[depth:]),
-                 self.values[j])
-                for j in positions[lo:hi]]
+        hi = bisect_left(positions, self.end[pre], lo)
+        return list(positions[lo:hi])
 
 
 def _build_block(root_name: str, origin: object, instance: Any,

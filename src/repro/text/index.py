@@ -25,7 +25,7 @@ from __future__ import annotations
 import threading
 from typing import Hashable, Iterable
 
-from repro.text.nfa import cached_matcher
+from repro.text.nfa import cached_matcher, is_literal_word
 from repro.text.patterns import (
     AndExpr,
     NotExpr,
@@ -39,11 +39,6 @@ from repro.text.patterns import (
 def tokenize(text: str) -> list[str]:
     """The index's tokenizer (same as the predicate's)."""
     return tokenize_words(text)
-
-
-def _is_literal_word(source: str) -> bool:
-    """True when a pattern word is a plain literal (no metacharacters)."""
-    return not any(ch in source for ch in "().|*+?[]\\")
 
 
 class TextIndex:
@@ -169,7 +164,7 @@ class TextIndex:
     def keys_matching(self, word_pattern: str) -> set[Hashable]:
         """Pattern probe: literal words hit directly, regex-ish ones scan
         the vocabulary with the NFA."""
-        if _is_literal_word(word_pattern):
+        if is_literal_word(word_pattern):
             return self.keys_with_word(word_pattern)
         if self.metrics is not None:
             self.metrics.inc("text.vocabulary_scans")
@@ -188,7 +183,7 @@ class TextIndex:
         for offset, source_word in enumerate(pattern.source.split()):
             positions: dict[Hashable, set[int]] = {}
             matcher = pattern.word_matchers[offset]
-            if _is_literal_word(source_word):
+            if is_literal_word(source_word):
                 entries = self._postings.get(source_word, ())
             else:
                 entries = [entry for token, posting in

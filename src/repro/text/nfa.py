@@ -18,6 +18,15 @@ from collections import OrderedDict
 
 from repro.errors import PatternError
 
+#: Characters with a meaning in the pattern syntax; a word without any
+#: of them denotes exactly itself.
+METACHARACTERS = "().|*+?[]\\"
+
+
+def is_literal_word(source: str) -> bool:
+    """True when a pattern word is a plain literal (no metacharacters)."""
+    return not any(ch in source for ch in METACHARACTERS)
+
 
 class Regex:
     """Base class of regex AST nodes."""
@@ -46,7 +55,7 @@ class Literal(Regex):
         self.char = char
 
     def __str__(self) -> str:
-        return self.char if self.char not in "().|*+?[]\\" else (
+        return self.char if self.char not in METACHARACTERS else (
             "\\" + self.char)
 
 
@@ -332,6 +341,24 @@ class Nfa:
         return False
 
 
+class LiteralMatcher:
+    """The matcher of a metacharacter-free word.  Its language is the
+    word itself, so a full match is string equality and a substring
+    match is ``in`` — the answers of the word's :class:`Nfa`, without
+    simulating it character by character."""
+
+    __slots__ = ("word",)
+
+    def __init__(self, word: str) -> None:
+        self.word = word
+
+    def matches(self, text: str) -> bool:
+        return text == self.word
+
+    def search(self, text: str) -> bool:
+        return self.word in text
+
+
 def compile_regex(node: Regex) -> Nfa:
     """Thompson construction."""
     nfa = Nfa()
@@ -349,15 +376,18 @@ _MATCHER_CACHE_CAPACITY = 64
 _matcher_cache_stats = {"hits": 0, "misses": 0}
 
 
-def cached_matcher(source: str) -> Nfa:
-    """:func:`compile_pattern_text` behind a small LRU keyed by the
-    pattern source.
+def cached_matcher(source: str) -> Nfa | LiteralMatcher:
+    """The matcher of one pattern word: a :class:`LiteralMatcher` for
+    a plain word, else :func:`compile_pattern_text` behind a small LRU
+    keyed by the pattern source.
 
     Repeated non-literal probes (a vocabulary scan per query, a phrase
     matcher per word) otherwise re-run the Thompson construction every
     call.  A compiled :class:`Nfa` is immutable during matching, so one
     instance can serve every caller.
     """
+    if is_literal_word(source):
+        return LiteralMatcher(source)
     nfa = _MATCHER_CACHE.get(source)
     if nfa is not None:
         _MATCHER_CACHE.move_to_end(source)

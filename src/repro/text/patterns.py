@@ -23,7 +23,12 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.errors import PatternError
-from repro.text.nfa import Nfa, cached_matcher
+from repro.text.nfa import (
+    LiteralMatcher,
+    Nfa,
+    cached_matcher,
+    is_literal_word,
+)
 
 
 def tokenize_words(text: str) -> list[str]:
@@ -71,7 +76,7 @@ class Pattern(PatternExpr):
         # matchers come from the shared LRU: parsing the same pattern
         # text repeatedly (one Pattern per query execution) reuses the
         # compiled NFA instead of re-running the Thompson construction
-        self.word_matchers: list[Nfa] = [
+        self.word_matchers: list[Nfa | LiteralMatcher] = [
             cached_matcher(word) for word in source.split()]
         if not self.word_matchers:
             raise PatternError("pattern has no words")
@@ -81,13 +86,14 @@ class Pattern(PatternExpr):
         return len(self.word_matchers) > 1
 
     def holds(self, tokens: Sequence[str]) -> bool:
-        width = len(self.word_matchers)
-        if width == 1:
-            matcher = self.word_matchers[0]
-            return any(matcher.matches(token) for token in tokens)
-        for start in range(len(tokens) - width + 1):
-            if all(matcher.matches(tokens[start + offset])
-                   for offset, matcher in enumerate(self.word_matchers)):
+        first, rest = self.word_matchers[0], self.word_matchers[1:]
+        if not rest:
+            return any(first.matches(token) for token in tokens)
+        # a phrase: try the later words only where the first matches
+        for start in range(len(tokens) - len(rest)):
+            if first.matches(tokens[start]) and all(
+                    matcher.matches(tokens[start + offset])
+                    for offset, matcher in enumerate(rest, 1)):
                 return True
         return False
 
@@ -105,9 +111,8 @@ class Pattern(PatternExpr):
         """The pattern's plain-literal words (no metacharacters) —
         the words whose posting-list sizes bound the pattern's
         selectivity without issuing an index probe."""
-        from repro.text.index import _is_literal_word
         return [word for word in self.source.split()
-                if _is_literal_word(word)]
+                if is_literal_word(word)]
 
     def has_regex_word(self) -> bool:
         """True when any word needs the NFA (a vocabulary scan at

@@ -264,16 +264,18 @@ class TestFactoringRewrite:
         factored = factor_shared_prefixes(plan)
         assert count_shared(factored) == 0
 
-    def test_shared_rows_replay_without_memo(self):
+    def test_shared_batch_without_memo(self):
         # a SharedOp executed outside execute_plan (no ctx.shared_memo)
-        # streams its child directly
+        # hands out its child's batch directly
         x = DataVar("x")
         shared = SharedOp(BindOp(SeedOp(), x, Const(7)), ref_count=2,
                           shared_id=1)
         instance = Instance(schema_from_classes({}, roots={}))
         from repro.calculus.evaluator import EvalContext
         ctx = EvalContext(instance)
-        assert list(shared.rows(ctx)) == [{x: 7}]
+        batch = shared.batch(ctx)
+        assert (batch.size, batch.column(x)) == (1, [7])
+        assert ctx.shared_memo is None
 
 
 class TestUnhashableDedup:

@@ -6,7 +6,7 @@ from repro import DocumentStore
 from repro.corpus import ARTICLE_DTD, SAMPLE_ARTICLE
 from repro.stats import Statistics, estimate, q_error
 from repro.stats.statistics import DEFAULT_FANOUT
-from repro.text.patterns import parse_pattern_expr
+from repro.text.patterns import Pattern, parse_pattern_expr
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +86,21 @@ class TestPostingBounds:
         snap = store.statistics()
         assert snap.candidate_upper_bound(
             parse_pattern_expr('"xyzzynotthere"')) == 0
+
+    def test_bound_is_remembered_by_text_not_by_object_id(self, store):
+        # the snapshot outlives the plans it costs: a collected
+        # pattern's id() is handed to the next pattern allocated
+        snap = store.statistics()
+        expected = store.text_index.posting_size("SGML")
+        for _ in range(50):
+            absent = Pattern("xyzzynotthere")
+            assert snap.candidate_upper_bound(absent) == 0
+            freed = id(absent)
+            del absent
+            present = Pattern("SGML")
+            assert snap.candidate_upper_bound(present) == expected
+            if id(present) == freed:
+                break
 
     def test_conjunction_takes_the_min(self, store):
         snap = store.statistics()

@@ -101,3 +101,33 @@ class TestErrors:
             for text in probe_texts:
                 assert (compile_pattern_text(source).matches(text)
                         == compile_pattern_text(str(again)).matches(text))
+
+
+class TestLiteralWordsSkipTheNfa:
+    """``cached_matcher`` answers a metacharacter-free word by string
+    equality — the same language as the word's NFA."""
+
+    WORDS = ["SGML", "object", "a", "O₂", "x-y", "it's", "100%"]
+    PROBES = ["SGML", "SGMLish", "sgml", "", "object", "objects", "a",
+              "O₂", "x-y", "xy", "it's", "100%", "100"]
+
+    def test_literal_matcher_agrees_with_the_nfa(self):
+        from repro.text.nfa import (
+            LiteralMatcher,
+            cached_matcher,
+            compile_pattern_text,
+        )
+        for word in self.WORDS:
+            matcher = cached_matcher(word)
+            assert isinstance(matcher, LiteralMatcher)
+            nfa = compile_pattern_text(word)
+            for probe in self.PROBES:
+                assert matcher.matches(probe) == nfa.matches(probe)
+                assert matcher.search(probe) == nfa.search(probe)
+
+    def test_metacharacters_still_compile(self):
+        from repro.text.nfa import Nfa, cached_matcher, is_literal_word
+        for source in ["(t|T)itle", "ab+a", "a.c", "[a-z]x", "a\\.b",
+                       "colou?r", "x*"]:
+            assert not is_literal_word(source)
+            assert isinstance(cached_matcher(source), Nfa)
