@@ -102,11 +102,16 @@ class DocumentLoader:
         return len(self._trail)
 
     def _rollback(self, mark: int) -> None:
-        """Remove objects allocated by an abandoned branch attempt."""
-        for oid in self._trail[mark:]:
+        """Remove objects allocated by an abandoned branch attempt —
+        newest first, so each is the tail of its extent when
+        :meth:`~repro.oodb.instance.Instance.remove_object` looks for
+        it: an abandoned branch costs what it allocated, whatever the
+        instance already holds."""
+        trail = self._trail
+        while len(trail) > mark:
+            oid = trail.pop()
             self.instance.remove_object(oid)
             self.provenance.pop(oid.number, None)
-        del self._trail[mark:]
 
     def _load_whole_union(self, shape: UnionShape, cursor: "_Children",
                           element: Element) -> TupleValue:

@@ -56,12 +56,20 @@ class Instance:
         """Forget an object entirely (used by loader backtracking).
 
         The caller is responsible for ensuring no remaining value
-        references the oid.
+        references the oid.  The extent is searched from its tail:
+        undoing the newest allocation of a class is one step, however
+        many objects the class holds.
         """
-        if oid.number not in self._values:
+        number = oid.number
+        if number not in self._values:
             raise InstanceError(f"unknown oid: {oid!r}")
-        del self._values[oid.number]
-        self._extent[oid.class_name].remove(oid)
+        members = self._extent[oid.class_name]
+        for at in range(len(members) - 1, -1, -1):
+            if members[at].number == number:
+                del members[at]
+                del self._values[number]
+                return
+        raise InstanceError(f"oid {oid!r} is not in its class extent")
 
     def set_value(self, oid: Oid, value: object) -> None:
         """Rebind ``nu(oid)``."""

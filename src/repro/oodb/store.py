@@ -47,19 +47,17 @@ class HashIndex:
     def __init__(self, class_name: str, attribute: str) -> None:
         self.class_name = class_name
         self.attribute = attribute
-        self._entries: dict[object, list[Oid]] = {}
+        # each bucket an insertion-ordered set of oids
+        self._entries: dict[object, dict[Oid, None]] = {}
 
     def add(self, key: object, oid: Oid) -> None:
-        self._entries.setdefault(key, []).append(oid)
+        self._entries.setdefault(key, {})[oid] = None
 
     def remove(self, key: object, oid: Oid) -> None:
         bucket = self._entries.get(key)
         if bucket is None:
             return
-        try:
-            bucket.remove(oid)
-        except ValueError:
-            pass
+        bucket.pop(oid, None)
         if not bucket:
             del self._entries[key]
 

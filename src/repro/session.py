@@ -204,8 +204,9 @@ class DocumentStore:
         """Keep incremental structures current for a fresh document:
         index its objects' text (when an index exists) and extend the
         parent map (when one has been built).  Only the objects the
-        load allocated are visited — the cost of a load does not grow
-        with the corpus."""
+        load allocated are visited, and indexing one costs a tokenizer
+        pass over its text plus one index entry per distinct token —
+        the cost of a load does not grow with the corpus."""
         if self.text_index is None and self._parents is None:
             return
         for oid in self.instance.oids_since(first_new):
@@ -445,7 +446,11 @@ class DocumentStore:
         object *and every ancestor* embed the changed character data in
         their reconstructed text, so all of them are re-indexed (and
         the plan-cache epoch is bumped, so a cached index-backed plan
-        re-probes the fresh postings on its recompile).
+        re-probes the fresh postings on its recompile).  Re-indexing
+        costs the ancestors' own tokens — one entry dropped and one
+        inserted per distinct token of each — whatever the other
+        documents sharing those tokens hold; the first edit on a store
+        also builds the parent map (one scan of the instance).
         """
         from repro.oodb.values import TupleValue
         from repro.mapping.naming import TEXT_FIELD

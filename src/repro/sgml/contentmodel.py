@@ -18,6 +18,7 @@ the tag-inference machinery rely on.
 
 from __future__ import annotations
 
+import re
 from typing import Iterator
 
 from repro.errors import ContentModelError
@@ -25,6 +26,10 @@ from repro.sgml.tokens import Cursor
 
 #: Pseudo element name used for character data inside content models.
 PCDATA_NAME = "#PCDATA"
+
+#: A keyword, ``#PCDATA`` or an element name: ``\w`` is ``str.isalnum``
+#: plus the underscore.
+_WORD_RUN = re.compile(r"[\w#.-]*")
 
 
 class ContentModel:
@@ -265,8 +270,7 @@ def parse_content_model(text: str) -> ContentModel:
 def _parse_model(cursor: Cursor) -> ContentModel:
     if cursor.startswith("("):
         return _parse_group(cursor)
-    word = cursor.take_while(lambda ch: ch in "#" or ch.isalnum()
-                             or ch in ".-_")
+    word = cursor.take(_WORD_RUN)
     upper = word.upper()
     if upper == "EMPTY":
         return Empty()

@@ -39,7 +39,7 @@ from repro.sgml.dtd import (
     ElementDecl,
     EntityDecl,
 )
-from repro.sgml.tokens import Cursor, NAME_CHARS
+from repro.sgml.tokens import Cursor, NAME_RUN
 
 _KIND_WORDS = {
     "CDATA": ATT_CDATA,
@@ -111,11 +111,8 @@ def _substitute_parameter_entity(cursor: Cursor, dtd: Dtd) -> None:
         raise cursor.error(
             f"undefined parameter entity %{name};", DtdSyntaxError)
     # Splice the replacement text at the current position.
-    remaining = cursor.text[cursor.pos:]
-    spliced = entity.text + remaining
-    new_cursor_text = cursor.text[:cursor.pos] + spliced
-    cursor.text = new_cursor_text
-    cursor._line_starts = _recompute_line_starts(new_cursor_text)
+    cursor.text = (cursor.text[:cursor.pos] + entity.text
+                   + cursor.text[cursor.pos:])
 
 
 def _expand_parameter_entities(text: str, dtd: Dtd,
@@ -129,9 +126,7 @@ def _expand_parameter_entities(text: str, dtd: Dtd,
                 "parameter entity expansion too deep (cycle?)",
                 DtdSyntaxError)
         start = text.index("%")
-        end = start + 1
-        while end < len(text) and text[end] in NAME_CHARS:
-            end += 1
+        end = NAME_RUN.match(text, start + 1).end()
         name = text[start + 1:end]
         if end < len(text) and text[end] == ";":
             end += 1
@@ -144,14 +139,6 @@ def _expand_parameter_entities(text: str, dtd: Dtd,
 
 
 _MAX_PE_DEPTH = 32
-
-
-def _recompute_line_starts(text: str) -> list[int]:
-    starts = [0]
-    for i, ch in enumerate(text):
-        if ch == "\n":
-            starts.append(i + 1)
-    return starts
 
 
 def _parse_declaration(cursor: Cursor, dtd: Dtd) -> None:
@@ -261,8 +248,7 @@ def _parse_token_group(cursor: Cursor) -> list[str]:
     tokens: list[str] = []
     while True:
         cursor.skip_whitespace()
-        token = cursor.take_while(
-            lambda ch: ch in NAME_CHARS)
+        token = cursor.take(NAME_RUN)
         if not token:
             raise cursor.error("expected a token", DtdSyntaxError)
         tokens.append(token)
@@ -303,7 +289,7 @@ def _parse_literal_or_token(cursor: Cursor) -> str:
         value = cursor.take_until(quote, DtdSyntaxError)
         cursor.expect(quote, DtdSyntaxError)
         return value
-    value = cursor.take_while(lambda ch: ch in NAME_CHARS)
+    value = cursor.take(NAME_RUN)
     if not value:
         raise cursor.error("expected a default value", DtdSyntaxError)
     return value

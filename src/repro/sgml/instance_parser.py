@@ -22,15 +22,20 @@ resolved inside character data and attribute values.
 
 from __future__ import annotations
 
+import re
+
 from repro.errors import DocumentSyntaxError, EntityError
 from repro.sgml.contentmodel import PCDATA_NAME
 from repro.sgml.dtd import ATT_NAME_GROUP, Dtd
 from repro.sgml.instance import Element
-from repro.sgml.tokens import Cursor, NAME_CHARS, NAME_START_CHARS
+from repro.sgml.tokens import Cursor, NAME_RUN, NAME_START_CHARS
 
 _PREDEFINED_ENTITIES = {
     "amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'",
 }
+
+#: Character data: everything up to the next markup-start character.
+_TEXT_RUN = re.compile(r"[^<]*")
 
 #: Safety bound on recursive entity substitution.
 _MAX_ENTITY_DEPTH = 16
@@ -355,7 +360,7 @@ class _InstanceParser:
             raw = cursor.take_until(quote, DocumentSyntaxError)
             cursor.expect(quote, DocumentSyntaxError)
         else:
-            raw = cursor.take_while(lambda ch: ch in NAME_CHARS)
+            raw = cursor.take(NAME_RUN)
             if not raw:
                 raise cursor.error(
                     "expected an attribute value", DocumentSyntaxError)
@@ -390,7 +395,7 @@ class _InstanceParser:
 
     def _handle_text(self) -> None:
         cursor = self.cursor
-        raw = cursor.take_while(lambda ch: ch not in "<")
+        raw = cursor.take(_TEXT_RUN)
         content = self._resolve_entities(raw, depth=0)
         if self.root is None or not self.stack:
             if content.strip():

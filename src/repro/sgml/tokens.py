@@ -1,60 +1,59 @@
-"""A character cursor with position tracking, shared by the SGML parsers."""
+"""A character cursor with position tracking, shared by the SGML parsers.
+
+Runs of characters — names, whitespace, character data — are consumed
+with compiled patterns (:meth:`Cursor.take`), one ``match`` per run,
+never one Python call per character.
+"""
 
 from __future__ import annotations
 
-from repro.errors import SgmlError
+import re
 
-#: Characters allowed in SGML names after the first (NAMECHAR).
-NAME_CHARS = set(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789.-_")
+from repro.errors import SgmlError
 
 #: Characters allowed as the first character of a name (NAMESTART).
 NAME_START_CHARS = set(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
+_NAMECHAR = "[A-Za-z0-9._-]"
+
+#: A (possibly empty) run of the characters allowed in SGML names after
+#: the first (NAMECHAR).
+NAME_RUN = re.compile(f"{_NAMECHAR}*")
+
+_NAME = re.compile(f"[A-Za-z]{_NAMECHAR}*")
+
+#: ``\s`` is ``str.isspace``.
+_WHITESPACE_RUN = re.compile(r"\s*")
+
 
 def is_name(text: str) -> bool:
     """True when ``text`` is a valid SGML name."""
-    return (bool(text) and text[0] in NAME_START_CHARS
-            and all(ch in NAME_CHARS for ch in text))
+    return _NAME.fullmatch(text) is not None
 
 
 class Cursor:
     """A read head over source text with line/column tracking."""
 
-    __slots__ = ("text", "pos", "_line_starts")
+    __slots__ = ("text", "pos")
 
     def __init__(self, text: str) -> None:
         self.text = text
         self.pos = 0
-        starts = [0]
-        for i, ch in enumerate(text):
-            if ch == "\n":
-                starts.append(i + 1)
-        self._line_starts = starts
 
     # -- position -------------------------------------------------------------
+    # Computed from the text when an error asks: parsing a well-formed
+    # document never pays for line bookkeeping.
 
     @property
     def line(self) -> int:
         """1-based line number of the current position."""
-        return self._line_of(self.pos)
+        return self.text.count("\n", 0, self.pos) + 1
 
     @property
     def column(self) -> int:
         """1-based column number of the current position."""
-        line = self._line_of(self.pos)
-        return self.pos - self._line_starts[line - 1] + 1
-
-    def _line_of(self, pos: int) -> int:
-        lo, hi = 0, len(self._line_starts) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self._line_starts[mid] <= pos:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo + 1
+        return self.pos - self.text.rfind("\n", 0, self.pos)
 
     def error(self, message: str,
               error_class: type[SgmlError] = SgmlError) -> SgmlError:
@@ -88,13 +87,13 @@ class Cursor:
         self.pos += len(literal)
 
     def skip_whitespace(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        self.pos = _WHITESPACE_RUN.match(self.text, self.pos).end()
 
-    def take_while(self, predicate) -> str:
+    def take(self, run: re.Pattern[str]) -> str:
+        """Consume what ``run`` matches here (a pattern that can match
+        the empty string, e.g. :data:`NAME_RUN`)."""
         start = self.pos
-        while self.pos < len(self.text) and predicate(self.text[self.pos]):
-            self.pos += 1
+        self.pos = run.match(self.text, start).end()
         return self.text[start:self.pos]
 
     def take_until(self, stop: str,
@@ -110,7 +109,9 @@ class Cursor:
 
     def take_name(self, error_class: type[SgmlError] = SgmlError) -> str:
         """Consume an SGML name."""
-        if self.at_end() or self.text[self.pos] not in NAME_START_CHARS:
+        found = _NAME.match(self.text, self.pos)
+        if found is None:
             raise self.error(
                 f"expected a name, found {self.peek()!r}", error_class)
-        return self.take_while(lambda ch: ch in NAME_CHARS)
+        self.pos = found.end()
+        return found.group()

@@ -6,9 +6,10 @@ without touching the store:
 
 * per-class cardinalities (disjoint extents) and persistence-root
   collection sizes, from the :class:`~repro.oodb.instance.Instance`;
-* text-index posting-list sizes — an *upper bound* on the documents a
-  literal word can match, which is exactly what selectivity estimation
-  and provable-empty pruning need (:mod:`repro.text`);
+* text-index document frequencies — the number of documents a
+  literal word matches, an *upper bound* for the patterns built from
+  it, which is exactly what selectivity estimation and provable-empty
+  pruning need (:mod:`repro.text`);
 * structural-index block/slice sizes (node counts, per-attribute
   occurrence counts, atom-slice sizes) from :mod:`repro.structindex`;
 * historical per-operator unit costs (seconds per row, EMA-smoothed)
@@ -167,12 +168,14 @@ class Statistics:
 
     def candidate_upper_bound(self, expression: Any) -> int | None:
         """An upper bound on the number of documents that can satisfy
-        ``expression``, from posting-list sizes alone (no probe is
-        issued).  ``None`` means the model cannot bound it — a
-        negation-dominated or regex-only pattern.  A return of ``0`` is
-        a *proof* of emptiness: a literal word with no posting list
-        matches nothing, so the cost stage may prune a branch gated on
-        it before any index probe runs.
+        ``expression``, from document frequencies alone (no probe is
+        issued): exact for one literal word, the smallest frequency of
+        a phrase's words, the sum over a disjunction.  ``None`` means
+        the model cannot bound it — a negation-dominated or regex-only
+        pattern.  A return of ``0`` is a *proof* of emptiness: a
+        literal word no document contains matches nothing, so the cost
+        stage may prune a branch gated on it before any index probe
+        runs.
         """
         if not isinstance(expression, PatternExpr):
             return None
@@ -184,6 +187,9 @@ class Statistics:
         return self._bound_memo[expression]
 
     def _bound_of(self, expression: Any) -> int | None:
+        """The bound itself, from
+        :meth:`repro.text.TextIndex.posting_size` — the document
+        frequency of each literal word."""
         index = self._text_index
         if index is None or not isinstance(expression, PatternExpr):
             return None
@@ -213,8 +219,9 @@ class Statistics:
 
     def probe_cost(self, expression: Any) -> float:
         """Estimated work of asking the text index for the candidate
-        set of ``expression``: literal words hit their posting lists
-        directly; any regex word forces a full vocabulary scan."""
+        set of ``expression``: a literal word reads its key group, one
+        entry per document containing it (its document frequency); any
+        regex word forces a full vocabulary scan."""
         if isinstance(expression, Pattern):
             if expression.has_regex_word():
                 return float(max(1, self.vocabulary_size))

@@ -1,28 +1,35 @@
 """A positional inverted index (the "full text indexing" of Section 4.1).
 
-The index maps tokens to postings ``(key, position)``.  Keys are
-caller-chosen (typically oids).  The optimizer (Section 5.4 + 4.1) uses
-:meth:`TextIndex.candidates` to turn a ``contains`` predicate into an
-index probe: the returned key set is exact for positive boolean
-combinations of literal patterns and a safe superset otherwise (``None``
-means "no pruning possible, scan").
+The index maps each token to its *key group*: ``token -> {key ->
+positions}``, the positions an immutable, ascending tuple.  Keys are
+caller-chosen (typically oids).  A key's entries are reached through
+its own tokens (``key -> its distinct tokens``), so adding, removing or
+re-indexing a key costs one dictionary step per distinct token of that
+key — never a pass over the other keys that share its tokens.  The
+optimizer (Section 5.4 + 4.1) uses :meth:`TextIndex.candidates` to turn
+a ``contains`` predicate into an index probe: the returned key set is
+exact for positive boolean combinations of literal patterns and a safe
+superset otherwise (``None`` means "no pruning possible, scan").
 
 **Concurrency contract** (what the serving layer relies on).  Mutators
 (:meth:`TextIndex.add`, :meth:`TextIndex.remove`,
-:meth:`TextIndex.replace`) serialize on an internal lock.  Probes are
-lock-free: a posting list is only ever *swapped* for a freshly built
-one (:meth:`TextIndex.remove` never filters in place) or appended to
-(:meth:`TextIndex.add`), so a reader holding a list reference iterates
-a consistent per-token snapshot — it may be one edit stale, it is
-never torn mid-filter.  Consistency *across* tokens (a phrase probe
-spanning several posting lists while an edit lands) is the caller's
-job: :class:`~repro.serve.QueryServer` validates every read against
-the store's write fence and retries reads that overlapped a writer.
+:meth:`TextIndex.replace`) serialize on an internal lock and change a
+group one entry at a time.  Probes are lock-free: a probe *snapshots* a
+token's group in one atomic step (``set(group)``, ``group.copy()``,
+``list(vocabulary.items())`` — single calls that run no Python code in
+between) and never iterates a live group; position tuples are never
+mutated, only replaced.  A snapshot is therefore complete and stays
+unchanged whatever lands afterwards — it may be one edit stale, it is
+never torn.  Consistency *across* tokens (a phrase probe spanning
+several groups while an edit lands) is the caller's job:
+:class:`~repro.serve.QueryServer` validates every read against the
+store's write fence and retries reads that overlapped a writer.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import defaultdict
 from typing import Hashable, Iterable
 
 from repro.text.nfa import cached_matcher, is_literal_word
@@ -35,6 +42,8 @@ from repro.text.patterns import (
     tokenize_words,
 )
 
+Group = dict[Hashable, tuple[int, ...]]
+
 
 def tokenize(text: str) -> list[str]:
     """The index's tokenizer (same as the predicate's)."""
@@ -42,15 +51,15 @@ def tokenize(text: str) -> list[str]:
 
 
 class TextIndex:
-    """token -> list of (key, position) postings."""
+    """token -> {key -> positions}."""
 
     def __init__(self) -> None:
-        self._postings: dict[str, list[tuple[Hashable, int]]] = {}
+        self._groups: dict[str, Group] = {}
         self._documents: dict[Hashable, int] = {}  # key -> token count
-        # reverse map: key -> {token: occurrences} — lets remove/replace
-        # touch only the key's own posting lists instead of scanning the
-        # whole vocabulary
-        self._doc_tokens: dict[Hashable, dict[str, int]] = {}
+        # reverse map: key -> its distinct tokens — remove/replace reach
+        # the key's own entries through it
+        self._doc_tokens: dict[Hashable, tuple[str, ...]] = {}
+        self._occurrences = 0  # sum of the token counts
         # serializes mutators; probes stay lock-free (see module doc)
         self._mutation_lock = threading.RLock()
         #: optional repro.observe MetricsRegistry; ``None`` = disabled
@@ -59,59 +68,66 @@ class TextIndex:
     # -- building -------------------------------------------------------------
 
     def add(self, key: Hashable, text: str) -> int:
-        """Index ``text`` under ``key``; returns the token count."""
+        """Index ``text`` under ``key``; returns the token count.  One
+        group insert per distinct token; a second ``add`` of the same
+        key continues its positions."""
         tokens = tokenize(text)
         with self._mutation_lock:
             base = self._documents.get(key, 0)
-            counts = self._doc_tokens.setdefault(key, {})
-            for offset, token in enumerate(tokens):
-                self._postings.setdefault(token, []).append(
-                    (key, base + offset))
-                counts[token] = counts.get(token, 0) + 1
+            positions: defaultdict[str, list[int]] = defaultdict(list)
+            for position, token in enumerate(tokens, base):
+                positions[token].append(position)
+            groups = self._groups
+            fresh = []  # the tokens this call gives the key
+            for token, where in positions.items():
+                group = groups.get(token)
+                if group is None:
+                    groups[token] = {key: tuple(where)}
+                elif base and key in group:
+                    group[key] += tuple(where)
+                    continue
+                else:
+                    group[key] = tuple(where)
+                fresh.append(token)
+            self._doc_tokens[key] = (
+                self._doc_tokens.get(key, ()) + tuple(fresh))
             self._documents[key] = base + len(tokens)
+            self._occurrences += len(tokens)
         return len(tokens)
 
     def remove(self, key: Hashable) -> int:
-        """Drop every posting of ``key``; returns the token count that
+        """Drop every entry of ``key``; returns the token count that
         was removed (0 when the key was never indexed).  Tokens whose
-        posting list empties are dropped from the vocabulary.
+        group empties are dropped from the vocabulary.
 
-        Only the key's own tokens (from the reverse map) are visited —
-        ``text.remove_postings_touched`` counts them, and stays
-        independent of the rest of the vocabulary.
-
-        Surviving posting lists are *rebuilt and swapped in*, never
-        filtered in place: a concurrent probe holding the old list
-        keeps iterating a consistent (one-edit-stale) snapshot.
+        Only the key's own tokens (from the reverse map) are visited,
+        one dictionary delete each — ``text.remove_postings_touched``
+        counts them, and stays independent of the rest of the
+        vocabulary and of how many other keys share those tokens.
         """
         with self._mutation_lock:
             removed = self._documents.pop(key, None)
             if removed is None:
                 return 0
-            counts = self._doc_tokens.pop(key, {})
-            for token, occurrences in counts.items():
-                if self.metrics is not None:
-                    self.metrics.inc("text.remove_postings_touched")
-                postings = self._postings.get(token)
-                if postings is None:  # pragma: no cover - defensive
-                    continue
-                if len(postings) == occurrences:
-                    # the key owned the whole posting list: drop the
-                    # token without filtering
-                    del self._postings[token]
-                else:
-                    # copy-on-write: publish a fresh list atomically
-                    self._postings[token] = [
-                        entry for entry in postings if entry[0] != key]
+            own = self._doc_tokens.pop(key)
+            groups = self._groups
+            for token in own:
+                group = groups[token]
+                del group[key]
+                if not group:
+                    del groups[token]
+            self._occurrences -= removed
         if self.metrics is not None:
+            if own:  # a counter that would get 0 stays absent
+                self.metrics.inc("text.remove_postings_touched", len(own))
             self.metrics.inc("text.removals")
         return removed
 
     def replace(self, key: Hashable, text: str) -> int:
         """Re-index ``key`` with fresh ``text`` (the incremental
         maintenance step an in-database edit needs); returns the new
-        token count.  Unlike a bare :meth:`add`, old postings are
-        removed first, so the entry reflects only the new content."""
+        token count.  Unlike a bare :meth:`add`, old entries are
+        removed first, so the key reflects only the new content."""
         with self._mutation_lock:
             self.remove(key)
             if self.metrics is not None:
@@ -124,42 +140,51 @@ class TextIndex:
 
     @property
     def vocabulary_size(self) -> int:
-        return len(self._postings)
+        return len(self._groups)
 
     def vocabulary(self) -> Iterable[str]:
-        return self._postings.keys()
+        return self._groups.keys()
 
     # -- statistics (read by repro.stats, no probe issued) --------------------
 
     def posting_size(self, word: str) -> int:
-        """Posting-list length of a literal token — an O(1) upper
-        bound on the number of documents containing ``word`` (a key
-        with several occurrences counts once per occurrence, so the
-        bound is safe, never exact).  ``0`` is a proof of absence: the
-        cost model prunes union branches gated on such patterns before
-        any probe runs."""
-        return len(self._postings.get(word, ()))
+        """Document frequency of a literal token: the exact number of
+        keys containing ``word``, in O(1).  ``0`` is a proof of
+        absence: the cost model prunes union branches gated on such
+        patterns before any probe runs."""
+        return len(self._groups.get(word, ()))
 
     def posting_stats(self) -> dict:
         """Aggregate posting statistics for the table-statistics
-        snapshot (:mod:`repro.stats`)."""
-        sizes = [len(postings) for postings in self._postings.values()]
+        snapshot (:mod:`repro.stats`): ``postings`` is the occurrence
+        total, ``max_posting`` the largest document frequency."""
+        sizes = [len(group) for group in list(self._groups.values())]
         return {
             "documents": len(self._documents),
             "vocabulary": len(sizes),
-            "postings": sum(sizes),
+            "postings": self._occurrences,
             "max_posting": max(sizes, default=0),
         }
 
     # -- probing --------------------------------------------------------------
 
+    def _matching_groups(self, word: str, matcher) -> list[Group]:
+        """The live groups of the tokens ``word`` stands for: its own
+        for a literal word, else those of every vocabulary token the
+        matcher accepts (callers snapshot before reading them)."""
+        if is_literal_word(word):
+            group = self._groups.get(word)
+            return [] if group is None else [group]
+        return [group for token, group in list(self._groups.items())
+                if matcher.matches(token)]
+
     def keys_with_word(self, word: str) -> set[Hashable]:
         """Exact-token probe."""
-        postings = self._postings.get(word, ())
+        keys = set(self._groups.get(word, ()))
         if self.metrics is not None:
             self.metrics.inc("text.word_probes")
-            self.metrics.inc("text.postings_scanned", len(postings))
-        return {key for key, _ in postings}
+            self.metrics.inc("text.postings_scanned", len(keys))
+        return keys
 
     def keys_matching(self, word_pattern: str) -> set[Hashable]:
         """Pattern probe: literal words hit directly, regex-ish ones scan
@@ -168,39 +193,35 @@ class TextIndex:
             return self.keys_with_word(word_pattern)
         if self.metrics is not None:
             self.metrics.inc("text.vocabulary_scans")
-        matcher = cached_matcher(word_pattern)
         hits: set[Hashable] = set()
-        for token, postings in self._postings.items():
-            if matcher.matches(token):
-                hits.update(key for key, _ in postings)
+        for group in self._matching_groups(
+                word_pattern, cached_matcher(word_pattern)):
+            hits.update(group)  # one call: the snapshot step
         return hits
 
     def keys_with_phrase(self, pattern: Pattern) -> set[Hashable]:
         """Phrase probe using positions (consecutive tokens)."""
         if self.metrics is not None:
             self.metrics.inc("text.phrase_probes")
-        per_word: list[dict[Hashable, set[int]]] = []
+        per_word: list[Group] = []
         for offset, source_word in enumerate(pattern.source.split()):
-            positions: dict[Hashable, set[int]] = {}
-            matcher = pattern.word_matchers[offset]
-            if is_literal_word(source_word):
-                entries = self._postings.get(source_word, ())
-            else:
-                entries = [entry for token, posting in
-                           self._postings.items()
-                           if matcher.matches(token)
-                           for entry in posting]
-            for key, position in entries:
-                positions.setdefault(key, set()).add(position - offset)
-            per_word.append(positions)
-        candidates = set(per_word[0])
-        for positions in per_word[1:]:
-            candidates &= set(positions)
+            snapshots = [group.copy() for group in self._matching_groups(
+                source_word, pattern.word_matchers[offset])]
+            merged = snapshots.pop() if snapshots else {}
+            for snapshot in snapshots:  # several tokens match a regex
+                for key, positions in snapshot.items():
+                    merged[key] = merged.get(key, ()) + positions
+            per_word.append(merged)
+        first, *later = per_word
         hits: set[Hashable] = set()
-        for key in candidates:
-            anchor_sets = [positions[key] for positions in per_word]
-            common = set.intersection(*anchor_sets)
-            if common:
+        for key, positions in first.items():
+            anchors = set(positions)
+            for offset, group in enumerate(later, 1):
+                anchors.intersection_update(
+                    position - offset for position in group.get(key, ()))
+                if not anchors:
+                    break
+            else:
                 hits.add(key)
         return hits
 

@@ -212,3 +212,59 @@ class TestLoaderErrors:
         assert letter2.marker == "a2"
         assert letter2.marked_value.attribute_names == (
             "from", "to", "content")
+
+
+class CountingExtent(list):
+    """A class extent that counts the steps taken through it."""
+
+    steps = 0
+
+    def __getitem__(self, index):
+        CountingExtent.steps += 1
+        return super().__getitem__(index)
+
+    def remove(self, item):  # a front scan visits up to every member
+        CountingExtent.steps += len(self)
+        super().remove(item)
+
+
+class TestBacktrackingCostsWhatItAllocated:
+    """An abandoned union/list/optional branch is undone newest-first
+    and each object popped off the tail of its extent: loading a
+    document costs the same whatever the instance already holds
+    (before, ``remove_object`` scanned the extent from the front — one
+    ``Oid.__eq__`` per object loaded earlier)."""
+
+    def test_the_200th_load_works_like_the_first(self, mapped,
+                                                   monkeypatch):
+        from repro.corpus.generator import generate_corpus
+        trees = generate_corpus(200, seed=11)
+        comparisons = 0
+        plain_eq = Oid.__eq__
+
+        def counting_eq(self, other):
+            nonlocal comparisons
+            comparisons += 1
+            return plain_eq(self, other)
+
+        monkeypatch.setattr(Oid, "__eq__", counting_eq)
+
+        def work_of_loading(loader, tree):
+            nonlocal comparisons
+            extents = loader.instance._extent
+            for name, members in extents.items():
+                extents[name] = CountingExtent(members)
+            comparisons = CountingExtent.steps = 0
+            before = loader.instance.object_count()
+            loader.load(tree)
+            return (comparisons, CountingExtent.steps,
+                    loader.instance.object_count() - before)
+
+        first = work_of_loading(DocumentLoader(mapped), trees[0])
+        loader = DocumentLoader(mapped)
+        for tree in trees[1:]:
+            loader.load(tree)
+        last = work_of_loading(loader, trees[0])
+        assert first == last
+        assert first[1] > 0  # the document does backtrack
+        loader.instance.check()

@@ -1,13 +1,15 @@
 """The index-level concurrency contract the serving layer builds on.
 
-Two deterministic checks pin the copy-on-write discipline down without
-any scheduling luck — a reader that grabbed a posting list (TextIndex)
-or an ``_oid_nodes`` entry list (StructuralIndex) before a mutation
-must keep iterating the *old, internally consistent* snapshot, because
-mutators swap fresh lists in instead of filtering in place.  Two
-threaded hammers then drive the same paths under real interleaving:
-probes racing ``replace`` edits, and ``locate`` racing full block
-rebuilds, with zero exceptions and only-valid-states results.
+Deterministic checks pin each discipline down without any scheduling
+luck.  TextIndex: a probe *snapshots* a token's key group in one atomic
+step, so a snapshot taken before ``remove``/``replace`` is complete and
+unchanged afterwards, and the position tuples inside it are never
+mutated.  StructuralIndex: a reader that grabbed an ``_oid_nodes``
+entry list before a rebuild keeps the *old, internally consistent*
+list, because the rebuild swaps a fresh one in.  Two threaded hammers
+then drive the same paths under real interleaving: probes racing
+``replace`` edits, and ``locate`` racing full block rebuilds, with
+zero exceptions and only-valid-states results.
 """
 
 import threading
@@ -19,38 +21,49 @@ from tests.serve.conftest import build_store
 ROUNDS = 150
 
 
-class TestTextIndexCopyOnWrite:
-    def test_remove_swaps_never_filters_in_place(self):
+class TestTextIndexSnapshots:
+    def test_a_snapshot_survives_remove_complete_and_unchanged(self):
         index = TextIndex()
         index.add("a", "shared token stream")
         index.add("b", "shared token stream")
-        held = index._postings["shared"]
-        assert {key for key, _ in held} == {"a", "b"}
+        # the probe's one atomic step (keys_with_phrase: group.copy(),
+        # keys_with_word: set(group))
+        held = index._groups["shared"].copy()
+        keys = index.keys_with_word("shared")
+        before = dict(held)
 
         index.remove("a")
 
-        # the held snapshot is untouched — a concurrent probe mid-scan
-        # sees the complete pre-edit posting list, never a torn filter
-        assert {key for key, _ in held} == {"a", "b"}
-        # the published list is a fresh object with "a" gone
-        fresh = index._postings["shared"]
-        assert fresh is not held
-        assert {key for key, _ in fresh} == {"b"}
+        # what the probe holds is the complete pre-edit group — a probe
+        # mid-read never sees a half-removed key
+        assert held == before == {"a": (0,), "b": (0,)}
+        assert keys == {"a", "b"}
+        # the live group lost exactly "a"'s entry, in place
+        assert index._groups["shared"] == {"b": (0,)}
 
-    def test_replace_preserves_held_snapshots(self):
+    def test_positions_are_replaced_never_mutated(self):
         index = TextIndex()
         index.add("doc", "alpha beta alpha")
-        held = index._postings["alpha"]
+        held = index._groups["alpha"].copy()
+        positions = held["doc"]
+        assert positions == (0, 2) and isinstance(positions, tuple)
+
+        index.add("doc", "alpha")        # continues the key's positions
+        assert index._groups["alpha"]["doc"] == (0, 2, 3)
+        assert index._groups["alpha"]["doc"] is not positions
         index.replace("doc", "beta gamma")
-        assert len(held) == 2  # the old snapshot survives intact
-        assert "alpha" not in index._postings
+
+        # the snapshot and the tuple inside it are what they were
+        assert held == {"doc": (0, 2)} and held["doc"] is positions
+        assert "alpha" not in index._groups
+        assert index._groups["beta"] == {"doc": (0,)}
 
     def test_probes_racing_replace_see_only_valid_states(self):
         """Readers probing words and phrases while a writer re-indexes.
 
-        The per-token contract: a probe sees some swapped-in snapshot
-        of each posting list — possibly one edit stale, never torn —
-        so every result is a subset of the live keys, phrase positions
+        The per-token contract: a probe sees some snapshot of each
+        token's group — possibly one edit stale, never torn — so
+        every result is a subset of the live keys, phrase positions
         stay internally coherent, and nothing raises.  (Consistency
         *across* tokens is explicitly the serve fence's job, so two
         probes may straddle an edit — the test only asserts what the

@@ -315,3 +315,40 @@ class TestTreeApi:
         """)
         tree = parse_document("<doc>\n  <item>one\n  <item>two\n</doc>", dtd)
         assert all(isinstance(c, Element) for c in tree.children)
+
+
+STRICT = "<!ELEMENT doc - - (#PCDATA)>"
+PAIR = "<!ELEMENT doc - - (a, b)>\n<!ELEMENT (a|b) - O (#PCDATA)>"
+ENUM = ("<!ELEMENT doc - - (#PCDATA)>\n"
+        "<!ATTLIST doc status (final | draft) draft>")
+
+#: (document, DTD, line, column) — the rejected documents of the tests
+#: above spread over several lines, with the positions the eager
+#: line-start table reported before positions became lazy
+POSITIONED = [
+    ("<doc>text", STRICT, 1, 10),
+    ("<doc>\n  <doc>x</doc>\n</doc>",
+     "<!ELEMENT doc - - (a)>\n<!ELEMENT a - O (#PCDATA)>", 2, 8),
+    ("<doc>\n<a>x\n   </doc>", PAIR, 3, 10),
+    ("<doc>\n\n  <ghost>x</ghost></doc>", STRICT, 3, 10),
+    ("<a>\n <b>text</a></b>", None, 2, 13),
+    ("<a><b>text</b>\n", None, 2, 1),
+    ("\n\nhello <a>x</a>", None, 3, 7),
+    ("<a>x</a>\n<b>y</b>", None, 2, 4),
+    ("<doc\n   bogus>x</doc>", ENUM, 2, 9),
+    ("<a>\n  < b>", None, 2, 3),
+    ("<a x=>t</a>", None, 1, 6),
+    ("<a>é\u2003\n<!-- never closed", None, 2, 5),
+    ("<a>\r\n<![CDATA[ open", None, 2, 10),
+    ("<a>\n</a\n x>", None, 3, 2),
+]
+
+
+class TestErrorPositions:
+    @pytest.mark.parametrize("text, dtd_text, line, column", POSITIONED)
+    def test_position_of_the_syntax_error(self, text, dtd_text, line,
+                                          column):
+        dtd = parse_dtd(dtd_text) if dtd_text else None
+        with pytest.raises(DocumentSyntaxError) as caught:
+            parse_document(text, dtd)
+        assert (caught.value.line, caught.value.column) == (line, column)

@@ -194,6 +194,52 @@ class TestRemoveTouchesOwnTokensOnly:
         assert small == large
         assert small > 0
 
+    def test_update_text_touches_the_same_entries_on_any_corpus(
+            self, monkeypatch):
+        """Every index entry an edit touches is reached through the
+        key — one hash or one equality test of an ``Oid`` each.  The
+        same edit performs the same number of them on a 40-article and
+        on a 200-article store (before key groups: one ``Oid.__eq__``
+        per occurrence, in any document, of each token of the edited
+        object's ancestors)."""
+        from repro import DocumentStore
+        from repro.corpus import ARTICLE_DTD, SAMPLE_ARTICLE
+        from repro.corpus.generator import generate_corpus
+        from repro.oodb import Oid
+
+        touched = 0
+        plain = {name: getattr(Oid, name)
+                 for name in ("__eq__", "__hash__")}
+
+        def counting(name):
+            def method(self, *args):
+                nonlocal touched
+                touched += 1
+                return plain[name](self, *args)
+            return method
+
+        def entries_touched(articles: int) -> int:
+            nonlocal touched
+            store = DocumentStore(ARTICLE_DTD, backend="algebra")
+            store.load_text(SAMPLE_ARTICLE, name="my_article")
+            for tree in generate_corpus(articles, seed=7):
+                store.load_tree(tree, validate=False)
+            store.build_text_index()
+            title_oid = min(store.query(
+                "select s.title from a in Articles, s in a.sections "
+                "where a = my_article"), key=lambda oid: oid.number)
+            store.update_text(title_oid, "First Edit")  # + parent map
+            with monkeypatch.context() as patch:
+                for name in plain:
+                    patch.setattr(Oid, name, counting(name))
+                touched = 0
+                store.update_text(title_oid, "Edited Heading")
+                return touched
+
+        small, large = entries_touched(40), entries_touched(200)
+        assert small == large
+        assert small > 0
+
     def test_interleaved_adds_then_remove(self):
         index = TextIndex()
         index.add("d", "one two")
@@ -203,6 +249,84 @@ class TestRemoveTouchesOwnTokensOnly:
         assert index.keys_with_word("two") == {"e"}
         assert index.keys_with_word("one") == set()
         assert index.keys_with_word("three") == set()
+
+
+class CountingKey:
+    """A key whose equality tests are counted (what ``Oid.__eq__`` is
+    to the store's index)."""
+
+    comparisons = 0
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __hash__(self) -> int:
+        return hash(self.name)
+
+    def __eq__(self, other: object) -> bool:
+        CountingKey.comparisons += 1
+        return isinstance(other, CountingKey) and other.name == self.name
+
+
+class TestReplaceCostsTheKeysOwnTokens:
+    """``replace`` deletes and inserts the key's own entries: no pass
+    over the other keys that share its tokens (before key groups, one
+    equality test per occurrence of every shared token)."""
+
+    @staticmethod
+    def comparisons_of_one_replace(others: int) -> int:
+        index = TextIndex()
+        mine = CountingKey("mine")
+        index.add(mine, "shared words in every document")
+        for n in range(others):
+            index.add(CountingKey(f"other{n}"),
+                      "shared words in every document twice shared")
+        CountingKey.comparisons = 0
+        index.replace(mine, "shared words rewritten")
+        spent = CountingKey.comparisons
+        assert index.keys_with_word("rewritten") == {mine}
+        assert mine not in index.keys_with_word("every")
+        assert len(index.keys_with_word("shared")) == others + 1
+        return spent
+
+    def test_comparisons_do_not_grow_with_the_sharing_keys(self):
+        few = self.comparisons_of_one_replace(10)
+        many = self.comparisons_of_one_replace(1000)
+        assert few == many
+
+
+class TestPostingStatistics:
+    def test_posting_size_is_the_document_frequency(self):
+        index = TextIndex()
+        index.add("a", "word word word other")
+        index.add("b", "word")
+        assert index.posting_size("word") == 2   # keys, not occurrences
+        assert index.posting_size("other") == 1
+        assert index.posting_size("ghost") == 0  # the proof of absence
+
+    def test_postings_total_is_a_running_occurrence_count(self):
+        index = TextIndex()
+        index.add("a", "word word word other")
+        index.add("b", "word")
+        index.add("b", "again word")
+        assert index.posting_stats() == {
+            "documents": 2, "vocabulary": 3, "postings": 7,
+            "max_posting": 2}
+        index.replace("a", "other")
+        index.remove("b")
+        assert index.posting_stats() == {
+            "documents": 1, "vocabulary": 1, "postings": 1,
+            "max_posting": 1}
+
+    def test_postings_scanned_counts_the_entries_a_probe_reads(self):
+        from repro.observe import MetricsRegistry
+        index = TextIndex()
+        index.add("a", "word word word")
+        index.add("b", "word")
+        index.metrics = MetricsRegistry()
+        index.keys_with_word("word")
+        counters = index.metrics.snapshot()["counters"]
+        assert counters["text.postings_scanned"] == 2
 
 
 class TestMatcherCache:

@@ -7,6 +7,11 @@ purely positive expressions).
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    rule,
+)
 
 from repro.text import TextIndex, contains
 from repro.text.patterns import (
@@ -83,3 +88,125 @@ class TestIndexSoundness:
         truth = {key for key, text in enumerate(texts)
                  if word in text.split()}
         assert index.keys_with_word(word) == truth
+
+
+class OccurrenceLists:
+    """The naive reference model: one ``(key, position)`` entry per
+    occurrence in a list per token — every mutation rebuilds, every
+    probe scans."""
+
+    def __init__(self):
+        self.postings = {}
+        self.lengths = {}
+
+    def add(self, key, text):
+        base = self.lengths.get(key, 0)
+        tokens = text.split()
+        for offset, token in enumerate(tokens):
+            self.postings.setdefault(token, []).append(
+                (key, base + offset))
+        self.lengths[key] = base + len(tokens)
+
+    def remove(self, key):
+        self.lengths.pop(key, None)
+        self.postings = {
+            token: kept for token, entries in self.postings.items()
+            if (kept := [entry for entry in entries if entry[0] != key])}
+
+    def replace(self, key, text):
+        self.remove(key)
+        self.add(key, text)
+
+    def keys_with_word(self, word):
+        return {key for key, _ in self.postings.get(word, ())}
+
+    def keys_with_phrase(self, words):
+        hits = set()
+        for key, position in self.postings.get(words[0], ()):
+            if all((key, position + offset) in self.postings.get(word, ())
+                   for offset, word in enumerate(words)):
+                hits.add(key)
+        return hits
+
+    def keys_matching(self, accepts):
+        return {key for token, entries in self.postings.items()
+                if accepts(token) for key, _ in entries}
+
+
+KEYS = st.integers(0, 5)
+TEXTS = st.lists(st.sampled_from(WORDS), max_size=8).map(" ".join)
+
+
+class IndexAgreesWithOccurrenceLists(RuleBasedStateMachine):
+    """Random ``add``/``replace``/``remove`` sequences: the key-grouped
+    index and the occurrence-list model answer every probe alike."""
+
+    def __init__(self):
+        super().__init__()
+        self.index = TextIndex()
+        self.model = OccurrenceLists()
+
+    @rule(key=KEYS, text=TEXTS)
+    def add(self, key, text):
+        assert self.index.add(key, text) == len(text.split())
+        self.model.add(key, text)
+
+    @rule(key=KEYS, text=TEXTS)
+    def replace(self, key, text):
+        self.index.replace(key, text)
+        self.model.replace(key, text)
+
+    @rule(key=KEYS)
+    def remove(self, key):
+        assert self.index.remove(key) == self.model.lengths.get(key, 0)
+        self.model.remove(key)
+
+    @invariant()
+    def words_and_sizes_agree(self):
+        assert self.index.document_count == len(self.model.lengths)
+        assert set(self.index.vocabulary()) == set(self.model.postings)
+        for word in WORDS:
+            keys = self.model.keys_with_word(word)
+            assert self.index.keys_with_word(word) == keys
+            assert self.index.posting_size(word) == len(keys)
+            assert (self.index.posting_size(word) == 0) == (
+                word not in self.model.postings)
+        assert self.index.posting_stats()["postings"] == sum(
+            map(len, self.model.postings.values()))
+
+    @rule(words=st.lists(st.sampled_from(WORDS), min_size=2, max_size=3))
+    def phrases_agree(self, words):
+        phrase = Pattern(" ".join(words))
+        expected = self.model.keys_with_phrase(words)
+        assert self.index.keys_with_phrase(phrase) == expected
+        assert self.index.candidates(phrase) == expected
+
+    @rule(prefix=st.sampled_from(["s", "qu", "t", "un", "x"]),
+          tail=st.sampled_from(WORDS))
+    def patterns_agree(self, prefix, tail):
+        # a regex word scans the vocabulary; in a phrase it merges the
+        # groups of every token it matches
+        expected = self.model.keys_matching(
+            lambda token: token.startswith(prefix))
+        assert self.index.keys_matching(prefix + ".*") == expected
+        assert self.index.candidates(
+            Pattern(prefix + ".*")) == expected
+        phrase = Pattern(f"{prefix}.* {tail}")
+        assert self.index.keys_with_phrase(phrase) == {
+            key
+            for token in self.model.postings if token.startswith(prefix)
+            for key in self.model.keys_with_phrase([token, tail])}
+
+    @rule(left=st.sampled_from(WORDS), right=st.sampled_from(WORDS))
+    def boolean_candidates_agree(self, left, right):
+        one, other = (self.model.keys_with_word(left),
+                      self.model.keys_with_word(right))
+        assert self.index.candidates(
+            AndExpr(Pattern(left), Pattern(right))) == one & other
+        assert self.index.candidates(
+            OrExpr(Pattern(left), Pattern(right))) == one | other
+
+
+IndexAgreesWithOccurrenceLists.TestCase.settings = settings(
+    max_examples=150, stateful_step_count=30, deadline=None)
+TestIndexAgreesWithOccurrenceLists = IndexAgreesWithOccurrenceLists.TestCase
