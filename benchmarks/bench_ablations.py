@@ -108,32 +108,32 @@ def test_bench_a2_q4_uncached_simulation(benchmark, versions_store,
 def test_bench_a3_pushdown_off(benchmark, versions_store):
     from repro.algebra.compile import compile_query
     from repro.algebra.execute import execute_plan
-    from repro.algebra.optimizer import optimize
+    from repro.algebra.optimizer import factor_shared_prefixes
     store = versions_store
     query = store._engine.translate("""
         select t from a in Articles, s in a.sections,
                       a PATH_p.title(t)
         where a.status = "final"
     """)
-    plan = optimize(compile_query(query, store.schema,
-                                  store._engine.ctx),
-                    use_text_index=False, pushdown=False)
+    plan = factor_shared_prefixes(compile_query(query, store.schema))
     benchmark(execute_plan, plan, store._engine.ctx)
 
 
 def test_bench_a3_pushdown_on(benchmark, versions_store):
     from repro.algebra.compile import compile_query
     from repro.algebra.execute import execute_plan
-    from repro.algebra.optimizer import optimize
+    from repro.algebra.optimizer import (
+        factor_shared_prefixes,
+        sink_selections,
+    )
     store = versions_store
     query = store._engine.translate("""
         select t from a in Articles, s in a.sections,
                       a PATH_p.title(t)
         where a.status = "final"
     """)
-    plan = optimize(compile_query(query, store.schema,
-                                  store._engine.ctx),
-                    use_text_index=False, pushdown=True)
+    plan = factor_shared_prefixes(
+        sink_selections(compile_query(query, store.schema)))
     benchmark(execute_plan, plan, store._engine.ctx)
 
 

@@ -77,10 +77,10 @@ def test_bench_p1_algebra_with_index_filter(benchmark, capsys):
         select a from a in Articles
         where a contains ({NEEDLE})
     """)
-    plan = optimize(compile_query(query, store.schema, engine.ctx))
+    plan = optimize(compile_query(query, store.schema))
     result = benchmark(execute_plan, plan, engine.ctx)
     baseline = execute_plan(
-        compile_query(query, store.schema, engine.ctx), engine.ctx)
+        compile_query(query, store.schema), engine.ctx)
     assert result == baseline
     with capsys.disabled():
         print(f"\n[P1] optimized plan: {len(result)} matches in "

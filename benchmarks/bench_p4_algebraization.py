@@ -51,7 +51,7 @@ def test_bench_p4_calculus(benchmark, store, name):
 @pytest.mark.parametrize("name", sorted(QUERIES))
 def test_bench_p4_algebra(benchmark, store, name, capsys):
     query = store._engine.translate(QUERIES[name])
-    plan = compile_query(query, store.schema, store._engine.ctx)
+    plan = compile_query(query, store.schema)
     result = benchmark(execute_plan, plan, store._engine.ctx)
     assert result == evaluate_query(query, store._engine.ctx)
     with capsys.disabled():
@@ -62,8 +62,7 @@ def test_bench_p4_algebra(benchmark, store, name, capsys):
 @pytest.mark.parametrize("name", sorted(QUERIES))
 def test_bench_p4_algebra_optimized(benchmark, store, name):
     query = store._engine.translate(QUERIES[name])
-    plan = optimize(compile_query(query, store.schema,
-                                  store._engine.ctx))
+    plan = optimize(compile_query(query, store.schema))
     result = benchmark(execute_plan, plan, store._engine.ctx)
     assert result == evaluate_query(query, store._engine.ctx)
 
@@ -71,6 +70,5 @@ def test_bench_p4_algebra_optimized(benchmark, store, name):
 def test_bench_p4_compilation_cost(benchmark, store):
     """Compiling itself is cheap relative to evaluation."""
     query = store._engine.translate(QUERIES["q3_titles"])
-    plan = benchmark(compile_query, query, store.schema,
-                     store._engine.ctx)
+    plan = benchmark(compile_query, query, store.schema)
     assert plan_size(plan) > 5

@@ -21,7 +21,11 @@ import pytest
 from conftest import build_corpus_store
 from repro.algebra.compile import compile_query
 from repro.algebra.execute import count_shared, execute_plan, plan_size
-from repro.algebra.optimizer import optimize
+from repro.algebra.optimizer import (
+    optimize,
+    rewrite_index_filters,
+    sink_selections,
+)
 from repro.observe import MetricsRegistry
 
 QUERIES = {
@@ -46,8 +50,8 @@ def store():
 
 def both_plans(store, name):
     query = store._engine.translate(QUERIES[name])
-    plan = compile_query(query, store.schema, store._engine.ctx)
-    return optimize(plan, factor=False), optimize(plan)
+    plan = compile_query(query, store.schema)
+    return sink_selections(rewrite_index_filters(plan)), optimize(plan)
 
 
 @pytest.mark.parametrize("name", sorted(QUERIES))

@@ -50,7 +50,7 @@ def store():
 
 def both_plans(store, name):
     query = store._engine.translate(QUERIES[name])
-    plan = compile_query(query, store.schema, store._engine.ctx)
+    plan = compile_query(query, store.schema)
     return optimize(plan), optimize(plan, structural=True)
 
 

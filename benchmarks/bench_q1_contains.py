@@ -53,7 +53,7 @@ def test_bench_q1_algebra(benchmark, store):
     from repro.algebra.compile import compile_query
     from repro.algebra.execute import execute_plan
     query = store._engine.translate(Q1)
-    plan = compile_query(query, store.schema, store._engine.ctx)
+    plan = compile_query(query, store.schema)
     result = benchmark(execute_plan, plan, store._engine.ctx)
     assert result == store.query(Q1)
 

@@ -56,7 +56,6 @@ def test_bench_q5_algebra(benchmark, figure2_store):
     from repro.algebra.compile import compile_query
     from repro.algebra.execute import execute_plan
     engine = figure2_store._engine
-    plan = compile_query(engine.translate(Q5), figure2_store.schema,
-                         engine.ctx)
+    plan = compile_query(engine.translate(Q5), figure2_store.schema)
     result = benchmark(execute_plan, plan, engine.ctx)
     assert set(result) == {"status"}

@@ -52,7 +52,7 @@ def test_bench_q6_algebra(benchmark, paper_engine):
     from repro.algebra.compile import compile_query
     from repro.algebra.execute import execute_plan
     plan = compile_query(paper_engine.translate(Q6),
-                         paper_engine.instance.schema, paper_engine.ctx)
+                         paper_engine.instance.schema)
     result = benchmark(execute_plan, plan, paper_engine.ctx)
     assert len(result) == 3
 

@@ -77,8 +77,7 @@ def main() -> None:
     print("\nrestricted semantics, two chained path variables:")
     print(f"  {two_hops}")
 
-    liberal = QueryEngine(db, path_semantics="liberal",
-                          type_check=True)
+    liberal = QueryEngine(db, path_semantics="liberal")
     all_reachable = sorted(liberal.run(QUERY))
     print("\nliberal semantics — no object visited twice:")
     print(f"  {all_reachable}")
@@ -91,7 +90,8 @@ def main() -> None:
     from repro.algebra.compile import compile_query
     from repro.errors import CompilationError
     try:
-        compile_query(liberal.translate(QUERY), db.schema, liberal.ctx)
+        compile_query(liberal.translate(QUERY), db.schema,
+                      path_semantics=liberal.ctx.path_semantics)
     except CompilationError as exc:
         print(f"  CompilationError: {exc}")
 

@@ -34,7 +34,6 @@ compiling a liberal-semantics query raises
 from __future__ import annotations
 
 from repro.errors import CompilationError
-from repro.calculus.evaluator import EvalContext
 from repro.calculus.formulas import (
     And,
     Eq,
@@ -96,16 +95,12 @@ from repro.algebra.operators import (
 
 
 def compile_query(query: Query, schema: Schema,
-                  ctx: EvalContext | None = None,
                   path_semantics: str | None = None) -> ProjectOp:
     """Compile a calculus query to an executable plan.
 
-    The path-semantics mode may be given directly (the plan-cache path
-    does, so compiled plans never reference a mutable evaluation
-    context) or read off ``ctx`` for compatibility.
+    The path-semantics mode is passed by value, so compiled plans never
+    reference a mutable evaluation context.
     """
-    if path_semantics is None and ctx is not None:
-        path_semantics = ctx.path_semantics
     if path_semantics is not None and path_semantics != RESTRICTED:
         raise CompilationError(
             "the algebraization requires the restricted path semantics; "

@@ -94,13 +94,18 @@ from repro.algebra.operators import (
 _TEST_MUTATION: str | None = None
 
 
-def optimize(plan: Operator, use_text_index: bool = True,
-             pushdown: bool = True, factor: bool = True,
-             structural: bool = False, verify: str = "warn",
-             query: object = None, metrics: object = None,
-             tracer: object = None, stats: object = None,
-             plan_key: object = None) -> Operator:
+def optimize(plan: Operator, structural: bool = False,
+             verify: str = "warn", query: object = None,
+             metrics: object = None, tracer: Any = None,
+             stats: object = None, plan_key: object = None) -> Operator:
     """Return a rewritten plan (the input is not mutated).
+
+    The stage sequence is fixed: (``structural=True`` only)
+    :func:`structuralize`, :func:`rewrite_index_filters`,
+    :func:`sink_selections`, :func:`factor_shared_prefixes` and —
+    when a ``stats`` snapshot is supplied — :func:`apply_cost_stage`.
+    Each stage is a public function of one plan; a test or ablation
+    that isolates one rewrite calls that function.
 
     ``structural=True`` swaps every path-variable union fan-out for the
     compiler's pre-attached :class:`StructuralScanOp` alternative (the
@@ -109,41 +114,40 @@ def optimize(plan: Operator, use_text_index: bool = True,
     nodes do not carry the ``structural_alternative`` attribute.
 
     Every stage is gated by the :mod:`repro.plancheck` verifier.
-    ``verify`` selects the failure policy: ``"raise"`` (tests,
-    diffcheck) raises :class:`~repro.errors.PlanVerificationError` on
-    the first faulty stage, ``"warn"`` (the production default) counts
-    ``plancheck.faults`` on ``metrics`` and emits one ``UserWarning``
-    but keeps the *last verified* plan, ``"off"`` skips verification.
-    ``query`` (the calculus form) enables the head-match check;
-    ``tracer`` gets one sub-span per stage (the compile-phase breakdown
-    of ``explain_analyze``).
+    ``verify`` selects the failure policy: ``"raise"`` (tests) raises
+    :class:`~repro.errors.PlanVerificationError` on the first faulty
+    stage; ``"warn"`` (the serving default) counts
+    ``plancheck.stages_rejected`` on ``metrics``, emits one
+    :class:`~repro.plancheck.PlanVerificationWarning` and keeps the
+    *last verified* plan — callers that must not serve past a rejected stage
+    (diffcheck, the plancheck CLI) turn that warning category into an
+    error with the standard warnings filter.  ``query`` (the calculus
+    form) enables the head-match check; ``tracer`` gets one sub-span
+    per stage (the compile-phase breakdown of ``explain_analyze``).
     """
-    if verify not in ("raise", "warn", "off"):
+    if verify not in ("raise", "warn"):
         raise ValueError(f"unknown verify policy {verify!r}")
-    stages: list[tuple[str, object]] = []
+    stages: list[tuple[str, Callable[[Operator], Operator]]] = []
     if structural:
-        stages.append(("structuralize", _structuralize))
-    var_types = getattr(plan, "var_types", None) or {}
-    stages.append(("index", lambda p: _rewrite(p, use_text_index,
-                                               var_types)))
-    if pushdown:
-        stages.append(("pushdown", _pushdown))
-    if factor:
-        stages.append(("factor", factor_shared_prefixes))
+        stages.append(("structuralize", structuralize))
+    stages += [("index", rewrite_index_filters),
+               ("pushdown", sink_selections),
+               ("factor", factor_shared_prefixes)]
     if stats is not None:
         stages.append(("cost",
                        lambda p: apply_cost_stage(p, stats,
                                                   plan_key=plan_key,
                                                   metrics=metrics)))
-    if verify == "off":
-        for name, stage in stages:
-            plan = _run_stage(stage, plan, tracer, name)
-        return plan
 
+    from repro.observe.trace import NULL_TRACER
+    from repro.plancheck.diagnostics import PlanVerificationWarning
     from repro.plancheck.verifier import check_plan, verify_plan
+    if tracer is None:
+        tracer = NULL_TRACER
     verified = plan
     for name, stage in stages:
-        plan = _run_stage(stage, plan, tracer, name)
+        with tracer.span(f"optimize.{name}"):
+            plan = stage(plan)
         if verify == "raise":
             check_plan(plan, query=query, stage=name, metrics=metrics,
                        stats=stats)
@@ -154,11 +158,11 @@ def optimize(plan: Operator, use_text_index: bool = True,
         if faults:
             # keep serving the last plan that verified — a broken
             # rewrite must never reach execution
-            warnings.warn(
+            warnings.warn(PlanVerificationWarning(
                 f"optimizer stage {name!r} produced a plan that fails "
                 f"static verification ({faults[0].code}: "
                 f"{faults[0].message}); keeping the pre-stage plan",
-                stacklevel=2)
+                faults), stacklevel=2)
             if metrics is not None:
                 metrics.inc("plancheck.stages_rejected")
             plan = verified
@@ -167,24 +171,15 @@ def optimize(plan: Operator, use_text_index: bool = True,
     return plan
 
 
-def _run_stage(stage: Callable[[Operator], Operator], plan: Operator,
-               tracer: Any,
-               name: str | None = None) -> Operator:
-    if tracer is None or name is None:
-        return stage(plan)
-    with tracer.span(f"optimize.{name}"):
-        return stage(plan)
-
-
-def _structuralize(plan: Operator) -> Operator:
+def structuralize(plan: Operator) -> Operator:
+    """The ``structuralize`` stage: swap in every pre-attached
+    structural alternative and fuse interval joins."""
     alternative = getattr(plan, "structural_alternative", None)
     if alternative is not None:
-        return _structuralize(alternative)
-    plan = _rebuild(plan, _structuralize)
+        return structuralize(alternative)
+    plan = _rebuild(plan, structuralize)
     if isinstance(plan, SelectOp):
-        fused = _try_interval_join(plan)
-        if fused is not None:
-            return fused
+        return _try_interval_join(plan) or plan
     return plan
 
 
@@ -216,16 +211,19 @@ def _try_interval_join(select: SelectOp) -> IntervalJoinOp | None:
                           scan.out_var, probe, atom)
 
 
-def _rewrite(plan: Operator, use_text_index: bool,
-             var_types: dict) -> Operator:
-    plan = _rebuild(plan,
-                    lambda child: _rewrite(child, use_text_index,
-                                           var_types))
-    if use_text_index and isinstance(plan, SelectOp):
-        replacement = _try_index_filter(plan, var_types)
-        if replacement is not None:
-            return replacement
-    return plan
+def rewrite_index_filters(plan: Operator) -> Operator:
+    """The ``index`` stage: constant-pattern ``contains`` selections
+    become :class:`IndexFilterOp` probes (candidate types read off the
+    root's ``var_types``, where the compiler leaves them)."""
+    var_types = getattr(plan, "var_types", None) or {}
+
+    def rewrite(node: Operator) -> Operator:
+        node = _rebuild(node, rewrite)
+        if isinstance(node, SelectOp):
+            return _try_index_filter(node, var_types) or node
+        return node
+
+    return rewrite(plan)
 
 
 def _try_index_filter(select: SelectOp,
@@ -249,12 +247,12 @@ def _try_index_filter(select: SelectOp,
                          oid_only=oid_only)
 
 
-def _pushdown(plan: Operator) -> Operator:
-    plan = _rebuild(plan, _pushdown)
+def sink_selections(plan: Operator) -> Operator:
+    """The ``pushdown`` stage: sink every filter below the operators
+    that bind none of its variables."""
+    plan = _rebuild(plan, sink_selections)
     if isinstance(plan, (SelectOp, IndexFilterOp)):
-        moved = _sink(plan)
-        if moved is not None:
-            return moved
+        return _sink(plan) or plan
     return plan
 
 
@@ -271,9 +269,9 @@ def _sink(select: SelectOp | IndexFilterOp) -> Operator | None:
                 and _TEST_MUTATION != "pushdown_unguarded"):
             return None
         relocated = select.with_children([child.child])
-        return child.with_children([_pushdown(relocated)])
+        return child.with_children([sink_selections(relocated)])
     if isinstance(child, UnionOp):
-        return UnionOp([_pushdown(select.with_children([branch]))
+        return UnionOp([sink_selections(select.with_children([branch]))
                         for branch in child.branches])
     return None
 

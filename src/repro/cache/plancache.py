@@ -192,10 +192,9 @@ class PlanCache:
 
     @staticmethod
     def key_for(text: str, backend: str, path_semantics: str,
-                type_check: bool = True,
                 structural: bool = False) -> tuple:
         return (normalize_query_text(text), backend, path_semantics,
-                bool(type_check), bool(structural))
+                bool(structural))
 
     def lookup(self, key: tuple, metrics=None,
                stats_generation: int | None = None

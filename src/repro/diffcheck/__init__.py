@@ -11,9 +11,9 @@ contract executable:
   ``contains``/``near`` text predicates, negation, quantifiers) and of
   randomized corpora specs over :mod:`repro.corpus.generator`;
 * :mod:`repro.diffcheck.harness` — runs each query through the
-  calculus interpreter and the algebra backend in every optimizer
-  configuration (unoptimized, optimized, factored DAG, structural,
-  prepared/cached, costed, and the relational ``sql`` hybrid) and
+  calculus interpreter and through the engine of one ordinary store
+  per served configuration (``algebra``, ``structural``, the
+  relational ``sql`` hybrid), executing each compiled plan twice, and
   flags any disagreement;
 * :mod:`repro.diffcheck.minimize` — a delta-debugging minimizer that
   shrinks a failing (corpus, query) pair to a minimal repro;

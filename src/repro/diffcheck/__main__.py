@@ -1,8 +1,9 @@
 """``python -m repro.diffcheck`` — the differential fuzz loop.
 
 Fuzz mode (default) generates ``--budget`` (corpus, query) cases from
-``--seed``, compares the calculus interpreter against every algebra
-configuration, minimizes each divergence with delta debugging and
+``--seed``, compares the calculus interpreter against every served
+configuration (``algebra``, ``structural``, ``sql``; each executed
+twice), minimizes each divergence with delta debugging and
 writes it as a replayable fixture under ``--out``.  Exit status is the
 number of *distinct minimized* divergences (0 = all clear), so CI can
 gate on it directly.
@@ -25,7 +26,7 @@ import sys
 
 from repro.diffcheck.fixtures import load_fixture, save_fixture
 from repro.diffcheck.generator import QueryGenerator
-from repro.diffcheck.harness import ALGEBRA_CONFIGS, DiffHarness
+from repro.diffcheck.harness import DiffHarness
 from repro.diffcheck.minimize import minimize
 from repro.observe import MetricsRegistry
 
@@ -34,8 +35,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.diffcheck",
         description="differential correctness checking: calculus "
-                    "interpreter vs algebra backend (all optimizer "
-                    "configurations)")
+                    "interpreter vs every served store configuration "
+                    "(algebra, structural, sql; first run and re-run)")
     parser.add_argument("--budget", type=int, default=200,
                         help="number of generated cases (default 200)")
     parser.add_argument("--seed", type=int, default=0,
@@ -43,10 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default="diffcheck-repros",
                         help="directory for minimized repro fixtures "
                              "(default ./diffcheck-repros)")
-    parser.add_argument("--configs", nargs="+",
-                        default=list(ALGEBRA_CONFIGS),
-                        choices=list(ALGEBRA_CONFIGS),
-                        help="algebra configurations to compare")
     parser.add_argument("--fail-fast", action="store_true",
                         help="stop at the first divergence")
     parser.add_argument("--no-minimize", action="store_true",
@@ -117,8 +114,7 @@ def _replay(args, harness: DiffHarness) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     metrics = MetricsRegistry()
-    harness = DiffHarness(metrics=metrics,
-                          configs=tuple(args.configs))
+    harness = DiffHarness(metrics=metrics)
     if args.replay:
         failures = _replay(args, harness)
     else:

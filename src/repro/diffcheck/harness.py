@@ -1,34 +1,39 @@
-"""Run one query through every backend configuration and compare.
+"""Run one query through every served configuration and compare.
 
-The calculus interpreter is the reference semantics; the algebra
-backend is exercised in all optimizer configurations:
+The calculus interpreter is the reference semantics.  Against it run
+the configurations a :class:`~repro.DocumentStore` actually serves —
+one ordinary store each, built the ordinary way (constructor,
+``load_tree``, ``build_text_index``), and queried through its engine's
+own stage sequence (:meth:`QueryEngine.compile
+<repro.o2sql.engine.QueryEngine.compile>` then
+:meth:`~repro.o2sql.engine.QueryEngine.execute`):
 
-* ``unoptimized`` — the raw Section-5.4 compilation;
-* ``optimized``   — index rewrite + selection pushdown, no factoring;
-* ``factored``    — the full pipeline including the shared-prefix DAG;
-* ``structural``  — the full pipeline plus the structural-index
-  rewrite (path-variable fan-outs replaced by pre/post interval range
-  scans over :mod:`repro.structindex`), executed against a store whose
-  structural index is built — this falsifies the scan/join operators,
-  the encoding's completeness flags and the index's freshness hooks
-  against the calculus reference;
-* ``cached``      — the factored plan executed a second time on a
-  fresh context fork, i.e. exactly what a prepared/plan-cached query
-  re-execution does (this is the configuration that would catch
-  cross-run state leaks such as a stale ``SharedOp`` memo);
-* ``costed``      — the full pipeline plus the statistics-driven cost
-  stage (:mod:`repro.stats`): union branches reordered by estimated
-  cost, provably-empty branches pruned statically, unprofitable index
-  filters demoted — all under ``verify="raise"``, so a miscosted
-  rewrite surfaces as a ``PlanVerificationError`` divergence;
-* ``sql``         — the ``structural`` plan hybridized by the
-  relational backend (:mod:`repro.sqlbackend`): the maximal
-  relational prefix runs as emitted SQL over the store's SQLite
-  shredding, the remainder as plan operators over the hydrated rows.
-  A *compile-time* refusal or a *runtime guard*
+* ``algebra``    — ``DocumentStore(backend="algebra")``: the
+  Section-5.4 compilation, index rewrite, selection pushdown, the
+  shared-prefix DAG and the statistics-driven cost stage;
+* ``structural`` — ``DocumentStore(backend="algebra",
+  structural=True)``: the same pipeline with path-variable fan-outs
+  replaced by pre/post interval range scans over
+  :mod:`repro.structindex` *and* the cost stage — the configuration
+  the e2e benchmark measures.  This falsifies the scan/join operators,
+  the encoding's completeness flags and the index's freshness hooks;
+* ``sql``        — ``DocumentStore(backend="sql", structural=True)``:
+  the structural plan hybridized by :mod:`repro.sqlbackend`.  A
+  compile-time refusal or a runtime guard
   (:class:`~repro.errors.SQLUnsupportedError`) falls back to plan
-  execution — exactly the engine's serving behavior — so refusals
-  are exercised but never read as divergences by themselves.
+  execution inside the engine, so refusals are exercised but never
+  read as divergences by themselves.
+
+Each configuration's artifacts are compiled once and executed **twice**
+on fresh context forks; the second outcome (``<config>+rerun``) is what
+a plan-cache hit serves, and is what catches cross-run state leaks
+such as a stale ``SharedOp`` memo.
+
+The optimizer's ``"warn"`` policy would serve the last verified plan
+past a stage the verifier rejects; here the
+:class:`~repro.plancheck.PlanVerificationWarning` category is
+escalated to an error, so a broken rewrite surfaces as a divergence
+instead of (or before) a wrong result.
 
 Two outcomes agree when they produce equal result sets, or fail the
 same way — wrong-branch navigation is *false, never an error* in both
@@ -46,17 +51,27 @@ chase the exact driver message while shrinking a case.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 from repro.calculus.evaluator import evaluate_query
 from repro.calculus.formulas import Query
 from repro.diffcheck.generator import CorpusSpec
 from repro.errors import CompilationError, SafetyError
+from repro.observe import MetricsRegistry
 from repro.oodb.values import SetValue
+from repro.plancheck import PlanVerificationWarning
 
-#: The algebra-side configurations, in comparison order.
-ALGEBRA_CONFIGS = ("unoptimized", "optimized", "factored", "structural",
-                   "cached", "costed", "sql")
+#: The served configurations, in comparison order: name → the
+#: :class:`~repro.DocumentStore` keywords that select it.
+ALGEBRA_CONFIGS = {
+    "algebra": {"backend": "algebra"},
+    "structural": {"backend": "algebra", "structural": True},
+    "sql": {"backend": "sql", "structural": True},
+}
+
+#: Outcome-name suffix of a configuration's second execution.
+RERUN = "+rerun"
 
 #: The reference configuration name.
 REFERENCE = "calculus"
@@ -71,9 +86,8 @@ def _error_label(exc: Exception) -> str:
     import sqlite3
 
     from repro.errors import SQLBackendError
-    if isinstance(exc, (SafetyError, CompilationError)):
-        return "rejected"
-    if isinstance(exc, (SQLBackendError, sqlite3.Error)):
+    if isinstance(exc, (SafetyError, CompilationError, SQLBackendError,
+                        sqlite3.Error)):
         return "rejected"
     return type(exc).__name__
 
@@ -115,9 +129,8 @@ class Comparison:
 
     def divergent_configs(self) -> list[str]:
         reference = self.reference
-        return [name for name in ALGEBRA_CONFIGS
-                if name in self.outcomes
-                and not self.outcomes[name].agrees_with(reference)]
+        return [name for name, outcome in self.outcomes.items()
+                if not outcome.agrees_with(reference)]
 
     @property
     def divergent(self) -> bool:
@@ -128,145 +141,82 @@ class Comparison:
         for name, outcome in self.outcomes.items():
             marker = (" " if name == REFERENCE
                       or outcome.agrees_with(self.reference) else "!")
-            lines.append(f"  {marker} {name:<12} {outcome.render()}")
+            lines.append(f"  {marker} {name:<16} {outcome.render()}")
         return "\n".join(lines)
 
 
 class DiffHarness:
     """Differential comparison over reproducible corpora.
 
-    Stores are built once per :class:`CorpusSpec` and treated as
-    read-only afterwards (a full-text index is installed so the
-    ``optimized`` configurations exercise the index rewrite).
+    One store per served configuration is built per
+    :class:`CorpusSpec` and treated as read-only afterwards (a
+    full-text index is installed so the index rewrite is exercised).
     ``metrics`` is an optional :class:`repro.observe.MetricsRegistry`;
-    progress lands in ``diffcheck.*`` counters.
+    progress lands in ``diffcheck.*`` counters, the engines' compile
+    stages count ``plancheck.*`` there too.
     """
 
-    def __init__(self, metrics=None,
-                 configs: tuple[str, ...] = ALGEBRA_CONFIGS) -> None:
-        unknown = [c for c in configs if c not in ALGEBRA_CONFIGS]
-        if unknown:
-            raise ValueError(f"unknown diffcheck configs: {unknown}")
-        self.metrics = metrics
-        self.configs = tuple(configs)
-        self._stores: dict[CorpusSpec, object] = {}
+    def __init__(self, metrics=None) -> None:
+        self.metrics = MetricsRegistry() if metrics is None else metrics
+        self._stores: dict[CorpusSpec, dict] = {}
 
     # -- stores --------------------------------------------------------------
 
-    def store_for(self, spec: CorpusSpec):
-        store = self._stores.get(spec)
-        if store is None:
+    def stores_for(self, spec: CorpusSpec) -> dict:
+        """``{config name: DocumentStore}`` over ``spec``'s corpus."""
+        stores = self._stores.get(spec)
+        if stores is None:
             from repro import DocumentStore
             from repro.corpus import ARTICLE_DTD
-            store = DocumentStore(ARTICLE_DTD, backend="algebra")
-            for tree in spec.trees():
-                store.load_tree(tree, validate=False)
-            store.build_text_index()
-            # the ``sql`` configuration's relational backend; installed
-            # before the structural index is built so the store adopts
-            # the backend's index — scans and shred share one encoding,
-            # as in a ``backend="sql"`` store
-            from repro.sqlbackend.backend import SQLBackend
-            store._engine.sql_backend = SQLBackend(
-                store.instance, epoch_source=store.plan_cache,
-                metrics=self.metrics)
-            store.build_structural_index()
-            self._stores[spec] = store
-            if self.metrics is not None:
-                self.metrics.inc("diffcheck.corpora_built")
-        return store
+            trees = list(spec.trees())
+            stores = {}
+            for name, config in ALGEBRA_CONFIGS.items():
+                store = stores[name] = DocumentStore(ARTICLE_DTD, **config)
+                for tree in trees:
+                    store.load_tree(tree, validate=False)
+                store.build_text_index()
+            self._stores[spec] = stores
+            self.metrics.inc("diffcheck.corpora_built")
+        return stores
 
     # -- comparison ----------------------------------------------------------
 
     def compare(self, spec: CorpusSpec, query: Query) -> Comparison:
-        store = self.store_for(spec)
-        engine = store._engine
-        outcomes: dict = {}
-        outcomes[REFERENCE] = self._run(
-            lambda: evaluate_query(query, engine.ctx.fork()))
-        plan = error = None
-        try:
-            from repro.algebra.compile import compile_query
-            from repro.plancheck.verifier import check_plan
-            plan = compile_query(query, engine.instance.schema,
-                                 path_semantics="restricted")
-            # pre-execution static gate: a compiled plan that fails
-            # verification is itself a divergence (the label
-            # PlanVerificationError is deliberately *not* coarsened to
-            # "rejected" — the reference side succeeded)
-            check_plan(plan, query=query, stage="compile",
-                       metrics=self.metrics)
-        except Exception as exc:  # compile failure hits every config
-            error = _error_label(exc)
-        for name in self.configs:
-            if error is not None:
-                outcomes[name] = Outcome(error=error)
-                continue
-            outcomes[name] = self._run(
-                lambda name=name: self._execute(name, plan, engine,
-                                                query))
+        stores = self.stores_for(spec)
+        oracle = stores["algebra"]._engine.ctx
+        outcomes = {REFERENCE: self._outcome(
+            lambda: evaluate_query(query, oracle.fork()))}
+        for name, store in stores.items():
+            outcomes[name], outcomes[name + RERUN] = self._serve(
+                store._engine, query)
         comparison = Comparison(corpus=spec, query=query,
                                 outcomes=outcomes)
-        if self.metrics is not None:
-            self.metrics.inc("diffcheck.queries")
-            self.metrics.inc("diffcheck.configs_compared",
-                             len(self.configs))
-            self.metrics.inc("diffcheck.divergences"
-                             if comparison.divergent
-                             else "diffcheck.agreements")
+        self.metrics.inc("diffcheck.queries")
+        self.metrics.inc("diffcheck.configs_compared", len(outcomes) - 1)
+        self.metrics.inc("diffcheck.divergences" if comparison.divergent
+                         else "diffcheck.agreements")
         return comparison
 
     @staticmethod
-    def _run(thunk) -> Outcome:
+    def _outcome(thunk) -> Outcome:
         try:
             return Outcome(result=thunk())
         except Exception as exc:
             return Outcome(error=_error_label(exc))
 
-    @staticmethod
-    def _execute(name: str, plan, engine, query=None) -> SetValue:
-        """Optimizer calls use ``verify="raise"``: every rewrite stage
-        of every configuration is gated by the plancheck verifier, and
-        a stage that breaks plan well-formedness surfaces as a
-        ``PlanVerificationError`` divergence instead of (or before) a
-        wrong result."""
-        from repro.algebra.execute import execute_plan
-        from repro.algebra.optimizer import optimize
-        if name == "unoptimized":
-            return execute_plan(plan, engine.ctx.fork())
-        if name == "optimized":
-            return execute_plan(optimize(plan, factor=False,
-                                         verify="raise", query=query),
-                                engine.ctx.fork())
-        if name == "structural":
-            return execute_plan(optimize(plan, structural=True,
-                                         verify="raise", query=query),
-                                engine.ctx.fork())
-        if name == "costed":
-            manager = getattr(engine, "stats", None)
-            snapshot = manager.snapshot() if manager is not None else None
-            return execute_plan(
-                optimize(plan, verify="raise", query=query,
-                         stats=snapshot),
-                engine.ctx.fork())
-        if name == "sql":
-            from repro.errors import SQLUnsupportedError
-            structural = optimize(plan, structural=True,
-                                  verify="raise", query=query)
-            backend = engine.sql_backend
-            try:
-                hybrid = backend.compile(structural)
-                return backend.execute(hybrid, engine.ctx.fork())
-            except SQLUnsupportedError:
-                # the engine's serving fallback: run the plan instead
-                return execute_plan(structural, engine.ctx.fork())
-        factored = optimize(plan, verify="raise", query=query)
-        if name == "factored":
-            return execute_plan(factored, engine.ctx.fork())
-        # cached: the same (factored) plan object re-executed on a fresh
-        # fork — the prepared-query path after a cache hit
-        execute_plan(factored, engine.ctx.fork())
-        return execute_plan(factored, engine.ctx.fork())
+    def _serve(self, engine, query: Query) -> tuple[Outcome, Outcome]:
+        """Compile once, execute twice — the engine's own stages, with
+        a verifier-rejected optimizer stage raised rather than served
+        around.  A compile failure is both runs' outcome."""
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", PlanVerificationWarning)
+                entry = engine.compile(query, metrics=self.metrics)
+        except Exception as exc:
+            failed = Outcome(error=_error_label(exc))
+            return failed, failed
+        return (self._outcome(lambda: engine.execute(entry)),
+                self._outcome(lambda: engine.execute(entry)))
 
     # -- the fuzz loop -------------------------------------------------------
 

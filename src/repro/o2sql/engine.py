@@ -1,16 +1,16 @@
 """The end-to-end O₂SQL engine.
 
 ``QueryEngine`` wires the pipeline together: parse → translate to the
-calculus → static safety check → (optional) type inference against the
-schema → evaluation, either with the calculus interpreter, with a
-compiled (and, by default, optimized) algebra plan (Section 5.4), or —
+calculus → static safety check → type inference against the schema →
+evaluation, either with the calculus interpreter, with a compiled and
+optimized algebra plan (Section 5.4), or —
 ``backend="sql"`` — with that same plan's maximal relational prefix
 emitted as SQL over the instance's shredding
 (:mod:`repro.sqlbackend`), the remainder running as plan operators
 over the hydrated rows.
 
-The front half of that pipeline is a pure function of the query text
-and the schema, so it can be memoized: when a
+Everything before execution is a pure function of the query text, the
+schema and the statistics generation, so it can be memoized: when a
 :class:`~repro.cache.plancache.PlanCache` is installed, :meth:`run`
 resolves its artifacts through the cache (epoch-guarded, so data and
 schema changes force a recompile), :meth:`prepare` returns a
@@ -51,10 +51,6 @@ class QueryEngine:
     exact ``text()`` inverse mapping for ``contains`` over logical
     objects; without it the structural fallback is used.
 
-    ``optimize`` controls the Section 4.1/6 plan rewrites (full-text
-    index utilisation, selection pushdown) on the algebra backend; the
-    rewrites are semantics-preserving, so it defaults to on.
-
     ``cache`` is an optional :class:`~repro.cache.plancache.PlanCache`.
     A bare engine defaults to no cache (mutating the instance directly
     stays safe); :class:`~repro.session.DocumentStore` always installs
@@ -63,18 +59,14 @@ class QueryEngine:
 
     def __init__(self, instance: Instance, provenance: dict | None = None,
                  path_semantics: str = "restricted",
-                 type_check: bool = True,
                  backend: str = "calculus",
-                 optimize: bool = True,
                  cache: PlanCache | None = None,
                  structural: bool = False,
                  stats: object = None) -> None:
         self.instance = instance
         self.ctx = EvalContext(instance, provenance=provenance,
                                path_semantics=path_semantics)
-        self.type_check = type_check
         self.backend = backend
-        self.optimize = optimize
         self.cache = cache
         #: The relational backend (``backend="sql"`` only): plans are
         #: still compiled and optimized as usual, then the maximal
@@ -91,10 +83,9 @@ class QueryEngine:
         #: off, but stays correct without one (scans fall back to live
         #: walks).  Part of the plan-cache key.
         self.structural = structural
-        #: Optional :class:`~repro.stats.StatisticsManager`.  When set
-        #: (and ``optimize`` is on), the optimizer runs its cost stage
-        #: against the current snapshot and executed plans feed actual
-        #: cardinalities back.
+        #: Optional :class:`~repro.stats.StatisticsManager`.  When set,
+        #: the optimizer runs its cost stage against the current
+        #: snapshot and executed plans feed actual cardinalities back.
         self.stats = stats
 
     # -- pipeline stages ------------------------------------------------------
@@ -117,8 +108,7 @@ class QueryEngine:
 
     def cache_key(self, text: str) -> tuple:
         return PlanCache.key_for(text, self.backend,
-                                 self.ctx.path_semantics, self.type_check,
-                                 self.structural)
+                                 self.ctx.path_semantics, self.structural)
 
     def artifacts(self, text: str) -> CachedArtifacts:
         """The pipeline artifacts for ``text``, through the cache when
@@ -126,8 +116,18 @@ class QueryEngine:
         entry, _ = self._artifacts(text, NULL_TRACER, self.ctx.metrics)
         return entry
 
+    def _cost_snapshot(self):
+        """The statistics the cost stage reads (algebra backend with a
+        statistics manager installed), else ``None``."""
+        if self.stats is not None and self.backend == "algebra":
+            return self.stats.snapshot()
+        return None
+
     def _artifacts(self, text: str, tracer, metrics):
-        """Resolve (artifacts, was_cache_hit) for one query text.
+        """Resolve (artifacts, was_cache_hit) for one query text: the
+        cache lookup and the text front end (parse → translate →
+        safety → inference); everything from the calculus query on is
+        :meth:`compile`.
 
         The epoch is captured *before* compilation starts: if a writer
         bumps it mid-compile, the stored entry is already stale-tagged
@@ -136,17 +136,13 @@ class QueryEngine:
         cache = self.cache
         key = None
         epoch = 0
-        snapshot = None
-        if (self.stats is not None and self.backend == "algebra"
-                and self.optimize):
-            snapshot = self.stats.snapshot()
+        snapshot = self._cost_snapshot()
         if cache is not None:
             key = self.cache_key(text)
             epoch = cache.epoch
             entry = cache.lookup(
                 key, metrics=metrics,
-                stats_generation=(None if snapshot is None
-                                  else snapshot.generation))
+                stats_generation=getattr(snapshot, "generation", None))
             if entry is not None:
                 return entry, True
         with tracer.span("parse"):
@@ -155,11 +151,37 @@ class QueryEngine:
             query = to_calculus(node, self.instance.schema.roots.keys())
         with tracer.span("safety"):
             check_safety(query)
-        if self.type_check:
-            with tracer.span("inference"):
-                infer_types(query, self.instance.schema)
+        with tracer.span("inference"):
+            infer_types(query, self.instance.schema)
+        entry = self.compile(query, key=key, epoch=epoch,
+                             snapshot=snapshot, tracer=tracer,
+                             metrics=metrics)
+        if cache is not None:
+            cache.store(key, entry, metrics=metrics)
+        return entry, False
+
+    def compile(self, query, key=None, epoch: int = 0, snapshot=None,
+                tracer=NULL_TRACER, metrics=None) -> CachedArtifacts:
+        """The back half of the pipeline, from a calculus query to the
+        artifacts :meth:`execute` serves: compile to the algebra →
+        optimize (every rewrite stage gated by the plancheck verifier
+        under the ``"warn"`` policy — a faulty stage is dropped,
+        counted and warned about, and the last verified plan is
+        served) → on ``backend="sql"``, emit the relational prefix.
+        On the calculus backend the artifacts carry the query alone.
+
+        This is the one definition of the stage sequence: the text
+        front end (and through it ``python -m repro.plancheck
+        --verify``) ends here, and :mod:`repro.diffcheck`, which
+        generates calculus queries, not text, enters here.
+        ``key``/``epoch`` tag
+        the artifacts for the plan cache; ``snapshot`` is the
+        statistics the caller already looked the cache up under
+        (taken here when omitted).
+        """
+        if snapshot is None:
+            snapshot = self._cost_snapshot()
         plan = None
-        verified = False
         if self.backend in ("algebra", "sql"):
             from repro.algebra.compile import compile_query
             from repro.algebra.execute import (
@@ -167,33 +189,21 @@ class QueryEngine:
                 count_unions,
                 plan_size,
             )
+            from repro.algebra.optimizer import optimize
             with tracer.span("compile") as span:
                 plan = compile_query(
                     query, self.instance.schema,
                     path_semantics=self.ctx.path_semantics)
-                if self.optimize:
-                    # every rewrite stage is gated by the plancheck
-                    # verifier ("warn" policy: a faulty stage is
-                    # dropped, counted and warned about, and the last
-                    # verified plan is served)
-                    from repro.algebra.optimizer import optimize
-                    plan = optimize(plan, structural=self.structural,
-                                    query=query, metrics=metrics,
-                                    tracer=tracer, stats=snapshot,
-                                    plan_key=key)
-                    verified = True
-                else:
-                    from repro.plancheck.verifier import verify_plan
-                    with tracer.span("optimize.verify"):
-                        verified = not verify_plan(
-                            plan, query=query, stage="compile",
-                            metrics=metrics)
+                plan = optimize(plan, structural=self.structural,
+                                query=query, metrics=metrics,
+                                tracer=tracer, stats=snapshot,
+                                plan_key=key)
                 span.annotate("operators", plan_size(plan))
                 span.annotate("unions", count_unions(plan))
                 span.annotate("shared", count_shared(plan))
-                span.annotate("verified", verified)
+                span.annotate("verified", True)
         sql_program = None
-        if self.backend == "sql" and plan is not None:
+        if self.sql_backend is not None:
             from repro.errors import SQLUnsupportedError
             with tracer.span("emit.sql") as span:
                 try:
@@ -206,14 +216,10 @@ class QueryEngine:
                     span.annotate("statements", 0)
                     if metrics is not None:
                         metrics.inc("sql.unsupported")
-        entry = CachedArtifacts(query=query, plan=plan, epoch=epoch,
-                                key=key, verified=verified,
-                                stats_generation=(None if snapshot is None
-                                                  else snapshot.generation),
-                                sql_program=sql_program)
-        if cache is not None:
-            cache.store(key, entry, metrics=metrics)
-        return entry, False
+        return CachedArtifacts(
+            query=query, plan=plan, epoch=epoch, key=key,
+            verified=plan is not None, sql_program=sql_program,
+            stats_generation=getattr(snapshot, "generation", None))
 
     # -- execution ------------------------------------------------------------
 
@@ -257,50 +263,57 @@ class QueryEngine:
         text; without it they are resolved here, inside the ``query``
         span, so a miss shows its compile-side spans."""
         with tracer.span("query", backend=self.backend) as root:
-            ctx = self.ctx.fork()
             if entry is None:
-                entry, hit = self._artifacts(text, tracer, ctx.metrics)
+                entry, hit = self._artifacts(text, tracer,
+                                             self.ctx.metrics)
                 if self.cache is not None:
                     root.annotate("plan_cache", "hit" if hit else "miss")
-            plan = sql = None
-            if entry.plan is not None:
-                result, plan, sql = self._execute_plan_entry(
-                    entry, ctx, tracer)
-                self._feedback(entry, result, ctx)
-            else:
-                with tracer.span("evaluate"):
-                    result = evaluate_query(entry.query, ctx)
+            result, plan, sql = self._execute(entry, tracer)
             root.annotate("rows", len(result))
             return result, plan, sql
 
-    def _execute_plan_entry(self, entry: CachedArtifacts, ctx, tracer):
-        """Execute a plan-bearing entry and report what actually ran:
-        the hybrid (SQL-fed) plan when one was compiled, the ordinary
-        plan otherwise — including when a compiled hybrid *refuses at
-        run time* (non-navigable root, path-semantics or enumeration
-        guard), which falls back transparently and counts
-        ``sql.fallbacks``."""
-        from repro.algebra.execute import execute_plan
+    def execute(self, entry: CachedArtifacts) -> SetValue:
+        """Execute compiled artifacts on a fresh context fork — what a
+        plan-cache hit does, as often as the caller likes."""
+        return self._execute(entry, self.ctx.tracer or NULL_TRACER)[0]
+
+    def _execute(self, entry: CachedArtifacts, tracer):
+        """Execute ``entry`` on a fork of the engine's context and
+        report what actually ran: the hybrid (SQL-fed) plan when one
+        was compiled, the ordinary plan otherwise — including when a
+        compiled hybrid *refuses at run time* (non-navigable root,
+        path-semantics or enumeration guard), which falls back
+        transparently and counts ``sql.fallbacks`` — or, on the
+        calculus backend, no plan at all."""
+        ctx = self.ctx.fork()
+        if entry.plan is None:
+            with tracer.span("evaluate"):
+                return evaluate_query(entry.query, ctx), None, None
+        result = plan = sql = None
         hybrid = entry.sql_program
         if hybrid is not None:
             from repro.errors import SQLUnsupportedError
             try:
                 with tracer.span("execute.sql"):
                     result = self.sql_backend.execute(hybrid, ctx)
-                return result, hybrid.plan, hybrid.sql
+                plan, sql = hybrid.plan, hybrid.sql
             except SQLUnsupportedError:
                 if ctx.metrics is not None:
                     ctx.metrics.inc("sql.fallbacks")
-        with tracer.span("execute"):
-            result = execute_plan(entry.plan, ctx)
-        return result, entry.plan, None
+        if plan is None:
+            from repro.algebra.execute import execute_plan
+            with tracer.span("execute"):
+                result = execute_plan(entry.plan, ctx)
+            plan = entry.plan
+        self._feedback(entry, result, ctx)
+        return result, plan, sql
 
     def _feedback(self, entry: CachedArtifacts, result, ctx) -> None:
         """Feed an executed plan's actual cardinalities back into the
         statistics (result rows always; per-operator timings and
         per-branch counts when the run was profiled)."""
         stats = self.stats
-        if stats is None or entry.plan is None:
+        if stats is None:
             return
         stats.record_execution(entry.key, entry.plan.est_rows,
                                len(result))

@@ -21,7 +21,7 @@ from repro.oodb.schema import (
     schema_from_classes,
 )
 from repro.oodb.serialize import decode_value, encode_value, encoded_size
-from repro.oodb.store import HashIndex, ObjectStore
+from repro.oodb.store import ObjectStore
 from repro.oodb.subtyping import (
     common_supertype,
     is_subtype,
@@ -63,8 +63,8 @@ from repro.oodb.values import (
 
 __all__ = [
     "ANY", "AnyType", "AtomicType", "BOOLEAN", "ClassHierarchy", "ClassType",
-    "Constraint", "ConstraintSet", "Disjunction", "FLOAT", "HashIndex",
-    "INTEGER", "Instance", "ListType", "ListValue", "MethodSignature", "NIL",
+    "Constraint", "ConstraintSet", "Disjunction", "FLOAT", "INTEGER",
+    "Instance", "ListType", "ListValue", "MethodSignature", "NIL",
     "Nil", "NotEmpty", "NotNil", "ObjectStore", "Oid", "OneOf", "STRING",
     "Schema", "SetType", "SetValue", "TupleType", "TupleValue", "Type",
     "UnionType", "UnionValue", "c", "common_supertype", "decode_value",

@@ -6,8 +6,6 @@ in-process store that provides the pieces the experiments rely on:
 * **snapshots** — serialize a whole instance to a single file and load it
   back (used to measure the Section-3 storage overhead and to persist the
   corpus between benchmark runs);
-* **secondary indexes** — hash indexes from attribute values to oids,
-  registered per class/attribute, kept up to date on (re)binding;
 * **statistics** — object counts and encoded sizes per class.
 
 The snapshot format is::
@@ -24,7 +22,6 @@ caller supplies, and membership is re-checked on load.
 from __future__ import annotations
 
 import os
-from typing import Iterator
 
 from repro.errors import StoreError
 from repro.oodb.instance import Instance
@@ -36,113 +33,38 @@ from repro.oodb.serialize import (
     _write_string,
     _write_varint,
 )
-from repro.oodb.values import Oid, TupleValue
+from repro.oodb.values import Oid
 
 _MAGIC = b"REPRO-STORE\n"
 
 
-class HashIndex:
-    """A secondary index: value of ``class.attribute`` → oids."""
-
-    def __init__(self, class_name: str, attribute: str) -> None:
-        self.class_name = class_name
-        self.attribute = attribute
-        # each bucket an insertion-ordered set of oids
-        self._entries: dict[object, dict[Oid, None]] = {}
-
-    def add(self, key: object, oid: Oid) -> None:
-        self._entries.setdefault(key, {})[oid] = None
-
-    def remove(self, key: object, oid: Oid) -> None:
-        bucket = self._entries.get(key)
-        if bucket is None:
-            return
-        bucket.pop(oid, None)
-        if not bucket:
-            del self._entries[key]
-
-    def lookup(self, key: object) -> tuple[Oid, ...]:
-        return tuple(self._entries.get(key, ()))
-
-    def keys(self) -> Iterator[object]:
-        return iter(self._entries)
-
-    def __len__(self) -> int:
-        return sum(len(bucket) for bucket in self._entries.values())
+def atomic_write(path: str | os.PathLike, data: bytes) -> None:
+    """Replace ``path`` with ``data`` crash-consistently: write a
+    sibling temp file, flush and ``fsync`` it, then rename it over the
+    destination.  A reader (or a crash at any point) sees the old file
+    or the new one, never a torn mix."""
+    temp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(temp, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp, path)
+    except BaseException:
+        if os.path.exists(temp):
+            os.unlink(temp)
+        raise
 
 
 class ObjectStore:
-    """Wraps an :class:`Instance` with indexing and persistence."""
+    """Wraps an :class:`Instance` with persistence and size statistics."""
 
     def __init__(self, instance: Instance) -> None:
         self.instance = instance
-        self._indexes: dict[tuple[str, str], HashIndex] = {}
-        #: optional repro.observe MetricsRegistry; ``None`` = disabled
-        self.metrics = None
-
-    # -- index management ---------------------------------------------------
-
-    def create_index(self, class_name: str, attribute: str) -> HashIndex:
-        """Build (or return) a hash index on ``class_name.attribute``.
-
-        The indexed key is the value of the attribute in the object's tuple
-        value; objects whose value is not a tuple or lacks the attribute
-        are skipped.
-        """
-        key = (class_name, attribute)
-        existing = self._indexes.get(key)
-        if existing is not None:
-            return existing
-        index = HashIndex(class_name, attribute)
-        for oid in self.instance.extent(class_name):
-            extracted = self._index_key(oid, attribute)
-            if extracted is not _MISSING:
-                index.add(extracted, oid)
-        self._indexes[key] = index
-        return index
-
-    def index_for(self, class_name: str, attribute: str) -> HashIndex | None:
-        return self._indexes.get((class_name, attribute))
-
-    def _index_key(self, oid: Oid, attribute: str) -> object:
-        value = self.instance.deref(oid)
-        if isinstance(value, TupleValue) and value.has_attribute(attribute):
-            key = value.get(attribute)
-            try:
-                hash(key)
-            except TypeError:
-                return _MISSING
-            return key
-        return _MISSING
 
     def update_object(self, oid: Oid, value: object) -> None:
-        """Rebind an object's value, keeping indexes consistent."""
-        for (class_name, attribute), index in self._indexes.items():
-            if not self.instance.oid_in_class(oid, class_name):
-                continue
-            old_key = self._index_key(oid, attribute)
-            if old_key is not _MISSING:
-                index.remove(old_key, oid)
+        """Rebind an object's value."""
         self.instance.set_value(oid, value)
-        for (class_name, attribute), index in self._indexes.items():
-            if not self.instance.oid_in_class(oid, class_name):
-                continue
-            new_key = self._index_key(oid, attribute)
-            if new_key is not _MISSING:
-                index.add(new_key, oid)
-
-    def lookup(self, class_name: str, attribute: str,
-               key: object) -> tuple[Oid, ...]:
-        """Index lookup; raises :class:`StoreError` when no index exists."""
-        index = self._indexes.get((class_name, attribute))
-        if index is None:
-            raise StoreError(
-                f"no index on {class_name}.{attribute}")
-        hits = index.lookup(key)
-        if self.metrics is not None:
-            self.metrics.inc("store.index_probes")
-            self.metrics.inc("store.index_hits", len(hits))
-        return hits
 
     # -- statistics -----------------------------------------------------------
 
@@ -194,10 +116,10 @@ class ObjectStore:
         return bytes(out)
 
     def save(self, path: str | os.PathLike) -> int:
-        """Write a snapshot file; returns the byte count."""
+        """Write a snapshot file (crash-consistently, see
+        :func:`atomic_write`); returns the byte count."""
         data = self.snapshot_bytes()
-        with open(path, "wb") as handle:
-            handle.write(data)
+        atomic_write(path, data)
         return len(data)
 
     @classmethod
@@ -247,10 +169,3 @@ class ObjectStore:
         with open(path, "rb") as handle:
             return cls.load_bytes(schema, handle.read(), on_missing_root)
 
-
-class _Missing:
-    def __repr__(self) -> str:  # pragma: no cover
-        return "<missing>"
-
-
-_MISSING = _Missing()

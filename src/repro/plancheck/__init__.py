@@ -17,7 +17,11 @@ Counters land under ``plancheck.*`` in ``metrics()`` and
 ``explain_analyze`` snapshots.
 """
 
-from repro.plancheck.diagnostics import Diagnostic, PlanFault
+from repro.plancheck.diagnostics import (
+    Diagnostic,
+    PlanFault,
+    PlanVerificationWarning,
+)
 from repro.plancheck.lint import lint_query
 from repro.plancheck.verifier import (
     check_plan,
@@ -28,6 +32,7 @@ from repro.plancheck.verifier import (
 __all__ = [
     "Diagnostic",
     "PlanFault",
+    "PlanVerificationWarning",
     "check_plan",
     "lint_query",
     "verify_plan",

@@ -2,15 +2,18 @@
 
 Examples::
 
-    python -m repro.plancheck "select t from my_doc PATH_p.title(t)"
+    python -m repro.plancheck "select t from my_article PATH_p.title(t)"
     python -m repro.plancheck --file queries.txt --verify
     python -m repro.plancheck --dtd my.dtd --json "select ..."
 
-Queries are checked against the Figure-1 article DTD unless ``--dtd``
-supplies another one; ``--verify`` additionally compiles each clean
-query to the algebra and runs the plan verifier over every optimizer
-configuration.  The exit status is the number of error-severity
-diagnostics plus plan faults — ``0`` means clean.
+Queries are checked against the Figure-1 article DTD with the Figure-2
+document loaded as ``my_article`` — unless ``--dtd`` supplies another
+DTD, whose store stays empty.  ``--verify`` additionally prepares each
+clean query on a store of each served algebra configuration — plain
+and ``structural=True``, through the engine's own stage sequence — and
+reports every fault of a stage the verifier rejects, then verifies the
+plan that would be served.  The exit status is the number of
+error-severity diagnostics plus plan faults — ``0`` means clean.
 """
 
 from __future__ import annotations
@@ -18,43 +21,41 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import TYPE_CHECKING
+import warnings
 
-if TYPE_CHECKING:
-    from repro.oodb.schema import Schema
-
+from repro.plancheck.diagnostics import PlanVerificationWarning
 from repro.plancheck.lint import lint_query
 from repro.plancheck.verifier import verify_plan
 
 
-def _load_schema(dtd_path: str | None) -> Schema:
-    from repro.mapping.dtd_to_schema import map_dtd
-    from repro.sgml.dtd_parser import parse_dtd
+def _open_store(dtd_path: str | None, structural: bool):
+    from repro import DocumentStore
     if dtd_path is None:
-        from repro.corpus import ARTICLE_DTD
-        dtd_text = ARTICLE_DTD
-    else:
-        with open(dtd_path) as handle:
-            dtd_text = handle.read()
-    return map_dtd(parse_dtd(dtd_text)).schema
+        from repro.corpus import ARTICLE_DTD, SAMPLE_ARTICLE
+        store = DocumentStore(ARTICLE_DTD, backend="algebra",
+                              structural=structural)
+        store.load_text(SAMPLE_ARTICLE, name="my_article")
+        return store
+    with open(dtd_path) as handle:
+        return DocumentStore(handle.read(), backend="algebra",
+                             structural=structural)
 
 
-def _verify_query(text: str, schema: Schema) -> list:
-    """Compile ``text`` and verify the plan after every optimizer
-    configuration; returns the combined fault list."""
-    from repro.algebra.compile import compile_query
-    from repro.algebra.optimizer import optimize
-    from repro.o2sql.parser import parse
-    from repro.o2sql.translate import to_calculus
-    query = to_calculus(parse(text), schema.roots.keys())
-    plan = compile_query(query, schema)
-    faults = list(verify_plan(plan, query=query, stage="compile"))
-    for label, options in (
-            ("optimized", {"factor": False}),
-            ("factored", {}),
-            ("structural", {"structural": True})):
-        rewritten = optimize(plan, verify="off", **options)
-        faults.extend(verify_plan(rewritten, query=query, stage=label))
+def _verify_query(text: str, stores: dict) -> list:
+    """Prepare ``text`` on every store — the serving pipeline, with a
+    verifier-rejected optimizer stage raised instead of served around —
+    and verify the served plan; returns the combined fault list."""
+    faults = []
+    for label, store in stores.items():
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", PlanVerificationWarning)
+                prepared = store.prepare(text)
+        except PlanVerificationWarning as rejected:
+            faults.extend(rejected.faults)
+            continue
+        faults.extend(verify_plan(prepared.plan, query=prepared.calculus,
+                                  stage=label, stats=store.statistics()))
     return faults
 
 
@@ -85,8 +86,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--dtd", help="DTD file defining the schema "
                         "(default: the built-in article DTD)")
     parser.add_argument("--verify", action="store_true",
-                        help="also compile clean queries and verify "
-                        "the plan after every optimizer configuration")
+                        help="also prepare clean queries on a plain and "
+                        "a structural algebra store and verify every "
+                        "optimizer stage and the served plan")
     parser.add_argument("--json", action="store_true",
                         dest="as_json", help="machine-readable output")
     args = parser.parse_args(argv)
@@ -99,7 +101,10 @@ def main(argv: list[str] | None = None) -> int:
     if not texts:
         parser.error("no queries given (positional or --file)")
 
-    schema = _load_schema(args.dtd)
+    stores = {"algebra": _open_store(args.dtd, structural=False)}
+    if args.verify:
+        stores["structural"] = _open_store(args.dtd, structural=True)
+    schema = stores["algebra"].schema
     failures = 0
     reports = []
     for text in texts:
@@ -107,7 +112,7 @@ def main(argv: list[str] | None = None) -> int:
         clean = not any(d.is_error for d in diagnostics)
         faults = []
         if args.verify and clean:
-            faults = _verify_query(text, schema)
+            faults = _verify_query(text, stores)
         failures += sum(1 for d in diagnostics if d.is_error)
         failures += len(faults)
         if args.as_json:

@@ -52,6 +52,20 @@ class PlanFault:
         return f"PlanFault({self.code}, {self.message!r})"
 
 
+class PlanVerificationWarning(UserWarning):
+    """The optimizer's ``"warn"`` policy dropped a stage whose plan
+    failed verification (the last verified plan keeps serving).
+
+    ``faults`` is the stage's :class:`PlanFault` list.  A caller that
+    must not serve past a rejected stage (diffcheck, the CLI) escalates
+    the category: ``warnings.simplefilter("error",
+    PlanVerificationWarning)`` makes the optimizer raise it instead."""
+
+    def __init__(self, message: str, faults: list[PlanFault]) -> None:
+        super().__init__(message)
+        self.faults = faults
+
+
 class Diagnostic:
     """One linter finding over a query text."""
 

@@ -12,6 +12,7 @@ extended-O₂SQL queries (Q1–Q6)::
 
 from __future__ import annotations
 
+import os
 import threading
 from contextlib import contextmanager
 
@@ -22,7 +23,7 @@ from repro.mapping.loader import DocumentLoader
 from repro.mapping.text_inverse import text_of
 from repro.o2sql.engine import QueryEngine
 from repro.oodb.display import format_schema
-from repro.oodb.store import ObjectStore
+from repro.oodb.store import ObjectStore, atomic_write
 from repro.oodb.types import ClassType
 from repro.oodb.values import Oid, SetValue
 from repro.sgml.dtd_parser import parse_dtd
@@ -82,8 +83,16 @@ class DocumentStore:
     """
 
     def __init__(self, dtd_text: str, path_semantics: str = "restricted",
-                 backend: str = "calculus", optimize: bool = True,
+                 backend: str = "calculus",
                  structural: bool = False) -> None:
+        self._open_schema(dtd_text)
+        self._wire(self.loader.provenance, path_semantics, backend,
+                   structural)
+
+    def _open_schema(self, dtd_text: str) -> None:
+        """The schema half of construction: DTD → mapped schema → an
+        empty instance behind a loader, plus the writer fence.  Done
+        once, before :meth:`_wire`, by ``__init__`` and :meth:`load`."""
         self.dtd = parse_dtd(dtd_text)
         problems = self.dtd.check()
         if problems:
@@ -100,26 +109,23 @@ class DocumentStore:
         self._write_lock = threading.RLock()
         self._write_seq = 0
         self._mutation_depth = 0
-        self._wire(self.loader.provenance, path_semantics, backend,
-                   optimize, structural)
 
     def _wire(self, provenance: dict | None, path_semantics: str,
-              backend: str, optimize: bool, structural: bool) -> None:
+              backend: str, structural: bool) -> None:
         """Build everything that hangs off :attr:`instance` — cold plan
-        cache, engine, statistics, structural index — for ``__init__``
-        and for :meth:`load` once the restored instance is in place."""
+        cache, engine, statistics, structural index.  Runs exactly once
+        per store, over the instance it will serve (``__init__``: the
+        empty one; :meth:`load`: the restored one)."""
         #: Prepared-query plan cache; every mutation this facade
         #: performs bumps its epoch, so cached plans are never stale.
         self.plan_cache = PlanCache()
         self._engine = QueryEngine(
             self.instance, provenance,
             path_semantics=path_semantics, backend=backend,
-            optimize=optimize, cache=self.plan_cache,
-            structural=structural)
+            cache=self.plan_cache, structural=structural)
         #: Table statistics for the optimizer's cost stage: snapshots
         #: follow the plan-cache epoch; executed plans feed actual
-        #: cardinalities back (adaptive re-costing is opt-in —
-        #: ``store.stats_manager.adaptive = True``).
+        #: cardinalities back.
         self.stats_manager = StatisticsManager(
             self.instance, epoch_source=self.plan_cache,
             context=self._engine.ctx)
@@ -362,9 +368,10 @@ class DocumentStore:
     # -- metrics --------------------------------------------------------------
 
     def enable_metrics(self):
-        """Install a persistent metrics registry on every layer (object
-        store, text index, evaluation context).  Returns the registry;
-        counting starts now and covers all subsequent operations."""
+        """Install a persistent metrics registry on every layer
+        (instance, indexes, statistics, evaluation context).  Returns
+        the registry; counting starts now and covers all subsequent
+        operations."""
         if self._metrics is None:
             from repro.observe import MetricsRegistry
             self._metrics = MetricsRegistry()
@@ -373,7 +380,6 @@ class DocumentStore:
 
     def _wire_metrics(self) -> None:
         self.instance.metrics = self._metrics
-        self.store.metrics = self._metrics
         self._engine.ctx.metrics = self._metrics
         self.stats_manager.metrics = self._metrics
         if self.text_index is not None:
@@ -512,50 +518,48 @@ class DocumentStore:
     def save(self, path) -> int:
         """Snapshot the whole database to a file; returns bytes
         written.  The DTD is saved alongside (``<path>.dtd``) so
-        :meth:`load` can rebuild the schema."""
-        import os
-        written = self.store.save(path)
-        with open(f"{os.fspath(path)}.dtd", "w") as handle:
-            handle.write(self._dtd_source())
-        return written
+        :meth:`load` can rebuild the schema.
 
-    def _dtd_source(self) -> str:
-        from repro.mapping.inverse import schema_to_dtd
-        return schema_to_dtd(self.mapped)
+        Crash-consistent: each file is written beside its destination
+        and renamed over it (:func:`repro.oodb.store.atomic_write`), so
+        a save that dies midway leaves the previous snapshot loadable.
+        The DTD goes first — it is a function of the schema alone, so
+        an old snapshot stays readable under the new copy."""
+        atomic_write(f"{os.fspath(path)}.dtd", self.export_dtd().encode())
+        return self.store.save(path)
 
     @classmethod
-    def load(cls, path, **config) -> "DocumentStore":
+    def load(cls, path, path_semantics: str = "restricted",
+             backend: str = "calculus",
+             structural: bool = False) -> "DocumentStore":
         """Rebuild a store from :meth:`save` output.
 
         Loader provenance is not persisted: ``text()`` uses the (always
         correct) structural reconstruction after a reload, and documents
         can be re-exported via the inverse mapping.
 
-        The snapshot stores *data*, not engine configuration;
-        ``config`` forwards constructor keywords (``backend=``,
-        ``structural=``, ``path_semantics=``, ...) so a store restored
-        for a differently-configured engine — e.g. the relational
-        ``backend="sql"`` — is rebuilt with that configuration.
+        The snapshot stores *data*, not engine configuration: the
+        keywords are the constructor's, so a store restored for a
+        differently-configured engine — e.g. the relational
+        ``backend="sql"`` — is rebuilt with that configuration.  The
+        engine, indexes and shred are built once, over the restored
+        instance.
         """
-        import os
-        from repro.oodb.store import ObjectStore
         with open(f"{os.fspath(path)}.dtd") as handle:
             dtd_text = handle.read()
-        store = cls(dtd_text, **config)
+        store = cls.__new__(cls)
+        store._open_schema(dtd_text)
 
         def declare(name: str, value: object, instance) -> None:
             # same inference as define_name — against the *restored*
             # instance, so oids inside collection/tuple roots resolve
             store.schema.roots[name] = _root_type(value, instance)
 
-        restored = ObjectStore.load(store.schema, path, declare)
-        store.loader.instance = restored.instance
-        store.store = ObjectStore(restored.instance)
-        # a reloaded store starts cold over the restored instance:
-        # fresh cache at epoch 0, no provenance, no parent map yet
-        engine = store._engine
-        store._wire(None, engine.ctx.path_semantics, engine.backend,
-                    engine.optimize, engine.structural)
+        store.store = ObjectStore.load(store.schema, path, declare)
+        store.loader.instance = store.store.instance
+        # a reloaded store starts cold: fresh cache at epoch 0, no
+        # provenance, no parent map yet
+        store._wire(None, path_semantics, backend, structural)
         return store
 
     # -- reporting ------------------------------------------------------------

@@ -11,18 +11,11 @@ snapshot at a time and keeps it coherent along two axes:
   O(objects).
 * **generation** — the costing version.  Feedback from executed plans
   (:meth:`record_execution`, :meth:`ingest_profile`) accumulates
-  silently; when *adaptive* re-costing is enabled and a measured
-  cardinality contradicts its estimate badly enough to change plan
-  choice, the generation advances — and the plan cache drops entries
-  costed under the stale generation on their next lookup
-  (``cache.stats_invalidations``).  Each cache key triggers at most one
-  correction per epoch, so feedback converges instead of thrashing.
-
-Adaptive bumping is **off by default**: estimates are still computed,
-annotated and recorded everywhere, but plan churn (recompiles on
-generation advance) only happens when the caller opts in
-(``manager.adaptive = True`` /
-``DocumentStore(...).stats_manager.adaptive = True``).
+  silently and never churns plans by itself; :meth:`recost` is the one
+  explicit way to advance the generation — the plan cache then drops
+  entries costed under the stale generation on their next lookup
+  (``cache.stats_invalidations``) and the recompile reads the
+  accumulated feedback.
 """
 
 from __future__ import annotations
@@ -34,10 +27,6 @@ from typing import Any
 from repro.algebra.operators import Operator, walk_once
 from repro.oodb.values import ListValue, SetValue
 from repro.stats.statistics import Statistics
-
-#: A measured cardinality at least this many times off its estimate
-#: (either direction) counts as a misestimate worth re-costing for.
-MISESTIMATE_FACTOR = 4.0
 
 #: EMA weight of the newest unit-cost sample.
 _EMA_ALPHA = 0.3
@@ -74,19 +63,12 @@ class StatisticsManager:
         #: construction); ``None`` falls back to no index statistics.
         self.context = context
         self.metrics = metrics
-        #: Opt-in: advance the generation on bad misestimates so stale
-        #: costings recompile.  Off by default — see the module doc.
-        self.adaptive = False
         self._lock = threading.Lock()
         self._generation = 0
         self._snapshot: Statistics | None = None
         self._unit_costs: dict[str, float] = {}
         self._actual_rows: dict[Any, int] = {}
         self._branch_actuals: dict[Any, int] = {}
-        #: Cache keys already corrected this epoch (cleared on epoch
-        #: change) — the at-most-once-per-key damper.
-        self._corrected: set = set()
-        self._corrected_epoch = -1
 
     # -- versions -------------------------------------------------------------
 
@@ -180,32 +162,17 @@ class StatisticsManager:
             text_index=text_index,
         )
 
-    # -- feedback (the adaptive loop) -----------------------------------------
+    # -- feedback -------------------------------------------------------------
 
     def record_execution(self, key: Any, est_rows: float | None,
-                         actual_rows: int) -> bool:
-        """Feed one executed plan's actual result cardinality back.
-
-        Returns True when the misestimate advanced the generation
-        (adaptive mode only; at most once per cache key per epoch).
-        """
+                         actual_rows: int) -> None:
+        """Feed one executed plan's actual result cardinality back; the
+        next costing under ``key`` reads it.  ``est_rows`` (what the
+        served plan predicted) is not acted on: estimation error is
+        reported by ``explain_analyze`` (:func:`q_error`), and only
+        :meth:`recost` advances the generation."""
         with self._lock:
             self._actual_rows[key] = actual_rows
-            if (not self.adaptive or est_rows is None
-                    or q_error(est_rows, actual_rows)
-                    <= MISESTIMATE_FACTOR):
-                return False
-            epoch = self.epoch
-            if self._corrected_epoch != epoch:
-                self._corrected = set()
-                self._corrected_epoch = epoch
-            if key in self._corrected:
-                return False
-            self._corrected.add(key)
-            self._generation += 1
-        if self.metrics is not None:
-            self.metrics.inc("stats.recostings")
-        return True
 
     def ingest_profile(self, plan: Operator, profiler: Any,
                        key: Any = None) -> None:
@@ -253,14 +220,11 @@ class StatisticsManager:
 
     def report(self) -> dict:
         """The ``statistics`` block of ``DocumentStore.stats()``."""
-        summary = self.snapshot().to_dict()
-        summary["adaptive"] = self.adaptive
-        return summary
+        return self.snapshot().to_dict()
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"StatisticsManager(epoch={self.epoch}, "
-                f"generation={self._generation}, "
-                f"adaptive={self.adaptive})")
+                f"generation={self._generation})")
 
 
 def _normalized(raw: dict[str, float]) -> dict[str, float]:

@@ -19,8 +19,8 @@ without touching the store:
 A snapshot carries two version numbers.  ``epoch`` is the store's
 data/schema epoch: a mutation produces a fresh snapshot (the manager
 recollects lazily).  ``generation`` is the *costing* version: it
-advances when feedback (adaptive re-costing) changes what the cost
-model would decide, without any data change — the plan cache
+advances on an explicit ``StatisticsManager.recost()`` so accumulated
+feedback is re-read without any data change — the plan cache
 invalidates entries whose recorded generation is stale (the
 ``cache.stats_invalidations`` counter).
 

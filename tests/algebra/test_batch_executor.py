@@ -34,6 +34,7 @@ from hypothesis import strategies as st
 from repro import DocumentStore
 from repro.algebra.compile import compile_query
 from repro.algebra.execute import execute_plan
+from repro.algebra.optimizer import optimize
 from repro.algebra.operators import (
     BindOp,
     Operator,
@@ -104,18 +105,29 @@ def profile_of(store: DocumentStore, text: str) -> dict:
 
 def order_digests(harness: DiffHarness, index: int) -> dict:
     """One digest per config of the result *sequence* (or the error
-    label) of the ``index``-th generated case."""
+    label) of the ``index``-th generated case.  ``structural`` and
+    ``sql`` are the harness stores' served plans; ``factored`` is the
+    plain pipeline *without* the cost stage (whose branch reordering
+    legitimately reorders results), i.e. ``optimize`` called directly."""
     case = QueryGenerator(ORDER_SEED).case(index)
-    engine = harness.store_for(case.corpus)._engine
+    stores = harness.stores_for(case.corpus)
+    plain = stores["algebra"]._engine
+
+    def served(engine):
+        return engine.execute(engine.compile(case.query))
+
+    runs = {
+        "factored": lambda: execute_plan(
+            optimize(compile_query(case.query, plain.instance.schema),
+                     verify="raise", query=case.query),
+            plain.ctx.fork()),
+        "structural": lambda: served(stores["structural"]._engine),
+        "sql": lambda: served(stores["sql"]._engine),
+    }
     digests = {}
-    try:
-        plan = compile_query(case.query, engine.instance.schema,
-                             path_semantics="restricted")
-    except Exception as exc:
-        return dict.fromkeys(ORDER_CONFIGS, _error_label(exc))
     for name in ORDER_CONFIGS:
         try:
-            result = harness._execute(name, plan, engine, case.query)
+            result = runs[name]()
         except Exception as exc:
             digests[name] = _error_label(exc)
             continue

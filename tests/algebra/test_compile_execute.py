@@ -9,7 +9,7 @@ Union over variable-free navigation chains.
 import pytest
 
 from repro import DocumentStore
-from repro.calculus import EvalContext, evaluate_query
+from repro.calculus import evaluate_query
 from repro.corpus import ARTICLE_DTD, SAMPLE_ARTICLE
 from repro.corpus.generator import generate_corpus
 from repro.corpus.knuth import build_knuth_database
@@ -37,7 +37,7 @@ def store():
 
 def compile_and_run(store, text):
     query = store._engine.translate(text)
-    plan = compile_query(query, store.schema, store._engine.ctx)
+    plan = compile_query(query, store.schema)
     return plan, execute_plan(plan, store._engine.ctx)
 
 
@@ -91,7 +91,7 @@ class TestCalculusAlgebraEquivalence:
         query = engine.translate(text)
         from repro.calculus import evaluate_query as ev
         calculus_result = ev(query, engine.ctx)
-        plan = compile_query(query, engine.instance.schema, engine.ctx)
+        plan = compile_query(query, engine.instance.schema)
         assert execute_plan(plan, engine.ctx) == calculus_result
         assert len(calculus_result) == 3
 
@@ -102,8 +102,7 @@ class TestCalculusAlgebraEquivalence:
             'where x = "Jo"')
         from repro.calculus import evaluate_query as ev
         calculus_result = ev(text_query, engine.ctx)
-        plan = compile_query(text_query, engine.instance.schema,
-                             engine.ctx)
+        plan = compile_query(text_query, engine.instance.schema)
         assert execute_plan(plan, engine.ctx) == calculus_result
         assert set(calculus_result) == {"author"}
 
@@ -112,19 +111,19 @@ class TestPlanStructure:
     def test_path_variable_compiles_to_union(self, store):
         query = store._engine.translate(
             "select t from my_article PATH_p.title(t)")
-        plan = compile_query(query, store.schema, store._engine.ctx)
+        plan = compile_query(query, store.schema)
         assert count_unions(plan) >= 1
 
     def test_variable_free_query_has_no_union(self, store):
         query = store._engine.translate(
             "select a from a in Articles where a.status = 'final'")
-        plan = compile_query(query, store.schema, store._engine.ctx)
+        plan = compile_query(query, store.schema)
         assert count_unions(plan) == 0
 
     def test_union_branches_are_path_variable_free(self, store):
         query = store._engine.translate(
             "select t from my_article PATH_p.title(t)")
-        plan = compile_query(query, store.schema, store._engine.ctx)
+        plan = compile_query(query, store.schema)
 
         def find_union(node):
             if isinstance(node, UnionOp):
@@ -151,14 +150,14 @@ class TestPlanStructure:
 
     def test_plan_is_rooted_at_project(self, store):
         query = store._engine.translate("select a from a in Articles")
-        plan = compile_query(query, store.schema, store._engine.ctx)
+        plan = compile_query(query, store.schema)
         assert isinstance(plan, ProjectOp)
         assert plan_size(plan) >= 3
 
     def test_describe_renders_tree(self, store):
         query = store._engine.translate(
             "select t from my_article PATH_p.title(t)")
-        plan = compile_query(query, store.schema, store._engine.ctx)
+        plan = compile_query(query, store.schema)
         rendered = plan.describe()
         assert "Project" in rendered
         assert "MakePath" in rendered
@@ -166,9 +165,8 @@ class TestPlanStructure:
 
     def test_liberal_semantics_rejected(self, store):
         query = store._engine.translate("select a from a in Articles")
-        ctx = EvalContext(store.instance, path_semantics="liberal")
         with pytest.raises(CompilationError):
-            compile_query(query, store.schema, ctx)
+            compile_query(query, store.schema, path_semantics="liberal")
 
 
 class TestEngineAlgebraBackend:

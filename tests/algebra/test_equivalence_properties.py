@@ -93,7 +93,7 @@ class TestRandomPathPredicates:
     def test_algebra_equals_calculus(self, components):
         query = _query_of(components)
         interpreted = evaluate_query(query, CTX)
-        plan = compile_query(query, DB.schema, CTX)
+        plan = compile_query(query, DB.schema)
         compiled = execute_plan(plan, CTX)
         assert compiled == interpreted
 
@@ -104,7 +104,7 @@ class TestRandomPathPredicates:
         from repro.algebra.optimizer import optimize
         query = _query_of(components)
         interpreted = evaluate_query(query, CTX)
-        plan = optimize(compile_query(query, DB.schema, CTX))
+        plan = optimize(compile_query(query, DB.schema))
         assert execute_plan(plan, CTX) == interpreted
 
     @given(path_components())
@@ -129,7 +129,11 @@ from repro.calculus.formulas import (  # noqa: E402
     Not,
 )
 from repro.calculus.terms import Const, ListTerm  # noqa: E402
-from repro.algebra.optimizer import optimize  # noqa: E402
+from repro.algebra.optimizer import (  # noqa: E402
+    optimize,
+    rewrite_index_filters,
+    sink_selections,
+)
 
 ARTICLE_ATTRIBUTES = ["title", "author", "sections", "status", "body",
                       "abstract", "subsectn", "paragr", "caption"]
@@ -228,7 +232,7 @@ class TestFactoredDagDifferential:
         query = _article_query(components, mode)
         plan = compile_query(query, engine.instance.schema,
                              path_semantics="restricted")
-        unfactored = optimize(plan, factor=False)
+        unfactored = sink_selections(rewrite_index_filters(plan))
         factored = optimize(plan)
         ctx = engine.ctx.fork()
         factored_result = execute_plan(factored, ctx)
@@ -258,7 +262,7 @@ class TestFactoredDagDifferential:
         query = _article_query(components, mode)
         plan = compile_query(query, engine.instance.schema,
                              path_semantics="restricted")
-        unfactored = optimize(plan, factor=False)
+        unfactored = sink_selections(rewrite_index_filters(plan))
         costed = optimize(plan, verify="raise", query=query,
                           stats=store.stats_manager.snapshot())
         ctx = engine.ctx.fork()

@@ -47,11 +47,16 @@ from repro.algebra.operators import (
     UnnestOp,
     walk_once,
 )
-from repro.algebra.optimizer import factor_shared_prefixes, optimize
+from repro.algebra.optimizer import (
+    factor_shared_prefixes,
+    optimize,
+    rewrite_index_filters,
+    sink_selections,
+    structuralize,
+)
 from repro.calculus.terms import DataVar
 from repro.corpus import ARTICLE_DTD, SAMPLE_ARTICLE
 from repro.diffcheck.generator import QueryGenerator
-from repro.diffcheck.harness import ALGEBRA_CONFIGS
 from repro.errors import CompilationError
 from repro.observe.report import plan_tree
 
@@ -267,17 +272,13 @@ def store():
 
 
 def prefactoring_plans(plan: Operator) -> dict[str, Operator]:
-    """The plan each diffcheck configuration hands to the factoring
-    stage (``unoptimized``/``optimized`` stop before it; factoring
-    their plans too covers the raw and the pushed-down shapes)."""
-    rewritten = optimize(plan, factor=False)
-    structural = optimize(plan, structural=True, factor=False)
-    plans = {"unoptimized": plan, "optimized": rewritten,
-             "factored": rewritten, "cached": rewritten,
-             "costed": rewritten, "structural": structural,
-             "sql": structural}
-    assert set(plans) == set(ALGEBRA_CONFIGS)
-    return plans
+    """The plans the factoring stage is handed — the pushed-down shape
+    of the plain and of the structural pipeline — plus the raw
+    compilation (factoring it too covers the un-rewritten shape)."""
+    return {"raw": plan,
+            "rewritten": sink_selections(rewrite_index_filters(plan)),
+            "structural": sink_selections(rewrite_index_filters(
+                structuralize(plan)))}
 
 
 class TestFactoringHash:
@@ -312,7 +313,7 @@ class TestFactoringHash:
         plan = compile_query(store._engine.translate(text), store.schema)
         factored = optimize(plan)
         structural = optimize(plan, structural=True)
-        assert (plan_size(optimize(plan, factor=False)),
+        assert (plan_size(prefactoring_plans(plan)["rewritten"]),
                 plan_size(factored), count_shared(factored),
                 plan_size(structural)) == self.GOLDENS[text]
         assert count_shared(structural) == 0

@@ -8,7 +8,7 @@ from repro.corpus.generator import generate_corpus
 from repro.algebra.compile import compile_query
 from repro.algebra.execute import execute_plan
 from repro.algebra.operators import IndexFilterOp, SelectOp
-from repro.algebra.optimizer import optimize
+from repro.algebra.optimizer import optimize, sink_selections
 
 
 @pytest.fixture(scope="module")
@@ -40,14 +40,14 @@ def _find(plan, klass):
 class TestIndexRewrite:
     def test_contains_select_becomes_index_filter(self, store):
         query = store._engine.translate(CONTAINS_QUERY)
-        plan = compile_query(query, store.schema, store._engine.ctx)
+        plan = compile_query(query, store.schema)
         assert _find(plan, SelectOp)
         optimized = optimize(plan)
         assert _find(optimized, IndexFilterOp)
 
     def test_optimized_plan_gives_same_results(self, store):
         query = store._engine.translate(CONTAINS_QUERY)
-        plan = compile_query(query, store.schema, store._engine.ctx)
+        plan = compile_query(query, store.schema)
         baseline = execute_plan(plan, store._engine.ctx)
         optimized = optimize(plan)
         assert execute_plan(optimized, store._engine.ctx) == baseline
@@ -56,7 +56,7 @@ class TestIndexRewrite:
         from repro.calculus import EvalContext
         query = store._engine.translate(CONTAINS_QUERY)
         plan = optimize(
-            compile_query(query, store.schema, store._engine.ctx))
+            compile_query(query, store.schema))
         bare_ctx = EvalContext(store.instance,
                                provenance=store.loader.provenance)
         assert bare_ctx.text_index is None
@@ -64,16 +64,17 @@ class TestIndexRewrite:
         without_index = execute_plan(plan, bare_ctx)
         assert with_index == without_index
 
-    def test_rewrite_can_be_disabled(self, store):
+    def test_rewrite_is_its_own_stage(self, store):
+        # a stage in isolation is that stage's function: the pushdown
+        # alone introduces no index filter
         query = store._engine.translate(CONTAINS_QUERY)
-        plan = compile_query(query, store.schema, store._engine.ctx)
-        untouched = optimize(plan, use_text_index=False)
-        assert not _find(untouched, IndexFilterOp)
+        plan = compile_query(query, store.schema)
+        assert not _find(sink_selections(plan), IndexFilterOp)
 
     def test_non_contains_selects_left_alone(self, store):
         query = store._engine.translate(
             "select a from a in Articles where a.status = 'final'")
-        plan = compile_query(query, store.schema, store._engine.ctx)
+        plan = compile_query(query, store.schema)
         optimized = optimize(plan)
         assert not _find(optimized, IndexFilterOp)
 
@@ -86,8 +87,8 @@ class TestPushdown:
             where a.status = "final"
         """
         query = store._engine.translate(text)
-        plan = compile_query(query, store.schema, store._engine.ctx)
-        pushed = optimize(plan, use_text_index=False, pushdown=True)
+        plan = compile_query(query, store.schema)
+        pushed = sink_selections(plan)
         assert execute_plan(plan, store._engine.ctx) == \
             execute_plan(pushed, store._engine.ctx)
 
@@ -99,8 +100,8 @@ class TestPushdown:
             where a.status = "final"
         """
         query = store._engine.translate(text)
-        plan = compile_query(query, store.schema, store._engine.ctx)
-        pushed = optimize(plan, use_text_index=False, pushdown=True)
+        plan = compile_query(query, store.schema)
+        pushed = sink_selections(plan)
 
         def depth_of(node, klass, depth=0):
             if isinstance(node, klass):

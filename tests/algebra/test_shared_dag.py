@@ -40,7 +40,12 @@ from repro.algebra.operators import (
     SharedOp,
     UnionOp,
 )
-from repro.algebra.optimizer import factor_shared_prefixes, optimize
+from repro.algebra.optimizer import (
+    factor_shared_prefixes,
+    optimize,
+    rewrite_index_filters,
+    sink_selections,
+)
 
 
 def wide_database(width: int) -> Instance:
@@ -158,7 +163,8 @@ class TestFactoredPlanShape:
                             engine.instance.schema.roots.keys())
         plan = compile_query(query, engine.instance.schema,
                              path_semantics="restricted")
-        return store, optimize(plan, factor=False), optimize(plan)
+        return (store, sink_selections(rewrite_index_filters(plan)),
+                optimize(plan))
 
     def test_factoring_shrinks_the_plan(self, plans):
         _, unfactored, factored = plans

@@ -6,6 +6,7 @@ import os
 from repro.diffcheck.__main__ import main
 from repro.diffcheck.fixtures import save_fixture
 from repro.diffcheck.generator import CorpusSpec
+from repro.o2sql.engine import QueryEngine
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
                        "sel_attvar_union_content.json")
@@ -25,17 +26,14 @@ class TestCli:
             self, tmp_path, capsys, monkeypatch):
         """Break one backend deliberately; the CLI must exit non-zero
         and write a replayable minimized fixture."""
-        from repro.diffcheck import harness as harness_module
+        original = QueryEngine.execute
 
-        original = harness_module.DiffHarness._execute
-
-        def sabotaged(self, config, plan, engine):
-            if config == "factored":
+        def sabotaged(self, entry):
+            if self.backend == "algebra" and not self.structural:
                 raise RuntimeError("sabotaged backend")
-            return original(self, config, plan, engine)
+            return original(self, entry)
 
-        monkeypatch.setattr(harness_module.DiffHarness, "_execute",
-                            sabotaged)
+        monkeypatch.setattr(QueryEngine, "execute", sabotaged)
         out_dir = tmp_path / "repros"
         code = main(["--budget", "3", "--seed", "3", "--fail-fast",
                      "--quiet", "--out", str(out_dir)])
@@ -44,7 +42,8 @@ class TestCli:
         assert written
         payload = json.loads(written[0].read_text())
         assert payload["format"] == "repro.diffcheck/1"
-        assert "factored" in payload["meta"]["divergent_configs"]
+        assert payload["meta"]["divergent_configs"] == [
+            "algebra", "algebra+rerun"]
         assert "is a bug" in capsys.readouterr().out
 
     def test_replay_mode_passes_on_fixed_fixture(self, capsys):
@@ -63,36 +62,23 @@ class TestCli:
         _, query, _ = load_fixture(FIXTURE)
         save_fixture(str(path), spec, query, meta={})
 
-        from repro.diffcheck import harness as harness_module
         import unittest.mock as mock
 
-        def always_diverges(self, config, plan, engine):
+        def always_diverges(self, entry):
             raise RuntimeError("sabotaged backend")
 
-        with mock.patch.object(harness_module.DiffHarness, "_execute",
-                               always_diverges):
+        with mock.patch.object(QueryEngine, "execute", always_diverges):
             code = main(["--replay", str(path), "--quiet"])
         assert code == 1
         assert "DIVERGENT" in capsys.readouterr().out
 
-    def test_restricted_config_subset(self, capsys):
-        code = main(["--budget", "4", "--seed", "3",
-                     "--configs", "unoptimized", "--out",
-                     "/tmp/unused-diffcheck-out"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "configs_compared=4" in out
-
     def test_no_minimize_reports_raw_divergence(self, tmp_path,
                                                 monkeypatch, capsys):
         """--no-minimize writes the raw (unshrunk) failing case."""
-        from repro.diffcheck import harness as harness_module
-
-        def broken(self, config, plan, engine):
+        def broken(self, entry):
             raise RuntimeError("sabotaged backend")
 
-        monkeypatch.setattr(harness_module.DiffHarness, "_execute",
-                            broken)
+        monkeypatch.setattr(QueryEngine, "execute", broken)
         code = main(["--budget", "1", "--seed", "3", "--no-minimize",
                      "--quiet", "--out", str(tmp_path)])
         assert code == 1

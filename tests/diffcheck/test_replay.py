@@ -76,7 +76,7 @@ class TestSelAttVarRegression:
         )
         spec, _, _ = self._load()
         harness = DiffHarness()
-        store = harness.store_for(spec)
+        store = harness.stores_for(spec)["algebra"]
         article, attvar = DataVar("a"), AttVar("A")
         query = Query([article, attvar], And(
             In(article, Name("Articles")),

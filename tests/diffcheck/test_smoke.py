@@ -1,7 +1,8 @@
 """Fixed-seed differential smoke: the per-PR acceptance gate.
 
 Runs a deterministic slice of the fuzzer (60 generated queries, every
-algebra config against the calculus reference) inside the fast test
+served config — first run and re-run — against the calculus reference)
+inside the fast test
 loop.  Any disagreement fails with the full comparison report; the
 budget is small enough to stay in the ``-m "not bench"`` loop but wide
 enough that every grammar production fires at least once.
@@ -26,6 +27,6 @@ class TestSmoke:
         assert not reports, "\n\n".join(reports)
         assert metrics.get("diffcheck.queries") == SMOKE_BUDGET
         assert metrics.get("diffcheck.divergences") == 0
-        # every config really ran on every query
+        # every config really ran, twice, on every query
         assert metrics.get("diffcheck.configs_compared") \
-            == SMOKE_BUDGET * len(ALGEBRA_CONFIGS)
+            == SMOKE_BUDGET * 2 * len(ALGEBRA_CONFIGS)

@@ -1,4 +1,4 @@
-"""The seventh configuration: relational execution under the fuzzer.
+"""The ``sql`` configuration: relational execution under the fuzzer.
 
 Two contracts: (1) the ``sql`` config agrees with the calculus
 reference on generated queries — including constructs outside the
@@ -28,14 +28,18 @@ UNSUPPORTED_FEATURES = {"negation", "forall", "exists"}
 
 
 class TestConfigRegistration:
-    def test_sql_is_the_seventh_config(self):
-        assert ALGEBRA_CONFIGS[-1] == "sql"
-        assert len(ALGEBRA_CONFIGS) == 7
+    def test_the_served_configs(self):
+        assert list(ALGEBRA_CONFIGS) == ["algebra", "structural", "sql"]
 
-    def test_harness_rejects_unknown_configs(self):
-        import pytest
-        with pytest.raises(ValueError):
-            DiffHarness(configs=("sql", "mongodb"))
+    def test_each_config_is_an_ordinary_store(self):
+        [case] = generate_cases(1, seed=SEED)
+        stores = DiffHarness().stores_for(case.corpus)
+        assert list(stores) == list(ALGEBRA_CONFIGS)
+        sql = stores["sql"]._engine
+        assert sql.backend == "sql" and sql.structural
+        # scans and shred share the one encoding a sql store builds
+        assert stores["sql"].struct_index is sql.sql_backend.shred.index
+        assert stores["algebra"].struct_index is None
 
 
 class TestCoarsening:
@@ -67,12 +71,12 @@ class TestSweep:
                 reports.append(comparison.report())
         assert not reports, "\n\n".join(reports)
         assert metrics.get("diffcheck.configs_compared") \
-            == BUDGET * len(ALGEBRA_CONFIGS)
+            == BUDGET * 2 * len(ALGEBRA_CONFIGS)
 
     def test_unsupported_constructs_agree_via_the_hybrid(self):
         # deliberately pick cases whose features the emitter refuses
         # (negation / quantifiers); the sql config must agree anyway
-        harness = DiffHarness(configs=("sql",))
+        harness = DiffHarness()
         picked = [case for case in generate_cases(120, seed=SEED)
                   if case.features & UNSUPPORTED_FEATURES]
         assert picked, "the seed stream lost its quantifier cases"

@@ -118,11 +118,3 @@ class TestSemanticsOptions:
             s.load_text(SAMPLE_ARTICLE, name="my_article")
         query = "select t from my_article PATH_p.title(t)"
         assert restricted.query(query) == liberal.query(query)
-
-    def test_type_check_can_be_disabled(self, store):
-        from repro.o2sql import QueryEngine
-        loose = QueryEngine(store.instance, type_check=False)
-        # an impossible path just yields nothing instead of raising
-        result = loose.run(
-            "select x from a in Articles, a PATH_p.not_an_attr(x)")
-        assert result == SetValue()

@@ -120,19 +120,3 @@ class TestP5UnionFanout:
         report = engine.explain_analyze("select x from Root PATH_p.v(x)")
         assert report.union_fanouts() == [9]
         assert report.counter("algebra.union_fanout") == 9
-
-
-class TestSecondaryIndexCounters:
-    def test_lookup_counts_probes_and_hits(self):
-        store = build_corpus_store(size=5)
-        store.enable_metrics()
-        index = store.store.create_index("Text", "text")
-        assert len(index) > 0
-        key = next(iter(index.keys()))
-        hits = store.store.lookup("Text", "text", key)
-        missed = store.store.lookup("Text", "text", "no such content")
-        counters = store.metrics()["counters"]
-        assert counters["store.index_probes"] == 2
-        assert counters["store.index_hits"] == len(hits)
-        assert len(hits) >= 1
-        assert missed == ()

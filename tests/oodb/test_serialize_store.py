@@ -20,6 +20,7 @@ from repro.oodb import (
     schema_from_classes,
     tuple_of,
 )
+from repro.oodb.store import atomic_write
 from repro.oodb.types import INTEGER
 
 
@@ -145,39 +146,55 @@ class TestSnapshots:
         assert restored.instance.object_count() == 10
 
 
-class TestIndexes:
-    def test_index_lookup(self, store):
-        store.create_index("Article", "year")
-        hits = store.lookup("Article", "year", 1992)
-        assert len(hits) == 1
-        assert store.instance.deref(hits[0]).get("year") == 1992
+class TestAtomicWrite:
+    def test_replaces_the_file_and_leaves_no_temp(self, tmp_path):
+        path = tmp_path / "file.bin"
+        atomic_write(path, b"old")
+        atomic_write(path, b"new contents")
+        assert path.read_bytes() == b"new contents"
+        assert [p.name for p in tmp_path.iterdir()] == ["file.bin"]
 
-    def test_lookup_without_index_fails(self, store):
-        with pytest.raises(StoreError):
-            store.lookup("Article", "ghost_attr", 1)
+    def test_data_is_synced_before_the_rename(self, tmp_path,
+                                              monkeypatch):
+        import os
+        events = []
+        fsync, replace = os.fsync, os.replace
+        monkeypatch.setattr(os, "fsync", lambda fd: (
+            events.append("fsync"), fsync(fd))[1])
+        monkeypatch.setattr(os, "replace", lambda src, dst: (
+            events.append("replace"), replace(src, dst))[1])
+        atomic_write(tmp_path / "file.bin", b"payload")
+        assert events == ["fsync", "replace"]
 
-    def test_index_miss_returns_empty(self, store):
-        store.create_index("Article", "year")
-        assert store.lookup("Article", "year", 1800) == ()
+    def test_failed_rename_keeps_the_old_file(self, tmp_path,
+                                              monkeypatch):
+        import os
+        path = tmp_path / "file.bin"
+        atomic_write(path, b"old")
 
-    def test_update_keeps_index_consistent(self, store):
-        store.create_index("Article", "year")
-        (oid,) = store.lookup("Article", "year", 1991)
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError):
+            atomic_write(path, b"new")
+        assert path.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["file.bin"]
+
+    def test_store_save_overwrites_through_it(self, schema, store,
+                                              tmp_path):
+        path = tmp_path / "db.snapshot"
+        path.write_bytes(b"garbage from an earlier run")
+        store.save(path)
+        assert ObjectStore.load(schema, path).instance.object_count() == 10
+
+
+class TestUpdate:
+    def test_update_object_rebinds_the_value(self, store):
+        oid = store.instance.root("Articles")[1]
         new_value = store.instance.deref(oid).replace("year", 2001)
         store.update_object(oid, new_value)
-        assert store.lookup("Article", "year", 1991) == ()
-        assert store.lookup("Article", "year", 2001) == (oid,)
-
-    def test_create_index_idempotent(self, store):
-        first = store.create_index("Article", "year")
-        second = store.create_index("Article", "year")
-        assert first is second
-
-    def test_index_skips_non_tuple_values(self, store):
-        # Title objects hold bare strings; indexing an attribute on them
-        # simply produces an empty index.
-        index = store.create_index("Title", "anything")
-        assert len(index) == 0
+        assert store.instance.deref(oid).get("year") == 2001
 
 
 class TestStats:

@@ -37,6 +37,26 @@ class TestVerify:
     def test_clean_query_verifies_all_configs(self, capsys):
         assert main(["--verify", CLEAN]) == 0
 
+    def test_verifies_the_pipeline_as_served(self, capsys):
+        # both stores ran the engine's own stages, cost stage included,
+        # over the Figure-2 document the built-in DTD comes with
+        assert main(["--verify",
+                     "select t from my_article PATH_p.title(t)"]) == 0
+
+    def test_rejected_stage_is_reported_with_its_faults(
+            self, capsys, monkeypatch):
+        """The engine would warn and serve the last verified plan; the
+        CLI escalates, so a broken rewrite fails with its fault code
+        and stage — once per store whose pipeline contains it."""
+        import repro.algebra.optimizer as optimizer
+        monkeypatch.setattr(optimizer, "_TEST_MUTATION",
+                            "pushdown_unguarded")
+        code = main(["--verify", "select t from my_article "
+                     "PATH_p.title(t) where t = 'On Sets'"])
+        out = capsys.readouterr().out
+        assert code >= 2
+        assert "PC-UNBOUND after pushdown" in out
+
     def test_dirty_query_skips_verification(self, capsys):
         # an error-level lint stops before compilation: the exit code
         # counts the diagnostic once, not a cascade of plan faults

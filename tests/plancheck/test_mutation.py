@@ -111,15 +111,12 @@ class TestSeededBreakage:
 
 class TestIntactOptimizer:
     @pytest.mark.parametrize("text", [Q_PUSHDOWN, Q_JOIN])
-    @pytest.mark.parametrize("options", [
-        {"factor": False},
-        {},
-        {"structural": True},
-    ])
-    def test_raise_gate_stays_silent(self, store, text, options):
+    @pytest.mark.parametrize("structural", [False, True])
+    def test_raise_gate_stays_silent(self, store, text, structural):
         assert optimizer._TEST_MUTATION is None
         query, plan = _plan_for(store, text)
-        optimizer.optimize(plan, verify="raise", query=query, **options)
+        optimizer.optimize(plan, structural=structural, verify="raise",
+                           query=query)
 
     @pytest.mark.parametrize("text", [Q_PUSHDOWN, Q_JOIN, Q_COST])
     def test_cost_stage_passes_raise_gate(self, store, text):

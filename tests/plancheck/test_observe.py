@@ -57,15 +57,6 @@ class TestCompileBreakdown:
         compile_span = report.trace.child("compile")
         assert compile_span.path_names()[0] == "optimize.structuralize"
 
-    def test_unoptimized_engine_traces_bare_verification(self):
-        s = DocumentStore(ARTICLE_DTD, backend="algebra")
-        s.load_text(SAMPLE_ARTICLE, name="my_article")
-        s._engine.optimize = False
-        report = s.explain_analyze(QUERY)
-        compile_span = report.trace.child("compile")
-        assert compile_span.path_names() == ["optimize.verify"]
-        assert compile_span.attributes["verified"] is True
-
     def test_cache_hit_skips_compile_side_spans(self, store):
         store.query(QUERY)  # warm the plan cache
         report = store.explain_analyze(QUERY)

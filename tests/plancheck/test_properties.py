@@ -1,8 +1,11 @@
 """Property tests for the plancheck guarantees.
 
-* Soundness of the gate: every plan the compiler + every diffcheck
-  optimizer configuration produce from fuzzer-generated queries passes
-  the verifier (the gate never rejects a correct plan).
+* Soundness of the gate: every plan the compiler produces from a
+  fuzzer-generated query passes the verifier at stage ``compile``
+  (the raw-compile gate — diffcheck itself only sees plans through a
+  store's engine, whose optimizer verifies from the first rewrite
+  on), and so does every stage of the plain and the structural
+  pipeline (the gate never rejects a correct plan).
 * The linter's headline guarantee: a lint-clean query text never
   raises :class:`SafetyError` at execution time.
 """
@@ -15,19 +18,12 @@ from repro import DocumentStore
 from repro.algebra.compile import compile_query
 from repro.algebra.optimizer import optimize
 from repro.corpus import ARTICLE_DTD, SAMPLE_ARTICLE
-from repro.diffcheck import DiffHarness, generate_cases
+from repro.diffcheck import QueryGenerator, generate_cases
 from repro.errors import CompilationError, QueryError, SafetyError
-from repro.plancheck import verify_plan
+from repro.plancheck import check_plan
 
-#: One optimize() call per diffcheck algebra configuration
-#: ("unoptimized" is the bare compile, "cached" re-executes "factored").
-CONFIG_OPTIONS = {
-    "optimized": {"factor": False},
-    "factored": {},
-    "structural": {"structural": True},
-}
-
-_HARNESS = DiffHarness()
+#: every generated corpus is over the article DTD
+_SCHEMA = DocumentStore(ARTICLE_DTD).schema
 
 
 @settings(max_examples=12, deadline=None,
@@ -35,19 +31,33 @@ _HARNESS = DiffHarness()
 @given(seed=st.integers(min_value=0, max_value=10**6))
 def test_every_generated_plan_verifies(seed):
     for case in generate_cases(2, seed=seed):
-        store = _HARNESS.store_for(case.corpus)
-        schema = store._engine.instance.schema
         try:
-            plan = compile_query(case.query, schema,
+            plan = compile_query(case.query, _SCHEMA,
                                  path_semantics="restricted")
         except CompilationError:
             continue  # statically rejected on both sides: no plan
-        faults = verify_plan(plan, query=case.query, stage="compile")
-        assert faults == [], [f.render() for f in faults]
-        for label, options in CONFIG_OPTIONS.items():
-            rewritten = optimize(plan, verify="off", **options)
-            faults = verify_plan(rewritten, query=case.query, stage=label)
-            assert faults == [], [f.render() for f in faults]
+        check_plan(plan, query=case.query, stage="compile")
+        for structural in (False, True):
+            optimize(plan, structural=structural, verify="raise",
+                     query=case.query)
+
+
+def test_raw_compile_gate_over_the_diffcheck_generator():
+    """The compiler's own output verifies on every case the nightly
+    generator seed produces first — the gate diffcheck used to run
+    inside each comparison, as one deterministic sweep."""
+    generator = QueryGenerator(4242)
+    compiled = 0
+    for index in range(300):
+        query = generator.case(index).query
+        try:
+            plan = compile_query(query, _SCHEMA,
+                                 path_semantics="restricted")
+        except CompilationError:
+            continue
+        check_plan(plan, query=query, stage="compile")
+        compiled += 1
+    assert compiled > 250
 
 
 # -- lint-clean queries never trip the safety check at run time -------------

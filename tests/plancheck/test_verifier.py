@@ -61,15 +61,12 @@ class TestCleanPlans:
         assert verify_plan(plan, query=query, stage="compile") == []
 
     @pytest.mark.parametrize("text", QUERIES)
-    @pytest.mark.parametrize("options", [
-        {"factor": False},
-        {},
-        {"structural": True},
-    ])
-    def test_optimized_plan_verifies(self, store, text, options):
+    @pytest.mark.parametrize("structural", [False, True])
+    def test_optimized_plan_verifies(self, store, text, structural):
         query = store._engine.translate(text)
         plan = compile_query(query, store.schema)
-        rewritten = optimize(plan, verify="off", **options)
+        rewritten = optimize(plan, structural=structural,
+                             verify="raise", query=query)
         assert verify_plan(rewritten, query=query) == []
 
     def test_trivial_plan(self):

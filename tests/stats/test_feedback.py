@@ -1,5 +1,5 @@
 """The feedback loop around the cost model: stats-generation plan-cache
-invalidation, adaptive re-costing with its per-key damper, profiled
+invalidation (``recost()`` is the one way to advance it), profiled
 unit-cost/branch-cardinality ingestion, and the estimation-error
 surface of EXPLAIN ANALYZE."""
 
@@ -70,36 +70,14 @@ class TestCacheStatsInvalidation:
         assert first == again == third
 
 
-class TestAdaptiveRecosting:
-    def test_default_is_not_adaptive(self):
+class TestGeneration:
+    def test_feedback_records_but_never_moves_the_generation(self):
         store = build_store()
         manager = store.stats_manager
-        assert manager.adaptive is False
         before = manager.generation
-        assert manager.record_execution("k", 1000.0, 1) is False
+        manager.record_execution("k", 1000.0, 1)
         assert manager.generation == before
-
-    def test_misestimate_advances_generation_once_per_key(self):
-        store = build_store()
-        manager = store.stats_manager
-        manager.adaptive = True
-        before = manager.generation
-        assert manager.record_execution("k1", 1000.0, 1) is True
-        assert manager.generation == before + 1
-        # the damper: one correction per key per epoch
-        assert manager.record_execution("k1", 1000.0, 1) is False
-        assert manager.generation == before + 1
-        # a different key may still correct
-        assert manager.record_execution("k2", 1.0, 500) is True
-        assert manager.generation == before + 2
-
-    def test_good_estimates_never_bump(self):
-        store = build_store()
-        manager = store.stats_manager
-        manager.adaptive = True
-        before = manager.generation
-        assert manager.record_execution("k", 10.0, 12) is False
-        assert manager.generation == before
+        assert manager.refresh().actual_rows["k"] == 1
 
     def test_snapshot_follows_the_generation(self):
         store = build_store()

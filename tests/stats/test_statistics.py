@@ -65,7 +65,6 @@ class TestCollection:
     def test_report_block_in_store_stats(self, store):
         block = store.stats()["statistics"]
         assert block["classes"] > 0
-        assert block["adaptive"] is False
 
     def test_fanout_defaults_without_structural_index(self):
         empty = Statistics()

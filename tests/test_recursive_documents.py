@@ -121,7 +121,7 @@ class TestRecursiveAlgebra:
         query = store._engine.translate(
             "select t from my_book PATH_p.title(t)")
         interpreted = evaluate_query(query, store._engine.ctx)
-        plan = compile_query(query, store.schema, store._engine.ctx)
+        plan = compile_query(query, store.schema)
         assert execute_plan(plan, store._engine.ctx) == interpreted
 
 

@@ -166,3 +166,74 @@ class TestLiveIndexIngest:
         live = store.text_index.document_count
         del store.instance.all_oids         # the full rebuild may scan
         assert store.build_text_index().document_count == live
+
+
+class TestPersistence:
+    def test_load_wires_once_over_the_restored_instance(
+            self, store, tmp_path, monkeypatch):
+        """``load`` builds the schema half, restores the instance and
+        only then wires engine, index and shred — one of each, none
+        over a throwaway empty instance."""
+        from repro.sqlbackend.backend import SQLBackend
+        from repro.structindex import StructuralIndex
+        store.save(tmp_path / "session.db")
+        built = []
+        for cls in (SQLBackend, StructuralIndex):
+            def counting(self, *args, _init=cls.__init__, _name=cls.__name__,
+                         **kwargs):
+                built.append(_name)
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counting)
+        reloaded = DocumentStore.load(tmp_path / "session.db",
+                                      backend="sql", structural=True)
+        assert sorted(built) == ["SQLBackend", "StructuralIndex"]
+        assert reloaded.struct_index.instance is reloaded.instance
+        query = "select t from my_article PATH_p.title(t)"
+        assert reloaded.query(query) == store.query(query)
+
+    def test_a_save_that_dies_midway_keeps_the_previous_snapshot(
+            self, store, tmp_path, monkeypatch):
+        import repro.oodb.store as store_module
+        path = tmp_path / "session.db"
+        store.save(path)
+        before = (path.read_bytes(),
+                  (tmp_path / "session.db.dtd").read_bytes())
+        query = "select a.title from a in Articles"
+        expected = store.query(query)
+        store.load_text(SAMPLE_ARTICLE, name="second")  # a new state
+
+        class TornHandle:
+            def __init__(self, handle):
+                self._handle = handle
+
+            def write(self, data):
+                self._handle.write(data[:len(data) // 2])
+                raise OSError("disk full")
+
+            def __getattr__(self, name):
+                return getattr(self._handle, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._handle.close()
+
+        def torn_open(file, mode="r"):
+            handle = open(file, mode)
+            # the DTD is written first; let it through, tear the snapshot
+            return handle if str(file).endswith(".dtd.tmp") \
+                else TornHandle(handle)
+
+        monkeypatch.setattr(store_module, "open", torn_open,
+                            raising=False)
+        with pytest.raises(OSError):
+            store.save(path)
+        monkeypatch.undo()
+        assert (path.read_bytes(),
+                (tmp_path / "session.db.dtd").read_bytes()) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "session.db", "session.db.dtd"]
+        reloaded = DocumentStore.load(path)
+        assert reloaded.query(query) == expected
+        assert "second" not in reloaded.instance.root_names
