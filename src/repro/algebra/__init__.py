@@ -10,6 +10,9 @@ attribute or path variables**.
 
 * :mod:`repro.algebra.operators` — the operator algebra,
 * :mod:`repro.algebra.batch` — the column batches operators exchange,
+* :mod:`repro.algebra.kernels` — how an operator evaluates a calculus
+  term or atom over a whole column (the interpreter being the general
+  case),
 * :mod:`repro.algebra.compile` — calculus → algebra, including the
   schema-driven variable elimination,
 * :mod:`repro.algebra.optimizer` — rewrites (full-text index

@@ -10,11 +10,13 @@ is an operator DAG; executing it is one ``batch`` call on the final
 set.  No dict, generator frame or copy exists per row: filters build
 one index vector, expanding operators one index vector plus their own
 columns, the structural operators loop once per *source* over the
-index arrays, and only the operators whose meaning is the calculus
-(:class:`SelectOp`, :class:`NegationOp`, :class:`FormulaOp`,
-term-valued :class:`BindOp`/:class:`UnnestOp`) build an environment
-per row — of just the variables they consume — to hand to
-``satisfy``/``eval_term``.
+index arrays.  The operators whose meaning is a calculus term or
+ground atom (:class:`BindOp`, :class:`UnnestOp`, :class:`SelectOp`,
+:class:`IndexFilterOp`, the :class:`IntervalJoinOp` fallback) compute
+it with a column kernel (:mod:`repro.algebra.kernels`), which goes to
+the interpreter only for the shapes it has no kernel for;
+:class:`NegationOp` and :class:`FormulaOp`, whose meaning is a whole
+formula, hand ``satisfy`` one environment per row by design.
 
 The algebra corresponds to a complex-object algebra with the paper's
 additions:
@@ -59,11 +61,16 @@ from typing import Any, Callable, ClassVar, Iterable
 
 from repro.errors import CompilationError, EvaluationError
 from repro.algebra.batch import MISSING, Batch, Column, Late, concat
+from repro.algebra.kernels import (
+    _count,
+    _holds,
+    atom_kernel,
+    term_kernel,
+)
 from repro.calculus.evaluator import (
     EvalContext,
     _auto_deref,
     _select_attribute,
-    eval_term,
     satisfy,
 )
 from repro.calculus.terms import Variable, term_variables
@@ -111,38 +118,6 @@ def _metered(produce: Callable[[Any, EvalContext], Batch]
     return batch
 
 
-def _count(ctx: EvalContext, name: str, amount: int) -> None:
-    """Add a batch's worth to a counter (a counter nothing was added
-    to stays absent from the snapshot, as when counting by one)."""
-    if amount and ctx.metrics is not None:
-        ctx.metrics.inc(name, amount)
-
-
-def _holds(formula: Any, env: dict, ctx: EvalContext) -> bool:
-    """Does the calculus find a witness for ``formula`` under
-    ``env``?"""
-    for _ in satisfy(formula, env, ctx):
-        return True
-    return False
-
-
-def _evaluate(term: Any, source: Batch, ctx: EvalContext) -> Column:
-    """``term``'s value per row of ``source`` — :data:`MISSING` where
-    it does not evaluate (an unbound variable, a wrong union branch).
-    A plain variable is its column, untouched."""
-    if isinstance(term, Variable):
-        if source.has(term):
-            return source.column(term)
-        return [MISSING] * source.size
-    values = []
-    for env in source.envs(term_variables(term)):
-        try:
-            values.append(eval_term(term, env, ctx))
-        except EvaluationError:
-            values.append(MISSING)
-    return values
-
-
 class Operator:
     """Base class of plan operators.
 
@@ -185,6 +160,16 @@ class Operator:
     #: reordered or pruned — the audit record the plancheck verifier's
     #: ``PC-COST`` checks re-validate.  ``None`` everywhere else.
     cost_evidence: Any = None
+    #: The operator's term or atom kernel
+    #: (:mod:`repro.algebra.kernels`), chosen when it first executes.
+    _kernel: Any = None
+
+    def _chosen(self, choose: Callable[..., Any], *about: Any) -> Any:
+        """The kernel ``choose(*about)``, chosen once per operator."""
+        kernel = self._kernel
+        if kernel is None:
+            kernel = self._kernel = choose(*about)
+        return kernel
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
@@ -249,9 +234,7 @@ class Operator:
     # -- dataflow contracts (checked statically by repro.plancheck) --------
 
     def consumes(self) -> frozenset:
-        """Variables this operator requires *bound* in every input row
-        — and, for the operators that call the calculus interpreter,
-        exactly the environment they hand it per row.
+        """Variables this operator requires *bound* in every input row.
 
         The static half of the operator's dataflow contract: the
         :mod:`repro.plancheck` verifier threads a binding environment
@@ -327,9 +310,10 @@ class BindOp(Operator):
             return source.derive(
                 {variable: functools.partial(source.column, term)})
         bound = source.column(variable) if rebinds else None
+        kernel = self._chosen(term_kernel, term)
         keep = []
         values = []
-        for row, value in enumerate(_evaluate(term, source, ctx)):
+        for row, value in enumerate(kernel(source, ctx)):
             if value is MISSING:
                 continue
             if bound is not None and bound[row] is not MISSING:
@@ -406,11 +390,11 @@ class UnnestOp(Operator):
         bound = (source.column(index_var)
                  if index_var is not None and source.has(index_var)
                  else None)
+        kernel = self._chosen(term_kernel, self.collection_term)
         index: list[int] = []
         elements: Column = []
         positions: Column = []
-        for row, collection in enumerate(
-                _evaluate(self.collection_term, source, ctx)):
+        for row, collection in enumerate(kernel(source, ctx)):
             if collection is MISSING:
                 continue
             collection = self._resolve(collection, ctx)
@@ -619,8 +603,8 @@ def _elem_step(value: Any) -> ElemStep:
 
 
 class SelectOp(Operator):
-    """Filter by a ground atom (delegated to the calculus atom
-    semantics, preserving wrong-branch-is-false)."""
+    """Filter by a ground atom (the calculus atom semantics,
+    wrong-branch-is-false included, as its kernel computes them)."""
 
     params = ("atom",)
 
@@ -632,10 +616,8 @@ class SelectOp(Operator):
         source = self.child.batch(ctx)
         if not source.size:
             return source
-        atom = self.atom
-        return source.select(
-            [row for row, env in enumerate(source.envs(self.consumes()))
-             if _holds(atom, env, ctx)])
+        kernel = self._chosen(atom_kernel, self.atom)
+        return source.select(kernel(source, ctx))
 
     def consumes(self) -> frozenset:
         return frozenset(self.atom.free_variables())
@@ -835,11 +817,13 @@ _NO_CANDIDATES = object()  # "probe not yet run" (None = "no pruning")
 
 
 class IndexFilterOp(Operator):
-    """Optimizer product: prune rows whose variable cannot satisfy a
-    ``contains`` pattern, using the full-text index, then re-check
-    exactly.
+    """Optimizer product: a ``contains`` selection whose pattern is
+    probed in the full-text index *before* the plan runs.  Its rows are
+    filtered by the same ``contains`` kernel a :class:`SelectOp` would
+    use (:mod:`repro.algebra.kernels`), fed this operator's probe; what
+    the operator adds is the union gating below.
 
-    The candidate set is probed once per plan object and memoized —
+    The index is probed once per plan object and memoized —
     sound because a plan never outlives its compilation epoch: the plan
     cache recompiles after any data change, so a fresh plan re-probes
     the (incrementally maintained) index.
@@ -860,38 +844,30 @@ class IndexFilterOp(Operator):
         self.pattern = pattern
         self.recheck_atom = recheck_atom
         self.oid_only = oid_only
-        self._candidates = _NO_CANDIDATES
+        self._candidates: Any = _NO_CANDIDATES
 
-    def candidate_set(self, ctx: EvalContext) -> Any:
-        """The memoized index probe (``None`` = no index or no pruning
-        possible; see :meth:`repro.text.TextIndex.candidates`)."""
+    def probe(self, ctx: EvalContext) -> tuple[Any, bool]:
+        """The memoized :meth:`repro.text.TextIndex.probe` of the
+        pattern: ``(keys, exact)``, ``(None, False)`` without an index
+        or when no pruning is possible."""
         index = getattr(ctx, "text_index", None)
         if index is None:
-            return None
+            return None, False
         if self._candidates is _NO_CANDIDATES:
-            self._candidates = index.candidates(self.pattern)
+            self._candidates = index.probe(self.pattern)
         return self._candidates
+
+    def candidate_set(self, ctx: EvalContext) -> Any:
+        """The probed key set (``None`` = no pruning)."""
+        return self.probe(ctx)[0]
 
     def batch(self, ctx: EvalContext) -> Batch:
         source = self.child.batch(ctx)
-        # no index (or no pruning possible): a plain select
-        candidates = self.candidate_set(ctx)
+        self.probe(ctx)  # rows or none: text.* counters follow the plan
         if not source.size:
             return source
-        survivors = list(range(source.size))
-        if candidates is not None and source.has(self.variable):
-            # mask the whole column: an oid the probe did not return
-            # cannot satisfy the pattern
-            survivors = [
-                row for row, value
-                in enumerate(source.column(self.variable))
-                if not isinstance(value, Oid) or value in candidates]
-        _count(ctx, "algebra.index_pruned", source.size - len(survivors))
-        _count(ctx, "algebra.contains_rechecks", len(survivors))
-        atom = self.recheck_atom
-        envs = source.select(survivors).envs(self.consumes())
-        return source.select([row for row, env in zip(survivors, envs)
-                              if _holds(atom, env, ctx)])
+        kernel = self._chosen(atom_kernel, self.recheck_atom, self.probe)
+        return source.select(kernel(source, ctx))
 
     def consumes(self) -> frozenset:
         return frozenset({self.variable}
@@ -1211,8 +1187,8 @@ class IntervalJoinOp(Operator):
                   if source.has(self.probe_var)
                   else [MISSING] * source.size)
         probed = hits = 0
-        atom = self.recheck_atom
-        envs: list[dict] | None = None
+        index, positions = scan.index, scan.positions
+        live: list[int] = []  # output slots holding unchecked live pairs
         for row, start in scan.sources():
             matches = None
             if probes[row] is not MISSING:
@@ -1224,25 +1200,37 @@ class IntervalJoinOp(Operator):
                 probed += 1
                 hits += len(matches)
                 scan.enter(row, block, pre)
-                scan.index.extend(repeat(row, len(matches)))
-                scan.positions.extend(matches)
+                index.extend(repeat(row, len(matches)))
+                positions.extend(matches)
                 continue
             # fallback: full scan + exact atom recheck (= SelectOp over
             # StructuralScanOp, which itself falls back to the live walk)
-            if envs is None:
-                envs = source.envs(
-                    set(atom.free_variables())
-                    - {self.path_var, self.out_var})
-            for pair in scan.live_pairs(start):
-                env = dict(envs[row])
-                env[self.path_var], env[self.out_var] = pair
-                if _holds(atom, env, ctx):
-                    scan.index.append(row)
-                    scan.positions.append(pair)
+            pairs = list(scan.live_pairs(start))
+            live.extend(range(len(index), len(index) + len(pairs)))
+            index.extend(repeat(row, len(pairs)))
+            positions.extend(pairs)
+        if live:
+            self._recheck(scan, live, ctx)
         if probed and ctx.metrics is not None:
             ctx.metrics.inc("structindex.interval_probes", probed)
             ctx.metrics.inc("structindex.interval_hits", hits)
         return scan.result({})
+
+    def _recheck(self, scan: _Scan, live: list[int],
+                 ctx: EvalContext) -> None:
+        """Keep, of the output slots ``live`` (rows extended with a
+        live walk's pair), those on which the recheck atom holds."""
+        kernel = self._chosen(atom_kernel, self.recheck_atom)
+        index, positions = scan.index, scan.positions
+        paths, nodes = zip(*[positions[slot] for slot in live])
+        candidates = scan.source.derive(
+            {self.path_var: list(paths), self.out_var: list(nodes)},
+            [index[slot] for slot in live])
+        dropped = set(live).difference(
+            [live[kept] for kept in kernel(candidates, ctx)])
+        keep = [slot for slot in range(len(index)) if slot not in dropped]
+        scan.index = [index[slot] for slot in keep]
+        scan.positions = [positions[slot] for slot in keep]
 
     def consumes(self) -> frozenset:
         return frozenset((self.source_var, self.probe_var))

@@ -10,7 +10,11 @@
   once),
 * ``elapsed`` — inclusive wall-clock seconds of those calls (the
   operator plus its subtree; a late column is paid for by the operator
-  that first reads it; informational only — never assert on it).
+  that first reads it; informational only — never assert on it),
+* ``self_time`` — ``elapsed`` minus the time of the operator calls made
+  *inside* those calls: what the operator itself cost.  Taken call by
+  call, so a shared subplan's time is charged once, to itself, and the
+  self times of a plan's nodes add up to its root's ``elapsed``.
 
 :func:`observed` temporarily installs a metrics registry, tracer and
 profiler on an :class:`~repro.calculus.evaluator.EvalContext` — and on
@@ -27,16 +31,18 @@ from contextlib import contextmanager
 class OperatorStats:
     """Deterministic row counts plus elapsed time for one plan node."""
 
-    __slots__ = ("rows_out", "pulls", "elapsed")
+    __slots__ = ("rows_out", "pulls", "elapsed", "self_time")
 
     def __init__(self) -> None:
         self.rows_out = 0
         self.pulls = 0
         self.elapsed = 0.0
+        self.self_time = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"OperatorStats(rows_out={self.rows_out}, "
-                f"pulls={self.pulls}, elapsed={self.elapsed:.6f})")
+                f"pulls={self.pulls}, elapsed={self.elapsed:.6f}, "
+                f"self_time={self.self_time:.6f})")
 
 
 class PlanProfiler:
@@ -46,6 +52,9 @@ class PlanProfiler:
         # id(op) -> stats; the operator object is kept alive alongside so
         # the id cannot be recycled while the profiler holds it.
         self._stats: dict[int, tuple[object, OperatorStats]] = {}
+        # seconds spent in the metered calls made so far by the call
+        # being metered (one profiler meters one thread's execution)
+        self._inside = 0.0
 
     def stats_for(self, operator) -> OperatorStats:
         entry = self._stats.get(id(operator))
@@ -62,15 +71,19 @@ class PlanProfiler:
     def wrap(self, operator, produce, ctx):
         """Meter one ``produce(operator, ctx)`` call — the operator's
         own ``batch`` — and return its batch: one more pull, the
-        call's elapsed time (inclusive of the subtree the call asks),
-        ``batch.size`` more rows."""
+        call's elapsed time (inclusive of the subtree the call asks;
+        without it, its self time), ``batch.size`` more rows."""
         stats = self.stats_for(operator)
         stats.pulls += 1
+        outside, self._inside = self._inside, 0.0
         started = time.perf_counter()
         try:
             batch = produce(operator, ctx)
         finally:
-            stats.elapsed += time.perf_counter() - started
+            elapsed = time.perf_counter() - started
+            stats.elapsed += elapsed
+            stats.self_time += elapsed - self._inside
+            self._inside = outside + elapsed
         stats.rows_out += batch.size
         return batch
 

@@ -7,14 +7,17 @@ counts (algebra backend), the pipeline span tree, the result, and a
 structured metrics snapshot.  ``str(report)`` renders the familiar
 indented tree::
 
-    Project [t]  (est=4.2, rows=3, pulls=1, time=1.2ms)
-      Union (13 branches)  (est=5.0, rows=5, pulls=1, time=1.1ms)
-        MakePath P = .title  (est=1.0, rows=1, pulls=1, time=0.1ms)
+    Project [t]  (est=4.2, rows=3, pulls=1, time=1.20ms, self=0.10ms)
+      Union (13 branches)  (est=5.0, rows=5, pulls=1, time=1.10ms, ...)
+        MakePath P = .title  (est=1.0, rows=1, pulls=1, time=0.10ms, ...)
         ...
 
-``est`` is the cost stage's predicted cardinality (absent on uncosted
-plans); :meth:`ExplainReport.estimation_errors` ranks the nodes by
-q-error and :meth:`ExplainReport.estimation_summary` aggregates them.
+``time`` is inclusive of the subtree, ``self`` is the operator's own
+share of it (the self times of the distinct nodes add up to the root's
+``time``).  ``est`` is the cost stage's predicted cardinality (absent
+on uncosted plans); :meth:`ExplainReport.estimation_errors` ranks the
+nodes by q-error and :meth:`ExplainReport.estimation_summary`
+aggregates them.
 Row counts and plan shapes are deterministic; times are informational.
 """
 
@@ -26,7 +29,7 @@ from repro.observe.trace import Span
 
 def plan_tree(operator, profiler: PlanProfiler | None = None,
               _labels: dict[int, str] | None = None) -> dict:
-    """Nested ``{operator, label, rows, pulls, elapsed, children}``.
+    """Nested ``{operator, label, rows, pulls, elapsed, self, children}``.
 
     Factored plans are DAGs: a shared subplan is expanded only at its
     first occurrence; later references render as a stub node with
@@ -45,6 +48,7 @@ def plan_tree(operator, profiler: PlanProfiler | None = None,
         "rows": stats.rows_out if stats is not None else None,
         "pulls": stats.pulls if stats is not None else None,
         "elapsed": stats.elapsed if stats is not None else None,
+        "self": stats.self_time if stats is not None else None,
         "est_rows": operator.est_rows,
         "ref": ref,
         "children": ([] if ref else
@@ -62,7 +66,8 @@ def render_plan_tree(tree: dict, indent: int = 0) -> str:
             estimated = f"est={tree['est_rows']:.1f}, "
         annotation = (f"  ({estimated}rows={tree['rows']}, "
                       f"pulls={tree['pulls']}, "
-                      f"time={tree['elapsed'] * 1000:.2f}ms)")
+                      f"time={tree['elapsed'] * 1000:.2f}ms, "
+                      f"self={tree['self'] * 1000:.2f}ms)")
     lines = [pad + tree["label"] + annotation]
     for child in tree["children"]:
         lines.append(render_plan_tree(child, indent + 1))
@@ -114,7 +119,7 @@ class ExplainReport:
         def visit(node: dict) -> None:
             found.append({key: node[key] for key in
                           ("operator", "label", "rows", "pulls",
-                           "elapsed", "est_rows")})
+                           "elapsed", "self", "est_rows", "ref")})
             for child in node["children"]:
                 visit(child)
 

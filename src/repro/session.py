@@ -470,8 +470,13 @@ class DocumentStore:
                 oid, value.replace(TEXT_FIELD, new_text))
             # The source-document snapshot is stale for this object and
             # all its ancestors; drop provenance entirely so text()
-            # switches to the (always current) structural reconstruction.
-            self.loader.provenance.clear()
+            # switches to the (always current) structural reconstruction
+            # — for every object the snapshot covered, so what the text
+            # index holds for them is no longer what text() returns.
+            if self.loader.provenance:
+                self.loader.provenance.clear()
+                if self.text_index is not None:
+                    self.text_index.mark_stale()
             if self.text_index is not None:
                 for target in self._ancestry(oid):
                     content = text_of(target, self.instance,

@@ -6,10 +6,21 @@ caller-chosen (typically oids).  A key's entries are reached through
 its own tokens (``key -> its distinct tokens``), so adding, removing or
 re-indexing a key costs one dictionary step per distinct token of that
 key — never a pass over the other keys that share its tokens.  The
-optimizer (Section 5.4 + 4.1) uses :meth:`TextIndex.candidates` to turn
-a ``contains`` predicate into an index probe: the returned key set is
-exact for positive boolean combinations of literal patterns and a safe
-superset otherwise (``None`` means "no pruning possible, scan").
+optimizer (Section 5.4 + 4.1) uses :meth:`TextIndex.probe` to turn a
+``contains`` predicate into an index probe.  One rule, stated once:
+the returned key set is **exact** — precisely the indexed keys whose
+text satisfies the expression — when the expression contains no
+``not`` (any And/Or tree of patterns: literal or regex words,
+phrases); with a ``not`` anywhere it is a safe superset, or ``None``
+("no pruning possible, scan") when negation dominates.
+:meth:`TextIndex.probe` returns the set together with that verdict, so
+no caller walks the expression to guess it.
+
+An answer read off the index is an answer about the text that was
+*indexed*.  The owner re-indexes the keys an edit touches; when it can
+no longer vouch for the rest (the session's ``text()`` switching
+strategy under them) it calls :meth:`TextIndex.mark_stale`, and
+:meth:`TextIndex.current` is the keys a probe may still decide alone.
 
 **Concurrency contract** (what the serving layer relies on).  Mutators
 (:meth:`TextIndex.add`, :meth:`TextIndex.remove`,
@@ -30,12 +41,11 @@ from __future__ import annotations
 
 import threading
 from collections import defaultdict
-from typing import Hashable, Iterable
+from typing import Collection, Hashable, Iterable
 
 from repro.text.nfa import cached_matcher, is_literal_word
 from repro.text.patterns import (
     AndExpr,
-    NotExpr,
     OrExpr,
     Pattern,
     PatternExpr,
@@ -60,6 +70,9 @@ class TextIndex:
         # the key's own entries through it
         self._doc_tokens: dict[Hashable, tuple[str, ...]] = {}
         self._occurrences = 0  # sum of the token counts
+        # keys (re-)indexed since the last mark_stale(); None = no
+        # mark_stale() yet, every indexed key is current
+        self._current: set[Hashable] | None = None
         # serializes mutators; probes stay lock-free (see module doc)
         self._mutation_lock = threading.RLock()
         #: optional repro.observe MetricsRegistry; ``None`` = disabled
@@ -93,6 +106,8 @@ class TextIndex:
                 self._doc_tokens.get(key, ()) + tuple(fresh))
             self._documents[key] = base + len(tokens)
             self._occurrences += len(tokens)
+            if self._current is not None and not base:
+                self._current.add(key)
         return len(tokens)
 
     def remove(self, key: Hashable) -> int:
@@ -110,6 +125,8 @@ class TextIndex:
             if removed is None:
                 return 0
             own = self._doc_tokens.pop(key)
+            if self._current is not None:
+                self._current.discard(key)
             groups = self._groups
             for token in own:
                 group = groups[token]
@@ -133,6 +150,21 @@ class TextIndex:
             if self.metrics is not None:
                 self.metrics.inc("text.reindexed")
             return self.add(key, text)
+
+    def mark_stale(self) -> None:
+        """The owner no longer vouches for the text indexed so far:
+        until a key is re-indexed (:meth:`replace`, or :meth:`add`
+        after :meth:`remove`), probes still list it but it is not in
+        :meth:`current`."""
+        with self._mutation_lock:
+            self._current = set()
+
+    def current(self) -> Collection[Hashable]:
+        """The indexed keys whose indexed text is current — the ones
+        an exact probe decides without a look at the text.  A live
+        container, for membership tests only."""
+        current = self._current
+        return self._documents if current is None else current
 
     @property
     def document_count(self) -> int:
@@ -230,31 +262,33 @@ class TextIndex:
             return self.keys_with_phrase(pattern)
         return self.keys_matching(pattern.source)
 
-    def candidates(self, expression: PatternExpr) -> set[Hashable] | None:
-        """Keys that *may* satisfy the expression.
+    def probe(self, expression: PatternExpr
+              ) -> tuple[set[Hashable] | None, bool]:
+        """``(keys, exact)``: the indexed keys that may satisfy the
+        expression, and whether they are exactly the ones that do.
 
-        Exact for positive combinations; ``None`` when the expression is
-        dominated by negation (no index pruning possible).  Callers must
-        still re-check phrases/negations on the actual text when they
-        need exact semantics with a superset result — but for pure
-        And/Or/Pattern trees this set is already exact.
+        Without a ``not`` in the expression the set is exact.  With
+        one, ``a and not b`` probes ``a`` only (a superset), and an
+        expression negation dominates (``not b``, ``a or not b``) has
+        no key set at all: ``(None, False)``.
         """
         if isinstance(expression, Pattern):
-            return self.keys_for_pattern(expression)
-        if isinstance(expression, AndExpr):
-            left = self.candidates(expression.left)
-            right = self.candidates(expression.right)
-            if left is None:
-                return right
-            if right is None:
-                return left
-            return left & right
-        if isinstance(expression, OrExpr):
-            left = self.candidates(expression.left)
-            right = self.candidates(expression.right)
+            return self.keys_for_pattern(expression), True
+        if isinstance(expression, (AndExpr, OrExpr)):
+            left, left_exact = self.probe(expression.left)
+            right, right_exact = self.probe(expression.right)
+            exact = left_exact and right_exact
+            if isinstance(expression, AndExpr):
+                if left is None or right is None:
+                    return (right if left is None else left), False
+                return left & right, exact
             if left is None or right is None:
-                return None
-            return left | right
-        if isinstance(expression, NotExpr):
-            return None
-        return None
+                return None, False
+            return left | right, exact
+        return None, False
+
+    def candidates(self, expression: PatternExpr) -> set[Hashable] | None:
+        """The key set of :meth:`probe` — exact under the rule stated
+        there (no ``not`` in the expression), a superset or ``None``
+        otherwise."""
+        return self.probe(expression)[0]

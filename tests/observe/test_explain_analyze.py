@@ -93,6 +93,34 @@ class TestAlgebraReport:
                             if "Project" in line)
         assert lines[project_line + 1].startswith("  ")
 
+    def test_self_times_add_up_to_the_root(self, algebra_store):
+        # the q1_contains shape, over a factored plan whose shared
+        # nodes are pulled by several consumers: every distinct node's
+        # own share, once, is the whole execution
+        report = algebra_store.explain_analyze(
+            "select s.title from s in my_article.sections "
+            'where s.title contains ("SGML")')
+        nodes = report.operators()
+        assert nodes[0]["self"] <= nodes[0]["elapsed"]
+        assert sum(node["self"] for node in nodes if not node["ref"]) \
+            == pytest.approx(nodes[0]["elapsed"])
+        assert "self=" in str(report)
+        shared = algebra_store.explain_analyze(Q3).operators()
+        assert any(node["ref"] for node in shared)
+        assert sum(node["self"] for node in shared if not node["ref"]) \
+            == pytest.approx(shared[0]["elapsed"])
+
+    def test_an_interpreted_term_says_why(self, algebra_store):
+        # `my_article.sections` is rooted at a name, not a variable:
+        # the generic kernel runs, and the counters name the shape
+        report = algebra_store.explain_analyze(
+            "select s.title from s in my_article.sections "
+            'where s.title contains ("SGML")')
+        assert report.counter("algebra.kernel_generic.name_root") == 1
+        # no text index here: every title is tokenised, none answered
+        assert report.counter("algebra.contains_rechecks") == 2
+        assert report.counter("algebra.contains_index_answered") == 0
+
     def test_observers_are_uninstalled_afterwards(self, algebra_store):
         algebra_store.explain_analyze(Q3)
         ctx = algebra_store._engine.ctx

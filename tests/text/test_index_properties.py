@@ -23,8 +23,24 @@ from repro.text.patterns import (
 
 WORDS = ["sgml", "oodb", "path", "query", "union", "tuple", "schema"]
 
+#: What real text holds besides lowercase words: mixed case and tokens
+#: with punctuation at their edges (which the tokenizer strips).
+RAW_WORDS = WORDS + ["SGML", "Sgml", "object,", "(SGML)", "query.",
+                     "'path'", "OODB;"]
+
+#: Pattern words: literals (some that can never equal a stripped
+#: token), regex words, alternations.
+PATTERN_WORDS = WORDS + ["SGML", "Sgml", "object", "object,", "(SGML)",
+                         "SG.*", "s.*", "(sgml|SGML)", "(path|query)",
+                         "qu?ery", "OODB"]
+
 documents = st.lists(
     st.lists(st.sampled_from(WORDS), min_size=1, max_size=12).map(
+        " ".join),
+    min_size=1, max_size=8)
+
+raw_documents = st.lists(
+    st.lists(st.sampled_from(RAW_WORDS), min_size=1, max_size=12).map(
         " ".join),
     min_size=1, max_size=8)
 
@@ -32,10 +48,10 @@ documents = st.lists(
 def patterns(draw):
     kind = draw(st.integers(0, 3))
     if kind == 0:
-        return Pattern(draw(st.sampled_from(WORDS)))
+        return Pattern(draw(st.sampled_from(PATTERN_WORDS)))
     if kind == 1:
         return Pattern(" ".join(draw(st.lists(
-            st.sampled_from(WORDS), min_size=2, max_size=3))))
+            st.sampled_from(PATTERN_WORDS), min_size=2, max_size=3))))
     left = patterns(draw)
     right = patterns(draw)
     if kind == 2:
@@ -61,17 +77,33 @@ def build(texts):
 
 
 class TestIndexSoundness:
-    @given(documents, positive_expressions)
+    @given(raw_documents, positive_expressions)
     @settings(max_examples=200)
     def test_positive_candidates_are_exact(self, texts, expression):
         index = build(texts)
         truth = {key for key, text in enumerate(texts)
                  if contains(text, expression)}
-        candidates = index.candidates(expression)
-        assert candidates is not None
+        candidates, exact = index.probe(expression)
+        assert exact
         assert candidates == truth
+        assert index.candidates(expression) == truth
 
-    @given(documents, expressions)
+    @given(raw_documents, positive_expressions, positive_expressions)
+    @settings(max_examples=100)
+    def test_a_negation_anywhere_is_reported_inexact(self, texts, kept,
+                                                     negated):
+        index = build(texts)
+        mixed = AndExpr(kept, NotExpr(negated))
+        candidates, exact = index.probe(mixed)
+        # the positive side alone: a superset, and said to be one
+        assert not exact
+        assert candidates == index.probe(kept)[0]
+        assert {key for key, text in enumerate(texts)
+                if contains(text, mixed)} <= candidates
+        for dominated in (NotExpr(kept), OrExpr(kept, NotExpr(negated))):
+            assert index.probe(dominated) == (None, False)
+
+    @given(raw_documents, expressions)
     @settings(max_examples=200)
     def test_candidates_never_lose_answers(self, texts, expression):
         index = build(texts)

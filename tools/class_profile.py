@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
-"""Where a warm query spends its time (EXPERIMENTS.md, P16).
+"""Where a warm query spends its time, per query class and operator.
 
-Builds the ``scan_warm`` store of ``benchmarks/e2e`` (the sample
-article plus a seeded corpus, structural plans, text index), runs each
-of the benchmark's query classes warm and prints the median latency
-per class and, from ``explain_analyze``, the rows and inclusive time
-of every operator — the table a change to the executor quotes before
-and after.  Timings are indicative (one process, no alternation); the
-rows are exact.
+Builds the ``scan_warm``-shaped store of ``benchmarks/e2e`` (the sample
+article plus a seeded corpus, structural plans, text index), reads the
+benchmark's query classes from its ``spec.json`` (read-only), runs each
+class warm and prints its median latency and, from
+``explain_analyze``, the rows and *self* time of every operator — the
+table EXPERIMENTS.md quotes before and after a change to the executor
+(P16, P19), and which the ``lint`` CI job prints into every PR's log.
+Timings are indicative (one process, no alternation); the rows are
+exact.
 
 Usage::
 
-    python tools/warm_profile.py [--articles 300] [--seed 42]
-    python tools/warm_profile.py --src /other/checkout/src
+    python tools/class_profile.py [--articles 300] [--seed 42]
+    python tools/class_profile.py --src /other/checkout/src
 """
 
 from __future__ import annotations
@@ -62,10 +64,12 @@ def main() -> None:
         runs = [store.explain_analyze(text).operators()
                 for _ in range(5)]
         for position, node in enumerate(runs[0]):
-            elapsed = statistics.median(
-                run[position]["elapsed"] for run in runs) * 1000
+            if node["ref"]:  # a shared node is listed where it runs
+                continue
+            own = statistics.median(
+                run[position]["self"] for run in runs) * 1000
             print(f"    {node['label'][:58]:<58} rows={node['rows']:<6}"
-                  f"{elapsed:8.2f} ms")
+                  f" self={own:6.2f} ms")
     print(f"{'one pass':<18}{whole_pass:9.2f} ms "
           f"({1000 * len(spec['query_classes']) / whole_pass:.1f} ops/s)")
 
