@@ -177,7 +177,7 @@ def atom_kernel(atom: Any, probe: Probe | None = None) -> AtomKernel:
                     and isinstance(pattern.value, PatternExpr)):
                 return _contains_pattern(
                     atom, subject, pattern.value,
-                    probe or _memoized_probe(pattern.value))
+                    probe or memoized_probe(pattern.value))
             shape = "non_const_pattern"
     else:
         shape = {Eq: "equality", In: "membership", Subset: "subset",
@@ -206,18 +206,23 @@ def _generic_atom(atom: Any, shape: str) -> AtomKernel:
     return kernel
 
 
-def _memoized_probe(pattern: PatternExpr) -> Probe:
-    """The index probe for ``pattern``, issued on first use — sound for
-    as long as the plan holding the kernel is (a plan never outlives
-    its compilation epoch, and any data change starts a new one)."""
-    memo: list[tuple[Any, bool]] = []
+def memoized_probe(pattern: PatternExpr) -> Probe:
+    """The index probe for ``pattern``, issued on first use and kept
+    together with the index that answered it.  A plan never outlives
+    its compilation epoch and any data change starts a new one, but
+    :meth:`DocumentStore.build_text_index` publishes a new index within
+    an epoch: a context holding another index than the one remembered
+    is probed afresh."""
+    memo: tuple[Any, tuple[Any, bool]] | None = None
 
     def probe(ctx: EvalContext) -> tuple[Any, bool]:
-        if ctx.text_index is None:
+        nonlocal memo
+        index = ctx.text_index
+        if index is None:
             return None, False
-        if not memo:
-            memo.append(ctx.text_index.probe(pattern))
-        return memo[0]
+        if memo is None or memo[0] is not index:
+            memo = (index, index.probe(pattern))  # one assignment
+        return memo[1]
     return probe
 
 

@@ -65,6 +65,7 @@ from repro.algebra.kernels import (
     _count,
     _holds,
     atom_kernel,
+    memoized_probe,
     term_kernel,
 )
 from repro.calculus.evaluator import (
@@ -735,10 +736,10 @@ class UnionOp(Operator):
             # the (⋆)-elimination fan-out of Section 5.4, per execution
             metrics.inc("algebra.union_fanout", len(self.branches))
         parts = []
-        for branch, probes in zip(self.branches, self._probes()):
+        for branch, gates in zip(self.branches, self._probes()):
             pruned = False
-            for probe in probes:
-                candidates = probe.candidate_set(ctx)
+            for gate in gates:
+                candidates, _ = gate.probe(ctx)
                 if candidates is not None and not candidates:
                     pruned = True
                     break
@@ -813,9 +814,6 @@ class SharedOp(Operator):
         return f"Shared[{self.shared_id}] ×{self.ref_count}"
 
 
-_NO_CANDIDATES = object()  # "probe not yet run" (None = "no pruning")
-
-
 class IndexFilterOp(Operator):
     """Optimizer product: a ``contains`` selection whose pattern is
     probed in the full-text index *before* the plan runs.  Its rows are
@@ -823,10 +821,15 @@ class IndexFilterOp(Operator):
     use (:mod:`repro.algebra.kernels`), fed this operator's probe; what
     the operator adds is the union gating below.
 
-    The index is probed once per plan object and memoized —
-    sound because a plan never outlives its compilation epoch: the plan
-    cache recompiles after any data change, so a fresh plan re-probes
-    the (incrementally maintained) index.
+    ``probe(ctx)`` is the pattern's memoized
+    :meth:`repro.text.TextIndex.probe` — ``(keys, exact)``,
+    ``(None, False)`` without an index or when no pruning is possible.
+    It is issued once per plan object and index
+    (:func:`~repro.algebra.kernels.memoized_probe`) — sound because a
+    plan never outlives its compilation epoch: the plan cache
+    recompiles after any data change, so a fresh plan re-probes the
+    (incrementally maintained) index, and an index rebuilt within the
+    epoch is a new object, probed again.
 
     ``oid_only`` records a compile-time fact: every value the filtered
     variable can bind is an oid (all candidate types are classes).
@@ -844,22 +847,7 @@ class IndexFilterOp(Operator):
         self.pattern = pattern
         self.recheck_atom = recheck_atom
         self.oid_only = oid_only
-        self._candidates: Any = _NO_CANDIDATES
-
-    def probe(self, ctx: EvalContext) -> tuple[Any, bool]:
-        """The memoized :meth:`repro.text.TextIndex.probe` of the
-        pattern: ``(keys, exact)``, ``(None, False)`` without an index
-        or when no pruning is possible."""
-        index = getattr(ctx, "text_index", None)
-        if index is None:
-            return None, False
-        if self._candidates is _NO_CANDIDATES:
-            self._candidates = index.probe(self.pattern)
-        return self._candidates
-
-    def candidate_set(self, ctx: EvalContext) -> Any:
-        """The probed key set (``None`` = no pruning)."""
-        return self.probe(ctx)[0]
+        self.probe = memoized_probe(pattern)
 
     def batch(self, ctx: EvalContext) -> Batch:
         source = self.child.batch(ctx)

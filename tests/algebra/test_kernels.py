@@ -36,7 +36,7 @@ from repro.algebra.operators import (
     UnnestOp,
     walk_once,
 )
-from repro.calculus.evaluator import EvalContext
+from repro.calculus.evaluator import EvalContext, evaluate_query
 from repro.calculus.formulas import Pred
 from repro.calculus.functions import default_registry
 from repro.calculus.terms import (
@@ -172,6 +172,32 @@ def test_generated_queries(state, tmp_path):
             continue  # rejected queries have no plan to serve
         checked += check_plan(store, plan)
     assert checked > FUZZ_CASES
+
+
+def test_a_rebuilt_index_is_probed_again(tmp_path):
+    """edit → query → ``build_text_index()`` → query.  The rebuild
+    publishes a new index without moving the plan-cache epoch, so the
+    cached plans are served again: the keys they probed from the old
+    index must not be paired with the new index's ``current()``."""
+    store = in_state(generate_corpus(6, seed=42), "edited", tmp_path,
+                     named=True)
+    texts = list(SPEC["query_classes"].values()) + list(HISTORY_SENSITIVE)
+    texts.append('select s from s in my_article.sections '
+                 'where my_article contains ("final")')
+    engine = store._engine
+
+    def answers():
+        return [store.query(text) for text in texts]
+
+    expected = [evaluate_query(engine.translate(text), engine.ctx.fork())
+                for text in texts]
+    assert any(expected)
+    assert answers() == expected
+    store.build_text_index()
+    store.enable_metrics()
+    assert answers() == expected
+    # the second round was served from the cache, not recompiled
+    assert store.metrics()["counters"]["cache.hits"] == len(texts)
 
 
 # -- hand-built rows --------------------------------------------------------
@@ -355,3 +381,15 @@ class TestContains:
         for _ in range(3):
             assert kernel(Batch(3, {X: oids}), ctx) == [0, 2]
         assert len(probes) == 1
+
+    def test_another_index_is_probed_afresh(self):
+        instance = small_instance()
+        oids = self.objects(instance)
+        ctx = context(instance, {oid: "nothing yet" for oid in oids})
+        kernel = atom_kernel(self.SGML)
+        source = Batch(3, {X: oids})
+        assert kernel(source, ctx) == []  # the index, trusted
+        rebuilt = context(instance, {
+            oid: instance.deref(oid).get("title") for oid in oids})
+        assert kernel(source, rebuilt) == [0, 2]
+        assert kernel(source, ctx) == []
