@@ -1,6 +1,6 @@
 """Experiment P12 — the cost-based optimizer (repro.stats).
 
-Three measurements, emitted to ``BENCH_COSTMODEL.json``:
+Two measurements, emitted to ``BENCH_COSTMODEL.json``:
 
 * **pruning ablation** — an impossible ``contains`` with and without
   the cost stage: statically pruning the provably-empty branches must
@@ -10,10 +10,7 @@ Three measurements, emitted to ``BENCH_COSTMODEL.json``:
 * **branch-order ablation** — a satisfiable ``contains``: the cost
   stage orders the union cheapest-first (asserted structurally on the
   annotated estimates), at no measurable execution cost vs. the
-  unordered factored plan;
-* **P4 crossover re-run** — the P4 query set through the calculus
-  interpreter, the unoptimized plan, the factored plan and the costed
-  plan, recording where compilation + costing pays off.
+  unordered factored plan.
 
 Timings from shared runners are indicative; every scenario therefore
 also records (and asserts on) result equality and the deterministic
@@ -30,7 +27,6 @@ import time
 import pytest
 
 from conftest import build_corpus_store
-from repro.calculus import evaluate_query
 from repro.corpus import SAMPLE_ARTICLE
 from repro.algebra.compile import compile_query
 from repro.algebra.execute import execute_plan
@@ -45,18 +41,6 @@ IMPOSSIBLE = ('select t from a in Articles, a PATH_p.title(t) '
               'where a contains ("xyzzynotthere")')
 SATISFIABLE = ('select t from a in Articles, a PATH_p.title(t) '
                'where a contains ("SGML")')
-
-CROSSOVER_QUERIES = {
-    "q3_titles": "select t from my_article PATH_p.title(t)",
-    "q5_grep": """select name(ATT_a)
-                  from my_article PATH_p.ATT_a(val)
-                  where val contains ("final")""",
-    "scan_filter": """select a from a in Articles
-                      where a.status = "final" """,
-    "deep_join": """select t from a in Articles, s in a.sections,
-                                  a PATH_p.title(t)
-                    where a.status = "final" """,
-}
 
 RESULTS: dict = {"experiment": "COSTMODEL", "scenarios": {}}
 
@@ -152,38 +136,6 @@ def run_branch_order_ablation(store, rounds=ROUNDS) -> dict:
     return summary
 
 
-def run_crossover(store, rounds=ROUNDS) -> dict:
-    engine = store._engine
-    summary: dict = {}
-    for name, text in sorted(CROSSOVER_QUERIES.items()):
-        query = engine.translate(text)
-        plan = compile_query(query, store.schema)
-        factored = optimize(plan, verify="raise", query=query)
-        costed = optimize(plan, verify="raise", query=query,
-                          stats=store.stats_manager.snapshot())
-        reference = evaluate_query(query, engine.ctx.fork())
-        assert execute_plan(costed, engine.ctx.fork()) == reference
-        entry = {
-            "calculus_ms": _median_ms(
-                lambda: evaluate_query(query, engine.ctx.fork()),
-                rounds),
-            "unoptimized_ms": _median_ms(
-                lambda: execute_plan(plan, engine.ctx.fork()), rounds),
-            "factored_ms": _median_ms(
-                lambda: execute_plan(factored, engine.ctx.fork()),
-                rounds),
-            "costed_ms": _median_ms(
-                lambda: execute_plan(costed, engine.ctx.fork()),
-                rounds),
-            "rows": len(reference),
-        }
-        entry["costed_vs_calculus"] = (entry["calculus_ms"]
-                                       / max(entry["costed_ms"], 1e-9))
-        summary[name] = entry
-    RESULTS["scenarios"]["p4_crossover"] = summary
-    return summary
-
-
 def emit() -> str:
     here = os.path.dirname(os.path.abspath(__file__))
     out_dir = os.environ.get(
@@ -225,18 +177,11 @@ def test_bench_p12_branch_order_ablation(store):
     assert summary["reordered_unions"] >= 1
 
 
-def test_bench_p12_crossover(store):
-    summary = run_crossover(store)
-    for name, entry in summary.items():
-        assert entry["costed_ms"] > 0, name
-
-
 def main() -> None:
     """Standalone tiny-scale run (the CI smoke entry point)."""
     store = build_store(size=8)
     run_pruning_ablation(store, rounds=5)
     run_branch_order_ablation(store, rounds=5)
-    run_crossover(store, rounds=5)
     emit()
 
 

@@ -23,7 +23,6 @@ from repro.algebra.compile import compile_query
 from repro.algebra.execute import count_shared, execute_plan, plan_size
 from repro.algebra.optimizer import (
     optimize,
-    rewrite_index_filters,
     sink_selections,
 )
 from repro.observe import MetricsRegistry
@@ -51,7 +50,7 @@ def store():
 def both_plans(store, name):
     query = store._engine.translate(QUERIES[name])
     plan = compile_query(query, store.schema)
-    return sink_selections(rewrite_index_filters(plan)), optimize(plan)
+    return sink_selections(plan), optimize(plan)
 
 
 @pytest.mark.parametrize("name", sorted(QUERIES))

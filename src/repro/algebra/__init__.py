@@ -15,10 +15,10 @@ attribute or path variables**.
   case),
 * :mod:`repro.algebra.compile` — calculus → algebra, including the
   schema-driven variable elimination,
-* :mod:`repro.algebra.optimizer` — rewrites (full-text index
-  utilisation for ``contains``, selection pushdown, and the
-  common-prefix factoring that turns union-of-plans trees into
-  shared-work DAGs),
+* :mod:`repro.algebra.optimizer` — rewrites (structural scans,
+  selection pushdown, the common-prefix factoring that turns
+  union-of-plans trees into shared-work DAGs, and the
+  statistics-driven cost stage),
 * :mod:`repro.algebra.execute` — plan execution (one batch per
   operator per run).
 
@@ -33,7 +33,6 @@ from repro.algebra.execute import execute_plan
 from repro.algebra.operators import (
     BindOp,
     FormulaOp,
-    IndexFilterOp,
     IntervalJoinOp,
     MakePathOp,
     NegationOp,
@@ -52,8 +51,8 @@ from repro.algebra.operators import (
 from repro.algebra.optimizer import factor_shared_prefixes, optimize
 
 __all__ = [
-    "Batch", "BindOp", "FormulaOp", "IndexFilterOp", "IntervalJoinOp",
-    "MakePathOp", "NegationOp", "Operator", "ProjectOp", "SeedOp",
+    "Batch", "BindOp", "FormulaOp", "IntervalJoinOp", "MakePathOp",
+    "NegationOp", "Operator", "ProjectOp", "SeedOp",
     "SelectOp", "SharedOp", "StepOp", "StructuralAttrScanOp",
     "StructuralScanOp", "UnionOp",
     "UnnestOp", "compile_query", "execute_plan",

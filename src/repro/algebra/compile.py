@@ -68,7 +68,14 @@ from repro.calculus.terms import (
     term_variables,
 )
 from repro.oodb.schema import Schema
-from repro.oodb.types import ListType, SetType, TupleType, Type, UnionType
+from repro.oodb.types import (
+    ClassType,
+    ListType,
+    SetType,
+    TupleType,
+    Type,
+    UnionType,
+)
 from repro.paths.enumeration import RESTRICTED
 from repro.paths.schema_paths import (
     SchemaAttr,
@@ -113,9 +120,16 @@ def compile_query(query: Query, schema: Schema,
         formula = formula.body
     plan = compiler.compile_formula(SeedOp(), formula, set())
     project = ProjectOp(plan, list(query.head))
-    # candidate types per variable, for type-aware optimizer rewrites
-    # (e.g. the oid-only pruning flag on index filters)
+    # candidate types per variable: final only here, at the root
     project.var_types = dict(compiler.candidates)
+    for select in compiler.contains_selects:
+        # every candidate type a class ⇒ the variable only binds oids
+        # ⇒ an empty index key set proves the select passes nothing
+        subject = select.atom.arguments[0]
+        types = (isinstance(subject, DataVar)
+                 and project.var_types.get(subject))
+        select.oid_only = bool(types) and all(
+            isinstance(tp, ClassType) for tp in types)
     return project
 
 
@@ -123,6 +137,8 @@ class _Compiler:
     def __init__(self, schema: Schema) -> None:
         self.schema = schema
         self.candidates: dict = {}   # var -> [Type] (inference-style)
+        #: the constant-pattern ``contains`` selects built so far
+        self.contains_selects: list[SelectOp] = []
         self._fresh = 0
         #: when set, unbound path variables compile to StructuralScanOp
         #: instead of the union-of-plans fan-out (Section 5.4)
@@ -193,7 +209,10 @@ class _Compiler:
         if isinstance(conjunct, In):
             return self._compile_in(plan, conjunct, bound)
         if isinstance(conjunct, (Pred, Subset)):
-            return SelectOp(plan, conjunct)
+            select = SelectOp(plan, conjunct)
+            if select.pattern is not None:
+                self.contains_selects.append(select)
+            return select
         if isinstance(conjunct, Not):
             return NegationOp(plan, conjunct.child)
         if isinstance(conjunct, Or):

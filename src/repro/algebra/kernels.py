@@ -1,9 +1,9 @@
 """Column kernels — how an operator evaluates a calculus term or atom.
 
 An operator whose meaning is a calculus term (:class:`BindOp`,
-:class:`UnnestOp`) or a ground atom (:class:`SelectOp`,
-:class:`IndexFilterOp`, the :class:`IntervalJoinOp` fallback) does not
-call the interpreter itself.  It asks this module, once, for a
+:class:`UnnestOp`) or a ground atom (:class:`SelectOp`, the
+:class:`IntervalJoinOp` fallback) does not call the interpreter
+itself.  It asks this module, once, for a
 *kernel*:
 
 * :func:`term_kernel` — ``(source: Batch, ctx) -> Column``: the term's
@@ -164,21 +164,27 @@ def _attribute_path(root: Any, names: list[str]) -> TermKernel:
 # -- atoms ------------------------------------------------------------------
 
 
-def atom_kernel(atom: Any, probe: Probe | None = None) -> AtomKernel:
-    """The kernel filtering a batch by ``atom``.  ``probe`` is the
-    owner's memoized index probe for the atom's pattern, when it has
-    one already (:class:`IndexFilterOp`, whose union gating issues
-    it); otherwise a ``contains`` kernel memoizes its own."""
+def contains_pattern(atom: Any) -> PatternExpr | None:
+    """The pattern of a ``contains(subject, <constant pattern
+    expression>)`` atom — the shape the full-text index answers —
+    else ``None``."""
+    if (isinstance(atom, Pred) and atom.predicate == "contains"
+            and len(atom.arguments) == 2):
+        pattern = atom.arguments[1]
+        if (isinstance(pattern, Const)
+                and isinstance(pattern.value, PatternExpr)):
+            return pattern.value
+    return None
+
+
+def atom_kernel(atom: Any) -> AtomKernel:
+    """The kernel filtering a batch by ``atom``."""
+    pattern = contains_pattern(atom)
+    if pattern is not None:
+        return contains_kernel(atom, memoized_probe(pattern))
     if isinstance(atom, Pred):
-        shape = "predicate"
-        if atom.predicate == "contains" and len(atom.arguments) == 2:
-            subject, pattern = atom.arguments
-            if (isinstance(pattern, Const)
-                    and isinstance(pattern.value, PatternExpr)):
-                return _contains_pattern(
-                    atom, subject, pattern.value,
-                    probe or memoized_probe(pattern.value))
-            shape = "non_const_pattern"
+        shape = ("non_const_pattern" if atom.predicate == "contains"
+                 and len(atom.arguments) == 2 else "predicate")
     else:
         shape = {Eq: "equality", In: "membership", Subset: "subset",
                  PathAtom: "path_atom"}.get(type(atom), "formula")
@@ -226,9 +232,11 @@ def memoized_probe(pattern: PatternExpr) -> Probe:
     return probe
 
 
-def _contains_pattern(atom: Pred, subject: Any, pattern: PatternExpr,
-                      probe: Probe) -> AtomKernel:
-    """``contains(subject, pattern)`` over the subject's column.
+def contains_kernel(atom: Pred, probe: Probe) -> AtomKernel:
+    """``contains(subject, <constant pattern>)`` over the subject's
+    column, reading ``probe`` — the memoized index probe for the
+    atom's pattern, which a :class:`SelectOp` shares with the union
+    gate above it.
 
     An oid the index holds current text for is looked up in the probed
     key set: that decides it when the probe is exact
@@ -240,9 +248,9 @@ def _contains_pattern(atom: Pred, subject: Any, pattern: PatternExpr,
     A registry whose ``contains`` is not the built-in one gets the
     generic kernel: the index knows nothing of another predicate.
     """
-    subject_kernel = term_kernel(subject)
+    subject_kernel = term_kernel(atom.arguments[0])
     generic = _generic_atom(atom, "custom_predicate")
-    holds_on_text = pattern.holds_on_text
+    holds_on_text = atom.arguments[1].value.holds_on_text
 
     def kernel(source: Batch, ctx: EvalContext) -> list[int]:
         registry = ctx.registry

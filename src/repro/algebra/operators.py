@@ -12,9 +12,9 @@ one index vector, expanding operators one index vector plus their own
 columns, the structural operators loop once per *source* over the
 index arrays.  The operators whose meaning is a calculus term or
 ground atom (:class:`BindOp`, :class:`UnnestOp`, :class:`SelectOp`,
-:class:`IndexFilterOp`, the :class:`IntervalJoinOp` fallback) compute
-it with a column kernel (:mod:`repro.algebra.kernels`), which goes to
-the interpreter only for the shapes it has no kernel for;
+the :class:`IntervalJoinOp` fallback) compute it with a column kernel
+(:mod:`repro.algebra.kernels`), which goes to the interpreter only
+for the shapes it has no kernel for;
 :class:`NegationOp` and :class:`FormulaOp`, whose meaning is a whole
 formula, hand ``satisfy`` one environment per row by design.
 
@@ -65,6 +65,8 @@ from repro.algebra.kernels import (
     _count,
     _holds,
     atom_kernel,
+    contains_kernel,
+    contains_pattern,
     memoized_probe,
     term_kernel,
 )
@@ -605,20 +607,55 @@ def _elem_step(value: Any) -> ElemStep:
 
 class SelectOp(Operator):
     """Filter by a ground atom (the calculus atom semantics,
-    wrong-branch-is-false included, as its kernel computes them)."""
+    wrong-branch-is-false included, as its kernel computes them).
 
-    params = ("atom",)
+    A ``contains(X, <constant pattern>)`` select is the index-backed
+    filter of Section 4.1: ``pattern`` is that pattern (``None`` on any
+    other atom) and ``probe(ctx)`` its memoized
+    :meth:`repro.text.TextIndex.probe` — ``(keys, exact)``,
+    ``(None, False)`` without an index or when no pruning is possible —
+    issued once per plan object and index
+    (:func:`~repro.algebra.kernels.memoized_probe`) and read by the
+    select's kernel, by the :class:`UnionOp` above it and by nothing
+    else.
 
-    def __init__(self, child: Operator, atom: Any) -> None:
+    ``oid_only`` records a compile-time fact the compiler's last pass
+    sets: every value the subject can bind is an oid (a variable whose
+    candidate types are all classes).  Oids are exactly what the index
+    covers, so under ``oid_only`` an *empty* key set means the filter
+    passes nothing — which lets :class:`UnionOp` skip the whole branch
+    before it runs (:meth:`proves_empty`) and the cost stage prune it
+    statically.
+    """
+
+    params = ("atom", "oid_only")
+
+    def __init__(self, child: Operator, atom: Any,
+                 oid_only: bool = False) -> None:
         self.child = child
         self.atom = atom
+        self.oid_only = oid_only
+        self.pattern = contains_pattern(atom)
+        self.probe = (None if self.pattern is None
+                      else memoized_probe(self.pattern))
 
     def batch(self, ctx: EvalContext) -> Batch:
         source = self.child.batch(ctx)
         if not source.size:
             return source
-        kernel = self._chosen(atom_kernel, self.atom)
+        if self.probe is None:
+            kernel = self._chosen(atom_kernel, self.atom)
+        else:
+            kernel = self._chosen(contains_kernel, self.atom, self.probe)
         return source.select(kernel(source, ctx))
+
+    def proves_empty(self, ctx: EvalContext) -> bool:
+        """Under ``oid_only``: no indexed key can satisfy the pattern,
+        and the index vouches for every key it holds — an index marked
+        stale proves nothing about the keys indexed before the mark."""
+        keys, _ = self.probe(ctx)
+        return (keys is not None and not keys
+                and not ctx.text_index.stale)
 
     def consumes(self) -> frozenset:
         return frozenset(self.atom.free_variables())
@@ -708,21 +745,22 @@ class UnionOp(Operator):
     """Union of alternative plans (the (⋆)-elimination product).
 
     Before a branch runs, its index probes are consulted: a branch
-    gated by an :class:`IndexFilterOp` whose candidate set is *empty*
-    cannot yield a row, so the branch is skipped without touching the
-    store (``algebra.branches_pruned``).  Only oid-covered filters
-    participate — see :attr:`IndexFilterOp.oid_only`.
+    gated by a ``contains`` :class:`SelectOp` that
+    :meth:`~SelectOp.proves_empty` cannot yield a row, so the branch is
+    skipped without touching the store (``algebra.branches_pruned``).
+    Only oid-covered selects participate — see
+    :attr:`SelectOp.oid_only`.
     """
 
     def __init__(self, branches: list[Operator]) -> None:
         if not branches:
             raise CompilationError("union of zero plans")
         self.branches = branches
-        # branch -> gating IndexFilterOps, computed on first execution
-        # (the plan is immutable by then; recomputation is benign)
-        self._branch_probes: list[list[IndexFilterOp]] | None = None
+        # branch -> gating selects, computed on first execution (the
+        # plan is immutable by then; recomputation is benign)
+        self._branch_probes: list[list[SelectOp]] | None = None
 
-    def _probes(self) -> list[list["IndexFilterOp"]]:
+    def _probes(self) -> list[list[SelectOp]]:
         probes = self._branch_probes
         if probes is None:
             probes = [gating_index_filters(branch)
@@ -737,13 +775,7 @@ class UnionOp(Operator):
             metrics.inc("algebra.union_fanout", len(self.branches))
         parts = []
         for branch, gates in zip(self.branches, self._probes()):
-            pruned = False
-            for gate in gates:
-                candidates, _ = gate.probe(ctx)
-                if candidates is not None and not candidates:
-                    pruned = True
-                    break
-            if pruned:
+            if any(gate.proves_empty(ctx) for gate in gates):
                 if metrics is not None:
                     metrics.inc("algebra.branches_pruned")
                 continue
@@ -754,14 +786,15 @@ class UnionOp(Operator):
         return f"Union ({len(self.branches)} branches)"
 
 
-def gating_index_filters(branch: Operator) -> list["IndexFilterOp"]:
-    """The oid-covered IndexFilterOps every row of ``branch`` must pass.
+def gating_index_filters(branch: Operator) -> list[SelectOp]:
+    """The oid-covered ``contains`` selects every row of ``branch``
+    must pass.
 
     Walks the branch spine (through shared nodes) but not into nested
     unions — those prune their own branches.
     """
     return [node for node in walk_once(branch, stop_at=UnionOp)
-            if isinstance(node, IndexFilterOp) and node.oid_only]
+            if isinstance(node, SelectOp) and node.oid_only]
 
 
 class SharedOp(Operator):
@@ -812,57 +845,6 @@ class SharedOp(Operator):
 
     def label(self) -> str:
         return f"Shared[{self.shared_id}] ×{self.ref_count}"
-
-
-class IndexFilterOp(Operator):
-    """Optimizer product: a ``contains`` selection whose pattern is
-    probed in the full-text index *before* the plan runs.  Its rows are
-    filtered by the same ``contains`` kernel a :class:`SelectOp` would
-    use (:mod:`repro.algebra.kernels`), fed this operator's probe; what
-    the operator adds is the union gating below.
-
-    ``probe(ctx)`` is the pattern's memoized
-    :meth:`repro.text.TextIndex.probe` — ``(keys, exact)``,
-    ``(None, False)`` without an index or when no pruning is possible.
-    It is issued once per plan object and index
-    (:func:`~repro.algebra.kernels.memoized_probe`) — sound because a
-    plan never outlives its compilation epoch: the plan cache
-    recompiles after any data change, so a fresh plan re-probes the
-    (incrementally maintained) index, and an index rebuilt within the
-    epoch is a new object, probed again.
-
-    ``oid_only`` records a compile-time fact: every value the filtered
-    variable can bind is an oid (all candidate types are classes).
-    Oids are exactly what the index covers, so under ``oid_only`` an
-    *empty* candidate set means the filter passes nothing — which lets
-    :class:`UnionOp` skip the whole branch before it runs.
-    """
-
-    params = ("variable", "pattern", "recheck_atom", "oid_only")
-
-    def __init__(self, child: Operator, variable: Any, pattern: Any,
-                 recheck_atom: Any, oid_only: bool = False) -> None:
-        self.child = child
-        self.variable = variable
-        self.pattern = pattern
-        self.recheck_atom = recheck_atom
-        self.oid_only = oid_only
-        self.probe = memoized_probe(pattern)
-
-    def batch(self, ctx: EvalContext) -> Batch:
-        source = self.child.batch(ctx)
-        self.probe(ctx)  # rows or none: text.* counters follow the plan
-        if not source.size:
-            return source
-        kernel = self._chosen(atom_kernel, self.recheck_atom, self.probe)
-        return source.select(kernel(source, ctx))
-
-    def consumes(self) -> frozenset:
-        return frozenset({self.variable}
-                         | set(self.recheck_atom.free_variables()))
-
-    def label(self) -> str:
-        return f"IndexFilter {self.variable} contains {self.pattern}"
 
 
 class _Scan:
@@ -1239,8 +1221,9 @@ class ProjectOp(Operator):
     finally built."""
 
     params = ("head",)
-    #: Candidate types per variable, recorded by the compiler for the
-    #: index rewrite and the verifier's ``PC-TYPE`` replay.
+    #: Candidate types per variable, recorded by the compiler (which
+    #: reads ``oid_only`` off them) for the verifier's ``PC-TYPE``
+    #: replay.
     var_types: dict | None = None
 
     def __init__(self, child: Operator, head: list) -> None:

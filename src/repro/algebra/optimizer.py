@@ -1,43 +1,36 @@
 """Plan rewriting (the Section 4.1 / 6 "optimization is crucial" hook).
 
-Three rewrites are implemented:
+:func:`optimize` runs up to four rewrites, in this order:
 
-* **full-text index utilisation** — a :class:`SelectOp` whose atom is
-  ``contains(X, <constant pattern>)`` on a variable becomes an
-  :class:`IndexFilterOp`: candidate oids come from the inverted index,
-  the exact predicate re-checks survivors only.  Non-candidates skip the
-  expensive ``text()`` reconstruction entirely (experiment P1).  When
-  the filtered variable can only bind oids (every candidate type is a
-  class), the filter is flagged ``oid_only`` so an empty candidate set
-  can prune a whole union branch before it runs.
+* **structural scans** (``structural=True`` only) — each path
+  variable's union fan-out is replaced by the compiler's pre-attached
+  :class:`StructuralScanOp` alternative — one pre/post interval range
+  scan over :mod:`repro.structindex` — and an equality select directly
+  above a scan is fused into an :class:`IntervalJoinOp` (experiment
+  P9).
 * **selection pushdown** — a ground :class:`SelectOp` sitting above an
   operator that does not bind any of the atom's variables commutes below
   it, shrinking intermediate streams.
 * **common-prefix factoring** — the union-of-plans elimination of
   Section 5.4 produces branches with long identical prefixes (the same
-  class-extent scan, the same leading navigation steps).  The final
-  pass structurally hashes every subtree and merges equal ones into a
+  class-extent scan, the same leading navigation steps).  The pass
+  structurally hashes every subtree and merges equal ones into a
   single :class:`SharedOp`, turning the plan tree into a DAG whose
   shared streams execute once per run (experiment P7).
+* the statistics-driven **cost stage**, when a
+  :class:`~repro.stats.Statistics` snapshot is supplied (``stats=...``):
+  union branches are reordered by estimated cost, cheapest first, so
+  likely-empty branches probe before expensive ones stream; and
+  branches gated by an oid-only ``contains`` select whose pattern has a
+  posting-size upper bound of **zero** are pruned statically — before
+  any index probe is issued at execution time
+  (``algebra.branches_pruned_static``).
 
-A fourth, opt-in rewrite (``structural=True``) replaces each path
-variable's union fan-out with the compiler's pre-attached
-:class:`StructuralScanOp` alternative — one pre/post interval range
-scan over :mod:`repro.structindex` — and fuses an equality select
-directly above a scan into an :class:`IntervalJoinOp` (experiment P9).
-
-A fifth, statistics-driven **cost stage** runs last when a
-:class:`~repro.stats.Statistics` snapshot is supplied (``stats=...``):
-
-* union branches are reordered by estimated cost, cheapest first, so
-  likely-empty branches probe before expensive ones stream;
-* an :class:`IndexFilterOp` whose probe provably cannot pay for itself
-  (a negation-dominated pattern that prunes nothing, or a regex probe
-  whose vocabulary scan costs more than re-checking the estimated
-  input) is demoted back to the plain :class:`SelectOp` scan;
-* branches gated by an oid-only filter whose pattern has a posting-size
-  upper bound of **zero** are pruned statically — before any index
-  probe is issued at execution time (``algebra.branches_pruned_static``).
+Full-text index utilisation (Section 4.1) is not a rewrite: a
+``contains(X, <constant pattern>)`` :class:`SelectOp` *is* the
+index-backed filter — its kernel reads the probed key set, and the
+compiler flags it ``oid_only`` when an empty key set proves it passes
+nothing (experiment P1).
 
 Every reordered/pruned union carries a
 :class:`~repro.stats.CostEvidence` record, and the stage runs under the
@@ -60,13 +53,10 @@ import warnings
 from collections import Counter
 from typing import Any, Callable
 
-from repro.calculus.formulas import Eq, Pred
-from repro.calculus.terms import AttVar, Const, DataVar, PathVar
-from repro.oodb.types import ClassType
-from repro.text.patterns import PatternExpr
+from repro.calculus.formulas import Eq
+from repro.calculus.terms import AttVar, DataVar, PathVar
 from repro.algebra.operators import (
     BindOp,
-    IndexFilterOp,
     IntervalJoinOp,
     MakePathOp,
     Operator,
@@ -101,8 +91,8 @@ def optimize(plan: Operator, structural: bool = False,
     """Return a rewritten plan (the input is not mutated).
 
     The stage sequence is fixed: (``structural=True`` only)
-    :func:`structuralize`, :func:`rewrite_index_filters`,
-    :func:`sink_selections`, :func:`factor_shared_prefixes` and —
+    :func:`structuralize`, :func:`sink_selections`,
+    :func:`factor_shared_prefixes` and —
     when a ``stats`` snapshot is supplied — :func:`apply_cost_stage`.
     Each stage is a public function of one plan; a test or ablation
     that isolates one rewrite calls that function.
@@ -130,8 +120,7 @@ def optimize(plan: Operator, structural: bool = False,
     stages: list[tuple[str, Callable[[Operator], Operator]]] = []
     if structural:
         stages.append(("structuralize", structuralize))
-    stages += [("index", rewrite_index_filters),
-               ("pushdown", sink_selections),
+    stages += [("pushdown", sink_selections),
                ("factor", factor_shared_prefixes)]
     if stats is not None:
         stages.append(("cost",
@@ -211,52 +200,16 @@ def _try_interval_join(select: SelectOp) -> IntervalJoinOp | None:
                           scan.out_var, probe, atom)
 
 
-def rewrite_index_filters(plan: Operator) -> Operator:
-    """The ``index`` stage: constant-pattern ``contains`` selections
-    become :class:`IndexFilterOp` probes (candidate types read off the
-    root's ``var_types``, where the compiler leaves them)."""
-    var_types = getattr(plan, "var_types", None) or {}
-
-    def rewrite(node: Operator) -> Operator:
-        node = _rebuild(node, rewrite)
-        if isinstance(node, SelectOp):
-            return _try_index_filter(node, var_types) or node
-        return node
-
-    return rewrite(plan)
-
-
-def _try_index_filter(select: SelectOp,
-                      var_types: dict) -> IndexFilterOp | None:
-    atom = select.atom
-    if not (isinstance(atom, Pred) and atom.predicate == "contains"
-            and len(atom.arguments) == 2):
-        return None
-    subject, pattern_term = atom.arguments
-    if not isinstance(subject, DataVar):
-        return None
-    if not (isinstance(pattern_term, Const)
-            and isinstance(pattern_term.value, PatternExpr)):
-        return None
-    types = var_types.get(subject) or []
-    # every candidate type a class ⇒ the variable only binds oids ⇒ an
-    # empty index candidate set proves the filter passes nothing
-    oid_only = bool(types) and all(isinstance(tp, ClassType)
-                                   for tp in types)
-    return IndexFilterOp(select.child, subject, pattern_term.value, atom,
-                         oid_only=oid_only)
-
-
 def sink_selections(plan: Operator) -> Operator:
     """The ``pushdown`` stage: sink every filter below the operators
     that bind none of its variables."""
     plan = _rebuild(plan, sink_selections)
-    if isinstance(plan, (SelectOp, IndexFilterOp)):
+    if isinstance(plan, SelectOp):
         return _sink(plan) or plan
     return plan
 
 
-def _sink(select: SelectOp | IndexFilterOp) -> Operator | None:
+def _sink(select: SelectOp) -> Operator | None:
     """Move a filter below its child when the child binds none of the
     variables the filter needs — the operators' own dataflow contract
     (checked by repro.plancheck) is exactly the commutation condition."""
@@ -368,8 +321,8 @@ def apply_cost_stage(plan: Operator, stats: Any,
                      plan_key: object = None,
                      metrics: object = None) -> Operator:
     """The statistics-driven rewrite: selectivity-ordered unions,
-    provable-empty branch pruning, scan-vs-index access-path choice,
-    and ``est_rows``/``est_cost`` annotations on every node.
+    provable-empty branch pruning, and ``est_rows``/``est_cost``
+    annotations on every node.
 
     The transform is memoized by node *identity* so the DAG the factor
     stage built survives intact: both consumers of a :class:`SharedOp`
@@ -392,10 +345,7 @@ def apply_cost_stage(plan: Operator, stats: Any,
             rebuilt = node
         else:
             rebuilt = node.with_children(children)
-        if isinstance(rebuilt, IndexFilterOp):
-            rebuilt = _choose_access_path(rebuilt, stats, est_memo,
-                                          metrics)
-        elif isinstance(rebuilt, UnionOp):
+        if isinstance(rebuilt, UnionOp):
             rebuilt = _order_and_prune(rebuilt, stats, est_memo,
                                        plan_key, ordinal, metrics)
         memo[id(node)] = rebuilt
@@ -406,39 +356,11 @@ def apply_cost_stage(plan: Operator, stats: Any,
     return rebuilt
 
 
-def _choose_access_path(node: IndexFilterOp, stats: Any, est_memo: dict,
-                        metrics: object) -> Operator:
-    """Demote an index filter back to a plain scan-and-recheck when the
-    probe provably cannot pay for itself.
-
-    Demotion never changes which rows pass — the exact recheck is the
-    same atom either way — so the only question is cost.  Two cases are
-    safe wins: a pattern whose runtime probe is guaranteed to return
-    ``None`` (negation-dominated — the probe prunes nothing and the
-    filter already re-checks every row), and a non-``oid_only`` filter
-    whose probe (e.g. a regex word forcing a vocabulary scan) costs more
-    than simply re-checking the estimated input.  Pruning-capable
-    ``oid_only`` filters with a live probe are never demoted: their
-    empty candidate set is what lets :class:`UnionOp` skip branches.
-    """
-    from repro.stats.cost import estimate
-
-    demote = stats.prunes_nothing(node.pattern)
-    if not demote and not node.oid_only:
-        child_rows = estimate(node.child, stats, est_memo).rows
-        demote = stats.probe_cost(node.pattern) > child_rows
-    if not demote:
-        return node
-    if metrics is not None:
-        metrics.inc("algebra.cost_demotions")
-    return SelectOp(node.child, node.recheck_atom)
-
-
 def _zero_evidence(branch: Operator,
                    stats: Any) -> tuple[str, Any] | None:
     """Provable-emptiness evidence for one union branch, or ``None``.
 
-    A branch gated by an ``oid_only`` :class:`IndexFilterOp` whose
+    A branch gated by an ``oid_only`` ``contains`` select whose
     pattern has a posting-size upper bound of **zero** cannot yield a
     row — the runtime probe would prune it anyway, but statically
     removing it skips the probe and the branch setup entirely.  The
@@ -446,9 +368,9 @@ def _zero_evidence(branch: Operator,
     verifier's ``PC-COST`` check re-validates against the same
     statistics snapshot.
     """
-    for probe in gating_index_filters(branch):
-        if stats.candidate_upper_bound(probe.pattern) == 0:
-            return ("empty_candidates", probe.pattern)
+    for select in gating_index_filters(branch):
+        if stats.candidate_upper_bound(select.pattern) == 0:
+            return ("empty_candidates", select.pattern)
     return None
 
 

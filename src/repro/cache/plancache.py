@@ -5,7 +5,7 @@ Section 5 expands path and attribute variables by *schema* analysis,
 never by looking at the data — so the parse → translate → safety →
 inference → compile artifacts of a query can be reused across
 executions.  :class:`PlanCache` keys them by normalized query text,
-backend, path-semantics mode and whether type inference runs, so one
+backend, path-semantics mode and whether plans are structural, so one
 cache can serve several engine configurations.
 
 Staleness is handled with a store-wide **epoch**: every data or schema
@@ -15,9 +15,9 @@ lookup.  This matters for two reasons:
 
 * translation consults the set of persistence roots (a ``load_text``
   with a name changes what identifiers resolve to), and
-* optimized plans contain index-backed operators that memoize their
-  probe state per plan object — a recompile is the staleness barrier
-  that gives a fresh probe against the maintained index.
+* a plan's ``contains`` selects memoize their text-index probe per
+  plan object — a recompile is the staleness barrier that gives a
+  fresh probe against the maintained index.
 
 Thread safety: every cache mutation happens under one lock; entries are
 immutable once stored, and executing a cached plan builds per-call

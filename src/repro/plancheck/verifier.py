@@ -29,7 +29,7 @@ unbound-consumption fault one dynamic step earlier, never invent one —
 exactly the right polarity for a gate that must stay silent on every
 correct plan.  When the compiler recorded candidate types for the head
 variables (``plan.var_types``), compile-time type facts embedded in
-operators (``IndexFilterOp.oid_only``) are replayed against them.
+operators (``SelectOp.oid_only``) are replayed against them.
 
 :func:`verify_plan` returns the fault list; :func:`check_plan` raises
 :class:`~repro.errors.PlanVerificationError` when it is non-empty.
@@ -44,7 +44,6 @@ from __future__ import annotations
 from typing import Any, Union
 
 from repro.algebra.operators import (
-    IndexFilterOp,
     IntervalJoinOp,
     Operator,
     ProjectOp,
@@ -330,17 +329,21 @@ def _check_types(plan: Operator, var_types: dict, stage: str | None,
     """Replay compile-time type facts embedded in operators against the
     compiler's recorded candidate types."""
     for node in walk_once(plan):
-        if isinstance(node, IndexFilterOp) and node.oid_only:
-            types = var_types.get(node.variable)
-            if types is not None and not all(
-                    isinstance(tp, ClassType) for tp in types):
-                faults.append(PlanFault(
-                    "PC-TYPE",
-                    f"index filter on {node.variable} claims oid-only "
-                    "but a candidate type is not a class",
-                    node.label(), stage,
-                    hint="oid_only lets unions prune whole branches; "
-                         "a non-class candidate makes that unsound"))
+        if not (isinstance(node, SelectOp) and node.oid_only):
+            continue
+        subject = (node.atom.arguments[0] if node.pattern is not None
+                   else None)
+        types = var_types.get(subject)
+        if not types or not all(isinstance(tp, ClassType)
+                                for tp in types):
+            faults.append(PlanFault(
+                "PC-TYPE",
+                f"select on {subject} claims oid-only but it is not a "
+                "constant-pattern contains on a variable whose "
+                "candidate types are all classes",
+                node.label(), stage,
+                hint="oid_only lets unions prune whole branches; "
+                     "a non-class candidate makes that unsound"))
 
 
 # -- cost-evidence checks ---------------------------------------------------

@@ -9,15 +9,16 @@ The numbers are *relative*, not wall-clock: ``rows`` predicts the
 cardinality of the operator's output stream, ``cost`` the total work of
 draining it (child cost + per-row work × the operator class's learned
 unit cost).  The cost stage only ever compares estimates against each
-other — branch ordering, scan-vs-index choice, provable-empty pruning —
-so monotonicity matters and absolute calibration does not.
+other — branch ordering, provable-empty pruning — so monotonicity
+matters and absolute calibration does not.
 
 What makes the estimates data-driven rather than guesses:
 
 * a :class:`~repro.algebra.operators.SeedOp` chain seeded from a class
   extent or persistence root starts at the *measured* cardinality
   (``Statistics.class_cardinalities`` / ``root_cardinalities``);
-* an :class:`~repro.algebra.operators.IndexFilterOp` is bounded by its
+* a constant-pattern ``contains``
+  :class:`~repro.algebra.operators.SelectOp` is bounded by its
   pattern's posting-list sizes (0 = provably empty, the pruning hook);
 * structural scans multiply by measured subtree/attribute densities
   from the structural index;
@@ -34,7 +35,6 @@ from repro.calculus.terms import Const, Name
 from repro.algebra.operators import (
     BindOp,
     FormulaOp,
-    IndexFilterOp,
     IntervalJoinOp,
     MakePathOp,
     NegationOp,
@@ -130,25 +130,18 @@ def _estimate_node(node: Operator, stats: Statistics,
     if isinstance(node, UnnestOp):
         out = rows * _unnest_cardinality(node, stats)
         return Estimate(out, cost + rows * unit + out)
-    if isinstance(node, IndexFilterOp):
+    if isinstance(node, SelectOp):
+        if _statically_false(node.atom):
+            return Estimate(0.0, cost + rows * unit)
         bound = stats.candidate_upper_bound(node.pattern)
-        probe = stats.probe_cost(node.pattern)
         if bound is None:
-            # no static bound: every row is re-checked exactly
             out = rows * DEFAULT_SELECTIVITY
-            return Estimate(out, cost + probe + rows * unit)
-        if node.oid_only:
+        elif node.oid_only:
             out = min(rows, float(bound))
         else:
             total = max(1, stats.document_count)
             out = rows * min(1.0, bound / total)
-        # non-candidates are dropped before the exact recheck
-        return Estimate(out, cost + probe + rows + out * unit)
-    if isinstance(node, SelectOp):
-        if _statically_false(node.atom):
-            return Estimate(0.0, cost + rows * unit)
-        return Estimate(rows * DEFAULT_SELECTIVITY,
-                        cost + rows * unit)
+        return Estimate(out, cost + rows * unit)
     if isinstance(node, NegationOp):
         return Estimate(rows * DEFAULT_SELECTIVITY,
                         cost + rows * _FORMULA_ROW_COST * unit)

@@ -67,7 +67,7 @@ class StatisticsManager:
         self._generation = 0
         self._snapshot: Statistics | None = None
         self._unit_costs: dict[str, float] = {}
-        self._actual_rows: dict[Any, int] = {}
+        self._recorded_queries = 0
         self._branch_actuals: dict[Any, int] = {}
 
     # -- versions -------------------------------------------------------------
@@ -157,7 +157,6 @@ class StatisticsManager:
             attr_occurrences=attr_occurrences,
             atom_slice_size=atom_slice_size,
             unit_costs=_normalized(self._unit_costs),
-            actual_rows=self._actual_rows,
             branch_actuals=self._branch_actuals,
             text_index=text_index,
         )
@@ -166,13 +165,13 @@ class StatisticsManager:
 
     def record_execution(self, key: Any, est_rows: float | None,
                          actual_rows: int) -> None:
-        """Feed one executed plan's actual result cardinality back; the
-        next costing under ``key`` reads it.  ``est_rows`` (what the
-        served plan predicted) is not acted on: estimation error is
-        reported by ``explain_analyze`` (:func:`q_error`), and only
-        :meth:`recost` advances the generation."""
+        """Count one executed plan.  Its result cardinality is not
+        kept: estimation error is reported by ``explain_analyze``
+        (:func:`q_error`), costing feedback is per union branch
+        (:meth:`ingest_profile`), and only :meth:`recost` advances the
+        generation."""
         with self._lock:
-            self._actual_rows[key] = actual_rows
+            self._recorded_queries += 1
 
     def ingest_profile(self, plan: Operator, profiler: Any,
                        key: Any = None) -> None:
@@ -220,7 +219,8 @@ class StatisticsManager:
 
     def report(self) -> dict:
         """The ``statistics`` block of ``DocumentStore.stats()``."""
-        return self.snapshot().to_dict()
+        return {**self.snapshot().to_dict(),
+                "recorded_queries": self._recorded_queries}
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"StatisticsManager(epoch={self.epoch}, "

@@ -36,7 +36,6 @@ from typing import Any, Mapping
 
 from repro.text.patterns import (
     AndExpr,
-    NotExpr,
     OrExpr,
     Pattern,
     PatternExpr,
@@ -90,7 +89,7 @@ class Statistics:
                  "root_cardinalities", "object_count", "document_count",
                  "vocabulary_size", "index_nodes", "index_roots",
                  "attr_occurrences", "atom_slice_size", "unit_costs",
-                 "actual_rows", "branch_actuals", "_text_index",
+                 "branch_actuals", "_text_index",
                  "_bound_memo")
 
     def __init__(self, epoch: int = 0, generation: int = 0,
@@ -104,7 +103,6 @@ class Statistics:
                  attr_occurrences: Mapping[str, int] | None = None,
                  atom_slice_size: int = 0,
                  unit_costs: Mapping[str, float] | None = None,
-                 actual_rows: Mapping[Any, int] | None = None,
                  branch_actuals: Mapping[Any, int] | None = None,
                  text_index: Any = None) -> None:
         self.epoch = epoch
@@ -119,7 +117,6 @@ class Statistics:
         self.attr_occurrences = dict(attr_occurrences or {})
         self.atom_slice_size = atom_slice_size
         self.unit_costs = dict(unit_costs or {})
-        self.actual_rows = dict(actual_rows or {})
         self.branch_actuals = dict(branch_actuals or {})
         # posting sizes are read lazily (and memoized) off the live
         # index: the snapshot is keyed to an epoch, and any mutation
@@ -172,7 +169,9 @@ class Statistics:
         issued): exact for one literal word, the smallest frequency of
         a phrase's words, the sum over a disjunction.  ``None`` means
         the model cannot bound it — a negation-dominated or regex-only
-        pattern.  A return of ``0`` is a *proof* of emptiness: a
+        pattern, or an index marked stale (what it holds for the keys
+        indexed before the mark bounds nothing about their text now).
+        A return of ``0`` is a *proof* of emptiness: a
         literal word no document contains matches nothing, so the cost
         stage may prune a branch gated on it before any index probe
         runs.
@@ -191,7 +190,7 @@ class Statistics:
         :meth:`repro.text.TextIndex.posting_size` — the document
         frequency of each literal word."""
         index = self._text_index
-        if index is None or not isinstance(expression, PatternExpr):
+        if index is None or index.stale:
             return None
         if isinstance(expression, Pattern):
             bounds = [index.posting_size(word)
@@ -213,43 +212,7 @@ class Statistics:
             if left is None or right is None:
                 return None
             return left + right
-        if isinstance(expression, NotExpr):
-            return None
-        return None
-
-    def probe_cost(self, expression: Any) -> float:
-        """Estimated work of asking the text index for the candidate
-        set of ``expression``: a literal word reads its key group, one
-        entry per document containing it (its document frequency); any
-        regex word forces a full vocabulary scan."""
-        if isinstance(expression, Pattern):
-            if expression.has_regex_word():
-                return float(max(1, self.vocabulary_size))
-            bounds = [self._text_index.posting_size(word)
-                      if self._text_index is not None else 0
-                      for word in expression.literal_words()]
-            return 1.0 + float(sum(bounds))
-        if isinstance(expression, (AndExpr, OrExpr)):
-            return (self.probe_cost(expression.left)
-                    + self.probe_cost(expression.right))
-        if isinstance(expression, NotExpr):
-            return self.probe_cost(expression.child)
-        return 1.0
-
-    def prunes_nothing(self, expression: Any) -> bool:
-        """True when the runtime probe is guaranteed to return ``None``
-        (no pruning possible) — mirrors
-        :meth:`repro.text.TextIndex.candidates` exactly, so the cost
-        stage can drop the probe without changing which rows pass."""
-        if isinstance(expression, Pattern):
-            return False
-        if isinstance(expression, AndExpr):
-            return (self.prunes_nothing(expression.left)
-                    and self.prunes_nothing(expression.right))
-        if isinstance(expression, OrExpr):
-            return (self.prunes_nothing(expression.left)
-                    or self.prunes_nothing(expression.right))
-        return True  # NotExpr and anything unrecognised
+        return None  # a negation bounds nothing
 
     # -- feedback -------------------------------------------------------------
 
@@ -276,7 +239,6 @@ class Statistics:
             "index_roots": self.index_roots,
             "attrs_tracked": len(self.attr_occurrences),
             "unit_costs": dict(self.unit_costs),
-            "recorded_queries": len(self.actual_rows),
             "recorded_branches": len(self.branch_actuals),
         }
 

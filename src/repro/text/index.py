@@ -159,6 +159,13 @@ class TextIndex:
         with self._mutation_lock:
             self._current = set()
 
+    @property
+    def stale(self) -> bool:
+        """Has :meth:`mark_stale` been called?  Then a key set — an
+        empty one included — says nothing about the keys indexed
+        before the mark: only :meth:`current` keys are decided by it."""
+        return self._current is not None
+
     def current(self) -> Collection[Hashable]:
         """The indexed keys whose indexed text is current — the ones
         an exact probe decides without a look at the text.  A live
@@ -181,9 +188,10 @@ class TextIndex:
 
     def posting_size(self, word: str) -> int:
         """Document frequency of a literal token: the exact number of
-        keys containing ``word``, in O(1).  ``0`` is a proof of
-        absence: the cost model prunes union branches gated on such
-        patterns before any probe runs."""
+        keys containing ``word``, in O(1).  On an index that is not
+        :attr:`stale`, ``0`` is a proof of absence: the cost model
+        prunes union branches gated on such patterns before any probe
+        runs."""
         return len(self._groups.get(word, ()))
 
     def posting_stats(self) -> dict:

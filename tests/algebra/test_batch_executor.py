@@ -197,7 +197,7 @@ class TestProtocol:
     def test_every_operator_implements_batch(self):
         from tests.algebra.test_operator_protocol import operator_classes
         classes = operator_classes()
-        assert len(classes) == 16
+        assert len(classes) == 15
         for cls in classes:
             assert "batch" in vars(cls), cls.__name__
             assert not hasattr(cls, "_rows"), cls.__name__

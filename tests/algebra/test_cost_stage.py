@@ -1,5 +1,5 @@
 """The cost stage, pinned structurally: branch ordering, provable-empty
-pruning, access-path demotion, and the estimate annotations — all
+pruning, and the estimate annotations — all
 behaviour the P12 benchmark measures, asserted here without timings."""
 
 import pytest
@@ -7,11 +7,10 @@ import pytest
 from repro import DocumentStore
 from repro.algebra.compile import compile_query
 from repro.algebra.execute import execute_plan
-from repro.algebra.operators import IndexFilterOp, SelectOp, UnionOp
+from repro.algebra.operators import SelectOp, UnionOp
 from repro.algebra.optimizer import optimize
 from repro.corpus import ARTICLE_DTD
 from repro.corpus.generator import generate_corpus
-from repro.observe import MetricsRegistry
 
 IMPOSSIBLE = ('select t from a in Articles, a PATH_p.title(t) '
               'where a contains ("xyzzynotthere")')
@@ -104,23 +103,22 @@ class TestStaticPruning:
             assert union.cost_evidence.pruned == {}
 
 
-class TestAccessPathChoice:
-    def test_negation_dominated_filter_is_demoted(self, store):
-        metrics = MetricsRegistry()
-        plan, _, _ = _costed(store, NEGATED, metrics=metrics)
-        counters = metrics.snapshot()["counters"]
-        assert counters["algebra.cost_demotions"] >= 1
-        # the probe-free plan keeps the recheck as a plain select
-        kinds = [type(node) for node in _walk(plan)]
-        assert SelectOp in kinds
+class TestSelectCostRule:
+    def test_contains_select_is_bounded_by_its_postings(self, store):
+        plan, _, snapshot = _costed(store, SATISFIABLE)
+        (select,) = [node for node in _walk(plan)
+                     if isinstance(node, SelectOp)
+                     and node.pattern is not None]
+        assert select.oid_only
+        bound = snapshot.candidate_upper_bound(select.pattern)
+        assert select.est_rows == min(select.child.est_rows, bound)
 
-    def test_pruning_capable_filter_is_kept(self, store):
-        metrics = MetricsRegistry()
-        plan, _, _ = _costed(store, SATISFIABLE, metrics=metrics)
-        counters = metrics.snapshot()["counters"]
-        assert "algebra.cost_demotions" not in counters
-        assert any(isinstance(node, IndexFilterOp)
-                   for node in _walk(plan))
+    def test_unbounded_select_keeps_the_default(self, store):
+        plan, _, _ = _costed(store, NEGATED)
+        (select,) = [node for node in _walk(plan)
+                     if isinstance(node, SelectOp)
+                     and node.pattern is not None]
+        assert select.est_rows == 0.5 * select.child.est_rows
 
 
 class TestAnnotations:

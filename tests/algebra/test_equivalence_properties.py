@@ -131,7 +131,6 @@ from repro.calculus.formulas import (  # noqa: E402
 from repro.calculus.terms import Const, ListTerm  # noqa: E402
 from repro.algebra.optimizer import (  # noqa: E402
     optimize,
-    rewrite_index_filters,
     sink_selections,
 )
 
@@ -217,13 +216,19 @@ class TestFactoredDagDifferential:
     """Factored DAG plans must be observationally identical to the
     unfactored union-of-plans — on random corpora, random path shapes,
     and with NegationOp / quantifier FormulaOp residuals in the plan.
+
+    Tier-1 draws a small, derandomized sample (15 examples each, the
+    same ones every run): the property — factored/costed ≡ unfactored
+    ≡ calculus on the ``algebra`` config — is what the nightly
+    diffcheck (``.github/workflows/diffcheck-nightly.yml``, 3 × 2 000
+    queries) samples in depth.
     """
 
     @given(components=article_components(),
            size=st.sampled_from([4, 9]),
            seed=st.sampled_from([3, 11]),
            mode=st.sampled_from(["plain", "negation", "forall"]))
-    @settings(max_examples=60, deadline=None,
+    @settings(max_examples=15, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
     def test_factored_equals_unfactored(self, components, size, seed,
                                         mode):
@@ -232,7 +237,7 @@ class TestFactoredDagDifferential:
         query = _article_query(components, mode)
         plan = compile_query(query, engine.instance.schema,
                              path_semantics="restricted")
-        unfactored = sink_selections(rewrite_index_filters(plan))
+        unfactored = sink_selections(plan)
         factored = optimize(plan)
         ctx = engine.ctx.fork()
         factored_result = execute_plan(factored, ctx)
@@ -249,12 +254,12 @@ class TestFactoredDagDifferential:
            size=st.sampled_from([4, 9]),
            seed=st.sampled_from([3, 11]),
            mode=st.sampled_from(["plain", "negation", "forall"]))
-    @settings(max_examples=60, deadline=None,
+    @settings(max_examples=15, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
     def test_costed_equals_unfactored(self, components, size, seed,
                                       mode):
-        """The cost stage (branch reordering, access-path choice,
-        provable-empty pruning) must be observationally invisible —
+        """The cost stage (branch reordering, provable-empty
+        pruning) must be observationally invisible —
         and every costed plan must pass the PC-COST verifier gate
         (``verify="raise"``)."""
         store = corpus_store(size, seed)
@@ -262,7 +267,7 @@ class TestFactoredDagDifferential:
         query = _article_query(components, mode)
         plan = compile_query(query, engine.instance.schema,
                              path_semantics="restricted")
-        unfactored = sink_selections(rewrite_index_filters(plan))
+        unfactored = sink_selections(plan)
         costed = optimize(plan, verify="raise", query=query,
                           stats=store.stats_manager.snapshot())
         ctx = engine.ctx.fork()

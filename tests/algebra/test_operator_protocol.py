@@ -30,7 +30,6 @@ from repro.algebra.execute import count_shared, plan_size
 from repro.algebra.operators import (
     BindOp,
     FormulaOp,
-    IndexFilterOp,
     IntervalJoinOp,
     MakePathOp,
     NegationOp,
@@ -49,15 +48,16 @@ from repro.algebra.operators import (
 from repro.algebra.optimizer import (
     factor_shared_prefixes,
     optimize,
-    rewrite_index_filters,
     sink_selections,
     structuralize,
 )
-from repro.calculus.terms import DataVar
+from repro.calculus.formulas import Pred
+from repro.calculus.terms import Const, DataVar
 from repro.corpus import ARTICLE_DTD, SAMPLE_ARTICLE
 from repro.diffcheck.generator import QueryGenerator
 from repro.errors import CompilationError
 from repro.observe.report import plan_tree
+from repro.text import Pattern
 
 
 def operator_classes() -> list[type]:
@@ -78,6 +78,7 @@ SAMPLES = {
     "template": [("attr", "title"), ("deref",)],
     "head": [DataVar("h")],
     "attr": "title",
+    "atom": Pred("contains", [DataVar("x"), Const(Pattern("SGML"))]),
     "oid_only": True,
     "ref_count": 2,
     "shared_id": 1,
@@ -120,7 +121,7 @@ class TestEveryOperator:
         names = {cls.__name__ for cls in operator_classes()}
         assert {"SeedOp", "UnionOp", "SharedOp", "ProjectOp",
                 "StructuralAttrScanOp", "_SQLRowsOp"} <= names
-        assert len(names) >= 16
+        assert len(names) >= 15
 
     @pytest.mark.parametrize("cls", operator_classes(),
                              ids=lambda cls: cls.__name__)
@@ -144,7 +145,7 @@ class TestEveryOperator:
             assert rebuilt.param_key() == op.param_key()
         assert not set(ANNOTATIONS) & set(vars(rebuilt))
         assert getattr(rebuilt, "_branch_probes", None) is None
-        if isinstance(op, IndexFilterOp):  # its own probe memo
+        if isinstance(op, SelectOp):  # its own probe memo
             assert rebuilt.probe is not op.probe
 
     @pytest.mark.parametrize("cls", operator_classes(),
@@ -193,8 +194,8 @@ class TestEveryOperator:
 
 
 def reference_params(node: Operator) -> tuple:
-    """The parent commit's per-class ``_params_of`` ladder, verbatim —
-    the reference the derived ``param_key()`` must partition like."""
+    """A hand-written per-class parameter ladder — the reference the
+    derived ``param_key()`` must partition plans like."""
     if isinstance(node, BindOp):
         return (id(node.variable), id(node.term))
     if isinstance(node, UnnestOp):
@@ -209,10 +210,7 @@ def reference_params(node: Operator) -> tuple:
     if isinstance(node, MakePathOp):
         return (id(node.template), id(node.out_var))
     if isinstance(node, SelectOp):
-        return (id(node.atom),)
-    if isinstance(node, IndexFilterOp):
-        return (id(node.variable), id(node.pattern),
-                id(node.recheck_atom), node.oid_only)
+        return (id(node.atom), node.oid_only)
     if isinstance(node, (NegationOp, FormulaOp)):
         return (id(node.formula),)
     if isinstance(node, StructuralAttrScanOp):
@@ -273,9 +271,8 @@ def prefactoring_plans(plan: Operator) -> dict[str, Operator]:
     of the plain and of the structural pipeline — plus the raw
     compilation (factoring it too covers the un-rewritten shape)."""
     return {"raw": plan,
-            "rewritten": sink_selections(rewrite_index_filters(plan)),
-            "structural": sink_selections(rewrite_index_filters(
-                structuralize(plan)))}
+            "rewritten": sink_selections(plan),
+            "structural": sink_selections(structuralize(plan))}
 
 
 class TestFactoringHash:

@@ -7,7 +7,7 @@ from repro.corpus import ARTICLE_DTD
 from repro.corpus.generator import generate_corpus
 from repro.algebra.compile import compile_query
 from repro.algebra.execute import execute_plan
-from repro.algebra.operators import IndexFilterOp, SelectOp
+from repro.algebra.operators import SelectOp
 from repro.algebra.optimizer import optimize, sink_selections
 
 
@@ -37,13 +37,20 @@ def _find(plan, klass):
     return found
 
 
-class TestIndexRewrite:
-    def test_contains_select_becomes_index_filter(self, store):
+class TestIndexBackedSelect:
+    def test_contains_select_owns_the_index_probe(self, store):
+        # no rewrite introduces the index: the compiled select carries
+        # the pattern's probe, and every rebuild constructs its own
         query = store._engine.translate(CONTAINS_QUERY)
         plan = compile_query(query, store.schema)
-        assert _find(plan, SelectOp)
-        optimized = optimize(plan)
-        assert _find(optimized, IndexFilterOp)
+        (select,) = _find(plan, SelectOp)
+        assert select.pattern is not None and select.oid_only
+        (optimized,) = _find(optimize(plan), SelectOp)
+        assert optimized.oid_only
+        assert optimized.probe is not None
+        keys, exact = optimized.probe(store._engine.ctx)
+        assert exact and keys == store.text_index.candidates(
+            select.pattern)
 
     def test_optimized_plan_gives_same_results(self, store):
         query = store._engine.translate(CONTAINS_QUERY)
@@ -52,7 +59,7 @@ class TestIndexRewrite:
         optimized = optimize(plan)
         assert execute_plan(optimized, store._engine.ctx) == baseline
 
-    def test_index_filter_without_index_still_correct(self, store):
+    def test_contains_without_index_still_correct(self, store):
         from repro.calculus import EvalContext
         query = store._engine.translate(CONTAINS_QUERY)
         plan = optimize(
@@ -64,19 +71,12 @@ class TestIndexRewrite:
         without_index = execute_plan(plan, bare_ctx)
         assert with_index == without_index
 
-    def test_rewrite_is_its_own_stage(self, store):
-        # a stage in isolation is that stage's function: the pushdown
-        # alone introduces no index filter
-        query = store._engine.translate(CONTAINS_QUERY)
-        plan = compile_query(query, store.schema)
-        assert not _find(sink_selections(plan), IndexFilterOp)
-
-    def test_non_contains_selects_left_alone(self, store):
+    def test_other_selects_have_no_probe(self, store):
         query = store._engine.translate(
             "select a from a in Articles where a.status = 'final'")
-        plan = compile_query(query, store.schema)
-        optimized = optimize(plan)
-        assert not _find(optimized, IndexFilterOp)
+        plan = optimize(compile_query(query, store.schema))
+        assert all(node.probe is None and not node.oid_only
+                   for node in _find(plan, SelectOp))
 
 
 class TestPushdown:

@@ -43,7 +43,6 @@ from repro.algebra.operators import (
 from repro.algebra.optimizer import (
     factor_shared_prefixes,
     optimize,
-    rewrite_index_filters,
     sink_selections,
 )
 
@@ -163,7 +162,7 @@ class TestFactoredPlanShape:
                             engine.instance.schema.roots.keys())
         plan = compile_query(query, engine.instance.schema,
                              path_semantics="restricted")
-        return (store, sink_selections(rewrite_index_filters(plan)),
+        return (store, sink_selections(plan),
                 optimize(plan))
 
     def test_factoring_shrinks_the_plan(self, plans):

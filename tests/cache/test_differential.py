@@ -70,7 +70,7 @@ class TestSmallSweep:
         sweep(seeds=[7, 42], backends=[backend], with_index=False)
 
     def test_agreement_with_text_index(self):
-        # index-backed plans (IndexFilterOp candidates) must not
+        # index-backed plans (probing contains selects) must not
         # diverge from scans when served from the cache
         sweep(seeds=[42], backends=["algebra"], with_index=True)
 

@@ -17,7 +17,6 @@ from repro.algebra.optimizer import (
     apply_cost_stage,
     factor_shared_prefixes,
     optimize,
-    rewrite_index_filters,
     sink_selections,
     structuralize,
 )
@@ -85,8 +84,7 @@ class TestStageFunctions:
         if structural:
             by_hand = structuralize(by_hand)
         by_hand = apply_cost_stage(
-            factor_shared_prefixes(
-                sink_selections(rewrite_index_filters(by_hand))), stats)
+            factor_shared_prefixes(sink_selections(by_hand)), stats)
         whole = optimize(compile_query(query, store.schema),
                          structural=structural, verify="raise",
                          query=query, stats=stats)

@@ -23,9 +23,9 @@ class TestCounters:
         store.enable_metrics()
         store.query(QUERY)
         counters = store.metrics()["counters"]
-        # one verification per optimizer stage (index, pushdown,
-        # factor, cost)
-        assert counters["plancheck.verifications"] == 4
+        # one verification per optimizer stage (pushdown, factor,
+        # cost)
+        assert counters["plancheck.verifications"] == 3
         assert "plancheck.faults" not in counters
 
     def test_explain_analyze_snapshot_carries_counters(self, store):
@@ -41,8 +41,8 @@ class TestCompileBreakdown:
         compile_span = report.trace.child("compile")
         assert compile_span is not None
         names = compile_span.path_names()
-        assert names == ["optimize.index", "optimize.pushdown",
-                         "optimize.factor", "optimize.cost"]
+        assert names == ["optimize.pushdown", "optimize.factor",
+                         "optimize.cost"]
         for span in compile_span.children:
             assert span.elapsed >= 0.0
         assert compile_span.attributes["verified"] is True

@@ -16,13 +16,16 @@ from repro.algebra.operators import (
     StructuralAttrScanOp,
     StructuralScanOp,
     UnionOp,
+    walk_once,
 )
 from repro.algebra.optimizer import optimize
-from repro.calculus.formulas import Eq, In, Query
+from repro.calculus.formulas import Eq, In, Pred, Query
 from repro.calculus.terms import Const, DataVar, Name, PathVar
 from repro.corpus import ARTICLE_DTD, SAMPLE_ARTICLE
 from repro.errors import PlanVerificationError
+from repro.oodb.types import STRING, ClassType
 from repro.plancheck import check_plan, verify_plan, verify_structural_index
+from repro.text import Pattern
 
 X = DataVar("x")
 Y = DataVar("y")
@@ -139,6 +142,54 @@ class TestFaultCodes:
                               recheck_atom=Eq(DataVar("zz"), Y))
         plan = ProjectOp(join, [Y])
         assert "PC-JOIN" in codes(verify_plan(plan))
+
+
+class TestOidOnlyTypeFact:
+    """``SelectOp.oid_only`` lets unions prune whole branches on an
+    empty index probe — sound only if the subject can bind nothing but
+    oids.  The verifier replays the flag against ``var_types``."""
+
+    CONTAINS = Pred("contains", [X, Const(Pattern("SGML"))])
+
+    def plan(self, types, atom=CONTAINS):
+        select = SelectOp(BindOp(SeedOp(), X, Const("some SGML text")),
+                          atom, oid_only=True)
+        plan = ProjectOp(select, [X])
+        plan.var_types = {X: types}
+        return plan
+
+    def test_string_candidate_type_faults(self):
+        assert codes(verify_plan(self.plan([STRING]))) == ["PC-TYPE"]
+        assert codes(verify_plan(self.plan(
+            [ClassType("Article"), STRING]))) == ["PC-TYPE"]
+
+    def test_untyped_subject_faults(self):
+        assert codes(verify_plan(self.plan([]))) == ["PC-TYPE"]
+
+    def test_flag_on_another_atom_faults(self):
+        plan = self.plan([ClassType("Article")], atom=Eq(X, Const(1)))
+        assert codes(verify_plan(plan)) == ["PC-TYPE"]
+
+    def test_class_candidates_pass(self):
+        assert verify_plan(self.plan([ClassType("Article")])) == []
+
+    def test_a_wrongly_flagged_compiled_select_is_caught(self, store):
+        """The seeded mutation: flag the ``contains`` the compiler
+        rightly left unflagged — an attribute variable's values are
+        strings as well as objects."""
+        query = store._engine.translate(
+            "select name(ATT_a) from my_article PATH_p.ATT_a(val)"
+            " where val contains ('final')")
+        plan = compile_query(query, store.schema)
+        (select,) = [node for node in walk_once(plan)
+                     if isinstance(node, SelectOp)
+                     and node.pattern is not None]
+        assert not select.oid_only
+        assert verify_plan(plan, query=query) == []
+        select.oid_only = True
+        with pytest.raises(PlanVerificationError) as exc:
+            check_plan(plan, query=query, stage="compile")
+        assert codes(exc.value.faults) == ["PC-TYPE"]
 
 
 class TestDeadBranches:

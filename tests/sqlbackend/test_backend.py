@@ -62,6 +62,36 @@ class TestParity:
                                    store._engine.ctx.fork()) == expected
 
 
+class TestContainsPrefilter:
+    """The hybridizer's ``SelectOp`` boundary is where the
+    content-table prefilter goes in; a ``contains`` on a *variable*
+    arrives there like any other select."""
+
+    Q2 = ('select p from a in Articles, a PATH_p.paragr(p) '
+          'where p contains ("complex object")')
+
+    def corpus_store(self, backend):
+        from repro.corpus.generator import generate_corpus
+        store = DocumentStore(ARTICLE_DTD, backend=backend,
+                              structural=True)
+        store.load_text(SAMPLE_ARTICLE, name="my_article")
+        for tree in generate_corpus(12, seed=42):
+            store.load_tree(tree, validate=False)
+        store.build_text_index()
+        return store
+
+    def test_variable_subject_select_is_prefiltered(self):
+        sql_store = self.corpus_store("sql")
+        sql_store.enable_metrics()
+        rows = sql_store.query(self.Q2)
+        assert rows and rows == self.corpus_store("algebra").query(
+            self.Q2)
+        counters = sql_store.metrics()["counters"]
+        assert counters["sql.prefilters"] >= 1
+        assert "sql.fallbacks" not in counters
+        assert "sql.unsupported" not in counters
+
+
 class TestRefusals:
     def test_non_projection_root_is_refused(self):
         store = build_store("algebra")

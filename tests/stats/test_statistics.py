@@ -120,26 +120,20 @@ class TestPostingBounds:
         snap = store.statistics()
         assert snap.candidate_upper_bound(
             parse_pattern_expr('not "SGML"')) is None
-        assert snap.prunes_nothing(parse_pattern_expr('not "SGML"'))
-        assert not snap.prunes_nothing(parse_pattern_expr('"SGML"'))
 
-    def test_prunes_nothing_mirrors_index_candidates(self, store):
-        """The static predicate must agree with the runtime probe on
-        whether pruning is possible — that is what makes index-filter
-        demotion a pure win."""
-        snap = store.statistics()
-        for source in ('"SGML"', 'not "SGML"', '"SGML" and not "x"',
-                       '"SGML" or not "x"', 'not "a" and not "b"'):
-            expr = parse_pattern_expr(source)
-            runtime = store.text_index.candidates(expr)
-            assert snap.prunes_nothing(expr) == (runtime is None)
-
-    def test_regex_word_forces_vocabulary_scan_cost(self, store):
-        snap = store.statistics()
-        literal = snap.probe_cost(parse_pattern_expr('"SGML"'))
-        regex = snap.probe_cost(parse_pattern_expr('"SG.*"'))
-        assert regex == float(snap.vocabulary_size)
-        assert literal < regex
+    def test_a_stale_index_bounds_nothing(self):
+        """After ``mark_stale()`` the postings describe text the store
+        no longer vouches for: no bound, hence no zero proof."""
+        private = DocumentStore(ARTICLE_DTD, backend="algebra")
+        private.load_text(SAMPLE_ARTICLE, name="my_article")
+        private.build_text_index()
+        absent = parse_pattern_expr('"xyzzynotthere"')
+        assert private.statistics().candidate_upper_bound(absent) == 0
+        title = next(oid for oid in private.instance.all_oids()
+                     if oid.class_name == "Title")
+        private.update_text(title, "Edited heading words")
+        assert private.text_index.stale
+        assert private.statistics().candidate_upper_bound(absent) is None
 
 
 class TestCostModel:
