@@ -115,7 +115,8 @@ def test_bench_a3_pushdown_off(benchmark, versions_store):
                       a PATH_p.title(t)
         where a.status = "final"
     """)
-    plan = factor_shared_prefixes(compile_query(query, store.schema))
+    plan = factor_shared_prefixes(
+        compile_query(query, store.schema, structural=False))
     benchmark(execute_plan, plan, store._engine.ctx)
 
 
@@ -133,7 +134,8 @@ def test_bench_a3_pushdown_on(benchmark, versions_store):
         where a.status = "final"
     """)
     plan = factor_shared_prefixes(
-        sink_selections(compile_query(query, store.schema)))
+        sink_selections(compile_query(query, store.schema,
+                                      structural=False)))
     benchmark(execute_plan, plan, store._engine.ctx)
 
 

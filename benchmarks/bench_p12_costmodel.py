@@ -66,9 +66,10 @@ def _median_ms(thunk, rounds=ROUNDS) -> float:
 def _plans(store, text, metrics=None):
     """(query, factored-without-cost, costed) for one query text."""
     query = store._engine.translate(text)
-    plan = compile_query(query, store.schema)
-    factored = optimize(plan, verify="raise", query=query)
-    costed = optimize(plan, verify="raise", query=query,
+    plan = compile_query(query, store.schema, structural=False)
+    factored = optimize(plan, structural=False, verify="raise",
+                        query=query)
+    costed = optimize(plan, structural=False, verify="raise", query=query,
                       stats=store.stats_manager.snapshot(),
                       metrics=metrics)
     return query, factored, costed

@@ -27,7 +27,7 @@ def scan_query(store):
 def index_probe(store):
     from repro.text import parse_pattern_expr
     expression = parse_pattern_expr(NEEDLE)
-    candidates = store.text_index.candidates(expression)
+    candidates, _ = store.text_index.probe(expression)
     articles = set(store.instance.root("Articles"))
     hits = []
     for oid in candidates & articles:

@@ -40,7 +40,7 @@ QUERIES = {
 
 @pytest.fixture(scope="module")
 def store():
-    s = build_corpus_store(20, backend="algebra")
+    s = build_corpus_store(20, backend="algebra", structural=False)
     from repro.corpus import SAMPLE_ARTICLE
     s.load_text(SAMPLE_ARTICLE, name="my_article")
     s.build_text_index()
@@ -49,8 +49,8 @@ def store():
 
 def both_plans(store, name):
     query = store._engine.translate(QUERIES[name])
-    plan = compile_query(query, store.schema)
-    return sink_selections(plan), optimize(plan)
+    plan = compile_query(query, store.schema, structural=False)
+    return sink_selections(plan), optimize(plan, structural=False)
 
 
 @pytest.mark.parametrize("name", sorted(QUERIES))

@@ -84,8 +84,10 @@ def figure2_store():
 
 
 def build_corpus_store(size: int, seed: int = 42,
-                       backend: str = "calculus") -> DocumentStore:
-    store = DocumentStore(ARTICLE_DTD, backend=backend)
+                       backend: str = "calculus",
+                       structural: bool = True) -> DocumentStore:
+    store = DocumentStore(ARTICLE_DTD, backend=backend,
+                          structural=structural)
     for tree in generate_corpus(size, seed=seed):
         store.load_tree(tree, validate=False)
     return store

@@ -16,9 +16,15 @@ Concretely, each path predicate is compiled against a *frontier* of
   paper mentions),
 * an attribute variable fans the frontier out over every attribute its
   candidate types carry, binding the variable to the chosen constant,
-* a path variable fans out over every schema path from the current
-  candidate types, emitting the step chain plus a :class:`MakePathOp`
-  that reconstructs the first-class path value.
+* a path variable is compiled by one of two strategies, chosen by the
+  caller (``structural=``): the default is one pre/post range scan over
+  :mod:`repro.structindex` (:class:`StructuralScanOp`, with a directly
+  following selection fused into a :class:`StructuralAttrScanOp`) — the
+  plan a store serves; ``structural=False`` is the paper's fan-out over
+  every schema path from the current candidate types, each branch the
+  step chain plus a :class:`MakePathOp` that reconstructs the
+  first-class path value — the union-of-plans reference.  Only the
+  requested strategy is built.
 
 Sub-formulas outside the conjunctive (⋆) core (negation, disjunction,
 quantifiers) compile to the boolean-combination operators; anything the
@@ -102,18 +108,21 @@ from repro.algebra.operators import (
 
 
 def compile_query(query: Query, schema: Schema,
-                  path_semantics: str | None = None) -> ProjectOp:
+                  path_semantics: str | None = None,
+                  structural: bool = True) -> ProjectOp:
     """Compile a calculus query to an executable plan.
 
     The path-semantics mode is passed by value, so compiled plans never
-    reference a mutable evaluation context.
+    reference a mutable evaluation context.  ``structural`` picks the
+    path-variable strategy: range scans (default) or, when ``False``,
+    the Section 5.4 union-of-plans.
     """
     if path_semantics is not None and path_semantics != RESTRICTED:
         raise CompilationError(
             "the algebraization requires the restricted path semantics; "
             "the liberal semantics would need a transitive-closure "
             "operator (Section 5.4)")
-    compiler = _Compiler(schema)
+    compiler = _Compiler(schema, structural)
     formula = query.formula
     # unwrap top-level existentials: the projection removes them anyway
     while isinstance(formula, Exists):
@@ -121,7 +130,8 @@ def compile_query(query: Query, schema: Schema,
     plan = compiler.compile_formula(SeedOp(), formula, set())
     project = ProjectOp(plan, list(query.head))
     # candidate types per variable: final only here, at the root
-    project.var_types = dict(compiler.candidates)
+    project.var_types = {variable: _dedup(types) for variable, types
+                         in compiler.candidates.items()}
     for select in compiler.contains_selects:
         # every candidate type a class ⇒ the variable only binds oids
         # ⇒ an empty index key set proves the select passes nothing
@@ -134,15 +144,15 @@ def compile_query(query: Query, schema: Schema,
 
 
 class _Compiler:
-    def __init__(self, schema: Schema) -> None:
+    def __init__(self, schema: Schema, structural: bool) -> None:
         self.schema = schema
         self.candidates: dict = {}   # var -> [Type] (inference-style)
         #: the constant-pattern ``contains`` selects built so far
         self.contains_selects: list[SelectOp] = []
         self._fresh = 0
-        #: when set, unbound path variables compile to StructuralScanOp
-        #: instead of the union-of-plans fan-out (Section 5.4)
-        self.structural = False
+        #: unbound path variables compile to StructuralScanOp when set,
+        #: to the union-of-plans fan-out (Section 5.4) otherwise
+        self.structural = structural
 
     def fresh_var(self, stem: str = "nav") -> DataVar:
         self._fresh += 1
@@ -296,24 +306,7 @@ class _Compiler:
             return FormulaOp(plan, atom)
         start = self.fresh_var()
         plan = BindOp(plan, start, atom.root)
-        scannable = any(isinstance(component, PathVar)
-                        and component not in bound
-                        for component in atom.path.components)
         result = self._expand_path(plan, start, root_types, atom, bound)
-        if scannable:
-            # Compile the structural-index strategy as well, over the
-            # *same* base plan and user-variable objects: the optimizer
-            # swaps it in (``optimize(..., structural=True)``) without
-            # disturbing bindings the rest of the formula references.
-            previous = self.structural
-            self.structural = True
-            try:
-                alternative = self._expand_path(
-                    plan, start, root_types, atom, bound)
-            finally:
-                self.structural = previous
-            if alternative is not result:
-                result.structural_alternative = alternative
         for variable in atom.path.variables():
             bound.add(variable)
         return result
@@ -336,7 +329,6 @@ class _Compiler:
         if len(frontier) == 1:
             return frontier[0][0]
         return UnionOp([entry[0] for entry in frontier])
-
 
     def _types_of_term(self, term: object) -> list[Type] | None:
         inferred = _term_type(term, self.schema, self.candidates)
@@ -400,7 +392,7 @@ class _Compiler:
                      types: list[Type], component: Sel,
                      bound: set) -> list:
         attribute = component.attribute
-        if (self.structural and isinstance(plan, StructuralScanOp)
+        if (isinstance(plan, StructuralScanOp)
                 and not isinstance(plan, StructuralAttrScanOp)
                 and current is plan.out_var):
             fused = self._fuse_scan_sel(plan, types, component, bound)

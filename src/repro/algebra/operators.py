@@ -205,8 +205,8 @@ class Operator:
     def with_children(self, children: list["Operator"]) -> "Operator":
         """This operator over other inputs, rebuilt through the
         constructor: everything stamped on a node after construction
-        (estimates, cost evidence, memoized probes, the compiler's
-        ``structural_alternative``) stays behind on the original."""
+        (estimates, cost evidence, memoized probes) stays behind on the
+        original."""
         if self._input is None:
             return self
         construct: Callable[..., Operator] = type(self)

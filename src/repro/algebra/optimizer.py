@@ -2,17 +2,17 @@
 
 :func:`optimize` runs up to four rewrites, in this order:
 
-* **structural scans** (``structural=True`` only) — each path
-  variable's union fan-out is replaced by the compiler's pre-attached
-  :class:`StructuralScanOp` alternative — one pre/post interval range
-  scan over :mod:`repro.structindex` — and an equality select directly
-  above a scan is fused into an :class:`IntervalJoinOp` (experiment
-  P9).
+* **interval joins** (``structural=True`` only, the default) — an
+  equality select directly above a :class:`StructuralScanOp` (the
+  pre/post range scan the compiler emits for a path variable when it
+  compiles with ``structural=True``) is fused into an
+  :class:`IntervalJoinOp` (experiment P9).
 * **selection pushdown** — a ground :class:`SelectOp` sitting above an
   operator that does not bind any of the atom's variables commutes below
   it, shrinking intermediate streams.
 * **common-prefix factoring** — the union-of-plans elimination of
-  Section 5.4 produces branches with long identical prefixes (the same
+  Section 5.4 (a ``structural=False`` plan) produces branches with
+  long identical prefixes (the same
   class-extent scan, the same leading navigation steps).  The pass
   structurally hashes every subtree and merges equal ones into a
   single :class:`SharedOp`, turning the plan tree into a DAG whose
@@ -40,9 +40,8 @@ checks re-validate the evidence (experiment P12).
 None of the rewrites knows how to rebuild or hash an operator class:
 nodes are reconstructed with
 :meth:`~repro.algebra.operators.Operator.with_children` (through the
-constructor, so estimates, cost evidence, memoized probes and the
-compiler's ``structural_alternative`` never travel onto a rewritten
-node) and the factoring keys on
+constructor, so estimates, cost evidence and memoized probes never
+travel onto a rewritten node) and the factoring keys on
 :meth:`~repro.algebra.operators.Operator.param_key`.  The ``isinstance``
 tests left in this module choose *which* nodes a rewrite applies to.
 """
@@ -84,7 +83,7 @@ from repro.algebra.operators import (
 _TEST_MUTATION: str | None = None
 
 
-def optimize(plan: Operator, structural: bool = False,
+def optimize(plan: Operator, structural: bool = True,
              verify: str = "warn", query: object = None,
              metrics: object = None, tracer: Any = None,
              stats: object = None, plan_key: object = None) -> Operator:
@@ -97,11 +96,9 @@ def optimize(plan: Operator, structural: bool = False,
     Each stage is a public function of one plan; a test or ablation
     that isolates one rewrite calls that function.
 
-    ``structural=True`` swaps every path-variable union fan-out for the
-    compiler's pre-attached :class:`StructuralScanOp` alternative (the
-    pre/post-interval physical layer, experiment P9).  This pass must
-    run *first*: the other rewrites rebuild operators, and rebuilt
-    nodes do not carry the ``structural_alternative`` attribute.
+    ``structural`` names the plan the compiler built: with ``True``
+    (range scans, the default) the interval-join fusion runs; a
+    ``structural=False`` union-of-plans has no scan to fuse.
 
     Every stage is gated by the :mod:`repro.plancheck` verifier.
     ``verify`` selects the failure policy: ``"raise"`` (tests) raises
@@ -161,11 +158,7 @@ def optimize(plan: Operator, structural: bool = False,
 
 
 def structuralize(plan: Operator) -> Operator:
-    """The ``structuralize`` stage: swap in every pre-attached
-    structural alternative and fuse interval joins."""
-    alternative = getattr(plan, "structural_alternative", None)
-    if alternative is not None:
-        return structuralize(alternative)
+    """The ``structuralize`` stage: fuse interval joins."""
     plan = _rebuild(plan, structuralize)
     if isinstance(plan, SelectOp):
         return _try_interval_join(plan) or plan

@@ -192,7 +192,7 @@ class PlanCache:
 
     @staticmethod
     def key_for(text: str, backend: str, path_semantics: str,
-                structural: bool = False) -> tuple:
+                structural: bool = True) -> tuple:
         return (normalize_query_text(text), backend, path_semantics,
                 bool(structural))
 

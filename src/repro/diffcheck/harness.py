@@ -8,14 +8,15 @@ own stage sequence (:meth:`QueryEngine.compile
 <repro.o2sql.engine.QueryEngine.compile>` then
 :meth:`~repro.o2sql.engine.QueryEngine.execute`):
 
-* ``algebra``    — ``DocumentStore(backend="algebra")``: the
-  Section-5.4 compilation, index rewrite, selection pushdown, the
-  shared-prefix DAG and the statistics-driven cost stage;
-* ``structural`` — ``DocumentStore(backend="algebra",
-  structural=True)``: the same pipeline with path-variable fan-outs
-  replaced by pre/post interval range scans over
-  :mod:`repro.structindex` *and* the cost stage — the configuration
-  the e2e benchmark measures.  This falsifies the scan/join operators,
+* ``algebra``    — ``DocumentStore(backend="algebra",
+  structural=False)``: the paper-faithful reference — the Section-5.4
+  union-of-plans compilation, selection pushdown, the shared-prefix
+  DAG and the statistics-driven cost stage;
+* ``structural`` — ``DocumentStore(backend="algebra")`` (the default
+  ``structural=True``): the same pipeline compiling path variables to
+  pre/post interval range scans over :mod:`repro.structindex` — the
+  plan a store serves and the configuration the e2e benchmark
+  measures.  This falsifies the scan/join operators,
   the encoding's completeness flags and the index's freshness hooks;
 * ``sql``        — ``DocumentStore(backend="sql", structural=True)``:
   the structural plan hybridized by :mod:`repro.sqlbackend`.  A
@@ -65,7 +66,7 @@ from repro.plancheck import PlanVerificationWarning
 #: The served configurations, in comparison order: name → the
 #: :class:`~repro.DocumentStore` keywords that select it.
 ALGEBRA_CONFIGS = {
-    "algebra": {"backend": "algebra"},
+    "algebra": {"backend": "algebra", "structural": False},
     "structural": {"backend": "algebra", "structural": True},
     "sql": {"backend": "sql", "structural": True},
 }

@@ -3,7 +3,9 @@
 ``QueryEngine`` wires the pipeline together: parse → translate to the
 calculus → static safety check → type inference against the schema →
 evaluation, either with the calculus interpreter, with a compiled and
-optimized algebra plan (Section 5.4), or —
+optimized algebra plan (Section 5.4: path variables as structural-index
+range scans by default, as the union-of-plans with
+``structural=False``), or —
 ``backend="sql"`` — with that same plan's maximal relational prefix
 emitted as SQL over the instance's shredding
 (:mod:`repro.sqlbackend`), the remainder running as plan operators
@@ -55,13 +57,19 @@ class QueryEngine:
     A bare engine defaults to no cache (mutating the instance directly
     stays safe); :class:`~repro.session.DocumentStore` always installs
     one and bumps its epoch on every mutation it performs.
+
+    ``structural`` names the one plan :meth:`compile` builds for a path
+    variable: a structural-index range scan (the default, experiment
+    P9; it pays off with a StructuralIndex on ``ctx`` and stays correct
+    without one — scans fall back to live walks) or, with ``False``,
+    the Section 5.4 union-of-plans, the paper-faithful reference.
     """
 
     def __init__(self, instance: Instance, provenance: dict | None = None,
                  path_semantics: str = "restricted",
                  backend: str = "calculus",
                  cache: PlanCache | None = None,
-                 structural: bool = False,
+                 structural: bool = True,
                  stats: object = None) -> None:
         self.instance = instance
         self.ctx = EvalContext(instance, provenance=provenance,
@@ -78,10 +86,8 @@ class QueryEngine:
         if backend == "sql":
             from repro.sqlbackend.backend import SQLBackend
             self.sql_backend = SQLBackend(instance, epoch_source=cache)
-        #: Compile path variables to structural-index range scans
-        #: (experiment P9); requires a StructuralIndex on ``ctx`` to pay
-        #: off, but stays correct without one (scans fall back to live
-        #: walks).  Part of the plan-cache key.
+        #: Range scans or the union-of-plans (see the class docstring);
+        #: part of the plan-cache key.
         self.structural = structural
         #: Optional :class:`~repro.stats.StatisticsManager`.  When set,
         #: the optimizer runs its cost stage against the current
@@ -193,7 +199,8 @@ class QueryEngine:
             with tracer.span("compile") as span:
                 plan = compile_query(
                     query, self.instance.schema,
-                    path_semantics=self.ctx.path_semantics)
+                    path_semantics=self.ctx.path_semantics,
+                    structural=self.structural)
                 plan = optimize(plan, structural=self.structural,
                                 query=query, metrics=metrics,
                                 tracer=tracer, stats=snapshot,

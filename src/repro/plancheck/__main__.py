@@ -9,8 +9,10 @@ Examples::
 Queries are checked against the Figure-1 article DTD with the Figure-2
 document loaded as ``my_article`` — unless ``--dtd`` supplies another
 DTD, whose store stays empty.  ``--verify`` additionally prepares each
-clean query on a store of each served algebra configuration — plain
-and ``structural=True``, through the engine's own stage sequence — and
+clean query on a store of each algebra configuration — the
+``structural=False`` union-of-plans reference and the served
+``structural=True`` range scans, through the engine's own stage
+sequence — and
 reports every fault of a stage the verifier rejects, then verifies the
 plan that would be served.  The exit status is the number of
 error-severity diagnostics plus plan faults — ``0`` means clean.
@@ -86,9 +88,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--dtd", help="DTD file defining the schema "
                         "(default: the built-in article DTD)")
     parser.add_argument("--verify", action="store_true",
-                        help="also prepare clean queries on a plain and "
-                        "a structural algebra store and verify every "
-                        "optimizer stage and the served plan")
+                        help="also prepare clean queries on a union-of-"
+                        "plans and a structural algebra store and verify "
+                        "every optimizer stage and the served plan")
     parser.add_argument("--json", action="store_true",
                         dest="as_json", help="machine-readable output")
     args = parser.parse_args(argv)

@@ -34,7 +34,7 @@ class PlanFault:
         #: and parameters), never the whole subtree.
         self.operator = operator
         #: The optimizer stage after which the fault was observed
-        #: (``compile``, ``structuralize``, ``index``, ``pushdown``,
+        #: (``compile``, ``structuralize``, ``pushdown``,
         #: ``factor``, ``cost``) — ``None`` for direct verifier calls.
         self.stage = stage
         self.hint = hint

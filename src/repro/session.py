@@ -84,7 +84,7 @@ class DocumentStore:
 
     def __init__(self, dtd_text: str, path_semantics: str = "restricted",
                  backend: str = "calculus",
-                 structural: bool = False) -> None:
+                 structural: bool = True) -> None:
         self._open_schema(dtd_text)
         self._wire(self.loader.provenance, path_semantics, backend,
                    structural)
@@ -132,10 +132,10 @@ class DocumentStore:
         self._engine.stats = self.stats_manager
         self.struct_index: StructuralIndex | None = None
         self._parents: dict[Oid, list[Oid]] | None = None
-        # ``structural`` only decides whether plans are rewritten into
-        # range scans; the relational backend needs the blocks either
-        # way (its tables are their projection)
-        if structural or backend == "sql":
+        # only plans that read the blocks need them: range scans
+        # (``structural``) and the relational backend, whose tables are
+        # their projection; the calculus interpreter never does
+        if backend == "sql" or (backend == "algebra" and structural):
             self.build_structural_index()
 
     # -- writer fence (snapshot-epoch serving protocol) -----------------------
@@ -536,7 +536,7 @@ class DocumentStore:
     @classmethod
     def load(cls, path, path_semantics: str = "restricted",
              backend: str = "calculus",
-             structural: bool = False) -> "DocumentStore":
+             structural: bool = True) -> "DocumentStore":
         """Rebuild a store from :meth:`save` output.
 
         Loader provenance is not persisted: ``text()`` uses the (always

@@ -254,8 +254,8 @@ class SQLBackend:
         if metrics is None:
             metrics = self.metrics
         try:
-            names, rows = self.shred.execute(program.sql,
-                                             program.params)
+            names, rows, blocks = self.shred.execute(program.sql,
+                                                     program.params)
         except self.shred.dialect.errors() as exc:
             raise SQLExecutionError(
                 f"emitted statement failed: {exc}") from exc
@@ -263,7 +263,6 @@ class SQLBackend:
             metrics.inc("sql.statements")
             metrics.inc("sql.rows_fetched", len(rows))
         position = {name: i for i, name in enumerate(names)}
-        blocks = self.shred.roots
         return Batch(len(rows), {
             variable: partial(_hydrate, desc, rows, position, blocks)
             for variable, desc in program.columns.items()})

@@ -182,15 +182,19 @@ class Shred:
         return self._connection
 
     def execute(self, sql: str, params: dict | tuple = ()
-                ) -> tuple[list[str], list[tuple]]:
-        """Run one statement; returns (column names, all rows).
+                ) -> tuple[list[str], list[tuple], dict[str, Block]]:
+        """Run one statement; returns (column names, all rows, the
+        blocks the rows were projected from).
 
         Fetching eagerly under the lock keeps one connection safe
-        across server threads; hydration happens outside."""
+        across server threads; hydration happens outside, from the
+        returned blocks — a :meth:`refresh` that swaps :attr:`roots`
+        after the lock is released cannot pair these rows with the
+        next epoch's blocks."""
         with self._lock:
             cursor = self.connection().execute(sql, params)
             names = [entry[0] for entry in cursor.description or ()]
-            return names, cursor.fetchall()
+            return names, cursor.fetchall(), self.roots
 
     # -- the projection -------------------------------------------------------
 

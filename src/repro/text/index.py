@@ -294,9 +294,3 @@ class TextIndex:
                 return None, False
             return left | right, exact
         return None, False
-
-    def candidates(self, expression: PatternExpr) -> set[Hashable] | None:
-        """The key set of :meth:`probe` — exact under the rule stated
-        there (no ``not`` in the expression), a superset or ``None``
-        otherwise."""
-        return self.probe(expression)[0]

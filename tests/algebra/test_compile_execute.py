@@ -1,9 +1,10 @@
 """Tests for the Section-5.4 algebraization.
 
-The central property: for every query, the compiled algebra plan
-produces exactly the same result set as the calculus interpreter — and
-queries with path/attribute variables compile into plans containing a
-Union over variable-free navigation chains.
+The central property: for every query, the compiled algebra plan —
+under either path-variable strategy — produces exactly the same result
+set as the calculus interpreter, and with ``structural=False`` queries
+with path/attribute variables compile into plans containing a Union
+over variable-free navigation chains.
 """
 
 import pytest
@@ -35,9 +36,9 @@ def store():
     return s
 
 
-def compile_and_run(store, text):
+def compile_and_run(store, text, structural):
     query = store._engine.translate(text)
-    plan = compile_query(query, store.schema)
+    plan = compile_query(query, store.schema, structural=structural)
     return plan, execute_plan(plan, store._engine.ctx)
 
 
@@ -78,8 +79,9 @@ class TestCalculusAlgebraEquivalence:
     def test_same_results(self, store, text):
         query = store._engine.translate(text)
         calculus_result = evaluate_query(query, store._engine.ctx)
-        plan, algebra_result = compile_and_run(store, text)
-        assert algebra_result == calculus_result
+        for structural in (False, True):
+            _, algebra_result = compile_and_run(store, text, structural)
+            assert algebra_result == calculus_result, structural
 
     def test_q6_letters(self):
         engine = QueryEngine(build_letters_database())
@@ -102,8 +104,10 @@ class TestCalculusAlgebraEquivalence:
             'where x = "Jo"')
         from repro.calculus import evaluate_query as ev
         calculus_result = ev(text_query, engine.ctx)
-        plan = compile_query(text_query, engine.instance.schema)
-        assert execute_plan(plan, engine.ctx) == calculus_result
+        for structural in (False, True):
+            plan = compile_query(text_query, engine.instance.schema,
+                                 structural=structural)
+            assert execute_plan(plan, engine.ctx) == calculus_result
         assert set(calculus_result) == {"author"}
 
 
@@ -111,7 +115,7 @@ class TestPlanStructure:
     def test_path_variable_compiles_to_union(self, store):
         query = store._engine.translate(
             "select t from my_article PATH_p.title(t)")
-        plan = compile_query(query, store.schema)
+        plan = compile_query(query, store.schema, structural=False)
         assert count_unions(plan) >= 1
 
     def test_variable_free_query_has_no_union(self, store):
@@ -123,7 +127,7 @@ class TestPlanStructure:
     def test_union_branches_are_path_variable_free(self, store):
         query = store._engine.translate(
             "select t from my_article PATH_p.title(t)")
-        plan = compile_query(query, store.schema)
+        plan = compile_query(query, store.schema, structural=False)
 
         def find_union(node):
             if isinstance(node, UnionOp):
@@ -157,7 +161,7 @@ class TestPlanStructure:
     def test_describe_renders_tree(self, store):
         query = store._engine.translate(
             "select t from my_article PATH_p.title(t)")
-        plan = compile_query(query, store.schema)
+        plan = compile_query(query, store.schema, structural=False)
         rendered = plan.describe()
         assert "Project" in rendered
         assert "MakePath" in rendered
@@ -177,9 +181,11 @@ class TestEngineAlgebraBackend:
         assert len(result) == 3
 
     def test_backends_agree_on_figure2(self):
-        algebra = DocumentStore(ARTICLE_DTD, backend="algebra")
         calculus = DocumentStore(ARTICLE_DTD, backend="calculus")
-        for s in (algebra, calculus):
+        plans = DocumentStore(ARTICLE_DTD, backend="algebra",
+                              structural=False)
+        scans = DocumentStore(ARTICLE_DTD, backend="algebra")
+        for s in (calculus, plans, scans):
             s.load_text(SAMPLE_ARTICLE, name="my_article")
         queries = [
             "select t from my_article PATH_p.title(t)",
@@ -188,4 +194,5 @@ class TestEngineAlgebraBackend:
                where val contains ("final")""",
         ]
         for text in queries:
-            assert algebra.query(text) == calculus.query(text), text
+            expected = calculus.query(text)
+            assert plans.query(text) == scans.query(text) == expected, text

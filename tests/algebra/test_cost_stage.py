@@ -1,6 +1,8 @@
 """The cost stage, pinned structurally: branch ordering, provable-empty
 pruning, and the estimate annotations — all
-behaviour the P12 benchmark measures, asserted here without timings."""
+behaviour the P12 benchmark measures, asserted here without timings, on
+the ``structural=False`` union-of-plans (the plans whose unions the
+stage orders and prunes)."""
 
 import pytest
 
@@ -32,10 +34,10 @@ def store():
 
 def _costed(store, text, metrics=None):
     query = store._engine.translate(text)
-    plan = compile_query(query, store.schema)
+    plan = compile_query(query, store.schema, structural=False)
     snapshot = store.stats_manager.snapshot()
-    return optimize(plan, verify="raise", query=query, stats=snapshot,
-                    metrics=metrics), query, snapshot
+    return optimize(plan, structural=False, verify="raise", query=query,
+                    stats=snapshot, metrics=metrics), query, snapshot
 
 
 def _walk(plan):
@@ -72,8 +74,9 @@ class TestBranchOrdering:
     def test_costed_result_matches_unoptimized(self, store):
         for text in (SATISFIABLE, IMPOSSIBLE, NEGATED):
             query = store._engine.translate(text)
-            plan = compile_query(query, store.schema)
-            costed = optimize(plan, verify="raise", query=query,
+            plan = compile_query(query, store.schema, structural=False)
+            costed = optimize(plan, structural=False, verify="raise",
+                              query=query,
                               stats=store.stats_manager.snapshot())
             ctx = store._engine.ctx.fork()
             assert (execute_plan(costed, ctx)
@@ -132,7 +135,8 @@ class TestAnnotations:
 
     def test_no_stats_means_no_cost_stage(self, store):
         query = store._engine.translate(SATISFIABLE)
-        plan = compile_query(query, store.schema)
-        bare = optimize(plan, verify="raise", query=query)
+        plan = compile_query(query, store.schema, structural=False)
+        bare = optimize(plan, structural=False, verify="raise",
+                        query=query)
         assert not _evidence_unions(bare)
         assert all(node.est_rows is None for node in _walk(bare))

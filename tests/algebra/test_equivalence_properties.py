@@ -87,15 +87,19 @@ def _query_of(components) -> Query:
 
 
 class TestRandomPathPredicates:
+    """Both path-variable strategies: the §5.4 union-of-plans
+    (``structural=False``) and the range scans, which run the live walk
+    here (the context has no structural index)."""
+
     @given(path_components())
     @settings(max_examples=120, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_algebra_equals_calculus(self, components):
         query = _query_of(components)
         interpreted = evaluate_query(query, CTX)
-        plan = compile_query(query, DB.schema)
-        compiled = execute_plan(plan, CTX)
-        assert compiled == interpreted
+        for structural in (False, True):
+            plan = compile_query(query, DB.schema, structural=structural)
+            assert execute_plan(plan, CTX) == interpreted, structural
 
     @given(path_components())
     @settings(max_examples=60, deadline=None,
@@ -104,8 +108,11 @@ class TestRandomPathPredicates:
         from repro.algebra.optimizer import optimize
         query = _query_of(components)
         interpreted = evaluate_query(query, CTX)
-        plan = optimize(compile_query(query, DB.schema))
-        assert execute_plan(plan, CTX) == interpreted
+        for structural in (False, True):
+            plan = optimize(compile_query(query, DB.schema,
+                                          structural=structural),
+                            structural=structural)
+            assert execute_plan(plan, CTX) == interpreted, structural
 
     @given(path_components())
     @settings(max_examples=60, deadline=None,
@@ -145,13 +152,16 @@ def _refuse_mutation(*_args, **_kwargs):
 
 
 @lru_cache(maxsize=None)
-def corpus_store(size: int, seed: int) -> DocumentStore:
-    """A shared, *frozen* corpus store per (size, seed).
+def corpus_store(size: int, seed: int,
+                 structural: bool = False) -> DocumentStore:
+    """A shared, *frozen* corpus store per (size, seed, strategy) —
+    the union-of-plans unless ``structural`` is asked for.
 
     Execution always goes through ``engine.ctx.fork()``, and the
     loaders are disabled after construction, so examples can only read.
     """
-    store = DocumentStore(ARTICLE_DTD, backend="algebra")
+    store = DocumentStore(ARTICLE_DTD, backend="algebra",
+                          structural=structural)
     for tree in generate_corpus(size, seed=seed):
         store.load_tree(tree, validate=False)
     store.load_tree = _refuse_mutation
@@ -162,16 +172,20 @@ def corpus_store(size: int, seed: int) -> DocumentStore:
 @st.composite
 def article_components(draw):
     """Path components over the article schema (same shapes as
-    path_components, different attribute vocabulary)."""
+    path_components, different attribute vocabulary), with at most two
+    path variables: a union-of-plans example with three or more can
+    take a minute or more (each multiplies the schema-path fan-out);
+    the nightly diffcheck's generator draws up to four."""
     count = draw(st.integers(1, 4))
     components = []
     fresh = iter(range(100))
-    bind_vars = 0
+    bind_vars = path_vars = 0
+    kinds = ["pvar", "sel", "selvar", "index", "indexvar", "deref",
+             "bind", "setbind"]
     for _ in range(count):
-        kind = draw(st.sampled_from(
-            ["pvar", "sel", "selvar", "index", "indexvar", "deref",
-             "bind", "setbind"]))
+        kind = draw(st.sampled_from(kinds if path_vars < 2 else kinds[1:]))
         if kind == "pvar":
+            path_vars += 1
             components.append(PathVar(f"P{next(fresh)}"))
         elif kind == "sel":
             components.append(Sel(draw(
@@ -236,9 +250,9 @@ class TestFactoredDagDifferential:
         engine = store._engine
         query = _article_query(components, mode)
         plan = compile_query(query, engine.instance.schema,
-                             path_semantics="restricted")
+                             path_semantics="restricted", structural=False)
         unfactored = sink_selections(plan)
-        factored = optimize(plan)
+        factored = optimize(plan, structural=False)
         ctx = engine.ctx.fork()
         factored_result = execute_plan(factored, ctx)
         assert factored_result == execute_plan(unfactored, ctx)
@@ -266,10 +280,10 @@ class TestFactoredDagDifferential:
         engine = store._engine
         query = _article_query(components, mode)
         plan = compile_query(query, engine.instance.schema,
-                             path_semantics="restricted")
+                             path_semantics="restricted", structural=False)
         unfactored = sink_selections(plan)
-        costed = optimize(plan, verify="raise", query=query,
-                          stats=store.stats_manager.snapshot())
+        costed = optimize(plan, structural=False, verify="raise",
+                          query=query, stats=store.stats_manager.snapshot())
         ctx = engine.ctx.fork()
         assert execute_plan(costed, ctx) == execute_plan(unfactored, ctx)
 
@@ -282,17 +296,22 @@ class TestFactoredDagDifferential:
     ])
     def test_factored_store_matches_calculus_store(self, query):
         """Both backends, end to end: a calculus store and an algebra
-        store (whose plans are factored DAGs) agree on the O2SQL
-        surface queries over a generated corpus."""
-        algebra = corpus_store(9, 3)
+        store agree on the O2SQL surface queries over a generated
+        corpus — the union-of-plans store (whose plans are factored
+        DAGs) and the default range-scan store alike."""
         calculus = DocumentStore(ARTICLE_DTD, backend="calculus")
         for tree in generate_corpus(9, seed=3):
             calculus.load_tree(tree, validate=False)
         from repro.corpus import SAMPLE_ARTICLE
         if "my_article" in query:
-            algebra = DocumentStore(ARTICLE_DTD, backend="algebra")
-            for tree in generate_corpus(9, seed=3):
-                algebra.load_tree(tree, validate=False)
-            algebra.load_text(SAMPLE_ARTICLE, name="my_article")
             calculus.load_text(SAMPLE_ARTICLE, name="my_article")
-        assert algebra.query(query) == calculus.query(query)
+        expected = calculus.query(query)
+        for structural in (False, True):
+            algebra = corpus_store(9, 3, structural)
+            if "my_article" in query:
+                algebra = DocumentStore(ARTICLE_DTD, backend="algebra",
+                                        structural=structural)
+                for tree in generate_corpus(9, seed=3):
+                    algebra.load_tree(tree, validate=False)
+                algebra.load_text(SAMPLE_ARTICLE, name="my_article")
+            assert algebra.query(query) == expected, structural

@@ -100,8 +100,7 @@ ALTERNATES = {
 
 #: Everything stamped on a node after construction; a rebuild through
 #: the constructor must leave all of it behind.
-ANNOTATIONS = ("est_rows", "est_cost", "cost_evidence",
-               "structural_alternative")
+ANNOTATIONS = ("est_rows", "est_cost", "cost_evidence")
 
 
 def sample(cls: type, changed: str | None = None) -> Operator:
@@ -266,13 +265,15 @@ def store():
     return s
 
 
-def prefactoring_plans(plan: Operator) -> dict[str, Operator]:
+def prefactoring_plans(plan: Operator,
+                       scans: Operator) -> dict[str, Operator]:
     """The plans the factoring stage is handed — the pushed-down shape
-    of the plain and of the structural pipeline — plus the raw
-    compilation (factoring it too covers the un-rewritten shape)."""
+    of the union-of-plans ``plan`` and of the structural compilation
+    ``scans`` — plus the raw union-of-plans (factoring it too covers the
+    un-rewritten shape)."""
     return {"raw": plan,
             "rewritten": sink_selections(plan),
-            "structural": sink_selections(structuralize(plan))}
+            "structural": sink_selections(structuralize(scans))}
 
 
 class TestFactoringHash:
@@ -284,16 +285,18 @@ class TestFactoringHash:
                                                  index):
         query = QueryGenerator(seed).case(index).query
         try:
-            plan = compile_query(query, store.schema)
+            plan = compile_query(query, store.schema, structural=False)
+            scans = compile_query(query, store.schema)
         except CompilationError:
             assume(False)
-        for config, before in prefactoring_plans(plan).items():
+        for config, before in prefactoring_plans(plan, scans).items():
             factored = factor_shared_prefixes(before)
             assert (plan_size(factored), count_shared(factored)) == \
                 reference_factored_counts(before), config
 
-    #: Operator counts of the parent commit (EXPERIMENTS P7/P9):
-    #: ``(unfactored, factored, shared, structural)``.
+    #: Operator counts (EXPERIMENTS P7/P9): ``(unfactored, factored,
+    #: shared)`` of the ``structural=False`` union-of-plans, then the
+    #: size of the default structural plan.
     GOLDENS = {
         "select t from my_article PATH_p.title(t)": (167, 96, 11, 5),
         'select name(ATT_a) from my_article PATH_p.ATT_a(val) '
@@ -304,10 +307,11 @@ class TestFactoringHash:
 
     @pytest.mark.parametrize("text", GOLDENS, ids=["Q3", "Q5", "deep_join"])
     def test_golden_operator_counts(self, store, text):
-        plan = compile_query(store._engine.translate(text), store.schema)
-        factored = optimize(plan)
-        structural = optimize(plan, structural=True)
-        assert (plan_size(prefactoring_plans(plan)["rewritten"]),
+        query = store._engine.translate(text)
+        plan = compile_query(query, store.schema, structural=False)
+        factored = optimize(plan, structural=False)
+        structural = optimize(compile_query(query, store.schema))
+        assert (plan_size(sink_selections(plan)),
                 plan_size(factored), count_shared(factored),
                 plan_size(structural)) == self.GOLDENS[text]
         assert count_shared(structural) == 0
@@ -322,7 +326,8 @@ class TestRendering:
         text = ('select name(ATT_a) from my_article PATH_p.ATT_a(val) '
                 'where val contains ("final")')
         plan = optimize(compile_query(store._engine.translate(text),
-                                      store.schema))
+                                      store.schema, structural=False),
+                        structural=False)
         labelled: Counter = Counter()
 
         def counting(label):

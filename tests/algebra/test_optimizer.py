@@ -48,9 +48,8 @@ class TestIndexBackedSelect:
         (optimized,) = _find(optimize(plan), SelectOp)
         assert optimized.oid_only
         assert optimized.probe is not None
-        keys, exact = optimized.probe(store._engine.ctx)
-        assert exact and keys == store.text_index.candidates(
-            select.pattern)
+        assert optimized.probe(store._engine.ctx) == \
+            store.text_index.probe(select.pattern)
 
     def test_optimized_plan_gives_same_results(self, store):
         query = store._engine.translate(CONTAINS_QUERY)
@@ -87,10 +86,11 @@ class TestPushdown:
             where a.status = "final"
         """
         query = store._engine.translate(text)
-        plan = compile_query(query, store.schema)
-        pushed = sink_selections(plan)
-        assert execute_plan(plan, store._engine.ctx) == \
-            execute_plan(pushed, store._engine.ctx)
+        for structural in (False, True):
+            plan = compile_query(query, store.schema, structural=structural)
+            pushed = sink_selections(plan)
+            assert execute_plan(plan, store._engine.ctx) == \
+                execute_plan(pushed, store._engine.ctx), structural
 
     def test_selection_moves_below_unrelated_operators(self, store):
         # the status filter depends only on `a`; after pushdown it must

@@ -1,7 +1,8 @@
 """Shared-work DAG execution (the P7 factoring), pinned by counters.
 
 The optimizer's common-prefix factoring merges structurally identical
-union-branch prefixes into :class:`SharedOp` nodes; execution then
+union-branch prefixes of the ``structural=False`` union-of-plans into
+:class:`SharedOp` nodes; execution then
 computes each shared stream once per run and replays it to the other
 consumers.  These tests pin that behaviour the repo's usual way —
 deterministic operation counts and plan shapes, never timings:
@@ -62,7 +63,7 @@ def wide_database(width: int) -> Instance:
 
 
 def build_corpus_store(size=10, seed=42) -> DocumentStore:
-    store = DocumentStore(ARTICLE_DTD, backend="algebra")
+    store = DocumentStore(ARTICLE_DTD, backend="algebra", structural=False)
     for tree in generate_corpus(size, seed=seed):
         store.load_tree(tree, validate=False)
     return store
@@ -73,7 +74,8 @@ class TestSharingCounters:
 
     @pytest.mark.parametrize("width", [4, 9, 17])
     def test_shared_prefix_computed_once(self, width):
-        engine = QueryEngine(wide_database(width), backend="algebra")
+        engine = QueryEngine(wide_database(width), backend="algebra",
+                             structural=False)
         registry = MetricsRegistry()
         engine.ctx.metrics = registry
         result = engine.run("select x from Root PATH_p.v(x)")
@@ -88,7 +90,8 @@ class TestSharingCounters:
         assert registry.get("algebra.union_fanout") == width
 
     def test_sharing_does_not_leak_across_runs(self):
-        engine = QueryEngine(wide_database(5), backend="algebra")
+        engine = QueryEngine(wide_database(5), backend="algebra",
+                             structural=False)
         registry = MetricsRegistry()
         engine.ctx.metrics = registry
         first = engine.run("select x from Root PATH_p.v(x)")
@@ -152,7 +155,8 @@ class TestFactoredPlanShape:
 
     @pytest.fixture(scope="class")
     def plans(self):
-        store = DocumentStore(ARTICLE_DTD, backend="algebra")
+        store = DocumentStore(ARTICLE_DTD, backend="algebra",
+                              structural=False)
         store.load_text(SAMPLE_ARTICLE, name="my_article")
         engine = store._engine
         from repro.o2sql.parser import parse
@@ -161,9 +165,9 @@ class TestFactoredPlanShape:
         query = to_calculus(parse("select t from my_article PATH_p.title(t)"),
                             engine.instance.schema.roots.keys())
         plan = compile_query(query, engine.instance.schema,
-                             path_semantics="restricted")
+                             path_semantics="restricted", structural=False)
         return (store, sink_selections(plan),
-                optimize(plan))
+                optimize(plan, structural=False))
 
     def test_factoring_shrinks_the_plan(self, plans):
         _, unfactored, factored = plans

@@ -1,10 +1,11 @@
-"""Counter-based regressions for the structural-index rewrite (P9).
+"""Counter-based regressions for the structural compilation (P9).
 
-The claim under test: with ``structural=True``, the Q3/Q5 path-variable
-plans actually *use* the index (``structindex.range_scans > 0``) and are
-strictly smaller than the factored union-of-plans — the union fan-out
-never runs.  No timing assertions; the work itself is pinned, mirroring
-the P1/P5 counter-test idiom.
+The claim under test: with ``structural=True`` (the default), the Q3/Q5
+path-variable plans actually *use* the index
+(``structindex.range_scans > 0``) and are strictly smaller than the
+``structural=False`` union-of-plans — the compiler builds no fan-out at
+all, only the plan the store serves.  No timing assertions; the work
+itself is pinned, mirroring the P1/P5 counter-test idiom.
 """
 
 import pytest
@@ -14,6 +15,7 @@ from repro.algebra import (
     IntervalJoinOp,
     StructuralAttrScanOp,
     StructuralScanOp,
+    UnionOp,
     compile_query,
     execute_plan,
     optimize,
@@ -30,9 +32,9 @@ Q_JOIN = "select v from my_article PATH_p(v), my_old_article PATH_q(v)"
 
 @pytest.fixture(scope="module")
 def stores():
-    factored = DocumentStore(ARTICLE_DTD, backend="algebra")
-    structural = DocumentStore(ARTICLE_DTD, backend="algebra",
-                               structural=True)
+    factored = DocumentStore(ARTICLE_DTD, backend="algebra",
+                             structural=False)
+    structural = DocumentStore(ARTICLE_DTD, backend="algebra")
     for store in (factored, structural):
         store.load_text(SAMPLE_ARTICLE, name="my_article")
         store.load_text(SAMPLE_ARTICLE, name="my_old_article")
@@ -68,12 +70,12 @@ class TestRangeScansReplaceUnions:
     @pytest.mark.parametrize("text", [Q3, Q5, Q_JOIN])
     def test_structural_plan_is_strictly_smaller(self, stores, text):
         factored, structural = stores
-        engine = structural._engine
-        plan = compile_query(engine.translate(text),
-                             structural.schema,
-                             path_semantics="restricted")
-        factored_size = plan_size(optimize(plan))
-        structural_size = plan_size(optimize(plan, structural=True))
+        query = structural._engine.translate(text)
+        factored_size = plan_size(optimize(
+            compile_query(query, structural.schema, structural=False),
+            structural=False))
+        structural_size = plan_size(optimize(
+            compile_query(query, structural.schema)))
         assert structural_size < factored_size
 
     @pytest.mark.parametrize("text", [Q3, Q5])
@@ -113,8 +115,7 @@ class TestFallbackWithoutIndex:
         for text in (Q3, Q5, Q_JOIN):
             plan = optimize(
                 compile_query(engine.translate(text), factored.schema,
-                              path_semantics="restricted"),
-                structural=True)
+                              path_semantics="restricted"))
             fork = engine.ctx.fork()
             fork.metrics = metrics
             assert execute_plan(plan, fork) == factored.query(text)
@@ -129,3 +130,42 @@ class TestCacheKeySeparation:
         factored, structural = stores
         assert factored._engine.cache_key(Q3) \
             != structural._engine.cache_key(Q3)
+
+
+class TestOneStrategyPerCompile:
+    """The compiler builds the plan it is asked for and nothing else."""
+
+    #: ``plan_size`` of the raw compilation: default, then
+    #: ``structural=False``.
+    SIZES = {Q3: (5, 85), Q5: (7, 893)}
+
+    @pytest.mark.parametrize("text", [Q3, Q5], ids=["Q3", "Q5"])
+    def test_compiled_sizes(self, stores, text):
+        _, structural = stores
+        query = structural._engine.translate(text)
+        assert (plan_size(compile_query(query, structural.schema)),
+                plan_size(compile_query(query, structural.schema,
+                                        structural=False))) \
+            == self.SIZES[text]
+
+    def test_default_q5_compiles_no_union(self, stores):
+        _, structural = stores
+        plan = compile_query(structural._engine.translate(Q5),
+                             structural.schema)
+        assert _count_ops(plan, UnionOp) == 0
+
+    @pytest.mark.parametrize("structural", [True, False])
+    def test_candidate_types_are_listed_once(self, stores, structural):
+        store, _ = stores
+        plan = compile_query(store._engine.translate(Q5), store.schema,
+                             structural=structural)
+        assert plan.var_types
+        for types in plan.var_types.values():
+            assert all(tp not in types[:position]
+                       for position, tp in enumerate(types))
+
+    def test_a_calculus_store_keeps_no_structural_index(self):
+        store = DocumentStore(ARTICLE_DTD)
+        assert store._engine.structural
+        assert store.struct_index is None
+        assert store._engine.ctx.struct_index is None

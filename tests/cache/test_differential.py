@@ -36,7 +36,9 @@ QUERY_POOL = [
 
 
 def build_random_store(backend, seed, size=4, with_index=False):
-    store = DocumentStore(ARTICLE_DTD, backend=backend)
+    # the union-of-plans: the cached plan whose re-runs replay SharedOp
+    # memos and prune union branches on index probes
+    store = DocumentStore(ARTICLE_DTD, backend=backend, structural=False)
     for i, tree in enumerate(generate_corpus(size, seed=seed)):
         store.load_tree(tree, name=f"doc{i}", validate=False)
     if with_index:

@@ -12,7 +12,13 @@ execution, not a second compile.
 import pytest
 
 import repro.algebra.optimizer as optimizer
-from repro.algebra.operators import IntervalJoinOp, UnionOp, walk_once
+from repro.algebra.operators import (
+    IntervalJoinOp,
+    MakePathOp,
+    StructuralAttrScanOp,
+    UnionOp,
+    walk_once,
+)
 from repro.diffcheck import DiffHarness, QueryGenerator
 from repro.diffcheck.generator import CorpusSpec
 from repro.diffcheck.harness import RERUN
@@ -54,6 +60,22 @@ class TestServedConfiguration:
         assert any(len(union.branches) > 1
                    and union.cost_evidence is not None
                    for union in unions)
+
+    def test_algebra_config_compiles_the_fan_out(self, stores):
+        # the paper-faithful reference is asked for by name; the served
+        # configurations compile the range scan and no fan-out at all
+        query = _translate(
+            stores, "select t from a in Articles, a PATH_p.title(t)")
+
+        def classes(config):
+            plan = stores[config]._engine.compile(query).plan
+            return {type(node) for node in walk_once(plan)}
+
+        assert stores["algebra"]._engine.structural is False
+        assert {UnionOp, MakePathOp} <= classes("algebra")
+        for served in ("structural", "sql"):
+            assert StructuralAttrScanOp in classes(served)
+            assert MakePathOp not in classes(served)
 
     def test_outcomes_are_config_by_run(self, harness, attvar_query):
         comparison = harness.compare(SPEC, attvar_query)

@@ -36,8 +36,8 @@ def build_store(**config):
 
 @pytest.mark.parametrize("config", [
     {"backend": "calculus"},
+    {"backend": "algebra", "structural": False},
     {"backend": "algebra"},
-    {"backend": "algebra", "structural": True},
     {"backend": "sql", "structural": True},
 ], ids=["calculus", "algebra", "structural", "sql"])
 class TestBackHalf:
@@ -80,12 +80,13 @@ class TestStageFunctions:
         store = build_store(backend="algebra", structural=structural)
         query = store._engine.translate(QUERY)
         stats = store.statistics()
-        by_hand = compile_query(query, store.schema)
+        by_hand = compile_query(query, store.schema, structural=structural)
         if structural:
             by_hand = structuralize(by_hand)
         by_hand = apply_cost_stage(
             factor_shared_prefixes(sink_selections(by_hand)), stats)
-        whole = optimize(compile_query(query, store.schema),
+        whole = optimize(compile_query(query, store.schema,
+                                       structural=structural),
                          structural=structural, verify="raise",
                          query=query, stats=stats)
         assert by_hand.describe() == whole.describe()

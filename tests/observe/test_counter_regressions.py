@@ -105,11 +105,13 @@ def wide_database(width: int) -> Instance:
 
 
 class TestP5UnionFanout:
-    """bench_p5's explosion, pinned to its schema-derived expectation."""
+    """bench_p5's explosion, pinned to its schema-derived expectation
+    (the ``structural=False`` union-of-plans)."""
 
     @pytest.mark.parametrize("width", [4, 9, 17])
     def test_fanout_equals_schema_width(self, width):
-        engine = QueryEngine(wide_database(width), backend="algebra")
+        engine = QueryEngine(wide_database(width), backend="algebra",
+                             structural=False)
         registry = MetricsRegistry()
         engine.ctx.metrics = registry
         result = engine.run("select x from Root PATH_p.v(x)")
@@ -118,7 +120,8 @@ class TestP5UnionFanout:
         assert len(result) == width
 
     def test_report_fanout_matches_counter(self):
-        engine = QueryEngine(wide_database(9), backend="algebra")
+        engine = QueryEngine(wide_database(9), backend="algebra",
+                             structural=False)
         report = engine.explain_analyze("select x from Root PATH_p.v(x)")
         assert report.union_fanouts() == [9]
         assert report.counter("algebra.union_fanout") == 9

@@ -18,7 +18,8 @@ Q3 = "select t from my_article PATH_p.title(t)"
 
 @pytest.fixture(scope="module")
 def algebra_store():
-    store = DocumentStore(ARTICLE_DTD, backend="algebra")
+    # the Section 5.4 union-of-plans, whose fan-out the report shows
+    store = DocumentStore(ARTICLE_DTD, backend="algebra", structural=False)
     store.load_text(SAMPLE_ARTICLE, name="my_article")
     return store
 

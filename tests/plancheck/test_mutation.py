@@ -22,8 +22,8 @@ Q_PUSHDOWN = "select t from my_article PATH_p.title(t) where t = 'On Sets'"
 #: path; misbound, it probes the variable the scan itself binds.
 Q_JOIN = "select v from my_article PATH_p(v), my_old_article PATH_q(v)"
 
-#: Cost-stage victim: a path variable compiles to a multi-branch union,
-#: which the cost stage reorders (and would prune, were the ``contains``
+#: Cost-stage victim: a path variable compiles (``structural=False``) to
+#: a multi-branch union, which the cost stage reorders (and would prune, were the ``contains``
 #: word absent from the corpus).
 Q_COST = ('select t from a in Articles, a PATH_p.title(t) '
           'where a contains ("SGML")')
@@ -39,9 +39,9 @@ def store():
     return s
 
 
-def _plan_for(store, text):
+def _plan_for(store, text, structural=True):
     query = store._engine.translate(text)
-    return query, compile_query(query, store.schema)
+    return query, compile_query(query, store.schema, structural=structural)
 
 
 class TestSeededBreakage:
@@ -66,25 +66,25 @@ class TestSeededBreakage:
     def test_scrambled_branch_order_is_caught(self, store, monkeypatch):
         """A cost stage that duplicates one branch and drops another no
         longer carries a permutation in its evidence — PC-COST."""
-        query, plan = _plan_for(store, Q_COST)
+        query, plan = _plan_for(store, Q_COST, structural=False)
         snapshot = store.stats_manager.snapshot()
         monkeypatch.setattr(optimizer, "_TEST_MUTATION",
                             "branch_order_scrambled")
         with pytest.raises(PlanVerificationError) as exc:
-            optimizer.optimize(plan, verify="raise", query=query,
-                               stats=snapshot)
+            optimizer.optimize(plan, structural=False, verify="raise",
+                               query=query, stats=snapshot)
         assert any(f.code == "PC-COST" for f in exc.value.faults)
 
     def test_pruning_nonempty_branch_is_caught(self, store, monkeypatch):
         """A cost stage that prunes a branch without re-checkable zero
         evidence is rejected — PC-COST."""
-        query, plan = _plan_for(store, Q_COST)
+        query, plan = _plan_for(store, Q_COST, structural=False)
         snapshot = store.stats_manager.snapshot()
         monkeypatch.setattr(optimizer, "_TEST_MUTATION",
                             "prune_nonempty_branch")
         with pytest.raises(PlanVerificationError) as exc:
-            optimizer.optimize(plan, verify="raise", query=query,
-                               stats=snapshot)
+            optimizer.optimize(plan, structural=False, verify="raise",
+                               query=query, stats=snapshot)
         assert any(f.code == "PC-COST" for f in exc.value.faults)
 
     def test_warn_policy_keeps_last_verified_plan(self, store,
@@ -114,15 +114,16 @@ class TestIntactOptimizer:
     @pytest.mark.parametrize("structural", [False, True])
     def test_raise_gate_stays_silent(self, store, text, structural):
         assert optimizer._TEST_MUTATION is None
-        query, plan = _plan_for(store, text)
+        query, plan = _plan_for(store, text, structural)
         optimizer.optimize(plan, structural=structural, verify="raise",
                            query=query)
 
     @pytest.mark.parametrize("text", [Q_PUSHDOWN, Q_JOIN, Q_COST])
     def test_cost_stage_passes_raise_gate(self, store, text):
         assert optimizer._TEST_MUTATION is None
-        query, plan = _plan_for(store, text)
-        optimizer.optimize(plan, verify="raise", query=query,
+        query, plan = _plan_for(store, text, structural=False)
+        optimizer.optimize(plan, structural=False, verify="raise",
+                           query=query,
                            stats=store.stats_manager.snapshot())
 
     def test_mutation_flag_defaults_off(self):

@@ -12,7 +12,7 @@ QUERY = "select t from my_article PATH_p.title(t) where t = 'On Sets'"
 
 @pytest.fixture()
 def store():
-    s = DocumentStore(ARTICLE_DTD, backend="algebra")
+    s = DocumentStore(ARTICLE_DTD, backend="algebra", structural=False)
     s.load_text(SAMPLE_ARTICLE, name="my_article")
     s.build_text_index()
     return s
@@ -48,8 +48,7 @@ class TestCompileBreakdown:
         assert compile_span.attributes["verified"] is True
 
     def test_structural_store_adds_structuralize_stage(self):
-        s = DocumentStore(ARTICLE_DTD, backend="algebra",
-                          structural=True)
+        s = DocumentStore(ARTICLE_DTD, backend="algebra")
         s.load_text(SAMPLE_ARTICLE, name="my_article")
         s.build_structural_index()
         report = s.explain_analyze("select t from my_article"

@@ -31,33 +31,37 @@ _SCHEMA = DocumentStore(ARTICLE_DTD).schema
 @given(seed=st.integers(min_value=0, max_value=10**6))
 def test_every_generated_plan_verifies(seed):
     for case in generate_cases(2, seed=seed):
-        try:
-            plan = compile_query(case.query, _SCHEMA,
-                                 path_semantics="restricted")
-        except CompilationError:
-            continue  # statically rejected on both sides: no plan
-        check_plan(plan, query=case.query, stage="compile")
         for structural in (False, True):
+            try:
+                plan = compile_query(case.query, _SCHEMA,
+                                     path_semantics="restricted",
+                                     structural=structural)
+            except CompilationError:
+                continue  # statically rejected on both sides: no plan
+            check_plan(plan, query=case.query, stage="compile")
             optimize(plan, structural=structural, verify="raise",
                      query=case.query)
 
 
 def test_raw_compile_gate_over_the_diffcheck_generator():
-    """The compiler's own output verifies on every case the nightly
-    generator seed produces first — the gate diffcheck used to run
-    inside each comparison, as one deterministic sweep."""
+    """The compiler's own output — under both path-variable
+    strategies — verifies on every case the nightly generator seed
+    produces first: the gate diffcheck used to run inside each
+    comparison, as one deterministic sweep."""
     generator = QueryGenerator(4242)
     compiled = 0
     for index in range(300):
         query = generator.case(index).query
-        try:
-            plan = compile_query(query, _SCHEMA,
-                                 path_semantics="restricted")
-        except CompilationError:
-            continue
-        check_plan(plan, query=query, stage="compile")
-        compiled += 1
-    assert compiled > 250
+        for structural in (False, True):
+            try:
+                plan = compile_query(query, _SCHEMA,
+                                     path_semantics="restricted",
+                                     structural=structural)
+            except CompilationError:
+                continue
+            check_plan(plan, query=query, stage="compile")
+            compiled += 1
+    assert compiled > 2 * 250
 
 
 # -- lint-clean queries never trip the safety check at run time -------------

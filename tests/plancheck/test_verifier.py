@@ -60,14 +60,15 @@ class TestCleanPlans:
     @pytest.mark.parametrize("text", QUERIES)
     def test_compiled_plan_verifies(self, store, text):
         query = store._engine.translate(text)
-        plan = compile_query(query, store.schema)
-        assert verify_plan(plan, query=query, stage="compile") == []
+        for structural in (False, True):
+            plan = compile_query(query, store.schema, structural=structural)
+            assert verify_plan(plan, query=query, stage="compile") == []
 
     @pytest.mark.parametrize("text", QUERIES)
     @pytest.mark.parametrize("structural", [False, True])
     def test_optimized_plan_verifies(self, store, text, structural):
         query = store._engine.translate(text)
-        plan = compile_query(query, store.schema)
+        plan = compile_query(query, store.schema, structural=structural)
         rewritten = optimize(plan, structural=structural,
                              verify="raise", query=query)
         assert verify_plan(rewritten, query=query) == []
@@ -180,16 +181,17 @@ class TestOidOnlyTypeFact:
         query = store._engine.translate(
             "select name(ATT_a) from my_article PATH_p.ATT_a(val)"
             " where val contains ('final')")
-        plan = compile_query(query, store.schema)
-        (select,) = [node for node in walk_once(plan)
-                     if isinstance(node, SelectOp)
-                     and node.pattern is not None]
-        assert not select.oid_only
-        assert verify_plan(plan, query=query) == []
-        select.oid_only = True
-        with pytest.raises(PlanVerificationError) as exc:
-            check_plan(plan, query=query, stage="compile")
-        assert codes(exc.value.faults) == ["PC-TYPE"]
+        for structural in (False, True):
+            plan = compile_query(query, store.schema, structural=structural)
+            (select,) = [node for node in walk_once(plan)
+                         if isinstance(node, SelectOp)
+                         and node.pattern is not None]
+            assert not select.oid_only
+            assert verify_plan(plan, query=query) == []
+            select.oid_only = True
+            with pytest.raises(PlanVerificationError) as exc:
+                check_plan(plan, query=query, stage="compile")
+            assert codes(exc.value.faults) == ["PC-TYPE"]
 
 
 class TestDeadBranches:

@@ -61,7 +61,7 @@ class TestEmitProgram:
         shred = Shred(StructuralIndex(store.instance,
                                       epoch_source=store.plan_cache))
         shred.refresh()
-        names, rows = shred.execute(program.sql, program.params)
+        names, rows, _ = shred.execute(program.sql, program.params)
         assert rows
 
 

@@ -100,7 +100,7 @@ class TestTargetedReshred:
         store.update_text(edit_target(store), "x")
         shred.refresh()
         assert dict(shred.execute(count)[1]) == before
-        _, rows = shred.execute(
+        _, rows, _ = shred.execute(
             "SELECT COUNT(*) FROM content WHERE value = 'x'")
         assert rows == [(2,)]               # doc2 and Articles
 
@@ -150,9 +150,37 @@ class TestTargetedReshred:
         store.struct_index.note_data_change()
         shred.refresh()
         assert "doc0" not in shred.roots
-        _, rows = shred.execute(
+        _, rows, _ = shred.execute(
             "SELECT COUNT(*) FROM node WHERE root = 'doc0'")
         assert rows == [(0,)]
+
+
+class TestHydrationEpoch:
+    def test_rows_hydrate_from_the_blocks_they_were_fetched_at(
+            self, monkeypatch):
+        # a refresh another reader starts after a write lands between
+        # the fetch and the hydration: the rows must still read the
+        # blocks they were projected from, not the swapped-in ones
+        text = "select x from my_article PATH_p(x)"
+        store = build_store("sql", structural=True)
+        oracle = build_store("calculus")
+        expected = oracle.query(text)
+        assert store.query(text) == expected
+        shred = shred_of(store)
+        fetch = shred.execute
+        target = min(store.query("select t from my_article PATH_p.title(t)"),
+                     key=lambda oid: oid.number)
+
+        def fetch_then_edit(sql, params=()):
+            fetched = fetch(sql, params)
+            monkeypatch.undo()
+            store.update_text(target, "A title rewritten mid-read")
+            assert shred.refresh() > 0
+            return fetched
+
+        monkeypatch.setattr(shred, "execute", fetch_then_edit)
+        assert store.query(text) == expected
+        assert store.query(text) != expected  # the edit did land
 
 
 class TestOneEncoding:
@@ -245,7 +273,7 @@ class TestDerefClosure:
         shred = Shred(StructuralIndex(chain_database(DEREF_CAP)))
         shred.refresh()
         assert shred.refused == {}
-        _, rows = shred.execute(
+        _, rows, _ = shred.execute(
             "SELECT pre, kind, deref_base, cont FROM node "
             "WHERE root = 'chain' ORDER BY pre")
         tuple_pre = DEREF_CAP
@@ -269,7 +297,7 @@ class TestDerefClosure:
     def test_cont_swaps_to_a_marked_union_payload(self):
         shred = Shred(StructuralIndex(build_letters_database()))
         shred.refresh()
-        _, rows = shred.execute(
+        _, rows, _ = shred.execute(
             "SELECT n.pre, n.cont FROM node AS n "
             "WHERE n.root = 'Letters' AND n.step = 'index'")
         assert rows

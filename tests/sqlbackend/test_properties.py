@@ -52,7 +52,7 @@ class TestWalkRoundTrip:
                           shred.index.max_block_nodes)
                       if kind is ENTER]
             assert len(enters) == root.size
-            _, rows = shred.execute(
+            _, rows, _ = shred.execute(
                 "SELECT pre, level, kind FROM node WHERE root = ? "
                 "ORDER BY pre", (name,))
             assert [r[0] for r in rows] == list(range(root.size))
@@ -71,7 +71,7 @@ class TestWalkRoundTrip:
         for name, root in shred.roots.items():
             if root.size < 2:
                 continue
-            _, rows = shred.execute(
+            _, rows, _ = shred.execute(
                 "SELECT pre, post, parent, end_pre FROM node "
                 "WHERE root = ? ORDER BY pre", (name,))
             post = [r[1] for r in rows]
@@ -98,7 +98,7 @@ class TestWalkRoundTrip:
         size, seed = corpus
         _, shred = shredded_store(size, seed)
         for name, root in shred.roots.items():
-            _, rows = shred.execute(
+            _, rows, _ = shred.execute(
                 "SELECT pre, vkey FROM node WHERE root = ? "
                 "ORDER BY pre", (name,))
             for pre, vkey in rows:
@@ -117,7 +117,7 @@ class TestIndexAgreement:
         index = store.build_structural_index()
         for name, root in shred.roots.items():
             block = index.blocks[name]
-            _, rows = shred.execute(
+            _, rows, _ = shred.execute(
                 "SELECT pre, value FROM content WHERE root = ? "
                 "ORDER BY pre", (name,))
             expected = [(pre, value)
@@ -135,7 +135,7 @@ class TestIndexAgreement:
         index = store.build_structural_index()
         for name in shred.roots:
             block = index.blocks[name]
-            _, rows = shred.execute(
+            _, rows, _ = shred.execute(
                 "SELECT name, pre FROM attr WHERE root = ? "
                 "ORDER BY name, pre", (name,))
             by_name: dict = {}

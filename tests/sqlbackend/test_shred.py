@@ -62,7 +62,7 @@ class TestShredBuild:
         shred = shred_of(store)
         shred.refresh()
         for name, root in shred.roots.items():
-            _, rows = shred.execute(
+            _, rows, _ = shred.execute(
                 "SELECT pre, value FROM content WHERE root = ? "
                 "ORDER BY pre", (name,))
             expected = [(pre, value)
@@ -75,7 +75,7 @@ class TestShredBuild:
         shred = shred_of(store)
         shred.refresh()
         for name, root in shred.roots.items():
-            _, rows = shred.execute(
+            _, rows, _ = shred.execute(
                 "SELECT COUNT(*) FROM node WHERE root = ?", (name,))
             assert rows[0][0] == root.size == len(root.values) \
                 == len(root.paths)
@@ -106,5 +106,5 @@ class TestShredBuild:
         assert shred.roots["my_article"].truncated
         assert "budget" in shred.refused["my_article"]
         assert shred.max_root_size() == 0
-        _, rows = shred.execute("SELECT COUNT(*) FROM node", ())
+        _, rows, _ = shred.execute("SELECT COUNT(*) FROM node", ())
         assert rows == [(0,)]

@@ -16,7 +16,8 @@ QUERY = ('select t from a in Articles, a PATH_p.title(t) '
 
 
 def build_store():
-    store = DocumentStore(ARTICLE_DTD, backend="algebra")
+    # the union-of-plans: its branches are what the feedback records
+    store = DocumentStore(ARTICLE_DTD, backend="algebra", structural=False)
     for tree in generate_corpus(8, seed=7):
         store.load_tree(tree, validate=False)
     store.load_text(SAMPLE_ARTICLE, name="my_article")

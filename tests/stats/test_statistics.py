@@ -142,7 +142,7 @@ class TestCostModel:
         engine = store._engine
         query = engine.translate(
             "select t from a in Articles, a PATH_p.title(t)")
-        plan = compile_query(query, store.schema)
+        plan = compile_query(query, store.schema, structural=False)
         snap = store.statistics()
         root = estimate(plan, snap)
         assert root.rows >= 0.0
@@ -157,7 +157,9 @@ class TestCostModel:
         engine = store._engine
         query = engine.translate(
             "select t from a in Articles, a PATH_p.title(t)")
-        plan = optimize(compile_query(query, store.schema))
+        # the union-of-plans: its factoring is what makes a DAG
+        plan = optimize(compile_query(query, store.schema, structural=False),
+                        structural=False)
         snap = store.statistics()
         memo = {}
         estimate(plan, snap, memo)

@@ -122,7 +122,7 @@ class TestTargetedUpdates:
 
 class TestCompleteness:
     def test_recursive_sections_are_marked_incomplete(self):
-        s = DocumentStore(BOOK_DTD, structural=True)
+        s = DocumentStore(BOOK_DTD, backend="algebra")
         s.load_text(NESTED_BOOK, name="my_book")
         index = s.struct_index
         index.refresh()
@@ -132,7 +132,7 @@ class TestCompleteness:
         assert incomplete  # the nested section truncates its ancestors
 
     def test_complete_flags_are_sound(self):
-        s = DocumentStore(BOOK_DTD, structural=True)
+        s = DocumentStore(BOOK_DTD, backend="algebra")
         s.load_text(NESTED_BOOK, name="my_book")
         s.struct_index.refresh()
         for block in s.struct_index.blocks.values():
@@ -149,9 +149,9 @@ class TestCompleteness:
         # a suppressed dereference leaves the oid with no subtree in
         # the block, but a live ``.title`` still auto-dereferences it:
         # the fused scan must re-check such oids against the instance
-        plain = DocumentStore(BOOK_DTD, backend="algebra")
-        fused = DocumentStore(BOOK_DTD, backend="algebra",
-                              structural=True)
+        plain = DocumentStore(BOOK_DTD, backend="algebra",
+                              structural=False)
+        fused = DocumentStore(BOOK_DTD, backend="algebra")
         for s in (plain, fused):
             s.load_text(NESTED_BOOK, name="my_book")
         index = fused.struct_index
@@ -165,7 +165,7 @@ class TestCompleteness:
         assert metrics.get("structindex.range_scans") > 0
 
     def test_locate_skips_incomplete_occurrences(self):
-        s = DocumentStore(BOOK_DTD, structural=True)
+        s = DocumentStore(BOOK_DTD, backend="algebra")
         s.load_text(NESTED_BOOK, name="my_book")
         index = s.struct_index
         for oid in s.instance.all_oids():

@@ -378,26 +378,28 @@ class TestCandidates:
     def test_and_intersects(self):
         index = build_index()
         expr = parse_pattern_expr('"SGML" and "OODBMS"')
-        assert index.candidates(expr) == {"d3"}
+        assert index.probe(expr) == ({"d3"}, True)
 
     def test_or_unions(self):
         index = build_index()
         expr = parse_pattern_expr('"SGML" or "OODBMS"')
-        assert index.candidates(expr) == {"d1", "d2", "d3"}
+        assert index.probe(expr) == ({"d1", "d2", "d3"}, True)
 
     def test_not_gives_none(self):
         index = build_index()
-        assert index.candidates(parse_pattern_expr('not "SGML"')) is None
+        assert index.probe(parse_pattern_expr('not "SGML"')) == (None,
+                                                                 False)
 
     def test_and_with_not_keeps_positive_side(self):
         index = build_index()
         expr = parse_pattern_expr('"SGML" and not "OODBMS"')
-        assert index.candidates(expr) == {"d1", "d3"}  # superset is fine
+        # a superset is fine, and said to be one
+        assert index.probe(expr) == ({"d1", "d3"}, False)
 
     def test_or_with_not_gives_none(self):
         index = build_index()
         expr = parse_pattern_expr('"SGML" or not "OODBMS"')
-        assert index.candidates(expr) is None
+        assert index.probe(expr) == (None, False)
 
     def test_candidates_agree_with_contains(self):
         from repro.text import contains
@@ -413,6 +415,6 @@ class TestCandidates:
             expr = parse_pattern_expr(source)
             truth = {key for key, text in documents.items()
                      if contains(text, expr)}
-            candidate_set = index.candidates(expr)
+            candidate_set, _ = index.probe(expr)
             assert candidate_set is not None
             assert truth <= candidate_set, source

@@ -86,7 +86,6 @@ class TestIndexSoundness:
         candidates, exact = index.probe(expression)
         assert exact
         assert candidates == truth
-        assert index.candidates(expression) == truth
 
     @given(raw_documents, positive_expressions, positive_expressions)
     @settings(max_examples=100)
@@ -109,7 +108,7 @@ class TestIndexSoundness:
         index = build(texts)
         truth = {key for key, text in enumerate(texts)
                  if contains(text, expression)}
-        candidates = index.candidates(expression)
+        candidates, _ = index.probe(expression)
         if candidates is not None:
             assert truth <= candidates
 
@@ -211,7 +210,7 @@ class IndexAgreesWithOccurrenceLists(RuleBasedStateMachine):
         phrase = Pattern(" ".join(words))
         expected = self.model.keys_with_phrase(words)
         assert self.index.keys_with_phrase(phrase) == expected
-        assert self.index.candidates(phrase) == expected
+        assert self.index.probe(phrase) == (expected, True)
 
     @rule(prefix=st.sampled_from(["s", "qu", "t", "un", "x"]),
           tail=st.sampled_from(WORDS))
@@ -221,8 +220,8 @@ class IndexAgreesWithOccurrenceLists(RuleBasedStateMachine):
         expected = self.model.keys_matching(
             lambda token: token.startswith(prefix))
         assert self.index.keys_matching(prefix + ".*") == expected
-        assert self.index.candidates(
-            Pattern(prefix + ".*")) == expected
+        assert self.index.probe(
+            Pattern(prefix + ".*")) == (expected, True)
         phrase = Pattern(f"{prefix}.* {tail}")
         assert self.index.keys_with_phrase(phrase) == {
             key
@@ -233,10 +232,10 @@ class IndexAgreesWithOccurrenceLists(RuleBasedStateMachine):
     def boolean_candidates_agree(self, left, right):
         one, other = (self.model.keys_with_word(left),
                       self.model.keys_with_word(right))
-        assert self.index.candidates(
-            AndExpr(Pattern(left), Pattern(right))) == one & other
-        assert self.index.candidates(
-            OrExpr(Pattern(left), Pattern(right))) == one | other
+        assert self.index.probe(
+            AndExpr(Pattern(left), Pattern(right))) == (one & other, True)
+        assert self.index.probe(
+            OrExpr(Pattern(left), Pattern(right))) == (one | other, True)
 
 
 IndexAgreesWithOccurrenceLists.TestCase.settings = settings(
