@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+from bisect import bisect_left
 from itertools import repeat
 from operator import attrgetter
 from typing import Any, Callable, ClassVar, Iterable
@@ -1012,9 +1013,14 @@ class StructuralAttrScanOp(StructuralScanOp):
     :meth:`~repro.structindex.Block.attr_candidates` widens those
     positions to every holder a selection can reach (auto-dereference
     chains, marked unions, semantics-blocked oids).  Each candidate is
-    then put through the *same* selection logic as :class:`StepOp`
-    (``_auto_deref`` + ``_select_attribute``), so the fusion changes
-    only which nodes are tried, never what a trial means.
+    put through the *same* selection logic as :class:`StepOp`
+    (``_auto_deref`` + ``_select_attribute``, :meth:`_select`), so the
+    fusion changes only which nodes are tried, never what a trial
+    means — and it is tried once per block, not once per scan:
+    :meth:`~repro.structindex.Block.selections` keeps every selection
+    of the block sorted by holder, so one source costs two bisections
+    and three slice copies.  The memo cannot go stale because a block
+    never changes: any edit it could see publishes a new block.
 
     ``attr`` is a fixed attribute name; alternatively ``attr_var`` is
     an unbound attribute variable (the Section-5.4 fan-out over every
@@ -1022,6 +1028,7 @@ class StructuralAttrScanOp(StructuralScanOp):
     ``path_var`` (path to the holder), ``out_var`` (the holder) and
     ``value_var`` (the selected value).  Sources without a usable
     occurrence fall back to the live walk, identically filtered.
+    ``structindex.nodes_scanned`` counts the holders a slice reads.
     """
 
     params = ("source_var", "path_var", "out_var", "attr", "attr_var",
@@ -1042,6 +1049,7 @@ class StructuralAttrScanOp(StructuralScanOp):
         scan = _Scan(self, source, ctx)
         max_paths = ctx.max_paths
         attr = self.attr
+        trial = functools.partial(self._select, ctx=ctx)
         selected: Column = []
         names: Column = []
         index, positions = scan.index, scan.positions
@@ -1056,32 +1064,25 @@ class StructuralAttrScanOp(StructuralScanOp):
                     located = None
             if located is None:
                 for pair in scan.live_pairs(start):
-                    for name, value in self._select(pair[1], ctx):
+                    for name, value in trial(pair[1]):
                         index.append(row)
                         positions.append(pair)
                         names.append(name)
                         selected.append(value)
                 continue
-            values = block.values
+            holders, held_names, held_values = block.selections(
+                attr, trial)
+            lo = bisect_left(holders, pre)
+            hi = bisect_left(holders, block.end[pre], lo)
+            read = holders[lo:hi]
             scan.enter(row, block, pre)
-            candidates = block.attr_candidates(pre, attr)
             scan.range_scans += 1
-            scan.nodes_scanned += len(candidates)
-            if attr is None:
-                for position in candidates:
-                    for name, value in self._select(values[position],
-                                                    ctx):
-                        index.append(row)
-                        positions.append(position)
-                        names.append(name)
-                        selected.append(value)
-                continue
-            for position in candidates:
-                for value in _select_attribute(
-                        _auto_deref(values[position], ctx), attr):
-                    index.append(row)
-                    positions.append(position)
-                    selected.append(value)
+            scan.nodes_scanned += (hi - lo if attr is not None
+                                   else len(set(read)))
+            index.extend(repeat(row, hi - lo))
+            positions.extend(read)
+            names.extend(held_names[lo:hi])
+            selected.extend(held_values[lo:hi])
         columns: dict[Any, Late] = {self.value_var: selected}
         if self.attr_var is not None:
             columns[self.attr_var] = names

@@ -38,7 +38,9 @@ performs (loads mark everything dirty, in-database text edits mark only
 the blocks containing the edited object), and :meth:`refresh` rebuilds
 exactly the dirty blocks.  An epoch bump the index was *not* told about
 (someone mutated the instance behind the facade's back) degrades to a
-full rebuild — stale answers are structurally impossible.
+full rebuild — stale answers are structurally impossible.  Either way
+the index publishes a *new* :class:`Block`, so what a block memoizes
+about itself (:meth:`Block.selections`) is as fresh as the block.
 
 **One encoding.**  These blocks are the only pre/post encoding in the
 process: the relational backend's tables
@@ -53,7 +55,7 @@ import gc
 import threading
 from bisect import bisect_left
 from contextlib import contextmanager
-from typing import Any, Iterator, cast
+from typing import Any, Callable, Iterator, cast
 
 from repro.errors import EvaluationError
 from repro.oodb.values import ATOM_PYTYPES, Nil, Oid
@@ -71,12 +73,17 @@ DEFAULT_MAX_BLOCK_NODES = 1_000_000
 
 
 class Block:
-    """The encoding of one persistence root, in pre-order arrays."""
+    """The encoding of one persistence root, in pre-order arrays.
+
+    A published block is never mutated — a rebuild installs a new
+    object — except for one lazily filled memo, :meth:`selections`.
+    """
 
     __slots__ = ("root_name", "origin", "post", "level", "parent",
                  "values", "paths", "end", "complete", "classes",
                  "atoms", "oids", "truncated", "value_ids",
-                 "attr_steps", "attr_positions", "blocked_oids")
+                 "attr_steps", "attr_positions", "blocked_oids",
+                 "_selections")
 
     def __init__(self, root_name: str, origin: object,
                  truncated: bool = False) -> None:
@@ -100,6 +107,8 @@ class Block:
         self.attr_steps: dict[str, list[int]] = {}
         self.attr_positions: list[int] = []
         self.blocked_oids: list[int] = []
+        # attribute name (None: any) -> (holders, names, values)
+        self._selections: dict[str | None, tuple[list, list, list]] = {}
 
     @property
     def size(self) -> int:
@@ -177,6 +186,46 @@ class Block:
             self._climb_derefs(j, pre, seen, out)
         out.sort()
         return out
+
+    def selections(self, name: str | None,
+                   trial: Callable[[object], list[tuple[str, object]]]
+                   ) -> tuple[list[int], list[str], list]:
+        """Every selection of attribute ``name`` (any attribute when
+        ``None``) the block's nodes make, as three parallel arrays
+        sorted by holder pre rank: ``holders``, ``names`` and
+        ``values`` — one entry per ``(name, value)`` that ``trial``
+        returns for a candidate of :meth:`attr_candidates` over the
+        whole block.  The entries of the subtree at ``pre`` are the
+        slice between ``bisect_left(holders, pre)`` and
+        ``bisect_left(holders, end[pre])``, and they are exactly what
+        ``attr_candidates(pre, name)`` would have tried: a candidate
+        is an ancestor-or-self of the AttrStep position (or blocked
+        oid) it was found from, so the candidates inside the subtree
+        are the ones found from inside it.
+
+        Filled the first time a scan asks for ``name``, never while
+        the block is built, and then only read — so every caller must
+        pass the same trial for a name (the memo is keyed by name).
+        It cannot go stale: the trial reads the values the block
+        recorded and the objects behind the oids it recorded (blocked
+        ones included), every edit of such an object dirties the
+        block, and an unannounced epoch bump rebuilds every block —
+        either way a new :class:`Block` object, with an empty memo, is
+        published.
+        Concurrent fills each build their own arrays and publish them
+        with one dict assignment."""
+        memo = self._selections.get(name)
+        if memo is None:
+            holders: list[int] = []
+            names: list[str] = []
+            values: list = []
+            for position in self.attr_candidates(0, name):
+                for selected, value in trial(self.values[position]):
+                    holders.append(position)
+                    names.append(selected)
+                    values.append(value)
+            memo = self._selections[name] = (holders, names, values)
+        return memo
 
     def _climb_derefs(self, i: int, pre: int, seen: set[int],
                       out: list[int]) -> None:

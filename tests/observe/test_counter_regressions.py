@@ -8,7 +8,9 @@ operation counts that would silently regress if an optimization broke:
   (no text is rebuilt or tokenised), while the unindexed plan
   tokenises the whole corpus;
 * P5 — a path variable compiles into a Union whose fan-out equals the
-  schema-derived number of alternatives, no more.
+  schema-derived number of alternatives, no more;
+* P22 — a warm fused attribute scan reads its block's selection memo
+  and tries no selection itself.
 
 No timing assertions anywhere.
 """
@@ -23,6 +25,8 @@ from repro.observe import MetricsRegistry
 from repro.oodb import INTEGER, STRING, schema_from_classes, tuple_of
 from repro.oodb.instance import Instance
 from repro.oodb.values import TupleValue
+
+from tests.algebra.test_batch_executor import QUERY_CLASSES, build_store
 
 CORPUS_SIZE = 20
 NEEDLE = '"SGML" and "OODBMS"'
@@ -125,3 +129,19 @@ class TestP5UnionFanout:
         report = engine.explain_analyze("select x from Root PATH_p.v(x)")
         assert report.union_fanouts() == [9]
         assert report.counter("algebra.union_fanout") == 9
+
+
+class TestWarmAttributeScan:
+    """A warm ``PATH_p.title(t)`` reads each block's selection memo:
+    no selection trial (so no dereference) and no live walk per
+    source — on the store the batch-executor goldens are taken from."""
+
+    def test_second_path_titles_makes_no_trial(self):
+        store = build_store()
+        query = QUERY_CLASSES["path_titles"]
+        first = store.query(query)
+        registry = store.enable_metrics()
+        assert store.query(query) == first
+        assert registry.get("structindex.range_scans") > 0
+        assert registry.get("oodb.derefs") == 0
+        assert registry.get("structindex.fallback_walks") == 0

@@ -8,22 +8,30 @@ The invariants under test are the ones the scan/join operators rely on:
 * level/parent/end consistency (pre-order array well-formedness);
 * a *complete* node's range scan enumerates exactly what a fresh
   ``paths_from`` walk from its value would;
+* the fused attribute scan's selection memo, sliced to a complete
+  node's subtree, selects exactly what the walk selects;
 * the encoding is stable across serialize → reload.
 """
 
 import random
-from functools import lru_cache
+from bisect import bisect_left
+from functools import lru_cache, partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import DocumentStore
+from repro.algebra.operators import SeedOp, StructuralAttrScanOp
+from repro.calculus.evaluator import EvalContext
+from repro.calculus.terms import AttVar, DataVar, PathVar
 from repro.corpus import ARTICLE_DTD
 from repro.corpus.generator import generate_corpus
 from repro.oodb.values import Oid
 from repro.paths import RESTRICTED, paths_from
 from repro.structindex import StructuralIndex
+
+from tests.structindex.test_index import BOOK_DTD, NESTED_BOOK
 
 
 @lru_cache(maxsize=None)
@@ -205,6 +213,64 @@ class TestAttrCandidates:
                     # set must find every holder the walk finds
                     assert ({t[1:] for t in fused}
                             == {t[1:] for t in live})
+
+
+def _operator_trial(store, name):
+    """The trial a fused scan for ``name`` (``None``: an attribute
+    variable) hands :meth:`Block.selections`."""
+    op = StructuralAttrScanOp(
+        SeedOp(), DataVar("x"), PathVar("P"), DataVar("h"), name,
+        None if name is not None else AttVar("A"), DataVar("v"))
+    return partial(op._select, ctx=EvalContext(store.instance))
+
+
+def _memo_matches_the_walk(store, block, pre, name):
+    trial = _operator_trial(store, name)
+    live = {(id(node), selected, id(value))
+            for _, node in paths_from(block.values[pre], store.instance,
+                                      RESTRICTED)
+            for selected, value in trial(node)}
+    holders, names, values = block.selections(name, trial)
+    assert holders == sorted(holders)
+    lo = bisect_left(holders, pre)
+    hi = bisect_left(holders, block.end[pre])
+    memo = [(id(block.values[holder]), selected, id(value))
+            for holder, selected, value
+            in zip(holders[lo:hi], names[lo:hi], values[lo:hi])]
+    # one entry per selection, and the same selections as the walk
+    assert len(memo) == len(set(memo))
+    assert set(memo) == live
+
+
+class TestSelectionMemo:
+    """:meth:`Block.selections` is built once over the whole block;
+    its ``[pre, end[pre])`` slice must be the subtree's selections —
+    the ``(holder, name, value)`` identities the operator's own trial
+    finds on every node of a fresh walk from ``pre``."""
+
+    @given(corpora)
+    @settings(max_examples=10, deadline=None)
+    def test_memo_slice_matches_the_walk(self, corpus):
+        size, seed = corpus
+        store, index = indexed_store(size, seed)
+        rng = random.Random(seed + 3)
+        for block in index.blocks.values():
+            sample = rng.sample(range(block.size), min(block.size, 8))
+            for pre in sample:
+                if block.complete[pre]:
+                    for name in sorted(block.attr_steps) + [None]:
+                        _memo_matches_the_walk(store, block, pre, name)
+
+    def test_memo_slice_matches_the_walk_past_blocked_oids(self):
+        store = DocumentStore(BOOK_DTD, backend="algebra")
+        store.load_text(NESTED_BOOK, name="my_book")
+        index = store.build_structural_index()
+        assert any(block.blocked_oids for block in index.blocks.values())
+        for block in index.blocks.values():
+            for pre in range(block.size):
+                if block.complete[pre]:
+                    for name in sorted(block.attr_steps) + [None]:
+                        _memo_matches_the_walk(store, block, pre, name)
 
 
 class TestReloadStability:
