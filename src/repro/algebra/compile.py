@@ -89,6 +89,7 @@ from repro.paths.schema_paths import (
     SchemaElem,
     SchemaIndex,
     enumerate_schema_paths,
+    schema_path_targets,
 )
 from repro.algebra.operators import (
     BindOp,
@@ -525,11 +526,8 @@ class _Compiler:
             # the path variable and its endpoint directly, typed by the
             # union of every schema path's target (the scan enumerates
             # exactly those endpoints at runtime)
-            targets = []
-            for tp in types:
-                for schema_path in enumerate_schema_paths(
-                        self.schema, tp):
-                    targets.append(schema_path.target)
+            targets = [target for tp in types
+                       for target in schema_path_targets(self.schema, tp)]
             out = self.fresh_var("node")
             return [(StructuralScanOp(plan, current, component, out),
                      out, _dedup(targets), bound | {component})]
@@ -605,8 +603,4 @@ def _all_attrs(tp: Type) -> list[tuple[str, Type]]:
 
 
 def _dedup(types: list[Type]) -> list[Type]:
-    unique: list[Type] = []
-    for tp in types:
-        if tp not in unique:
-            unique.append(tp)
-    return unique
+    return list(dict.fromkeys(types))

@@ -71,7 +71,7 @@ from repro.oodb.types import (
     UnionType,
 )
 from repro.oodb.values import Nil, Oid
-from repro.paths.schema_paths import enumerate_schema_paths
+from repro.paths.schema_paths import schema_path_targets
 
 
 class SortType(Type):
@@ -111,7 +111,11 @@ def infer_types(query: Query, schema: Schema) -> dict:
 
     Returns ``{variable: Type}`` — data variables get model types (a
     system-marked union when several candidates exist), path variables
-    :data:`PATH_SORT`, attribute variables :data:`ATT_SORT`.
+    :data:`PATH_SORT`, attribute variables :data:`ATT_SORT`.  A path
+    variable is expanded over the *distinct* targets of its schema paths
+    (:func:`~repro.paths.schema_paths.schema_path_targets`, memoized on
+    ``schema.hierarchy``), so the schema is walked once per start type,
+    not once per query.
     """
     candidates: dict = {}
     _walk_formula(query.formula, schema, candidates)
@@ -129,11 +133,7 @@ def _resolve(variable, candidates: dict) -> Type:
         return PATH_SORT
     if isinstance(variable, AttVar):
         return ATT_SORT
-    found = candidates.get(variable, [])
-    unique: list[Type] = []
-    for tp in found:
-        if tp not in unique:
-            unique.append(tp)
+    unique = list(dict.fromkeys(candidates.get(variable, ())))
     if not unique:
         raise QueryTypeError(
             f"no type could be inferred for variable {variable}")
@@ -253,12 +253,8 @@ def _term_type(term, schema: Schema, candidates: dict) -> Type | None:
         root_type = _term_type(term.root, schema, candidates)
         if root_type is None:
             return None
-        targets = [match_target for match_target in _apply_targets(
-            root_type, list(term.path.components), schema)]
-        unique: list[Type] = []
-        for target in targets:
-            if target not in unique:
-                unique.append(target)
+        unique = list(dict.fromkeys(_match_types_with_target(
+            root_type, list(term.path.components), schema)))
         if not unique:
             return None
         if len(unique) == 1:
@@ -270,14 +266,9 @@ def _term_type(term, schema: Schema, candidates: dict) -> Type | None:
     return None
 
 
-def _apply_targets(root_type: Type, components: list,
-                   schema: Schema) -> list[Type]:
-    """Types reachable by a (possibly variable-free) path application."""
-    return list(_match_types_with_target(root_type, components, schema))
-
-
 def _match_types_with_target(current: Type, components: list,
                              schema: Schema) -> Iterator[Type]:
+    """Types reachable by a (possibly variable-free) path application."""
     if not components:
         yield current
         return
@@ -312,9 +303,8 @@ def _match_types_with_target(current: Type, components: list,
         yield from _match_types_with_target(current, rest, schema)
         return
     if isinstance(head, PathVar):
-        for schema_path in enumerate_schema_paths(schema, current):
-            yield from _match_types_with_target(
-                schema_path.target, rest, schema)
+        for target in schema_path_targets(schema, current):
+            yield from _match_types_with_target(target, rest, schema)
         return
     return
 
@@ -365,9 +355,6 @@ def _root_type(root, schema: Schema, candidates: dict) -> Type | None:
     return None
 
 
-_MAX_TYPE_MATCHES = 10_000
-
-
 def _match_types(current: Type, components: list, schema: Schema,
                  assignment: dict) -> Iterator[dict]:
     """Type-level analogue of the evaluator's path matching."""
@@ -377,11 +364,12 @@ def _match_types(current: Type, components: list, schema: Schema,
     head, rest = components[0], components[1:]
 
     if isinstance(head, PathVar):
-        for schema_path in enumerate_schema_paths(schema, current):
-            extended = dict(assignment)
-            extended[head] = PATH_SORT
-            yield from _match_types(
-                schema_path.target, rest, schema, extended)
+        # paths sharing a target yield identical assignments: walk each
+        # distinct target once
+        extended = dict(assignment)
+        extended[head] = PATH_SORT
+        for target in schema_path_targets(schema, current):
+            yield from _match_types(target, rest, schema, extended)
         return
 
     if isinstance(head, Sel):

@@ -83,6 +83,13 @@ class ClassHierarchy:
             self._parents[child] = direct_tuple
         self._ancestors: dict[str, frozenset[str]] = {}
         self._compute_ancestors()
+        # Facts derived from the hierarchy alone, filled on first use.
+        # Nothing mutates a hierarchy after construction, so they never
+        # go stale; concurrent fillers build a value locally and publish
+        # it with one dict assignment.  ``schema_paths`` is owned by
+        # :mod:`repro.paths.schema_paths`.
+        self._subclasses: dict[str, tuple[str, ...]] = {}
+        self.schema_paths: dict = {}
 
     # -- order ------------------------------------------------------------
 
@@ -159,7 +166,11 @@ class ClassHierarchy:
 
     def subclasses(self, name: str) -> tuple[str, ...]:
         """Every class ``c`` with ``c < name`` (including ``name``)."""
-        return tuple(c for c in self._sigma if self.precedes(c, name))
+        found = self._subclasses.get(name)
+        if found is None:
+            found = tuple(c for c in self._sigma if self.precedes(c, name))
+            self._subclasses[name] = found
+        return found
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._sigma)

@@ -111,15 +111,39 @@ class SchemaPath:
         return f"SchemaPath({self})"
 
 
-def enumerate_schema_paths(schema: Schema, root_type: Type,
-                           through_methods: bool = False
+def enumerate_schema_paths(schema: Schema, root_type: Type
                            ) -> list[SchemaPath]:
     """All schema paths from ``root_type`` under the restricted semantics.
 
     Returns paths in a deterministic order, starting with the empty path
-    at ``root_type`` itself.
+    at ``root_type`` itself.  The walk depends on ``schema.hierarchy``
+    and ``root_type`` only — never on the roots or the data — so it runs
+    once per start type and is memoized on the hierarchy; every call
+    returns a fresh list.
     """
-    return list(_walk(schema, root_type, (), frozenset()))
+    return list(_memoized(schema, root_type)[0])
+
+
+def schema_path_targets(schema: Schema, root_type: Type
+                        ) -> tuple[Type, ...]:
+    """The distinct targets of :func:`enumerate_schema_paths`, in
+    first-occurrence order: a type-level walk through a path variable
+    needs only these, since paths sharing a target continue alike."""
+    return _memoized(schema, root_type)[1]
+
+
+def _memoized(schema: Schema, root_type: Type
+              ) -> tuple[tuple[SchemaPath, ...], tuple[Type, ...]]:
+    # keyed by the rendering too: union equality ignores branch order,
+    # the walk's order does not
+    key = (root_type, str(root_type))
+    memo = schema.hierarchy.schema_paths
+    entry = memo.get(key)
+    if entry is None:
+        paths = tuple(_walk(schema, root_type, (), frozenset()))
+        entry = (paths, tuple(dict.fromkeys(p.target for p in paths)))
+        memo[key] = entry
+    return entry
 
 
 def _walk(schema: Schema, tp: Type, prefix: tuple[SchemaStep, ...],

@@ -16,7 +16,8 @@ every lookup misses the plan cache.  It prints per template the median
 and p95 latency and the compile-phase split read from the engine's own
 spans on further distinct variants: ``inference``, ``compile`` (its own
 share: the algebra compilation), every ``optimize.<stage>`` and
-``execute``.
+``execute`` (medians), then the p95 of the ``inference`` and
+``compile`` spans.
 
 The ``lint`` CI job prints both into every PR's log.  Timings are
 indicative (one process, no alternation); the rows are exact.
@@ -99,6 +100,11 @@ def phases_of(root) -> dict[str, float]:
     return found
 
 
+def p95(samples: list[float]) -> float:
+    ordered = sorted(samples)
+    return ordered[min(len(ordered) - 1, round(0.95 * len(ordered)))]
+
+
 def cold(store, spec: dict, repeats: int) -> None:
     from repro.observe import Tracer, observed
     variants = cycle(
@@ -126,22 +132,25 @@ def cold(store, spec: dict, repeats: int) -> None:
                 split.setdefault(phase, []).append(seconds)
                 if phase not in columns:
                     columns.append(phase)
-        samples.sort()
-        p95 = samples[min(len(samples) - 1, round(0.95 * len(samples)))]
-        rows.append((name, statistics.median(samples), p95,
+        tails = [p95(split.get(phase, [0.0]))
+                 for phase in ("inference", "compile")]
+        rows.append((name, statistics.median(samples), p95(samples),
                      {phase: statistics.median(values)
-                      for phase, values in split.items()}))
+                      for phase, values in split.items()}, tails))
     labels = [column.removeprefix("optimize.") for column in columns]
     widths = [max(len(label), 7) + 1 for label in labels]
     print(f"{'cold template':<22}{'p50':>8}{'p95':>8}"
           + "".join(f"{label:>{width}}"
-                    for label, width in zip(labels, widths)))
-    for name, p50, p95, split in rows:
-        print(f"{name:<22}{p50 * 1000:8.2f}{p95 * 1000:8.2f}"
+                    for label, width in zip(labels, widths))
+          + f"{'inf p95':>9}{'cmp p95':>9}")
+    for name, p50, tail, split, tails in rows:
+        print(f"{name:<22}{p50 * 1000:8.2f}{tail * 1000:8.2f}"
               + "".join(f"{split.get(column, 0.0) * 1000:{width}.2f}"
-                        for column, width in zip(columns, widths)))
+                        for column, width in zip(columns, widths))
+              + "".join(f"{seconds * 1000:9.2f}" for seconds in tails))
     print(f"(ms; {repeats} distinct variants per template for p50/p95,"
-          " as many again for the span split)")
+          " as many again for the span split: medians, then the p95 of"
+          " the inference and compile spans)")
 
 
 def main() -> None:
