@@ -20,15 +20,21 @@ counted as ``algebra.kernel_generic.<shape>``, so ``explain_analyze``
 says why a term or filter was interpreted.  Two shapes have a kernel
 that computes the same column without the interpreter:
 
-* an **attribute path** ``x.a1.….an`` from a bound variable folds the
-  interpreter's own ``_auto_deref`` + ``_select_attribute`` over the
-  root column;
+* an **attribute path** ``x.a1.….an`` from a bound variable is one
+  loop over the root column that never calls the interpreter: per
+  step it dereferences (through :meth:`Instance.deref`, so
+  ``oodb.derefs`` counts the same) while the value is an oid, at most
+  16 times as ``_auto_deref`` allows, and then selects with
+  :meth:`TupleValue.select` — the one attribute-selection rule the
+  interpreter and the navigation operators share;
 * ``contains(subject, <constant pattern expression>)`` under the
   built-in ``contains`` reads the full-text index: an oid whose indexed
   text is current (:meth:`TextIndex.current`) is decided by membership
-  in the probed key set when the index calls the probe exact, and
-  masked by it before the exact check otherwise; every other value is
-  turned into text and matched as the predicate would.
+  in the probed key set when the index calls the probe exact (on an
+  index that is not stale, one lookup in the key set decides an oid
+  it lists), and masked by it before the exact check otherwise; every
+  other value is turned into text and matched as the predicate
+  would.
 
 A specialised kernel must return, element for element, what the
 generic one does (``tests/algebra/test_kernels.py``).
@@ -40,13 +46,7 @@ from typing import Any, Callable
 
 from repro.errors import EvaluationError
 from repro.algebra.batch import MISSING, Batch, Column
-from repro.calculus.evaluator import (
-    EvalContext,
-    _auto_deref,
-    _select_attribute,
-    eval_term,
-    satisfy,
-)
+from repro.calculus.evaluator import EvalContext, eval_term, satisfy
 from repro.calculus.formulas import Eq, In, PathAtom, Pred, Subset
 from repro.calculus.functions import _as_text
 from repro.calculus.functions import _contains as BUILTIN_CONTAINS
@@ -59,7 +59,7 @@ from repro.calculus.terms import (
     Variable,
     term_variables,
 )
-from repro.oodb.values import Oid
+from repro.oodb.values import Oid, TupleValue
 from repro.text.patterns import PatternExpr
 
 TermKernel = Callable[[Batch, EvalContext], Column]
@@ -136,26 +136,30 @@ def _generic_term(term: Any, shape: str) -> TermKernel:
 
 def _attribute_path(root: Any, names: list[str]) -> TermKernel:
     """``root.a1.….an``: per step the interpreter's implicit
-    dereference and (union-selecting) attribute selection, over the
-    root column.  A step that selects nothing, or an
-    :class:`EvaluationError` inside one (a dereference chain too
-    deep), leaves :data:`MISSING` — where ``eval_term`` raises."""
+    dereference and :meth:`TupleValue.select`, over the root column.
+    A step that selects nothing, or a seventeenth dereference in a
+    row (where ``_auto_deref`` raises :class:`EvaluationError`),
+    leaves :data:`MISSING` — where ``eval_term`` raises."""
     def kernel(source: Batch, ctx: EvalContext) -> Column:
         if not source.has(root):
             return [MISSING] * source.size
+        deref = ctx.instance.deref
         values = []
         for value in source.column(root):
             # a MISSING root is no tuple: the first step selects nothing
-            try:
-                for name in names:
-                    selected = _select_attribute(
-                        _auto_deref(value, ctx), name)
-                    if not selected:
+            for name in names:
+                hops = 0
+                while type(value) is Oid:
+                    value = deref(value)
+                    hops += 1
+                    if hops > 16:
                         value = MISSING
-                        break
-                    value = selected[0]
-            except EvaluationError:
-                value = MISSING
+                if type(value) is not TupleValue:
+                    value = MISSING
+                    break
+                value = value.select(name, MISSING)
+                if value is MISSING:
+                    break
             values.append(value)
         return values
     return kernel
@@ -259,18 +263,28 @@ def contains_kernel(atom: Pred, probe: Probe) -> AtomKernel:
             return generic(source, ctx)
         keys, exact = probe(ctx)
         current = ctx.text_index.current() if keys is not None else ()
+        # on an index that is not stale every probed key is current:
+        # one lookup decides a listed oid, and an unlisted one is
+        # not in the keys
+        trusted = (exact and keys is not None
+                   and not ctx.text_index.stale)
         kept = []
         answered = pruned = rechecks = 0
         for row, value in enumerate(subject_kernel(source, ctx)):
-            if isinstance(value, Oid) and value in current:
-                if value not in keys:
-                    pruned += 1
-                    answered += exact
-                    continue
-                if exact:
+            if type(value) is Oid:
+                if trusted and value in keys:
                     answered += 1
                     kept.append(row)
                     continue
+                if value in current:
+                    if trusted or value not in keys:
+                        pruned += 1
+                        answered += exact
+                        continue
+                    if exact:
+                        answered += 1
+                        kept.append(row)
+                        continue
             text = _as_text(ctx, value)
             if isinstance(text, str):  # anything else: the atom is false
                 rechecks += 1

@@ -96,6 +96,7 @@ from repro.paths.steps import (
 
 
 _BY_VALUE = frozenset((str, int, bool, type(None)))
+_COLLECTIONS = frozenset((ListValue, SetValue))
 
 
 def _reader(names: tuple[str, ...]) -> Callable[[Any], tuple]:
@@ -347,7 +348,7 @@ class UnnestOp(Operator):
     operator matches its semantics exactly:
 
     * ``"collection"`` — an ``∈`` atom: lists and sets only, no
-      dereferencing, no tuple view;
+      dereferencing, no tuple view, no position;
     * ``"positions"`` — a variable ``[I]`` step: auto-dereference, then
       lists or the (marker-skipping) heterogeneous-list view of ordered
       tuples — never sets;
@@ -367,24 +368,22 @@ class UnnestOp(Operator):
         self.index_var = index_var
         self.mode = mode
 
-    def _resolve(self, collection: Any, ctx: EvalContext) -> Any:
-        if self.mode == "collection":
-            if isinstance(collection, (ListValue, SetValue)):
-                return collection
-            return None
+    def _items(self, collection: Any, ctx: EvalContext) -> tuple:
+        """The elements a ``positions``/``set`` step iterates: none
+        when it reaches no list (or tuple, for positions) or set."""
         collection = _auto_deref(collection, ctx)
         if self.mode == "set":
-            return collection if isinstance(collection, SetValue) \
-                else None
+            return collection.items if isinstance(collection, SetValue) \
+                else ()
         # positions
         if isinstance(collection, TupleValue):
             if (collection.is_marked
                     and isinstance(collection.marked_value, TupleValue)):
                 collection = collection.marked_value
-            return collection.as_heterogeneous_list()
+            return collection.as_heterogeneous_list().items
         if isinstance(collection, ListValue):
-            return collection
-        return None
+            return collection.items
+        return ()
 
     def batch(self, ctx: EvalContext) -> Batch:
         source = self.child.batch(ctx)
@@ -394,28 +393,32 @@ class UnnestOp(Operator):
         bound = (source.column(index_var)
                  if index_var is not None and source.has(index_var)
                  else None)
-        kernel = self._chosen(term_kernel, self.collection_term)
+        collections = self._chosen(term_kernel, self.collection_term)(
+            source, ctx)
+        if self.mode == "collection":
+            # an ∈ atom: a list's or set's items as they are
+            found = [value.items if type(value) in _COLLECTIONS else ()
+                     for value in collections]
+        else:
+            found = [() if value is MISSING else self._items(value, ctx)
+                     for value in collections]
         index: list[int] = []
         elements: Column = []
         positions: Column = []
-        for row, collection in enumerate(kernel(source, ctx)):
-            if collection is MISSING:
-                continue
-            collection = self._resolve(collection, ctx)
-            if collection is None:
-                continue
-            if bound is None or bound[row] is MISSING:
-                elements.extend(collection)
-                index.extend(repeat(row, len(collection)))
+        for row, items in enumerate(found):
+            at = MISSING if bound is None else bound[row]
+            if at is MISSING:
+                elements.extend(items)
+                index.extend(repeat(row, len(items)))
                 if index_var is not None:
-                    positions.extend(range(len(collection)))
+                    positions.extend(range(len(items)))
                 continue
             # position already bound: only the element at it
-            for position, element in enumerate(collection):
-                if bound[row] == position:
+            for position, element in enumerate(items):
+                if at == position:
                     elements.append(element)
                     index.append(row)
-                    positions.append(bound[row])
+                    positions.append(at)
         columns: dict[Any, Late] = {self.element_var: elements}
         if index_var is not None:
             columns[index_var] = positions
@@ -876,21 +879,24 @@ class _Scan:
         self.positions: Column = []
         self.range_scans = self.nodes_scanned = self.fallback_walks = 0
 
-    def sources(self) -> list[tuple[int, Any]]:
-        """``(row, source value)`` for the rows that bind the
-        operator's source variable."""
+    def sources(self) -> list[tuple[int, Any, Any]]:
+        """``(row, source value, located)`` for the rows that bind the
+        operator's source variable; ``located`` is a complete indexed
+        occurrence ``(block, pre)`` of the source or ``None`` — one
+        :meth:`~repro.structindex.StructuralIndex.locate_all` for the
+        whole batch."""
         variable = self.op.source_var
         if not self.source.has(variable):
             return []
-        return [(row, value) for row, value
+        rows = [(row, value) for row, value
                 in enumerate(self.source.column(variable))
                 if value is not MISSING]
-
-    def locate(self, start: Any) -> Any:
-        """A complete indexed occurrence ``(block, pre)`` or ``None``."""
-        if self.struct_index is None:
-            return None
-        return self.struct_index.locate(start)
+        if self.struct_index is None or not rows:
+            return [(row, value, None) for row, value in rows]
+        located = self.struct_index.locate_all(
+            [value for _, value in rows])
+        return [(row, value, found)
+                for (row, value), found in zip(rows, located)]
 
     def live_pairs(self, start: Any) -> Any:
         """The live walk's ``(path, value)`` pairs — what serves a
@@ -972,8 +978,7 @@ class StructuralScanOp(Operator):
             return source
         scan = _Scan(self, source, ctx)
         max_paths = ctx.max_paths
-        for row, start in scan.sources():
-            located = scan.locate(start)
+        for row, start, located in scan.sources():
             if located is None:
                 pairs = list(scan.live_pairs(start))
                 scan.index.extend(repeat(row, len(pairs)))
@@ -1014,7 +1019,7 @@ class StructuralAttrScanOp(StructuralScanOp):
     positions to every holder a selection can reach (auto-dereference
     chains, marked unions, semantics-blocked oids).  Each candidate is
     put through the *same* selection logic as :class:`StepOp`
-    (``_auto_deref`` + ``_select_attribute``, :meth:`_select`), so the
+    (``_auto_deref`` + :meth:`TupleValue.select`, :meth:`_select`), so the
     fusion changes only which nodes are tried, never what a trial
     means — and it is tried once per block, not once per scan:
     :meth:`~repro.structindex.Block.selections` keeps every selection
@@ -1053,8 +1058,7 @@ class StructuralAttrScanOp(StructuralScanOp):
         selected: Column = []
         names: Column = []
         index, positions = scan.index, scan.positions
-        for row, start in scan.sources():
-            located = scan.locate(start)
+        for row, start, located in scan.sources():
             if located is not None:
                 block, pre = located
                 if (max_paths is not None
@@ -1096,15 +1100,10 @@ class StructuralAttrScanOp(StructuralScanOp):
         base = _auto_deref(node, ctx)
         if self.attr is not None:
             names = [self.attr]
+        elif isinstance(base, TupleValue):
+            names = base.selectable_names()
         else:
-            if not isinstance(base, TupleValue):
-                return []
-            names = [name for name, _ in base.fields]
-            if (base.is_marked
-                    and isinstance(base.marked_value, TupleValue)):
-                for name, _ in base.marked_value.fields:
-                    if name not in names:
-                        names.append(name)
+            return []
         return [(name, value) for name in names
                 for value in _select_attribute(base, name)]
 
@@ -1160,13 +1159,11 @@ class IntervalJoinOp(Operator):
         probed = hits = 0
         index, positions = scan.index, scan.positions
         live: list[int] = []  # output slots holding unchecked live pairs
-        for row, start in scan.sources():
+        for row, start, located in scan.sources():
             matches = None
-            if probes[row] is not MISSING:
-                located = scan.locate(start)
-                if located is not None:
-                    block, pre = located
-                    matches = block.matches_in(pre, probes[row])
+            if probes[row] is not MISSING and located is not None:
+                block, pre = located
+                matches = block.matches_in(pre, probes[row])
             if matches is not None:
                 probed += 1
                 hits += len(matches)

@@ -67,6 +67,7 @@ from repro.calculus.terms import (
 )
 from repro.oodb.instance import Instance
 from repro.oodb.values import (
+    UNSELECTED,
     ListValue,
     Oid,
     SetValue,
@@ -355,13 +356,7 @@ def _match_path(current, components, binding: Binding, ctx: EvalContext,
             # (Section 5.3).  Anything else would make ``.A ∧ A = 'x'``
             # differ from ``.x``, and the calculus disagree with the
             # schema-path expansion the algebra compiles (Section 5.4).
-            names = list(base.attribute_names)
-            if base.is_marked and isinstance(base.marked_value,
-                                             TupleValue):
-                names.extend(n for n in
-                             base.marked_value.attribute_names
-                             if n not in names)
-            for field_name in names:
+            for field_name in base.selectable_names():
                 for target in _select_attribute(base, field_name):
                     extended = dict(binding)
                     extended[attribute] = field_name
@@ -454,20 +449,14 @@ def _auto_deref(value, ctx: EvalContext):
 
 
 def _select_attribute(base, attribute: str) -> list:
-    """Attribute selection with implicit union selectors.
-
-    Returns 0 or 1 target values: no match is *false*, not an error
-    (Section 5.3: "We will assume that each atom where this occurs is
-    false.")."""
+    """Attribute selection with implicit union selectors
+    (:meth:`TupleValue.select`) as 0 or 1 target values: no match is
+    *false*, not an error (Section 5.3: "We will assume that each atom
+    where this occurs is false.")."""
     if not isinstance(base, TupleValue):
         return []
-    if base.has_attribute(attribute):
-        return [base.get(attribute)]
-    if base.is_marked and isinstance(base.marked_value, TupleValue):
-        payload = base.marked_value
-        if payload.has_attribute(attribute):
-            return [payload.get(attribute)]
-    return []
+    selected = base.select(attribute)
+    return [] if selected is UNSELECTED else [selected]
 
 
 # ---------------------------------------------------------------------------

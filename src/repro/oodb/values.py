@@ -29,6 +29,10 @@ from repro.errors import ValueError_
 #: Python types accepted as atomic database values.
 ATOM_PYTYPES = (int, str, bool, float)
 
+#: What :meth:`TupleValue.select` answers, unless told otherwise, when
+#: it selects nothing — no value of the model.
+UNSELECTED = object()
+
 
 class Nil:
     """The singleton undefined value ``nil``."""
@@ -64,20 +68,30 @@ class Oid:
     the ``class_name`` records the (most specific) class the oid was
     allocated in — this is what the *restricted* path semantics needs to
     forbid two dereferences through the same class.
+
+    Oids are never mutated, so the hash is computed once, at
+    allocation: every set and dict an oid passes through (``contains``
+    membership, de-duplication, the structural index) reads a slot.
     """
 
-    __slots__ = ("number", "class_name")
+    __slots__ = ("number", "class_name", "_hash")
 
     def __init__(self, number: int, class_name: str) -> None:
         self.number = number
         self.class_name = class_name
+        self._hash = hash(("oid", number))
+
+    def __reduce__(self) -> tuple:
+        # ``hash(("oid", n))`` differs between processes (string hash
+        # randomization): a copy recomputes it rather than carry it over
+        return Oid, (self.number, self.class_name)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Oid) and other.number == self.number
                 and other.class_name == self.class_name)
 
     def __hash__(self) -> int:
-        return hash(("oid", self.number))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"o{self.number}:{self.class_name}"
@@ -116,6 +130,34 @@ class TupleValue:
 
     def has_attribute(self, name: str) -> bool:
         return name in self._index
+
+    def select(self, name: str, default: object = UNSELECTED) -> object:
+        """Attribute selection with the implicit union selector
+        (Section 5.3): attribute ``name`` of this tuple, else the
+        attribute of the payload of a one-field (marked) tuple whose
+        payload is a tuple, else ``default`` — selecting nothing is
+        *false*, not an error.  The one definition of the rule: the
+        interpreter, the navigation operators and the column kernels
+        all read it."""
+        index = self._index
+        if name in index:
+            return index[name]
+        if len(index) == 1:
+            payload = self.fields[0][1]
+            if isinstance(payload, TupleValue):
+                return payload._index.get(name, default)
+        return default
+
+    def selectable_names(self) -> list[str]:
+        """Every name :meth:`select` accepts, in order: this tuple's
+        attributes, then a marked payload's others."""
+        names = [name for name, _ in self.fields]
+        if len(names) == 1:
+            payload = self.fields[0][1]
+            if isinstance(payload, TupleValue):
+                names.extend(name for name, _ in payload.fields
+                             if name not in names)
+        return names
 
     def position_of(self, name: str) -> int:
         for i, (field_name, _) in enumerate(self.fields):
@@ -326,9 +368,13 @@ def equivalent(left: object, right: object) -> bool:
                         for (_, a), (_, b)
                         in zip(left.fields, right.fields)))
     if isinstance(left, SetValue) and isinstance(right, SetValue):
+        # both directions: ``[] ≡ list()`` lets two elements of one
+        # side match one element of the other
         if len(left) != len(right):
             return False
-        return all(any(equivalent(a, b) for b in right) for a in left)
+        return (all(any(equivalent(a, b) for b in right) for a in left)
+                and all(any(equivalent(a, b) for a in left)
+                        for b in right))
     return False
 
 

@@ -18,7 +18,13 @@ from __future__ import annotations
 from typing import Any, Iterable, Iterator
 
 from repro.errors import EvaluationError
-from repro.oodb.values import ListValue, Oid, SetValue, TupleValue
+from repro.oodb.values import (
+    UNSELECTED,
+    ListValue,
+    Oid,
+    SetValue,
+    TupleValue,
+)
 
 
 class Step:
@@ -226,14 +232,10 @@ def apply_step(current: object, step: Step,
     suffix = f" ({context})" if context else ""
     if isinstance(step, AttrStep):
         if isinstance(current, TupleValue):
-            if current.has_attribute(step.name):
-                return current.get(step.name)
-            # Implicit selector: skip the marker of a marked-union value.
-            if current.is_marked and isinstance(current.marked_value,
-                                                TupleValue):
-                payload = current.marked_value
-                if payload.has_attribute(step.name):
-                    return payload.get(step.name)
+            # with the implicit selector of a marked-union value
+            selected = current.select(step.name)
+            if selected is not UNSELECTED:
+                return selected
             raise EvaluationError(
                 f"no attribute {step.name!r} in tuple "
                 f"[{', '.join(current.attribute_names)}]{suffix}")

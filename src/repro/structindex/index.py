@@ -55,7 +55,7 @@ import gc
 import threading
 from bisect import bisect_left
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator, cast
+from typing import Any, Callable, Iterable, Iterator, cast
 
 from repro.errors import EvaluationError
 from repro.oodb.values import ATOM_PYTYPES, Nil, Oid
@@ -484,34 +484,48 @@ class StructuralIndex:
     # -- lookups --------------------------------------------------------------
 
     def locate(self, source: object) -> tuple[Block, int] | None:
-        """A *complete* occurrence of ``source`` as ``(block, pre)``,
-        or ``None`` (unindexed value, or every occurrence truncated).
-        Oids match by value (equal oids are the same allocation); any
-        other node matches by object identity.
+        """:meth:`locate_all` of the one source."""
+        return self.locate_all((source,))[0]
 
-        The lookup itself runs under the index lock (a rebuild may be
-        swapping blocks concurrently), but the returned :class:`Block`
+    def locate_all(self, sources: Iterable[object]
+                   ) -> list[tuple[Block, int] | None]:
+        """Per source, a *complete* occurrence as ``(block, pre)``, or
+        ``None`` (unindexed value, or every occurrence truncated) —
+        after one :meth:`refresh` and under one lock acquisition, what
+        a structural operator asks once per batch.  Oids match by
+        value (equal oids are the same allocation); any other node
+        matches by object identity.
+
+        The lookups run under the index lock (a rebuild may be
+        swapping blocks concurrently), but a returned :class:`Block`
         is immutable once published: the caller scans it lock-free, and
         a rebuild racing the scan installs a *new* block object — the
         held one keeps serving a consistent snapshot of the epoch it
         was built at (the serving layer's write fence decides whether
         that snapshot is current enough to return)."""
         self.refresh()
+        located: list[tuple[Block, int] | None] = []
         with self._lock:
-            if isinstance(source, Oid):
-                for name, pre in self._oid_nodes.get(source, ()):
-                    block = self._blocks.get(name)
-                    if block is not None and block.complete[pre]:
-                        return block, pre
-                return None
-            entry = self._value_nodes.get(id(source))
-            if entry is None:
-                return None
-            name, pre = entry
-            block = self._blocks.get(name)
-            if block is None or block.values[pre] is not source:
-                return None
-            return block, pre
+            blocks = self._blocks
+            oid_nodes = self._oid_nodes
+            value_nodes = self._value_nodes
+            for source in sources:
+                found = None
+                if type(source) is Oid:
+                    for name, pre in oid_nodes.get(source, ()):
+                        block = blocks.get(name)
+                        if block is not None and block.complete[pre]:
+                            found = block, pre
+                            break
+                else:
+                    entry = value_nodes.get(id(source))
+                    if entry is not None:
+                        block = blocks.get(entry[0])
+                        if (block is not None
+                                and block.values[entry[1]] is source):
+                            found = block, entry[1]
+                located.append(found)
+        return located
 
     @property
     def blocks(self) -> dict[str, Block]:

@@ -24,6 +24,8 @@ import json
 from pathlib import Path as FilePath
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import DocumentStore
 from repro.algebra import kernels
@@ -35,7 +37,12 @@ from repro.algebra.operators import (
     UnnestOp,
     walk_once,
 )
-from repro.calculus.evaluator import EvalContext, evaluate_query
+from repro.calculus.evaluator import (
+    EvalContext,
+    _select_attribute,
+    eval_term,
+    evaluate_query,
+)
 from repro.calculus.formulas import Pred
 from repro.calculus.functions import default_registry
 from repro.calculus.terms import (
@@ -51,7 +58,16 @@ from repro.corpus.generator import generate_corpus
 from repro.diffcheck.generator import QueryGenerator
 from repro.oodb import STRING, schema_from_classes, tuple_of
 from repro.oodb.instance import Instance
-from repro.oodb.values import NIL, ListValue, Oid, TupleValue
+from repro.errors import InstanceError
+from repro.observe import MetricsRegistry
+from repro.oodb.values import (
+    NIL,
+    ListValue,
+    Oid,
+    SetValue,
+    TupleValue,
+    UnionValue,
+)
 from repro.text import Pattern, TextIndex
 from repro.text.patterns import AndExpr, NotExpr
 
@@ -313,6 +329,83 @@ class TestAttributePath:
         assert both_terms(TITLE_OF_X, [chain[3], chain[20]], ctx) == [
             "end", MISSING]
 
+    def test_a_missing_root_on_every_step(self):
+        ctx = context(small_instance())
+        two_steps = PathApply(X, PathTerm([Sel("title"), Sel("text")]))
+        for term in (TITLE_OF_X, two_steps):
+            assert both_terms(term, [MISSING, MISSING], ctx) == [
+                MISSING, MISSING]
+
+    def test_bases_that_are_no_tuples(self):
+        instance = small_instance()
+        texty = instance.new_object("Leaf", TupleValue([("title", "t")]))
+        instance._values[texty.number] = "a string behind an oid"
+        ctx = context(instance)
+        column = ["a string", 7, 2.5, True, NIL, ListValue(["title"]),
+                  SetValue([TupleValue([("title", "in a set")])]),
+                  UnionValue("a1", "a payload that is no tuple"),
+                  UnionValue("a1", ListValue([TupleValue(
+                      [("title", "in a list")])])),
+                  texty]
+        assert both_terms(TITLE_OF_X, column, ctx) == [MISSING] * len(
+            column)
+
+    def test_attribute_on_the_tuple_and_its_payload(self):
+        ctx = context(small_instance())
+        inner = TupleValue([("title", "inner")])
+        column = [UnionValue("title", inner),
+                  TupleValue([("title", "outer"), ("b", inner)])]
+        assert both_terms(TITLE_OF_X, column, ctx) == [inner, "outer"]
+        twice = PathApply(X, PathTerm([Sel("title"), Sel("title")]))
+        assert both_terms(twice, column, ctx) == ["inner", MISSING]
+
+    def test_steps_dereference_in_between(self):
+        instance = small_instance()
+        leaf = instance.new_object("Leaf", TupleValue([("title", "end")]))
+        holder = instance.new_object("Link", TupleValue([("title", leaf)]))
+        ctx = context(instance)
+        twice = PathApply(X, PathTerm([Sel("title"), Sel("title")]))
+        assert both_terms(twice, [holder, leaf, UnionValue(
+            "a1", TupleValue([("title", holder)]))], ctx) == [
+            "end", MISSING, leaf]
+
+    def test_derefs_are_counted_alike(self):
+        """16 dereferences in one step are allowed, the 17th makes the
+        row ``MISSING``; both kernels make the same ``Instance.deref``
+        calls."""
+        instance = small_instance()
+        link = instance.new_object("Leaf", TupleValue([("title", "end")]))
+        chain = [link]
+        for _ in range(20):
+            link = instance.new_object("Link", TupleValue(
+                [("title", "skipped")]))
+            instance._values[link.number] = chain[-1]
+            chain.append(link)
+        column = [chain[0], chain[15], chain[16], chain[20], "text"]
+        counted = []
+        for kernel in (term_kernel(TITLE_OF_X),
+                       kernels._generic_term(TITLE_OF_X, "t")):
+            metrics = MetricsRegistry()
+            instance.metrics = metrics
+            values = kernel(Batch(len(column), {X: column}),
+                            context(instance))
+            assert values == ["end", "end", MISSING, MISSING, MISSING]
+            counted.append(metrics.get("oodb.derefs"))
+        instance.metrics = None
+        assert counted[0] == counted[1] == 1 + 16 + 17 + 17
+
+    def test_a_dangling_oid_raises_what_eval_term_raises(self):
+        instance = small_instance()
+        gone = Oid(999, "Leaf")
+        ctx = context(instance)
+        with pytest.raises(Exception) as interpreted:
+            eval_term(TITLE_OF_X, {X: gone}, ctx)
+        for kernel in (term_kernel(TITLE_OF_X),
+                       kernels._generic_term(TITLE_OF_X, "t")):
+            with pytest.raises(type(interpreted.value)):
+                kernel(Batch(1, {X: [gone]}), ctx)
+        assert isinstance(interpreted.value, InstanceError)
+
     def test_a_name_root_stays_generic(self):
         term = PathApply(Name("Root"), PathTerm([Sel("title")]))
         metrics_seen = []
@@ -328,6 +421,65 @@ class TestAttributePath:
         ctx.metrics = Metrics()
         assert term_kernel(term)(Batch(2, {}), ctx) == ["rooted"] * 2
         assert metrics_seen == ["algebra.kernel_generic.name_root"]
+
+
+def select_attribute_before(base, attribute):
+    """The attribute-selection rule as the interpreter spelt it before
+    :meth:`TupleValue.select` existed — the reference the one rule is
+    held to."""
+    if not isinstance(base, TupleValue):
+        return []
+    if base.has_attribute(attribute):
+        return [base.get(attribute)]
+    if base.is_marked and isinstance(base.marked_value, TupleValue):
+        payload = base.marked_value
+        if payload.has_attribute(attribute):
+            return [payload.get(attribute)]
+    return []
+
+
+NAMES = st.sampled_from(["a", "b", "title", "a1"])
+SELECTABLE = st.recursive(
+    st.one_of(st.just(NIL), st.integers(), st.text(max_size=3),
+              st.builds(Oid, st.integers(1, 9), st.just("Leaf"))),
+    lambda children: st.one_of(
+        st.builds(TupleValue, st.lists(st.tuples(NAMES, children),
+                                       max_size=3,
+                                       unique_by=lambda pair: pair[0])),
+        st.builds(UnionValue, NAMES, children),
+        st.builds(ListValue, st.lists(children, max_size=2))),
+    max_leaves=8)
+
+
+class TestOneSelectionRule:
+    @given(SELECTABLE, NAMES)
+    def test_select_is_the_rule_it_replaced(self, value, name):
+        expected = select_attribute_before(value, name)
+        assert _select_attribute(value, name) == expected
+        if isinstance(value, TupleValue):
+            selected = value.select(name, MISSING)
+            assert ([] if selected is MISSING else [selected]) == \
+                expected
+            names = value.selectable_names()
+            assert len(set(names)) == len(names)
+            assert [n for n in names if select_attribute_before(
+                value, n)] == names
+
+    @given(SELECTABLE, NAMES, NAMES)
+    def test_the_fold_is_the_generic_kernel(self, value, first, second):
+        # the generated oids o1..o9 exist: a title, a marked payload, a
+        # link on to the next object
+        instance = small_instance()
+        for number in range(1, 10):
+            instance.new_object("Leaf", [
+                TupleValue([("title", f"leaf {number}")]),
+                UnionValue("a1", TupleValue([("a", number)])),
+                TupleValue([("b", Oid(number % 9 + 1, "Leaf"))]),
+            ][number % 3])
+        ctx = context(instance)
+        for names in ([first], [first, second]):
+            term = PathApply(X, PathTerm([Sel(name) for name in names]))
+            both_terms(term, [value, MISSING], ctx)
 
 
 class TestContains:

@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) on the data-model invariants."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.oodb import (
@@ -100,6 +100,10 @@ class TestEquivalenceProperties:
         assert equivalent(value, value)
 
     @given(values, values)
+    # ``[] ≡ list()``: each left element has a match on the right, but
+    # ``list(nil)`` has none on the left
+    @example(SetValue([NIL, TupleValue([]), ListValue([])]),
+             SetValue([NIL, TupleValue([]), ListValue([NIL])]))
     def test_equivalence_symmetric(self, left, right):
         assert equivalent(left, right) == equivalent(right, left)
 

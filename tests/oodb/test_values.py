@@ -1,7 +1,12 @@
 """Tests for the value model (Section 5.1)."""
 
+import copy
+import pickle
+
 import pytest
 
+from repro import DocumentStore
+from repro.corpus import ARTICLE_DTD, SAMPLE_ARTICLE
 from repro.errors import ValueError_
 from repro.oodb import (
     ListValue,
@@ -14,7 +19,7 @@ from repro.oodb import (
     equivalent,
     is_value,
 )
-from repro.oodb.values import deep_size
+from repro.oodb.values import UNSELECTED, deep_size
 
 
 class TestNil:
@@ -40,6 +45,33 @@ class TestOid:
 
     def test_repr(self):
         assert repr(Oid(7, "Article")) == "o7:Article"
+
+    def test_hash_is_the_number_tuples(self):
+        # computed once at allocation, and the same value as ever: set
+        # and dict iteration orders (and every golden) depend on it
+        for number in (0, 1, 7, 2**40):
+            for class_name in ("A", "Article"):
+                assert hash(Oid(number, class_name)) == hash(
+                    ("oid", number))
+
+    def test_copies_rehash(self):
+        oid = Oid(12, "Title")
+        for made in (copy.copy(oid), copy.deepcopy(oid),
+                     pickle.loads(pickle.dumps(oid))):
+            assert made == oid and hash(made) == hash(oid)
+            assert made.class_name == "Title"
+
+    def test_equality_and_hash_survive_save_and_load(self, tmp_path):
+        store = DocumentStore(ARTICLE_DTD)
+        store.load_text(SAMPLE_ARTICLE, name="my_article")
+        before = list(store.instance.all_oids())
+        store.save(tmp_path / "snapshot")
+        loaded = DocumentStore.load(tmp_path / "snapshot")
+        after = list(loaded.instance.all_oids())
+        assert sorted(before, key=hash) == sorted(after, key=hash)
+        assert [hash(oid) for oid in before] == [hash(oid)
+                                                 for oid in after]
+        assert set(before) == set(after)
 
 
 class TestTupleValue:
@@ -89,6 +121,30 @@ class TestTupleValue:
             _ = t.marker
         with pytest.raises(ValueError_):
             _ = t.marked_value
+
+    def test_select_own_attribute(self):
+        t = TupleValue([("title", "SGML"), ("year", 1994)])
+        assert t.select("year") == 1994
+        assert t.select("missing") is UNSELECTED
+        assert t.select("missing", NIL) is NIL
+
+    def test_select_through_the_union_selector(self):
+        marked = UnionValue("a1", TupleValue([("title", "inside")]))
+        assert marked.select("title") == "inside"
+        assert marked.select("a1") == TupleValue([("title", "inside")])
+        assert marked.selectable_names() == ["a1", "title"]
+
+    def test_select_prefers_the_outer_attribute(self):
+        marked = UnionValue("title", TupleValue([("title", "inner")]))
+        assert marked.select("title") == TupleValue([("title", "inner")])
+        assert marked.selectable_names() == ["title"]
+
+    def test_select_never_looks_into_other_payloads(self):
+        assert UnionValue("a1", "text").select("title", 0) == 0
+        wide = TupleValue([("a", TupleValue([("title", "x")])),
+                           ("b", 2)])
+        assert wide.select("title", 0) == 0
+        assert wide.selectable_names() == ["a", "b"]
 
     def test_position_of(self):
         t = TupleValue([("to", "x"), ("from", "y")])
@@ -181,6 +237,15 @@ class TestEquivalence:
         assert equivalent(5, 5)
         assert equivalent("a", "a")
         assert not equivalent(5, 6)
+
+    def test_set_equivalence_is_symmetric(self):
+        # ``[] ≡ list()``: every element on the left has a match on
+        # the right, yet ``list(nil)`` has none on the left
+        left = SetValue([NIL, TupleValue([]), ListValue([])])
+        right = SetValue([NIL, TupleValue([]), ListValue([NIL])])
+        assert len(left) == len(right) == 3
+        assert not equivalent(left, right)
+        assert not equivalent(right, left)
 
     def test_set_equivalence(self):
         left = SetValue([TupleValue([("a", 1)])])

@@ -5,9 +5,11 @@ Warm (the default): builds the ``scan_warm``-shaped store of
 ``benchmarks/e2e`` (the sample article plus a seeded corpus, structural
 plans, text index), reads the benchmark's query classes from its
 ``spec.json`` (read-only), runs each class warm and prints its median
-latency and, from ``explain_analyze``, the rows and *self* time of every
-operator — the table EXPERIMENTS.md quotes before and after a change to
-the executor (P16, P19).
+latency, three deterministic per-row work counters of one execution
+(``oodb.derefs``, ``structindex.nodes_scanned``,
+``algebra.contains_index_answered``) and, from ``explain_analyze``, the
+rows and *self* time of every operator — the table EXPERIMENTS.md
+quotes before and after a change to the executor (P16, P19).
 
 Cold (``--cold``): builds the ``compile_cold``-shaped store (20
 articles by default) and runs distinct variants of every
@@ -20,7 +22,8 @@ share: the algebra compilation), every ``optimize.<stage>`` and
 ``compile`` spans.
 
 The ``lint`` CI job prints both into every PR's log.  Timings are
-indicative (one process, no alternation); the rows are exact.
+indicative (one process, no alternation); the rows and counters are
+exact.
 
 Usage::
 
@@ -62,6 +65,13 @@ def build_store(articles: int, seed: int):
     return store
 
 
+#: Per-row work of one warm execution, as ``label=count`` beside each
+#: class's latency.
+WORK_COUNTERS = (("derefs", "oodb.derefs"),
+                 ("scanned", "structindex.nodes_scanned"),
+                 ("answered", "algebra.contains_index_answered"))
+
+
 def warm(store, spec: dict, repeats: int) -> None:
     whole_pass = 0.0
     for name, text in spec["query_classes"].items():
@@ -73,9 +83,12 @@ def warm(store, spec: dict, repeats: int) -> None:
             samples.append(time.perf_counter() - started)
         median = statistics.median(samples) * 1000
         whole_pass += median
-        print(f"{name:<18}{median:9.2f} ms")
-        runs = [store.explain_analyze(text).operators()
-                for _ in range(5)]
+        reports = [store.explain_analyze(text) for _ in range(5)]
+        counters = reports[0].metrics["counters"]
+        print(f"{name:<18}{median:9.2f} ms  " + " ".join(
+            f"{label}={counters.get(counter, 0)}"
+            for label, counter in WORK_COUNTERS))
+        runs = [report.operators() for report in reports]
         for position, node in enumerate(runs[0]):
             if node["ref"]:  # a shared node is listed where it runs
                 continue
