@@ -68,6 +68,7 @@ from repro.algebra.operators import (
     UnionOp,
     UnnestOp,
     gating_index_filters,
+    walk_once,
 )
 
 
@@ -87,7 +88,11 @@ def optimize(plan: Operator, structural: bool = True,
              verify: str = "warn", query: object = None,
              metrics: object = None, tracer: Any = None,
              stats: object = None, plan_key: object = None) -> Operator:
-    """Return a rewritten plan (the input is not mutated).
+    """Return a rewritten plan.  The input's structure is not mutated;
+    a stage that changes nothing returns its input, so the result
+    shares every node no rewrite touched with the input — and the cost
+    stage stamps ``est_rows``/``est_cost`` on every node of the result,
+    the input's shared nodes included.
 
     The stage sequence is fixed: (``structural=True`` only)
     :func:`structuralize`, :func:`sink_selections`,
@@ -100,17 +105,22 @@ def optimize(plan: Operator, structural: bool = True,
     (range scans, the default) the interval-join fusion runs; a
     ``structural=False`` union-of-plans has no scan to fuse.
 
-    Every stage is gated by the :mod:`repro.plancheck` verifier.
-    ``verify`` selects the failure policy: ``"raise"`` (tests) raises
+    Every plan is gated by the :mod:`repro.plancheck` verifier: the
+    compiler's plan once, under the stage tag ``compile``, then each
+    stage's output that ``is not`` its input (a stage that returns its
+    input has nothing new to verify).  ``verify`` selects the failure
+    policy: ``"raise"`` (tests) raises
     :class:`~repro.errors.PlanVerificationError` on the first faulty
-    stage; ``"warn"`` (the serving default) counts
+    plan; ``"warn"`` (the serving default) counts
     ``plancheck.stages_rejected`` on ``metrics``, emits one
     :class:`~repro.plancheck.PlanVerificationWarning` and keeps the
-    *last verified* plan — callers that must not serve past a rejected stage
-    (diffcheck, the plancheck CLI) turn that warning category into an
-    error with the standard warnings filter.  ``query`` (the calculus
-    form) enables the head-match check; ``tracer`` gets one sub-span
-    per stage (the compile-phase breakdown of ``explain_analyze``).
+    *last verified* plan — or, when the compiler's own plan is faulty,
+    serves it without rewriting it.  Callers that must not serve past
+    a rejected plan (diffcheck, the plancheck CLI) turn that warning
+    category into an error with the standard warnings filter.
+    ``query`` (the calculus form) enables the head-match check;
+    ``tracer`` gets one sub-span per stage (the compile-phase breakdown
+    of ``explain_analyze``).
     """
     if verify not in ("raise", "warn"):
         raise ValueError(f"unknown verify policy {verify!r}")
@@ -130,30 +140,37 @@ def optimize(plan: Operator, structural: bool = True,
     from repro.plancheck.verifier import check_plan, verify_plan
     if tracer is None:
         tracer = NULL_TRACER
-    verified = plan
+
+    def verified(candidate: Operator, name: str, author: str,
+                 fallback: str) -> bool:
+        if verify == "raise":
+            check_plan(candidate, query=query, stage=name,
+                       metrics=metrics, stats=stats)
+            return True
+        faults = verify_plan(candidate, query=query, stage=name,
+                             metrics=metrics, stats=stats)
+        if not faults:
+            return True
+        # a broken plan must never reach execution when a verified one
+        # exists
+        warnings.warn(PlanVerificationWarning(
+            f"{author} produced a plan that fails static verification "
+            f"({faults[0].code}: {faults[0].message}); {fallback}",
+            faults), stacklevel=3)
+        if metrics is not None:
+            metrics.inc("plancheck.stages_rejected")
+        return False
+
+    if not verified(plan, "compile", "the compiler",
+                    "serving it unoptimized"):
+        return plan
     for name, stage in stages:
         with tracer.span(f"optimize.{name}"):
-            plan = stage(plan)
-        if verify == "raise":
-            check_plan(plan, query=query, stage=name, metrics=metrics,
-                       stats=stats)
-            verified = plan
-            continue
-        faults = verify_plan(plan, query=query, stage=name,
-                             metrics=metrics, stats=stats)
-        if faults:
-            # keep serving the last plan that verified — a broken
-            # rewrite must never reach execution
-            warnings.warn(PlanVerificationWarning(
-                f"optimizer stage {name!r} produced a plan that fails "
-                f"static verification ({faults[0].code}: "
-                f"{faults[0].message}); keeping the pre-stage plan",
-                faults), stacklevel=2)
-            if metrics is not None:
-                metrics.inc("plancheck.stages_rejected")
-            plan = verified
-        else:
-            verified = plan
+            rewritten = stage(plan)
+        if rewritten is not plan and verified(
+                rewritten, name, f"optimizer stage {name!r}",
+                "keeping the pre-stage plan"):
+            plan = rewritten
     return plan
 
 
@@ -224,9 +241,15 @@ def _sink(select: SelectOp) -> Operator | None:
 
 def _rebuild(plan: Operator,
              transform: Callable[[Operator], Operator]) -> Operator:
-    """Apply ``transform`` to children, reconstructing the node."""
-    return plan.with_children([transform(child)
-                               for child in plan.children()])
+    """Apply ``transform`` to children, reconstructing the node only
+    when a child changed — an untouched subplan stays the same object,
+    so the compiler's trie sharing survives a stage that fires nowhere
+    in it."""
+    children = plan.children()
+    rebuilt = [transform(child) for child in children]
+    if all(new is old for new, old in zip(rebuilt, children)):
+        return plan
+    return plan.with_children(rebuilt)
 
 
 # -- common-prefix factoring ------------------------------------------------
@@ -246,7 +269,11 @@ def factor_shared_prefixes(plan: Operator) -> Operator:
 
     A subplan referenced at least twice is wrapped in one
     :class:`SharedOp`; seeds and existing SharedOps are left alone.
+    Only a :class:`UnionOp` has more than one child, so a union-free
+    plan is a chain with nothing to share: it is returned as is.
     """
+    if not any(isinstance(node, UnionOp) for node in walk_once(plan)):
+        return plan
     interned: dict[tuple, int] = {}
     key_of: dict[int, int] = {}          # id(node) -> structural key
     canonical: dict[int, Operator] = {}  # key -> first node seen

@@ -330,15 +330,54 @@ def _walk_path_atom(atom: PathAtom, schema: Schema,
     root_type = _root_type(atom.root, schema, candidates)
     if root_type is None:
         return
-    matches = list(_match_types(root_type, list(atom.path.components),
-                                schema, {}))
-    if not matches:
+    matched, noted = _path_matches(root_type, atom.path.components,
+                                   schema)
+    if not matched:
         raise QueryTypeError(
             f"path predicate {atom} can never hold: no structure in the "
             "schema matches the path")
-    for match in matches:
-        for variable, tp in match.items():
-            _note(candidates, variable, tp)
+    # the memo holds the variables of the query that filled it: note
+    # the types under this query's own (equal) variable objects
+    own = {variable: variable for variable in atom.path.variables()}
+    for variable, types in noted:
+        candidates.setdefault(own[variable], []).extend(types)
+
+
+#: Distinct path shapes :func:`_path_matches` memoizes per hierarchy;
+#: a shape past the cap is typed afresh on every query.
+PATH_MATCH_MEMO_LIMIT = 4096
+
+
+def _path_matches(root_type: Type, components: tuple,
+                  schema: Schema) -> tuple[bool, tuple]:
+    """Whether :func:`_match_types` finds any assignment for
+    ``components`` from ``root_type``, and what its assignments note:
+    per variable, in order of first appearance, its distinct types in
+    order of first appearance (every reader of the candidates takes the
+    first or the distinct ones).
+
+    The walk depends on ``schema.hierarchy``, the root type and the
+    components alone, so it is memoized on the hierarchy: keyed by the
+    root type's rendering too (union equality ignores branch order, the
+    walk's order does not) and by the components, which compare by
+    variable name.
+    """
+    key = (root_type, str(root_type), components)
+    memo = schema.hierarchy.path_matches
+    entry = memo.get(key)
+    if entry is None:
+        matched = False
+        noted: dict = {}
+        for match in _match_types(root_type, list(components), schema,
+                                  {}):
+            matched = True
+            for variable, tp in match.items():
+                noted.setdefault(variable, {})[tp] = None
+        entry = (matched, tuple((variable, tuple(types))
+                                for variable, types in noted.items()))
+        if len(memo) < PATH_MATCH_MEMO_LIMIT:
+            memo[key] = entry
+    return entry
 
 
 def _root_type(root, schema: Schema, candidates: dict) -> Type | None:

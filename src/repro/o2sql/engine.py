@@ -190,11 +190,7 @@ class QueryEngine:
         plan = None
         if self.backend in ("algebra", "sql"):
             from repro.algebra.compile import compile_query
-            from repro.algebra.execute import (
-                count_shared,
-                count_unions,
-                plan_size,
-            )
+            from repro.algebra.operators import SharedOp, UnionOp, walk_once
             from repro.algebra.optimizer import optimize
             with tracer.span("compile") as span:
                 plan = compile_query(
@@ -205,9 +201,12 @@ class QueryEngine:
                                 query=query, metrics=metrics,
                                 tracer=tracer, stats=snapshot,
                                 plan_key=key)
-                span.annotate("operators", plan_size(plan))
-                span.annotate("unions", count_unions(plan))
-                span.annotate("shared", count_shared(plan))
+                nodes = walk_once(plan)
+                span.annotate("operators", len(nodes))
+                span.annotate("unions", sum(
+                    isinstance(node, UnionOp) for node in nodes))
+                span.annotate("shared", sum(
+                    isinstance(node, SharedOp) for node in nodes))
                 span.annotate("verified", True)
         sql_program = None
         if self.sql_backend is not None:

@@ -87,9 +87,11 @@ class ClassHierarchy:
         # Nothing mutates a hierarchy after construction, so they never
         # go stale; concurrent fillers build a value locally and publish
         # it with one dict assignment.  ``schema_paths`` is owned by
-        # :mod:`repro.paths.schema_paths`.
+        # :mod:`repro.paths.schema_paths`, ``path_matches`` by
+        # :mod:`repro.calculus.inference`.
         self._subclasses: dict[str, tuple[str, ...]] = {}
         self.schema_paths: dict = {}
+        self.path_matches: dict = {}
 
     # -- order ------------------------------------------------------------
 

@@ -135,12 +135,13 @@ def verify_plan(plan: Operator, query: Query | None = None,
     stage read) lets the ``PC-COST`` check re-derive zero evidence.
     """
     faults: list[PlanFault] = []
-    _check_sharing(plan, stage, faults)
+    nodes = walk_once(plan)
+    _check_sharing(nodes, stage, faults)
     envs: dict[int, Env] = {}
     active: set[int] = set()
     _env_of(plan, envs, active, stage, faults)
-    _check_root(plan, query, envs, stage, faults)
-    _check_cost(plan, stats, stage, faults)
+    _check_root(plan, nodes, query, envs, stage, faults)
+    _check_cost(nodes, stats, stage, faults)
     if metrics is not None:
         metrics.inc("plancheck.verifications")
         if faults:
@@ -271,13 +272,13 @@ def _check_shape(node: Operator, stage: str | None,
                 "out ≡ probe equality", node.label(), stage))
 
 
-def _check_sharing(plan: Operator, stage: str | None,
+def _check_sharing(nodes: list[Operator], stage: str | None,
                    faults: list[PlanFault]) -> None:
     """SharedOp replay consistency: ids unique per node object, sane
     reference counts.  (Acyclicity is the dataflow pass's job — it
     visits the same graph anyway.)"""
     by_id: dict[int, SharedOp] = {}
-    for node in walk_once(plan):
+    for node in nodes:
         if isinstance(node, SharedOp):
             other = by_id.get(node.shared_id)
             if other is not None and other is not node:
@@ -299,8 +300,8 @@ def _check_sharing(plan: Operator, stage: str | None,
                     "shared node", node.label(), stage))
 
 
-def _check_root(plan: Operator, query: Query | None,
-                envs: dict[int, Env],
+def _check_root(plan: Operator, nodes: list[Operator],
+                query: Query | None, envs: dict[int, Env],
                 stage: str | None, faults: list[PlanFault]) -> None:
     if not isinstance(plan, ProjectOp):
         faults.append(PlanFault(
@@ -321,14 +322,14 @@ def _check_root(plan: Operator, query: Query | None,
             f"projection head {list(plan.head)} does not match the "
             f"query head {list(query.head)}", plan.label(), stage))
     if plan.var_types:
-        _check_types(plan, plan.var_types, stage, faults)
+        _check_types(nodes, plan.var_types, stage, faults)
 
 
-def _check_types(plan: Operator, var_types: dict, stage: str | None,
-                 faults: list[PlanFault]) -> None:
+def _check_types(nodes: list[Operator], var_types: dict,
+                 stage: str | None, faults: list[PlanFault]) -> None:
     """Replay compile-time type facts embedded in operators against the
     compiler's recorded candidate types."""
-    for node in walk_once(plan):
+    for node in nodes:
         if not (isinstance(node, SelectOp) and node.oid_only):
             continue
         subject = (node.atom.arguments[0] if node.pattern is not None
@@ -349,7 +350,7 @@ def _check_types(plan: Operator, var_types: dict, stage: str | None,
 # -- cost-evidence checks ---------------------------------------------------
 
 
-def _check_cost(plan: Operator, stats: Any, stage: str | None,
+def _check_cost(nodes: list[Operator], stats: Any, stage: str | None,
                 faults: list[PlanFault]) -> None:
     """Re-validate every :class:`~repro.stats.CostEvidence` record.
 
@@ -360,7 +361,7 @@ def _check_cost(plan: Operator, stats: Any, stage: str | None,
     When ``stats`` is the same snapshot generation the stage costed
     against, the posting-size bound is recomputed and must still be 0.
     """
-    for node in walk_once(plan):
+    for node in nodes:
         evidence = node.cost_evidence
         if evidence is None:
             continue

@@ -7,8 +7,13 @@ from repro.corpus import ARTICLE_DTD
 from repro.corpus.generator import generate_corpus
 from repro.algebra.compile import compile_query
 from repro.algebra.execute import execute_plan
-from repro.algebra.operators import SelectOp
-from repro.algebra.optimizer import optimize, sink_selections
+from repro.algebra.operators import SelectOp, walk_once
+from repro.algebra.optimizer import (
+    factor_shared_prefixes,
+    optimize,
+    sink_selections,
+    structuralize,
+)
 
 
 @pytest.fixture(scope="module")
@@ -117,3 +122,43 @@ class TestPushdown:
         assert pushed_depth > original_depth
         assert execute_plan(plan, store._engine.ctx) == \
             execute_plan(pushed, store._engine.ctx)
+
+
+DEEP_JOIN = """
+    select t from a in Articles, s in a.sections, a PATH_p.title(t)
+    where a.status = "final"
+"""
+
+
+class TestOptimizeContract:
+    """``optimize`` never restructures its input; a stage that changes
+    nothing returns its input, so the result shares the input's
+    untouched nodes — and the cost stage's ``est_rows``/``est_cost``
+    are stamped on every node of the result, those included."""
+
+    def test_a_plan_no_rewrite_applies_to_is_served_as_compiled(
+            self, store):
+        query = store._engine.translate(
+            "select a.title from a in Articles")
+        plan = compile_query(query, store.schema)
+        for stage in (structuralize, sink_selections,
+                      factor_shared_prefixes):
+            assert stage(plan) is plan, stage.__name__
+        optimized = optimize(plan, stats=store.stats_manager.snapshot())
+        assert optimized is plan
+        assert all(node.est_rows is not None and node.est_cost is not None
+                   for node in walk_once(plan))
+
+    def test_the_input_is_never_restructured(self, store):
+        query = store._engine.translate(DEEP_JOIN)
+        plan = compile_query(query, store.schema, structural=False)
+        shape = [(node, node.children()) for node in walk_once(plan)]
+        rendering = plan.describe()
+        optimized = optimize(plan, structural=False,
+                             stats=store.stats_manager.snapshot())
+        assert optimized is not plan
+        assert [(node, node.children())
+                for node in walk_once(plan)] == shape
+        assert plan.describe() == rendering
+        assert all(node.est_rows is not None and node.est_cost is not None
+                   for node in walk_once(optimized))

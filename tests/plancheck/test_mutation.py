@@ -109,6 +109,47 @@ class TestSeededBreakage:
         assert verify_plan(served, query=query) == []
 
 
+class TestFaultyCompilerPlan:
+    """A fault already in the compiler's plan is reported once, under
+    the stage tag ``compile`` — before any rewrite runs over it."""
+
+    @pytest.fixture()
+    def faulty(self, store, monkeypatch):
+        query, plan = _plan_for(store, Q_PUSHDOWN)
+        monkeypatch.setattr(optimizer, "_TEST_MUTATION",
+                            "pushdown_unguarded")
+        broken = optimizer.sink_selections(plan)
+        monkeypatch.setattr(optimizer, "_TEST_MUTATION", None)
+        return query, broken
+
+    def test_raise_names_the_compile_stage(self, faulty):
+        query, broken = faulty
+        metrics = MetricsRegistry()
+        with pytest.raises(PlanVerificationError) as exc:
+            optimizer.optimize(broken, verify="raise", query=query,
+                               metrics=metrics)
+        assert {f.stage for f in exc.value.faults} == {"compile"}
+        assert any(f.code == "PC-UNBOUND" for f in exc.value.faults)
+        counters = metrics.snapshot()["counters"]
+        assert counters["plancheck.verifications"] == 1
+
+    def test_warn_reports_once_and_serves_it_unrewritten(self, faulty):
+        from repro.plancheck import PlanVerificationWarning
+        query, broken = faulty
+        metrics = MetricsRegistry()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            served = optimizer.optimize(broken, verify="warn",
+                                        query=query, metrics=metrics)
+        [warning] = [w.message for w in caught
+                     if isinstance(w.message, PlanVerificationWarning)]
+        assert {f.stage for f in warning.faults} == {"compile"}
+        assert served is broken
+        counters = metrics.snapshot()["counters"]
+        assert counters["plancheck.verifications"] == 1
+        assert counters["plancheck.stages_rejected"] == 1
+
+
 class TestIntactOptimizer:
     @pytest.mark.parametrize("text", [Q_PUSHDOWN, Q_JOIN])
     @pytest.mark.parametrize("structural", [False, True])

@@ -17,9 +17,11 @@ articles by default) and runs distinct variants of every
 every lookup misses the plan cache.  It prints per template the median
 and p95 latency and the compile-phase split read from the engine's own
 spans on further distinct variants: ``inference``, ``compile`` (its own
-share: the algebra compilation), every ``optimize.<stage>`` and
+share: the algebra compilation and the plan verification), every
+``optimize.<stage>`` and
 ``execute`` (medians), then the p95 of the ``inference`` and
-``compile`` spans.
+``compile`` spans, and the ``plancheck.verifications`` one more cold
+variant counts (exact).
 
 The ``lint`` CI job prints both into every PR's log.  Timings are
 indicative (one process, no alternation); the rows and counters are
@@ -119,7 +121,7 @@ def p95(samples: list[float]) -> float:
 
 
 def cold(store, spec: dict, repeats: int) -> None:
-    from repro.observe import Tracer, observed
+    from repro.observe import MetricsRegistry, Tracer, observed
     variants = cycle(
         f'"{first}" {joiner} "{second}"'
         for joiner in ("and", "or")
@@ -147,23 +149,31 @@ def cold(store, spec: dict, repeats: int) -> None:
                     columns.append(phase)
         tails = [p95(split.get(phase, [0.0]))
                  for phase in ("inference", "compile")]
+        registry = MetricsRegistry()
+        with observed(store._engine.ctx, metrics=registry):
+            store.query(template.format(p=next(variants)))
+        verified = registry.snapshot()["counters"].get(
+            "plancheck.verifications", 0)
         rows.append((name, statistics.median(samples), p95(samples),
                      {phase: statistics.median(values)
-                      for phase, values in split.items()}, tails))
+                      for phase, values in split.items()}, tails,
+                     verified))
     labels = [column.removeprefix("optimize.") for column in columns]
     widths = [max(len(label), 7) + 1 for label in labels]
     print(f"{'cold template':<22}{'p50':>8}{'p95':>8}"
           + "".join(f"{label:>{width}}"
                     for label, width in zip(labels, widths))
           + f"{'inf p95':>9}{'cmp p95':>9}")
-    for name, p50, tail, split, tails in rows:
+    for name, p50, tail, split, tails, verified in rows:
         print(f"{name:<22}{p50 * 1000:8.2f}{tail * 1000:8.2f}"
               + "".join(f"{split.get(column, 0.0) * 1000:{width}.2f}"
                         for column, width in zip(columns, widths))
-              + "".join(f"{seconds * 1000:9.2f}" for seconds in tails))
+              + "".join(f"{seconds * 1000:9.2f}" for seconds in tails)
+              + f"  verifications={verified}")
     print(f"(ms; {repeats} distinct variants per template for p50/p95,"
           " as many again for the span split: medians, then the p95 of"
-          " the inference and compile spans)")
+          " the inference and compile spans; verifications= counts one"
+          " more variant's compile)")
 
 
 def main() -> None:
