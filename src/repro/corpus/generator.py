@@ -13,7 +13,6 @@ contain "complex object" (Q2), and attribute values include "final"
 
 from __future__ import annotations
 
-from repro.corpus.article_dtd import article_dtd
 from repro.sgml.instance import Element
 
 _TITLE_WORDS = [
@@ -127,15 +126,3 @@ def generate_corpus(count: int, seed: int = 42, **article_options):
     """``count`` article trees with seeds derived from ``seed``."""
     return [generate_article(seed * 1000 + i, **article_options)
             for i in range(count)]
-
-
-def corpus_database(count: int, seed: int = 42, **article_options):
-    """Generate, load and return ``(mapped_schema, loader)``."""
-    from repro.mapping.dtd_to_schema import map_dtd
-    from repro.mapping.loader import DocumentLoader
-
-    mapped = map_dtd(article_dtd())
-    loader = DocumentLoader(mapped)
-    for tree in generate_corpus(count, seed, **article_options):
-        loader.load(tree)
-    return mapped, loader

@@ -17,7 +17,6 @@ from typing import Iterable, Iterator, Mapping
 from repro.errors import SchemaError
 from repro.oodb import subtyping
 from repro.oodb.types import (
-    ClassType,
     ListType,
     SetType,
     TupleType,
@@ -316,15 +315,3 @@ def schema_from_classes(classes: Mapping[str, Type],
                         methods: Iterable[MethodSignature] = ()) -> Schema:
     """One-call construction of a checked schema."""
     return Schema(ClassHierarchy(classes, parents), methods, roots)
-
-
-def resolve_class_structure(schema: Schema, tp: Type) -> Type:
-    """Unfold ``tp`` one level when it is a class reference.
-
-    ``ClassType('Article')`` resolves to ``sigma(Article)``; any other type
-    is returned unchanged.  Navigation uses this when crossing the object
-    boundary (dereference).
-    """
-    if isinstance(tp, ClassType):
-        return schema.structure(tp.name)
-    return tp

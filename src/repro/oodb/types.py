@@ -31,9 +31,6 @@ class Type:
 
     __slots__ = ()
 
-    def is_atomic(self) -> bool:
-        return isinstance(self, AtomicType)
-
     def is_union(self) -> bool:
         return isinstance(self, UnionType)
 

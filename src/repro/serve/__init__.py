@@ -1,19 +1,13 @@
 """Concurrent multi-tenant serving over document stores.
 
 See :mod:`repro.serve.server` for the serving disciplines (snapshot-
-epoch reads, request collapsing, admission control) and
-:mod:`repro.serve.loadgen` for the traffic generator the benchmark and
-the CI smoke job drive.
+epoch reads, request collapsing, admission control).
 """
 
-from repro.serve.loadgen import LoadGenerator, LoadReport, percentile
 from repro.serve.server import QueryServer, Request, ServeResult
 
 __all__ = [
     "QueryServer",
     "Request",
     "ServeResult",
-    "LoadGenerator",
-    "LoadReport",
-    "percentile",
 ]

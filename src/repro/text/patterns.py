@@ -114,11 +114,6 @@ class Pattern(PatternExpr):
         return [word for word in self.source.split()
                 if is_literal_word(word)]
 
-    def has_regex_word(self) -> bool:
-        """True when any word needs the NFA (a vocabulary scan at
-        probe time instead of a direct posting-list hit)."""
-        return len(self.literal_words()) < len(self.word_matchers)
-
     def __str__(self) -> str:
         return f'"{self.source}"'
 

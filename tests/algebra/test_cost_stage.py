@@ -1,6 +1,6 @@
 """The cost stage, pinned structurally: branch ordering, provable-empty
 pruning, and the estimate annotations — all
-behaviour the P12 benchmark measures, asserted here without timings, on
+behaviour of experiment P12, asserted here without timings, on
 the ``structural=False`` union-of-plans (the plans whose unions the
 stage orders and prunes)."""
 
@@ -13,6 +13,7 @@ from repro.algebra.operators import SelectOp, UnionOp
 from repro.algebra.optimizer import optimize
 from repro.corpus import ARTICLE_DTD
 from repro.corpus.generator import generate_corpus
+from repro.observe import MetricsRegistry
 
 IMPOSSIBLE = ('select t from a in Articles, a PATH_p.title(t) '
               'where a contains ("xyzzynotthere")')
@@ -70,6 +71,9 @@ class TestBranchOrdering:
             assert (set(ev.order) | set(ev.pruned)
                     == set(range(ev.original)))
             assert len(union.branches) == len(ev.order)
+            # the kept branches run cheapest first
+            costs = [branch.est_cost for branch in union.branches]
+            assert costs == sorted(costs)
 
     def test_costed_result_matches_unoptimized(self, store):
         for text in (SATISFIABLE, IMPOSSIBLE, NEGATED):
@@ -85,10 +89,13 @@ class TestBranchOrdering:
 
 class TestStaticPruning:
     def test_impossible_pattern_prunes_with_zero_evidence(self, store):
-        plan, _, snapshot = _costed(store, IMPOSSIBLE)
+        metrics = MetricsRegistry()
+        plan, _, snapshot = _costed(store, IMPOSSIBLE, metrics)
         pruned = [ev for union in _evidence_unions(plan)
                   for ev in union.cost_evidence.pruned.values()]
-        assert pruned
+        # 13 of the 14 title branches, each counted once
+        assert metrics.get("algebra.branches_pruned_static") == \
+            len(pruned) == 13
         for kind, pattern in pruned:
             assert kind == "empty_candidates"
             # the evidence stays re-checkable against the snapshot

@@ -1,8 +1,8 @@
 """Counter-based performance-regression tests.
 
-The benchmark harness (benchmarks/bench_p1, bench_p5) measures
-wall-clock time; these tests pin the *work* instead — deterministic
-operation counts that would silently regress if an optimization broke:
+The e2e benchmark (benchmarks/e2e) measures wall-clock time; these
+tests pin the *work* instead — deterministic operation counts that
+would silently regress if an optimization broke:
 
 * P1 — an indexed ``contains`` reads its answer off the index probe
   (no text is rebuilt or tokenised), while the unindexed plan
@@ -25,6 +25,7 @@ from repro.observe import MetricsRegistry
 from repro.oodb import INTEGER, STRING, schema_from_classes, tuple_of
 from repro.oodb.instance import Instance
 from repro.oodb.values import TupleValue
+from repro.text import parse_pattern_expr
 
 from tests.algebra.test_batch_executor import QUERY_CLASSES, build_store
 
@@ -47,7 +48,7 @@ def build_corpus_store(size=CORPUS_SIZE, seed=42,
 
 
 class TestP1IndexVsScanWork:
-    """bench_p1's claim, made falsifiable without a stopwatch."""
+    """Experiment P1's claim, made falsifiable without a stopwatch."""
 
     @pytest.fixture(scope="class")
     def indexed(self):
@@ -93,9 +94,21 @@ class TestP1IndexVsScanWork:
         indexed.build_text_index()
         assert indexed.query(CONTAINS_QUERY) == scan.query(CONTAINS_QUERY)
 
+    @pytest.mark.parametrize("size", [5, 20, 60])
+    def test_probe_then_recheck_equals_the_scan(self, size):
+        store = build_corpus_store(size)
+        scan = set(store.query(CONTAINS_QUERY))
+        index = store.build_text_index()
+        assert index.document_count > 0
+        expression = parse_pattern_expr(NEEDLE)
+        candidates, _ = index.probe(expression)
+        articles = set(store.instance.root("Articles"))
+        assert {oid for oid in candidates & articles
+                if expression.holds_on_text(store.text(oid))} == scan
+
 
 def wide_database(width: int) -> Instance:
-    """bench_p5's wide schema, populated: a root tuple with ``width``
+    """Experiment P5's wide schema, populated: a root tuple with ``width``
     nested parts, each carrying a ``v`` attribute — every part is one
     alternative for ``PATH_p.v``."""
     fields = [(f"part{i}", tuple_of((f"pad{i}", INTEGER), ("v", STRING)))
@@ -109,7 +122,7 @@ def wide_database(width: int) -> Instance:
 
 
 class TestP5UnionFanout:
-    """bench_p5's explosion, pinned to its schema-derived expectation
+    """Experiment P5's explosion, pinned to its schema-derived expectation
     (the ``structural=False`` union-of-plans)."""
 
     @pytest.mark.parametrize("width", [4, 9, 17])
