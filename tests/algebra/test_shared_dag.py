@@ -28,7 +28,6 @@ from repro.oodb import INTEGER, STRING, schema_from_classes, tuple_of
 from repro.oodb.instance import Instance
 from repro.oodb.values import TupleValue
 from repro.calculus.terms import Const, DataVar
-from repro.algebra.compile import compile_query
 from repro.algebra.execute import (
     count_shared,
     count_unions,
@@ -104,39 +103,6 @@ class TestSharingCounters:
         assert registry.get("algebra.subplan_misses") == 2
         assert registry.get("algebra.subplan_hits") == 2 * 4
 
-    #: The experiment-P7 queries, over 20 articles and Figure 2.
-    P7_QUERIES = {
-        "path_titles": "select t from a in Articles, a PATH_p.title(t)",
-        "attvar_grep": 'select name(ATT_a) from my_article '
-                       'PATH_p.ATT_a(val) where val contains ("final")',
-        "deep_join": 'select t from a in Articles, s in a.sections, '
-                     'a PATH_p.title(t) where a.status = "final"',
-    }
-
-    @pytest.fixture(scope="class")
-    def p7_store(self):
-        store = build_corpus_store(20)
-        store.load_text(SAMPLE_ARTICLE, name="my_article")
-        store.build_text_index()
-        return store
-
-    @pytest.mark.parametrize("name", sorted(P7_QUERIES))
-    def test_each_shared_stream_runs_once_per_execution(self, p7_store,
-                                                        name):
-        engine = p7_store._engine
-        plan = compile_query(engine.translate(self.P7_QUERIES[name]),
-                             p7_store.schema, structural=False)
-        unfactored = sink_selections(plan)
-        factored = optimize(plan, structural=False)
-        ctx = engine.ctx.fork()
-        ctx.metrics = registry = MetricsRegistry()
-        assert (execute_plan(factored, ctx)
-                == execute_plan(unfactored, engine.ctx.fork()))
-        assert registry.get("algebra.subplan_misses") == \
-            count_shared(factored)
-        assert registry.get("algebra.subplan_hits") > 0
-        assert registry.get("algebra.rows_saved") > 0
-
 
 class TestBranchPruning:
     """An empty index candidate set short-circuits whole branches."""
@@ -196,6 +162,7 @@ class TestFactoredPlanShape:
         engine = store._engine
         from repro.o2sql.parser import parse
         from repro.o2sql.translate import to_calculus
+        from repro.algebra.compile import compile_query
         query = to_calculus(parse("select t from my_article PATH_p.title(t)"),
                             engine.instance.schema.roots.keys())
         plan = compile_query(query, engine.instance.schema,

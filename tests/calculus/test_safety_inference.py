@@ -28,14 +28,12 @@ from repro.calculus import (
     check_safety,
     infer_types,
 )
-from repro.calculus.inference import ATT_SORT, MAX_UNION_WIDTH, PATH_SORT
+from repro.calculus.inference import ATT_SORT, PATH_SORT
 from repro.corpus.knuth import knuth_schema
 from repro.corpus.letters import letters_schema
 from repro.errors import QueryTypeError, SafetyError
 from repro.oodb import STRING, c, set_of, tuple_of
 from repro.oodb.types import INTEGER, UnionType
-
-from tests.observe.test_counter_regressions import wide_database
 
 X, Y, I, J = (DataVar(n) for n in "XYIJ")
 P, Q = PathVar("P"), PathVar("Q")
@@ -240,21 +238,3 @@ class TestInference:
                       Sel("status"), Bind(X)])))
         types = infer_types(query, schema)
         assert types[X] == STRING
-
-
-class TestUnionExplosion:
-    """Experiment P5: the union type inferred for a path variable grows
-    with the schema, and the paper's guard caps it (Sections 4.2, 5.3)."""
-
-    QUERY = Query([X], Exists([P], PathAtom(
-        Name("Root"), PathTerm([P, Bind(X), Sel("v")]))))
-
-    @pytest.mark.parametrize("width", [4, 16, 48])
-    def test_one_alpha_marked_alternative_per_shape(self, width):
-        inferred = infer_types(self.QUERY, wide_database(width).schema)[X]
-        assert isinstance(inferred, UnionType)
-        assert len(inferred) == width
-
-    def test_guard_fires_beyond_the_width_limit(self):
-        with pytest.raises(QueryTypeError):
-            infer_types(self.QUERY, wide_database(MAX_UNION_WIDTH + 5).schema)

@@ -25,7 +25,6 @@ from repro.observe import MetricsRegistry
 from repro.oodb import INTEGER, STRING, schema_from_classes, tuple_of
 from repro.oodb.instance import Instance
 from repro.oodb.values import TupleValue
-from repro.text import parse_pattern_expr
 
 from tests.algebra.test_batch_executor import QUERY_CLASSES, build_store
 
@@ -93,18 +92,6 @@ class TestP1IndexVsScanWork:
         indexed = build_corpus_store()
         indexed.build_text_index()
         assert indexed.query(CONTAINS_QUERY) == scan.query(CONTAINS_QUERY)
-
-    @pytest.mark.parametrize("size", [5, 20, 60])
-    def test_probe_then_recheck_equals_the_scan(self, size):
-        store = build_corpus_store(size)
-        scan = set(store.query(CONTAINS_QUERY))
-        index = store.build_text_index()
-        assert index.document_count > 0
-        expression = parse_pattern_expr(NEEDLE)
-        candidates, _ = index.probe(expression)
-        articles = set(store.instance.root("Articles"))
-        assert {oid for oid in candidates & articles
-                if expression.holds_on_text(store.text(oid))} == scan
 
 
 def wide_database(width: int) -> Instance:

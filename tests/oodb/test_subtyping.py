@@ -180,14 +180,6 @@ class TestCommonSupertype:
         with pytest.raises(SubtypingError):
             union_all([])
 
-    @pytest.mark.parametrize("width", [8, 64, 256])
-    def test_wide_unions_merge_their_markers(self, width):
-        # experiment P5: half the markers overlap
-        left = union_of(*[(f"m{i}", INTEGER) for i in range(width)])
-        right = union_of(*[(f"m{i + width // 2}", INTEGER)
-                           for i in range(width)])
-        assert len(merge_unions(left, right)) == width + width // 2
-
 
 class TestSubtypeImpliesDomainContainment:
     """If t <= t' then dom(t) ⊆ dom(t') — spot-checked with values."""

@@ -138,43 +138,3 @@ class TestPathDifference:
         old = TupleValue([("a", 1), ("b", 2)])
         new = TupleValue([("a", 1)])
         assert path_difference(old, new) == [Path.of("b")]
-
-
-def ring_db(size: int):
-    """A ring of ``size`` Node objects, each linking to the next."""
-    schema = schema_from_classes(
-        {"Node": tuple_of(("label", STRING), ("next", c("Node")))},
-        roots={"entry": c("Node")})
-    db = Instance(schema)
-    nodes = [db.new_object("Node") for _ in range(size)]
-    for position, node in enumerate(nodes):
-        db.set_value(node, TupleValue([
-            ("label", f"n{position}"),
-            ("next", nodes[(position + 1) % size])]))
-    db.set_root("entry", nodes[0])
-    return db, nodes[0]
-
-
-class TestRingGrowth:
-    """Experiment P3: on a cyclic web the restricted enumeration is
-    bounded by the schema, the liberal one grows with the data."""
-
-    @pytest.mark.parametrize("size", [4, 16, 64])
-    def test_restricted_count_is_independent_of_the_ring(self, size):
-        db, entry = ring_db(size)
-        # one Node dereference, whatever the size
-        assert len(enumerate_paths(entry, db, RESTRICTED)) <= 6
-
-    @pytest.mark.parametrize("size", [4, 16, 64])
-    def test_liberal_count_grows_with_the_ring(self, size):
-        db, entry = ring_db(size)
-        assert len(enumerate_paths(entry, db, LIBERAL)) >= 3 * size
-
-    def test_query_reach_under_each_semantics(self):
-        from repro.o2sql import QueryEngine
-        db, _ = ring_db(16)
-        query = "select x from entry PATH_p.label(x)"
-        # liberal: every node's label; restricted: entry and one hop
-        assert len(QueryEngine(db, path_semantics=LIBERAL).run(query)) == 16
-        assert len(QueryEngine(db, path_semantics=RESTRICTED).run(query)) \
-            == 2

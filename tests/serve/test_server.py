@@ -247,8 +247,6 @@ class TestCollapsing:
                 request.result(timeout=30)
             assert srv.metrics.get("serve.flights") == 4
             assert srv.metrics.get("serve.collapsed") == 0
-            assert srv.metrics.get("serve.executed") == \
-                srv.metrics.get("serve.submitted") == 4
 
     def test_key_normalisation_collapses_reformatted_text(self, store):
         """The collapse key is the plan-cache key, not raw text — the

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.corpus.article_dtd import article_dtd
 from repro.errors import ContentModelError
 from repro.sgml.automata import (
     ContentAutomaton,
@@ -129,12 +128,6 @@ class TestDfaApi:
     def test_state_count_reasonable(self):
         auto = automaton("(title, author+, affil, abstract, section+, acknowl)")
         assert auto.state_count <= 8
-
-    def test_every_figure1_model_compiles(self):
-        dtd = article_dtd()
-        for name in dtd.element_names:
-            automaton = ContentAutomaton(dtd.element(name).model)
-            assert automaton.state_count >= 1, name
 
 
 class TestAmbiguity:

@@ -245,11 +245,3 @@ class TestDtdParserGeneral:
             assert exc.line == 2
         else:  # pragma: no cover
             pytest.fail("expected DtdSyntaxError")
-
-    def test_two_hundred_declarations(self):
-        declarations = ["<!ELEMENT root - - (e0+)>"]
-        for i in range(200):
-            nxt = f"(e{i + 1}*, #PCDATA)" if i < 199 else "(#PCDATA)"
-            declarations.append(f"<!ELEMENT e{i} - O {nxt}>")
-        dtd = parse_dtd("\n".join(declarations))
-        assert len(dtd.element_names) == 201

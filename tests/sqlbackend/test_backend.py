@@ -1,7 +1,6 @@
 """The hybrid backend: parity, refusal guards, serving integration."""
 
 import sqlite3
-import types
 
 import pytest
 
@@ -10,7 +9,6 @@ from repro.algebra.compile import compile_query
 from repro.algebra.optimizer import optimize
 from repro.calculus.evaluator import EvalContext
 from repro.corpus import ARTICLE_DTD, SAMPLE_ARTICLE
-from repro.corpus.generator import generate_corpus
 from repro.errors import SQLUnsupportedError
 from repro.paths.enumeration import LIBERAL
 from repro.sqlbackend.backend import SQLBackend
@@ -62,66 +60,6 @@ class TestParity:
             expected = execute_plan(plan, store._engine.ctx.fork())
             assert backend.execute(hybrid,
                                    store._engine.ctx.fork()) == expected
-
-    #: Q1–Q5 (EXPERIMENTS P13), over a small corpus and Figure 2 twice.
-    PAPER_QUERIES = {
-        "q1_contains": """
-            select tuple (t: a.title, f_author: first(a.authors))
-            from a in Articles, s in a.sections
-            where s.title contains ("SGML" and "OODBMS")""",
-        "q2_union": """
-            select ss
-            from a in Articles, s in a.sections, ss in s.subsectns
-            where ss contains ("complex object")""",
-        "q3_paths": "select t from my_article PATH_p.title(t)",
-        "q4_diff": "my_article PATH_p - my_old_article PATH_p",
-        "q5_attvars": """
-            select name(ATT_a)
-            from my_article PATH_p.ATT_a(val)
-            where val contains ("final")""",
-    }
-
-    @pytest.fixture(scope="class")
-    def paper_store(self):
-        store = DocumentStore(ARTICLE_DTD, backend="algebra")
-        for tree in generate_corpus(8, seed=42):
-            store.load_tree(tree, validate=False)
-        store.load_text(SAMPLE_ARTICLE, name="my_article")
-        store.load_text(SAMPLE_ARTICLE, name="my_old_article")
-        store.build_text_index()
-        store.build_structural_index()
-        return store
-
-    @pytest.mark.parametrize("name", sorted(PAPER_QUERIES))
-    def test_paper_query_runs_through_sql_feeds(self, paper_store, name):
-        from repro.algebra.execute import execute_plan
-        backend, hybrid, plan = structural_hybrid(
-            paper_store, self.PAPER_QUERIES[name])
-        assert len(hybrid.programs) >= 1
-        ctx = paper_store._engine.ctx
-        assert backend.execute(hybrid, ctx.fork()) == \
-            execute_plan(plan, ctx.fork())
-
-    def test_q6_letters_runs_through_sql_feeds(self):
-        from repro.algebra.execute import execute_plan
-        from repro.corpus.letters import build_letters_database
-        from repro.o2sql import QueryEngine
-        engine = QueryEngine(build_letters_database())
-        query = engine.translate("""
-            select letter
-            from letter in Letters, letter[i].from, letter[j].to
-            where i < j""")
-        plan = optimize(
-            compile_query(query, engine.instance.schema,
-                          path_semantics="restricted"),
-            structural=True, verify="raise", query=query)
-        backend = SQLBackend(engine.instance,
-                             epoch_source=types.SimpleNamespace(epoch=0))
-        hybrid = backend.compile(plan)
-        assert len(hybrid.programs) >= 1
-        result = backend.execute(hybrid, engine.ctx.fork())
-        assert result == execute_plan(plan, engine.ctx.fork())
-        assert len(result) == 3
 
 
 class TestContainsPrefilter:

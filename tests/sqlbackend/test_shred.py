@@ -79,7 +79,6 @@ class TestShredBuild:
                 "SELECT COUNT(*) FROM node WHERE root = ?", (name,))
             assert rows[0][0] == root.size == len(root.values) \
                 == len(root.paths)
-            assert rows[0][0] > 0
 
     def test_refresh_is_epoch_gated(self):
         store = build_store()

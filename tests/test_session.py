@@ -4,11 +4,8 @@ import pytest
 
 from repro import DocumentStore
 from repro.corpus import ARTICLE_DTD, SAMPLE_ARTICLE
-from repro.corpus.generator import generate_corpus
 from repro.errors import MappingError
 from repro.oodb import Oid, SetValue
-from repro.sgml.instance_parser import parse_document
-from repro.sgml.writer import write_document
 
 
 @pytest.fixture()
@@ -131,6 +128,7 @@ class TestLiveIndexIngest:
 
     @staticmethod
     def visited_by_one_more_load(already_loaded):
+        from repro.corpus.generator import generate_corpus
         store = DocumentStore(ARTICLE_DTD)
         store.build_text_index()
         for tree in generate_corpus(already_loaded, seed=5):
@@ -168,41 +166,6 @@ class TestLiveIndexIngest:
         live = store.text_index.document_count
         del store.instance.all_oids         # the full rebuild may scan
         assert store.build_text_index().document_count == live
-
-
-class TestStorageOverhead:
-    """Experiment P2: the Section-3 storage price is bounded, and what
-    it buys is direct access without a re-parse."""
-
-    @staticmethod
-    def corpus(size):
-        store = DocumentStore(ARTICLE_DTD)
-        texts = []
-        for tree in generate_corpus(size, seed=42):
-            store.load_tree(tree, validate=False)
-            texts.append(write_document(tree, store.dtd, minimize=True))
-        return store, texts
-
-    @pytest.mark.parametrize("size", [5, 20, 60])
-    def test_snapshot_within_five_times_the_sgml(self, size):
-        store, texts = self.corpus(size)
-        raw_bytes = sum(len(text.encode()) for text in texts)
-        assert store.store.total_bytes() > 0
-        assert len(store.store.snapshot_bytes()) < raw_bytes * 5
-
-    def test_object_references_reach_what_a_reparse_finds(self):
-        store, texts = self.corpus(20)
-        direct = []
-        for article_oid in store.instance.root("Articles"):
-            article = store.instance.deref(article_oid)
-            for section_oid in article.get("sections"):
-                section = store.instance.deref(section_oid)
-                direct.append(section.marked_value.get("title"))
-        reparsed = [section.first("title")
-                    for text in texts
-                    for section in parse_document(
-                        text, store.dtd).find_all("section")]
-        assert len(direct) == len(reparsed) > 20
 
 
 class TestPersistence:
