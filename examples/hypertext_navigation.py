@@ -77,7 +77,8 @@ def main() -> None:
     print("\nrestricted semantics, two chained path variables:")
     print(f"  {two_hops}")
 
-    liberal = QueryEngine(db, path_semantics="liberal")
+    # the algebra has no transitive closure: the interpreter serves it
+    liberal = QueryEngine(db, path_semantics="liberal", backend="calculus")
     all_reachable = sorted(liberal.run(QUERY))
     print("\nliberal semantics — no object visited twice:")
     print(f"  {all_reachable}")

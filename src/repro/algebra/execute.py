@@ -24,7 +24,11 @@ def execute_plan(plan: ProjectOp, ctx: EvalContext) -> SetValue:
     (DAG-shaped) plan computes each :class:`SharedOp` batch once per
     ``execute_plan`` call, and the memo is dropped afterwards — also
     when an operator raises — so cached plans re-read current data on
-    their next run.
+    their next run.  Unless it runs inside one, the call is also an
+    outermost evaluation for the interpreter's memo of closed nested
+    queries (:func:`~repro.calculus.evaluator.evaluate_query`): a
+    kernel that hands ``Q2`` of ``Q1 - Q2`` to the interpreter
+    evaluates it once per run, not once per row.
     """
     if not isinstance(plan, ProjectOp):
         raise SafetyError("a plan must be rooted at a ProjectOp")
@@ -33,11 +37,16 @@ def execute_plan(plan: ProjectOp, ctx: EvalContext) -> SetValue:
     owns_memo = getattr(ctx, "shared_memo", None) is None
     if owns_memo:
         ctx.shared_memo = {}
+    outermost = not getattr(ctx, "_evaluating", False)
+    if outermost:
+        ctx._evaluating, ctx._nested_cache = True, {}
     try:
         batch = plan.batch(ctx)
     finally:
         if owns_memo:
             ctx.shared_memo = None
+        if outermost:
+            ctx._evaluating, ctx._nested_cache = False, {}
     # the projection de-duplicated: its rows are the result's elements
     head = plan.head
     if len(head) == 1:

@@ -44,6 +44,10 @@ from repro.o2sql.translate import to_calculus
 from repro.observe.trace import NULL_TRACER
 from repro.oodb.instance import Instance
 from repro.oodb.values import SetValue
+from repro.paths.enumeration import LIBERAL, RESTRICTED
+
+#: The evaluators a :class:`QueryEngine` runs, the default first.
+BACKENDS = ("algebra", "sql", "calculus")
 
 
 class QueryEngine:
@@ -58,6 +62,16 @@ class QueryEngine:
     stays safe); :class:`~repro.session.DocumentStore` always installs
     one and bumps its epoch on every mutation it performs.
 
+    ``backend`` picks the evaluator: ``"algebra"`` (the default, a
+    compiled and optimized plan), ``"sql"`` (that plan's relational
+    prefix as SQL) or ``"calculus"`` (the interpreter — the semantic
+    oracle, and the only backend of the liberal path semantics, which
+    the algebra cannot express: Section 5.4 has no transitive-closure
+    operator).  The configuration is checked here, once: an unknown
+    backend or path semantics, or the liberal semantics on a compiled
+    backend, raises :class:`ValueError` instead of failing (or running
+    another backend) at the first query.
+
     ``structural`` names the one plan :meth:`compile` builds for a path
     variable: a structural-index range scan (the default, experiment
     P9; it pays off with a StructuralIndex on ``ctx`` and stays correct
@@ -66,11 +80,22 @@ class QueryEngine:
     """
 
     def __init__(self, instance: Instance, provenance: dict | None = None,
-                 path_semantics: str = "restricted",
-                 backend: str = "calculus",
+                 path_semantics: str = RESTRICTED,
+                 backend: str = "algebra",
                  cache: PlanCache | None = None,
-                 structural: bool = True,
-                 stats: object = None) -> None:
+                 structural: bool = True) -> None:
+        if backend not in BACKENDS:
+            raise ValueError(
+                f"unknown backend {backend!r}; use one of {BACKENDS}")
+        if path_semantics not in (RESTRICTED, LIBERAL):
+            raise ValueError(
+                f"unknown path semantics {path_semantics!r}; use "
+                f"{RESTRICTED!r} or {LIBERAL!r}")
+        if path_semantics == LIBERAL and backend != "calculus":
+            raise ValueError(
+                'the liberal path semantics needs backend="calculus" '
+                f"(backend={backend!r} compiles to the algebra, which "
+                "has no transitive-closure operator: Section 5.4)")
         self.instance = instance
         self.ctx = EvalContext(instance, provenance=provenance,
                                path_semantics=path_semantics)
@@ -89,10 +114,11 @@ class QueryEngine:
         #: Range scans or the union-of-plans (see the class docstring);
         #: part of the plan-cache key.
         self.structural = structural
-        #: Optional :class:`~repro.stats.StatisticsManager`.  When set,
-        #: the optimizer runs its cost stage against the current
-        #: snapshot and executed plans feed actual cardinalities back.
-        self.stats = stats
+        #: Optional :class:`~repro.stats.StatisticsManager` (the store
+        #: installs one).  When set, the optimizer runs its cost stage
+        #: against the current snapshot and executed plans feed actual
+        #: cardinalities back.
+        self.stats = None
 
     # -- pipeline stages ------------------------------------------------------
 
@@ -188,7 +214,7 @@ class QueryEngine:
         if snapshot is None:
             snapshot = self._cost_snapshot()
         plan = None
-        if self.backend in ("algebra", "sql"):
+        if self.backend != "calculus":
             from repro.algebra.compile import compile_query
             from repro.algebra.operators import SharedOp, UnionOp, walk_once
             from repro.algebra.optimizer import optimize
@@ -351,10 +377,9 @@ class QueryEngine:
         )
         metrics = MetricsRegistry()
         tracer = Tracer()
-        profiler = (PlanProfiler()
-                    if self.backend in ("algebra", "sql") else None)
+        profiler = PlanProfiler() if self.backend != "calculus" else None
         with observed(self.ctx, metrics=metrics, tracer=tracer,
-                      profiler=profiler):
+                      profiler=profiler, layers=self.metered_layers()):
             result, plan, sql = self._run(text, tracer)
         return ExplainReport(text=text, backend=self.backend,
                              result=result, plan=plan, profiler=profiler,
@@ -362,6 +387,17 @@ class QueryEngine:
                              trace=tracer.last_root, sql=sql)
 
     explain_analyze = profile
+
+    def metered_layers(self) -> list:
+        """Every object besides :attr:`ctx` that counts into a metrics
+        registry — the one list :meth:`profile` installs its registry
+        on and :meth:`~repro.session.DocumentStore.enable_metrics`
+        wires the store's."""
+        from repro.observe.profile import metered_layers
+        backend = self.sql_backend
+        if backend is None:
+            return metered_layers(self.ctx, self.stats)
+        return metered_layers(self.ctx, self.stats, backend, backend.shred)
 
     def explain(self, text: str) -> str:
         """The calculus form of the query (one line)."""

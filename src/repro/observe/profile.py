@@ -18,8 +18,8 @@
 
 :func:`observed` temporarily installs a metrics registry, tracer and
 profiler on an :class:`~repro.calculus.evaluator.EvalContext` — and on
-the objects hanging off it (the instance and the text index) — restoring
-the previous observers on exit.
+the :func:`metered_layers` hanging off it — restoring the previous
+observers on exit.
 """
 
 from __future__ import annotations
@@ -88,25 +88,33 @@ class PlanProfiler:
         return batch
 
 
+def metered_layers(ctx, *owners) -> list:
+    """The objects besides ``ctx`` whose ``metrics`` attribute a
+    registry is installed on: the context's instance, text index and
+    structural index, then ``owners`` (the engine adds its statistics
+    manager, SQL backend and shred); absent ones are skipped."""
+    return [layer for layer in (ctx.instance, ctx.text_index,
+                                ctx.struct_index, *owners)
+            if layer is not None]
+
+
 @contextmanager
-def observed(ctx, metrics=None, tracer=None, profiler=None):
+def observed(ctx, metrics=None, tracer=None, profiler=None, layers=None):
     """Install observers on an evaluation context, restore them on exit.
 
     ``ctx`` is an :class:`~repro.calculus.evaluator.EvalContext`; the
-    metrics registry is propagated to ``ctx.instance`` and
-    ``ctx.text_index`` (when present) so dereference and index-probe
-    counters land in the same snapshot.
+    metrics registry is propagated to ``layers`` (default:
+    :func:`metered_layers` of ``ctx``) so dereference, index and
+    statistics counters land in the same snapshot.
     """
-    instance = ctx.instance
-    text_index = getattr(ctx, "text_index", None)
+    if layers is None:
+        layers = metered_layers(ctx)
     saved = (ctx.metrics, ctx.tracer, ctx.profiler,
-             instance.metrics,
-             text_index.metrics if text_index is not None else None)
+             [layer.metrics for layer in layers])
     if metrics is not None:
         ctx.metrics = metrics
-        instance.metrics = metrics
-        if text_index is not None:
-            text_index.metrics = metrics
+        for layer in layers:
+            layer.metrics = metrics
     if tracer is not None:
         ctx.tracer = tracer
     if profiler is not None:
@@ -114,7 +122,6 @@ def observed(ctx, metrics=None, tracer=None, profiler=None):
     try:
         yield ctx
     finally:
-        (ctx.metrics, ctx.tracer, ctx.profiler,
-         instance.metrics, saved_index_metrics) = saved
-        if text_index is not None:
-            text_index.metrics = saved_index_metrics
+        ctx.metrics, ctx.tracer, ctx.profiler, layer_metrics = saved
+        for layer, previous in zip(layers, layer_metrics):
+            layer.metrics = previous

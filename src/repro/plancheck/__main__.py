@@ -34,13 +34,11 @@ def _open_store(dtd_path: str | None, structural: bool):
     from repro import DocumentStore
     if dtd_path is None:
         from repro.corpus import ARTICLE_DTD, SAMPLE_ARTICLE
-        store = DocumentStore(ARTICLE_DTD, backend="algebra",
-                              structural=structural)
+        store = DocumentStore(ARTICLE_DTD, structural=structural)
         store.load_text(SAMPLE_ARTICLE, name="my_article")
         return store
     with open(dtd_path) as handle:
-        return DocumentStore(handle.read(), backend="algebra",
-                             structural=structural)
+        return DocumentStore(handle.read(), structural=structural)
 
 
 def _verify_query(text: str, stores: dict) -> list:

@@ -237,8 +237,7 @@ class QueryServer:
                  collapse: bool = True,
                  default_timeout: float | None = None,
                  read_retries: int = 6,
-                 escalate_after: float = 0.05,
-                 metrics: MetricsRegistry | None = None) -> None:
+                 escalate_after: float = 0.05) -> None:
         if workers < 1:
             raise ValueError("workers must be positive")
         self.workers = workers
@@ -250,8 +249,7 @@ class QueryServer:
         self.default_timeout = default_timeout
         self.read_retries = read_retries
         self.escalate_after = escalate_after
-        self.metrics = metrics if metrics is not None else (
-            MetricsRegistry())
+        self.metrics = MetricsRegistry()
         self._lock = threading.Lock()
         self._tenants: dict[str, _Shard] = {}
         self._inflight: dict[tuple, _Flight] = {}

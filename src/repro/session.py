@@ -83,7 +83,7 @@ class DocumentStore:
     """
 
     def __init__(self, dtd_text: str, path_semantics: str = "restricted",
-                 backend: str = "calculus",
+                 backend: str = "algebra",
                  structural: bool = True) -> None:
         self._open_schema(dtd_text)
         self._wire(self.loader.provenance, path_semantics, backend,
@@ -277,10 +277,10 @@ class DocumentStore:
             index.metrics = self._metrics
             self.text_index = index
             self._engine.ctx.text_index = index
-            # costing must see the new index now — the store epoch did
-            # not move, so the memoized statistics snapshot would
-            # otherwise stay index-blind until the next data mutation
-            self.stats_manager.refresh()
+            # costing must see the new index — the store epoch did not
+            # move, so the memoized statistics snapshot would otherwise
+            # stay index-blind until the next data mutation
+            self.stats_manager.invalidate()
             return index
 
     # -- structural indexing (the XPath-accelerator layer, P9) ----------------
@@ -309,9 +309,9 @@ class DocumentStore:
                 self._engine.ctx.struct_index = index
             index.note_data_change(epoch=self.plan_cache.epoch)
             index.refresh()
-            # same as build_text_index: fold the fresh block statistics
-            # into the costing snapshot immediately
-            self.stats_manager.refresh()
+            # same as build_text_index: the next snapshot counts the
+            # fresh blocks
+            self.stats_manager.invalidate()
             return index
 
     # -- querying -------------------------------------------------------------
@@ -379,16 +379,9 @@ class DocumentStore:
         return self._metrics
 
     def _wire_metrics(self) -> None:
-        self.instance.metrics = self._metrics
         self._engine.ctx.metrics = self._metrics
-        self.stats_manager.metrics = self._metrics
-        if self.text_index is not None:
-            self.text_index.metrics = self._metrics
-        if self.struct_index is not None:
-            self.struct_index.metrics = self._metrics
-        if self._engine.sql_backend is not None:
-            self._engine.sql_backend.metrics = self._metrics
-            self._engine.sql_backend.shred.metrics = self._metrics
+        for layer in self._engine.metered_layers():
+            layer.metrics = self._metrics
 
     def metrics(self) -> dict:
         """Structured snapshot of the store-wide metrics registry
@@ -535,7 +528,7 @@ class DocumentStore:
 
     @classmethod
     def load(cls, path, path_semantics: str = "restricted",
-             backend: str = "calculus",
+             backend: str = "algebra",
              structural: bool = True) -> "DocumentStore":
         """Rebuild a store from :meth:`save` output.
 

@@ -90,6 +90,11 @@ class StatisticsManager:
         if (current is not None and current.epoch == self.epoch
                 and current.generation == self._generation):
             return current
+        # the rebuild the next structural scan would pay anyway, before
+        # the lock is taken: a rebuild holds only the index's own lock
+        struct_index = getattr(self.context, "struct_index", None)
+        if struct_index is not None:
+            struct_index.refresh()
         with self._lock:
             current = self._snapshot
             if (current is not None and current.epoch == self.epoch
@@ -101,11 +106,11 @@ class StatisticsManager:
                 self.metrics.inc("stats.collections")
             return collected
 
-    def refresh(self) -> Statistics:
-        """Force a recollection at the current epoch/generation."""
-        with self._lock:
-            self._snapshot = self._collect()
-        return self._snapshot
+    def invalidate(self) -> None:
+        """Forget the memoized snapshot: the next :meth:`snapshot`
+        recollects, for a change that moves no epoch (a newly built
+        index, harvested feedback)."""
+        self._snapshot = None
 
     def _collect(self) -> Statistics:
         instance = self.instance

@@ -165,7 +165,7 @@ class TestOneStrategyPerCompile:
                        for position, tp in enumerate(types))
 
     def test_a_calculus_store_keeps_no_structural_index(self):
-        store = DocumentStore(ARTICLE_DTD)
+        store = DocumentStore(ARTICLE_DTD, backend="calculus")
         assert store._engine.structural
         assert store.struct_index is None
         assert store._engine.ctx.struct_index is None

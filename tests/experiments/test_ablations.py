@@ -55,14 +55,18 @@ def test_a1_parse_minimized(corpus_pair):
     assert sum(map(len, minimized)) < sum(map(len, full))
 
 
-@pytest.fixture(scope="module")
-def versions_store():
-    store = DocumentStore(ARTICLE_DTD)
+def load_versions(store):
     trees = generate_corpus(2, seed=5, sections=10)
     store.load_tree(trees[0], name="my_article", validate=False)
     store.load_tree(trees[1], name="my_old_article", validate=False)
     store.enable_metrics()
     return store
+
+
+@pytest.fixture(scope="module")
+def versions_store():
+    # A2 counts the interpreter's path enumerations
+    return load_versions(DocumentStore(ARTICLE_DTD, backend="calculus"))
 
 
 def paths_enumerated(store, thunk):
@@ -95,6 +99,19 @@ def test_a2_q4_uncached_simulation(versions_store):
     survivors, enumerated = paths_enumerated(store, uncached_difference)
     assert survivors == set(store.query(Q4)) & set(left)
     assert enumerated == len(left) * right
+
+
+def test_a2_q4_memoized_in_a_compiled_plan():
+    """The default store's Q4 plan hands both operands to the
+    interpreter; one execution is one outermost evaluation, so the
+    right operand is enumerated once there too."""
+    store = load_versions(DocumentStore(ARTICLE_DTD))
+    left = len(store.query("my_article PATH_p"))
+    right = len(store.query("my_old_article PATH_p"))
+    result, enumerated = paths_enumerated(store, lambda: store.query(Q4))
+    assert store.explain_analyze(Q4).plan is not None
+    assert len(result) > 0
+    assert enumerated == left + right
 
 
 def deep_join_plans(store):

@@ -166,10 +166,12 @@ class TestStoreMetricsFacade:
         assert store.metrics()["counters"] == {}
         store.query(Q3)
         after_one = store.metrics()["counters"]
-        assert after_one["calculus.bindings"] == 3
+        assert after_one["structindex.range_scans"] == 1
+        assert after_one["structindex.nodes_scanned"] == 8
         store.query(Q3)
         after_two = store.metrics()["counters"]
-        assert after_two["calculus.bindings"] == 6
+        assert after_two["structindex.range_scans"] == 2
+        assert after_two["structindex.nodes_scanned"] == 16
 
     def test_reset_metrics(self):
         store = DocumentStore(ARTICLE_DTD)
@@ -183,6 +185,20 @@ class TestStoreMetricsFacade:
         store = DocumentStore(ARTICLE_DTD)
         store.load_text(SAMPLE_ARTICLE, name="my_article")
         store.enable_metrics()
-        store.explain_analyze(Q3)
+        report = store.explain_analyze(Q3)
         # the report used its own registry; the store's stays empty
         assert store.metrics()["counters"] == {}
+        # ... and it holds every layer's counters, the rebuild of the
+        # structural index and the statistics collection included
+        assert report.counter("structindex.block_rebuilds") == 2
+        assert report.counter("structindex.nodes_indexed") == 111
+        assert report.counter("stats.collections") == 1
+
+    def test_the_sql_shred_counts_into_the_report(self):
+        store = DocumentStore(ARTICLE_DTD, backend="sql")
+        store.load_text(SAMPLE_ARTICLE, name="my_article")
+        store.enable_metrics()
+        report = store.explain_analyze(Q3)
+        assert store.metrics()["counters"] == {}
+        assert report.counter("sql.shreds") == 1
+        assert report.counter("sql.shred_nodes") == 111

@@ -148,17 +148,23 @@ class TestObservedInstaller:
     def test_observed_installs_and_restores(self, store):
         ctx = store._engine.ctx
         store.build_text_index()
+        # leaves the structural index for the first query to rebuild
+        store.define_name("again", store.instance.root("my_article"))
         registry = MetricsRegistry()
         with observed(ctx, metrics=registry):
             assert ctx.metrics is registry
             assert ctx.instance.metrics is registry
             assert ctx.text_index.metrics is registry
+            assert ctx.struct_index.metrics is registry
             store.query("select t from my_article PATH_p.title(t)")
         assert ctx.metrics is None
         assert ctx.instance.metrics is None
         assert ctx.text_index.metrics is None
-        # the enumeration really was counted while installed
-        assert registry.get("calculus.bindings") == 3
+        assert ctx.struct_index.metrics is None
+        # the scan really was counted while installed, and so was the
+        # index rebuild the new name left to the first query
+        assert registry.get("structindex.range_scans") == 1
+        assert registry.get("structindex.block_rebuilds") == 3
         assert registry.get("oodb.derefs") > 0
 
     def test_observed_restores_previous_observers(self, store):
@@ -170,5 +176,6 @@ class TestObservedInstaller:
                 store.query("select t from my_article PATH_p.title(t)")
             assert ctx.metrics is outer
             assert ctx.instance.metrics is outer
-        assert inner.get("calculus.bindings") == 3
-        assert outer.get("calculus.bindings") == 0
+            assert ctx.struct_index.metrics is outer
+        assert inner.get("structindex.range_scans") == 1
+        assert outer.get("structindex.range_scans") == 0

@@ -95,7 +95,8 @@ class TestProfiledFeedback:
         store = build_store()
         manager = store.stats_manager
         store.explain_analyze(QUERY)
-        snap = manager.refresh()
+        manager.invalidate()
+        snap = manager.snapshot()
         # per-operator-class unit costs were learned (normalized so
         # the cheapest measured class costs 1.0, clamped)
         assert snap.unit_costs

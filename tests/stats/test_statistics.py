@@ -66,6 +66,24 @@ class TestCollection:
         block = store.stats()["statistics"]
         assert block["classes"] > 0
 
+    def test_statistics_count_the_current_structural_index(self):
+        """A collection reads the index as of the store's epoch, not
+        the blocks the last scan happened to leave behind."""
+        s = DocumentStore(ARTICLE_DTD)
+        s.load_text(SAMPLE_ARTICLE, name="my_article")
+
+        def index_nodes():
+            stats = s.stats()
+            counted = stats["statistics"]["index_nodes"]
+            assert counted == stats["struct_index"]["nodes"]
+            return counted
+
+        s.query("select t from my_article PATH_p.title(t)")
+        one = index_nodes()
+        # a load, and no query since
+        s.load_text(SAMPLE_ARTICLE, name="my_old_article")
+        assert index_nodes() > one
+
     def test_fanout_defaults_without_structural_index(self):
         empty = Statistics()
         assert empty.avg_fanout() == DEFAULT_FANOUT

@@ -90,7 +90,8 @@ class TestRecursionAndPathSemantics:
         assert "One point One point One" in texts
 
     def test_liberal_reaches_every_level(self):
-        s = DocumentStore(BOOK_DTD, path_semantics=LIBERAL)
+        s = DocumentStore(BOOK_DTD, path_semantics=LIBERAL,
+                          backend="calculus")
         s.load_text(NESTED_BOOK, name="my_book")
         titles = s.query("select t from my_book PATH_p.title(t)")
         texts = {s.text(t) for t in titles}
@@ -98,7 +99,8 @@ class TestRecursionAndPathSemantics:
                 "One point One point One", "Chapter Two"} <= texts
 
     def test_liberal_grep_finds_deepest_content(self):
-        s = DocumentStore(BOOK_DTD, path_semantics=LIBERAL)
+        s = DocumentStore(BOOK_DTD, path_semantics=LIBERAL,
+                          backend="calculus")
         s.load_text(NESTED_BOOK, name="my_book")
         hits = s.query("""
             select name(ATT_a) from my_book PATH_p.ATT_a(v)

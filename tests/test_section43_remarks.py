@@ -96,7 +96,8 @@ class TestRemark5CycleAvoidance:
         # both semantics
         restricted = s.query("my_doc PATH_p")
         assert len(restricted) < 100
-        liberal_store = DocumentStore(dtd, path_semantics="liberal")
+        liberal_store = DocumentStore(dtd, path_semantics="liberal",
+                                      backend="calculus")
         liberal_store.load_text(
             '<doc><note label="n1" see="n2">first'
             '<note label="n2" see="n1">second</doc>', name="my_doc")

@@ -88,10 +88,75 @@ class TestQuerying:
         assert store.text_index is index
 
     def test_liberal_semantics_store(self):
-        s = DocumentStore(ARTICLE_DTD, path_semantics="liberal")
+        s = DocumentStore(ARTICLE_DTD, path_semantics="liberal",
+                          backend="calculus")
         s.load_text(SAMPLE_ARTICLE, name="my_article")
         result = s.query("select t from my_article PATH_p.title(t)")
         assert len(result) == 3
+
+
+class TestConfiguration:
+    """With no ``backend=`` a store serves the compiled algebra plans;
+    a configuration no backend can serve is refused at construction,
+    never at the first query and never by running another backend."""
+
+    Q3 = "select t from my_article PATH_p.title(t)"
+
+    def assert_serves_algebra_plans(self, store):
+        assert store._engine.backend == "algebra"
+        assert store.struct_index is not None
+        report = store.explain_analyze(self.Q3)
+        assert report.plan is not None
+        assert len(report.result) == 3
+
+    def test_the_default_store_serves_algebra_plans(self, store):
+        self.assert_serves_algebra_plans(store)
+
+    def test_a_loaded_store_serves_algebra_plans(self, store, tmp_path):
+        store.save(tmp_path / "store.db")
+        self.assert_serves_algebra_plans(
+            DocumentStore.load(tmp_path / "store.db"))
+
+    def test_the_default_engine_compiles_plans(self, store):
+        from repro.o2sql.engine import QueryEngine
+        engine = QueryEngine(store.instance)
+        assert engine.backend == "algebra"
+        assert engine.explain_analyze(self.Q3).plan is not None
+
+    @pytest.mark.parametrize("backend", ["algebra", "sql"])
+    def test_liberal_on_a_compiled_backend_is_refused(self, backend):
+        with pytest.raises(ValueError, match='backend="calculus"'):
+            DocumentStore(ARTICLE_DTD, path_semantics="liberal",
+                          backend=backend)
+
+    def test_liberal_needs_the_backend_named(self):
+        with pytest.raises(ValueError, match='backend="calculus"'):
+            DocumentStore(ARTICLE_DTD, path_semantics="liberal")
+
+    def test_a_loaded_liberal_store_is_refused(self, store, tmp_path):
+        store.save(tmp_path / "store.db")
+        with pytest.raises(ValueError, match='backend="calculus"'):
+            DocumentStore.load(tmp_path / "store.db",
+                               path_semantics="liberal")
+
+    def test_an_unknown_backend_is_refused(self):
+        with pytest.raises(ValueError, match="unknown backend 'algebr'"):
+            DocumentStore(ARTICLE_DTD, backend="algebr")
+
+    def test_an_unknown_path_semantics_is_refused(self):
+        with pytest.raises(ValueError,
+                           match="unknown path semantics 'restrictd'"):
+            DocumentStore(ARTICLE_DTD, path_semantics="restrictd")
+
+    def test_the_engine_checks_its_configuration(self, store):
+        from repro.o2sql.engine import QueryEngine
+        with pytest.raises(ValueError, match="unknown backend"):
+            QueryEngine(store.instance, backend="interpreter")
+        with pytest.raises(ValueError, match='backend="calculus"'):
+            QueryEngine(store.instance, path_semantics="liberal")
+        liberal = QueryEngine(store.instance, path_semantics="liberal",
+                              backend="calculus")
+        assert len(liberal.run(self.Q3)) == 3
 
 
 class TestTextAtElementBoundaries:

@@ -58,6 +58,8 @@ def build_store(articles: int, seed: int):
     from repro import DocumentStore
     from repro.corpus import ARTICLE_DTD, SAMPLE_ARTICLE
     from repro.corpus.generator import generate_corpus
+    # named, not defaulted: ``--src`` may load an older checkout,
+    # whose defaults were the interpreter and the union-of-plans
     store = DocumentStore(ARTICLE_DTD, backend="algebra",
                           structural=True)
     store.load_text(SAMPLE_ARTICLE, name="my_article")

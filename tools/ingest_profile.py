@@ -54,6 +54,8 @@ def main() -> None:
         args.articles, seed=args.seed, paragraphs_per_body=3)]
 
     def new_store(live: bool):
+        # named, not defaulted: ``--src`` may load an older checkout,
+        # whose defaults were the interpreter and the union-of-plans
         store = DocumentStore(ARTICLE_DTD, backend="algebra",
                               structural=True)
         store.load_text(SAMPLE_ARTICLE, name="my_article")
