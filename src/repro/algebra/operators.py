@@ -858,11 +858,12 @@ class _Scan:
     An output row is ``(index[r], positions[r])``: it continues input
     row ``index[r]``, and ``positions[r]`` is a pre rank in the block
     that row's source was located in (``frames[index[r]]`` holds the
-    block's ``paths`` and ``values`` arrays and the source's depth) —
-    or, for a source the index could not serve, the live walk's
-    ``(path, value)`` pair itself.  The path and node columns are
-    derived from that on first use: a query that only reads what the
-    scan *reaches* never builds a :class:`Path`.
+    block and the source's level) — or, for a source the index could
+    not serve, the live walk's ``(path, value)`` pair itself.  The path
+    and node columns are derived from that on first use: a query that
+    only reads what the scan *reaches* never builds a :class:`Path`,
+    and one that reads the path builds one per row
+    (:meth:`~repro.structindex.Block.path`).
     """
 
     def __init__(self, op: "StructuralScanOp | IntervalJoinOp",
@@ -873,7 +874,7 @@ class _Scan:
         index = getattr(ctx, "struct_index", None)
         self.struct_index = (
             index if ctx.path_semantics == RESTRICTED else None)
-        self.frames: list[tuple[list, list, int] | None] = (
+        self.frames: list[tuple[Any, int] | None] = (
             [None] * source.size)
         self.index: list[int] = []
         self.positions: Column = []
@@ -910,8 +911,7 @@ class _Scan:
     def enter(self, row: int, block: Any, pre: int) -> None:
         """Input row ``row``'s source is the node ``pre`` of
         ``block``: positions recorded for it are pre ranks there."""
-        self.frames[row] = (block.paths, block.values,
-                            len(block.paths[pre].steps))
+        self.frames[row] = (block, block.level[pre])
 
     def _paths(self) -> Column:
         built = []
@@ -921,8 +921,7 @@ class _Scan:
             if frame is None:
                 built.append(position[0])
             else:
-                built.append(Path._unsafe(
-                    frame[0][position].steps[frame[2]:]))
+                built.append(frame[0].path(position, frame[1]))
         return built
 
     def _nodes(self) -> Column:
@@ -931,7 +930,7 @@ class _Scan:
         for row, position in zip(self.index, self.positions):
             frame = frames[row]
             nodes.append(position[1] if frame is None
-                         else frame[1][position])
+                         else frame[0].values[position])
         return nodes
 
     def result(self, columns: dict[Any, Late]) -> Batch:
@@ -1015,7 +1014,7 @@ class StructuralAttrScanOp(StructuralScanOp):
     ``PATH_p.title(t)`` does not need to enumerate the subtree and try
     ``.title`` on every node: the block's per-name AttrStep slice knows
     exactly where ``title`` attributes live, and
-    :meth:`~repro.structindex.Block.attr_candidates` widens those
+    :meth:`~repro.structindex.Block.selections` widens those
     positions to every holder a selection can reach (auto-dereference
     chains, marked unions, semantics-blocked oids).  Each candidate is
     put through the *same* selection logic as :class:`StepOp`

@@ -686,18 +686,15 @@ def _satisfy_in(atom: In, binding: Binding,
         collection = eval_term(atom.collection, binding, ctx)
     except EvaluationError:
         return
-    if isinstance(collection, (SetValue, ListValue)):
-        members = list(collection)
-    else:
+    if not isinstance(collection, (SetValue, ListValue)):
         return
     element = atom.element
     if _is_ground(element, binding):
-        value = eval_term(element, binding, ctx)
-        if any(equivalent(value, member) for member in members):
+        if collection.has_equivalent(eval_term(element, binding, ctx)):
             yield binding
         return
     if isinstance(element, (DataVar, PathVar, AttVar)):
-        for member in members:
+        for member in collection.items:
             extended = dict(binding)
             extended[element] = member
             yield extended

@@ -225,13 +225,48 @@ def UnionValue(marker: str, value: object) -> TupleValue:
     return TupleValue([(marker, value)])
 
 
-class ListValue:
+class _Collection:
+    """What sets and lists share: ground membership up to ``≡``."""
+
+    __slots__ = ()
+
+    items: tuple
+    _hashed: "frozenset | bool | None"
+
+    def has_equivalent(self, value: object) -> bool:
+        """True when some member is ``≡ value``.  A member equal to
+        ``value`` is ``≡`` it (``equivalent`` starts with ``==``), so
+        the members are looked up first, in a hashed view built once
+        per collection object.  Outside tuples, lists and sets ``≡`` is
+        ``==``, so a miss is final for any other value; the linear
+        ``≡`` scan runs only for a structured or unhashable ``value``,
+        or when a member is unhashable (a raw host value: no view)."""
+        view = self._hashed
+        if view is None:
+            try:
+                view = frozenset(self.items)
+            except TypeError:
+                view = False
+            self._hashed = view
+        if view is not False:
+            try:
+                if value in view:
+                    return True
+                if not isinstance(value, _STRUCTURED):
+                    return False
+            except TypeError:
+                pass
+        return any(equivalent(value, member) for member in self.items)
+
+
+class ListValue(_Collection):
     """An ordered, indexable collection value."""
 
-    __slots__ = ("items",)
+    __slots__ = ("items", "_hashed")
 
     def __init__(self, items: Iterable[object] = ()) -> None:
         self.items = tuple(items)
+        self._hashed = None
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -259,7 +294,7 @@ class ListValue:
         return "list(" + ", ".join(repr(v) for v in self.items) + ")"
 
 
-class SetValue:
+class SetValue(_Collection):
     """An unordered collection value with set semantics.
 
     Iteration order is deterministic (insertion order of the
@@ -269,7 +304,7 @@ class SetValue:
     back to an equality scan instead of raising.
     """
 
-    __slots__ = ("items",)
+    __slots__ = ("items", "_hashed")
 
     def __init__(self, items: Iterable[object] = ()) -> None:
         seen: dict[object, None] = {}
@@ -286,6 +321,7 @@ class SetValue:
                 unhashable.append(item)
             ordered.append(item)
         self.items = tuple(ordered)
+        self._hashed = None
 
     @classmethod
     def of_distinct(cls, items: Iterable[object]) -> "SetValue":
@@ -294,6 +330,7 @@ class SetValue:
         de-duplication pass."""
         made = cls.__new__(cls)
         made.items = tuple(items)
+        made._hashed = None
         return made
 
     def __contains__(self, value: object) -> bool:
@@ -327,6 +364,9 @@ class SetValue:
     def __repr__(self) -> str:
         return "set(" + ", ".join(repr(v) for v in self.items) + ")"
 
+
+#: The values whose ``≡`` is more than ``==``.
+_STRUCTURED = (TupleValue, ListValue, SetValue)
 
 #: Union of every model value class, for isinstance checks.
 MODEL_VALUE_TYPES = (Nil, Oid, TupleValue, ListValue, SetValue) + ATOM_PYTYPES

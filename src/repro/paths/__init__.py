@@ -11,14 +11,10 @@
 """
 
 from repro.paths.enumeration import (
-    BLOCKED,
-    ENTER,
-    LEAVE,
     LIBERAL,
     RESTRICTED,
     enumerate_paths,
     paths_from,
-    walk_events,
 )
 from repro.paths.pathops import path_length, path_project, path_startswith
 from repro.paths.steps import (
@@ -33,8 +29,8 @@ from repro.paths.steps import (
 from repro.paths.schema_paths import SchemaPath, enumerate_schema_paths
 
 __all__ = [
-    "AttrStep", "BLOCKED", "DEREF", "DerefStep", "ENTER", "ElemStep",
-    "IndexStep", "LEAVE", "LIBERAL", "Path", "RESTRICTED", "SchemaPath",
-    "Step", "enumerate_paths", "enumerate_schema_paths", "path_length",
-    "path_project", "path_startswith", "paths_from", "walk_events",
+    "AttrStep", "DEREF", "DerefStep", "ElemStep", "IndexStep",
+    "LIBERAL", "Path", "RESTRICTED", "SchemaPath", "Step",
+    "enumerate_paths", "enumerate_schema_paths", "path_length",
+    "path_project", "path_startswith", "paths_from",
 ]

@@ -14,11 +14,10 @@ Section 4.3).  Two semantics control how object dereferences may repeat:
 
 Enumeration order is deterministic (document order of the value tree).
 
-The traversal itself is exposed as :func:`walk_events`, an iterative
-enter/leave/blocked event stream: ``paths_from`` is its projection onto
-enter events, and the structural index (:mod:`repro.structindex`) folds
-the *same* stream into pre/post-order arrays — one source of truth, so
-an indexed range scan enumerates exactly what a live walk would.
+The structural index (:mod:`repro.structindex`) folds the same
+traversal, restricted semantics only, into pre/post-order arrays; its
+property tests pin that an indexed range scan enumerates exactly what
+``paths_from`` does.
 """
 
 from __future__ import annotations
@@ -40,99 +39,52 @@ LIBERAL = "liberal"
 
 _SEMANTICS = (RESTRICTED, LIBERAL)
 
-#: Event kinds of :func:`walk_events`.
-ENTER = "enter"
-LEAVE = "leave"
-BLOCKED = "blocked"
-
 
 def paths_from(value: object, instance: Any = None,
                semantics: str = RESTRICTED,
                max_paths: int | None = None) -> Iterator[tuple[Path, object]]:
     """Yield ``(path, reached_value)`` for every concrete path from
-    ``value`` — the valuation set of a path variable rooted there.
+    ``value`` — the valuation set of a path variable rooted there — in
+    depth-first document order.
 
     ``max_paths`` guards against very large values (raises when
-    exceeded); ``None`` means unbounded.
-    """
-    for kind, path, reached, _level in walk_events(
-            value, instance, semantics, max_paths):
-        if kind is ENTER:
-            yield path, reached
-
-
-class _Counter:
-    __slots__ = ("limit", "count")
-
-    def __init__(self, limit: int | None) -> None:
-        self.limit = limit
-        self.count = 0
-
-    def tick(self) -> None:
-        self.count += 1
-        if self.limit is not None and self.count > self.limit:
-            raise EvaluationError(
-                f"path enumeration exceeded {self.limit} paths")
-
-
-def walk_events(value: object, instance: Any = None,
-                semantics: str = RESTRICTED,
-                max_nodes: int | None = None
-                ) -> Iterator[tuple[str, Path, object, int]]:
-    """The depth-first traversal behind :func:`paths_from`, as a stream
-    of ``(kind, path, value, level)`` events:
-
-    * ``ENTER``   — a node is reached (one per concrete path, in
-      enumeration order — the pre-order rank);
-    * ``LEAVE``   — its subtree is exhausted (the post-order rank);
-    * ``BLOCKED`` — an oid whose dereference the semantics suppressed
-      (its marker was already on the path); the oid node itself was
-      entered, the deref child is *not*.
-
-    The traversal is iterative (explicit stack), so each event costs
-    O(1) regardless of depth.
+    exceeded); ``None`` means unbounded.  The traversal is iterative
+    (explicit stack), so each pair costs O(1) regardless of depth.
     """
     if semantics not in _SEMANTICS:
         raise EvaluationError(
             f"unknown path semantics {semantics!r}; "
             f"use one of {_SEMANTICS}")
-    counter = _Counter(max_nodes)
     restricted = semantics == RESTRICTED
-    stack: list[tuple] = [(ENTER, value, Path.EMPTY, frozenset(), 0)]
+    count = 0
+    stack: list[tuple] = [(value, Path.EMPTY, frozenset())]
     while stack:
-        kind, value, prefix, visited, level = stack.pop()
-        if kind is not ENTER:
-            yield kind, prefix, value, level
-            continue
-        counter.tick()
-        yield ENTER, prefix, value, level
-        stack.append((LEAVE, value, prefix, visited, level))
+        value, prefix, visited = stack.pop()
+        count += 1
+        if max_paths is not None and count > max_paths:
+            raise EvaluationError(
+                f"path enumeration exceeded {max_paths} paths")
+        yield prefix, value
         # children are pushed in reverse so they pop in document order
         if isinstance(value, TupleValue):
             stack.extend(
-                (ENTER, field, prefix.extended(AttrStep(name)),
-                 visited, level + 1)
+                (field, prefix.extended(AttrStep(name)), visited)
                 for name, field in reversed(value.fields))
         elif isinstance(value, ListValue):
             stack.extend(
-                (ENTER, element, prefix.extended(IndexStep(index)),
-                 visited, level + 1)
+                (element, prefix.extended(IndexStep(index)), visited)
                 for index, element
                 in reversed(list(enumerate(value))))
         elif isinstance(value, SetValue):
             stack.extend(
-                (ENTER, element, prefix.extended(ElemStep(element)),
-                 visited, level + 1)
+                (element, prefix.extended(ElemStep(element)), visited)
                 for element in reversed(value.items))
         elif isinstance(value, Oid) and instance is not None:
             marker = value.class_name if restricted else value
-            if marker in visited:
-                stack.append((BLOCKED, value, prefix, visited, level))
-            else:
-                stack.append(
-                    (ENTER, instance.deref(value),
-                     prefix.extended(DEREF), visited | {marker},
-                     level + 1))
+            if marker not in visited:
+                stack.append((instance.deref(value),
+                              prefix.extended(DEREF),
+                              visited | {marker}))
 
 
 def enumerate_paths(value: object, instance: Any = None,

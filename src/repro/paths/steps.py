@@ -140,9 +140,9 @@ class Path:
     def _unsafe(cls, steps: tuple) -> "Path":
         """Wrap an already-validated step tuple without re-checking it.
 
-        Hot-path constructor for callers slicing step tuples that came
-        out of existing Path objects (the structural index materializes
-        one relative path per scanned node); public construction goes
+        Hot-path constructor for callers whose steps are already
+        Steps (the structural index builds a scanned row's path from
+        the steps its block recorded); public construction goes
         through ``__init__``, which validates.
         """
         path = cls.__new__(cls)

@@ -59,6 +59,8 @@ from repro.calculus.formulas import Eq, Query
 from repro.calculus.terms import Const
 from repro.errors import PlanVerificationError
 from repro.oodb.types import ClassType
+from repro.oodb.values import Oid
+from repro.paths.steps import AttrStep, DerefStep, Step
 from repro.plancheck.diagnostics import PlanFault
 
 
@@ -427,7 +429,7 @@ def _verify_block(name: str, block: Any,
     n = block.size
     for label, array in (("post", block.post), ("level", block.level),
                          ("parent", block.parent), ("end", block.end),
-                         ("paths", block.paths),
+                         ("steps", block.steps),
                          ("complete", block.complete)):
         if len(array) != n:
             fault(f"array {label} has {len(array)} entries, expected {n}")
@@ -436,12 +438,22 @@ def _verify_block(name: str, block: Any,
         return
     if sorted(block.post) != list(range(n)):
         fault("post ranks are not a permutation of 0..n-1")
-    if block.parent[0] != -1 or block.level[0] != 0:
-        fault("block origin is not a level-0, parentless root")
+    if (block.parent[0] != -1 or block.level[0] != 0
+            or block.steps[0] is not None):
+        fault("block origin is not a level-0, parentless, stepless root")
     for i in range(1, n):
         parent = block.parent[i]
         if not (0 <= parent < i):
             fault(f"node {i} has non-preceding parent {parent}")
+            break
+        step = block.steps[i]
+        if not isinstance(step, Step):
+            fault(f"node {i} has no path step")
+            break
+        if ((type(step) is DerefStep)
+                != (type(block.values[parent]) is Oid)):
+            fault(f"node {i}: a dereference step must lead from an "
+                  "oid, and an oid's child is its dereference")
             break
         if block.level[i] != block.level[parent] + 1:
             fault(f"node {i} is not one level below its parent")
@@ -471,4 +483,11 @@ def _verify_block(name: str, block: Any,
         for key, positions in slices.items():
             if list(positions) != sorted(positions):
                 fault(f"{label} slice {key!r} is not sorted")
+                break
+    for name, positions in block.attr_steps.items():
+        for pre in positions:
+            step = block.steps[pre]
+            if type(step) is not AttrStep or step.name != name:
+                fault(f"attr slice {name!r} points at a node not "
+                      f"reached by .{name} (pre {pre})")
                 break

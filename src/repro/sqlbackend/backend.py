@@ -48,7 +48,6 @@ from repro.algebra.operators import (
 from repro.errors import SQLExecutionError, SQLUnsupportedError
 from repro.oodb.values import TupleValue
 from repro.paths.enumeration import RESTRICTED
-from repro.paths.steps import Path
 from repro.sqlbackend.dialect import Dialect
 from repro.sqlbackend.emit import (
     ConstCol,
@@ -285,14 +284,13 @@ def _hydrate(desc: Any, rows: list, position: dict[str, int],
         return [
             blocks[row[root]].values[row[pre]] if row[mode] == "n"
             else TupleValue([(
-                blocks[row[root]].paths[row[pre]].steps[-1].name,
+                blocks[row[root]].steps[row[pre]].name,
                 blocks[row[root]].values[row[pre]])])
             for row in rows]
     if isinstance(desc, PathCol):
         root, node, depth = (position[desc.root], position[desc.node],
                              position[desc.depth])
-        return [Path._unsafe(
-            blocks[row[root]].paths[row[node]].steps[row[depth]:])
-            for row in rows]
+        return [blocks[row[root]].path(row[node], row[depth])
+                for row in rows]
     raise SQLExecutionError(  # pragma: no cover
         f"unknown descriptor {type(desc).__name__}")

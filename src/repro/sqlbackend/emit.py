@@ -16,8 +16,8 @@ The relational encoding of a bound variable is a **descriptor**:
   the one-field heterogeneous wrapper ``[name: value]`` the tuple-as-
   list view synthesizes (those wrappers are not nodes, so they are
   represented as "wrapper over node pre").
-* :class:`PathCol` — a relative path: the suffix of the node's
-  absolute path from ``depth``.
+* :class:`PathCol` — a relative path: the node's path from its
+  ancestor at level ``depth`` (:meth:`repro.structindex.Block.path`).
 * :class:`IntCol` / :class:`StrCol` — a plain typed SQL column
   (unnest positions, matched attribute names).
 * :class:`ConstCol` — a compile-time constant; no SQL column at all.
@@ -89,7 +89,8 @@ class ValCol:
 
 
 class PathCol:
-    """A relative path: ``paths[node].steps[depth:]`` under ``root``."""
+    """A relative path: ``Block.path(node, depth)`` of the block of
+    ``root``."""
 
     __slots__ = ("root", "depth", "node")
 

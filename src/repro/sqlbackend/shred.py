@@ -48,7 +48,7 @@ from repro.oodb.values import (
     SetValue,
     TupleValue,
 )
-from repro.paths.steps import AttrStep, DerefStep, ElemStep, IndexStep, Path
+from repro.paths.steps import AttrStep, DerefStep, ElemStep, IndexStep, Step
 from repro.sqlbackend.dialect import Dialect, SQLiteDialect
 from repro.structindex import Block, StructuralIndex
 
@@ -211,7 +211,7 @@ class Shred:
         ends = block.end
         size = block.size
         kinds = [_kind_of(value) for value in values]
-        steps = [_step_of(path) for path in block.paths]
+        steps = [_step_of(step) for step in block.steps]
         positions = [0] * size
         child_counts = [0] * size
         for pre in range(1, size):
@@ -306,10 +306,9 @@ class Shred:
         return max((block.size for block in pool), default=0)
 
 
-def _step_of(path: Path) -> tuple[str, str | None]:
-    if not path.steps:
+def _step_of(last: Step | None) -> tuple[str, str | None]:
+    if last is None:
         return "root", None
-    last = path.steps[-1]
     if isinstance(last, AttrStep):
         return "attr", last.name
     if isinstance(last, IndexStep):

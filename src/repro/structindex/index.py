@@ -1,10 +1,15 @@
 """The pre/post-order structural index (the "XPath accelerator" layer).
 
 Every value node reachable from a persistence root is assigned a
-``(pre, post, level, parent)`` tuple, kept in arrays sorted by ``pre``
-— one *block* per root.  Because the arrays are folded from the exact
-event stream of :func:`repro.paths.enumeration.walk_events` (the
-traversal ``paths_from`` projects), two classic properties hold by
+``(pre, post, level, parent)`` tuple and the last step of its path,
+kept in arrays sorted by ``pre`` — one *block* per root.  A block is
+one iterative depth-first fold over the value graph, the traversal of
+:func:`repro.paths.paths_from` under the restricted semantics; no
+``Path`` is stored — :meth:`Block.path` climbs ``parent`` for a row
+whose path is read.  The property tests
+(``tests/structindex/test_encoding_properties.py``) pin that a
+complete node's range scan pairs the same paths with the same values,
+in the same order, as ``paths_from``.  Two classic properties hold by
 construction:
 
 * **interval containment is ancestry** —
@@ -12,8 +17,7 @@ construction:
 * **descendants are contiguous** — the subtree of the node at pre rank
   ``i`` occupies exactly the pre range ``[i, end[i])``, so the valuation
   of an unbound path variable rooted there (the whole union-of-plans
-  fan-out of Section 5.4) is *one range scan* over precomputed
-  ``(path, value)`` arrays.
+  fan-out of Section 5.4) is *one range scan* over the value array.
 
 Secondary slices index oid nodes per allocation class and atomic leaf
 values per equality bucket; both are pre-sorted, so "which occurrences
@@ -55,21 +59,31 @@ import gc
 import threading
 from bisect import bisect_left
 from contextlib import contextmanager
-from typing import Any, Callable, Iterable, Iterator, cast
+from typing import Any, Callable, Iterable, Iterator
 
-from repro.errors import EvaluationError
-from repro.oodb.values import ATOM_PYTYPES, Nil, Oid
-from repro.paths.enumeration import (
-    BLOCKED,
-    ENTER,
-    RESTRICTED,
-    walk_events,
+from repro.oodb.values import (
+    ATOM_PYTYPES,
+    ListValue,
+    Nil,
+    Oid,
+    SetValue,
+    TupleValue,
 )
-from repro.paths.steps import AttrStep, DerefStep, Path
+from repro.paths.steps import (
+    DEREF,
+    AttrStep,
+    DerefStep,
+    ElemStep,
+    IndexStep,
+    Path,
+    Step,
+)
 
 #: Per-block node budget: a pathological value graph aborts the block
 #: (queries fall back to live walks) instead of stalling the build.
 DEFAULT_MAX_BLOCK_NODES = 1_000_000
+
+_ATOM_TYPES = (Nil,) + ATOM_PYTYPES
 
 
 class Block:
@@ -80,17 +94,18 @@ class Block:
     """
 
     __slots__ = ("root_name", "origin", "post", "level", "parent",
-                 "values", "paths", "end", "complete", "classes",
-                 "atoms", "oids", "truncated", "value_ids",
-                 "attr_steps", "attr_positions", "blocked_oids",
-                 "_selections")
+                 "values", "steps", "end", "complete", "classes",
+                 "atoms", "oids", "truncated", "attr_steps",
+                 "attr_positions", "blocked_oids", "_selections")
 
     def __init__(self, root_name: str, origin: object,
                  truncated: bool = False) -> None:
         self.root_name = root_name
         self.origin = origin
         self.values: list = []        # pre -> node value
-        self.paths: list[Path] = []   # pre -> absolute path from the root
+        # pre -> the last step of the node's path (None at the root);
+        # one shared object per attribute name, list position and DEREF
+        self.steps: list[Step | None] = []
         self.post: list[int] = []     # pre -> post-order rank
         self.level: list[int] = []    # pre -> depth (root = 0)
         self.parent: list[int] = []   # pre -> parent's pre (-1 at root)
@@ -100,7 +115,6 @@ class Block:
         self.atoms: dict = {}                     # atom value -> pres
         self.oids: dict[Oid, list[int]] = {}      # oid -> pres
         self.truncated = truncated
-        self.value_ids: list[int] = []  # ids registered in the identity map
         # attribute name -> pres reached by an AttrStep of that name,
         # plus the combined list (for attribute variables) and the oids
         # whose dereference the semantics suppressed (no subtree)
@@ -121,71 +135,20 @@ class Block:
     def subtree_size(self, pre: int) -> int:
         return self.end[pre] - pre
 
-    def relative_pairs(self, pre: int, max_paths: int | None = None
-                       ) -> Iterator[tuple[Path, object]]:
-        """``(relative path, value)`` for the subtree at ``pre`` — the
-        materialized ``paths_from(values[pre], ...)`` (same pairs, same
-        order, same ``max_paths`` error contract)."""
-        paths = self.paths
-        values = self.values
-        depth = len(paths[pre].steps)
-        stop = self.end[pre]
-        if max_paths is not None and stop - pre > max_paths:
-            # mirror the live walk's guard lazily: yield up to the
-            # limit, then raise — a consumer that stops early (an
-            # existential finding its witness) never sees the error
-            limit = pre + max_paths
-            for position in range(pre, stop):
-                if position >= limit:
-                    raise EvaluationError(
-                        f"path enumeration exceeded {max_paths} paths")
-                yield (Path._unsafe(paths[position].steps[depth:]),
-                       values[position])
-            return
-        for position in range(pre, stop):
-            yield (Path._unsafe(paths[position].steps[depth:]),
-                   values[position])
-
-    def attr_candidates(self, pre: int, name: str | None = None
-                        ) -> list[int]:
-        """Pre ranks inside the subtree at ``pre`` whose value *can*
-        select attribute ``name`` (any attribute when ``None``) — the
-        candidate set of a fused scan-then-select.
-
-        A holder of the attribute is the AttrStep position's parent;
-        selection also silently crosses the object boundary
-        (auto-dereference) and looks through one-field marked-union
-        tuples, so the holder's DEREF-chain ancestors and — behind one
-        more AttrStep hop — the marked wrapper and *its* DEREF chain
-        select the same value.  Oids whose dereference the restricted
-        walk suppressed have no subtree here, yet a live selection
-        still dereferences them: they (and their DEREF chains) are kept
-        as candidates and re-checked against the instance.  The set
-        over-approximates; the caller applies the exact selection per
-        candidate.
-        """
-        seen: set[int] = set()
-        out: list[int] = []
-        stop = self.end[pre]
-        sources = (self.attr_positions if name is None
-                   else self.attr_steps.get(name, ()))
-        lo = bisect_left(sources, pre + 1)
-        hi = bisect_left(sources, stop, lo)
-        for j in sources[lo:hi]:
-            holder = self.parent[j]
-            self._climb_derefs(holder, pre, seen, out)
-            if (holder > pre
-                    and isinstance(self.paths[holder].steps[-1],
-                                   AttrStep)):
-                # the holder may be the payload of a marked union
-                self._climb_derefs(self.parent[holder], pre, seen, out)
-        blocked = self.blocked_oids
-        lo = bisect_left(blocked, pre)
-        hi = bisect_left(blocked, stop, lo)
-        for j in blocked[lo:hi]:
-            self._climb_derefs(j, pre, seen, out)
-        out.sort()
-        return out
+    def path(self, pre: int, depth: int = 0) -> Path:
+        """The path from the ancestor of ``pre`` at level ``depth``
+        down to ``pre`` — the path ``paths_from`` pairs with
+        ``values[pre]`` when it walks from that ancestor (from the
+        root, by default).  Built by climbing ``parent``, so only a
+        row whose path is read pays for one."""
+        steps = self.steps
+        parents = self.parent
+        climbed = []
+        for _ in range(self.level[pre] - depth):
+            climbed.append(steps[pre])
+            pre = parents[pre]
+        climbed.reverse()
+        return Path._unsafe(tuple(climbed))
 
     def selections(self, name: str | None,
                    trial: Callable[[object], list[tuple[str, object]]]
@@ -194,14 +157,23 @@ class Block:
         ``None``) the block's nodes make, as three parallel arrays
         sorted by holder pre rank: ``holders``, ``names`` and
         ``values`` — one entry per ``(name, value)`` that ``trial``
-        returns for a candidate of :meth:`attr_candidates` over the
-        whole block.  The entries of the subtree at ``pre`` are the
+        returns for a *candidate* holder.
+
+        A holder of the attribute is an AttrStep position's parent;
+        selection also silently crosses the object boundary
+        (auto-dereference) and looks through one-field marked-union
+        tuples, so the holder's DEREF-chain ancestors and — behind one
+        more AttrStep hop — the marked wrapper and *its* DEREF chain
+        select the same value.  Oids whose dereference the restricted
+        walk suppressed have no subtree here, yet a live selection
+        still dereferences them: they (and their DEREF chains) are
+        candidates too.  The candidates over-approximate; ``trial``
+        applies the exact selection to each.  A candidate is an
+        ancestor-or-self of the AttrStep position (or blocked oid) it
+        was found from, so the entries of the subtree at ``pre`` — the
         slice between ``bisect_left(holders, pre)`` and
-        ``bisect_left(holders, end[pre])``, and they are exactly what
-        ``attr_candidates(pre, name)`` would have tried: a candidate
-        is an ancestor-or-self of the AttrStep position (or blocked
-        oid) it was found from, so the candidates inside the subtree
-        are the ones found from inside it.
+        ``bisect_left(holders, end[pre])`` — are exactly the
+        selections made inside that subtree.
 
         Filled the first time a scan asks for ``name``, never while
         the block is built, and then only read — so every caller must
@@ -216,10 +188,24 @@ class Block:
         with one dict assignment."""
         memo = self._selections.get(name)
         if memo is None:
+            seen: set[int] = set()
+            candidates: list[int] = []
+            steps = self.steps
+            for j in (self.attr_positions if name is None
+                      else self.attr_steps.get(name, ())):
+                holder = self.parent[j]
+                self._climb_derefs(holder, seen, candidates)
+                if type(steps[holder]) is AttrStep:
+                    # the holder may be the payload of a marked union
+                    self._climb_derefs(self.parent[holder], seen,
+                                       candidates)
+            for j in self.blocked_oids:
+                self._climb_derefs(j, seen, candidates)
+            candidates.sort()
             holders: list[int] = []
             names: list[str] = []
             values: list = []
-            for position in self.attr_candidates(0, name):
+            for position in candidates:
                 for selected, value in trial(self.values[position]):
                     holders.append(position)
                     names.append(selected)
@@ -227,13 +213,13 @@ class Block:
             memo = self._selections[name] = (holders, names, values)
         return memo
 
-    def _climb_derefs(self, i: int, pre: int, seen: set[int],
+    def _climb_derefs(self, i: int, seen: set[int],
                       out: list[int]) -> None:
+        """``i`` and the oids whose DEREF steps lead to it."""
         while i not in seen:
             seen.add(i)
             out.append(i)
-            if i <= pre or not isinstance(self.paths[i].steps[-1],
-                                          DerefStep):
+            if type(self.steps[i]) is not DerefStep:
                 return
             i = self.parent[i]
 
@@ -244,7 +230,7 @@ class Block:
         has structural cases a hash bucket cannot model)."""
         if isinstance(probe, Oid):
             positions = self.oids.get(probe, ())
-        elif isinstance(probe, (Nil,) + ATOM_PYTYPES):
+        elif isinstance(probe, _ATOM_TYPES):
             # dict-key equality on atoms is Python ``==`` — exactly the
             # ``≡`` relation restricted to atomic values (1 ≡ 1.0 ≡ True
             # share a bucket)
@@ -259,13 +245,15 @@ class Block:
 @contextmanager
 def _collector_paused() -> Iterator[None]:
     """No cyclic collection while blocks are rebuilt.  A rebuild
-    allocates a few objects per node, acyclic and all of them kept, so
-    a collection that starts in the middle finds nothing to free — and
-    once the allocation outgrows a quarter of what the process already
-    holds, CPython makes it a *full* collection, a traversal of the
-    whole store (75-100 ms on 300 articles, inside a 170 ms rebuild).
-    The collector resumes, and sees the new blocks, when the rebuild
-    is done; a caller that had it off keeps it off."""
+    allocates tracked objects (the per-oid and per-atom position lists,
+    the traversal's stack entries) and drops the old block's, so a
+    collection that starts in the middle finds nothing to free — and
+    once the objects promoted since the last full collection outgrow a
+    quarter of what it found, CPython makes it a *full* collection, a
+    traversal of the whole store (a whole-store rebuild on 300
+    articles: ≈ 120 ms with the collector on, ≈ 65 ms paused).  The
+    collector resumes, and sees the new blocks, when the rebuild is
+    done; a caller that had it off keeps it off."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -277,80 +265,112 @@ def _collector_paused() -> Iterator[None]:
 
 def _build_block(root_name: str, origin: object, instance: Any,
                  max_nodes: int | None) -> Block:
-    """Fold one :func:`walk_events` stream into a :class:`Block`."""
+    """One depth-first fold of the value graph below ``origin`` into a
+    :class:`Block`: the traversal of :func:`repro.paths.paths_from`
+    under the restricted semantics — same order, same crossings — with
+    each node's arrays filled where it is entered.
+
+    A node is *closed* (post rank, subtree end) when the next node
+    entered is not its descendant, so the stack holds only nodes to
+    enter.  ``crossings`` maps each class whose object boundary an open
+    oid crossed to that oid's pre; an oid of such a class is not
+    dereferenced (the restricted semantics), and a fresh walk from any
+    open node strictly below the crossing would dereference it, so
+    those nodes are incomplete.  Entering node ``max_nodes + 1``
+    abandons the block (truncated, empty)."""
     block = Block(root_name, origin)
     values = block.values
-    paths = block.paths
+    steps = block.steps
     posts = block.post
     levels = block.level
     parents = block.parent
     ends = block.end
     complete = block.complete
-    open_nodes: list[int] = []       # pres of the current root-to-node path
+    oids = block.oids
+    classes = block.classes
+    atoms = block.atoms
+    attr_steps = block.attr_steps
+    attr_positions = block.attr_positions
+    attr_interned: dict[str, AttrStep] = {}
+    index_interned: list[IndexStep] = []
+    open_nodes = [-1]                # -1, then the open nodes' pres
     crossings: dict[str, int] = {}   # class -> pre of the crossing oid
-    restore: dict[int, tuple] = {}   # deref-child pre -> crossing to undo
+    crossing_oids: list[int] = []    # pres of the open crossing oids
     post_counter = 0
-    try:
-        for kind, path, value, level in walk_events(
-                origin, instance, RESTRICTED, max_nodes):
-            if kind is ENTER:
-                pre = len(values)
-                parent = open_nodes[-1] if open_nodes else -1
-                if parent >= 0 and isinstance(values[parent], Oid):
-                    # entering the deref target: the parent oid just
-                    # crossed its class for this subtree
-                    crossed = values[parent].class_name
-                    restore[pre] = (crossed, crossings.get(crossed))
-                    crossings[crossed] = parent
-                values.append(value)
-                paths.append(path)
-                levels.append(level)
-                parents.append(parent)
-                posts.append(-1)
-                ends.append(-1)
-                complete.append(True)
-                open_nodes.append(pre)
-                if isinstance(value, Oid):
-                    block.oids.setdefault(value, []).append(pre)
-                    block.classes.setdefault(
-                        value.class_name, []).append(pre)
-                elif isinstance(value, (Nil,) + ATOM_PYTYPES):
-                    block.atoms.setdefault(value, []).append(pre)
-                if path.steps and isinstance(path.steps[-1], AttrStep):
-                    block.attr_steps.setdefault(
-                        path.steps[-1].name, []).append(pre)
-                    block.attr_positions.append(pre)
-            elif kind is BLOCKED:
-                # ``value``'s class was crossed at an open ancestor: a
-                # fresh walk from any open node strictly below that
-                # crossing would deref here, so those subtrees are
-                # truncated relative to paths_from
-                crossing = crossings.get(
-                    cast(Oid, value).class_name, -1)
+    stack: list[tuple] = [(origin, -1, None)]
+    pop = stack.pop
+    while stack:
+        value, parent, step = pop()
+        pre = len(values)
+        if pre == max_nodes:
+            # node budget exceeded: an unusable (but well-formed) block
+            return Block(root_name, origin, truncated=True)
+        while open_nodes[-1] != parent:
+            closed = open_nodes.pop()
+            posts[closed] = post_counter
+            post_counter += 1
+            ends[closed] = pre
+            if crossing_oids and crossing_oids[-1] == closed:
+                crossing_oids.pop()
+                del crossings[values[closed].class_name]
+        levels.append(len(open_nodes) - 1)
+        open_nodes.append(pre)
+        values.append(value)
+        steps.append(step)
+        parents.append(parent)
+        posts.append(-1)
+        ends.append(-1)
+        complete.append(True)
+        if type(step) is AttrStep:
+            attr_steps[step.name].append(pre)
+            attr_positions.append(pre)
+        kind = type(value)
+        if kind is TupleValue:
+            children = []
+            for name, field in value.fields:
+                interned = attr_interned.get(name)
+                if interned is None:
+                    interned = attr_interned[name] = AttrStep(name)
+                    attr_steps.setdefault(name, [])
+                children.append((field, pre, interned))
+            children.reverse()
+            stack.extend(children)
+        elif kind is Oid:
+            oids.setdefault(value, []).append(pre)
+            marker = value.class_name
+            classes.setdefault(marker, []).append(pre)
+            crossing = crossings.get(marker)
+            if crossing is None:
+                crossings[marker] = pre
+                crossing_oids.append(pre)
+                stack.append((instance.deref(value), pre, DEREF))
+            else:
                 for open_pre in reversed(open_nodes):
                     if open_pre == crossing:
                         break
                     complete[open_pre] = False
-            else:  # LEAVE
-                pre = open_nodes.pop()
-                posts[pre] = post_counter
-                post_counter += 1
-                ends[pre] = len(values)
-                undo = restore.pop(pre, None)
-                if undo is not None:
-                    crossed, previous = undo
-                    if previous is None:
-                        del crossings[crossed]
-                    else:
-                        crossings[crossed] = previous
-    except EvaluationError:
-        # node budget exceeded: an unusable (but well-formed) block
-        return Block(root_name, origin, truncated=True)
+        elif kind is ListValue:
+            items = value.items
+            for index in range(len(index_interned), len(items)):
+                index_interned.append(IndexStep(index))
+            stack.extend([(items[index], pre, index_interned[index])
+                          for index in range(len(items) - 1, -1, -1)])
+        elif kind is SetValue:
+            stack.extend([(element, pre, ElemStep(element))
+                          for element in reversed(value.items)])
+        elif isinstance(value, _ATOM_TYPES):
+            atoms.setdefault(value, []).append(pre)
+    size = len(values)
+    while len(open_nodes) > 1:
+        closed = open_nodes.pop()
+        posts[closed] = post_counter
+        post_counter += 1
+        ends[closed] = size
     # an oid with an empty subtree is one whose dereference the
     # semantics suppressed (a non-blocked oid always has its DEREF
     # child): the fused attribute scans must re-check these live
     block.blocked_oids = sorted(
-        pre for positions in block.oids.values() for pre in positions
+        pre for positions in oids.values() for pre in positions
         if ends[pre] == pre + 1)
     return block
 
@@ -376,9 +396,11 @@ class StructuralIndex:
         self._blocks: dict[str, Block] = {}
         # every occurrence (complete or not), for dirty marking
         self._oid_nodes: dict[Oid, list[tuple[str, int]]] = {}
-        # id(value) -> one *complete* occurrence; the blocks' value
-        # arrays keep the objects alive, so ids stay unambiguous
-        self._value_nodes: dict[int, tuple[str, int]] = {}
+        # id(value) -> one *complete* occurrence, for sources that are
+        # not oids; the blocks' value arrays keep the objects alive, so
+        # ids stay unambiguous.  Filled by the first such lookup after
+        # a rebuild (``None`` until then): most sources are oids
+        self._value_nodes: dict[int, tuple[str, int]] | None = None
         self._dirty: set[str] = set()
         self._all_dirty = True
         self._synced_epoch: int | None = None
@@ -422,10 +444,11 @@ class StructuralIndex:
                     self._all_dirty = True
                     self._synced_epoch = epoch
             if self._all_dirty:
+                # every root is rebuilt: start from empty maps
                 pending = list(self.instance.root_names)
-                for stale in list(self._blocks):
-                    if stale not in pending:
-                        self._drop_block(stale)
+                self._blocks = {}
+                self._oid_nodes = {}
+                self._value_nodes = None
                 self._all_dirty = False
                 self._dirty.clear()
             elif self._dirty:
@@ -449,15 +472,10 @@ class StructuralIndex:
         block = _build_block(name, origin, self.instance,
                              self.max_block_nodes)
         self._blocks[name] = block
+        self._value_nodes = None
         for oid, positions in block.oids.items():
             entries = self._oid_nodes.setdefault(oid, [])
             entries.extend((name, pre) for pre in positions)
-        for pre, value in enumerate(block.values):
-            if block.complete[pre]:
-                key = id(value)
-                if key not in self._value_nodes:
-                    self._value_nodes[key] = (name, pre)
-                    block.value_ids.append(key)
         if self.metrics is not None:
             self.metrics.inc("structindex.block_rebuilds")
             self.metrics.inc("structindex.nodes_indexed", block.size)
@@ -466,6 +484,7 @@ class StructuralIndex:
         old = self._blocks.pop(name, None)
         if old is None:
             return
+        self._value_nodes = None
         for oid in old.oids:
             entries = self._oid_nodes.get(oid)
             if entries is not None:
@@ -476,10 +495,21 @@ class StructuralIndex:
                     self._oid_nodes[oid] = kept
                 else:
                     del self._oid_nodes[oid]
-        for key in old.value_ids:
-            entry = self._value_nodes.get(key)
-            if entry is not None and entry[0] == name:
-                del self._value_nodes[key]
+
+    def _identity_map(self) -> dict[int, tuple[str, int]]:
+        """``id(value)`` → its first complete occurrence over the
+        published blocks (in publication order); built on first use
+        after any block changed.  Caller holds the lock."""
+        value_nodes = self._value_nodes
+        if value_nodes is None:
+            value_nodes = {}
+            for name, block in self._blocks.items():
+                complete = block.complete
+                for pre, value in enumerate(block.values):
+                    if complete[pre]:
+                        value_nodes.setdefault(id(value), (name, pre))
+            self._value_nodes = value_nodes
+        return value_nodes
 
     # -- lookups --------------------------------------------------------------
 
@@ -508,7 +538,6 @@ class StructuralIndex:
         with self._lock:
             blocks = self._blocks
             oid_nodes = self._oid_nodes
-            value_nodes = self._value_nodes
             for source in sources:
                 found = None
                 if type(source) is Oid:
@@ -518,7 +547,7 @@ class StructuralIndex:
                             found = block, pre
                             break
                 else:
-                    entry = value_nodes.get(id(source))
+                    entry = self._identity_map().get(id(source))
                     if entry is not None:
                         block = blocks.get(entry[0])
                         if (block is not None

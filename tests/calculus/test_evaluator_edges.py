@@ -154,3 +154,66 @@ class TestConnectiveEdges:
                     Sel("status"), Bind(Y)])))])])))
         result = evaluate_query(query, ctx)
         assert set(result) == {1}
+
+
+class TestGroundMembership:
+    """``value ∈ collection`` looks the value up in the collection's
+    hashed view first; ``≡`` runs only on a miss."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Calls of ``equivalent``, under every name it is called by."""
+        import repro.calculus.evaluator as evaluator
+        import repro.oodb.values as values
+        calls = [0]
+        original = values.equivalent
+
+        def counting(left, right):
+            calls[0] += 1
+            return original(left, right)
+
+        for module in (values, evaluator):
+            monkeypatch.setattr(module, "equivalent", counting)
+        return calls
+
+    @staticmethod
+    def holds(ctx, value, collection) -> bool:
+        from repro.calculus import In
+        return list(satisfy(In(Const(value), Const(collection)), {},
+                            ctx)) == [{}]
+
+    def test_a_hit_calls_equivalent_zero_times(self, ctx, counted):
+        from repro.oodb import SetValue
+        members = SetValue(TupleValue([("n", i), ("s", f"v{i}")])
+                           for i in range(1_000))
+        for i in (0, 500, 999):
+            probe = TupleValue([("n", i), ("s", f"v{i}")])
+            assert self.holds(ctx, probe, members)
+            assert self.holds(ctx, probe, ListValue(members.items))
+        assert counted[0] == 0
+
+    def test_an_unstructured_miss_is_final(self, ctx, counted):
+        """Outside tuples, lists and sets ``≡`` is ``==``: a path, an
+        atom or an oid missing from the view is not a member."""
+        from repro.oodb import Oid, SetValue
+        from repro.paths import Path
+        members = SetValue([Path.of("a", i) for i in range(1_000)]
+                           + [TupleValue([("n", 1)]), "s", 7])
+        for probe in (Path.of("b", 0), "t", 8, 7.5, Oid(9, "C")):
+            assert not self.holds(ctx, probe, members)
+        assert self.holds(ctx, Path.of("a", 999), members)
+        assert self.holds(ctx, 7.0, members)  # 7.0 == 7: one bucket
+        assert counted[0] == 0
+
+    def test_a_miss_still_finds_an_equivalent_member(self, ctx, counted):
+        from repro.oodb import SetValue
+        tup = TupleValue([("a", 1), ("b", "x")])
+        het = tup.as_heterogeneous_list()
+        assert het != tup
+        members = SetValue([TupleValue([("n", i)]) for i in range(1_000)]
+                           + [het])
+        assert self.holds(ctx, tup, members)
+        assert counted[0] > 0
+        assert not self.holds(ctx, TupleValue([("a", 2)]), members)
+        # an unhashable host value falls back to the scan
+        assert not self.holds(ctx, [1, 2], members)

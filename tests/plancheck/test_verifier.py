@@ -249,3 +249,20 @@ class TestStructuralIndexInvariants:
         block = next(iter(index.blocks.values()))
         block.parent[1] = 1  # self-parenting: not a preceding node
         assert "PC-INDEX" in codes(verify_structural_index(index))
+
+    def test_corrupted_steps_detected(self):
+        from repro.paths.steps import DEREF, AttrStep
+        for corrupt in ("missing", "deref", "attr"):
+            s = DocumentStore(ARTICLE_DTD, backend="algebra")
+            s.load_text(SAMPLE_ARTICLE, name="doc")
+            index = s.build_structural_index()
+            block = index.blocks["doc"]
+            title = block.attr_steps["title"][0]
+            if corrupt == "missing":
+                block.steps[title] = None
+            elif corrupt == "deref":
+                block.steps[title] = DEREF  # its parent is no oid
+            else:
+                block.steps[title] = AttrStep("abstract")
+            faults = verify_structural_index(index)
+            assert faults and all(f.code == "PC-INDEX" for f in faults)

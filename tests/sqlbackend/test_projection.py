@@ -199,7 +199,7 @@ class TestOneEncoding:
             # identity, not equality: rows hydrate from these arrays
             assert shred.roots[name] is block
             assert shred.roots[name].values is block.values
-            assert shred.roots[name].paths is block.paths
+            assert shred.roots[name].steps is block.steps
 
     def test_load_wires_the_same_sharing(self, tmp_path):
         store = build_store("sql")

@@ -2,8 +2,8 @@
 
 The round-trips under test are the ones the emitter relies on:
 
-* an ordered SQL scan of ``node`` reproduces the ``walk_events``
-  pre-order stream (paths, values, levels, kinds) exactly;
+* an ordered SQL scan of ``node`` reproduces the ``paths_from``
+  pre-order stream (paths, values, levels) exactly;
 * pre/post interval containment *in SQL* is ancestry (ground truth:
   the parent chain read back from the same table);
 * ``content``/``attr`` rows match the structural index's secondary
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro import DocumentStore
 from repro.corpus import ARTICLE_DTD
 from repro.corpus.generator import generate_corpus
-from repro.paths.enumeration import ENTER, RESTRICTED, walk_events
+from repro.paths.enumeration import RESTRICTED, paths_from
 from repro.sqlbackend.shred import Shred, value_key
 from repro.structindex import StructuralIndex
 
@@ -46,21 +46,18 @@ class TestWalkRoundTrip:
         size, seed = corpus
         store, shred = shredded_store(size, seed)
         for name, root in shred.roots.items():
-            enters = [(path, value, level)
-                      for kind, path, value, level in walk_events(
-                          root.origin, store.instance, RESTRICTED,
-                          shred.index.max_block_nodes)
-                      if kind is ENTER]
-            assert len(enters) == root.size
+            walk = list(paths_from(root.origin, store.instance,
+                                   RESTRICTED,
+                                   shred.index.max_block_nodes))
+            assert len(walk) == root.size
             _, rows, _ = shred.execute(
                 "SELECT pre, level, kind FROM node WHERE root = ? "
                 "ORDER BY pre", (name,))
             assert [r[0] for r in rows] == list(range(root.size))
-            for (path, value, level), (pre, sql_level, _) in zip(
-                    enters, rows):
-                assert root.paths[pre] == path
+            for (path, value), (pre, sql_level, _) in zip(walk, rows):
+                assert root.path(pre) == path
                 assert root.values[pre] is value
-                assert sql_level == level
+                assert sql_level == len(path)
 
     @given(corpora)
     @settings(max_examples=20, deadline=None)

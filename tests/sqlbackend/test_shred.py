@@ -78,7 +78,7 @@ class TestShredBuild:
             _, rows, _ = shred.execute(
                 "SELECT COUNT(*) FROM node WHERE root = ?", (name,))
             assert rows[0][0] == root.size == len(root.values) \
-                == len(root.paths)
+                == len(root.steps)
 
     def test_refresh_is_epoch_gated(self):
         store = build_store()

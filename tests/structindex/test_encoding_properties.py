@@ -15,6 +15,8 @@ The invariants under test are the ones the scan/join operators rely on:
 
 import random
 from bisect import bisect_left
+from collections import Counter
+from types import SimpleNamespace
 from functools import lru_cache, partial
 
 import pytest
@@ -27,8 +29,21 @@ from repro.calculus.evaluator import EvalContext
 from repro.calculus.terms import AttVar, DataVar, PathVar
 from repro.corpus import ARTICLE_DTD
 from repro.corpus.generator import generate_corpus
+from repro.oodb import (
+    STRING,
+    Instance,
+    SetValue,
+    TupleValue,
+    UnionValue,
+    c,
+    schema_from_classes,
+    set_of,
+    tuple_of,
+    union_of,
+)
 from repro.oodb.values import Oid
-from repro.paths import RESTRICTED, paths_from
+from repro.paths import RESTRICTED, Path, paths_from
+from repro.paths.steps import apply_step
 from repro.structindex import StructuralIndex
 
 from tests.structindex.test_index import BOOK_DTD, NESTED_BOOK
@@ -92,22 +107,26 @@ class TestArrayConsistency:
     @settings(max_examples=20, deadline=None)
     def test_level_parent_and_nesting(self, corpus):
         size, seed = corpus
-        _, index = indexed_store(size, seed)
+        store, index = indexed_store(size, seed)
         for block in index.blocks.values():
             assert block.parent[0] == -1
             assert block.level[0] == 0
-            assert block.paths[0].steps == ()
+            assert block.steps[0] is None
+            assert block.path(0) == Path.EMPTY
             for pre in range(1, block.size):
                 parent = block.parent[pre]
                 assert 0 <= parent < pre
                 assert block.level[pre] == block.level[parent] + 1
                 # a child's interval nests strictly inside its parent's
                 assert parent < pre < block.end[pre] <= block.end[parent]
-                # the path is the parent's path plus one step
-                assert len(block.paths[pre].steps) \
-                    == len(block.paths[parent].steps) + 1
-                assert block.paths[pre].steps[:-1] \
-                    == block.paths[parent].steps
+                # the path is the parent's path plus the node's step,
+                # and that step leads from the parent's value to its own
+                path = block.path(pre)
+                assert len(path.steps) == block.level[pre]
+                assert path.steps[:-1] == block.path(parent).steps
+                assert path.steps[-1] is block.steps[pre]
+                assert apply_step(block.values[parent], block.steps[pre],
+                                  store.instance) is block.values[pre]
 
     @given(corpora)
     @settings(max_examples=20, deadline=None)
@@ -134,6 +153,23 @@ class TestArrayConsistency:
                            for p in positions)
 
 
+def _range_scan(block, pre):
+    """The ``(relative path, value)`` pairs of the subtree at ``pre``,
+    read off the arrays the way a structural scan does."""
+    depth = block.level[pre]
+    return [(block.path(i, depth), block.values[i])
+            for i in range(pre, block.end[pre])]
+
+
+def _scan_equals_fresh_walk(instance, block, pre):
+    fresh = list(paths_from(block.values[pre], instance, RESTRICTED))
+    scanned = _range_scan(block, pre)
+    assert len(fresh) == len(scanned)
+    for (fp, fv), (sp, sv) in zip(fresh, scanned):
+        assert fp == sp
+        assert fv is sv
+
+
 class TestScanEquivalence:
     @given(corpora)
     @settings(max_examples=15, deadline=None)
@@ -147,19 +183,88 @@ class TestScanEquivalence:
             for pre in sample:
                 if not block.complete[pre]:
                     continue
-                fresh = list(paths_from(block.values[pre],
-                                        store.instance, RESTRICTED))
-                scanned = list(block.relative_pairs(pre))
-                assert len(fresh) == len(scanned)
-                for (fp, fv), (sp, sv) in zip(fresh, scanned):
-                    assert fp == sp
-                    assert fv is sv
+                _scan_equals_fresh_walk(store.instance, block, pre)
+
+
+@lru_cache(maxsize=None)
+def value_graph(persons: int, seed: int):
+    """An instance the article corpus cannot produce: ``persons``
+    Person objects whose ``spouse`` links close class cycles (a
+    same-class dereference the restricted semantics blocks), a set of
+    tags and a set of oids (``ElemStep``s), and a marked-union ``role``
+    whose payload is a tuple on some persons and a string on others.
+    Returns ``(instance, index)``."""
+    rng = random.Random(seed)
+    schema = schema_from_classes(
+        {"Person": tuple_of(
+            ("name", STRING),
+            ("spouse", c("Person")),
+            ("tags", set_of(STRING)),
+            ("role", union_of(("boss", tuple_of(("title", STRING))),
+                              ("clerk", STRING))))},
+        roots={"team": tuple_of(("lead", c("Person")),
+                                ("members", set_of(c("Person"))))})
+    db = Instance(schema)
+    people = [db.new_object("Person") for _ in range(persons)]
+    for number, person in enumerate(people):
+        role = (UnionValue("boss", TupleValue([("title", f"T{number}")]))
+                if rng.random() < 0.5
+                else UnionValue("clerk", f"C{number}"))
+        tags = SetValue(rng.sample(["x", "y", "z", "w"], rng.randint(0, 3)))
+        db.set_value(person, TupleValue([
+            ("name", f"P{number}"), ("spouse", rng.choice(people)),
+            ("tags", tags), ("role", role)]))
+    db.set_root("team", TupleValue([
+        ("lead", people[0]),
+        ("members", SetValue(rng.sample(people,
+                                        rng.randint(1, persons))))]))
+    index = StructuralIndex(db)
+    index.refresh()
+    return db, index
+
+
+class TestFoldOnAValueGraph:
+    """The fold against ``paths_from`` beyond the article corpus: set
+    elements, marked unions and blocked same-class dereferences."""
+
+    @given(st.integers(1, 5), st.integers(0, 50))
+    @settings(max_examples=25, deadline=None)
+    def test_every_complete_node_scans_as_the_walk(self, persons, seed):
+        db, index = value_graph(persons, seed)
+        (block,) = index.blocks.values()
+        assert block.complete[0] and not block.truncated
+        steps = {type(step).__name__ for step in block.steps[1:]}
+        assert {"AttrStep", "DerefStep", "ElemStep"} <= steps
+        assert block.blocked_oids  # every spouse link closes a cycle
+        assert not all(block.complete)
+        for pre in range(block.size):
+            if block.complete[pre]:
+                _scan_equals_fresh_walk(db, block, pre)
+            else:
+                # truncated relative to a fresh walk, never wrong
+                fresh = {(path, id(value)) for path, value in paths_from(
+                    block.values[pre], db, RESTRICTED)}
+                scanned = {(path, id(value))
+                           for path, value in _range_scan(block, pre)}
+                assert scanned < fresh
+
+    @given(st.integers(1, 5), st.integers(0, 50))
+    @settings(max_examples=10, deadline=None)
+    def test_memo_slice_matches_the_walk(self, persons, seed):
+        db, index = value_graph(persons, seed)
+        store = SimpleNamespace(instance=db)
+        (block,) = index.blocks.values()
+        for pre in range(block.size):
+            if block.complete[pre]:
+                for name in sorted(block.attr_steps) + [None]:
+                    _memo_matches_the_walk(store, block, pre, name)
 
 
 class TestAttrCandidates:
-    """The fused scan's candidate set is exact: running the live
-    selection over the candidates yields the same (path, holder,
-    value) triples as running it over every node of a fresh walk."""
+    """The fused scan's candidate set is exact: the selections memo,
+    filled with the calculus's own selection and sliced to a complete
+    node's subtree, yields the same (holder, name, value) triples as
+    running that selection over every node of a fresh walk."""
 
     @staticmethod
     def _deref(value, instance):
@@ -176,7 +281,11 @@ class TestAttrCandidates:
     @settings(max_examples=10, deadline=None)
     def test_candidates_match_the_walk(self, corpus):
         size, seed = corpus
-        store, index = indexed_store(size, seed)
+        store, _ = indexed_store(size, seed)
+        # a private index: its memos are filled with this test's trial,
+        # not the operators' (a memo is keyed by name only)
+        index = StructuralIndex(store.instance)
+        index.refresh()
         rng = random.Random(seed + 2)
         for block in index.blocks.values():
             names = sorted(block.attr_steps) + [None]
@@ -186,33 +295,27 @@ class TestAttrCandidates:
                 if not block.complete[pre]:
                     continue
                 for name in names:
-                    live = set()
-                    for path, node in paths_from(
-                            block.values[pre], store.instance,
-                            RESTRICTED):
-                        tried = ([name] if name is not None
-                                 else sorted(block.attr_steps))
-                        for n in tried:
-                            for v in self._select(store, node, n):
-                                live.add((str(path), id(node), n,
-                                          id(v)))
-                    depth = len(block.paths[pre].steps)
-                    fused = set()
-                    for i in block.attr_candidates(pre, name):
-                        rel = str(block.paths[i].steps[depth:])
-                        tried = ([name] if name is not None
-                                 else sorted(block.attr_steps))
-                        for n in tried:
-                            for v in self._select(
-                                    store, block.values[i], n):
-                                fused.add((rel, id(block.values[i]),
-                                           n, id(v)))
-                    live = {(p, nid, n, vid)
-                            for p, nid, n, vid in live}
-                    # compare on (holder, name, value): the candidate
-                    # set must find every holder the walk finds
-                    assert ({t[1:] for t in fused}
-                            == {t[1:] for t in live})
+                    tried = ([name] if name is not None
+                             else sorted(block.attr_steps))
+
+                    def trial(node, tried=tried):
+                        return [(n, v) for n in tried
+                                for v in self._select(store, node, n)]
+
+                    live = {(id(node), n, id(v))
+                            for _, node in paths_from(
+                                block.values[pre], store.instance,
+                                RESTRICTED)
+                            for n, v in trial(node)}
+                    holders, held, values = block.selections(name, trial)
+                    lo = bisect_left(holders, pre)
+                    hi = bisect_left(holders, block.end[pre])
+                    fused = {(id(block.values[holder]), n, id(v))
+                             for holder, n, v in zip(holders[lo:hi],
+                                                     held[lo:hi],
+                                                     values[lo:hi])}
+                    # the slice must find every holder the walk finds
+                    assert fused == live
 
 
 def _operator_trial(store, name):
@@ -226,20 +329,23 @@ def _operator_trial(store, name):
 
 def _memo_matches_the_walk(store, block, pre, name):
     trial = _operator_trial(store, name)
-    live = {(id(node), selected, id(value))
-            for _, node in paths_from(block.values[pre], store.instance,
-                                      RESTRICTED)
-            for selected, value in trial(node)}
+    live = Counter((path, id(node), selected, id(value))
+                   for path, node in paths_from(
+                       block.values[pre], store.instance, RESTRICTED)
+                   for selected, value in trial(node))
     holders, names, values = block.selections(name, trial)
     assert holders == sorted(holders)
     lo = bisect_left(holders, pre)
     hi = bisect_left(holders, block.end[pre])
-    memo = [(id(block.values[holder]), selected, id(value))
-            for holder, selected, value
-            in zip(holders[lo:hi], names[lo:hi], values[lo:hi])]
-    # one entry per selection, and the same selections as the walk
-    assert len(memo) == len(set(memo))
-    assert set(memo) == live
+    depth = block.level[pre]
+    memo = Counter((block.path(holder, depth), id(block.values[holder]),
+                    selected, id(value))
+                   for holder, selected, value
+                   in zip(holders[lo:hi], names[lo:hi], values[lo:hi]))
+    # one entry per selection, at the holder's path (an object reached
+    # twice holds twice), and the same selections as the walk
+    assert max(memo.values(), default=1) == 1
+    assert memo == live
 
 
 class TestSelectionMemo:
@@ -278,7 +384,7 @@ class TestReloadStability:
         printed = {}
         for name, block in index.blocks.items():
             printed[name] = [
-                (str(block.paths[pre]), block.level[pre],
+                (str(block.path(pre)), block.level[pre],
                  block.parent[pre], block.post[pre], block.end[pre],
                  block.complete[pre],
                  type(block.values[pre]).__name__)

@@ -9,7 +9,7 @@ from repro import DocumentStore
 from repro.corpus import ARTICLE_DTD, SAMPLE_ARTICLE
 from repro.corpus.generator import generate_corpus
 from repro.oodb.values import Oid
-from repro.paths import RESTRICTED, paths_from
+from repro.paths import RESTRICTED, Path, paths_from
 from repro.structindex import StructuralIndex
 
 BOOK_DTD = """
@@ -141,7 +141,9 @@ class TestCompleteness:
                     continue
                 fresh = list(paths_from(block.values[pre], s.instance,
                                         RESTRICTED))
-                scanned = list(block.relative_pairs(pre))
+                scanned = [(block.path(i, block.level[pre]),
+                            block.values[i])
+                           for i in range(pre, block.end[pre])]
                 assert [(p, id(v)) for p, v in fresh] \
                     == [(p, id(v)) for p, v in scanned]
 
@@ -196,13 +198,44 @@ class TestTruncation:
         assert metrics.get("structindex.range_scans") == 0
 
 
+    def test_node_budget_boundary(self):
+        """A block of exactly ``max_block_nodes`` nodes is built; one
+        node over the budget truncates it."""
+        s = DocumentStore(ARTICLE_DTD, backend="algebra")
+        s.load_text(SAMPLE_ARTICLE, name="my_article")
+        size = s.build_structural_index().blocks["my_article"].size
+        for budget, truncated in ((size, False), (size - 1, True)):
+            index = StructuralIndex(s.instance, max_block_nodes=budget)
+            index.refresh()
+            block = index.blocks["my_article"]
+            assert block.truncated is truncated
+            assert block.size == (0 if truncated else size)
+
+
 class TestMaxPathsParity:
     def test_scan_raises_the_walk_error_text(self, store):
-        index = store.struct_index
-        block, pre = index.locate(store.instance.root("my_article"))
+        """The range scan keeps the live walk's enumeration-limit
+        contract: a subtree one node over ``max_paths`` raises the
+        walk's error text, one at the limit is one range scan."""
         from repro.errors import EvaluationError
-        with pytest.raises(EvaluationError, match="exceeded 5 paths"):
-            list(block.relative_pairs(pre, max_paths=5))
-        # lazy: a consumer that stops early never sees the error
-        pairs = block.relative_pairs(pre, max_paths=5)
-        assert next(pairs) is not None
+        block, pre = store.struct_index.locate(
+            store.instance.root("my_article"))
+        size = block.subtree_size(pre)
+        oracle = DocumentStore(ARTICLE_DTD, backend="calculus")
+        oracle.load_text(SAMPLE_ARTICLE, name="my_article")
+        text = "select PATH_p from my_article PATH_p"
+        for s in (store, oracle):
+            s._engine.ctx.max_paths = size - 1
+            with pytest.raises(EvaluationError,
+                               match=f"exceeded {size - 1} paths"):
+                s.query(text)
+            s._engine.ctx.max_paths = size
+        report = store.explain_analyze(text)
+        assert report.counter("structindex.range_scans") == 1
+        assert report.counter("structindex.fallback_walks") == 0
+        assert store.query(text) == oracle.query(text)
+        # the live walk is lazy: a consumer that stops early (an
+        # existential finding its witness) never sees the error
+        root = store.instance.root("my_article")
+        pairs = paths_from(root, store.instance, RESTRICTED, max_paths=5)
+        assert next(pairs) == (Path.EMPTY, root)
