@@ -9,6 +9,9 @@ of the other each of its rows continues.  Everything else is **late**:
 
 * an inherited column is gathered through the index vector the first
   time someone asks for it, and cached;
+* the index vector itself may be handed over as a thunk (with the
+  batch's size): a scan's or an unnest's is built only when an
+  inherited column is first read;
 * an operator may hand over a column as a thunk — a scan's relative
   :class:`~repro.paths.steps.Path`, an alias of another column —
   which is built whole, once, on first use.
@@ -61,16 +64,19 @@ class Batch:
         self.holes: frozenset[Any] = frozenset()
         self._columns = columns
         self._parent: Batch | None = None
-        self._index: list[int] | None = None
+        self._index: Late | None = None
         self._inherited: dict[Any, Column] = {}
 
-    def derive(self, columns: dict[Any, Late],
-               index: list[int] | None = None) -> "Batch":
+    def derive(self, columns: dict[Any, Late], index: Late | None = None,
+               size: int | None = None) -> "Batch":
         """A batch continuing this one's rows: its row ``i`` is row
         ``index[i]`` (row ``i``, without an index) extended with — or,
-        for a name this batch binds too, rebound to — ``columns``."""
-        derived = Batch(self.size if index is None else len(index),
-                        columns)
+        for a name this batch binds too, rebound to — ``columns``.
+        ``index`` may be a thunk building the vector; ``size`` is then
+        its length."""
+        if size is None:
+            size = self.size if index is None else len(index)
+        derived = Batch(size, columns)
         derived._parent = self
         derived._index = index
         return derived
@@ -107,8 +113,11 @@ class Batch:
             if self._parent is None:
                 raise KeyError(variable)
             column = self._parent.column(variable)
-            if self._index is not None:
-                column = list(map(column.__getitem__, self._index))
+            index = self._index
+            if index is not None:
+                if not isinstance(index, list):
+                    index = self._index = index()
+                column = list(map(column.__getitem__, index))
             self._inherited[variable] = column
         return column
 

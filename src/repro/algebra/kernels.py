@@ -42,6 +42,7 @@ generic one does (``tests/algebra/test_kernels.py``).
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Any, Callable
 
 from repro.errors import EvaluationError
@@ -245,7 +246,9 @@ def contains_kernel(atom: Pred, probe: Probe) -> AtomKernel:
     An oid the index holds current text for is looked up in the probed
     key set: that decides it when the probe is exact
     (``algebra.contains_index_answered``), and drops it when it is not
-    listed either way (``algebra.index_pruned``).  What is left — oids
+    listed either way (``algebra.index_pruned``).  When the probe is
+    trusted and the index holds every subject of the column, the
+    column is decided whole, by two membership maps.  What is left — oids
     behind an inexact probe, oids the index cannot vouch for, strings,
     values — is turned into text the way the predicate does and
     matched, one tokenizer pass each (``algebra.contains_rechecks``).
@@ -268,9 +271,22 @@ def contains_kernel(atom: Pred, probe: Probe) -> AtomKernel:
         # not in the keys
         trusted = (exact and keys is not None
                    and not ctx.text_index.stale)
+        column = subject_kernel(source, ctx)
+        try:
+            whole = trusted and all(map(current.__contains__, column))
+        except TypeError:  # a subject that does not hash: no oid
+            whole = False
+        if whole:
+            # the index holds every subject (its keys are oids): the
+            # whole column is decided by membership, in C
+            kept = list(compress(range(len(column)),
+                                 map(keys.__contains__, column)))
+            _count(ctx, "algebra.contains_index_answered", len(column))
+            _count(ctx, "algebra.index_pruned", len(column) - len(kept))
+            return kept
         kept = []
         answered = pruned = rechecks = 0
-        for row, value in enumerate(subject_kernel(source, ctx)):
+        for row, value in enumerate(column):
             if type(value) is Oid:
                 if trusted and value in keys:
                     answered += 1

@@ -56,8 +56,8 @@ from __future__ import annotations
 import functools
 import inspect
 from bisect import bisect_left
-from itertools import repeat
-from operator import attrgetter
+from itertools import chain, repeat
+from operator import attrgetter, itemgetter, sub
 from typing import Any, Callable, ClassVar, Iterable
 
 from repro.errors import CompilationError, EvaluationError
@@ -402,11 +402,24 @@ class UnnestOp(Operator):
         else:
             found = [() if value is MISSING else self._items(value, ctx)
                      for value in collections]
+        if bound is None:
+            # whole columns: the items one after the other, and an
+            # index vector built only if an inherited column is read
+            lengths = list(map(len, found))
+            columns: dict[Any, Late] = {
+                self.element_var: list(chain.from_iterable(found))}
+            if index_var is not None:
+                columns[index_var] = list(
+                    chain.from_iterable(map(range, lengths)))
+            return source.derive(
+                columns, lambda: list(chain.from_iterable(
+                    map(repeat, range(len(lengths)), lengths))),
+                sum(lengths))
         index: list[int] = []
         elements: Column = []
         positions: Column = []
         for row, items in enumerate(found):
-            at = MISSING if bound is None else bound[row]
+            at = bound[row]
             if at is MISSING:
                 elements.extend(items)
                 index.extend(repeat(row, len(items)))
@@ -419,7 +432,7 @@ class UnnestOp(Operator):
                     elements.append(element)
                     index.append(row)
                     positions.append(at)
-        columns: dict[Any, Late] = {self.element_var: elements}
+        columns = {self.element_var: elements}
         if index_var is not None:
             columns[index_var] = positions
         return source.derive(columns, index)
@@ -852,17 +865,20 @@ class SharedOp(Operator):
 
 
 class _Scan:
-    """One execution of a structural operator: the loop state the
-    three of them share, and their output batch.
+    """One execution of a structural operator: the runs the three of
+    them share, and their output batch.
 
-    An output row is ``(index[r], positions[r])``: it continues input
-    row ``index[r]``, and ``positions[r]`` is a pre rank in the block
-    that row's source was located in (``frames[index[r]]`` holds the
-    block and the source's level) — or, for a source the index could
-    not serve, the live walk's ``(path, value)`` pair itself.  The path
-    and node columns are derived from that on first use: a query that
-    only reads what the scan *reaches* never builds a :class:`Path`,
-    and one that reads the path builds one per row
+    The output is a list of *runs* ``(block, rows, pres, counts,
+    positions)`` in input row order.  Over a block: input rows
+    ``rows`` were located at the pre ranks ``pres`` of ``block``, row
+    ``rows[k]`` continues into ``counts[k]`` output rows, and
+    ``positions`` holds one pre rank of the block per output row.  Of
+    the live walk (``block`` and ``pres`` are ``None``): one input row,
+    and ``positions`` are the walk's ``(path, value)`` pairs.  The
+    batch's index vector and its path and node columns are derived from
+    the runs on first use: a query that only reads what the scan
+    *reaches* builds neither the index vector nor a :class:`Path`, and
+    one that reads the path builds one per row
     (:meth:`~repro.structindex.Block.path`).
     """
 
@@ -874,10 +890,7 @@ class _Scan:
         index = getattr(ctx, "struct_index", None)
         self.struct_index = (
             index if ctx.path_semantics == RESTRICTED else None)
-        self.frames: list[tuple[Any, int] | None] = (
-            [None] * source.size)
-        self.index: list[int] = []
-        self.positions: Column = []
+        self.runs: list[tuple[Any, list[int], Any, list[int], list]] = []
         self.range_scans = self.nodes_scanned = self.fallback_walks = 0
 
     def sources(self) -> list[tuple[int, Any, Any]]:
@@ -886,18 +899,43 @@ class _Scan:
         occurrence ``(block, pre)`` of the source or ``None`` — one
         :meth:`~repro.structindex.StructuralIndex.locate_all` for the
         whole batch."""
-        variable = self.op.source_var
-        if not self.source.has(variable):
+        source, variable = self.source, self.op.source_var
+        if not source.has(variable):
             return []
-        rows = [(row, value) for row, value
-                in enumerate(self.source.column(variable))
-                if value is not MISSING]
-        if self.struct_index is None or not rows:
-            return [(row, value, None) for row, value in rows]
-        located = self.struct_index.locate_all(
-            [value for _, value in rows])
-        return [(row, value, found)
-                for (row, value), found in zip(rows, located)]
+        values = source.column(variable)
+        if source.total(variable):
+            rows: Iterable[int] = range(len(values))
+        else:
+            rows = [row for row, value in enumerate(values)
+                    if value is not MISSING]
+            values = list(map(values.__getitem__, rows))
+        located: Iterable[Any] = (
+            self.struct_index.locate_all(values)
+            if self.struct_index is not None and values else repeat(None))
+        return list(zip(rows, values, located))
+
+    def stretches(self, limit: int | None = None
+                  ) -> list[tuple[Any, list[int], list]]:
+        """The sources in row order, as ``(block, rows, pres)`` for each
+        maximal stretch of consecutive sources located in one block,
+        and ``(None, [row], [source value])`` for a source the index
+        does not serve: unlocated, or (with a ``limit``) its subtree
+        has more than ``limit`` nodes."""
+        stretches: list[tuple[Any, list[int], list]] = []
+        current = rows = pres = None
+        for row, value, located in self.sources():
+            if located is not None:
+                block, pre = located
+                if limit is None or block.end[pre] - pre <= limit:
+                    if block is not current:
+                        current, rows, pres = block, [], []
+                        stretches.append((block, rows, pres))
+                    rows.append(row)
+                    pres.append(pre)
+                    continue
+            stretches.append((None, [row], [value]))
+            current = None
+        return stretches
 
     def live_pairs(self, start: Any) -> Any:
         """The live walk's ``(path, value)`` pairs — what serves a
@@ -908,29 +946,32 @@ class _Scan:
         return paths_from(start, ctx.instance, ctx.path_semantics,
                           ctx.max_paths)
 
-    def enter(self, row: int, block: Any, pre: int) -> None:
-        """Input row ``row``'s source is the node ``pre`` of
-        ``block``: positions recorded for it are pre ranks there."""
-        self.frames[row] = (block, block.level[pre])
+    def add_live(self, row: int, pairs: list) -> None:
+        self.runs.append((None, [row], None, [len(pairs)], pairs))
+
+    def _index(self) -> list[int]:
+        index: list[int] = []
+        for _, rows, _, counts, _ in self.runs:
+            index.extend(chain.from_iterable(map(repeat, rows, counts)))
+        return index
 
     def _paths(self) -> Column:
-        built = []
-        frames = self.frames
-        for row, position in zip(self.index, self.positions):
-            frame = frames[row]
-            if frame is None:
-                built.append(position[0])
-            else:
-                built.append(frame[0].path(position, frame[1]))
+        built: Column = []
+        for block, _, pres, counts, positions in self.runs:
+            if block is None:
+                built.extend(map(itemgetter(0), positions))
+                continue
+            # each path is relative to the level of its row's source
+            depths = chain.from_iterable(map(
+                repeat, map(block.level.__getitem__, pres), counts))
+            built.extend(map(block.path, positions, depths))
         return built
 
     def _nodes(self) -> Column:
-        frames = self.frames
-        nodes = []
-        for row, position in zip(self.index, self.positions):
-            frame = frames[row]
-            nodes.append(position[1] if frame is None
-                         else frame[0].values[position])
+        nodes: Column = []
+        for block, _, _, _, positions in self.runs:
+            nodes.extend(map(itemgetter(1), positions) if block is None
+                         else map(block.values.__getitem__, positions))
         return nodes
 
     def result(self, columns: dict[Any, Late]) -> Batch:
@@ -944,7 +985,9 @@ class _Scan:
                self.fallback_walks)
         columns[self.op.path_var] = self._paths
         columns[self.op.out_var] = self._nodes
-        return self.source.derive(columns, self.index)
+        return self.source.derive(
+            columns, self._index,
+            sum(len(run[4]) for run in self.runs))
 
 
 class StructuralScanOp(Operator):
@@ -977,23 +1020,20 @@ class StructuralScanOp(Operator):
             return source
         scan = _Scan(self, source, ctx)
         max_paths = ctx.max_paths
-        for row, start, located in scan.sources():
-            if located is None:
-                pairs = list(scan.live_pairs(start))
-                scan.index.extend(repeat(row, len(pairs)))
-                scan.positions.extend(pairs)
+        for block, rows, pres in scan.stretches():
+            if block is None:
+                scan.add_live(rows[0], list(scan.live_pairs(pres[0])))
                 continue
-            block, pre = located
-            stop = block.end[pre]
-            scan.range_scans += 1
-            scan.nodes_scanned += stop - pre
-            if max_paths is not None and stop - pre > max_paths:
+            stops = list(map(block.end.__getitem__, pres))
+            counts = list(map(sub, stops, pres))
+            scan.range_scans += len(rows)
+            scan.nodes_scanned += sum(counts)
+            if max_paths is not None and max(counts) > max_paths:
                 # the live walk's enumeration-limit contract
                 raise EvaluationError(
                     f"path enumeration exceeded {max_paths} paths")
-            scan.enter(row, block, pre)
-            scan.index.extend(repeat(row, stop - pre))
-            scan.positions.extend(range(pre, stop))
+            scan.runs.append((block, rows, pres, counts, list(
+                chain.from_iterable(map(range, pres, stops)))))
         return scan.result({})
 
     def consumes(self) -> frozenset:
@@ -1051,41 +1091,42 @@ class StructuralAttrScanOp(StructuralScanOp):
         if not source.size:
             return source
         scan = _Scan(self, source, ctx)
-        max_paths = ctx.max_paths
         attr = self.attr
         trial = functools.partial(self._select, ctx=ctx)
         selected: Column = []
         names: Column = []
-        index, positions = scan.index, scan.positions
-        for row, start, located in scan.sources():
-            if located is not None:
-                block, pre = located
-                if (max_paths is not None
-                        and block.subtree_size(pre) > max_paths):
-                    # only the live walk reproduces the
-                    # enumeration-limit error contract
-                    located = None
-            if located is None:
-                for pair in scan.live_pairs(start):
+        # only the live walk reproduces the enumeration-limit error
+        # contract: an oversized subtree is walked
+        for block, rows, pres in scan.stretches(ctx.max_paths):
+            if block is None:
+                pairs: Column = []
+                for pair in scan.live_pairs(pres[0]):
                     for name, value in trial(pair[1]):
-                        index.append(row)
-                        positions.append(pair)
+                        pairs.append(pair)
                         names.append(name)
                         selected.append(value)
+                scan.add_live(rows[0], pairs)
                 continue
+            # the whole stretch at once: two bisections per source
+            # into the block's selections, then their slices joined
             holders, held_names, held_values = block.selections(
                 attr, trial)
-            lo = bisect_left(holders, pre)
-            hi = bisect_left(holders, block.end[pre], lo)
-            read = holders[lo:hi]
-            scan.enter(row, block, pre)
-            scan.range_scans += 1
-            scan.nodes_scanned += (hi - lo if attr is not None
-                                   else len(set(read)))
-            index.extend(repeat(row, hi - lo))
-            positions.extend(read)
-            names.extend(held_names[lo:hi])
-            selected.extend(held_values[lo:hi])
+            los = list(map(bisect_left, repeat(holders), pres))
+            his = list(map(bisect_left, repeat(holders),
+                           map(block.end.__getitem__, pres), los))
+            slices = list(map(slice, los, his))
+            read = list(chain.from_iterable(
+                map(holders.__getitem__, slices)))
+            scan.range_scans += len(rows)
+            scan.nodes_scanned += (len(read) if attr is not None else sum(
+                map(len, map(set, map(holders.__getitem__, slices)))))
+            if self.attr_var is not None:
+                names.extend(chain.from_iterable(
+                    map(held_names.__getitem__, slices)))
+            selected.extend(chain.from_iterable(
+                map(held_values.__getitem__, slices)))
+            scan.runs.append(
+                (block, rows, pres, list(map(sub, his, los)), read))
         columns: dict[Any, Late] = {self.value_var: selected}
         if self.attr_var is not None:
             columns[self.attr_var] = names
@@ -1156,8 +1197,6 @@ class IntervalJoinOp(Operator):
                   if source.has(self.probe_var)
                   else [MISSING] * source.size)
         probed = hits = 0
-        index, positions = scan.index, scan.positions
-        live: list[int] = []  # output slots holding unchecked live pairs
         for row, start, located in scan.sources():
             matches = None
             if probes[row] is not MISSING and located is not None:
@@ -1166,39 +1205,40 @@ class IntervalJoinOp(Operator):
             if matches is not None:
                 probed += 1
                 hits += len(matches)
-                scan.enter(row, block, pre)
-                index.extend(repeat(row, len(matches)))
-                positions.extend(matches)
+                scan.runs.append(
+                    (block, [row], [pre], [len(matches)], matches))
                 continue
             # fallback: full scan + exact atom recheck (= SelectOp over
             # StructuralScanOp, which itself falls back to the live walk)
-            pairs = list(scan.live_pairs(start))
-            live.extend(range(len(index), len(index) + len(pairs)))
-            index.extend(repeat(row, len(pairs)))
-            positions.extend(pairs)
-        if live:
-            self._recheck(scan, live, ctx)
+            scan.add_live(row, list(scan.live_pairs(start)))
+        self._recheck(scan, ctx)
         if probed and ctx.metrics is not None:
             ctx.metrics.inc("structindex.interval_probes", probed)
             ctx.metrics.inc("structindex.interval_hits", hits)
         return scan.result({})
 
-    def _recheck(self, scan: _Scan, live: list[int],
-                 ctx: EvalContext) -> None:
-        """Keep, of the output slots ``live`` (rows extended with a
-        live walk's pair), those on which the recheck atom holds."""
+    def _recheck(self, scan: _Scan, ctx: EvalContext) -> None:
+        """Keep, of the pairs the live walk added, those on which the
+        recheck atom holds — one kernel call over all of them."""
+        live = [at for at, run in enumerate(scan.runs)
+                if run[0] is None and run[4]]
+        if not live:
+            return
         kernel = self._chosen(atom_kernel, self.recheck_atom)
-        index, positions = scan.index, scan.positions
-        paths, nodes = zip(*[positions[slot] for slot in live])
+        pairs = [pair for at in live for pair in scan.runs[at][4]]
         candidates = scan.source.derive(
-            {self.path_var: list(paths), self.out_var: list(nodes)},
-            [index[slot] for slot in live])
-        dropped = set(live).difference(
-            [live[kept] for kept in kernel(candidates, ctx)])
-        keep = [slot for slot in range(len(index)) if slot not in dropped]
-        scan.index = [index[slot] for slot in keep]
-        scan.positions = [positions[slot] for slot in keep]
-
+            {self.path_var: list(map(itemgetter(0), pairs)),
+             self.out_var: list(map(itemgetter(1), pairs))},
+            [scan.runs[at][1][0] for at in live
+             for _ in scan.runs[at][4]])
+        kept = set(kernel(candidates, ctx))
+        slot = 0
+        for at in live:
+            _, rows, _, _, walked = scan.runs[at]
+            checked = [pair for number, pair in enumerate(walked, slot)
+                       if number in kept]
+            scan.runs[at] = (None, rows, None, [len(checked)], checked)
+            slot += len(walked)
     def consumes(self) -> frozenset:
         return frozenset((self.source_var, self.probe_var))
 

@@ -227,13 +227,14 @@ class QueryEngine:
                                 query=query, metrics=metrics,
                                 tracer=tracer, stats=snapshot,
                                 plan_key=key)
-                nodes = walk_once(plan)
-                span.annotate("operators", len(nodes))
-                span.annotate("unions", sum(
-                    isinstance(node, UnionOp) for node in nodes))
-                span.annotate("shared", sum(
-                    isinstance(node, SharedOp) for node in nodes))
-                span.annotate("verified", True)
+                if span.recording:
+                    nodes = walk_once(plan)
+                    span.annotate("operators", len(nodes))
+                    span.annotate("unions", sum(
+                        isinstance(node, UnionOp) for node in nodes))
+                    span.annotate("shared", sum(
+                        isinstance(node, SharedOp) for node in nodes))
+                    span.annotate("verified", True)
         sql_program = None
         if self.sql_backend is not None:
             from repro.errors import SQLUnsupportedError

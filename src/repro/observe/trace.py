@@ -31,6 +31,9 @@ class Span:
 
     __slots__ = ("name", "attributes", "children", "elapsed", "_started")
 
+    #: Are annotations kept?  Worth computing only when they are.
+    recording = True
+
     def __init__(self, name: str, **attributes: object) -> None:
         self.name = name
         self.attributes: dict[str, object] = dict(attributes)
@@ -66,6 +69,8 @@ class Span:
 
 class _NullSpan(Span):
     """An inert span: annotations are discarded, nothing is recorded."""
+
+    recording = False
 
     def annotate(self, key: str, value: object) -> None:
         pass

@@ -22,6 +22,8 @@ what the evaluator uses for positional access.
 
 from __future__ import annotations
 
+import threading
+import weakref
 from typing import Iterable, Iterator
 
 from repro.errors import ValueError_
@@ -64,37 +66,67 @@ class Oid:
     """An object identifier.
 
     Oids are pure identities: two oids are equal iff they are the same
-    allocation.  The ``number`` is assigned by the instance's allocator and
+    object.  The ``number`` is assigned by the instance's allocator and
     the ``class_name`` records the (most specific) class the oid was
     allocated in — this is what the *restricted* path semantics needs to
     forbid two dereferences through the same class.
 
-    Oids are never mutated, so the hash is computed once, at
-    allocation: every set and dict an oid passes through (``contains``
-    membership, de-duplication, the structural index) reads a slot.
+    ``Oid(number, class_name)`` is interned: it returns the one live
+    object for that pair, so equal pairs — from the allocator, a
+    decoded snapshot, a copy or an unpickling (:meth:`__reduce__`
+    constructs again) — are one object, and the identity hash and
+    comparison ``object`` defines run in C for every set and dict an oid
+    passes through.  The table is process-wide, holds its oids weakly
+    (an oid no value references any more is dropped) and is filled
+    under a lock, so concurrent constructors of one pair get one
+    object.  Oids are never mutated.
     """
 
-    __slots__ = ("number", "class_name", "_hash")
+    __slots__ = ("number", "class_name", "__weakref__")
 
-    def __init__(self, number: int, class_name: str) -> None:
-        self.number = number
-        self.class_name = class_name
-        self._hash = hash(("oid", number))
+    def __new__(cls, number: int, class_name: str) -> "Oid":
+        key = (number, class_name)
+        entry = _INTERNED.get(key)
+        if entry is not None:
+            oid = entry()
+            if oid is not None:
+                return oid
+        with _INTERNING:
+            entry = _INTERNED.get(key)
+            oid = None if entry is None else entry()
+            if oid is None:
+                oid = object.__new__(cls)
+                oid.number = number
+                oid.class_name = class_name
+                entry = _INTERNED[key] = _Entry(oid, _forget)
+                entry.key = key
+        return oid
 
     def __reduce__(self) -> tuple:
-        # ``hash(("oid", n))`` differs between processes (string hash
-        # randomization): a copy recomputes it rather than carry it over
         return Oid, (self.number, self.class_name)
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, Oid) and other.number == self.number
-                and other.class_name == self.class_name)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"o{self.number}:{self.class_name}"
+
+
+class _Entry(weakref.ref):
+    """A weak reference to an interned oid that remembers its key."""
+
+    __slots__ = ("key",)
+
+
+def _forget(entry: _Entry) -> None:
+    """Drop a dead oid's entry — unless the pair was constructed again
+    since (the entry is then a live one).  Re-entrant: the collector
+    may run this inside ``Oid.__new__``'s locked section."""
+    with _INTERNING:
+        if _INTERNED.get(entry.key) is entry:
+            del _INTERNED[entry.key]
+
+
+#: ``(number, class_name)`` → a weak reference to the live oid.
+_INTERNED: dict[tuple[int, str], _Entry] = {}
+_INTERNING = threading.RLock()
 
 
 class TupleValue:
@@ -233,14 +265,10 @@ class _Collection:
     items: tuple
     _hashed: "frozenset | bool | None"
 
-    def has_equivalent(self, value: object) -> bool:
-        """True when some member is ``≡ value``.  A member equal to
-        ``value`` is ``≡`` it (``equivalent`` starts with ``==``), so
-        the members are looked up first, in a hashed view built once
-        per collection object.  Outside tuples, lists and sets ``≡`` is
-        ``==``, so a miss is final for any other value; the linear
-        ``≡`` scan runs only for a structured or unhashable ``value``,
-        or when a member is unhashable (a raw host value: no view)."""
+    def _view(self) -> "frozenset | bool":
+        """The members as a frozenset, built once per collection
+        object; ``False`` when a member is unhashable (a raw host
+        value)."""
         view = self._hashed
         if view is None:
             try:
@@ -248,6 +276,17 @@ class _Collection:
             except TypeError:
                 view = False
             self._hashed = view
+        return view
+
+    def has_equivalent(self, value: object) -> bool:
+        """True when some member is ``≡ value``.  A member equal to
+        ``value`` is ``≡`` it (``equivalent`` starts with ``==``), so
+        the members are looked up first, in the hashed view.  Outside
+        tuples, lists and sets ``≡`` is ``==``, so a miss is final for
+        any other value; the linear ``≡`` scan runs only for a
+        structured or unhashable ``value``, or when a member is
+        unhashable (no view)."""
+        view = self._view()
         if view is not False:
             try:
                 if value in view:
@@ -334,6 +373,16 @@ class SetValue(_Collection):
         return made
 
     def __contains__(self, value: object) -> bool:
+        """``==``-membership, answered by the hashed view when there is
+        one and ``value`` hashes (a miss is then final), else by a scan
+        — so ``intersection``, ``difference`` and ``issubset`` are
+        linear, not quadratic."""
+        view = self._view()
+        if view is not False:
+            try:
+                return value in view
+            except TypeError:
+                pass
         return value in self.items
 
     def __iter__(self) -> Iterator[object]:

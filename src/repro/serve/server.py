@@ -35,7 +35,8 @@ stops at its next checkpoint once every attached waiter has cancelled.
 
 The asyncio face (:meth:`QueryServer.aquery`) wraps the same
 thread-pool futures, so one server can serve blocking callers and an
-event loop at once.
+event loop at once.  It imports :mod:`asyncio` (and with it
+:mod:`ssl`) when first awaited, not when the package is imported.
 
 Counters land in the server's own registry (``serve.*``):
 ``submitted``, ``flights``, ``collapsed``, ``executed``, ``errors``,
@@ -46,7 +47,6 @@ Counters land in the server's own registry (``serve.*``):
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 from concurrent.futures import CancelledError as _FutureCancelled
@@ -345,6 +345,7 @@ class QueryServer:
                      timeout=_UNSET) -> ServeResult:
         """The asyncio face: same admission, collapsing and snapshot
         semantics, awaited instead of blocked on."""
+        import asyncio
         request = self.submit(tenant, text)
         budget = (self.default_timeout if timeout is _UNSET
                   else timeout)

@@ -258,6 +258,69 @@ def test_a_rebuilt_index_is_probed_again(tmp_path):
     assert store.metrics()["counters"]["cache.hits"] == len(texts)
 
 
+CONTAINS_COUNTERS = ("algebra.contains_index_answered",
+                     "algebra.index_pruned", "algebra.contains_rechecks")
+
+
+def counted(kernel, source, ctx) -> tuple[list[int], list[int]]:
+    """The kernel's rows over ``source`` and its three ``contains``
+    counters."""
+    ctx.metrics = MetricsRegistry()
+    try:
+        kept = kernel(source, ctx)
+        counters = ctx.metrics.snapshot()["counters"]
+    finally:
+        ctx.metrics = None
+    return kept, [counters.get(name, 0) for name in CONTAINS_COUNTERS]
+
+
+@pytest.mark.parametrize("state", STATES)
+def test_the_whole_column_is_the_row_loop(state, tmp_path, monkeypatch):
+    """The ``contains`` kernel decides a column whole — two membership
+    maps — when the probe is trusted and the index holds every
+    subject.  Over the real subject column of every ``contains`` of the
+    e2e classes and the history-sensitive queries, its rows and
+    counters equal the per-row loop's: the same column followed by a
+    string and a hole, which the whole-column path refuses, keeps the
+    same rows, answers and prunes, with one more recheck (the
+    string)."""
+    store = in_state(generate_corpus(40, seed=42), state, tmp_path,
+                     named=True)
+    whole = []
+    compress = kernels.compress
+    monkeypatch.setattr(kernels, "compress",
+                        lambda *a: whole.append(1) or compress(*a))
+    compared = 0
+    texts = list(SPEC["query_classes"].values()) + list(HISTORY_SENSITIVE)
+    for text in texts:
+        engine = store._engine
+        plan = engine.compile(engine.translate(text)).plan
+        for op in walk_once(plan):
+            if not (isinstance(op, SelectOp)
+                    and kernels.contains_pattern(op.atom) is not None):
+                continue
+            ctx = store._engine.ctx.fork()
+            subjects = term_kernel(op.atom.arguments[0])(
+                op.child.batch(ctx), ctx)
+            kernel = atom_kernel(Pred("contains",
+                                      [X, op.atom.arguments[1]]))
+            column = Batch(len(subjects), {X: subjects})
+            extended = Batch(len(subjects) + 2, {
+                X: subjects + ["no such words here", MISSING]})
+            kept, counters = counted(kernel, column, ctx)
+            taken = len(whole)
+            looped, loop_counters = counted(kernel, extended, ctx)
+            assert len(whole) == taken  # the string sends it to the loop
+            assert looped == kept, text
+            assert loop_counters == [counters[0], counters[1],
+                                     counters[2] + 1], text
+            compared += 1
+    assert compared >= 3
+    # a fresh or reloaded index vouches for every key: the whole
+    # column is decided at least for the pure-oid subjects
+    assert bool(whole) == (state != "edited")
+
+
 # -- hand-built rows --------------------------------------------------------
 
 
@@ -532,6 +595,27 @@ class TestContains:
         assert oids[1] in ctx.text_index.current()
         assert oids[0] not in ctx.text_index.current()
         assert both_atoms(self.SGML, oids, ctx) == [0, 2]
+
+    def test_a_mixed_column_is_counted_row_by_row(self):
+        instance = small_instance()
+        oids = self.objects(instance)
+        # the index has never seen the third object
+        ctx = context(instance, {
+            oid: instance.deref(oid).get("title") for oid in oids[:2]})
+        kernel = atom_kernel(self.SGML)
+        column = [oids[0], "plain SGML text", MISSING, oids[1], oids[2],
+                  "nothing"]
+        assert both_atoms(self.SGML, column, ctx) == [0, 1, 4]
+        # answered: the two indexed oids; pruned: the unlisted one;
+        # rechecked: the unindexed oid and the two strings
+        assert counted(kernel, Batch(6, {X: column}), ctx) == (
+            [0, 1, 4], [2, 1, 3])
+        # the indexed oids alone are decided whole, counted alike
+        assert counted(kernel, Batch(2, {X: oids[:2]}), ctx) == (
+            [0], [2, 1, 0])
+        ctx.text_index.mark_stale()
+        assert counted(kernel, Batch(2, {X: oids[:2]}), ctx) == (
+            [0], [0, 0, 2])
 
     def test_an_inexact_probe_masks_then_rechecks(self):
         instance = small_instance()

@@ -6,6 +6,7 @@ same plan, same cost stage, same SQL emission — and must not touch the
 plan cache; ``execute`` is what a cache hit does, repeatably.
 """
 
+import sys
 import warnings
 
 import pytest
@@ -69,6 +70,32 @@ class TestBackHalf:
         first, second = engine.execute(entry), engine.execute(entry)
         assert first == second == store.query(QUERY)
         assert len(first) == 3
+
+
+class TestCompileAnnotations:
+    """The compile span's plan shape (``operators``, ``unions``,
+    ``shared``) is computed only for a tracer that keeps it."""
+
+    def test_an_untraced_compile_walks_no_plan(self, monkeypatch):
+        import repro.algebra.operators as operators
+        store = build_store(backend="algebra", structural=False)
+        engine = store._engine
+        walks = []
+        walk_once = operators.walk_once
+
+        def counting(*args, **kwargs):
+            # only the engine's own walks (the optimizer has others)
+            if sys._getframe(1).f_code is type(engine).compile.__code__:
+                walks.append(1)
+            return walk_once(*args, **kwargs)
+
+        monkeypatch.setattr(operators, "walk_once", counting)
+        engine.compile(engine.translate(QUERY))
+        assert walks == []
+        report = store.explain_analyze(QUERY)
+        assert walks
+        assert "operators=" in str(report) and "unions=" in str(report) \
+            and "shared=" in str(report)
 
 
 class TestStageFunctions:

@@ -1,7 +1,11 @@
 """Tests for the value model (Section 5.1)."""
 
 import copy
+import gc
 import pickle
+import sys
+import threading
+import time
 
 import pytest
 
@@ -19,7 +23,8 @@ from repro.oodb import (
     equivalent,
     is_value,
 )
-from repro.oodb.values import UNSELECTED, deep_size
+from repro.oodb import values
+from repro.oodb.values import _INTERNED, UNSELECTED, deep_size
 
 
 class TestNil:
@@ -46,13 +51,16 @@ class TestOid:
     def test_repr(self):
         assert repr(Oid(7, "Article")) == "o7:Article"
 
-    def test_hash_is_the_number_tuples(self):
-        # computed once at allocation, and the same value as ever: set
-        # and dict iteration orders (and every golden) depend on it
+    def test_hash_is_the_identity(self):
+        # an oid is its own identity: hashing and comparison are
+        # object's, in C, and equal pairs are one object
         for number in (0, 1, 7, 2**40):
             for class_name in ("A", "Article"):
-                assert hash(Oid(number, class_name)) == hash(
-                    ("oid", number))
+                oid = Oid(number, class_name)
+                assert Oid(number, class_name) is oid
+                assert hash(oid) == object.__hash__(oid)
+        assert "__eq__" not in vars(Oid) and "__hash__" not in vars(Oid)
+        assert Oid(1, "A") is not Oid(1, "B")
 
     def test_copies_rehash(self):
         oid = Oid(12, "Title")
@@ -60,6 +68,59 @@ class TestOid:
                      pickle.loads(pickle.dumps(oid))):
             assert made == oid and hash(made) == hash(oid)
             assert made.class_name == "Title"
+
+    def test_copies_are_the_oid(self):
+        oid = Oid(13, "Title")
+        assert copy.copy(oid) is oid
+        assert copy.deepcopy(oid) is oid
+        assert copy.deepcopy([oid, oid])[1] is oid
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(oid, protocol)) is oid
+
+    def test_concurrent_constructors_get_one_object(self, monkeypatch):
+        threads, pairs = 8, 50
+        barrier = threading.Barrier(threads)
+        made: list = [[] for _ in range(threads)]
+        entry = values._Entry
+
+        def slow_entry(oid, callback):
+            # widen the window between a miss and the table's fill
+            time.sleep(0.0005)
+            return entry(oid, callback)
+
+        def construct(slot):
+            # every thread constructs each pair, all released at once
+            for number in range(pairs):
+                barrier.wait(timeout=60)
+                made[slot].append(Oid(2**50 + number, "Raced"))
+
+        monkeypatch.setattr(values, "_Entry", slow_entry)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=construct, args=(slot,))
+                       for slot in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        for number in range(pairs):
+            assert len({id(oids[number]) for oids in made}) == 1
+
+    def test_dead_oids_leave_the_table(self):
+        key = (2**50 + 23, "Dropped")
+        oid = Oid(*key)
+        assert _INTERNED[key]() is oid
+        del oid
+        gc.collect()
+        assert key not in _INTERNED
+        # constructed again: a new entry, which the old one's callback
+        # does not remove
+        again = Oid(*key)
+        assert _INTERNED[key]() is again
 
     def test_equality_and_hash_survive_save_and_load(self, tmp_path):
         store = DocumentStore(ARTICLE_DTD)
@@ -72,6 +133,37 @@ class TestOid:
         assert [hash(oid) for oid in before] == [hash(oid)
                                                  for oid in after]
         assert set(before) == set(after)
+
+    def test_reloaded_store_holds_one_oid_object_per_object(
+            self, tmp_path):
+        store = DocumentStore(ARTICLE_DTD)
+        store.load_text(SAMPLE_ARTICLE, name="my_article")
+        store.save(tmp_path / "snapshot")
+        del store
+        gc.collect()
+        loaded = DocumentStore.load(tmp_path / "snapshot")
+        instance = loaded.instance
+        found: dict[tuple[int, str], set[int]] = {}
+
+        def collect(value):
+            if isinstance(value, Oid):
+                found.setdefault((value.number, value.class_name),
+                                 set()).add(id(value))
+            elif isinstance(value, TupleValue):
+                for _, field in value.fields:
+                    collect(field)
+            elif isinstance(value, (ListValue, SetValue)):
+                for item in value:
+                    collect(item)
+
+        for oid in instance.all_oids():
+            collect(oid)
+            collect(instance.deref(oid))
+        for name in instance.schema.roots:
+            collect(instance.root(name))
+        # every reference the snapshot decoded is the object's one oid
+        assert len(found) == len(list(instance.all_oids()))
+        assert all(len(ids) == 1 for ids in found.values())
 
 
 class TestTupleValue:
@@ -190,6 +282,44 @@ class TestSetValue:
     def test_deterministic_iteration(self):
         s = SetValue([3, 1, 2])
         assert list(s) == [3, 1, 2]  # insertion order preserved
+
+    def test_membership_is_hashed(self):
+        """``difference`` of two 1 000-member sets compares O(n)
+        members, not O(n²): membership reads the hashed view."""
+        CountingMember.comparisons = 0
+        left = SetValue(CountingMember(n) for n in range(1000))
+        right = SetValue(CountingMember(n) for n in range(500, 1500))
+        made = CountingMember.comparisons
+        assert len(left.difference(right)) == 500
+        assert len(left.intersection(right)) == 500
+        assert not left.issubset(right)
+        assert CountingMember.comparisons - made < 5 * 1000
+
+    def test_membership_without_a_view_scans(self):
+        members = [[1], [2]]  # raw host values: no hashed view
+        held = SetValue(members)
+        assert [2] in held and [3] not in held
+        assert 1 not in held
+        assert {"unhashable": 1} not in SetValue([1, 2])
+        assert SetValue([1, 2]).difference(SetValue([2.0])) == \
+            SetValue([1])
+
+
+class CountingMember:
+    """A member whose equality tests are counted."""
+
+    comparisons = 0
+
+    def __init__(self, number: int) -> None:
+        self.number = number
+
+    def __hash__(self) -> int:
+        return hash(self.number)
+
+    def __eq__(self, other: object) -> bool:
+        CountingMember.comparisons += 1
+        return (isinstance(other, CountingMember)
+                and other.number == self.number)
 
 
 class TestIsValue:

@@ -7,6 +7,8 @@ interleavings live in the stress/fault/property suites next door.
 """
 
 import asyncio
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -179,6 +181,17 @@ class TestAsyncFace:
         results = asyncio.run(main())
         for text, result in zip(QUERY_MIX, results):
             assert result.value == store.query(text)
+
+    def test_importing_the_package_loads_no_event_loop(self):
+        # asyncio (and ssl with it) is imported by the first aquery
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro, repro.serve; "
+             "print('asyncio' in sys.modules, 'ssl' in sys.modules)"],
+            capture_output=True, text=True, timeout=60,
+            env={"PYTHONPATH": ":".join(sys.path)})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False", "False"]
 
     def test_aquery_timeout(self, store):
         gate = threading.Event()

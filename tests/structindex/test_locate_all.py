@@ -16,7 +16,8 @@ import pytest
 from repro import DocumentStore
 from repro.corpus import ARTICLE_DTD, SAMPLE_ARTICLE
 from repro.errors import EvaluationError
-from repro.oodb.values import Oid, TupleValue
+from repro.algebra.operators import _Scan
+from repro.oodb.values import ListValue, Oid, TupleValue
 from tests.algebra.test_batch_executor import QUERY_CLASSES, build_store
 from tests.structindex.test_index import BOOK_DTD, NESTED_BOOK
 
@@ -153,6 +154,76 @@ class TestStructuralOperators:
         counters = stores["algebra"].explain_analyze(served).metrics[
             "counters"]
         assert [counters.get(name, 0) for name in WORK] == [2, 6, 0]
+
+    def test_stretches_alternate_between_blocks(self):
+        """A scan serves each stretch of consecutive sources located in
+        one block at once.  Sources that alternate between the ``Books``
+        block, the ``Mixed`` block and no block (inner sections, whose
+        occurrences are truncated; ``Big`` itself exceeds the block
+        budget) give the interpreter's rows, with one live walk per
+        unlocated source.  (The union of plans is no reference here:
+        over this heterogeneous root it misses rows — CHANGES.md.)"""
+        scanned = self.mixed_store("algebra")
+        interpreter = self.mixed_store("calculus")
+        big = list(scanned.instance.root("Big"))
+        located = scanned.struct_index.locate_all(big)
+        blocks = [None if found is None else found[0].root_name
+                  for found in located]
+        sources = blocks[:blocks.index(None, 12)]  # the padding after
+        assert set(sources) == {"Books", "Mixed", None}
+        assert all(a != b for a, b in zip(sources, sources[1:]))
+        for text in ("select t from x in Big, x PATH_p.title(t)",
+                     "select x2 from x in Big, x PATH_p(x2)",
+                     "select t from x in Big, x PATH_p.ATT_a(t)"):
+            answer = scanned.query(text)
+            assert answer and answer == interpreter.query(text), text
+        counters = scanned.explain_analyze(
+            "select t from x in Big, x PATH_p.title(t)").metrics[
+            "counters"]
+        assert counters["structindex.fallback_walks"] == blocks.count(None)
+        assert counters["structindex.range_scans"] == (
+            len(blocks) - blocks.count(None))
+
+    @staticmethod
+    def mixed_store(backend):
+        store = DocumentStore(BOOK_DTD, backend=backend)
+        store.load_text(NESTED_BOOK, name="my_book")
+        store.load_text(NESTED_BOOK)
+        sections = [oid for oid in store.instance.all_oids()
+                    if oid.class_name == "Section"]
+        loose = [TupleValue([("title", f"Loose {oid.number}")])
+                 for oid in sections]
+        store.define_name("Mixed", ListValue(loose))
+        # outer section (Books), loose tuple (Mixed), inner section
+        # (truncated in Books) — and ``Big`` is no block of its own
+        big = []
+        for section, tuple_value in zip(sections, loose):
+            big += [section, tuple_value]
+        # padded past the block budget with atoms nothing else holds
+        store.define_name("Big", ListValue(big + list(range(40))))
+        if store.struct_index is not None:
+            store.struct_index.max_block_nodes = 40
+            store.struct_index.note_data_change()
+        return store
+
+    def test_an_unread_index_vector_is_never_built(self, monkeypatch):
+        """A scan's index vector (which input row each output row
+        continues) is built only when a column of its input is read
+        through it: never for ``path_titles``, ``q2_path_contains`` or a
+        query reading ``PATH_p``, once for a query reading ``a``."""
+        store = build_store()
+        built = []
+        index = _Scan._index
+        monkeypatch.setattr(_Scan, "_index",
+                            lambda scan: built.append(1) or index(scan))
+        for text, builds in (
+                (QUERY_CLASSES["path_titles"], 0),
+                (QUERY_CLASSES["q2_path_contains"], 0),
+                ("select PATH_p from a in Articles, a PATH_p.title(t)", 0),
+                ("select a from a in Articles, a PATH_p.title(t)", 1)):
+            built.clear()
+            assert store.query(text)
+            assert len(built) == builds, text
 
 
 #: ``WORK`` counters of one warm execution of each e2e query class on

@@ -21,7 +21,10 @@ def test_ingest_profile_smoke():
         assert rows[label][1] == "ms/doc"
     assert float(rows["late over early"][0]) > 0
     assert float(rows["next update_text"][0]) > 0
+    # a load constructs its objects' oids; an edit constructs none
+    assert int(rows["Oid() / 4 loads"][0]) > 0
+    assert int(rows["Oid() / update_text"][0]) == 0
     # backtracking and re-indexing find their entries without comparing
     # oids across the corpus
-    assert int(rows["Oid.__eq__ / 4 loads"][0]) == 0
-    assert int(rows["Oid.__eq__ / update_text"][0]) < 10
+    assert int(rows["Oid == / 4 loads"][0]) == 0
+    assert int(rows["Oid == / update_text"][0]) < 10

@@ -8,8 +8,11 @@ plans, text index), reads the benchmark's query classes from its
 latency, three deterministic per-row work counters of one execution
 (``oodb.derefs``, ``structindex.nodes_scanned``,
 ``algebra.contains_index_answered``) and, from ``explain_analyze``, the
-rows and *self* time of every operator — the table EXPERIMENTS.md
-quotes before and after a change to the executor (P16, P19).  Above
+rows and *self* time of every operator — its minimum over the repeats,
+so one process accounts for an executor change whatever else the host
+is doing — and their sum per class and per pass: the table
+EXPERIMENTS.md quotes before and after a change to the executor (P16,
+P19, P33).  Above
 the table: the structural-index build the first query after the loads
 pays for (ms and ``structindex.nodes_indexed``).
 
@@ -96,7 +99,7 @@ def first_build(store) -> None:
 
 def warm(store, spec: dict, repeats: int) -> None:
     first_build(store)
-    whole_pass = 0.0
+    whole_pass = whole_self = 0.0
     for name, text in spec["query_classes"].items():
         store.query(text)
         samples = []
@@ -106,21 +109,28 @@ def warm(store, spec: dict, repeats: int) -> None:
             samples.append(time.perf_counter() - started)
         median = statistics.median(samples) * 1000
         whole_pass += median
-        reports = [store.explain_analyze(text) for _ in range(5)]
+        reports = [store.explain_analyze(text) for _ in range(repeats)]
         counters = reports[0].metrics["counters"]
         print(f"{name:<18}{median:9.2f} ms  " + " ".join(
             f"{label}={counters.get(counter, 0)}"
             for label, counter in WORK_COUNTERS))
         runs = [report.operators() for report in reports]
+        class_self = 0.0
         for position, node in enumerate(runs[0]):
             if node["ref"]:  # a shared node is listed where it runs
                 continue
-            own = statistics.median(
-                run[position]["self"] for run in runs) * 1000
+            # the least an operator took: what its code costs, whatever
+            # else the host was doing during the other repeats
+            own = min(run[position]["self"] for run in runs) * 1000
+            class_self += own
             print(f"    {node['label'][:58]:<58} rows={node['rows']:<6}"
                   f" self={own:6.2f} ms")
+        print(f"    {'(the operators together)':<58} {'':<11}"
+              f"self={class_self:6.2f} ms")
+        whole_self += class_self
     print(f"{'one pass':<18}{whole_pass:9.2f} ms "
-          f"({1000 * len(spec['query_classes']) / whole_pass:.1f} ops/s)")
+          f"({1000 * len(spec['query_classes']) / whole_pass:.1f} ops/s)"
+          f"  operators' self {whole_self:.2f} ms")
 
 
 def phases_of(root) -> dict[str, float]:

@@ -8,9 +8,13 @@ into an index-free store, and the live text index on top of it — the
 late-over-early ratio of a live load (the first document loaded again
 into the loaded store, over the same document into an empty one), two
 ``update_text`` calls on the loaded store (the first also builds the
-store's parent map), and how many ``Oid.__eq__`` calls a pass of loads
-and the second edit make (a separate, counted pass: exact, not timed)
-— the table a change to the write path quotes before and after.
+store's parent map), and, for a pass of loads and for the second edit
+(a separate, counted pass: exact, not timed), how many oids they
+construct (``Oid(...)``: one interning-table lookup each) and how many
+``==`` tests between oids they write out (an oid is its own identity:
+the dict and set lookups of the write path compare in C and call no
+Python ``__eq__``) — the table a change to the write path quotes
+before and after.
 Timings are indicative (one process, best of ``--repeats`` whole
 passes); the counts are exact.
 
@@ -117,28 +121,40 @@ def main() -> None:
     update_ms = 1000 * (time.perf_counter() - started)
 
     # the counted pass: exact, and slowed by the counting itself
-    calls = 0
-    plain_eq = Oid.__eq__
+    calls = {"==": 0, "new": 0}
+    plain = {name: vars(Oid).get(name) for name in ("__eq__", "__new__")}
+    plain_eq, plain_new = Oid.__eq__, Oid.__new__
 
     def counting_eq(self, other):
-        nonlocal calls
-        calls += 1
+        calls["=="] += 1
         return plain_eq(self, other)
 
+    def counting_new(cls, *args):
+        calls["new"] += 1
+        # an older checkout's Oid is built by __init__ (``--src``)
+        return (plain_new(cls, *args) if plain["__new__"] is not None
+                else plain_new(cls))
+
+    def counted_calls(action) -> dict[str, int]:
+        calls.update({"==": 0, "new": 0})
+        action()
+        return dict(calls)
+
     Oid.__eq__ = counting_eq
+    Oid.__new__ = counting_new
     try:
         counted = new_store(True)
-        calls = 0
-        for text in docs:
-            counted.load_text(text)
-        load_calls = calls
-        calls = 0
+        load_calls = counted_calls(
+            lambda: [counted.load_text(text) for text in docs])
         counted.update_text(target, "Edited Heading Words")
-        calls = 0
-        counted.update_text(target, "Heading Words Edited Again")
-        update_calls = calls
+        update_calls = counted_calls(lambda: counted.update_text(
+            target, "Heading Words Edited Again"))
     finally:
-        Oid.__eq__ = plain_eq
+        for name, method in plain.items():
+            if method is None:  # inherited from object
+                delattr(Oid, name)
+            else:
+                setattr(Oid, name, method)
 
     parse, validate, load_tree, live = (
         best[name] for name in ("parse", "validate", "load_tree", "live"))
@@ -155,8 +171,10 @@ def main() -> None:
         ("first update_text", f"{first_update_ms:9.3f} ms "
                               "(builds the parent map)"),
         ("next update_text", f"{update_ms:9.3f} ms"),
-        (f"Oid.__eq__ / {len(docs)} loads", f"{load_calls:9d}"),
-        ("Oid.__eq__ / update_text", f"{update_calls:9d}"),
+        (f"Oid() / {len(docs)} loads", f"{load_calls['new']:9d}"),
+        ("Oid() / update_text", f"{update_calls['new']:9d}"),
+        (f"Oid == / {len(docs)} loads", f"{load_calls['==']:9d}"),
+        ("Oid == / update_text", f"{update_calls['==']:9d}"),
     ]
     print(f"articles={len(docs)} seed={args.seed} src={args.src}")
     for label, value in rows:
