@@ -81,6 +81,7 @@ from repro.oodb.types import (
     TupleType,
     Type,
     UnionType,
+    is_system_union,
 )
 from repro.paths.enumeration import RESTRICTED
 from repro.paths.schema_paths import (
@@ -335,8 +336,7 @@ class _Compiler:
         inferred = _term_type(term, self.schema, self.candidates)
         if inferred is None:
             return None
-        if isinstance(inferred, UnionType) and all(
-                marker.startswith("alpha") for marker in inferred.markers):
+        if is_system_union(inferred):
             return [branch for _, branch in inferred.branches]
         return [inferred]
 

@@ -69,6 +69,7 @@ from repro.oodb.types import (
     TupleType,
     Type,
     UnionType,
+    system_union,
 )
 from repro.oodb.values import Nil, Oid
 from repro.paths.schema_paths import schema_path_targets
@@ -143,8 +144,7 @@ def _resolve(variable, candidates: dict) -> Type:
         raise QueryTypeError(
             f"variable {variable} has {len(unique)} candidate types — "
             "the union explosion the typing rules forbid")
-    return UnionType([(f"alpha{i + 1}", tp)
-                      for i, tp in enumerate(unique)])
+    return system_union(unique)
 
 
 def _note(candidates: dict, variable, tp: Type) -> None:
@@ -259,8 +259,7 @@ def _term_type(term, schema: Schema, candidates: dict) -> Type | None:
             return None
         if len(unique) == 1:
             return unique[0]
-        return UnionType([(f"alpha{i + 1}", tp)
-                          for i, tp in enumerate(unique)])
+        return system_union(unique)
     if isinstance(term, _Query):
         return None
     return None

@@ -31,6 +31,8 @@ from repro.oodb.types import (
     TupleType,
     Type,
     UnionType,
+    is_system_union,
+    system_union,
 )
 from repro.oodb.values import (
     ListValue,
@@ -97,6 +99,11 @@ def value_in_type(value: object, tp: Type, oid_context=None) -> bool:
     if isinstance(tp, TupleType):
         return _tuple_in_type(value, tp, oid_context)
 
+    if is_system_union(tp):
+        # the alternatives of a system union mark no value
+        return any(value_in_type(value, branch, oid_context)
+                   for _, branch in tp.branches)
+
     if isinstance(tp, UnionType):
         if not isinstance(value, TupleValue) or not value.is_marked:
             return False
@@ -149,11 +156,14 @@ def describe_value(value: object) -> str:
 
 
 def infer_value_type(value: object, oid_context=None) -> Type:
-    """The most natural type of a ground value (best effort).
+    """The most natural type of a ground value — what a name root
+    (``DocumentStore.define_name``) is declared with.
 
-    Used for error messages and by the loader's sanity checks; collection
-    element types are joined structurally when possible and fall back to
-    the first element's type otherwise.
+    A collection's element type is the join of its elements' types;
+    when they have no common supertype (an object beside a tuple, say),
+    it is the :func:`~repro.oodb.types.system_union` of their distinct
+    types, so a path variable over an element is expanded per
+    alternative.
     """
     from repro.oodb.subtyping import common_supertype
     from repro.errors import SubtypingError
@@ -177,13 +187,14 @@ def infer_value_type(value: object, oid_context=None) -> Type:
         elements = list(value)
         if not elements:
             return constructor(AnyType())
-        result = infer_value_type(elements[0], oid_context)
-        for element in elements[1:]:
+        alternatives = list(dict.fromkeys(
+            infer_value_type(element, oid_context) for element in elements))
+        result = alternatives[0]
+        for alternative in alternatives[1:]:
             try:
-                result = common_supertype(
-                    result, infer_value_type(element, oid_context))
+                result = common_supertype(result, alternative)
             except SubtypingError:
-                return constructor(AnyType())
+                return constructor(system_union(alternatives))
         return constructor(result)
     if isinstance(value, Nil):
         return AnyType()

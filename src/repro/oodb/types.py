@@ -338,6 +338,23 @@ def union_of(*branches: tuple[str, Type], **kw_branches: Type) -> UnionType:
     return UnionType(parts)
 
 
+#: Marker prefix of a *system* union (``alpha1``, ``alpha2``, ...): the
+#: alternative types a term may have, with no marker on the values —
+#: the type inference and the compiler expand it into its branches.
+SYSTEM_MARKER = "alpha"
+
+
+def system_union(alternatives: Iterable[Type]) -> UnionType:
+    """The system union of ``alternatives`` (see :data:`SYSTEM_MARKER`)."""
+    return UnionType([(f"{SYSTEM_MARKER}{number}", tp)
+                      for number, tp in enumerate(alternatives, 1)])
+
+
+def is_system_union(tp: Type) -> bool:
+    return isinstance(tp, UnionType) and all(
+        marker.startswith(SYSTEM_MARKER) for marker in tp.markers)
+
+
 def list_of(element: Type) -> ListType:
     """Shorthand for :class:`ListType` — ``list_of(c('Body'))``."""
     return ListType(element)

@@ -34,9 +34,9 @@ operators (``SelectOp.oid_only``) are replayed against them.
 :func:`verify_plan` returns the fault list; :func:`check_plan` raises
 :class:`~repro.errors.PlanVerificationError` when it is non-empty.
 :func:`verify_structural_index` checks the pre/post encoding invariants
-of a built :class:`~repro.structindex.StructuralIndex` (interval
-nesting, post-order permutation, sorted secondary slices that point at
-values of the declared class).
+of a built :class:`~repro.structindex.StructuralIndex` (pre order,
+interval nesting, subtree ends recomputed from the parent array,
+sorted occurrence slices that point at their values).
 """
 
 from __future__ import annotations
@@ -410,10 +410,11 @@ def verify_structural_index(index: Any) -> list[PlanFault]:
     """Check the pre/post encoding invariants of every built block.
 
     These are the facts :class:`~repro.algebra.operators.StructuralScanOp`
-    and :class:`~repro.algebra.operators.IntervalJoinOp` rely on:
-    subtrees are contiguous pre intervals, descendants have strictly
-    smaller post ranks, and the secondary slices are sorted positions
-    pointing at values of the declared class.
+    and :class:`~repro.algebra.operators.IntervalJoinOp` rely on: the
+    arrays are in pre order, every subtree is the contiguous pre
+    interval ``[pre, end[pre])`` (so ``end`` and ``level`` carry the
+    post rank), and the occurrence and attribute slices are sorted
+    positions pointing at their values and steps.
     """
     faults: list[PlanFault] = []
     for name, block in index.blocks.items():
@@ -427,7 +428,7 @@ def _verify_block(name: str, block: Any,
         faults.append(PlanFault("PC-INDEX", message, f"block {name!r}"))
 
     n = block.size
-    for label, array in (("post", block.post), ("level", block.level),
+    for label, array in (("level", block.level),
                          ("parent", block.parent), ("end", block.end),
                          ("steps", block.steps),
                          ("complete", block.complete)):
@@ -436,58 +437,59 @@ def _verify_block(name: str, block: Any,
             return
     if n == 0:
         return
-    if sorted(block.post) != list(range(n)):
-        fault("post ranks are not a permutation of 0..n-1")
     if (block.parent[0] != -1 or block.level[0] != 0
             or block.steps[0] is not None):
         fault("block origin is not a level-0, parentless, stepless root")
+    open_nodes = [0]
     for i in range(1, n):
         parent = block.parent[i]
         if not (0 <= parent < i):
             fault(f"node {i} has non-preceding parent {parent}")
-            break
+            return
+        # pre order: the parent is an ancestor-or-self of node i - 1
+        while open_nodes and open_nodes[-1] != parent:
+            open_nodes.pop()
+        if not open_nodes:
+            fault(f"node {i} follows its parent {parent}'s subtree "
+                  "(not pre order)")
+            return
+        open_nodes.append(i)
         step = block.steps[i]
         if not isinstance(step, Step):
             fault(f"node {i} has no path step")
-            break
+            return
         if ((type(step) is DerefStep)
                 != (type(block.values[parent]) is Oid)):
             fault(f"node {i}: a dereference step must lead from an "
                   "oid, and an oid's child is its dereference")
-            break
+            return
         if block.level[i] != block.level[parent] + 1:
             fault(f"node {i} is not one level below its parent")
-            break
-        if not (parent < i < block.end[parent]):
-            fault(f"node {i} falls outside its parent's interval")
-            break
-        if block.post[i] >= block.post[parent]:
-            fault(f"node {i} has post rank >= its ancestor's "
-                  "(pre < post ordering violated)")
-            break
-        if not (i < block.end[i] <= block.end[parent]):
-            fault(f"node {i}'s interval is not nested in its parent's")
-            break
-    for class_name, positions in block.classes.items():
+            return
+    # each subtree ends after its last descendant: one reverse pass
+    ends = list(range(1, n + 1))
+    for i in range(n - 1, 0, -1):
+        parent = block.parent[i]
+        if ends[parent] < ends[i]:
+            ends[parent] = ends[i]
+    if ends != list(block.end):
+        first = next(i for i in range(n) if ends[i] != block.end[i])
+        fault(f"node {first}'s interval ends at {block.end[first]}, "
+              f"its subtree at {ends[first]}")
+    for value, positions in block.occurrences.items():
         if list(positions) != sorted(set(positions)):
-            fault(f"class slice {class_name!r} is not strictly sorted")
+            fault(f"occurrence slice {value!r} is not strictly sorted")
+            continue
+        if not all(block.values[pre] is value or block.values[pre] == value
+                   for pre in positions):
+            fault(f"occurrence slice {value!r} points at another value")
+    for attr, positions in block.attr_steps.items():
+        if list(positions) != sorted(positions):
+            fault(f"attr slice {attr!r} is not sorted")
             continue
         for pre in positions:
-            value = block.values[pre]
-            if getattr(value, "class_name", None) != class_name:
-                fault(f"class slice {class_name!r} points at a "
-                      f"non-{class_name} value (pre {pre})")
-                break
-    for label, slices in (("oid", block.oids), ("atom", block.atoms),
-                          ("attr", block.attr_steps)):
-        for key, positions in slices.items():
-            if list(positions) != sorted(positions):
-                fault(f"{label} slice {key!r} is not sorted")
-                break
-    for name, positions in block.attr_steps.items():
-        for pre in positions:
             step = block.steps[pre]
-            if type(step) is not AttrStep or step.name != name:
-                fault(f"attr slice {name!r} points at a node not "
-                      f"reached by .{name} (pre {pre})")
+            if type(step) is not AttrStep or step.name != attr:
+                fault(f"attr slice {attr!r} points at a node not "
+                      f"reached by .{attr} (pre {pre})")
                 break

@@ -8,7 +8,8 @@ shipped.
 
 The accel schema is the relational image of the structural index
 encoding (:mod:`repro.structindex`): one ``node`` row per pre rank of
-a block with its (pre, post, level, parent) ranks and interval end,
+a block with its (pre, level, parent) ranks and interval end (the
+post rank is ``end_pre − 1 − level``),
 plus the navigation closures the emitter joins through (the shredder
 fills them while it projects a block — no dialect re-spells them):
 
@@ -37,7 +38,6 @@ SCHEMA = """
 CREATE TABLE node (
     root       TEXT    NOT NULL,
     pre        INTEGER NOT NULL,
-    post       INTEGER NOT NULL,
     level      INTEGER NOT NULL,
     parent     INTEGER NOT NULL,
     end_pre    INTEGER NOT NULL,

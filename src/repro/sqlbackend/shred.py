@@ -6,10 +6,11 @@ There is one pre/post encoding in the process — the
 keeps fresh — and a :class:`Shred` is its relational image, nothing
 more: it never walks the instance.  Per published block,
 
-* every pre rank becomes one ``node`` row carrying the block's post
-  rank, level, parent and subtree end (``end_pre``); ``kind``, ``step``,
-  ``name`` and ``position`` are read off ``values[pre]``, the last step
-  of ``paths[pre]`` and the parent array;
+* every pre rank becomes one ``node`` row carrying the block's level,
+  parent and subtree end (``end_pre``) — the post rank is
+  ``end_pre − 1 − level``; ``kind``, ``step``, ``name`` and
+  ``position`` are read off ``values[pre]``, ``steps[pre]`` and the
+  parent array;
 * ``deref_base`` (the fixpoint of the implicit dereference) and
   ``cont`` (the container after the marked-union swap) are filled in
   the same pass: pre ranks are visited in reverse, so an oid's
@@ -205,7 +206,6 @@ class Shred:
         if block.truncated:
             return "node budget exceeded"
         values = block.values
-        posts = block.post
         levels = block.level
         parents = block.parent
         ends = block.end
@@ -251,7 +251,7 @@ class Shred:
                 # positional access applies to the payload
                 cont = base + 1
             node_rows.append((
-                name, pre, posts[pre], levels[pre],
+                name, pre, levels[pre],
                 parents[pre], ends[pre], kind,
                 value.class_name if isinstance(value, Oid) else None,
                 step, step_name, positions[pre], value_key(value),
@@ -277,10 +277,10 @@ class Shred:
                                 sel_rows.append(
                                     (name, pre, steps[grand][1], grand))
         connection.executemany(
-            "INSERT INTO node (root, pre, post, level, parent, "
-            "end_pre, kind, class, step, name, position, vkey, "
-            "deref_base, cont) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            "INSERT INTO node (root, pre, level, parent, end_pre, "
+            "kind, class, step, name, position, vkey, deref_base, "
+            "cont) "
+            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
             node_rows)
         connection.executemany(
             "INSERT INTO sel (root, base, name, target) "

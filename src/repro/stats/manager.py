@@ -138,14 +138,10 @@ class StatisticsManager:
         index_nodes = 0
         index_roots = 0
         attr_occurrences: dict[str, int] = {}
-        atom_slice_size = 0
         if struct_index is not None:
             for block in struct_index.blocks.values():
                 index_nodes += block.size
                 index_roots += 1
-                atom_slice_size += sum(
-                    len(positions)
-                    for positions in block.atoms.values())
                 for attr, positions in block.attr_steps.items():
                     attr_occurrences[attr] = (
                         attr_occurrences.get(attr, 0) + len(positions))
@@ -160,7 +156,6 @@ class StatisticsManager:
             index_nodes=index_nodes,
             index_roots=index_roots,
             attr_occurrences=attr_occurrences,
-            atom_slice_size=atom_slice_size,
             unit_costs=_normalized(self._unit_costs),
             branch_actuals=self._branch_actuals,
             text_index=text_index,

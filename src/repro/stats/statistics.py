@@ -88,9 +88,8 @@ class Statistics:
     __slots__ = ("epoch", "generation", "class_cardinalities",
                  "root_cardinalities", "object_count", "document_count",
                  "vocabulary_size", "index_nodes", "index_roots",
-                 "attr_occurrences", "atom_slice_size", "unit_costs",
-                 "branch_actuals", "_text_index",
-                 "_bound_memo")
+                 "attr_occurrences", "unit_costs", "branch_actuals",
+                 "_text_index", "_bound_memo")
 
     def __init__(self, epoch: int = 0, generation: int = 0,
                  class_cardinalities: Mapping[str, int] | None = None,
@@ -101,7 +100,6 @@ class Statistics:
                  index_nodes: int = 0,
                  index_roots: int = 0,
                  attr_occurrences: Mapping[str, int] | None = None,
-                 atom_slice_size: int = 0,
                  unit_costs: Mapping[str, float] | None = None,
                  branch_actuals: Mapping[Any, int] | None = None,
                  text_index: Any = None) -> None:
@@ -115,7 +113,6 @@ class Statistics:
         self.index_nodes = index_nodes
         self.index_roots = index_roots
         self.attr_occurrences = dict(attr_occurrences or {})
-        self.atom_slice_size = atom_slice_size
         self.unit_costs = dict(unit_costs or {})
         self.branch_actuals = dict(branch_actuals or {})
         # posting sizes are read lazily (and memoized) off the live

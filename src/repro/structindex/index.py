@@ -1,8 +1,11 @@
 """The pre/post-order structural index (the "XPath accelerator" layer).
 
 Every value node reachable from a persistence root is assigned a
-``(pre, post, level, parent)`` tuple and the last step of its path,
-kept in arrays sorted by ``pre`` — one *block* per root.  A block is
+``(pre, end, level, parent)`` tuple and the last step of its path,
+kept in arrays sorted by ``pre`` — one *block* per root.  The post
+rank is not stored: a node's post rank is the number of nodes closed
+before it, ``end − 1 − level`` (the preceding non-ancestors plus its
+descendants), so ``end`` and ``level`` carry it.  A block is
 one iterative depth-first fold over the value graph, the traversal of
 :func:`repro.paths.paths_from` under the restricted semantics; no
 ``Path`` is stored — :meth:`Block.path` climbs ``parent`` for a row
@@ -13,17 +16,19 @@ in the same order, as ``paths_from``.  Two classic properties hold by
 construction:
 
 * **interval containment is ancestry** —
-  ``pre(a) < pre(d) ∧ post(d) < post(a)  ⇔  a is an ancestor of d``;
+  ``pre(a) < pre(d) < end(a)  ⇔  a is an ancestor of d`` (the classic
+  ``pre(a) < pre(d) ∧ post(d) < post(a)`` with the derived post rank);
 * **descendants are contiguous** — the subtree of the node at pre rank
   ``i`` occupies exactly the pre range ``[i, end[i])``, so the valuation
   of an unbound path variable rooted there (the whole union-of-plans
   fan-out of Section 5.4) is *one range scan* over the value array.
 
-Secondary slices index oid nodes per allocation class and atomic leaf
-values per equality bucket; both are pre-sorted, so "which occurrences
-of value ``v`` fall inside this subtree" (the equality joins the
-compiler emits for bound variables after a path variable) is two
-bisections — the ancestor/descendant interval join.
+One secondary slice, ``occurrences``, maps every oid (a key by
+identity) and every atomic leaf value (a key per ``==`` bucket) to its
+pre ranks, ascending, so "which occurrences of value ``v`` fall inside
+this subtree" (the equality joins the compiler emits for bound
+variables after a path variable) is two bisections — the
+ancestor/descendant interval join.
 
 **Completeness.**  Under the restricted semantics a walk never crosses
 two objects of the same class, so a subtree recorded below such a
@@ -44,7 +49,9 @@ exactly the dirty blocks.  An epoch bump the index was *not* told about
 (someone mutated the instance behind the facade's back) degrades to a
 full rebuild — stale answers are structurally impossible.  Either way
 the index publishes a *new* :class:`Block`, so what a block memoizes
-about itself (:meth:`Block.selections`) is as fresh as the block.
+about itself (:meth:`Block.selections`) is as fresh as the block, and
+empties its lookup map (:meth:`StructuralIndex.locate_all`), which the
+next lookups refill from the published blocks.
 
 **One encoding.**  These blocks are the only pre/post encoding in the
 process: the relational backend's tables
@@ -59,7 +66,8 @@ import gc
 import threading
 from bisect import bisect_left
 from contextlib import contextmanager
-from typing import Any, Callable, Iterable, Iterator
+from itertools import chain
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.oodb.values import (
     ATOM_PYTYPES,
@@ -84,6 +92,7 @@ from repro.paths.steps import (
 DEFAULT_MAX_BLOCK_NODES = 1_000_000
 
 _ATOM_TYPES = (Nil,) + ATOM_PYTYPES
+_SLICED_TYPES = (Oid,) + _ATOM_TYPES
 
 
 class Block:
@@ -93,33 +102,27 @@ class Block:
     object — except for one lazily filled memo, :meth:`selections`.
     """
 
-    __slots__ = ("root_name", "origin", "post", "level", "parent",
-                 "values", "steps", "end", "complete", "classes",
-                 "atoms", "oids", "truncated", "attr_steps",
-                 "attr_positions", "blocked_oids", "_selections")
+    __slots__ = ("root_name", "level", "parent", "values", "steps",
+                 "end", "complete", "occurrences", "truncated",
+                 "attr_steps", "blocked_oids", "_selections")
 
-    def __init__(self, root_name: str, origin: object,
-                 truncated: bool = False) -> None:
+    def __init__(self, root_name: str, truncated: bool = False) -> None:
         self.root_name = root_name
-        self.origin = origin
         self.values: list = []        # pre -> node value
         # pre -> the last step of the node's path (None at the root);
         # one shared object per attribute name, list position and DEREF
         self.steps: list[Step | None] = []
-        self.post: list[int] = []     # pre -> post-order rank
         self.level: list[int] = []    # pre -> depth (root = 0)
         self.parent: list[int] = []   # pre -> parent's pre (-1 at root)
         self.end: list[int] = []      # pre -> subtree end (exclusive)
         self.complete: list[bool] = []
-        self.classes: dict[str, list[int]] = {}   # class -> oid pres
-        self.atoms: dict = {}                     # atom value -> pres
-        self.oids: dict[Oid, list[int]] = {}      # oid -> pres
+        # oid (by identity) or atom (by ``==`` bucket) -> ascending pres
+        self.occurrences: dict = {}
         self.truncated = truncated
         # attribute name -> pres reached by an AttrStep of that name,
-        # plus the combined list (for attribute variables) and the oids
-        # whose dereference the semantics suppressed (no subtree)
+        # and the oids whose dereference the semantics suppressed (no
+        # subtree)
         self.attr_steps: dict[str, list[int]] = {}
-        self.attr_positions: list[int] = []
         self.blocked_oids: list[int] = []
         # attribute name (None: any) -> (holders, names, values)
         self._selections: dict[str | None, tuple[list, list, list]] = {}
@@ -127,13 +130,6 @@ class Block:
     @property
     def size(self) -> int:
         return len(self.values)
-
-    def is_ancestor(self, a: int, d: int) -> bool:
-        """The interval-containment test (ancestor, strictly)."""
-        return a < d and self.post[d] < self.post[a]
-
-    def subtree_size(self, pre: int) -> int:
-        return self.end[pre] - pre
 
     def path(self, pre: int, depth: int = 0) -> Path:
         """The path from the ancestor of ``pre`` at level ``depth``
@@ -191,7 +187,8 @@ class Block:
             seen: set[int] = set()
             candidates: list[int] = []
             steps = self.steps
-            for j in (self.attr_positions if name is None
+            for j in (chain.from_iterable(self.attr_steps.values())
+                      if name is None
                       else self.attr_steps.get(name, ())):
                 holder = self.parent[j]
                 self._climb_derefs(holder, seen, candidates)
@@ -225,18 +222,15 @@ class Block:
 
     def matches_in(self, pre: int, probe: object) -> list[int] | None:
         """Pre ranks of the occurrences of ``probe`` inside the subtree
-        at ``pre``, ascending, via the secondary slices — or ``None``
+        at ``pre``, ascending, via :attr:`occurrences` — or ``None``
         when the probe's type has no slice (collections: their ``≡``
-        has structural cases a hash bucket cannot model)."""
-        if isinstance(probe, Oid):
-            positions = self.oids.get(probe, ())
-        elif isinstance(probe, _ATOM_TYPES):
-            # dict-key equality on atoms is Python ``==`` — exactly the
-            # ``≡`` relation restricted to atomic values (1 ≡ 1.0 ≡ True
-            # share a bucket)
-            positions = self.atoms.get(probe, ())
-        else:
+        has structural cases a hash bucket cannot model).  Dict-key
+        equality is identity on oids and Python ``==`` on atoms —
+        exactly the ``≡`` relation restricted to those values (1 ≡ 1.0
+        ≡ True share a bucket), and never true between the two."""
+        if not isinstance(probe, _SLICED_TYPES):
             return None
+        positions = self.occurrences.get(probe, ())
         lo = bisect_left(positions, pre)
         hi = bisect_left(positions, self.end[pre], lo)
         return list(positions[lo:hi])
@@ -245,8 +239,8 @@ class Block:
 @contextmanager
 def _collector_paused() -> Iterator[None]:
     """No cyclic collection while blocks are rebuilt.  A rebuild
-    allocates tracked objects (the per-oid and per-atom position lists,
-    the traversal's stack entries) and drops the old block's, so a
+    allocates tracked objects (the occurrence lists, the traversal's
+    stack entries) and drops the old block's, so a
     collection that starts in the middle finds nothing to free — and
     once the objects promoted since the last full collection outgrow a
     quarter of what it found, CPython makes it a *full* collection, a
@@ -270,33 +264,30 @@ def _build_block(root_name: str, origin: object, instance: Any,
     under the restricted semantics — same order, same crossings — with
     each node's arrays filled where it is entered.
 
-    A node is *closed* (post rank, subtree end) when the next node
+    A node is *closed* (its subtree end set) when the next node
     entered is not its descendant, so the stack holds only nodes to
     enter.  ``crossings`` maps each class whose object boundary an open
     oid crossed to that oid's pre; an oid of such a class is not
     dereferenced (the restricted semantics), and a fresh walk from any
     open node strictly below the crossing would dereference it, so
-    those nodes are incomplete.  Entering node ``max_nodes + 1``
-    abandons the block (truncated, empty)."""
-    block = Block(root_name, origin)
+    those nodes are incomplete, and the oid is recorded in
+    ``blocked_oids`` (pre order: it is entered in pre order).  Entering
+    node ``max_nodes + 1`` abandons the block (truncated, empty)."""
+    block = Block(root_name)
     values = block.values
     steps = block.steps
-    posts = block.post
     levels = block.level
     parents = block.parent
     ends = block.end
     complete = block.complete
-    oids = block.oids
-    classes = block.classes
-    atoms = block.atoms
+    occurrences = block.occurrences
     attr_steps = block.attr_steps
-    attr_positions = block.attr_positions
+    blocked_oids = block.blocked_oids
     attr_interned: dict[str, AttrStep] = {}
     index_interned: list[IndexStep] = []
     open_nodes = [-1]                # -1, then the open nodes' pres
     crossings: dict[str, int] = {}   # class -> pre of the crossing oid
     crossing_oids: list[int] = []    # pres of the open crossing oids
-    post_counter = 0
     stack: list[tuple] = [(origin, -1, None)]
     pop = stack.pop
     while stack:
@@ -304,11 +295,9 @@ def _build_block(root_name: str, origin: object, instance: Any,
         pre = len(values)
         if pre == max_nodes:
             # node budget exceeded: an unusable (but well-formed) block
-            return Block(root_name, origin, truncated=True)
+            return Block(root_name, truncated=True)
         while open_nodes[-1] != parent:
             closed = open_nodes.pop()
-            posts[closed] = post_counter
-            post_counter += 1
             ends[closed] = pre
             if crossing_oids and crossing_oids[-1] == closed:
                 crossing_oids.pop()
@@ -318,12 +307,10 @@ def _build_block(root_name: str, origin: object, instance: Any,
         values.append(value)
         steps.append(step)
         parents.append(parent)
-        posts.append(-1)
         ends.append(-1)
         complete.append(True)
         if type(step) is AttrStep:
             attr_steps[step.name].append(pre)
-            attr_positions.append(pre)
         kind = type(value)
         if kind is TupleValue:
             children = []
@@ -336,15 +323,17 @@ def _build_block(root_name: str, origin: object, instance: Any,
             children.reverse()
             stack.extend(children)
         elif kind is Oid:
-            oids.setdefault(value, []).append(pre)
+            occurrences.setdefault(value, []).append(pre)
             marker = value.class_name
-            classes.setdefault(marker, []).append(pre)
             crossing = crossings.get(marker)
             if crossing is None:
                 crossings[marker] = pre
                 crossing_oids.append(pre)
                 stack.append((instance.deref(value), pre, DEREF))
             else:
+                # a suppressed dereference: no subtree here, so the
+                # fused attribute scans must re-check the oid live
+                blocked_oids.append(pre)
                 for open_pre in reversed(open_nodes):
                     if open_pre == crossing:
                         break
@@ -359,19 +348,10 @@ def _build_block(root_name: str, origin: object, instance: Any,
             stack.extend([(element, pre, ElemStep(element))
                           for element in reversed(value.items)])
         elif isinstance(value, _ATOM_TYPES):
-            atoms.setdefault(value, []).append(pre)
+            occurrences.setdefault(value, []).append(pre)
     size = len(values)
-    while len(open_nodes) > 1:
-        closed = open_nodes.pop()
-        posts[closed] = post_counter
-        post_counter += 1
+    for closed in open_nodes[1:]:
         ends[closed] = size
-    # an oid with an empty subtree is one whose dereference the
-    # semantics suppressed (a non-blocked oid always has its DEREF
-    # child): the fused attribute scans must re-check these live
-    block.blocked_oids = sorted(
-        pre for positions in oids.values() for pre in positions
-        if ends[pre] == pre + 1)
     return block
 
 
@@ -394,13 +374,15 @@ class StructuralIndex:
         self.metrics: Any = None
         self._lock = threading.RLock()
         self._blocks: dict[str, Block] = {}
-        # every occurrence (complete or not), for dirty marking
-        self._oid_nodes: dict[Oid, list[tuple[str, int]]] = {}
-        # id(value) -> one *complete* occurrence, for sources that are
-        # not oids; the blocks' value arrays keep the objects alive, so
-        # ids stay unambiguous.  Filled by the first such lookup after
-        # a rebuild (``None`` until then): most sources are oids
-        self._value_nodes: dict[int, tuple[str, int]] | None = None
+        # id(value) -> its first *complete* occurrence ``(block, pre)``
+        # over the published blocks (in publication order), or None:
+        # emptied on every publish, an oid is added by its first lookup,
+        # every other node when the first non-oid source is missing
+        # (``_every_node``).  The blocks' value arrays keep the located
+        # objects alive, so an id names one object; an id no block
+        # holds can only be reused by an object no block holds
+        self._located: dict[int, tuple[Block, int] | None] = {}
+        self._every_node = False
         self._dirty: set[str] = set()
         self._all_dirty = True
         self._synced_epoch: int | None = None
@@ -418,11 +400,12 @@ class StructuralIndex:
     def note_object_update(self, oid: Oid,
                            epoch: int | None = None) -> None:
         """An in-database edit of one object: only the blocks whose
-        interval arrays contain the oid are stale (the TextIndex-style
-        targeted maintenance).  An oid the index has never seen forces
-        a full rebuild — it cannot tell what the update touched."""
+        occurrences hold the oid are stale (the TextIndex-style
+        targeted maintenance).  An oid no block holds forces a full
+        rebuild — the index cannot tell what the update touched."""
         with self._lock:
-            touched = {name for name, _ in self._oid_nodes.get(oid, ())}
+            touched = [name for name, block in self._blocks.items()
+                       if oid in block.occurrences]
             if touched:
                 self._dirty.update(touched)
             else:
@@ -444,11 +427,9 @@ class StructuralIndex:
                     self._all_dirty = True
                     self._synced_epoch = epoch
             if self._all_dirty:
-                # every root is rebuilt: start from empty maps
+                # every root is rebuilt: start from no blocks
                 pending = list(self.instance.root_names)
                 self._blocks = {}
-                self._oid_nodes = {}
-                self._value_nodes = None
                 self._all_dirty = False
                 self._dirty.clear()
             elif self._dirty:
@@ -456,75 +437,67 @@ class StructuralIndex:
                 self._dirty.clear()
             else:
                 return 0
+            self._located = {}
+            self._every_node = False
             rebuilt = 0
             with _collector_paused():
                 for name in pending:
+                    # a rebuilt block is published last
+                    self._blocks.pop(name, None)
                     if self.instance.has_root(name):
                         self._rebuild_block(name)
                         rebuilt += 1
-                    else:
-                        self._drop_block(name)
             return rebuilt
 
     def _rebuild_block(self, name: str) -> None:
-        self._drop_block(name)
-        origin = self.instance.root(name)
-        block = _build_block(name, origin, self.instance,
-                             self.max_block_nodes)
+        block = _build_block(name, self.instance.root(name),
+                             self.instance, self.max_block_nodes)
         self._blocks[name] = block
-        self._value_nodes = None
-        for oid, positions in block.oids.items():
-            entries = self._oid_nodes.setdefault(oid, [])
-            entries.extend((name, pre) for pre in positions)
         if self.metrics is not None:
             self.metrics.inc("structindex.block_rebuilds")
             self.metrics.inc("structindex.nodes_indexed", block.size)
 
-    def _drop_block(self, name: str) -> None:
-        old = self._blocks.pop(name, None)
-        if old is None:
-            return
-        self._value_nodes = None
-        for oid in old.oids:
-            entries = self._oid_nodes.get(oid)
-            if entries is not None:
-                # copy-on-write: swap a fresh list in so a reader that
-                # grabbed the old one keeps a consistent snapshot
-                kept = [entry for entry in entries if entry[0] != name]
-                if kept:
-                    self._oid_nodes[oid] = kept
-                else:
-                    del self._oid_nodes[oid]
-
-    def _identity_map(self) -> dict[int, tuple[str, int]]:
-        """``id(value)`` → its first complete occurrence over the
-        published blocks (in publication order); built on first use
-        after any block changed.  Caller holds the lock."""
-        value_nodes = self._value_nodes
-        if value_nodes is None:
-            value_nodes = {}
-            for name, block in self._blocks.items():
+    def _locate(self, source: object) -> tuple[Block, int] | None:
+        """The first complete occurrence of a source :meth:`locate_all`
+        has not located since the last publish, recorded for an oid
+        (read off the blocks' occurrence slices); a non-oid source
+        first adds every complete node.  Caller holds the lock."""
+        located = self._located
+        key = id(source)
+        if key in located:
+            return located[key]
+        if type(source) is Oid:
+            answer = None
+            for block in self._blocks.values():
+                complete = block.complete
+                for pre in block.occurrences.get(source, ()):
+                    if complete[pre]:
+                        answer = block, pre
+                        break
+                if answer is not None:
+                    break
+            located[key] = answer
+            return answer
+        if not self._every_node:
+            self._every_node = True
+            for block in self._blocks.values():
                 complete = block.complete
                 for pre, value in enumerate(block.values):
                     if complete[pre]:
-                        value_nodes.setdefault(id(value), (name, pre))
-            self._value_nodes = value_nodes
-        return value_nodes
+                        located.setdefault(id(value), (block, pre))
+        return located.get(key)
 
     # -- lookups --------------------------------------------------------------
 
-    def locate(self, source: object) -> tuple[Block, int] | None:
-        """:meth:`locate_all` of the one source."""
-        return self.locate_all((source,))[0]
-
-    def locate_all(self, sources: Iterable[object]
+    def locate_all(self, sources: Sequence[object]
                    ) -> list[tuple[Block, int] | None]:
         """Per source, a *complete* occurrence as ``(block, pre)``, or
         ``None`` (unindexed value, or every occurrence truncated) —
         after one :meth:`refresh` and under one lock acquisition, what
-        a structural operator asks once per batch.  Oids match by
-        value (equal oids are the same allocation); any other node
-        matches by object identity.
+        a structural operator asks once per batch.  Every node matches
+        by identity (an oid is its own identity), so once a source has
+        been located since the last publish its answer is one
+        dictionary lookup.
 
         The lookups run under the index lock (a rebuild may be
         swapping blocks concurrently), but a returned :class:`Block`
@@ -534,27 +507,12 @@ class StructuralIndex:
         was built at (the serving layer's write fence decides whether
         that snapshot is current enough to return)."""
         self.refresh()
-        located: list[tuple[Block, int] | None] = []
         with self._lock:
-            blocks = self._blocks
-            oid_nodes = self._oid_nodes
-            for source in sources:
-                found = None
-                if type(source) is Oid:
-                    for name, pre in oid_nodes.get(source, ()):
-                        block = blocks.get(name)
-                        if block is not None and block.complete[pre]:
-                            found = block, pre
-                            break
-                else:
-                    entry = self._identity_map().get(id(source))
-                    if entry is not None:
-                        block = blocks.get(entry[0])
-                        if (block is not None
-                                and block.values[entry[1]] is source):
-                            found = block, entry[1]
-                located.append(found)
-        return located
+            found = list(map(self._located.get, map(id, sources)))
+            if None in found:
+                found = [self._locate(source) if answer is None else answer
+                         for source, answer in zip(sources, found)]
+        return found
 
     @property
     def blocks(self) -> dict[str, Block]:
@@ -568,7 +526,6 @@ class StructuralIndex:
             return {
                 "blocks": len(self._blocks),
                 "nodes": sum(b.size for b in self._blocks.values()),
-                "oids": len(self._oid_nodes),
                 "synced_epoch": self._synced_epoch,
                 "dirty": bool(self._all_dirty or self._dirty),
             }

@@ -76,11 +76,22 @@ class TestInferValueType:
         assert infer_value_type(ListValue([1, 2])) == list_of(INTEGER)
         assert infer_value_type(SetValue(["a"])) == set_of(STRING)
 
-    def test_heterogeneous_collection_falls_back_to_any(self):
-        from repro.oodb.types import AnyType, ListType
-        inferred = infer_value_type(ListValue([1, "x"]))
-        assert isinstance(inferred, ListType)
-        assert isinstance(inferred.element, AnyType)
+    def test_heterogeneous_collection_is_a_system_union(self):
+        from repro.oodb.types import system_union
+        # no common supertype: the distinct element types are the
+        # alternatives, in order of first appearance
+        value = ListValue([1, "x", 2])
+        inferred = infer_value_type(value)
+        assert inferred == list_of(system_union([INTEGER, STRING]))
+        assert inferred.element.markers == ("alpha1", "alpha2")
+        # its domain is the union of the alternatives' (no marker)
+        assert value_in_type(value, inferred)
+        assert not value_in_type(ListValue([1, 2.5]), inferred)
+        assert not value_in_type(
+            ListValue([UnionValue("alpha1", 1)]), inferred)
+        # objects of two classes still join (at ``any``)
+        assert infer_value_type(SetValue(
+            [Oid(1, "Article"), Oid(2, "Section")])) == set_of(ANY)
 
     def test_empty_collection(self):
         from repro.oodb.types import AnyType, SetType

@@ -233,14 +233,33 @@ class TestStructuralIndexInvariants:
     def test_built_index_verifies(self, store):
         assert verify_structural_index(store.struct_index) == []
 
-    def test_corrupted_post_order_detected(self):
+    def test_corrupted_interval_detected(self):
+        """Two swapped subtree ends: the recomputed ends disagree."""
         s = DocumentStore(ARTICLE_DTD, backend="algebra")
         s.load_text(SAMPLE_ARTICLE, name="doc")
         index = s.build_structural_index()
         block = next(iter(index.blocks.values()))
-        block.post[0], block.post[-1] = block.post[-1], block.post[0]
+        end = block.end
+        other = next(pre for pre in range(block.size)
+                     if end[pre] != end[0])
+        end[0], end[other] = end[other], end[0]
         faults = verify_structural_index(index)
         assert faults and all(f.code == "PC-INDEX" for f in faults)
+        assert any("interval ends" in f.message for f in faults)
+
+    def test_corrupted_pre_order_detected(self):
+        """A node re-parented below a node whose subtree closed before
+        it: the arrays are no longer in pre order."""
+        s = DocumentStore(ARTICLE_DTD, backend="algebra")
+        s.load_text(SAMPLE_ARTICLE, name="doc")
+        index = s.build_structural_index()
+        block = index.blocks["doc"]
+        closed, late = next((j, i) for i in range(block.size)
+                            for j in range(i) if block.end[j] < i)
+        block.parent[late] = closed
+        faults = verify_structural_index(index)
+        assert faults and all(f.code == "PC-INDEX" for f in faults)
+        assert any("not pre order" in f.message for f in faults)
 
     def test_corrupted_parent_detected(self):
         s = DocumentStore(ARTICLE_DTD, backend="algebra")

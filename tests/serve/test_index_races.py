@@ -4,12 +4,13 @@ Deterministic checks pin each discipline down without any scheduling
 luck.  TextIndex: a probe *snapshots* a token's key group in one atomic
 step, so a snapshot taken before ``remove``/``replace`` is complete and
 unchanged afterwards, and the position tuples inside it are never
-mutated.  StructuralIndex: a reader that grabbed an ``_oid_nodes``
-entry list before a rebuild keeps the *old, internally consistent*
-list, because the rebuild swaps a fresh one in.  Two threaded hammers
-then drive the same paths under real interleaving: probes racing
-``replace`` edits, and ``locate`` racing full block rebuilds, with
-zero exceptions and only-valid-states results.
+mutated.  StructuralIndex: a reader that located a block before a
+rebuild keeps the *old, internally consistent* block and answer,
+because the rebuild publishes a fresh block and a fresh lookup map.
+Two threaded hammers then drive the same paths under real
+interleaving: probes racing ``replace`` edits, and ``locate_all``
+racing full block rebuilds, with zero exceptions and only-valid-states
+results.
 """
 
 import threading
@@ -125,28 +126,32 @@ class TestTextIndexSnapshots:
 
 
 class TestStructuralIndexRebuildRaces:
-    def test_drop_block_swaps_oid_entries(self):
+    def test_rebuild_swaps_blocks_and_lookups(self):
         store = build_store(documents=1)
         index = store.struct_index
         index.refresh()
-        oid, entries = next(
-            (oid, entries)
-            for oid, entries in index._oid_nodes.items()
-            if len(entries) >= 2)
-        held = entries
-        before = list(held)
-        # force a rebuild of one of the roots the oid appears under
-        name = held[0][0]
-        index._dirty.add(name)
+        oid = next(
+            oid for oid in store.instance.all_oids()
+            if sum(oid in block.occurrences
+                   for block in index.blocks.values()) >= 2)
+        (held,) = index.locate_all([oid])
+        block, pre = held
+        positions = block.occurrences[oid]
+        before = (list(positions), block.size, block.values[pre])
+        # force a rebuild of the root the reader located the oid in
+        index._dirty.add(block.root_name)
         index.refresh()
-        # the held snapshot never mutated under the reader
-        assert held == before
-        # the published entry list is a different object (rebuilt)
-        assert index._oid_nodes[oid] is not held
+        # the held block and its slice never mutated under the reader
+        assert (list(positions), block.size, block.values[pre]) == before
+        assert block.occurrences[oid] is positions
+        # the published block and the next answer are new objects
+        assert index.blocks[block.root_name] is not block
+        (located,) = index.locate_all([oid])
+        assert located is not held and located[0] is not block
 
     def test_locate_racing_rebuilds(self):
         """Readers locating + scanning blocks while a writer keeps
-        dirtying the index: every locate returns either None or an
+        dirtying the index: every lookup returns either None or an
         internally consistent immutable block."""
         store = build_store(documents=2)
         index = store.struct_index
@@ -170,14 +175,15 @@ class TestStructuralIndexRebuildRaces:
         def reader():
             try:
                 while not done.is_set():
-                    found = index.locate(title)
+                    (found,) = index.locate_all([title])
                     if found is None:
                         continue
                     block, pre = found
                     # the block is immutable: its arrays agree with
                     # each other even if a rebuild already replaced it
                     assert 0 <= pre < block.size
-                    assert block.oids.get(title), "oid lost from block"
+                    assert block.occurrences.get(title), \
+                        "oid lost from block"
                     assert len(block.values) == block.size
                     assert len(block.complete) == block.size
             except Exception as exc:

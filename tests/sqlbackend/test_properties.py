@@ -4,8 +4,9 @@ The round-trips under test are the ones the emitter relies on:
 
 * an ordered SQL scan of ``node`` reproduces the ``paths_from``
   pre-order stream (paths, values, levels) exactly;
-* pre/post interval containment *in SQL* is ancestry (ground truth:
-  the parent chain read back from the same table);
+* interval containment *in SQL* is ancestry — ``pre < d < end_pre``
+  and the pre/post form with the post rank ``end_pre − 1 − level``
+  (ground truth: the parent chain read back from the same table);
 * ``content``/``attr`` rows match the structural index's secondary
   slices — the two physical layers index the same walk;
 * ``vkey`` round-trips through SQLite's TEXT affinity unchanged.
@@ -46,7 +47,7 @@ class TestWalkRoundTrip:
         size, seed = corpus
         store, shred = shredded_store(size, seed)
         for name, root in shred.roots.items():
-            walk = list(paths_from(root.origin, store.instance,
+            walk = list(paths_from(root.values[0], store.instance,
                                    RESTRICTED,
                                    shred.index.max_block_nodes))
             assert len(walk) == root.size
@@ -69,15 +70,15 @@ class TestWalkRoundTrip:
             if root.size < 2:
                 continue
             _, rows, _ = shred.execute(
-                "SELECT pre, post, parent, end_pre FROM node "
-                "WHERE root = ? ORDER BY pre", (name,))
+                "SELECT pre, end_pre - 1 - level, parent, end_pre "
+                "FROM node WHERE root = ? ORDER BY pre", (name,))
             post = [r[1] for r in rows]
             parent = [r[2] for r in rows]
             end = [r[3] for r in rows]
+            assert sorted(post) == list(range(root.size))
             for _ in range(200):
                 a = rng.randrange(root.size)
                 d = rng.randrange(root.size)
-                interval = a < d and post[d] < post[a]
                 node = parent[d]
                 chain = False
                 while node != -1:
@@ -85,9 +86,10 @@ class TestWalkRoundTrip:
                         chain = True
                         break
                     node = parent[node]
-                assert interval == chain
-                # end_pre is the same relation, range-scan shaped
+                # the range-scan shape, and the pre/post form with
+                # the derived post rank
                 assert (a < d < end[a]) == chain
+                assert (a < d and post[d] < post[a]) == chain
 
     @given(corpora)
     @settings(max_examples=20, deadline=None)
@@ -122,7 +124,7 @@ class TestIndexAgreement:
                         if isinstance(value, str)]
             assert rows == expected
             for pre, value in rows:
-                assert pre in block.atoms[value]
+                assert pre in block.occurrences[value]
 
     @given(corpora)
     @settings(max_examples=15, deadline=None)
@@ -140,5 +142,6 @@ class TestIndexAgreement:
                 by_name.setdefault(attr_name, []).append(pre)
             assert by_name == {n: sorted(p)
                                for n, p in block.attr_steps.items()}
-            assert sorted(pre for _, pre in rows) \
-                == sorted(block.attr_positions)
+            assert sorted(pre for _, pre in rows) == sorted(
+                pre for positions in block.attr_steps.values()
+                for pre in positions)

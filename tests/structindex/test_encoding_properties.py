@@ -3,8 +3,11 @@
 The invariants under test are the ones the scan/join operators rely on:
 
 * interval containment is ancestry —
-  ``pre(a) < pre(d) ∧ post(d) < post(a)  ⇔  a is an ancestor of d``
-  (ground truth: the parent chain);
+  ``pre(a) < pre(d) < end(a)  ⇔  a is an ancestor of d``, and so is
+  ``pre(a) < pre(d) ∧ post(d) < post(a)`` with the derived post rank
+  ``end − 1 − level`` (ground truth: the parent chain);
+* the derived post rank is the post-order rank of an independent
+  ``paths_from`` walk;
 * level/parent/end consistency (pre-order array well-formedness);
 * a *complete* node's range scan enumerates exactly what a fresh
   ``paths_from`` walk from its value would;
@@ -32,6 +35,7 @@ from repro.corpus.generator import generate_corpus
 from repro.oodb import (
     STRING,
     Instance,
+    ListValue,
     SetValue,
     TupleValue,
     UnionValue,
@@ -62,6 +66,11 @@ def indexed_store(size: int, seed: int):
 corpora = st.tuples(st.integers(1, 3), st.integers(0, 19))
 
 
+def _post(block, pre: int) -> int:
+    """The post rank the encoding carries in ``end`` and ``level``."""
+    return block.end[pre] - 1 - block.level[pre]
+
+
 def _is_ancestor_by_chain(block, a: int, d: int) -> bool:
     node = block.parent[d]
     while node != -1:
@@ -82,9 +91,10 @@ class TestIntervalContainment:
             pairs = [(rng.randrange(block.size), rng.randrange(block.size))
                      for _ in range(200)]
             for a, d in pairs:
-                interval = a < d and block.post[d] < block.post[a]
-                assert interval == _is_ancestor_by_chain(block, a, d)
-                assert block.is_ancestor(a, d) == interval
+                chain = _is_ancestor_by_chain(block, a, d)
+                assert (a < d < block.end[a]) == chain
+                assert (a < d and _post(block, d) < _post(block, a)) \
+                    == chain
 
     @given(corpora)
     @settings(max_examples=20, deadline=None)
@@ -97,9 +107,9 @@ class TestIntervalContainment:
                 assert pre < stop <= block.size
                 # exactly the nodes in [pre+1, stop) are descendants
                 for d in range(pre + 1, min(stop, pre + 40)):
-                    assert block.is_ancestor(pre, d)
+                    assert _is_ancestor_by_chain(block, pre, d)
                 if stop < block.size:
-                    assert not block.is_ancestor(pre, stop)
+                    assert not _is_ancestor_by_chain(block, pre, stop)
 
 
 class TestArrayConsistency:
@@ -134,7 +144,32 @@ class TestArrayConsistency:
         size, seed = corpus
         _, index = indexed_store(size, seed)
         for block in index.blocks.values():
-            assert sorted(block.post) == list(range(block.size))
+            posts = [_post(block, pre) for pre in range(block.size)]
+            assert sorted(posts) == list(range(block.size))
+
+    @given(corpora)
+    @settings(max_examples=20, deadline=None)
+    def test_derived_post_is_the_walks_post_order(self, corpus):
+        """Number the nodes of a fresh ``paths_from`` walk in post
+        order — a node closes when the walk next enters a node no
+        deeper than it — and compare with ``end − 1 − level``."""
+        size, seed = corpus
+        store, index = indexed_store(size, seed)
+        for block in index.blocks.values():
+            walk = list(paths_from(block.values[0], store.instance,
+                                   RESTRICTED))
+            assert len(walk) == block.size
+            posts = [None] * len(walk)
+            open_nodes: list[tuple[int, int]] = []  # (depth, pre)
+            counter = 0
+            for pre, (path, _) in enumerate(walk + [(Path.EMPTY, None)]):
+                depth = len(path.steps)
+                while open_nodes and open_nodes[-1][0] >= depth:
+                    posts[open_nodes.pop()[1]] = counter
+                    counter += 1
+                open_nodes.append((depth, pre))
+            assert posts == [_post(block, pre)
+                             for pre in range(block.size)]
 
     @given(corpora)
     @settings(max_examples=20, deadline=None)
@@ -142,15 +177,21 @@ class TestArrayConsistency:
         size, seed = corpus
         _, index = indexed_store(size, seed)
         for block in index.blocks.values():
-            for oid, positions in block.oids.items():
-                assert positions == sorted(positions)
-                assert all(block.values[p] == oid for p in positions)
-            for atom, positions in block.atoms.items():
-                assert positions == sorted(positions)
-                assert all(block.values[p] == atom for p in positions)
-            for cls, positions in block.classes.items():
-                assert all(block.values[p].class_name == cls
-                           for p in positions)
+            held = 0
+            for value, positions in block.occurrences.items():
+                assert positions == sorted(set(positions))
+                if isinstance(value, Oid):
+                    assert all(block.values[p] is value
+                               for p in positions)
+                else:
+                    assert all(block.values[p] == value
+                               for p in positions)
+                held += len(positions)
+            # every oid and atom node is in exactly one slice
+            assert held == sum(
+                1 for value in block.values
+                if not isinstance(value, (TupleValue, ListValue,
+                                          SetValue)))
 
 
 def _range_scan(block, pre):
@@ -385,7 +426,7 @@ class TestReloadStability:
         for name, block in index.blocks.items():
             printed[name] = [
                 (str(block.path(pre)), block.level[pre],
-                 block.parent[pre], block.post[pre], block.end[pre],
+                 block.parent[pre], block.end[pre],
                  block.complete[pre],
                  type(block.values[pre]).__name__)
                 for pre in range(block.size)]

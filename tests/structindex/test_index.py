@@ -69,10 +69,10 @@ class TestFreshness:
         assert index.refresh() == len(store.instance.root_names)
 
     def test_locate_refreshes_first(self, store):
-        # a stale index never serves a lookup: locate() sees the new
-        # document without an explicit refresh() call
+        # a stale index never serves a lookup: locate_all() sees the
+        # new document without an explicit refresh() call
         oid = store.load_text(SAMPLE_ARTICLE, name="late_arrival")
-        located = store.struct_index.locate(oid)
+        (located,) = store.struct_index.locate_all([oid])
         assert located is not None
         block, pre = located
         assert block.values[pre] == oid
@@ -99,6 +99,47 @@ class TestTargetedUpdates:
         names = set(s.instance.root_names)
         assert {"doc0", "doc1", "doc3"} < names
         assert metrics.get("structindex.block_rebuilds") == 2
+
+    @staticmethod
+    def holding(index, oid) -> set:
+        """The blocks any occurrence of ``oid`` (complete or not) is
+        in, by brute force over the values: what the index-wide oid
+        map answered when it existed."""
+        return {name for name, block in index.blocks.items()
+                if any(value is oid for value in block.values)}
+
+    def test_dirty_marking_per_holding_block(self):
+        """An oid held in one block dirties that block, one held in
+        two dirties both, and an oid no block holds dirties
+        everything."""
+        s = DocumentStore(BOOK_DTD, backend="algebra")
+        s.load_text(NESTED_BOOK, name="my_book")
+        # a title no document holds, under a name of its own
+        title = next(oid for oid in s.instance.all_oids()
+                     if oid.class_name == "Title")
+        orphan = s.instance.new_object("Title")
+        s.instance.set_value(orphan, s.instance.deref(title))
+        s.define_name("orphan", orphan)
+        index = s.struct_index
+        index.refresh()
+        by_count: dict = {}
+        for oid in s.instance.all_oids():
+            by_count.setdefault(len(self.holding(index, oid)), oid)
+        assert {0, 1, 2} <= set(by_count)
+        for count in (1, 2):
+            oid = by_count[count]
+            index.note_object_update(oid, epoch=s.plan_cache.epoch)
+            assert index._dirty == self.holding(index, oid)
+            assert len(index._dirty) == count
+            assert not index._all_dirty
+            assert index.refresh() == count
+        # an object inside a suppressed subtree, and an oid the
+        # instance never allocated
+        for unseen in (by_count[0], Oid(999_998, "Title")):
+            assert self.holding(index, unseen) == set()
+            index.note_object_update(unseen, epoch=s.plan_cache.epoch)
+            assert index._all_dirty and not index._dirty
+            assert index.refresh() == len(s.instance.root_names)
 
     def test_update_of_unknown_oid_degrades_to_full_rebuild(self, store):
         index = store.struct_index
@@ -170,8 +211,8 @@ class TestCompleteness:
         s = DocumentStore(BOOK_DTD, backend="algebra")
         s.load_text(NESTED_BOOK, name="my_book")
         index = s.struct_index
-        for oid in s.instance.all_oids():
-            located = index.locate(oid)
+        oids = list(s.instance.all_oids())
+        for oid, located in zip(oids, index.locate_all(oids)):
             if located is None:
                 continue
             block, pre = located
@@ -218,9 +259,9 @@ class TestMaxPathsParity:
         contract: a subtree one node over ``max_paths`` raises the
         walk's error text, one at the limit is one range scan."""
         from repro.errors import EvaluationError
-        block, pre = store.struct_index.locate(
-            store.instance.root("my_article"))
-        size = block.subtree_size(pre)
+        (block, pre), = store.struct_index.locate_all(
+            [store.instance.root("my_article")])
+        size = block.end[pre] - pre
         oracle = DocumentStore(ARTICLE_DTD, backend="calculus")
         oracle.load_text(SAMPLE_ARTICLE, name="my_article")
         text = "select PATH_p from my_article PATH_p"

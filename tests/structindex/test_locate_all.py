@@ -2,10 +2,11 @@
 
 :meth:`StructuralIndex.locate_all` answers a structural operator's
 whole batch of sources after one ``refresh()`` and under one lock
-acquisition; ``locate`` is its one-source case.  Per source the answer
-must be what the definition says — a *complete* occurrence of the
-source (an oid by value, anything else by identity), ``None`` when
-there is none — whatever else is in the batch.  The structural
+acquisition.  Per source the answer must be what the definition says —
+the first *complete* occurrence of the source by identity (an oid is
+its own identity) in publication order, ``None`` when there is none —
+whatever else is in the batch, and whether or not a non-oid source
+has been looked up since the last publish.  The structural
 operators' work counters on the seven e2e query classes, and on a
 recursive document whose inner occurrences are truncated, are pinned
 as the per-source lookups counted them.
@@ -27,33 +28,30 @@ WORK = ("structindex.range_scans", "structindex.nodes_scanned",
 
 def complete_occurrences(index, source) -> list:
     """Every complete ``(block, pre)`` holding ``source``, by brute
-    force over the published blocks."""
+    force over the published blocks, in publication order."""
     found = []
     for block in index.blocks.values():
         for pre, value in enumerate(block.values):
-            same = (value == source if isinstance(source, Oid)
-                    else value is source)
-            if same and block.complete[pre]:
+            if value is source and block.complete[pre]:
                 found.append((block, pre))
     return found
 
 
 def check_batch(index, sources) -> list:
-    """``locate_all`` over ``sources`` equals one ``locate`` per
-    source and the brute-force definition; returns its answer."""
+    """``locate_all`` over ``sources`` equals one lookup per source
+    and the brute-force definition (the first complete occurrence);
+    returns its answer."""
     located = index.locate_all(sources)
     assert len(located) == len(sources)
     for source, answer in zip(sources, located):
-        alone = index.locate(source)
-        assert (answer is None) == (alone is None)
-        if answer is not None:
-            assert answer[0] is alone[0] and answer[1] == alone[1]
+        (alone,) = index.locate_all([source])
+        assert alone == answer
         occurrences = complete_occurrences(index, source)
         if answer is None:
             assert occurrences == []
         else:
-            assert any(block is answer[0] and pre == answer[1]
-                       for block, pre in occurrences)
+            block, pre = occurrences[0]
+            assert answer[0] is block and answer[1] == pre
     return located
 
 
@@ -125,9 +123,41 @@ class TestLocateAll:
         assert len(calls) == 1
         assert not index.stats()["dirty"]
         block, pre = located[0]
-        assert block.values[pre] == oid
-        assert located == [index.locate(source)
+        assert block.values[pre] is oid
+        assert located == [index.locate_all([source])[0]
                            for source in [oid] + others]
+
+    def test_after_a_partial_rebuild(self):
+        """An edit rebuilds the blocks holding the edited object; the
+        rebuilt blocks are published last, and the lookup answers from
+        the new blocks — for oids first, then for every node."""
+        store = DocumentStore(ARTICLE_DTD, backend="algebra")
+        store.load_text(SAMPLE_ARTICLE, name="my_article")
+        store.load_text(SAMPLE_ARTICLE, name="my_copy")
+        index = store.struct_index
+        oids = list(store.instance.all_oids())
+        before = check_batch(index, oids)
+        title = next(oid for oid in oids if oid.class_name == "Title"
+                     and TestLocateAll.holders(index, oid) == 2)
+        old = index.blocks
+        store.update_text(title, "A partially rebuilt title")
+        assert index.refresh() == 2
+        new = index.blocks
+        assert [name for name in new if new[name] is old[name]] \
+            == ["my_copy"]
+        located = check_batch(index, oids)
+        assert located != before
+        # the rebuilt blocks hold no stale answer
+        assert all(answer[0] is new[answer[0].root_name]
+                   for answer in located if answer is not None)
+        nodes = [value for block in new.values()
+                 for value in block.values]
+        check_batch(index, oids + nodes)
+
+    @staticmethod
+    def holders(index, oid) -> int:
+        return sum(any(value is oid for value in block.values)
+                   for block in index.blocks.values())
 
 
 class TestStructuralOperators:
@@ -160,11 +190,11 @@ class TestStructuralOperators:
         one block at once.  Sources that alternate between the ``Books``
         block, the ``Mixed`` block and no block (inner sections, whose
         occurrences are truncated; ``Big`` itself exceeds the block
-        budget) give the interpreter's rows, with one live walk per
-        unlocated source.  (The union of plans is no reference here:
-        over this heterogeneous root it misses rows — CHANGES.md.)"""
+        budget) give the interpreter's and the union of plans' rows,
+        with one live walk per unlocated source."""
         scanned = self.mixed_store("algebra")
         interpreter = self.mixed_store("calculus")
+        plans = self.mixed_store("algebra", structural=False)
         big = list(scanned.instance.root("Big"))
         located = scanned.struct_index.locate_all(big)
         blocks = [None if found is None else found[0].root_name
@@ -177,6 +207,7 @@ class TestStructuralOperators:
                      "select t from x in Big, x PATH_p.ATT_a(t)"):
             answer = scanned.query(text)
             assert answer and answer == interpreter.query(text), text
+            assert answer == plans.query(text), text
         counters = scanned.explain_analyze(
             "select t from x in Big, x PATH_p.title(t)").metrics[
             "counters"]
@@ -185,8 +216,9 @@ class TestStructuralOperators:
             len(blocks) - blocks.count(None))
 
     @staticmethod
-    def mixed_store(backend):
-        store = DocumentStore(BOOK_DTD, backend=backend)
+    def mixed_store(backend, structural=True):
+        store = DocumentStore(BOOK_DTD, backend=backend,
+                              structural=structural)
         store.load_text(NESTED_BOOK, name="my_book")
         store.load_text(NESTED_BOOK)
         sections = [oid for oid in store.instance.all_oids()

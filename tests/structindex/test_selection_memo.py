@@ -65,7 +65,7 @@ def assert_same_answers(pair, queries):
 def containing(index, oid):
     """The published blocks whose arrays hold ``oid``."""
     return {name: block for name, block in index.blocks.items()
-            if oid in block.oids}
+            if oid in block.occurrences}
 
 
 def assert_replaced(index, old, reads):
@@ -173,7 +173,8 @@ class TestMemoFreshness:
         assert not any(isinstance(structural.instance.deref(oid), Oid)
                        for oid in blocked)
         title = structural.instance.deref(blocked[0]).get("title")
-        assert title not in block.oids  # inside the suppressed subtree
+        # inside the suppressed subtree
+        assert title not in block.occurrences
         for store in pair:
             store.update_text(title, "The final chapter")
         reads.clear()

@@ -128,6 +128,42 @@ class TestRecursiveAlgebra:
             assert execute_plan(plan, store._engine.ctx) == interpreted
 
 
+    @pytest.mark.parametrize("text", [
+        "select x2 from x in Mixed, x PATH_p(x2)",
+        "select t from x in Mixed, x PATH_p.title(t)",
+        "select PATH_p from x in Mixed, x PATH_p.title(t)",
+        "select name(ATT_a) from x in Mixed, x PATH_p.ATT_a(v)",
+    ])
+    def test_union_of_plans_over_a_mixed_name(self, text):
+        """A name holding a section object beside a loose tuple: its
+        elements have no common supertype, so their types are the
+        alternatives of a system union, and the union of plans expands
+        the path variable from each — the interpreter's rows, the inner
+        sections' included."""
+        from repro.oodb import ListValue, TupleValue
+        from repro.oodb.types import UnionType
+        stores = {}
+        for backend, structural in (("calculus", True),
+                                    ("algebra", False),
+                                    ("algebra", True)):
+            s = DocumentStore(BOOK_DTD, backend=backend,
+                              structural=structural)
+            s.load_text(NESTED_BOOK, name="my_book")
+            section = min((oid for oid in s.instance.all_oids()
+                           if oid.class_name == "Section"),
+                          key=lambda oid: oid.number)
+            s.define_name("Mixed", ListValue(
+                [section, TupleValue([("title", "Loose")])]))
+            stores[backend, structural] = s
+        expected = stores["calculus", True].query(text)
+        assert stores["algebra", False].query(text) == expected
+        assert stores["algebra", True].query(text) == expected
+        element = stores["algebra", False].schema.roots["Mixed"].element
+        assert isinstance(element, UnionType) and len(element) == 2
+        # the declared type admits the value: the instance checks
+        stores["algebra", False].check()
+
+
 class TestRecursiveInverse:
     def test_export_round_trip(self, store):
         from repro.sgml.instance_parser import parse_document

@@ -14,7 +14,11 @@ is doing — and their sum per class and per pass: the table
 EXPERIMENTS.md quotes before and after a change to the executor (P16,
 P19, P33).  Above
 the table: the structural-index build the first query after the loads
-pays for (ms and ``structindex.nodes_indexed``).
+pays for (ms and ``structindex.nodes_indexed``); below it, the bytes
+the index retains per structure (each block array and slice, the
+selection memos, the lookup map) after one more full rebuild and one
+pass over the classes, beside what ``tracemalloc`` traced over that
+window (P34).
 
 Cold (``--cold``): builds the ``compile_cold``-shaped store (20
 articles by default) and runs distinct variants of every
@@ -131,6 +135,79 @@ def warm(store, spec: dict, repeats: int) -> None:
     print(f"{'one pass':<18}{whole_pass:9.2f} ms "
           f"({1000 * len(spec['query_classes']) / whole_pass:.1f} ops/s)"
           f"  operators' self {whole_self:.2f} ms")
+    index_memory(store, spec)
+
+
+def index_memory(store, spec: dict) -> None:
+    """The bytes the structural index retains, per structure, after one
+    more full rebuild and one pass over the query classes (which fill
+    the selection memos and the lookup map).  A structure's bytes are
+    the ``sys.getsizeof`` of the objects it reaches that the instance
+    does not (the values an array points at are the instance's), each
+    object counted once, for the first structure that reaches it:
+    block slots, arrays first, then the index's own maps.  The total
+    ``tracemalloc`` traced over that window is printed beside them (it
+    also holds what the queries left in other caches)."""
+    import tracemalloc
+    index = store.struct_index
+    tracemalloc.start()
+    try:
+        index.note_data_change(store.plan_cache.epoch)
+        index.refresh()
+        for text in spec["query_classes"].values():
+            store.query(text)
+        traced = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    blocks = list(index.blocks.values())
+    slots = sorted(type(blocks[0]).__slots__,
+                   key=lambda name: (name.startswith("_"), name))
+    structures = {f"block.{slot}": [getattr(block, slot)
+                                    for block in blocks]
+                  for slot in slots}
+    structures.update(
+        (f"index.{name}", [value])
+        for name, value in vars(index).items()
+        if name != "_blocks" and isinstance(value, (dict, list)))
+    # what the instance holds, and the interpreter's shared constants,
+    # are no structure's
+    seen = {id(None), id(True), id(False), *map(id, range(-5, 257))}
+    instance = store.instance
+    _retained([instance.root(name) for name in instance.root_names]
+              + [(oid, instance.deref(oid))
+                 for oid in instance.all_oids()], seen)
+    sizes = {label: _retained(roots, seen)
+             for label, roots in structures.items()}
+    print(f"{'index memory':<18}{sum(sizes.values()) / 1e6:9.2f} MB  "
+          f"({len(blocks)} blocks; {traced / 1e6:.2f} MB traced over "
+          "the rebuild and the pass)")
+    for label, size in sizes.items():
+        if size:
+            print(f"    {label:<28}{size:>12,} B")
+
+
+def _retained(roots: list, seen: set[int]) -> int:
+    """Bytes of the objects reachable from ``roots`` and not yet in
+    ``seen`` (which this extends)."""
+    from repro.oodb.values import ListValue, SetValue, TupleValue
+    total = 0
+    stack = list(roots)
+    while stack:
+        item = stack.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        total += sys.getsizeof(item)
+        if isinstance(item, dict):
+            stack.extend(item.keys())
+            stack.extend(item.values())
+        elif isinstance(item, (list, tuple)):
+            stack.extend(item)
+        elif isinstance(item, TupleValue):
+            stack.extend(item.fields)
+        elif isinstance(item, (ListValue, SetValue)):
+            stack.extend(item.items)
+    return total
 
 
 def phases_of(root) -> dict[str, float]:
