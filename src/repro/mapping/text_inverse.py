@@ -40,18 +40,51 @@ def text_of(value: object, instance=None, provenance=None) -> str:
     return " ".join(piece for piece in pieces if piece)
 
 
-def _source_text(element: Element) -> str:
+def source_layout(root: Element) -> tuple[str, list[list]]:
+    """``root``'s source text and where each element's text lies in it:
+    one ``[element, parent, start, end]`` entry per element of the tree,
+    ``root`` first, in document order, ``parent`` the position of the
+    parent's entry (``-1`` for ``root``) and ``text[start:end]`` the
+    element's own source text.  One walk, by the rule of ``text()``."""
+    layout: list[list] = [[root, -1, 0, 0]]
+    text = _source_text(root, layout, 0)
+    layout[0][3] = len(text)
+    for entry in layout[1:]:  # a parent's entry precedes its children's
+        start = layout[entry[1]][2]
+        entry[2] += start
+        entry[3] += start
+    return text, layout
+
+
+def _source_text(element: Element, layout: list | None = None,
+                 position: int = 0) -> str:
     """The element's character data; a new segment starts between two
-    adjacent child elements, and segments are joined by one space."""
+    adjacent child elements, and segments are joined by one space.
+    Given ``layout``, where ``element``'s own entry is at ``position``,
+    each child element appends its entry there (see
+    :func:`source_layout`), offsets relative to ``element``'s text."""
     segments = []
     current = ""
+    joined = 0  # the length of the non-empty segments joined so far
     after_element = False
     for child in element.children:
         if isinstance(child, Element):
             if after_element:
                 segments.append(current)
+                if current:
+                    joined += len(current) + 1 if joined else len(current)
                 current = ""
-            current += _source_text(child)
+            if layout is None:
+                current += _source_text(child)
+            else:
+                entry = [child, position, 0, 0]
+                layout.append(entry)
+                child_text = _source_text(child, layout, len(layout) - 1)
+                # a non-empty child text makes its segment non-empty, so
+                # one space separates it from the segments before
+                entry[2] = (joined + 1 if joined else 0) + len(current)
+                entry[3] = entry[2] + len(child_text)
+                current += child_text
             after_element = True
         else:
             current += child.content

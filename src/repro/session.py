@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import os
 import threading
+from collections import Counter
 from contextlib import contextmanager
 
 from repro.cache import EpochPin, PlanCache, PreparedQuery
 from repro.errors import MappingError
 from repro.mapping.dtd_to_schema import MappedSchema, map_dtd
 from repro.mapping.loader import DocumentLoader
-from repro.mapping.text_inverse import text_of
+from repro.mapping.text_inverse import source_layout, text_of
 from repro.o2sql.engine import QueryEngine
 from repro.oodb.display import format_schema
 from repro.oodb.store import ObjectStore, atomic_write
@@ -210,19 +211,67 @@ class DocumentStore:
         """Keep incremental structures current for a fresh document:
         index its objects' text (when an index exists) and extend the
         parent map (when one has been built).  Only the objects the
-        load allocated are visited, and indexing one costs a tokenizer
-        pass over its text plus one index entry per distinct token —
-        the cost of a load does not grow with the corpus."""
+        load allocated are visited: the document's text is tokenized
+        once, and each object is a span of that token stream (see
+        :meth:`_index_documents`) — the cost of a load does not grow
+        with the corpus."""
         if self.text_index is None and self._parents is None:
             return
-        for oid in self.instance.oids_since(first_new):
-            if self.text_index is not None:
-                content = text_of(oid, self.instance,
-                                  self.loader.provenance)
-                if content:
-                    self.text_index.add(oid, content)
-            if self._parents is not None:
+        oids = list(self.instance.oids_since(first_new))
+        if self.text_index is not None:
+            self._index_documents(self.text_index, oids)
+        if self._parents is not None:
+            for oid in oids:
                 self._record_children(oid)
+
+    def _index_documents(self, index: TextIndex, oids) -> None:
+        """Index the text of ``oids``: one token stream per source
+        document their provenance covers, every object with non-empty
+        text a span of it (:meth:`TextIndex.add_document`).  An object
+        without provenance gets a stream of its own, and so does one
+        whose text does not fit its span; ``text.own_stream_keys``
+        counts them, ``text.own_stream_keys.<reason>`` by reason."""
+        instance, provenance = self.instance, self.loader.provenance
+        by_element: dict[int, list[Oid]] = {}
+        tops: dict[int, Element] = {}
+        apart = []
+        for oid in oids:
+            element = provenance.get(oid.number)
+            if element is None:
+                apart.append(oid)
+                continue
+            by_element.setdefault(id(element), []).append(oid)
+            while element.parent is not None:
+                element = element.parent
+                if id(element) in tops or id(element) in by_element:
+                    break
+            else:
+                tops[id(element)] = element
+        reasons: Counter[str] = Counter()
+        for top in tops.values():
+            text, layout = source_layout(top)
+            spans = []
+            # per layout entry: the position in spans of its own span,
+            # or else of its nearest ancestor's
+            span_of: list[int] = []
+            for element, parent, start, end in layout:
+                enclosing = span_of[parent] if parent >= 0 else -1
+                for oid in by_element.get(id(element), ()):
+                    content = text_of(oid, instance, provenance)
+                    if content:
+                        spans.append((oid, enclosing, start, end, content))
+                        enclosing = len(spans) - 1
+                span_of.append(enclosing)
+            reasons += index.add_document(text, spans)
+        for oid in apart:
+            content = text_of(oid, instance, provenance)
+            if content:
+                index.add(oid, content)
+                reasons["no_provenance"] += 1
+        if self._metrics is not None:
+            for reason, count in reasons.items():
+                self._metrics.inc("text.own_stream_keys", count)
+                self._metrics.inc(f"text.own_stream_keys.{reason}", count)
 
     def define_name(self, name: str, value: object) -> None:
         """Register an extra persistence root (an O₂ *name*)."""
@@ -269,11 +318,7 @@ class DocumentStore:
         complete one — never a half-built state."""
         with self._write_lock:
             index = TextIndex()
-            for oid in self.instance.all_oids():
-                content = text_of(oid, self.instance,
-                                  self.loader.provenance)
-                if content:
-                    index.add(oid, content)
+            self._index_documents(index, self.instance.all_oids())
             index.metrics = self._metrics
             self.text_index = index
             self._engine.ctx.text_index = index
@@ -443,13 +488,16 @@ class DocumentStore:
 
         An existing text index is maintained incrementally: the edited
         object *and every ancestor* embed the changed character data in
-        their reconstructed text, so all of them are re-indexed (and
-        the plan-cache epoch is bumped, so a cached index-backed plan
-        re-probes the fresh postings on its recompile).  Re-indexing
-        costs the ancestors' own tokens — one entry dropped and one
-        inserted per distinct token of each — whatever the other
-        documents sharing those tokens hold; the first edit on a store
-        also builds the parent map (one scan of the instance).
+        their reconstructed text, so all of them are re-indexed, each
+        in a token stream of its own (and the plan-cache epoch is
+        bumped, so a cached index-backed plan re-probes the fresh
+        postings on its recompile).  Re-indexing costs the ancestors'
+        own streams: leaving the document's stream copies that stream's
+        owner and parent arrays and cuts the posting entries of the
+        offsets no object holds any more, and the new stream inserts
+        one entry per distinct token — whatever the other documents
+        sharing those tokens hold; the first edit on a store also
+        builds the parent map (one scan of the instance).
         """
         from repro.oodb.values import TupleValue
         from repro.mapping.naming import TEXT_FIELD

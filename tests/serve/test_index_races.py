@@ -1,10 +1,11 @@
 """The index-level concurrency contract the serving layer builds on.
 
 Deterministic checks pin each discipline down without any scheduling
-luck.  TextIndex: a probe *snapshots* a token's key group in one atomic
-step, so a snapshot taken before ``remove``/``replace`` is complete and
-unchanged afterwards, and the position tuples inside it are never
-mutated.  StructuralIndex: a reader that located a block before a
+luck.  TextIndex: a probe *snapshots* a token's postings (stream id →
+offsets) in one atomic step, so a snapshot taken before
+``remove``/``replace`` is complete and unchanged afterwards, the offset
+tuples inside it are never mutated, and a stream a key is removed from
+is replaced by a new stream object, never edited.  StructuralIndex: a reader that located a block before a
 rebuild keeps the *old, internally consistent* block and answer,
 because the rebuild publishes a fresh block and a fresh lookup map.
 Two threaded hammers then drive the same paths under real
@@ -13,6 +14,7 @@ racing full block rebuilds, with zero exceptions and only-valid-states
 results.
 """
 
+import sys
 import threading
 
 from repro.corpus import SAMPLE_ARTICLE
@@ -27,9 +29,10 @@ class TestTextIndexSnapshots:
         index = TextIndex()
         index.add("a", "shared token stream")
         index.add("b", "shared token stream")
+        (stream_a, _), (stream_b, _) = index._keys["a"], index._keys["b"]
         # the probe's one atomic step (keys_with_phrase: group.copy(),
-        # keys_with_word: set(group))
-        held = index._groups["shared"].copy()
+        # keys_with_word: list(group.items()))
+        held = index._postings["shared"].copy()
         keys = index.keys_with_word("shared")
         before = dict(held)
 
@@ -37,27 +40,54 @@ class TestTextIndexSnapshots:
 
         # what the probe holds is the complete pre-edit group — a probe
         # mid-read never sees a half-removed key
-        assert held == before == {"a": (0,), "b": (0,)}
+        assert held == before == {stream_a: (0,), stream_b: (0,)}
         assert keys == {"a", "b"}
-        # the live group lost exactly "a"'s entry, in place
-        assert index._groups["shared"] == {"b": (0,)}
+        # the live group lost exactly "a"'s stream entry, in place, and
+        # the next probe builds the key set afresh
+        assert index._postings["shared"] == {stream_b: (0,)}
+        assert index.keys_with_word("shared") == {"b"}
 
     def test_positions_are_replaced_never_mutated(self):
         index = TextIndex()
         index.add("doc", "alpha beta alpha")
-        held = index._groups["alpha"].copy()
-        positions = held["doc"]
-        assert positions == (0, 2) and isinstance(positions, tuple)
+        held = index._postings["alpha"].copy()
+        before = dict(held)
+        (offsets,) = held.values()
+        assert offsets == (0, 2) and isinstance(offsets, tuple)
 
-        index.add("doc", "alpha")        # continues the key's positions
-        assert index._groups["alpha"]["doc"] == (0, 2, 3)
-        assert index._groups["alpha"]["doc"] is not positions
+        index.add("doc", "alpha")        # continues the key's offsets
+        (extended,) = index._postings["alpha"].values()
+        assert extended == (0, 2, 3) and extended is not offsets
         index.replace("doc", "beta gamma")
 
         # the snapshot and the tuple inside it are what they were
-        assert held == {"doc": (0, 2)} and held["doc"] is positions
-        assert "alpha" not in index._groups
-        assert index._groups["beta"] == {"doc": (0,)}
+        assert held == before and list(held.values()) == [(0, 2)]
+        assert next(iter(held.values())) is offsets
+        assert "alpha" not in index._postings
+        assert list(index._postings["beta"].values()) == [(0,)]
+
+    def test_a_stream_is_replaced_never_mutated(self):
+        """Removing one key of a document stream publishes a new stream
+        object: a probe holding the old one keeps reading the old
+        spans, and the memo of the old version is not the new one's."""
+        index = TextIndex()
+        index.add_document("alpha beta gamma", [
+            ("doc", -1, 0, 16, "alpha beta gamma"),
+            ("head", 0, 0, 10, "alpha beta")])
+        (stream_id, _) = index._keys["doc"]
+        held = index._streams[stream_id]
+        memo = index._memo
+        assert index.keys_with_word("beta") == {"doc", "head"}
+        assert memo["beta"] == {"doc", "head"}
+
+        index.remove("doc")
+
+        assert index._streams[stream_id] is not held
+        assert set(held.keys_covering([1], 1)) == {"doc", "head"}
+        assert index._memo is not memo and "beta" not in index._memo
+        assert index.keys_with_word("beta") == {"head"}
+        # "gamma" was the removed key's alone: its entry is cut
+        assert "gamma" not in index._postings
 
     def test_probes_racing_replace_see_only_valid_states(self):
         """Readers probing words and phrases while a writer re-indexes.
@@ -123,6 +153,97 @@ class TestTextIndexSnapshots:
             assert key in index.keys_with_word(version)
             other = "zero" if version == "one" else "one"
             assert key not in index.keys_with_word(other)
+
+    def test_probes_racing_document_streams_converge(self):
+        """Readers probing words, regex words and phrases while a writer
+        adds document streams and lifts keys out of them (``remove``,
+        ``replace``), with a short switch interval.  No probe raises or
+        names a key never indexed, and once the writer is done every
+        probe equals an index built key by key from the same script: no
+        key set of an older version survived in the memo."""
+        from repro.text.patterns import Pattern
+
+        def script(round_number):
+            document = f"alpha beta {round_number % 3} gamma stable"
+            keys = [f"d{round_number}", f"d{round_number}.head",
+                    f"d{round_number}.tail"]
+            spans = [(keys[0], -1, 0, len(document), document),
+                     (keys[1], 0, 0, 10, "alpha beta"),
+                     (keys[2], 0, 13, len(document), "gamma stable")]
+            edits = []
+            if round_number >= 2:
+                edits.append(("remove", f"d{round_number - 2}", None))
+                edits.append(("replace", f"d{round_number - 1}.head",
+                              f"beta alpha version {round_number % 2}"))
+            return spans, edits
+
+        rounds = ROUNDS // 3
+        every_key = {f"d{n}{part}" for n in range(rounds)
+                     for part in ("", ".head", ".tail")}
+        probes = [Pattern(word) for word in (
+            "alpha", "beta", "gamma", "stable", "0", "1", "(a|b).*")]
+        probes += [Pattern("alpha beta"), Pattern("beta 1 gamma"),
+                   Pattern("gamma stable"), Pattern("beta alpha")]
+        index = TextIndex()
+        errors = []
+        done = threading.Event()
+
+        def writer():
+            try:
+                for round_number in range(rounds):
+                    spans, edits = script(round_number)
+                    index.add_document(spans[0][4], spans)
+                    for action, key, text in edits:
+                        if action == "remove":
+                            index.remove(key)
+                        else:
+                            index.replace(key, text)
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+            finally:
+                done.set()
+
+        def reader():
+            try:
+                while not done.is_set():
+                    for pattern in probes:
+                        keys, exact = index.probe(pattern)
+                        assert exact and set(keys) <= every_key
+                        index.posting_size(pattern.source)
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader) for _ in range(4)]
+            threads.append(threading.Thread(target=writer))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+
+        expected = TextIndex()
+        for round_number in range(rounds):
+            spans, edits = script(round_number)
+            for key, _, _, _, text in spans:
+                expected.add(key, text)
+            for action, key, text in edits:
+                if action == "remove":
+                    expected.remove(key)
+                else:
+                    expected.replace(key, text)
+        assert index.document_count == expected.document_count
+        assert index.occurrence_total == expected.occurrence_total
+        for pattern in probes:
+            assert index.probe(pattern) == expected.probe(pattern), \
+                pattern.source
+            assert index.posting_size(pattern.source) == \
+                expected.posting_size(pattern.source)
 
 
 class TestStructuralIndexRebuildRaces:

@@ -1,5 +1,5 @@
 """``tools/ingest_profile.py`` runs end to end on a tiny corpus and its
-exact rows say what the write path promises."""
+exact rows say what the write path and the text index promise."""
 
 import subprocess
 import sys
@@ -28,3 +28,32 @@ def test_ingest_profile_smoke():
     # oids across the corpus
     assert int(rows["Oid == / 4 loads"][0]) == 0
     assert int(rows["Oid == / update_text"][0]) < 10
+    # the text index's shape: every article object is a span of its
+    # document's one stream, so a document's tokens are stored once
+    shape = {label: float(rows[label][0]) for label in (
+        "keys / doc", "streams / doc", "own-stream keys / doc",
+        "stored occurrences / doc", "posting entries / doc")}
+    assert shape["keys / doc"] > 1
+    assert shape["own-stream keys / doc"] == 0
+    assert 0 < shape["posting entries / doc"] \
+        <= shape["stored occurrences / doc"]
+
+
+def test_an_older_index_prints_only_the_rows_it_can_tell():
+    """``--src`` may load a checkout whose index posted ``token -> {key
+    -> positions}`` and had no streams: no stream rows for it."""
+    import importlib.util
+    spec = importlib.util.spec_from_file_location(
+        "ingest_profile", ROOT / "tools" / "ingest_profile.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+
+    class KeyGroupedIndex:
+        document_count = 2
+        _groups = {"word": {"a": (0, 2), "b": (0,)}, "other": {"a": (1,)}}
+
+    rows = dict(tool.index_shape(KeyGroupedIndex(), {}, documents=2))
+    assert list(rows) == ["keys / doc", "stored occurrences / doc",
+                          "posting entries / doc"]
+    assert rows["stored occurrences / doc"].split() == [
+        "2.00", "(4", "in", "all)"]

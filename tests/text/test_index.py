@@ -309,14 +309,32 @@ class TestPostingStatistics:
         index.add("a", "word word word other")
         index.add("b", "word")
         index.add("b", "again word")
-        assert index.posting_stats() == {
-            "documents": 2, "vocabulary": 3, "postings": 7,
-            "max_posting": 2}
+        assert (index.occurrence_total, index.document_count) == (7, 2)
+        assert set(index.vocabulary()) == {"word", "other", "again"}
+        assert [index.posting_size(word)
+                for word in ("word", "other", "again")] == [2, 1, 1]
         index.replace("a", "other")
         index.remove("b")
-        assert index.posting_stats() == {
-            "documents": 1, "vocabulary": 1, "postings": 1,
-            "max_posting": 1}
+        assert (index.occurrence_total, index.document_count) == (1, 1)
+        assert set(index.vocabulary()) == {"other"}
+        assert index.posting_size("other") == 1
+
+    def test_a_document_counts_each_key_s_tokens(self):
+        """A document stream stores its tokens once, and the occurrence
+        total still counts every key's own tokens: the nested key's
+        tokens once for it and once for each key around it."""
+        index = TextIndex()
+        index.add_document("word other word", [
+            ("doc", -1, 0, 15, "word other word"),
+            ("part", 0, 5, 15, "other word")])
+        assert (index.occurrence_total, index.document_count) == (5, 2)
+        assert sum(map(len, (offsets for group in index._postings.values()
+                             for offsets in group.values()))) == 3
+        assert [index.posting_size(word) for word in ("word", "other")] \
+            == [2, 2]
+        index.remove("doc")
+        assert (index.occurrence_total, index.document_count) == (2, 1)
+        assert index.posting_size("word") == 1
 
     def test_postings_scanned_counts_the_entries_a_probe_reads(self):
         from repro.observe import MetricsRegistry

@@ -166,11 +166,48 @@ class OccurrenceLists:
 
 KEYS = st.integers(0, 5)
 TEXTS = st.lists(st.sampled_from(WORDS), max_size=8).map(" ".join)
+#: What separates the children of an element: "" glues a word to the
+#: element next to it.
+JOINERS = st.sampled_from([" ", " ", "  ", ""])
+#: A nested document: ``(key, children, joiner, other_text)`` per
+#: element, a child a word or an element; ``other_text`` (when not
+#: ``None``) is what the key stands for instead of its region's text.
+ELEMENTS = st.recursive(
+    st.sampled_from(WORDS),
+    lambda children: st.tuples(
+        KEYS, st.lists(children, max_size=3), JOINERS,
+        st.one_of(st.none(), st.none(), st.none(), TEXTS)),
+    max_leaves=10)
+DOCUMENTS = st.tuples(KEYS, st.lists(ELEMENTS, min_size=1, max_size=3),
+                      JOINERS, st.none())
+
+
+def lay_out(document):
+    """``(text, spans)`` of a nested document, as
+    :meth:`TextIndex.add_document` takes them."""
+    spans = []
+
+    def walk(element, parent, start):
+        key, children, joiner, other_text = element
+        slot = len(spans)
+        spans.append(None)
+        pieces = []
+        for child in children:
+            at = start + len(joiner.join(pieces + [""]))
+            pieces.append(child if isinstance(child, str)
+                          else walk(child, slot, at))
+        text = joiner.join(pieces)
+        spans[slot] = (key, parent, start, start + len(text),
+                       text if other_text is None else other_text)
+        return text
+
+    return walk(document, -1, 0), spans
 
 
 class IndexAgreesWithOccurrenceLists(RuleBasedStateMachine):
-    """Random ``add``/``replace``/``remove`` sequences: the key-grouped
-    index and the occurrence-list model answer every probe alike."""
+    """Random ``add``/``add_document``/``replace``/``remove`` sequences:
+    the stream index and the occurrence-list model answer every probe
+    alike."""
 
     def __init__(self):
         super().__init__()
@@ -187,6 +224,15 @@ class IndexAgreesWithOccurrenceLists(RuleBasedStateMachine):
         self.index.replace(key, text)
         self.model.replace(key, text)
 
+    @rule(document=DOCUMENTS)
+    def add_document(self, document):
+        # one stream for the keys that fit their region, the rest on
+        # their own: the model adds every key's text, in order
+        text, spans = lay_out(document)
+        self.index.add_document(text, spans)
+        for key, _, _, _, key_text in spans:
+            self.model.add(key, key_text)
+
     @rule(key=KEYS)
     def remove(self, key):
         assert self.index.remove(key) == self.model.lengths.get(key, 0)
@@ -202,7 +248,7 @@ class IndexAgreesWithOccurrenceLists(RuleBasedStateMachine):
             assert self.index.posting_size(word) == len(keys)
             assert (self.index.posting_size(word) == 0) == (
                 word not in self.model.postings)
-        assert self.index.posting_stats()["postings"] == sum(
+        assert self.index.occurrence_total == sum(
             map(len, self.model.postings.values()))
 
     @rule(words=st.lists(st.sampled_from(WORDS), min_size=2, max_size=3))

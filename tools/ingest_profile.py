@@ -14,7 +14,11 @@ construct (``Oid(...)``: one interning-table lookup each) and how many
 ``==`` tests between oids they write out (an oid is its own identity:
 the dict and set lookups of the write path compare in C and call no
 Python ``__eq__``) — the table a change to the write path quotes
-before and after.
+before and after.  The counted pass also reports the text index's
+shape per loaded document: keys, token streams, keys that did not join
+their document's stream, stored occurrences (offsets held in postings)
+and posting entries.  On an older checkout (``--src``) only the rows
+its index can tell are printed.
 Timings are indicative (one process, best of ``--repeats`` whole
 passes); the counts are exact.
 
@@ -144,6 +148,7 @@ def main() -> None:
     Oid.__new__ = counting_new
     try:
         counted = new_store(True)
+        counted.enable_metrics()
         load_calls = counted_calls(
             lambda: [counted.load_text(text) for text in docs])
         counted.update_text(target, "Edited Heading Words")
@@ -176,9 +181,35 @@ def main() -> None:
         (f"Oid == / {len(docs)} loads", f"{load_calls['==']:9d}"),
         ("Oid == / update_text", f"{update_calls['==']:9d}"),
     ]
+    rows += index_shape(counted.text_index, counted.metrics()["counters"],
+                        documents=len(docs) + 1)  # + the sample article
     print(f"articles={len(docs)} seed={args.seed} src={args.src}")
     for label, value in rows:
         print(f"{label:<26}{value}")
+
+
+def index_shape(index, counters: dict,
+                documents: int) -> list[tuple[str, str]]:
+    """Per document: the rows of the text index's shape that this
+    checkout's index can tell.  A stream index posts ``token -> {stream
+    -> offsets}``; the older layout posted ``token -> {key ->
+    positions}`` (``_groups``) and has no streams."""
+    rows = [("keys / doc", index.document_count)]
+    postings = getattr(index, "_postings", None)
+    if postings is not None:
+        rows.append(("streams / doc", len(index._streams)))
+        rows.append(("own-stream keys / doc",
+                     counters.get("text.own_stream_keys", 0)))
+    else:
+        postings = getattr(index, "_groups", None)
+    if postings is not None:
+        rows.append(("stored occurrences / doc", sum(
+            len(offsets) for group in postings.values()
+            for offsets in group.values())))
+        rows.append(("posting entries / doc",
+                     sum(map(len, postings.values()))))
+    return [(label, f"{total / documents:9.2f} ({total} in all)")
+            for label, total in rows]
 
 
 if __name__ == "__main__":
