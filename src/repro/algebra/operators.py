@@ -155,15 +155,14 @@ class Operator:
     child: "Operator"
     branches: list["Operator"]
 
-    #: Estimated output cardinality / total cost, stamped by the
-    #: optimizer's cost stage (:mod:`repro.stats`); ``None`` on plans
-    #: that were never costed.  ``explain_analyze`` shows ``est_rows``
-    #: next to the actual row count.
+    #: Estimated output cardinality, stamped by the optimizer's cost
+    #: stage (:mod:`repro.stats`); ``None`` on plans that were never
+    #: costed.  ``explain_analyze`` shows it next to the actual row
+    #: count.
     est_rows: float | None = None
-    est_cost: float | None = None
     #: :class:`repro.stats.CostEvidence` on unions the cost stage
-    #: reordered or pruned — the audit record the plancheck verifier's
-    #: ``PC-COST`` checks re-validate.  ``None`` everywhere else.
+    #: pruned — the audit record the plancheck verifier's ``PC-COST``
+    #: checks re-validate.  ``None`` everywhere else.
     cost_evidence: Any = None
     #: The operator's term or atom kernel
     #: (:mod:`repro.algebra.kernels`), chosen when it first executes.

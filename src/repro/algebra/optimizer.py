@@ -19,12 +19,11 @@
   shared streams execute once per run (experiment P7).
 * the statistics-driven **cost stage**, when a
   :class:`~repro.stats.Statistics` snapshot is supplied (``stats=...``):
-  union branches are reordered by estimated cost, cheapest first, so
-  likely-empty branches probe before expensive ones stream; and
-  branches gated by an oid-only ``contains`` select whose pattern has a
-  posting-size upper bound of **zero** are pruned statically — before
-  any index probe is issued at execution time
-  (``algebra.branches_pruned_static``).
+  union branches gated by an oid-only ``contains`` select whose
+  pattern has a posting-size upper bound of **zero** are pruned
+  statically — before any index probe is issued at execution time
+  (``algebra.branches_pruned_static``); the surviving branches keep
+  their compile order.
 
 Full-text index utilisation (Section 4.1) is not a rewrite: a
 ``contains(X, <constant pattern>)`` :class:`SelectOp` *is* the
@@ -32,7 +31,7 @@ index-backed filter — its kernel reads the probed key set, and the
 compiler flags it ``oid_only`` when an empty key set proves it passes
 nothing (experiment P1).
 
-Every reordered/pruned union carries a
+Every pruned union carries a
 :class:`~repro.stats.CostEvidence` record, and the stage runs under the
 same plancheck gate as every other rewrite: the verifier's ``PC-COST``
 checks re-validate the evidence (experiment P12).
@@ -76,10 +75,11 @@ from repro.algebra.operators import (
 #: ``"pushdown_unguarded"`` (the pushdown ignores its producer guard),
 #: ``"interval_probe_misbound"`` (the interval join probes the variable
 #: the scan itself binds), ``"branch_order_scrambled"`` (the cost stage
-#: duplicates one branch and drops another, so its evidence is no
-#: longer a permutation) or ``"prune_nonempty_branch"`` (the cost stage
+#: keeps one branch twice, so its evidence no longer partitions the
+#: original branches) or ``"prune_nonempty_branch"`` (the cost stage
 #: prunes a branch without zero evidence) to seed a broken rewrite the
-#: verifier must catch.  Production value is ``None``; never set it
+#: verifier must catch.  The cost-stage seeds corrupt only a union the
+#: stage prunes.  Production value is ``None``; never set it
 #: outside tests.
 _TEST_MUTATION: str | None = None
 
@@ -87,12 +87,15 @@ _TEST_MUTATION: str | None = None
 def optimize(plan: Operator, structural: bool = True,
              verify: str = "warn", query: object = None,
              metrics: object = None, tracer: Any = None,
-             stats: object = None, plan_key: object = None) -> Operator:
+             stats: object = None,
+             # inert: the e2e benchmark harness still passes it;
+             # ROADMAP item 11 deletes it
+             plan_key: object = None) -> Operator:
     """Return a rewritten plan.  The input's structure is not mutated;
     a stage that changes nothing returns its input, so the result
     shares every node no rewrite touched with the input — and the cost
-    stage stamps ``est_rows``/``est_cost`` on every node of the result,
-    the input's shared nodes included.
+    stage stamps ``est_rows`` on every node of the result, the input's
+    shared nodes included.
 
     The stage sequence is fixed: (``structural=True`` only)
     :func:`structuralize`, :func:`sink_selections`,
@@ -132,7 +135,6 @@ def optimize(plan: Operator, structural: bool = True,
     if stats is not None:
         stages.append(("cost",
                        lambda p: apply_cost_stage(p, stats,
-                                                  plan_key=plan_key,
                                                   metrics=metrics)))
 
     from repro.observe.trace import NULL_TRACER
@@ -338,23 +340,20 @@ def _shareable(node: Operator) -> bool:
 
 
 def apply_cost_stage(plan: Operator, stats: Any,
-                     plan_key: object = None,
-                     metrics: object = None) -> Operator:
-    """The statistics-driven rewrite: selectivity-ordered unions,
-    provable-empty branch pruning, and ``est_rows``/``est_cost``
-    annotations on every node.
+                     metrics: Any = None) -> Operator:
+    """The statistics-driven rewrite: provable-empty branch pruning,
+    and ``est_rows`` annotations on every node.
 
     The transform is memoized by node *identity* so the DAG the factor
     stage built survives intact: both consumers of a :class:`SharedOp`
     resolve to the same rebuilt object.  Nodes whose subtree the stage
-    does not touch are returned as-is (the input plan is only ever
-    annotated, never restructured in place).
+    does not prune are returned as-is (the input plan is only ever
+    annotated, never restructured in place), so a plan with nothing to
+    prune comes back as the input itself.
     """
     from repro.stats.cost import annotate_estimates
 
     memo: dict[int, Operator] = {}
-    est_memo: dict = {}
-    ordinal = [0]
 
     def transform(node: Operator) -> Operator:
         done = memo.get(id(node))
@@ -366,13 +365,12 @@ def apply_cost_stage(plan: Operator, stats: Any,
         else:
             rebuilt = node.with_children(children)
         if isinstance(rebuilt, UnionOp):
-            rebuilt = _order_and_prune(rebuilt, stats, est_memo,
-                                       plan_key, ordinal, metrics)
+            rebuilt = _prune(rebuilt, stats, metrics)
         memo[id(node)] = rebuilt
         return rebuilt
 
     rebuilt = transform(plan)
-    annotate_estimates(rebuilt, stats, est_memo)
+    annotate_estimates(rebuilt, stats)
     return rebuilt
 
 
@@ -385,8 +383,8 @@ def _zero_evidence(branch: Operator,
     row — the runtime probe would prune it anyway, but statically
     removing it skips the probe and the branch setup entirely.  The
     returned ``("empty_candidates", pattern)`` pair is what the
-    verifier's ``PC-COST`` check re-validates against the same
-    statistics snapshot.
+    verifier's ``PC-COST`` check re-validates against the statistics
+    snapshot.
     """
     for select in gating_index_filters(branch):
         if stats.candidate_upper_bound(select.pattern) == 0:
@@ -394,19 +392,14 @@ def _zero_evidence(branch: Operator,
     return None
 
 
-def _order_and_prune(union: UnionOp, stats: Any, est_memo: dict,
-                     plan_key: object, ordinal: list,
-                     metrics: object) -> UnionOp:
-    """Reorder a union's branches cheapest-first and drop branches with
-    zero evidence, attaching the :class:`~repro.stats.CostEvidence`
-    audit record the verifier re-checks."""
-    from repro.stats.cost import estimate
+def _prune(union: UnionOp, stats: Any, metrics: Any) -> UnionOp:
+    """Drop a union's branches with zero evidence, keeping the rest in
+    compile order and attaching the :class:`~repro.stats.CostEvidence`
+    audit record the verifier re-checks; a union with nothing to prune
+    is returned as it is."""
     from repro.stats.statistics import CostEvidence
 
     branches = union.branches
-    original = len(branches)
-    this_ordinal = ordinal[0]
-    ordinal[0] += 1
     pruned: dict[int, tuple[str, Any]] = {}
     kept: list[int] = []
     for index, branch in enumerate(branches):
@@ -418,41 +411,24 @@ def _order_and_prune(union: UnionOp, stats: Any, est_memo: dict,
     if not kept:
         # a union of zero plans is malformed; keep the first branch —
         # its runtime probe prunes it at negligible cost
-        first = min(pruned)
-        del pruned[first]
-        kept.append(first)
-
-    def sort_key(index: int) -> tuple:
-        est = estimate(branches[index], stats, est_memo)
-        cost = est.cost
-        actual = (stats.branch_actual(plan_key, this_ordinal, index)
-                  if plan_key is not None else None)
-        if actual is not None:
-            # measured reality outranks the model: rescale the cost by
-            # the observed-vs-estimated cardinality ratio, so branches
-            # that came back empty probe first
-            cost *= (actual + 1.0) / (est.rows + 1.0)
-        return (cost, index)
-
-    order = tuple(sorted(kept, key=sort_key))
-    if _TEST_MUTATION == "branch_order_scrambled" and len(order) > 1:
-        # seeded bug: duplicate the first branch, drop the last — the
-        # evidence is no longer a permutation of the kept branches
-        order = (order[0],) + order[:-1]
-    if _TEST_MUTATION == "prune_nonempty_branch" and len(order) > 1:
-        # seeded bug: prune a branch without zero evidence
-        pruned[order[-1]] = ("mutation", None)
-        order = order[:-1]
-    if metrics is not None and pruned:
-        statically = sum(1 for kind, _ in pruned.values()
-                         if kind == "empty_candidates")
-        if statically:
-            metrics.inc("algebra.branches_pruned_static", statically)
-    if (not pruned and order == tuple(range(original))
-            and original < 2):
-        return union  # single-branch union: nothing to decide or audit
-    rebuilt = UnionOp([branches[index] for index in order])
-    rebuilt.cost_evidence = CostEvidence(original, order, pruned,
-                                         stats.generation,
-                                         ordinal=this_ordinal)
+        del pruned[0]
+        kept.append(0)
+    if not pruned:
+        return union
+    if metrics is not None:
+        metrics.inc("algebra.branches_pruned_static", len(pruned))
+    if _TEST_MUTATION == "branch_order_scrambled":
+        # seeded bug: keep a branch twice — kept + pruned no longer
+        # partition the original branches
+        kept.append(kept[0])
+    if _TEST_MUTATION == "prune_nonempty_branch":
+        # seeded bug: prune a kept branch without zero evidence, and
+        # keep a provably empty one in its place
+        swap = min(pruned)
+        del pruned[swap]
+        pruned[kept[0]] = ("mutation", None)
+        kept[0] = swap
+    rebuilt = UnionOp([branches[index] for index in kept])
+    rebuilt.cost_evidence = CostEvidence(len(branches), tuple(kept),
+                                         pruned)
     return rebuilt

@@ -32,8 +32,7 @@ memo table on the forked evaluation context and drops it when the run
 ends, so a warm plan re-reads current data every time it runs.
 
 Counters (``cache.hits``, ``cache.misses``, ``cache.invalidations``,
-``cache.stats_invalidations``, ``cache.evictions``,
-``cache.epoch_bumps``) are incremented on the
+``cache.evictions``, ``cache.epoch_bumps``) are incremented on the
 registry the caller passes per operation — the same convention as every
 other instrumented layer: no registry, no cost beyond one test.
 """
@@ -97,13 +96,6 @@ class CachedArtifacts:
     verify).  A cached serve never re-verifies: the flag travels with
     the entry.
 
-    ``stats_generation`` records the costing generation
-    (:attr:`repro.stats.StatisticsManager.generation`) the plan was
-    costed under — ``None`` when the cost stage did not run.  A lookup
-    that passes a newer generation drops the entry
-    (``cache.stats_invalidations``): the data did not change, but what
-    the cost model would decide did.
-
     ``sql_program`` is the compiled hybrid
     (:class:`repro.sqlbackend.backend.HybridPlan`) on the ``sql``
     backend — ``None`` everywhere else, and ``None`` on the ``sql``
@@ -112,10 +104,12 @@ class CachedArtifacts:
     """
 
     __slots__ = ("query", "plan", "epoch", "key", "verified",
-                 "stats_generation", "sql_program")
+                 "sql_program")
 
     def __init__(self, query, plan, epoch: int, key,
                  verified: bool = False,
+                 # inert: the e2e benchmark harness still passes it;
+                 # ROADMAP item 11 deletes it
                  stats_generation: int | None = None,
                  sql_program=None) -> None:
         self.query = query
@@ -123,7 +117,6 @@ class CachedArtifacts:
         self.epoch = epoch
         self.key = key
         self.verified = verified
-        self.stats_generation = stats_generation
         self.sql_program = sql_program
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -197,34 +190,24 @@ class PlanCache:
                 bool(structural))
 
     def lookup(self, key: tuple, metrics=None,
+               # inert: the e2e benchmark harness still passes it;
+               # ROADMAP item 11 deletes it
                stats_generation: int | None = None
                ) -> CachedArtifacts | None:
         """The entry for ``key``, or ``None`` on a miss.  An entry from
-        an earlier epoch counts as an invalidation *and* a miss; an
-        entry costed under an older statistics generation (when the
-        caller passes the current one) likewise, counted separately as
-        ``cache.stats_invalidations``."""
+        an earlier epoch counts as an invalidation *and* a miss."""
         stale = False
-        recost = False
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None and entry.epoch != self._epoch:
                 del self._entries[key]
                 entry = None
                 stale = True
-            if (entry is not None and stats_generation is not None
-                    and entry.stats_generation is not None
-                    and entry.stats_generation != stats_generation):
-                del self._entries[key]
-                entry = None
-                recost = True
             if entry is not None:
                 self._entries.move_to_end(key)
         if metrics is not None:
             if stale:
                 metrics.inc("cache.invalidations")
-            if recost:
-                metrics.inc("cache.stats_invalidations")
             if entry is not None:
                 metrics.inc("cache.hits")
             else:

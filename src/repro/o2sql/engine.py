@@ -12,7 +12,7 @@ emitted as SQL over the instance's shredding
 over the hydrated rows.
 
 Everything before execution is a pure function of the query text, the
-schema and the statistics generation, so it can be memoized: when a
+schema and the store's data, so it can be memoized: when a
 :class:`~repro.cache.plancache.PlanCache` is installed, :meth:`run`
 resolves its artifacts through the cache (epoch-guarded, so data and
 schema changes force a recompile), :meth:`prepare` returns a
@@ -116,8 +116,7 @@ class QueryEngine:
         self.structural = structural
         #: Optional :class:`~repro.stats.StatisticsManager` (the store
         #: installs one).  When set, the optimizer runs its cost stage
-        #: against the current snapshot and executed plans feed actual
-        #: cardinalities back.
+        #: against the current snapshot and executed plans are counted.
         self.stats = None
 
     # -- pipeline stages ------------------------------------------------------
@@ -168,13 +167,10 @@ class QueryEngine:
         cache = self.cache
         key = None
         epoch = 0
-        snapshot = self._cost_snapshot()
         if cache is not None:
             key = self.cache_key(text)
             epoch = cache.epoch
-            entry = cache.lookup(
-                key, metrics=metrics,
-                stats_generation=getattr(snapshot, "generation", None))
+            entry = cache.lookup(key, metrics=metrics)
             if entry is not None:
                 return entry, True
         with tracer.span("parse"):
@@ -185,14 +181,13 @@ class QueryEngine:
             check_safety(query)
         with tracer.span("inference"):
             infer_types(query, self.instance.schema)
-        entry = self.compile(query, key=key, epoch=epoch,
-                             snapshot=snapshot, tracer=tracer,
+        entry = self.compile(query, key=key, epoch=epoch, tracer=tracer,
                              metrics=metrics)
         if cache is not None:
             cache.store(key, entry, metrics=metrics)
         return entry, False
 
-    def compile(self, query, key=None, epoch: int = 0, snapshot=None,
+    def compile(self, query, key=None, epoch: int = 0,
                 tracer=NULL_TRACER, metrics=None) -> CachedArtifacts:
         """The back half of the pipeline, from a calculus query to the
         artifacts :meth:`execute` serves: compile to the algebra →
@@ -206,13 +201,11 @@ class QueryEngine:
         front end (and through it ``python -m repro.plancheck
         --verify``) ends here, and :mod:`repro.diffcheck`, which
         generates calculus queries, not text, enters here.
-        ``key``/``epoch`` tag
-        the artifacts for the plan cache; ``snapshot`` is the
-        statistics the caller already looked the cache up under
-        (taken here when omitted).
+        ``key``/``epoch`` tag the artifacts for the plan cache.  The
+        cost stage reads the statistics snapshot taken here: a
+        cache hit takes none.
         """
-        if snapshot is None:
-            snapshot = self._cost_snapshot()
+        snapshot = self._cost_snapshot()
         plan = None
         if self.backend != "calculus":
             from repro.algebra.compile import compile_query
@@ -225,8 +218,7 @@ class QueryEngine:
                     structural=self.structural)
                 plan = optimize(plan, structural=self.structural,
                                 query=query, metrics=metrics,
-                                tracer=tracer, stats=snapshot,
-                                plan_key=key)
+                                tracer=tracer, stats=snapshot)
                 if span.recording:
                     nodes = walk_once(plan)
                     span.annotate("operators", len(nodes))
@@ -251,8 +243,7 @@ class QueryEngine:
                         metrics.inc("sql.unsupported")
         return CachedArtifacts(
             query=query, plan=plan, epoch=epoch, key=key,
-            verified=plan is not None, sql_program=sql_program,
-            stats_generation=getattr(snapshot, "generation", None))
+            verified=plan is not None, sql_program=sql_program)
 
     # -- execution ------------------------------------------------------------
 
@@ -338,21 +329,10 @@ class QueryEngine:
             with tracer.span("execute"):
                 result = execute_plan(entry.plan, ctx)
             plan = entry.plan
-        self._feedback(entry, result, ctx)
+        if self.stats is not None:
+            self.stats.record_execution(entry.key, entry.plan.est_rows,
+                                        len(result))
         return result, plan, sql
-
-    def _feedback(self, entry: CachedArtifacts, result, ctx) -> None:
-        """Feed an executed plan's actual cardinalities back into the
-        statistics (result rows always; per-operator timings and
-        per-branch counts when the run was profiled)."""
-        stats = self.stats
-        if stats is None:
-            return
-        stats.record_execution(entry.key, entry.plan.est_rows,
-                               len(result))
-        profiler = getattr(ctx, "profiler", None)
-        if profiler is not None:
-            stats.ingest_profile(entry.plan, profiler, key=entry.key)
 
     # -- observability --------------------------------------------------------
 

@@ -7,15 +7,17 @@ Examples::
     python -m repro.plancheck --dtd my.dtd --json "select ..."
 
 Queries are checked against the Figure-1 article DTD with the Figure-2
-document loaded as ``my_article`` — unless ``--dtd`` supplies another
-DTD, whose store stays empty.  ``--verify`` additionally prepares each
-clean query on a store of each algebra configuration — the
-``structural=False`` union-of-plans reference and the served
+document loaded as ``my_article`` and its text index built — the
+shape the benchmark serves, so a ``contains`` on an absent word
+reaches the cost stage's static prune — unless ``--dtd`` supplies
+another DTD, whose store stays empty.  ``--verify`` additionally
+prepares each clean query on a store of each algebra configuration —
+the ``structural=False`` union-of-plans reference and the served
 ``structural=True`` range scans, through the engine's own stage
-sequence — and
-reports every fault of a stage the verifier rejects, then verifies the
-plan that would be served.  The exit status is the number of
-error-severity diagnostics plus plan faults — ``0`` means clean.
+sequence — and reports every fault of a stage the verifier rejects,
+then verifies the plan that would be served.  The exit status is the
+number of error-severity diagnostics plus plan faults — ``0`` means
+clean.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ def _open_store(dtd_path: str | None, structural: bool):
         from repro.corpus import ARTICLE_DTD, SAMPLE_ARTICLE
         store = DocumentStore(ARTICLE_DTD, structural=structural)
         store.load_text(SAMPLE_ARTICLE, name="my_article")
+        store.build_text_index()
         return store
     with open(dtd_path) as handle:
         return DocumentStore(handle.read(), structural=structural)

@@ -17,7 +17,7 @@ rejects any plan in which
   recheck atom is not the fused ``out ≡ probe`` equality),
 * the root projection does not bind its head, or does not match the
   query head it was compiled from,
-* a union the cost stage reordered or pruned carries inconsistent
+* a union the cost stage pruned carries inconsistent
   :class:`~repro.stats.CostEvidence` — the kept+pruned indices do not
   partition the original branches, or a pruned branch lacks
   re-checkable zero evidence (``PC-COST``).
@@ -356,12 +356,11 @@ def _check_cost(nodes: list[Operator], stats: Any, stage: str | None,
                 faults: list[PlanFault]) -> None:
     """Re-validate every :class:`~repro.stats.CostEvidence` record.
 
-    The cost stage may only *permute* a union's branches and *remove*
-    branches it can prove empty — so the evidence's kept order plus its
-    pruned indices must partition the original branch list, and every
-    pruned entry must carry zero evidence the verifier can re-derive.
-    When ``stats`` is the same snapshot generation the stage costed
-    against, the posting-size bound is recomputed and must still be 0.
+    The cost stage may only *remove* branches it can prove empty, so
+    the evidence's kept indices plus its pruned indices must partition
+    the original branch list, and every pruned entry must carry zero
+    evidence the verifier can re-derive: when ``stats`` is given, the
+    posting-size bound is recomputed and must still be 0.
     """
     for node in nodes:
         evidence = node.cost_evidence
@@ -381,8 +380,8 @@ def _check_cost(nodes: list[Operator], stats: Any, stage: str | None,
             fault(f"kept order {list(evidence.order)} + pruned "
                   f"{sorted(evidence.pruned)} do not partition the "
                   f"{evidence.original} original branches",
-                  hint="the cost stage may only permute branches and "
-                       "remove provably empty ones")
+                  hint="the cost stage may only remove provably "
+                       "empty branches")
             continue
         if len(node.branches) != len(evidence.order):
             fault(f"union has {len(node.branches)} branches but the "
@@ -396,11 +395,9 @@ def _check_cost(nodes: list[Operator], stats: Any, stage: str | None,
                            "static pruning")
                 continue
             if (stats is not None
-                    and stats.generation == evidence.generation
                     and stats.candidate_upper_bound(detail) != 0):
-                fault(f"pruned branch {index}'s pattern is no longer "
-                      "provably empty under the same statistics "
-                      "generation")
+                fault(f"pruned branch {index}'s pattern is not "
+                      "provably empty under the statistics snapshot")
 
 
 # -- structural-index invariants --------------------------------------------

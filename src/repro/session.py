@@ -630,5 +630,6 @@ class DocumentStore:
 
     def statistics(self):
         """The current optimizer-statistics snapshot (collected lazily,
-        refreshed on epoch or costing-generation change)."""
+        recollected after the store's epoch moves or an index is
+        built)."""
         return self.stats_manager.snapshot()

@@ -1,16 +1,14 @@
-"""The cost model: ``estimate(op, stats) -> (rows, cost)``.
+"""The row model: ``estimate(op, stats) -> rows``.
 
 Estimates are computed bottom-up over the plan DAG, memoized by node
 identity so a :class:`~repro.algebra.operators.SharedOp` subtree is
-costed once (its production cost is amortized over its consumers —
-exactly how execution amortizes it).
+estimated once.
 
-The numbers are *relative*, not wall-clock: ``rows`` predicts the
-cardinality of the operator's output stream, ``cost`` the total work of
-draining it (child cost + per-row work × the operator class's learned
-unit cost).  The cost stage only ever compares estimates against each
-other — branch ordering, provable-empty pruning — so monotonicity
-matters and absolute calibration does not.
+``rows`` predicts the cardinality of the operator's output stream —
+the ``est_rows`` column ``explain_analyze`` prints beside the actual
+count.  The cost stage's one decision, provable-empty pruning, reads
+posting bounds directly (:meth:`Statistics.candidate_upper_bound`),
+not these estimates.
 
 What makes the estimates data-driven rather than guesses:
 
@@ -19,31 +17,21 @@ What makes the estimates data-driven rather than guesses:
   (``Statistics.class_cardinalities`` / ``root_cardinalities``);
 * a constant-pattern ``contains``
   :class:`~repro.algebra.operators.SelectOp` is bounded by its
-  pattern's posting-list sizes (0 = provably empty, the pruning hook);
+  pattern's posting-list sizes;
 * structural scans multiply by measured subtree/attribute densities
-  from the structural index;
-* per-operator-class unit costs are EMA-learned from profiled runs
-  (:meth:`repro.stats.manager.StatisticsManager.ingest_profile`).
+  from the structural index.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from repro.calculus.formulas import Eq
 from repro.calculus.terms import Const, Name
 from repro.algebra.operators import (
-    BindOp,
-    FormulaOp,
-    IntervalJoinOp,
-    MakePathOp,
     NegationOp,
     Operator,
-    ProjectOp,
     SeedOp,
     SelectOp,
     SharedOp,
-    StepOp,
     StructuralAttrScanOp,
     StructuralScanOp,
     UnionOp,
@@ -51,19 +39,6 @@ from repro.algebra.operators import (
     walk_once,
 )
 from repro.stats.statistics import DEFAULT_SELECTIVITY, Statistics
-
-
-class Estimate(NamedTuple):
-    """Predicted output cardinality and total work of one operator."""
-
-    rows: float
-    cost: float
-
-
-#: Relative per-row base cost of an interpreted residual formula — the
-#: calculus fallback is an order of magnitude heavier than a native
-#: operator's row handling.
-_FORMULA_ROW_COST = 10.0
 
 
 def _statically_false(atom: object) -> bool:
@@ -91,11 +66,11 @@ def _unnest_cardinality(node: UnnestOp, stats: Statistics) -> float:
 
 
 def estimate(plan: Operator, stats: Statistics,
-             memo: dict[int, Estimate] | None = None) -> Estimate:
-    """The (rows, cost) estimate of ``plan`` under ``stats``.
+             memo: dict[int, float] | None = None) -> float:
+    """The estimated output rows of ``plan`` under ``stats``.
 
-    ``memo`` (id-keyed) may be shared across calls to cost several
-    branches of one DAG consistently; shared subtrees are costed once.
+    ``memo`` (id-keyed) may be shared across calls to estimate several
+    nodes of one DAG consistently; shared subtrees are estimated once.
     """
     if memo is None:
         memo = {}
@@ -108,68 +83,44 @@ def estimate(plan: Operator, stats: Statistics,
 
 
 def _estimate_node(node: Operator, stats: Statistics,
-                   memo: dict[int, Estimate]) -> Estimate:
-    unit = stats.unit_cost(type(node).__name__)
+                   memo: dict[int, float]) -> float:
     if isinstance(node, SeedOp):
-        return Estimate(1.0, 1.0)
+        return 1.0
     if isinstance(node, UnionOp):
-        rows = 0.0
-        cost = float(len(node.branches))
-        for branch in node.branches:
-            child = estimate(branch, stats, memo)
-            rows += child.rows
-            cost += child.cost
-        return Estimate(rows, cost)
+        return sum(estimate(branch, stats, memo)
+                   for branch in node.branches)
     if isinstance(node, SharedOp):
-        inner = estimate(node.child, stats, memo)
-        refs = max(1, node.ref_count)
-        # one production amortized over the consumers, plus a replay
-        return Estimate(inner.rows, inner.cost / refs + inner.rows)
-    child = estimate(node.children()[0], stats, memo)
-    rows, cost = child.rows, child.cost
+        return estimate(node.child, stats, memo)
+    rows = estimate(node.children()[0], stats, memo)
     if isinstance(node, UnnestOp):
-        out = rows * _unnest_cardinality(node, stats)
-        return Estimate(out, cost + rows * unit + out)
+        return rows * _unnest_cardinality(node, stats)
     if isinstance(node, SelectOp):
         if _statically_false(node.atom):
-            return Estimate(0.0, cost + rows * unit)
+            return 0.0
         bound = stats.candidate_upper_bound(node.pattern)
         if bound is None:
-            out = rows * DEFAULT_SELECTIVITY
-        elif node.oid_only:
-            out = min(rows, float(bound))
-        else:
-            total = max(1, stats.document_count)
-            out = rows * min(1.0, bound / total)
-        return Estimate(out, cost + rows * unit)
+            return rows * DEFAULT_SELECTIVITY
+        if node.oid_only:
+            return min(rows, float(bound))
+        total = max(1, stats.document_count)
+        return rows * min(1.0, bound / total)
     if isinstance(node, NegationOp):
-        return Estimate(rows * DEFAULT_SELECTIVITY,
-                        cost + rows * _FORMULA_ROW_COST * unit)
-    if isinstance(node, FormulaOp):
-        return Estimate(rows, cost + rows * _FORMULA_ROW_COST * unit)
+        return rows * DEFAULT_SELECTIVITY
     if isinstance(node, StructuralAttrScanOp):
-        out = rows * stats.attr_density(node.attr)
-        return Estimate(out, cost + rows * unit + out)
+        return rows * stats.attr_density(node.attr)
     if isinstance(node, StructuralScanOp):
-        out = rows * stats.avg_subtree_size()
-        return Estimate(out, cost + rows * unit + out)
-    if isinstance(node, IntervalJoinOp):
-        # two bisections per row, a handful of matches each
-        return Estimate(rows, cost + rows * 2.0 * unit + rows)
-    if isinstance(node, (BindOp, StepOp, MakePathOp)):
-        return Estimate(rows, cost + rows * unit)
-    if isinstance(node, ProjectOp):
-        return Estimate(rows, cost + rows * unit)
-    return Estimate(rows, cost + rows * unit)  # pragma: no cover
+        return rows * stats.avg_subtree_size()
+    # a formula, an interval join, a bind/step/path or a projection
+    # passes its input's cardinality through
+    return rows
 
 
 def annotate_estimates(plan: Operator, stats: Statistics,
-                       memo: dict[int, Estimate] | None = None) -> Estimate:
-    """Stamp ``est_rows``/``est_cost`` on every node of the plan DAG
-    (the EXPLAIN ANALYZE ``est_rows`` column); returns the root
-    estimate."""
+                       memo: dict[int, float] | None = None) -> float:
+    """Stamp ``est_rows`` on every node of the plan DAG (the EXPLAIN
+    ANALYZE ``est_rows`` column); returns the root estimate."""
     if memo is None:
         memo = {}
     for node in walk_once(plan):
-        node.est_rows, node.est_cost = estimate(node, stats, memo)
+        node.est_rows = estimate(node, stats, memo)
     return estimate(plan, stats, memo)

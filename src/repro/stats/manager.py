@@ -1,21 +1,14 @@
-"""Statistics lifecycle: collection, epochs, generations, feedback.
+"""Statistics lifecycle: collection and epochs.
 
 :class:`StatisticsManager` sits between the store and the optimizer's
 cost stage.  It owns one :class:`~repro.stats.statistics.Statistics`
-snapshot at a time and keeps it coherent along two axes:
-
-* **epoch** — the store's data/schema version (read off the same
-  ``epoch_source`` the plan cache and structural index use).  A
-  snapshot collected under an older epoch is recollected lazily on the
-  next :meth:`snapshot` call; collection is O(classes + roots), never
-  O(objects).
-* **generation** — the costing version.  Feedback from executed plans
-  (:meth:`record_execution`, :meth:`ingest_profile`) accumulates
-  silently and never churns plans by itself; :meth:`recost` is the one
-  explicit way to advance the generation — the plan cache then drops
-  entries costed under the stale generation on their next lookup
-  (``cache.stats_invalidations``) and the recompile reads the
-  accumulated feedback.
+snapshot at a time and keeps it coherent with the store's
+data/schema **epoch** (read off the same ``epoch_source`` the plan
+cache and structural index use): a snapshot collected under an older
+epoch is recollected lazily on the next :meth:`snapshot` call, and
+collection is O(classes + roots), never O(objects).  Executed plans
+are counted (:meth:`record_execution`); nothing they measure feeds
+back into a later plan.
 """
 
 from __future__ import annotations
@@ -24,12 +17,8 @@ import math
 import threading
 from typing import Any
 
-from repro.algebra.operators import Operator, walk_once
 from repro.oodb.values import ListValue, SetValue
 from repro.stats.statistics import Statistics
-
-#: EMA weight of the newest unit-cost sample.
-_EMA_ALPHA = 0.3
 
 
 def q_error(estimated: float, actual: float) -> float:
@@ -50,7 +39,7 @@ def q_error(estimated: float, actual: float) -> float:
 
 
 class StatisticsManager:
-    """Collects, versions and updates the table statistics."""
+    """Collects the table statistics, one snapshot per store epoch."""
 
     def __init__(self, instance: Any, epoch_source: Any,
                  context: Any = None, metrics: Any = None) -> None:
@@ -64,18 +53,8 @@ class StatisticsManager:
         self.context = context
         self.metrics = metrics
         self._lock = threading.Lock()
-        self._generation = 0
         self._snapshot: Statistics | None = None
-        self._unit_costs: dict[str, float] = {}
         self._recorded_queries = 0
-        self._branch_actuals: dict[Any, int] = {}
-
-    # -- versions -------------------------------------------------------------
-
-    @property
-    def generation(self) -> int:
-        """The current costing version (monotonically increasing)."""
-        return self._generation
 
     @property
     def epoch(self) -> int:
@@ -84,11 +63,10 @@ class StatisticsManager:
     # -- the snapshot ---------------------------------------------------------
 
     def snapshot(self) -> Statistics:
-        """The current statistics; recollected when the store epoch or
-        the costing generation moved since the last collection."""
+        """The current statistics; recollected when the store epoch
+        moved since the last collection."""
         current = self._snapshot
-        if (current is not None and current.epoch == self.epoch
-                and current.generation == self._generation):
+        if current is not None and current.epoch == self.epoch:
             return current
         # the rebuild the next structural scan would pay anyway, before
         # the lock is taken: a rebuild holds only the index's own lock
@@ -97,8 +75,7 @@ class StatisticsManager:
             struct_index.refresh()
         with self._lock:
             current = self._snapshot
-            if (current is not None and current.epoch == self.epoch
-                    and current.generation == self._generation):
+            if current is not None and current.epoch == self.epoch:
                 return current
             collected = self._collect()
             self._snapshot = collected
@@ -109,7 +86,7 @@ class StatisticsManager:
     def invalidate(self) -> None:
         """Forget the memoized snapshot: the next :meth:`snapshot`
         recollects, for a change that moves no epoch (a newly built
-        index, harvested feedback)."""
+        index)."""
         self._snapshot = None
 
     def _collect(self) -> Statistics:
@@ -147,7 +124,6 @@ class StatisticsManager:
                         attr_occurrences.get(attr, 0) + len(positions))
         return Statistics(
             epoch=self.epoch,
-            generation=self._generation,
             class_cardinalities=class_cards,
             root_cardinalities=root_cards,
             object_count=instance.object_count(),
@@ -156,64 +132,18 @@ class StatisticsManager:
             index_nodes=index_nodes,
             index_roots=index_roots,
             attr_occurrences=attr_occurrences,
-            unit_costs=_normalized(self._unit_costs),
-            branch_actuals=self._branch_actuals,
             text_index=text_index,
         )
 
-    # -- feedback -------------------------------------------------------------
+    # -- executions -----------------------------------------------------------
 
     def record_execution(self, key: Any, est_rows: float | None,
                          actual_rows: int) -> None:
         """Count one executed plan.  Its result cardinality is not
         kept: estimation error is reported by ``explain_analyze``
-        (:func:`q_error`), costing feedback is per union branch
-        (:meth:`ingest_profile`), and only :meth:`recost` advances the
-        generation."""
+        (:func:`q_error`)."""
         with self._lock:
             self._recorded_queries += 1
-
-    def ingest_profile(self, plan: Operator, profiler: Any,
-                       key: Any = None) -> None:
-        """Harvest a profiled run: EMA-update per-operator-class unit
-        costs, and record per-branch actual cardinalities for every
-        union the cost stage reordered (keyed by the plan's cache key
-        and the union's evidence ordinal)."""
-        per_class: dict[str, tuple[float, int]] = {}
-        with self._lock:
-            for node in walk_once(plan):
-                stats = profiler.stats_for(node)
-                if stats.rows_out > 0 and stats.elapsed > 0.0:
-                    name = type(node).__name__
-                    elapsed, rows = per_class.get(name, (0.0, 0))
-                    per_class[name] = (elapsed + stats.elapsed,
-                                       rows + stats.rows_out)
-                evidence = node.cost_evidence
-                if evidence is not None and key is not None:
-                    for branch, original in zip(node.children(),
-                                                evidence.order):
-                        self._branch_actuals[
-                            (key, evidence.ordinal, original)] = (
-                            profiler.rows_out(branch))
-            for name, (elapsed, rows) in per_class.items():
-                sample = elapsed / rows
-                previous = self._unit_costs.get(name)
-                if previous is None:
-                    self._unit_costs[name] = sample
-                else:
-                    self._unit_costs[name] = (
-                        (1.0 - _EMA_ALPHA) * previous
-                        + _EMA_ALPHA * sample)
-
-    def recost(self) -> int:
-        """Explicitly advance the costing generation (drops every
-        cached plan's costing on its next lookup); returns the new
-        generation."""
-        with self._lock:
-            self._generation += 1
-        if self.metrics is not None:
-            self.metrics.inc("stats.recostings")
-        return self._generation
 
     # -- reporting ------------------------------------------------------------
 
@@ -223,18 +153,5 @@ class StatisticsManager:
                 "recorded_queries": self._recorded_queries}
 
     def __repr__(self) -> str:  # pragma: no cover
-        return (f"StatisticsManager(epoch={self.epoch}, "
-                f"generation={self._generation})")
+        return f"StatisticsManager(epoch={self.epoch})"
 
-
-def _normalized(raw: dict[str, float]) -> dict[str, float]:
-    """Measured per-row seconds, rescaled so the cheapest class costs
-    1.0 — the model's unit for unmeasured classes — and clamped so one
-    noisy sample cannot dominate every other statistic."""
-    if not raw:
-        return {}
-    base = min(value for value in raw.values() if value > 0.0)
-    if base <= 0.0:  # pragma: no cover - all-zero samples
-        return {}
-    return {name: max(0.25, min(50.0, value / base))
-            for name, value in raw.items()}

@@ -1,38 +1,30 @@
 """The epoch-versioned table-statistics snapshot.
 
-:class:`Statistics` folds everything the engine already measures into
-one immutable-by-convention record the optimizer's cost stage can read
+:class:`Statistics` folds what the engine already measures into one
+immutable-by-convention record the optimizer's cost stage can read
 without touching the store:
 
 * per-class cardinalities (disjoint extents) and persistence-root
   collection sizes, from the :class:`~repro.oodb.instance.Instance`;
 * text-index document frequencies — the number of documents a
   literal word matches, an *upper bound* for the patterns built from
-  it, which is exactly what selectivity estimation and provable-empty
+  it, which is exactly what row estimation and provable-empty
   pruning need (:mod:`repro.text`);
-* structural-index block/slice sizes (node counts, per-attribute
-  occurrence counts, atom-slice sizes) from :mod:`repro.structindex`;
-* historical per-operator unit costs (seconds per row, EMA-smoothed)
-  harvested from :class:`~repro.observe.profile.PlanProfiler` runs, and
-  actual result/branch cardinalities fed back by the engine.
+* structural-index sizes (node and root counts, per-attribute
+  occurrence counts) from :mod:`repro.structindex`.
 
-A snapshot carries two version numbers.  ``epoch`` is the store's
-data/schema epoch: a mutation produces a fresh snapshot (the manager
-recollects lazily).  ``generation`` is the *costing* version: it
-advances on an explicit ``StatisticsManager.recost()`` so accumulated
-feedback is re-read without any data change — the plan cache
-invalidates entries whose recorded generation is stale (the
-``cache.stats_invalidations`` counter).
+A snapshot carries the store's data/schema ``epoch``: a mutation
+produces a fresh snapshot (the manager recollects lazily).
 
 :class:`CostEvidence` is the audit record the cost stage attaches to
-every union it reorders or prunes; :mod:`repro.plancheck` re-validates
-it (the ``PC-COST`` checks), so a miscosted rewrite is caught before it
-can execute — the same gating policy every other rewrite follows.
+every union it prunes; :mod:`repro.plancheck` re-validates it (the
+``PC-COST`` checks), so an unsound prune is caught before it can
+execute — the same gating policy every other rewrite follows.
 """
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any, ClassVar, Mapping
 
 from repro.text.patterns import (
     AndExpr,
@@ -43,35 +35,28 @@ from repro.text.patterns import (
 
 
 class CostEvidence:
-    """Why a union looks the way it does after the cost stage.
+    """Why a union has fewer branches after the cost stage.
 
-    ``order`` holds the *original* branch indices in their new
-    execution order; ``pruned`` maps each removed original index to its
+    ``order`` holds the *original* indices of the kept branches, in
+    compile order; ``pruned`` maps each removed original index to its
     justification ``(kind, detail)``.  Together they must partition
     ``range(original)`` — the verifier's ``PC-COST`` check — and every
     pruned entry must carry re-checkable zero evidence (currently the
     single kind ``"empty_candidates"``: a pattern whose posting-size
-    upper bound is provably zero).  ``generation`` records the
-    statistics snapshot the decision was costed against.
+    upper bound is provably zero).
     """
 
-    __slots__ = ("original", "order", "pruned", "generation", "ordinal")
+    __slots__ = ("original", "order", "pruned")
 
     def __init__(self, original: int, order: tuple[int, ...],
-                 pruned: Mapping[int, tuple[str, Any]],
-                 generation: int, ordinal: int = 0) -> None:
+                 pruned: Mapping[int, tuple[str, Any]]) -> None:
         self.original = original
         self.order = tuple(order)
         self.pruned = dict(pruned)
-        self.generation = generation
-        #: Position of this union in the plan's deterministic post-order
-        #: walk — the key branch-cardinality feedback is recorded under.
-        self.ordinal = ordinal
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"CostEvidence(original={self.original}, "
-                f"order={self.order}, pruned={sorted(self.pruned)}, "
-                f"generation={self.generation})")
+                f"order={self.order}, pruned={sorted(self.pruned)})")
 
 
 #: Default selectivity of a selection whose predicate the model cannot
@@ -85,13 +70,16 @@ DEFAULT_FANOUT = 3.0
 class Statistics:
     """One coherent snapshot of everything the cost model reads."""
 
-    __slots__ = ("epoch", "generation", "class_cardinalities",
+    #: Inert (always 0): read only by the e2e benchmark harness's
+    #: traced run; ROADMAP item 11 deletes it.
+    generation: ClassVar[int] = 0
+
+    __slots__ = ("epoch", "class_cardinalities",
                  "root_cardinalities", "object_count", "document_count",
                  "vocabulary_size", "index_nodes", "index_roots",
-                 "attr_occurrences", "unit_costs", "branch_actuals",
-                 "_text_index", "_bound_memo")
+                 "attr_occurrences", "_text_index", "_bound_memo")
 
-    def __init__(self, epoch: int = 0, generation: int = 0,
+    def __init__(self, epoch: int = 0,
                  class_cardinalities: Mapping[str, int] | None = None,
                  root_cardinalities: Mapping[str, int] | None = None,
                  object_count: int = 0,
@@ -100,11 +88,8 @@ class Statistics:
                  index_nodes: int = 0,
                  index_roots: int = 0,
                  attr_occurrences: Mapping[str, int] | None = None,
-                 unit_costs: Mapping[str, float] | None = None,
-                 branch_actuals: Mapping[Any, int] | None = None,
                  text_index: Any = None) -> None:
         self.epoch = epoch
-        self.generation = generation
         self.class_cardinalities = dict(class_cardinalities or {})
         self.root_cardinalities = dict(root_cardinalities or {})
         self.object_count = object_count
@@ -113,8 +98,6 @@ class Statistics:
         self.index_nodes = index_nodes
         self.index_roots = index_roots
         self.attr_occurrences = dict(attr_occurrences or {})
-        self.unit_costs = dict(unit_costs or {})
-        self.branch_actuals = dict(branch_actuals or {})
         # posting sizes are read lazily (and memoized) off the live
         # index: the snapshot is keyed to an epoch, and any mutation
         # bumps the epoch, so the reads stay coherent with the rest
@@ -151,12 +134,6 @@ class Statistics:
             return max(1.0, self.avg_subtree_size() / 4.0)
         return max(1.0, self.attr_occurrences.get(attr, 0)
                    / self.index_roots)
-
-    def unit_cost(self, operator_name: str,
-                  default: float = 1.0) -> float:
-        """Relative per-row cost of one operator class, learned from
-        profiled runs (1.0 until something was measured)."""
-        return self.unit_costs.get(operator_name, default)
 
     # -- text-index posting bounds -------------------------------------------
 
@@ -211,15 +188,6 @@ class Statistics:
             return left + right
         return None  # a negation bounds nothing
 
-    # -- feedback -------------------------------------------------------------
-
-    def branch_actual(self, plan_key: Any, ordinal: int,
-                      original_index: int) -> int | None:
-        """The actual row count a union branch produced on a previous
-        run of the same cached plan (``None`` before any feedback)."""
-        return self.branch_actuals.get((plan_key, ordinal,
-                                        original_index))
-
     # -- reporting ------------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -227,7 +195,6 @@ class Statistics:
         :meth:`repro.session.DocumentStore.stats`)."""
         return {
             "epoch": self.epoch,
-            "generation": self.generation,
             "classes": len(self.class_cardinalities),
             "objects": self.object_count,
             "documents": self.document_count,
@@ -235,12 +202,9 @@ class Statistics:
             "index_nodes": self.index_nodes,
             "index_roots": self.index_roots,
             "attrs_tracked": len(self.attr_occurrences),
-            "unit_costs": dict(self.unit_costs),
-            "recorded_branches": len(self.branch_actuals),
         }
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"Statistics(epoch={self.epoch}, "
-                f"generation={self.generation}, "
                 f"classes={len(self.class_cardinalities)}, "
                 f"objects={self.object_count})")

@@ -1,8 +1,8 @@
-"""The cost stage, pinned structurally: branch ordering, provable-empty
-pruning, and the estimate annotations — all
-behaviour of experiment P12, asserted here without timings, on
-the ``structural=False`` union-of-plans (the plans whose unions the
-stage orders and prunes)."""
+"""The cost stage, pinned structurally: provable-empty pruning that
+keeps the surviving branches in compile order, and the row-estimate
+annotations — all behaviour of experiment P12, asserted here without
+timings, on the ``structural=False`` union-of-plans (the plans whose
+unions the stage prunes)."""
 
 import pytest
 
@@ -10,7 +10,7 @@ from repro import DocumentStore
 from repro.algebra.compile import compile_query
 from repro.algebra.execute import execute_plan
 from repro.algebra.operators import SelectOp, UnionOp
-from repro.algebra.optimizer import optimize
+from repro.algebra.optimizer import apply_cost_stage, optimize
 from repro.corpus import ARTICLE_DTD
 from repro.corpus.generator import generate_corpus
 
@@ -58,9 +58,9 @@ def _evidence_unions(plan):
             and node.cost_evidence is not None]
 
 
-class TestBranchOrdering:
-    def test_evidence_is_a_permutation_partition(self, store):
-        plan, _, _ = _costed(store, SATISFIABLE)
+class TestBranchOrder:
+    def test_evidence_partitions_in_compile_order(self, store):
+        plan, _, _ = _costed(store, IMPOSSIBLE)
         unions = _evidence_unions(plan)
         assert unions
         for union in unions:
@@ -70,6 +70,16 @@ class TestBranchOrdering:
             assert (set(ev.order) | set(ev.pruned)
                     == set(range(ev.original)))
             assert len(union.branches) == len(ev.order)
+            # the survivors are not reordered
+            assert list(ev.order) == sorted(ev.order)
+
+    def test_unpruned_plan_is_returned_unchanged(self, store):
+        query = store._engine.translate(SATISFIABLE)
+        plan = compile_query(query, store.schema, structural=False)
+        factored = optimize(plan, structural=False, verify="raise",
+                            query=query)
+        snapshot = store.stats_manager.snapshot()
+        assert apply_cost_stage(factored, snapshot) is factored
 
     def test_costed_result_matches_unoptimized(self, store):
         for text in (SATISFIABLE, IMPOSSIBLE, NEGATED):
@@ -129,9 +139,7 @@ class TestAnnotations:
         plan, _, _ = _costed(store, SATISFIABLE)
         for node in _walk(plan):
             assert isinstance(node.est_rows, float)
-            assert isinstance(node.est_cost, float)
             assert node.est_rows >= 0.0
-            assert node.est_cost > 0.0
 
     def test_no_stats_means_no_cost_stage(self, store):
         query = store._engine.translate(SATISFIABLE)

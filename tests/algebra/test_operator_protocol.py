@@ -100,7 +100,7 @@ ALTERNATES = {
 
 #: Everything stamped on a node after construction; a rebuild through
 #: the constructor must leave all of it behind.
-ANNOTATIONS = ("est_rows", "est_cost", "cost_evidence")
+ANNOTATIONS = ("est_rows", "cost_evidence")
 
 
 def sample(cls: type, changed: str | None = None) -> Operator:

@@ -1,6 +1,7 @@
 """P12 — the cost-based stage of the optimizer: it prunes the branches
-an impossible ``contains`` provably empties, and orders a satisfiable
-one's union cheapest-first, without changing either answer."""
+an impossible ``contains`` provably empties, keeps the survivors in
+compile order, and leaves a satisfiable one's union as the factor
+stage built it, without changing either answer."""
 
 import pytest
 
@@ -54,10 +55,15 @@ def test_p12_pruning_ablation(store):
     assert metrics.get("algebra.branches_pruned_static") == 13
 
 
+def test_p12_survivors_keep_compile_order(store):
+    _, costed = plans(store, IMPOSSIBLE)
+    (union,) = costed_unions(costed)
+    assert union.cost_evidence.order == (0,)
+
+
 def test_p12_branch_order_ablation(store):
-    _, costed = plans(store, SATISFIABLE)
-    unions = costed_unions(costed)
-    assert unions
-    for union in unions:
-        costs = [branch.est_cost for branch in union.branches]
-        assert costs == sorted(costs)
+    factored, costed = plans(store, SATISFIABLE)
+    # nothing to prune: no evidence, no rebuilt union, the branches in
+    # the order the factor stage left them
+    assert costed_unions(costed) == []
+    assert costed.describe() == factored.describe()

@@ -23,10 +23,14 @@ Q_PUSHDOWN = "select t from my_article PATH_p.title(t) where t = 'On Sets'"
 Q_JOIN = "select v from my_article PATH_p(v), my_old_article PATH_q(v)"
 
 #: Cost-stage victim: a path variable compiles (``structural=False``) to
-#: a multi-branch union, which the cost stage reorders (and would prune, were the ``contains``
-#: word absent from the corpus).
+#: a multi-branch union, whose branches the cost stage prunes — the
+#: ``contains`` word is absent from the corpus.
 Q_COST = ('select t from a in Articles, a PATH_p.title(t) '
-          'where a contains ("SGML")')
+          'where a contains ("xyzzynotthere")')
+#: The same union with a word the corpus holds: the stage prunes
+#: nothing from it.
+Q_UNPRUNED = ('select t from a in Articles, a PATH_p.title(t) '
+              'where a contains ("SGML")')
 
 
 @pytest.fixture(scope="module")
@@ -64,8 +68,9 @@ class TestSeededBreakage:
                    for f in exc.value.faults)
 
     def test_scrambled_branch_order_is_caught(self, store, monkeypatch):
-        """A cost stage that duplicates one branch and drops another no
-        longer carries a permutation in its evidence — PC-COST."""
+        """A cost stage that keeps one branch twice no longer carries a
+        partition of the original branches in its evidence —
+        PC-COST."""
         query, plan = _plan_for(store, Q_COST, structural=False)
         snapshot = store.stats_manager.snapshot()
         monkeypatch.setattr(optimizer, "_TEST_MUTATION",
@@ -159,7 +164,8 @@ class TestIntactOptimizer:
         optimizer.optimize(plan, structural=structural, verify="raise",
                            query=query)
 
-    @pytest.mark.parametrize("text", [Q_PUSHDOWN, Q_JOIN, Q_COST])
+    @pytest.mark.parametrize("text", [Q_PUSHDOWN, Q_JOIN, Q_COST,
+                                      Q_UNPRUNED])
     def test_cost_stage_passes_raise_gate(self, store, text):
         assert optimizer._TEST_MUTATION is None
         query, plan = _plan_for(store, text, structural=False)
