@@ -28,13 +28,11 @@ that computes the same column without the interpreter:
   :meth:`TupleValue.select` — the one attribute-selection rule the
   interpreter and the navigation operators share;
 * ``contains(subject, <constant pattern expression>)`` under the
-  built-in ``contains`` reads the full-text index: an oid whose indexed
-  text is current (:meth:`TextIndex.current`) is decided by membership
-  in the probed key set when the index calls the probe exact (on an
-  index that is not stale, one lookup in the key set decides an oid
-  it lists), and masked by it before the exact check otherwise; every
-  other value is turned into text and matched as the predicate
-  would.
+  built-in ``contains`` reads the full-text index: an oid the index
+  holds (:meth:`TextIndex.indexed`) is decided by membership in the
+  probed key set when the index calls the probe exact, and masked by it
+  before the exact check otherwise; every other value is turned into
+  text and matched as the predicate would.
 
 A specialised kernel must return, element for element, what the
 generic one does (``tests/algebra/test_kernels.py``).
@@ -243,17 +241,17 @@ def contains_kernel(atom: Pred, probe: Probe) -> AtomKernel:
     atom's pattern, which a :class:`SelectOp` shares with the union
     gate above it.
 
-    An oid the index holds current text for is looked up in the probed
-    key set: that decides it when the probe is exact
+    An oid the index holds is looked up in the probed key set: that
+    decides it when the probe is exact
     (``algebra.contains_index_answered``), and drops it when it is not
     listed either way (``algebra.index_pruned``).  When the probe is
-    trusted and the index holds every subject of the column, the
-    column is decided whole, by two membership maps.  What is left — oids
-    behind an inexact probe, oids the index cannot vouch for, strings,
-    values — is turned into text the way the predicate does and
-    matched, one tokenizer pass each (``algebra.contains_rechecks``).
-    A registry whose ``contains`` is not the built-in one gets the
-    generic kernel: the index knows nothing of another predicate.
+    exact and the index holds every subject of the column, the column is
+    decided whole, by two membership maps.  What is left — oids behind
+    an inexact probe, oids the index never saw, strings, values — is
+    turned into text the way the predicate does and matched, one
+    tokenizer pass each (``algebra.contains_rechecks``).  A registry
+    whose ``contains`` is not the built-in one gets the generic kernel:
+    the index knows nothing of another predicate.
     """
     subject_kernel = term_kernel(atom.arguments[0])
     generic = _generic_atom(atom, "custom_predicate")
@@ -265,15 +263,10 @@ def contains_kernel(atom: Pred, probe: Probe) -> AtomKernel:
                 registry.predicate("contains") is BUILTIN_CONTAINS):
             return generic(source, ctx)
         keys, exact = probe(ctx)
-        current = ctx.text_index.current() if keys is not None else ()
-        # on an index that is not stale every probed key is current:
-        # one lookup decides a listed oid, and an unlisted one is
-        # not in the keys
-        trusted = (exact and keys is not None
-                   and not ctx.text_index.stale)
+        indexed = ctx.text_index.indexed() if keys is not None else ()
         column = subject_kernel(source, ctx)
         try:
-            whole = trusted and all(map(current.__contains__, column))
+            whole = exact and all(map(indexed.__contains__, column))
         except TypeError:  # a subject that does not hash: no oid
             whole = False
         if whole:
@@ -287,20 +280,15 @@ def contains_kernel(atom: Pred, probe: Probe) -> AtomKernel:
         kept = []
         answered = pruned = rechecks = 0
         for row, value in enumerate(column):
-            if type(value) is Oid:
-                if trusted and value in keys:
+            if type(value) is Oid and value in indexed:
+                if value not in keys:
+                    pruned += 1
+                    answered += exact
+                    continue
+                if exact:
                     answered += 1
                     kept.append(row)
                     continue
-                if value in current:
-                    if trusted or value not in keys:
-                        pruned += 1
-                        answered += exact
-                        continue
-                    if exact:
-                        answered += 1
-                        kept.append(row)
-                        continue
             text = _as_text(ctx, value)
             if isinstance(text, str):  # anything else: the atom is false
                 rechecks += 1

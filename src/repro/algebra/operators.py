@@ -666,12 +666,9 @@ class SelectOp(Operator):
         return source.select(kernel(source, ctx))
 
     def proves_empty(self, ctx: EvalContext) -> bool:
-        """Under ``oid_only``: no indexed key can satisfy the pattern,
-        and the index vouches for every key it holds — an index marked
-        stale proves nothing about the keys indexed before the mark."""
+        """Under ``oid_only``: no indexed key can satisfy the pattern."""
         keys, _ = self.probe(ctx)
-        return (keys is not None and not keys
-                and not ctx.text_index.stale)
+        return keys is not None and not keys
 
     def consumes(self) -> frozenset:
         return frozenset(self.atom.free_variables())

@@ -81,7 +81,12 @@ Binding = dict
 
 
 class EvalContext:
-    """Everything evaluation needs besides the formula itself."""
+    """Everything evaluation needs besides the formula itself.
+
+    ``provenance`` is accepted and ignored: ``text()`` is read from the
+    database (:mod:`repro.mapping.text_inverse`).  The name stays only
+    because the benchmark harness still passes it.
+    """
 
     def __init__(self, instance: Instance,
                  registry: FunctionRegistry | None = None,
@@ -90,7 +95,6 @@ class EvalContext:
                  max_paths: int | None = 200_000) -> None:
         self.instance = instance
         self.registry = registry or default_registry()
-        self.provenance = provenance
         self.path_semantics = path_semantics
         self.max_paths = max_paths
         #: Optional full-text index used by the algebra optimizer.
@@ -116,7 +120,7 @@ class EvalContext:
     def fork(self) -> "EvalContext":
         """A per-call evaluation context.
 
-        Shares the instance, function registry and provenance; copies
+        Shares the instance and function registry; copies
         the observer and index wiring as of the fork.  Each concurrent
         query evaluates in its own fork, so per-query mutable state
         (the nested-query memo, the evaluation-depth flag) never leaks
@@ -124,7 +128,6 @@ class EvalContext:
         registry.
         """
         clone = EvalContext(self.instance, registry=self.registry,
-                            provenance=self.provenance,
                             path_semantics=self.path_semantics,
                             max_paths=self.max_paths)
         clone.text_index = self.text_index

@@ -67,7 +67,7 @@ def _as_text(ctx, value: object) -> object:
     if isinstance(value, str):
         return value
     if isinstance(value, (Oid, TupleValue, ListValue, SetValue)):
-        return text_of(value, ctx.instance, ctx.provenance)
+        return text_of(value, ctx.instance)
     return value
 
 
@@ -82,7 +82,7 @@ def _near(ctx, value: object, first: str, second: str,
 
 
 def _text(ctx, value: object) -> str:
-    return text_of(value, ctx.instance, ctx.provenance)
+    return text_of(value, ctx.instance)
 
 
 def _name(ctx, attribute: object) -> str:

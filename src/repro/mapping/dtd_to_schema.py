@@ -158,6 +158,7 @@ class _Builder:
         roots = {root_name: list_of(c(doctype_class))}
         schema = Schema(ClassHierarchy(self.classes, self.parents),
                         roots=roots)
+        schema.shapes = self.shapes
         return MappedSchema(
             schema, self.constraints, self.shapes, self.element_class,
             self.private_attributes, self.attribute_definitions,

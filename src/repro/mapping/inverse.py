@@ -13,8 +13,8 @@ implements both directions:
   reconstructed, including union markers and occurrence indicators);
 * :func:`value_to_element` / :func:`export_document` — rebuild an SGML
   element tree from a loaded object, so a document edited *in the
-  database* can be re-serialised (unlike the provenance-based
-  ``text()``, this reflects updates).
+  database* can be re-serialised (the walk ``text()`` also takes, in
+  :mod:`repro.mapping.text_inverse`).
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from repro.mapping.shapes import (
     TextShape,
     TupleShape,
     UnionShape,
+    shape_content,
 )
 from repro.oodb.instance import Instance
 from repro.oodb.values import ListValue, Nil, Oid, TupleValue
@@ -147,66 +148,15 @@ def value_to_element(mapped: MappedSchema, instance: Instance,
     value = instance.deref(oid)
     element = Element(element_name)
     tokens = id_tokens or {}
-    _emit_content(mapped, instance, shape, value, element, tokens)
+    for piece in shape_content(shape, value, []):
+        if isinstance(piece, str):
+            element.append_text(piece)
+        else:
+            element.append(
+                value_to_element(mapped, instance, piece, tokens))
     _emit_attributes(mapped, instance, class_name, value, element,
                      tokens, oid.number)
     return element
-
-
-def _emit_content(mapped: MappedSchema, instance: Instance,
-                  shape: Shape, value: object, element: Element,
-                  id_tokens: dict) -> None:
-    if isinstance(shape, EmptyShape):
-        return
-    if isinstance(shape, TupleShape):
-        if not isinstance(value, TupleValue):
-            raise MappingError(
-                f"<{element.name}> value is not a tuple: {value!r}")
-        for name, field_shape in shape.fields:
-            _emit_content(mapped, instance, field_shape,
-                          value.get(name), element, id_tokens)
-        return
-    if isinstance(shape, UnionShape):
-        if not (isinstance(value, TupleValue) and value.is_marked):
-            raise MappingError(
-                f"<{element.name}> union value is not marked: {value!r}")
-        marker = value.marker
-        for branch_marker, branch_shape in shape.branches:
-            if branch_marker == marker:
-                _emit_content(mapped, instance, branch_shape,
-                              value.marked_value, element, id_tokens)
-                return
-        raise MappingError(
-            f"unknown marker {marker!r} in <{element.name}>")
-    if isinstance(shape, ListShape):
-        if not isinstance(value, ListValue):
-            raise MappingError(
-                f"<{element.name}> expected a list, got {value!r}")
-        for item in value:
-            _emit_content(mapped, instance, shape.element, item,
-                          element, id_tokens)
-        return
-    if isinstance(shape, OptShape):
-        if isinstance(value, Nil):
-            return
-        _emit_content(mapped, instance, shape.child, value, element,
-                      id_tokens)
-        return
-    if isinstance(shape, ElemShape):
-        if isinstance(value, Nil):
-            return
-        if not isinstance(value, Oid):
-            raise MappingError(
-                f"<{element.name}> expected an object for "
-                f"<{shape.element_name}>, got {value!r}")
-        element.append(
-            value_to_element(mapped, instance, value, id_tokens))
-        return
-    if isinstance(shape, TextShape):
-        if isinstance(value, str) and value:
-            element.append_text(value)
-        return
-    raise MappingError(f"cannot export shape {shape!r}")
 
 
 def _emit_attributes(mapped: MappedSchema, instance: Instance,

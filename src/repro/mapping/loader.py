@@ -13,9 +13,9 @@ becomes an object reference and the target's ``ID`` attribute becomes the
 list of objects referencing it (Figure 3's ``reflabel: Object`` /
 ``label: list (Object)``).
 
-The loader also records, for every created object, the source
-:class:`~repro.sgml.instance.Element` — the provenance the ``text()``
-inverse operator uses.
+``text()`` reads the loaded objects, not the source tree
+(:mod:`repro.mapping.text_inverse`), so the loader keeps no reference
+to it.
 """
 
 from __future__ import annotations
@@ -45,7 +45,8 @@ class DocumentLoader:
         self.mapped = mapped
         self.instance = Instance(mapped.schema)
         self.instance.set_root(mapped.root_name, ListValue())
-        #: oid number -> source Element (provenance for ``text()``).
+        #: Always empty: ``text()`` is read from the database.  Kept
+        #: only because the benchmark harness still reads the name.
         self.provenance: dict[int, Element] = {}
         self._ids: dict[str, Oid] = {}
         self._trail: list[Oid] = []
@@ -80,7 +81,6 @@ class DocumentLoader:
         shape = self.mapped.shape_for_class(class_name)
         oid = self.instance.new_object(class_name)
         self._trail.append(oid)
-        self.provenance[oid.number] = element
         cursor = _Children(element.children)
         if isinstance(shape, UnionShape):
             # A class-level union (e.g. Section): the chosen branch must
@@ -111,7 +111,6 @@ class DocumentLoader:
         while len(trail) > mark:
             oid = trail.pop()
             self.instance.remove_object(oid)
-            self.provenance.pop(oid.number, None)
 
     def _load_whole_union(self, shape: UnionShape, cursor: "_Children",
                           element: Element) -> TupleValue:

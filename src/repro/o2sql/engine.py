@@ -53,10 +53,6 @@ BACKENDS = ("algebra", "sql", "calculus")
 class QueryEngine:
     """Run O₂SQL text against a database instance.
 
-    ``provenance`` (the loader's oid → source element map) enables the
-    exact ``text()`` inverse mapping for ``contains`` over logical
-    objects; without it the structural fallback is used.
-
     ``cache`` is an optional :class:`~repro.cache.plancache.PlanCache`.
     A bare engine defaults to no cache (mutating the instance directly
     stays safe); :class:`~repro.session.DocumentStore` always installs
@@ -79,7 +75,7 @@ class QueryEngine:
     the Section 5.4 union-of-plans, the paper-faithful reference.
     """
 
-    def __init__(self, instance: Instance, provenance: dict | None = None,
+    def __init__(self, instance: Instance,
                  path_semantics: str = RESTRICTED,
                  backend: str = "algebra",
                  cache: PlanCache | None = None,
@@ -97,8 +93,7 @@ class QueryEngine:
                 f"(backend={backend!r} compiles to the algebra, which "
                 "has no transitive-closure operator: Section 5.4)")
         self.instance = instance
-        self.ctx = EvalContext(instance, provenance=provenance,
-                               path_semantics=path_semantics)
+        self.ctx = EvalContext(instance, path_semantics=path_semantics)
         self.backend = backend
         self.cache = cache
         #: The relational backend (``backend="sql"`` only): plans are

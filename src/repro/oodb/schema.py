@@ -224,6 +224,10 @@ class Schema:
         self.hierarchy = hierarchy
         self.methods = tuple(methods)
         self.roots: dict[str, Type] = dict(roots or {})
+        #: class name -> the loading shape the DTD mapping recorded
+        #: (:mod:`repro.mapping.shapes`), which ``text()`` walks; empty
+        #: for a schema built by hand
+        self.shapes: dict = {}
         for root_name, root_type in self.roots.items():
             for referenced in referenced_classes(root_type):
                 if not hierarchy.has_class(referenced):

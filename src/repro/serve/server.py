@@ -81,7 +81,7 @@ _UNSET = object()
 
 
 class ServeResult:
-    """One response: the result set plus its snapshot provenance."""
+    """One response: the result set plus the snapshot it was read at."""
 
     __slots__ = ("value", "tenant", "epoch", "collapsed", "conflicts",
                  "latency")

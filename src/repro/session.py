@@ -21,7 +21,7 @@ from repro.cache import EpochPin, PlanCache, PreparedQuery
 from repro.errors import MappingError
 from repro.mapping.dtd_to_schema import MappedSchema, map_dtd
 from repro.mapping.loader import DocumentLoader
-from repro.mapping.text_inverse import source_layout, text_of
+from repro.mapping.text_inverse import document_layout, text_of
 from repro.o2sql.engine import QueryEngine
 from repro.oodb.display import format_schema
 from repro.oodb.store import ObjectStore, atomic_write
@@ -34,20 +34,6 @@ from repro.sgml.validator import validation_problems
 from repro.stats import StatisticsManager
 from repro.structindex import StructuralIndex
 from repro.text.index import TextIndex
-
-
-def _child_oids(value: object):
-    """Direct oid references inside one value (no dereferencing)."""
-    from repro.oodb.values import ListValue, SetValue, TupleValue
-    stack = [value]
-    while stack:
-        current = stack.pop()
-        if isinstance(current, Oid):
-            yield current
-        elif isinstance(current, TupleValue):
-            stack.extend(field_value for _, field_value in current)
-        elif isinstance(current, (ListValue, SetValue)):
-            stack.extend(current)
 
 
 def _root_type(value: object, instance):
@@ -87,8 +73,7 @@ class DocumentStore:
                  backend: str = "algebra",
                  structural: bool = True) -> None:
         self._open_schema(dtd_text)
-        self._wire(self.loader.provenance, path_semantics, backend,
-                   structural)
+        self._wire(path_semantics, backend, structural)
 
     def _open_schema(self, dtd_text: str) -> None:
         """The schema half of construction: DTD → mapped schema → an
@@ -103,6 +88,10 @@ class DocumentStore:
         self.loader = DocumentLoader(self.mapped)
         self.store = ObjectStore(self.loader.instance)
         self.text_index: TextIndex | None = None
+        # the document holding each object an index walk reached
+        # without a span (its text is empty), for update_text: the
+        # index knows the document of every spanned object
+        self._spanless: dict[Oid, Oid] = {}
         self._metrics = None
         #: Writer coordination: mutations serialize on this lock and
         #: run inside :meth:`mutating`, which keeps :attr:`write_seq`
@@ -111,8 +100,8 @@ class DocumentStore:
         self._write_seq = 0
         self._mutation_depth = 0
 
-    def _wire(self, provenance: dict | None, path_semantics: str,
-              backend: str, structural: bool) -> None:
+    def _wire(self, path_semantics: str, backend: str,
+              structural: bool) -> None:
         """Build everything that hangs off :attr:`instance` — cold plan
         cache, engine, statistics, structural index.  Runs exactly once
         per store, over the instance it will serve (``__init__``: the
@@ -121,8 +110,7 @@ class DocumentStore:
         #: performs bumps its epoch, so cached plans are never stale.
         self.plan_cache = PlanCache()
         self._engine = QueryEngine(
-            self.instance, provenance,
-            path_semantics=path_semantics, backend=backend,
+            self.instance, path_semantics=path_semantics, backend=backend,
             cache=self.plan_cache, structural=structural)
         #: Table statistics for the optimizer's cost stage: snapshots
         #: follow the plan-cache epoch; executed plans feed actual
@@ -132,7 +120,6 @@ class DocumentStore:
             context=self._engine.ctx)
         self._engine.stats = self.stats_manager
         self.struct_index: StructuralIndex | None = None
-        self._parents: dict[Oid, list[Oid]] | None = None
         # only plans that read the blocks need them: range scans
         # (``structural``) and the relational backend, whose tables are
         # their projection; the calculus interpreter never does
@@ -199,79 +186,55 @@ class DocumentStore:
                 raise MappingError(
                     "invalid document: " + "; ".join(problems))
         with self.mutating():
-            first_new = self.instance._next_oid  # oids the load creates
             oid = self.loader.load(tree)
-            self._absorb_new_objects(first_new)
+            if self.text_index is not None:
+                # only the new document is walked: the cost of a load
+                # does not grow with the corpus
+                self._index_documents(self.text_index, [oid])
             if name is not None:
                 self._bind_root(name, oid)
             self._publish()
         return oid
 
-    def _absorb_new_objects(self, first_new: int) -> None:
-        """Keep incremental structures current for a fresh document:
-        index its objects' text (when an index exists) and extend the
-        parent map (when one has been built).  Only the objects the
-        load allocated are visited: the document's text is tokenized
-        once, and each object is a span of that token stream (see
-        :meth:`_index_documents`) — the cost of a load does not grow
-        with the corpus."""
-        if self.text_index is None and self._parents is None:
-            return
-        oids = list(self.instance.oids_since(first_new))
-        if self.text_index is not None:
-            self._index_documents(self.text_index, oids)
-        if self._parents is not None:
-            for oid in oids:
-                self._record_children(oid)
+    def _documents(self):
+        """The loaded documents: the persistence root the loader
+        appends each one to."""
+        return self.instance.root(self.mapped.root_name)
 
-    def _index_documents(self, index: TextIndex, oids) -> None:
-        """Index the text of ``oids``: one token stream per source
-        document their provenance covers, every object with non-empty
-        text a span of it (:meth:`TextIndex.add_document`).  An object
-        without provenance gets a stream of its own, and so does one
-        whose text does not fit its span; ``text.own_stream_keys``
-        counts them, ``text.own_stream_keys.<reason>`` by reason."""
-        instance, provenance = self.instance, self.loader.provenance
-        by_element: dict[int, list[Oid]] = {}
-        tops: dict[int, Element] = {}
-        apart = []
-        for oid in oids:
-            element = provenance.get(oid.number)
-            if element is None:
-                apart.append(oid)
-                continue
-            by_element.setdefault(id(element), []).append(oid)
-            while element.parent is not None:
-                element = element.parent
-                if id(element) in tops or id(element) in by_element:
-                    break
-            else:
-                tops[id(element)] = element
+    def _index_documents(self, index: TextIndex, documents) -> set[Oid]:
+        """Index the text of ``documents`` and return the objects their
+        walks reach.  Each document is one token stream, every object
+        with non-empty text a span of it
+        (:meth:`TextIndex.add_document`), from one walk of the
+        database (:func:`document_layout`); a document indexed before
+        is replaced whole, and an object without a span is remembered
+        as the document's (:meth:`update_text` finds its document so).
+        An object whose span would cut a word gets a stream of its
+        own; ``text.own_stream_keys`` counts them,
+        ``text.own_stream_keys.<reason>`` by reason."""
         reasons: Counter[str] = Counter()
-        for top in tops.values():
-            text, layout = source_layout(top)
+        reached: set[Oid] = set()
+        for document in documents:
+            text, layout = document_layout(document, self.instance)
             spans = []
             # per layout entry: the position in spans of its own span,
             # or else of its nearest ancestor's
             span_of: list[int] = []
-            for element, parent, start, end in layout:
+            for oid, parent, start, end in layout:
+                reached.add(oid)
                 enclosing = span_of[parent] if parent >= 0 else -1
-                for oid in by_element.get(id(element), ()):
-                    content = text_of(oid, instance, provenance)
-                    if content:
-                        spans.append((oid, enclosing, start, end, content))
-                        enclosing = len(spans) - 1
+                if end > start:
+                    spans.append((oid, enclosing, start, end))
+                    enclosing = len(spans) - 1
+                else:
+                    self._spanless[oid] = document
                 span_of.append(enclosing)
-            reasons += index.add_document(text, spans)
-        for oid in apart:
-            content = text_of(oid, instance, provenance)
-            if content:
-                index.add(oid, content)
-                reasons["no_provenance"] += 1
+            reasons += index.add_document(text, spans, document)
         if self._metrics is not None:
             for reason, count in reasons.items():
                 self._metrics.inc("text.own_stream_keys", count)
                 self._metrics.inc(f"text.own_stream_keys.{reason}", count)
+        return reached
 
     def define_name(self, name: str, value: object) -> None:
         """Register an extra persistence root (an O₂ *name*)."""
@@ -318,7 +281,13 @@ class DocumentStore:
         complete one — never a half-built state."""
         with self._write_lock:
             index = TextIndex()
-            self._index_documents(index, self.instance.all_oids())
+            reached = self._index_documents(index, self._documents())
+            # objects no document reaches (made by hand) stand alone
+            for oid in self.instance.all_oids():
+                if oid not in reached:
+                    content = text_of(oid, self.instance)
+                    if content:
+                        index.add(oid, content)
             index.metrics = self._metrics
             self.text_index = index
             self._engine.ctx.text_index = index
@@ -456,7 +425,7 @@ class DocumentStore:
 
     def text(self, value: object) -> str:
         """The ``text()`` operator (inverse mapping)."""
-        return text_of(value, self.instance, self.loader.provenance)
+        return text_of(value, self.instance)
 
     # -- inverse mapping (footnote 1 / Section 6) ---------------------------
 
@@ -484,20 +453,17 @@ class DocumentStore:
     def update_text(self, oid: Oid, new_text: str) -> None:
         """Edit the character data of a #PCDATA-bearing object in the
         database (Section 6's update direction).  The change is visible
-        to queries and to :meth:`export_document`.
+        to queries, to ``text()`` and to :meth:`export_document`.
 
-        An existing text index is maintained incrementally: the edited
-        object *and every ancestor* embed the changed character data in
-        their reconstructed text, so all of them are re-indexed, each
-        in a token stream of its own (and the plan-cache epoch is
-        bumped, so a cached index-backed plan re-probes the fresh
-        postings on its recompile).  Re-indexing costs the ancestors'
-        own streams: leaving the document's stream copies that stream's
-        owner and parent arrays and cuts the posting entries of the
-        offsets no object holds any more, and the new stream inserts
-        one entry per distinct token — whatever the other documents
-        sharing those tokens hold; the first edit on a store also
-        builds the parent map (one scan of the instance).
+        An existing text index is kept exact: the edited object's
+        document is walked again and its stream replaced
+        (:meth:`_index_documents`), so an edit costs its own document,
+        whatever the corpus holds, and every other key keeps its span.
+        The document is the one whose stream holds the object's span,
+        or, for an object without one (its text was empty), the one
+        whose walk last reached it; an object no document reaches is
+        re-indexed alone.  The plan-cache epoch is bumped, so a cached
+        index-backed plan re-probes on its recompile.
         """
         from repro.oodb.values import TupleValue
         from repro.mapping.naming import TEXT_FIELD
@@ -509,55 +475,16 @@ class DocumentStore:
                     f"object {oid!r} carries no character data")
             self.store.update_object(
                 oid, value.replace(TEXT_FIELD, new_text))
-            # The source-document snapshot is stale for this object and
-            # all its ancestors; drop provenance entirely so text()
-            # switches to the (always current) structural reconstruction
-            # — for every object the snapshot covered, so what the text
-            # index holds for them is no longer what text() returns.
-            if self.loader.provenance:
-                self.loader.provenance.clear()
-                if self.text_index is not None:
-                    self.text_index.mark_stale()
-            if self.text_index is not None:
-                for target in self._ancestry(oid):
-                    content = text_of(target, self.instance,
-                                      self.loader.provenance)
-                    self.text_index.replace(target, content or "")
+            index = self.text_index
+            if index is not None:
+                document = index.document_of(oid)
+                if document is None:
+                    document = self._spanless.get(oid)
+                if document is not None:
+                    self._index_documents(index, [document])
+                else:
+                    index.replace(oid, text_of(oid, self.instance))
             self._publish(edited_oid=oid)
-
-    # -- containment (for incremental index maintenance) --------------------
-
-    def _parent_map(self) -> dict[Oid, list[Oid]]:
-        """oid → direct parent oids, built lazily from one full scan
-        (documents are trees, but shared objects are tolerated) and
-        kept current by :meth:`load_tree`.  Character-data edits never
-        change the structure, so no maintenance is needed there."""
-        if self._parents is None:
-            self._parents = {}
-            for oid in self.instance.all_oids():
-                self._record_children(oid)
-        return self._parents
-
-    def _record_children(self, parent: Oid) -> None:
-        for child in _child_oids(self.instance.deref(parent)):
-            self._parents.setdefault(child, []).append(parent)
-
-    def _ancestry(self, oid: Oid) -> list[Oid]:
-        """``oid`` plus every object reachable upward from it."""
-        parents = self._parent_map()
-        chain = [oid]
-        seen = {oid}
-        frontier = [oid]
-        while frontier:
-            next_frontier = []
-            for node in frontier:
-                for parent in parents.get(node, ()):
-                    if parent not in seen:
-                        seen.add(parent)
-                        chain.append(parent)
-                        next_frontier.append(parent)
-            frontier = next_frontier
-        return chain
 
     # -- persistence --------------------------------------------------------
 
@@ -580,9 +507,11 @@ class DocumentStore:
              structural: bool = True) -> "DocumentStore":
         """Rebuild a store from :meth:`save` output.
 
-        Loader provenance is not persisted: ``text()`` uses the (always
-        correct) structural reconstruction after a reload, and documents
-        can be re-exported via the inverse mapping.
+        ``text()`` is read from the database, so it is the saved
+        store's, and so is a text index built over the restored
+        instance (:meth:`build_text_index`): one stream per document,
+        the same spans.  Documents can be re-exported via the inverse
+        mapping.
 
         The snapshot stores *data*, not engine configuration: the
         keywords are the constructor's, so a store restored for a
@@ -603,9 +532,8 @@ class DocumentStore:
 
         store.store = ObjectStore.load(store.schema, path, declare)
         store.loader.instance = store.store.instance
-        # a reloaded store starts cold: fresh cache at epoch 0, no
-        # provenance, no parent map yet
-        store._wire(None, path_semantics, backend, structural)
+        # a reloaded store starts cold: fresh cache at epoch 0
+        store._wire(path_semantics, backend, structural)
         return store
 
     # -- reporting ------------------------------------------------------------

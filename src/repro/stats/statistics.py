@@ -143,9 +143,7 @@ class Statistics:
         issued): exact for one literal word, the smallest frequency of
         a phrase's words, the sum over a disjunction.  ``None`` means
         the model cannot bound it — a negation-dominated or regex-only
-        pattern, or an index marked stale (what it holds for the keys
-        indexed before the mark bounds nothing about their text now).
-        A return of ``0`` is a *proof* of emptiness: a
+        pattern.  A return of ``0`` is a *proof* of emptiness: a
         literal word no document contains matches nothing, so the cost
         stage may prune a branch gated on it before any index probe
         runs.
@@ -164,7 +162,7 @@ class Statistics:
         :meth:`repro.text.TextIndex.posting_size` — the document
         frequency of each literal word."""
         index = self._text_index
-        if index is None or index.stale:
+        if index is None:
             return None
         if isinstance(expression, Pattern):
             bounds = [index.posting_size(word)

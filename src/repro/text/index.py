@@ -10,10 +10,12 @@ contiguous run of its document's text (the region encoding of the XML
 query processing survey), so a document's postings are stored once, not
 once per ancestor.  Each stream's ``owner`` array names the innermost
 key at every offset, and the keys that contain an offset are the walk
-up the parent chain from its owner.  A key joins its document's stream
-only when its own text is exactly the document text over its span, cut
-at whitespace; every other key gets a stream of its own.  Either way a
-key's tokens are what :func:`tokenize` gives its text.
+up the parent chain from its owner.  A key's text is the document text
+over its span; it joins its document's stream when the span is cut at
+whitespace, and otherwise gets a stream of its own.  Either way a key's
+tokens are what :func:`tokenize` gives its text.  Every stream of a
+document is filed under the document's key, so the document can be
+indexed again as a whole (:meth:`TextIndex.add_document`).
 
 Probes answer in keys.  A word's key set is the walk up from the owner
 of each of its offsets; it is built once per index version and kept in
@@ -29,10 +31,9 @@ or ``None`` ("no pruning possible, scan") when negation dominates.
 no caller walks the expression to guess it.
 
 An answer read off the index is an answer about the text that was
-*indexed*.  The owner re-indexes the keys an edit touches; when it can
-no longer vouch for the rest (the session's ``text()`` switching
-strategy under them) it calls :meth:`TextIndex.mark_stale`, and
-:meth:`TextIndex.current` is the keys a probe may still decide alone.
+*indexed*; the owner re-indexes what an edit touches (the session
+re-indexes the edited object's document), so every indexed key's text
+is its current text.
 
 **Concurrency contract** (what the serving layer relies on).  Mutators
 (:meth:`TextIndex.add`, :meth:`TextIndex.add_document`,
@@ -43,13 +44,17 @@ change one stream entry at a time, the offsets tuple replaced, never
 mutated.  Probes are lock-free: a probe *snapshots* a token's postings
 in one atomic step (``list(group.items())``, ``group.copy()``,
 ``list(postings)`` — single calls that run no Python code in between),
-reads each stream object once and never iterates a live group.  A key
-set is therefore built from a complete snapshot: it may be one edit
-stale, it is never torn.  Every mutator ends by replacing the memo with
-an empty one (one assignment); a probe reads the memo object once and
-writes only into the memo object it read.  So a key set computed while
-a mutator runs lands in a memo that mutator discards, and after a
-mutator returns the memo holds only key sets of the new version.
+reads each stream object once and never iterates a live group.  A
+stream leaves the index after its posting entries, and a document
+indexed again publishes its new streams before the old ones leave, so
+a probe that finds a posted stream gone takes a fresh snapshot, which
+holds the newer version.  A key set is therefore built from a complete
+snapshot: it may be one edit stale, it is never torn.  Every mutator
+ends by replacing the memo with an empty one (one assignment); a probe
+reads the memo object once and writes only into the memo object it
+read.  So a key set computed while a mutator runs lands in a memo that
+mutator discards, and after a mutator returns the memo holds only key
+sets of the new version.
 Consistency *across* tokens (a phrase probe spanning several groups
 while an edit lands) is the caller's job: :class:`~repro.serve.
 QueryServer` validates every read against the store's write fence and
@@ -72,15 +77,14 @@ from repro.text.patterns import (
 )
 
 Group = dict[int, tuple[int, ...]]  # stream id -> offsets
-#: ``(key, parent, start, end, key_text)``: one key of a document (see
+#: ``(key, parent, start, end)``: one key of a document (see
 #: :meth:`TextIndex.add_document`)
-Span = tuple[Hashable, int, int, int, str]
+Span = tuple[Hashable, int, int, int]
 
 #: Why a key of an added document gets a stream of its own: an end of
 #: its region falls inside a whitespace-delimited chunk (text glued
-#: across a tag), or its text is not the document text over its region.
+#: across a tag).
 GLUED_BOUNDARY = "glued_boundary"
-TEXT_DIFFERS = "text_differs"
 
 _NO_KEYS: frozenset = frozenset()
 
@@ -98,14 +102,17 @@ class _Stream:
     innermost live slot holding the offset (``-1``: none, and the offset
     is in no posting); ``live`` counts the slots still indexed (a
     removed slot's key is ``None``).  ``owner is None`` marks a stream
-    of one key that holds every offset.  Never mutated once
-    published."""
+    of one key that holds every offset.  ``document`` is the key of the
+    document the stream was filed under (``None``: none).  Never
+    mutated once published."""
 
-    __slots__ = ("tokens", "keys", "lo", "hi", "parents", "owner", "live")
+    __slots__ = ("tokens", "keys", "lo", "hi", "parents", "owner", "live",
+                 "document")
 
     def __init__(self, tokens: tuple[str, ...], keys: list,
                  lo: list[int], hi: list[int], parents: list[int],
-                 owner: list[int] | None, live: int) -> None:
+                 owner: list[int] | None, live: int,
+                 document: Hashable = None) -> None:
         self.tokens = tokens
         self.keys = keys
         self.lo = lo
@@ -113,6 +120,7 @@ class _Stream:
         self.parents = parents
         self.owner = owner
         self.live = live
+        self.document = document
 
     def keys_covering(self, anchors: Iterable[int], width: int) -> list:
         """The keys whose span holds ``[anchor, anchor + width)`` for
@@ -143,13 +151,12 @@ class TextIndex:
         self._postings: dict[str, Group] = {}
         self._streams: dict[int, _Stream] = {}
         self._keys: dict[Hashable, tuple[int, int]] = {}  # (stream, slot)
+        # document key -> the ids of the streams filed under it
+        self._documents: dict[Hashable, list[int]] = {}
         self._next_stream = 0
         self._occurrences = 0  # sum of the keys' token counts
         # token -> its key set, for the current index version only
         self._memo: dict[str, frozenset] = {}
-        # keys (re-)indexed since the last mark_stale(); None = no
-        # mark_stale() yet, every indexed key is current
-        self._current: set[Hashable] | None = None
         # serializes mutators; probes stay lock-free (see module doc)
         self._mutation_lock = threading.RLock()
         #: optional repro.observe MetricsRegistry; ``None`` = disabled
@@ -161,41 +168,49 @@ class TextIndex:
         """Index ``text`` under ``key`` as a stream of its own; returns
         the token count.  One posting entry per distinct token; a second
         ``add`` of the same key continues its offsets."""
-        tokens = tuple(tokenize(text))
         with self._mutation_lock:
-            found = self._keys.get(key)
-            if found is None:
-                before: tuple[str, ...] = ()
-                if self._current is not None:
-                    self._current.add(key)
-            else:  # the key's tokens so far, moved to the new stream
-                stream = self._streams[found[0]]
-                slot = found[1]
-                before = stream.tokens[stream.lo[slot]:stream.hi[slot]]
-                self._drop(key)
-            whole = before + tokens
-            self._publish(_Stream(whole, [key], [0], [len(whole)], [-1],
-                                  None, 1))
-            self._memo = {}
+            return self._add(key, text, None)
+
+    def _add(self, key: Hashable, text: str, document: Hashable) -> int:
+        tokens = tuple(tokenize(text))
+        found = self._keys.get(key)
+        if found is None:
+            before: tuple[str, ...] = ()
+        else:  # the key's tokens so far, moved to the new stream
+            stream = self._streams[found[0]]
+            slot = found[1]
+            before = stream.tokens[stream.lo[slot]:stream.hi[slot]]
+            self._drop(key)
+        whole = before + tokens
+        self._publish(_Stream(whole, [key], [0], [len(whole)], [-1],
+                              None, 1, document))
+        self._memo = {}
         return len(tokens)
 
-    def add_document(self, text: str,
-                     spans: Sequence[Span]) -> Counter[str]:
+    def add_document(self, text: str, spans: Sequence[Span],
+                     document: Hashable) -> Counter[str]:
         """Index the keys of one document as spans of one stream, with
         one tokenizer pass over ``text``, the document's text.
 
-        ``spans`` lists ``(key, parent, start, end, key_text)`` in
-        document order, an enclosing span before the spans inside it:
-        the key stands for ``key_text`` and its region is
-        ``text[start:end]``; ``parent`` is the position in ``spans`` of
-        the span enclosing it (``-1``: none).  A key joins the stream
+        ``spans`` lists ``(key, parent, start, end)`` in document order,
+        an enclosing span before the spans inside it: the key's text is
+        ``text[start:end]``, and ``parent`` is the position in ``spans``
+        of the span enclosing it (``-1``: none).  A key joins the stream
         when neither end of its region falls inside a
-        whitespace-delimited chunk of ``text`` and ``key_text`` is the
-        text of its region.  Every other key is indexed as by
-        :meth:`add`, and the returned counter says why, by reason
-        (:data:`GLUED_BOUNDARY`, :data:`TEXT_DIFFERS`); a key met
-        before — already indexed, or earlier in ``spans`` — continues
-        as by :meth:`add`, after the stream."""
+        whitespace-delimited chunk of ``text``.  Every other key is
+        indexed as by :meth:`add`, and the returned counter says why,
+        by reason (:data:`GLUED_BOUNDARY`); a key met before — already
+        indexed, or earlier in ``spans`` — continues as by :meth:`add`,
+        after the stream.
+
+        Every stream this makes is filed under ``document``, the
+        document's key (:meth:`document_of`), and the streams filed
+        under it before are replaced, keys and all: the document is
+        indexed again as a whole.  The new streams are published before
+        the old ones leave the postings, so a probe meanwhile reads the
+        old version or the new one, never neither
+        (``text.remove_postings_touched`` counts the posting entries the
+        old streams take with them)."""
         size = len(text)
 
         def clean(cut: int) -> bool:
@@ -210,39 +225,50 @@ class TextIndex:
         slot_of: list[int] = []
         apart: list[tuple[Hashable, str]] = []
         with self._mutation_lock:
+            replaced = self._documents.pop(document, ())
+            for sid in replaced:  # its keys are indexed anew below
+                stream = self._streams.get(sid)
+                for slot, key in enumerate(stream.keys if stream else ()):
+                    if key is not None:
+                        del self._keys[key]
+                        self._occurrences -= stream.hi[slot] - stream.lo[slot]
             indexed = self._keys
             met = set()  # the keys of this document so far
-            for key, parent, start, end, key_text in spans:
+            for key, parent, start, end in spans:
                 enclosing = slot_of[parent] if parent >= 0 else -1
-                if key in met or key in indexed:
-                    reason = None
-                elif not (clean(start) and clean(end)):
-                    reason = GLUED_BOUNDARY
-                elif not (end - start == len(key_text)
-                          and text.startswith(key_text, start)):
-                    reason = TEXT_DIFFERS
-                else:
-                    met.add(key)
+                new = key not in met and key not in indexed
+                met.add(key)
+                if new and clean(start) and clean(end):
                     slot_of.append(len(keys))
                     keys.append(key)
                     parents.append(enclosing)
                     regions.append((start, end))
                     continue
-                met.add(key)
+                if new:
+                    reasons[GLUED_BOUNDARY] += 1
                 slot_of.append(enclosing)
-                apart.append((key, key_text))
-                if reason is not None:
-                    reasons[reason] += 1
+                apart.append((key, text[start:end]))
             if keys:
-                self._publish_document(text, keys, parents, regions)
+                self._publish_document(text, keys, parents, regions,
+                                       document)
             for key, key_text in apart:
-                self.add(key, key_text)
+                self._add(key, key_text, document)
+            touched = sum(map(self._retire, replaced))
             self._memo = {}
+        if touched and self.metrics is not None:
+            self.metrics.inc("text.remove_postings_touched", touched)
         return reasons
+
+    def document_of(self, key: Hashable) -> Hashable:
+        """The document ``key``'s stream is filed under (``None``: the
+        key is not indexed, or was added on its own)."""
+        found = self._keys.get(key)
+        return None if found is None else self._streams[found[0]].document
 
     def _publish_document(self, text: str, keys: list,
                           parents: list[int],
-                          regions: list[tuple[int, int]]) -> None:
+                          regions: list[tuple[int, int]],
+                          document: Hashable) -> None:
         """Tokenize ``text`` once, piece by piece between the region
         ends (no whitespace-delimited chunk crosses one), and publish
         the stream whose keys span those regions."""
@@ -259,9 +285,7 @@ class TextIndex:
         for slot, (first, last) in enumerate(zip(lo, hi)):
             owner[first:last] = [slot] * (last - first)  # inner ones later
         self._publish(_Stream(tuple(tokens), keys, lo, hi, parents, owner,
-                              len(keys)))
-        if self._current is not None:
-            self._current.update(keys)
+                              len(keys), document))
 
     def _publish(self, stream: _Stream) -> None:
         """Give ``stream`` an id, register its keys and post the offsets
@@ -270,6 +294,8 @@ class TextIndex:
         sid = self._next_stream
         self._next_stream += 1
         self._streams[sid] = stream
+        if stream.document is not None:
+            self._documents.setdefault(stream.document, []).append(sid)
         for slot, key in enumerate(stream.keys):
             self._keys[key] = (sid, slot)
         self._occurrences += sum(stream.hi) - sum(stream.lo)
@@ -307,8 +333,6 @@ class TextIndex:
             dropped = self._drop(key)
             if dropped is None:
                 return 0
-            if self._current is not None:
-                self._current.discard(key)
             self._memo = {}
         removed, touched = dropped
         if self.metrics is not None:
@@ -320,24 +344,18 @@ class TextIndex:
     def _drop(self, key: Hashable) -> tuple[int, int] | None:
         """:meth:`remove` without the counters: ``(token count, posting
         entries touched)``, ``None`` for a key never indexed."""
-        found = self._keys.pop(key, None)
+        found = self._keys.get(key)
         if found is None:
             return None
         sid, slot = found
         stream = self._streams[sid]
         lo, hi = stream.lo[slot], stream.hi[slot]
+        del self._keys[key]
         self._occurrences -= hi - lo
+        if stream.live == 1:
+            return hi - lo, self._retire(sid)
         postings = self._postings
         touched = 0
-        if stream.live == 1:
-            for token in set(stream.tokens):
-                group = postings.get(token)
-                if group is not None and group.pop(sid, None) is not None:
-                    touched += 1
-                    if not group:
-                        del postings[token]
-            del self._streams[sid]
-            return hi - lo, touched
         # the slot's offsets and child spans pass to its parent; the
         # trailing -1 maps "no slot" to itself
         lift = [*range(len(stream.keys)), -1]
@@ -349,7 +367,7 @@ class TextIndex:
         self._streams[sid] = _Stream(
             stream.tokens, keys, stream.lo, stream.hi,
             list(map(lift.__getitem__, stream.parents)), owner,
-            stream.live - 1)
+            stream.live - 1, stream.document)
         if parent < 0:  # offsets no key holds leave the postings
             tokens = stream.tokens
             for token in {tokens[offset] for offset in range(lo, hi)
@@ -366,6 +384,26 @@ class TextIndex:
                         del postings[token]
         return hi - lo, touched
 
+    def _retire(self, sid: int) -> int:
+        """Drop stream ``sid`` and its posting entries, one dictionary
+        delete per distinct token; returns how many (0 for a stream
+        already gone).  Its keys are the caller's to unregister."""
+        stream = self._streams.get(sid)
+        if stream is None:
+            return 0
+        postings = self._postings
+        touched = 0
+        for token in set(stream.tokens):
+            group = postings.get(token)
+            if group is not None and group.pop(sid, None) is not None:
+                touched += 1
+                if not group:
+                    del postings[token]
+        # last, so a probe that finds a posted stream gone knows its
+        # snapshot is older than this and takes a fresh one
+        del self._streams[sid]
+        return touched
+
     def replace(self, key: Hashable, text: str) -> int:
         """Re-index ``key`` with fresh ``text`` (the incremental
         maintenance step an in-database edit needs); returns the new
@@ -378,27 +416,11 @@ class TextIndex:
                 self.metrics.inc("text.reindexed")
             return self.add(key, text)
 
-    def mark_stale(self) -> None:
-        """The owner no longer vouches for the text indexed so far:
-        until a key is re-indexed (:meth:`replace`, or :meth:`add`
-        after :meth:`remove`), probes still list it but it is not in
-        :meth:`current`."""
-        with self._mutation_lock:
-            self._current = set()
-
-    @property
-    def stale(self) -> bool:
-        """Has :meth:`mark_stale` been called?  Then a key set — an
-        empty one included — says nothing about the keys indexed
-        before the mark: only :meth:`current` keys are decided by it."""
-        return self._current is not None
-
-    def current(self) -> Collection[Hashable]:
-        """The indexed keys whose indexed text is current — the ones
-        an exact probe decides without a look at the text.  A live
-        container, for membership tests only."""
-        current = self._current
-        return self._keys if current is None else current
+    def indexed(self) -> Collection[Hashable]:
+        """The indexed keys — the ones an exact probe decides without
+        a look at their text.  A live container, for membership tests
+        only."""
+        return self._keys
 
     @property
     def document_count(self) -> int:
@@ -421,10 +443,9 @@ class TextIndex:
 
     def posting_size(self, word: str) -> int:
         """Document frequency of a literal token: the exact number of
-        keys containing ``word``, read off the memoized key set.  On an
-        index that is not :attr:`stale`, ``0`` is a proof of absence:
-        the cost model prunes union branches gated on such patterns
-        before any probe runs."""
+        keys containing ``word``, read off the memoized key set.  ``0``
+        is a proof of absence: the cost model prunes union branches
+        gated on such patterns before any probe runs."""
         return len(self._word_keys(word))
 
     # -- probing --------------------------------------------------------------
@@ -435,15 +456,19 @@ class TextIndex:
         memo = self._memo
         keys = memo.get(word)
         if keys is None:
-            group = self._postings.get(word)
-            if not group:
-                return _NO_KEYS
             streams = self._streams
-            found: list = []
-            for sid, offsets in list(group.items()):
-                stream = streams.get(sid)
-                if stream is not None:
+            while True:  # again if a stream left after the snapshot
+                group = self._postings.get(word)
+                if not group:
+                    return _NO_KEYS
+                found: list = []
+                for sid, offsets in list(group.items()):
+                    stream = streams.get(sid)
+                    if stream is None:
+                        break
                     found += stream.keys_covering(offsets, 1)
+                else:
+                    break
             keys = memo[word] = frozenset(found)
         return keys
 
@@ -482,6 +507,14 @@ class TextIndex:
         the keys whose span holds the whole match."""
         if self.metrics is not None:
             self.metrics.inc("text.phrase_probes")
+        while True:  # again if a stream left after the snapshots
+            hits = self._phrase_hits(pattern)
+            if hits is not None:
+                return hits
+
+    def _phrase_hits(self, pattern: Pattern) -> set[Hashable] | None:
+        """One pass of :meth:`keys_with_phrase` over fresh snapshots;
+        ``None`` when a matched stream left the index meanwhile."""
         per_word: list[Group] = []
         for offset, source_word in enumerate(pattern.source.split()):
             snapshots = [group.copy() for group in self._matching_groups(
@@ -504,8 +537,9 @@ class TextIndex:
                     break
             else:
                 stream = streams.get(sid)
-                if stream is not None:
-                    hits.update(stream.keys_covering(anchors, width))
+                if stream is None:
+                    return None
+                hits.update(stream.keys_covering(anchors, width))
         return hits
 
     def keys_for_pattern(self, pattern: Pattern) -> Collection[Hashable]:

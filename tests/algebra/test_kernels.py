@@ -10,16 +10,16 @@ what the generic kernel (``envs()`` + ``eval_term``/``satisfy``)
 returns over the same batch.
 
 The ``contains`` kernel reads the text index, and an index answers for
-the text that was *indexed*; ROADMAP item 3 records that ``text()``
-itself depends on the store's history.  So everything runs on four
-stores with the same documents: fresh, live (the index built before
-the loads, so each load indexes its document as one token stream — the
-``ingest`` shape), after ``save``/``load``, and after an
-``update_text`` of an unrelated title (which switches ``text()`` to the
-structural strategy under every indexed object).  The kernel may trust
-the probe only for keys whose indexed text is current
-(:meth:`TextIndex.current`); equality with the generic kernel on all
-four stores is what shows it does.
+the text that was *indexed*.  So everything runs on six stores with
+the same documents: fresh, live (the index built before the loads, so
+each load indexes its document as one token stream — the ``ingest``
+shape), after ``save``/``load``, after an ``update_text`` of an
+unrelated title, after that edit and its revert, and after a second
+``build_text_index()``.  ``text()`` and the index are read from the
+database, so the kernel trusts every indexed key in every state;
+equality with the generic kernel on all six stores is what shows it
+may, and the history test pins that answers and ``text()`` do not
+depend on the state at all.
 """
 
 import json
@@ -75,12 +75,13 @@ from repro.text.patterns import AndExpr, NotExpr
 
 SPEC = json.loads((FilePath(__file__).parents[2] / "benchmarks" / "e2e"
                    / "spec.json").read_text())
-STATES = ("fresh", "live", "reloaded", "edited")
+STATES = ("fresh", "live", "reloaded", "edited", "reverted", "rebuilt")
 COLD_LITERALS = (("SGML", "OODBMS"), ("Documents", "Queries"),
                  ("complex", "object"))
-#: Queries over objects whose text depends on the store's history: an
-#: article's ``status`` attribute value is part of its structural
-#: ``text()`` and absent from the loader's source text.
+#: Queries over words that once made an answer depend on the store's
+#: history: an article's ``status`` attribute value was part of the
+#: structural ``text()`` of an edited or reloaded store and absent from
+#: the loader's source text.  Attribute values are not text.
 HISTORY_SENSITIVE = (
     'select a from a in Articles where a contains ("final")',
     'select a from a in Articles where a contains ("draft")',
@@ -92,7 +93,7 @@ FUZZ_CASES = 300
 
 def in_state(trees, state: str, folder, named: bool,
              **config) -> DocumentStore:
-    """A text-indexed store over ``trees`` in one of the four
+    """A text-indexed store over ``trees`` in one of the six
     histories — structural unless ``config`` says otherwise."""
     config = config or {"backend": "algebra", "structural": True}
     store = DocumentStore(ARTICLE_DTD, **config)
@@ -107,13 +108,22 @@ def in_state(trees, state: str, folder, named: bool,
         store = DocumentStore.load(folder / "snapshot", **config)
     if state != "live":
         store.build_text_index()
-    if state == "edited":
-        titles = sorted(
-            store.query("select s.title from a in Articles, "
-                        "s in a.sections"),
-            key=lambda oid: oid.number)
-        store.update_text(titles[-1], "Revised interim heading")
+    if state == "rebuilt":
+        store.build_text_index()
+    if state in ("edited", "reverted"):
+        title = edited_title(store)
+        before = store.text(title)
+        store.update_text(title, "Revised interim heading")
+        if state == "reverted":
+            store.update_text(title, before)
     return store
+
+
+def edited_title(store: DocumentStore):
+    """The section title the ``edited`` history rewrites."""
+    return max(store.query("select s.title from a in Articles, "
+                           "s in a.sections"),
+               key=lambda oid: oid.number)
 
 
 def kernel_pairs(plan):
@@ -191,58 +201,11 @@ def test_generated_queries(state, tmp_path):
     assert checked > FUZZ_CASES
 
 
-#: A figure's ``16cm`` is an attribute value: in the structural
-#: ``text()`` of every enclosing element, absent from the loader's
-#: source text — and from what a fresh store indexed.
-STALE_PRUNING = (
-    'select x from a in Articles, a PATH_p.sections[i](x) '
-    'where x contains ("16cm")',
-    'select x from a in Articles, a PATH_p.bodies[i](x) '
-    'where x contains ("16cm")',
-)
-SERVED_CONFIGS = ({"backend": "algebra", "structural": False},
-                  {"backend": "algebra"},
-                  {"backend": "sql"})
-
-
-@pytest.mark.parametrize("state", STATES)
-def test_pruning_distrusts_a_stale_index(state, tmp_path):
-    """An empty key set proves a union branch empty — at run time
-    (``algebra.branches_pruned``) or statically
-    (``algebra.branches_pruned_static``) — only while the index
-    vouches for every key it holds.  After an unrelated edit the
-    plain ``algebra`` config used to prune every branch of these two
-    queries and answer nothing."""
-    answers = []
-    for number, config in enumerate(SERVED_CONFIGS):
-        folder = tmp_path / str(number)
-        folder.mkdir()
-        store = in_state(generate_corpus(12, seed=42),
-                         state.replace("edited", "fresh"), folder,
-                         named=True, **config)
-        if state == "edited":
-            # a title of ``my_article``: nothing re-indexed for this
-            # edit mentions ``16cm``, the probe stays empty
-            store.update_text(
-                next(oid for oid in store.instance.all_oids()
-                     if oid.class_name == "Title"),
-                "Edited heading words")
-        engine = store._engine
-        for text in STALE_PRUNING:
-            assert store.query(text) == evaluate_query(
-                engine.translate(text), engine.ctx.fork()), (config, text)
-        answers.append([len(store.query(text))
-                        for text in STALE_PRUNING])
-    assert answers[0] == answers[1] == answers[2]
-    assert answers[0] == ([0, 0] if state in ("fresh", "live")
-                          else [7, 8])
-
-
 def test_a_rebuilt_index_is_probed_again(tmp_path):
     """edit → query → ``build_text_index()`` → query.  The rebuild
     publishes a new index without moving the plan-cache epoch, so the
     cached plans are served again: the keys they probed from the old
-    index must not be paired with the new index's ``current()``."""
+    index must not be paired with the new index's keys."""
     store = in_state(generate_corpus(6, seed=42), "edited", tmp_path,
                      named=True)
     texts = list(SPEC["query_classes"].values()) + list(HISTORY_SENSITIVE)
@@ -262,6 +225,77 @@ def test_a_rebuilt_index_is_probed_again(tmp_path):
     assert answers() == expected
     # the second round was served from the cache, not recompiled
     assert store.metrics()["counters"]["cache.hits"] == len(texts)
+
+
+#: A figure's ``16cm`` is an attribute value, so no object's text holds
+#: it and these queries answer nothing in any history (they answered 7
+#: and 8 rows once an edit or a reload had switched ``text()`` to a walk
+#: that read attribute values).
+ATTRIBUTE_WORDS = (
+    'select x from a in Articles, a PATH_p.sections[i](x) '
+    'where x contains ("16cm")',
+    'select x from a in Articles, a PATH_p.bodies[i](x) '
+    'where x contains ("16cm")',
+)
+SERVED_CONFIGS = ({"backend": "algebra", "structural": False},
+                  {"backend": "algebra"},
+                  {"backend": "sql"})
+
+
+def history_texts() -> list[str]:
+    texts = list(SPEC["query_classes"].values())
+    texts += HISTORY_SENSITIVE + ATTRIBUTE_WORDS
+    for template in SPEC["cold_templates"].values():
+        for first, second in COLD_LITERALS:
+            texts.append(template.replace(
+                "{p}", f'"{first}" and "{second}"'))
+            texts.append(template.replace("{p}", f'"{first} {second}"'))
+    return texts
+
+
+def exported(store: DocumentStore, **config) -> DocumentStore:
+    """A fresh store loading the documents ``store`` holds, exported by
+    the inverse mapping: the same oids, allocated in the same order,
+    over the text the edits left."""
+    fresh = DocumentStore(ARTICLE_DTD, **config)
+    for number, document in enumerate(store.instance.root("Articles")):
+        fresh.load_text(store.export_text(document), validate=False,
+                        name="my_article" if number == 0 else None)
+    fresh.build_text_index()
+    return fresh
+
+
+@pytest.fixture(scope="module")
+def fresh_stores(tmp_path_factory):
+    return [in_state(generate_corpus(12, seed=42), "fresh",
+                     tmp_path_factory.mktemp("fresh"), named=True,
+                     **config)
+            for config in SERVED_CONFIGS]
+
+
+@pytest.mark.parametrize("state", STATES)
+@pytest.mark.parametrize("config", range(len(SERVED_CONFIGS)))
+def test_answers_and_text_do_not_depend_on_history(state, config,
+                                                  fresh_stores, tmp_path):
+    """In every history the served configurations answer the seven
+    e2e classes, the history-sensitive queries and the cold templates
+    as the fresh store does, and every object's ``text()`` is the fresh
+    store's — after an edit, the fresh store of the edited documents.
+    The queries over attribute words also equal the calculus."""
+    store = in_state(generate_corpus(12, seed=42), state, tmp_path,
+                     named=True, **SERVED_CONFIGS[config])
+    fresh = fresh_stores[config]
+    if state == "edited":
+        fresh = exported(store, **SERVED_CONFIGS[config])
+        assert store.text(edited_title(store)) == "Revised interim heading"
+    for text in history_texts():
+        assert store.query(text) == fresh.query(text), text
+    engine = store._engine
+    for text in ATTRIBUTE_WORDS + HISTORY_SENSITIVE:
+        assert store.query(text) == evaluate_query(
+            engine.translate(text), engine.ctx.fork()), text
+    assert {oid: store.text(oid) for oid in store.instance.all_oids()} \
+        == {oid: fresh.text(oid) for oid in fresh.instance.all_oids()}
 
 
 CONTAINS_COUNTERS = ("algebra.contains_index_answered",
@@ -322,9 +356,9 @@ def test_the_whole_column_is_the_row_loop(state, tmp_path, monkeypatch):
                                      counters[2] + 1], text
             compared += 1
     assert compared >= 3
-    # a fresh, live or reloaded index vouches for every key: the whole
-    # column is decided at least for the pure-oid subjects
-    assert bool(whole) == (state != "edited")
+    # the index holds every key's current text in every state: the
+    # whole column is decided at least for the pure-oid subjects
+    assert whole
 
 
 # -- hand-built rows --------------------------------------------------------
@@ -587,21 +621,6 @@ class TestContains:
             oid: instance.deref(oid).get("title") for oid in oids[:2]})
         assert both_atoms(self.SGML, oids, ctx) == [0, 2]
 
-    def test_a_stale_key_is_read(self):
-        instance = small_instance()
-        oids = self.objects(instance)
-        ctx = context(instance, {oids[0]: "about SGML",
-                                 oids[1]: "used to say SGML",
-                                 oids[2]: "nothing then"})
-        assert atom_kernel(self.SGML)(
-            Batch(3, {X: oids}), ctx) == [0, 1]  # the index, trusted
-        ctx.text_index.mark_stale()
-        assert both_atoms(self.SGML, oids, ctx) == [0, 2]
-        ctx.text_index.replace(oids[1], "about paths")
-        assert oids[1] in ctx.text_index.current()
-        assert oids[0] not in ctx.text_index.current()
-        assert both_atoms(self.SGML, oids, ctx) == [0, 2]
-
     def test_a_mixed_column_is_counted_row_by_row(self):
         instance = small_instance()
         oids = self.objects(instance)
@@ -619,9 +638,6 @@ class TestContains:
         # the indexed oids alone are decided whole, counted alike
         assert counted(kernel, Batch(2, {X: oids[:2]}), ctx) == (
             [0], [2, 1, 0])
-        ctx.text_index.mark_stale()
-        assert counted(kernel, Batch(2, {X: oids[:2]}), ctx) == (
-            [0], [0, 0, 2])
 
     def test_an_inexact_probe_masks_then_rechecks(self):
         instance = small_instance()

@@ -68,8 +68,7 @@ class TestIndexBackedSelect:
         query = store._engine.translate(CONTAINS_QUERY)
         plan = optimize(
             compile_query(query, store.schema))
-        bare_ctx = EvalContext(store.instance,
-                               provenance=store.loader.provenance)
+        bare_ctx = EvalContext(store.instance)
         assert bare_ctx.text_index is None
         with_index = execute_plan(plan, store._engine.ctx)
         without_index = execute_plan(plan, bare_ctx)

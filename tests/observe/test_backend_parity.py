@@ -49,8 +49,7 @@ def store():
 
 @pytest.fixture(scope="module")
 def calculus_engine(store):
-    return QueryEngine(store.instance, store.loader.provenance,
-                       backend="calculus")
+    return QueryEngine(store.instance, backend="calculus")
 
 
 class TestBackendParity:

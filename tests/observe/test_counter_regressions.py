@@ -145,3 +145,66 @@ class TestWarmAttributeScan:
         assert registry.get("structindex.range_scans") > 0
         assert registry.get("oodb.derefs") == 0
         assert registry.get("structindex.fallback_walks") == 0
+
+
+class TestAnEditKeepsTheIndexExact:
+    """``update_text`` indexes the edited object's document again, so
+    after an unrelated edit the index still decides every oid, a zero
+    posting bound still prunes a union branch, and the edit itself
+    reads its own document only."""
+
+    QUERIES = {name: text for name, text in QUERY_CLASSES.items()
+               if name in ("q1_contains", "q2_path_contains")}
+
+    @staticmethod
+    def edited(store: DocumentStore,
+               words: str = "Edited heading words") -> DocumentStore:
+        """``store`` after one edit of a title no query here asks for."""
+        title = max((oid for oid in store.instance.all_oids()
+                     if oid.class_name == "Title"),
+                    key=lambda oid: oid.number)
+        store.update_text(title, words)
+        return store
+
+    @pytest.mark.parametrize("name", ["q1_contains", "q2_path_contains"])
+    def test_contains_is_answered_by_the_index(self, name):
+        store = build_corpus_store()
+        store.build_text_index()
+        report = self.edited(store).explain_analyze(self.QUERIES[name])
+        assert report.counter("algebra.contains_index_answered") > 0
+        assert report.counter("algebra.contains_rechecks") == 0
+
+    def test_a_zero_bound_branch_is_still_pruned(self):
+        store = DocumentStore(ARTICLE_DTD, structural=False)
+        for tree in generate_corpus(CORPUS_SIZE, seed=42):
+            store.load_tree(tree, validate=False)
+        store.build_text_index()
+        report = self.edited(store).explain_analyze(
+            'select t from a in Articles, a PATH_p.title(t) '
+            'where a contains ("xyzzynotthere")')
+        assert report.counter("algebra.branches_pruned_static") == 13
+        assert report.counter("algebra.branches_pruned") == 1
+
+    @pytest.mark.parametrize("emptied", [False, True],
+                             ids=["titled", "emptied"])
+    def test_an_edit_reads_its_document_only(self, emptied):
+        def derefs_and_objects(size: int) -> tuple[int, int]:
+            store = build_corpus_store(size)
+            store.build_text_index()
+            document = store.instance.root("Articles")[-1]
+            # the last document's objects are the last allocated
+            objects = sum(1 for oid in store.instance.all_oids()
+                          if oid.number >= document.number)
+            if emptied:  # the title leaves the index: it has no span
+                self.edited(store, "")
+            store.enable_metrics()
+            store.reset_metrics()
+            self.edited(store)
+            return store.metrics()["counters"]["oodb.derefs"], objects
+
+        # the edited value, then one walk of its document: no scan of
+        # the instance (which built a parent map on a first edit), nor
+        # of the documents, for an object without a span
+        for size in (4, 24):
+            derefs, objects = derefs_and_objects(size)
+            assert derefs <= objects + 1

@@ -72,8 +72,7 @@ class TestTextIndexSnapshots:
         spans, and the memo of the old version is not the new one's."""
         index = TextIndex()
         index.add_document("alpha beta gamma", [
-            ("doc", -1, 0, 16, "alpha beta gamma"),
-            ("head", 0, 0, 10, "alpha beta")])
+            ("doc", -1, 0, 16), ("head", 0, 0, 10)], "doc")
         (stream_id, _) = index._keys["doc"]
         held = index._streams[stream_id]
         memo = index._memo
@@ -167,15 +166,15 @@ class TestTextIndexSnapshots:
             document = f"alpha beta {round_number % 3} gamma stable"
             keys = [f"d{round_number}", f"d{round_number}.head",
                     f"d{round_number}.tail"]
-            spans = [(keys[0], -1, 0, len(document), document),
-                     (keys[1], 0, 0, 10, "alpha beta"),
-                     (keys[2], 0, 13, len(document), "gamma stable")]
+            spans = [(keys[0], -1, 0, len(document)),
+                     (keys[1], 0, 0, 10),
+                     (keys[2], 0, 13, len(document))]
             edits = []
             if round_number >= 2:
                 edits.append(("remove", f"d{round_number - 2}", None))
                 edits.append(("replace", f"d{round_number - 1}.head",
                               f"beta alpha version {round_number % 2}"))
-            return spans, edits
+            return document, spans, edits
 
         rounds = ROUNDS // 3
         every_key = {f"d{n}{part}" for n in range(rounds)
@@ -191,8 +190,8 @@ class TestTextIndexSnapshots:
         def writer():
             try:
                 for round_number in range(rounds):
-                    spans, edits = script(round_number)
-                    index.add_document(spans[0][4], spans)
+                    document, spans, edits = script(round_number)
+                    index.add_document(document, spans, spans[0][0])
                     for action, key, text in edits:
                         if action == "remove":
                             index.remove(key)
@@ -229,9 +228,9 @@ class TestTextIndexSnapshots:
 
         expected = TextIndex()
         for round_number in range(rounds):
-            spans, edits = script(round_number)
-            for key, _, _, _, text in spans:
-                expected.add(key, text)
+            document, spans, edits = script(round_number)
+            for key, _, start, end in spans:
+                expected.add(key, document[start:end])
             for action, key, text in edits:
                 if action == "remove":
                     expected.remove(key)
@@ -244,6 +243,70 @@ class TestTextIndexSnapshots:
                 pattern.source
             assert index.posting_size(pattern.source) == \
                 expected.posting_size(pattern.source)
+
+
+    def test_probes_racing_document_replacement_never_see_neither(self):
+        """A writer indexes one filed document again and again, its
+        text alternating between two versions (what ``update_text``
+        does to the edited object's document).  The new stream is
+        published before the old one leaves the postings, so a reader
+        probing a word both versions hold always finds every key of
+        the document — never a state in which the document is gone —
+        and a word of one version finds all keys or none."""
+        versions = ["stable alpha beta tail", "stable gamma zeta tail"]
+        keys = {"doc", "doc.head", "doc.tail"}
+
+        def spans(text):
+            return [("doc", -1, 0, len(text)), ("doc.head", 0, 0, 17),
+                    ("doc.tail", 0, 18, len(text))]
+
+        index = TextIndex()
+        index.add_document(versions[0], spans(versions[0]), "d")
+        errors = []
+        done = threading.Event()
+
+        def writer():
+            try:
+                for round_number in range(ROUNDS):
+                    text = versions[round_number % 2]
+                    index.add_document(text, spans(text), "d")
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+            finally:
+                done.set()
+
+        def reader():
+            from repro.text.patterns import Pattern
+            try:
+                while not done.is_set():
+                    assert index.keys_with_word("stable") == {
+                        "doc", "doc.head"}
+                    assert index.keys_with_word("tail") == {
+                        "doc", "doc.tail"}
+                    assert index.keys_with_word("alpha") in (
+                        set(), {"doc", "doc.head"})
+                    assert index.keys_with_phrase(
+                        Pattern("stable")) == {"doc", "doc.head"}
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader) for _ in range(4)]
+            threads.append(threading.Thread(target=writer))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert set(index.indexed()) == keys
+        assert len(index._streams) == 1
+        assert index.keys_with_word("gamma") == {"doc", "doc.head"}
+        assert index.keys_with_word("alpha") == set()
 
 
 class TestStructuralIndexRebuildRaces:

@@ -138,19 +138,23 @@ class TestPostingBounds:
         assert snap.candidate_upper_bound(
             parse_pattern_expr('not "SGML"')) is None
 
-    def test_a_stale_index_bounds_nothing(self):
-        """After ``mark_stale()`` the postings describe text the store
-        no longer vouches for: no bound, hence no zero proof."""
+    def test_an_edit_keeps_the_zero_proof(self):
+        """The index is re-indexed with every edit, so its bounds stay
+        exact: an absent word still bounds at 0 after ``update_text``,
+        and the edited words are counted."""
         private = DocumentStore(ARTICLE_DTD, backend="algebra")
         private.load_text(SAMPLE_ARTICLE, name="my_article")
         private.build_text_index()
         absent = parse_pattern_expr('"xyzzynotthere"')
-        assert private.statistics().candidate_upper_bound(absent) == 0
+        edited = parse_pattern_expr('"Zanzibar"')
+        assert private.statistics().candidate_upper_bound(edited) == 0
         title = next(oid for oid in private.instance.all_oids()
                      if oid.class_name == "Title")
-        private.update_text(title, "Edited heading words")
-        assert private.text_index.stale
-        assert private.statistics().candidate_upper_bound(absent) is None
+        private.update_text(title, "Zanzibar heading words")
+        snap = private.statistics()
+        assert snap.candidate_upper_bound(absent) == 0
+        # the article's title and the article
+        assert snap.candidate_upper_bound(edited) == 2
 
 
 class TestRowModel:

@@ -35,6 +35,8 @@ def test_ingest_profile_smoke():
         "stored occurrences / doc", "posting entries / doc")}
     assert shape["keys / doc"] > 1
     assert shape["own-stream keys / doc"] == 0
+    # one row per reason a key can leave its stream: none does here
+    assert float(rows["glued_boundary / doc"][0]) == 0
     assert 0 < shape["posting entries / doc"] \
         <= shape["stored occurrences / doc"]
 

@@ -187,9 +187,8 @@ class TestTextAtElementBoundaries:
 
 
 class TestLiveIndexIngest:
-    """Loading into a store with live incremental structures (text
-    index, parent map) visits the objects the load allocated — never
-    the corpus loaded before it."""
+    """Loading into a store with a live text index walks the objects
+    the load allocated — never the corpus loaded before it."""
 
     @staticmethod
     def visited_by_one_more_load(already_loaded):
@@ -198,23 +197,22 @@ class TestLiveIndexIngest:
         store.build_text_index()
         for tree in generate_corpus(already_loaded, seed=5):
             store.load_tree(tree, validate=False)
-        store._parent_map()
         instance = store.instance
         visited = []
 
         def forbidden():
             raise AssertionError("a load scanned the whole instance")
 
-        def counting(first, enumerate_new=instance.oids_since):
-            for oid in enumerate_new(first):
-                visited.append(oid)
-                yield oid
+        def counting(oid, deref=instance.deref):
+            visited.append(oid)
+            return deref(oid)
 
         instance.all_oids = forbidden
-        instance.oids_since = counting
-        before = instance.object_count()
+        instance.deref = counting
+        first_new = instance._next_oid
         store.load_text(SAMPLE_ARTICLE)
-        assert len(visited) == instance.object_count() - before
+        del instance.deref
+        assert all(oid.number >= first_new for oid in visited)
         return store, visited
 
     def test_objects_visited_do_not_grow_with_the_corpus(self):
@@ -222,12 +220,12 @@ class TestLiveIndexIngest:
         _, large = self.visited_by_one_more_load(12)
         assert len(small) == len(large) > 0
 
-    def test_new_objects_still_reach_both_structures(self):
+    def test_new_objects_reach_the_index(self):
         store, visited = self.visited_by_one_more_load(3)
         title = max((oid for oid in visited
                      if oid.class_name == "Title"),
                     key=lambda oid: oid.number)
-        assert title in store._parents
+        assert title in store.text_index.indexed()
         live = store.text_index.document_count
         del store.instance.all_oids         # the full rebuild may scan
         assert store.build_text_index().document_count == live

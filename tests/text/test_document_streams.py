@@ -1,14 +1,21 @@
-"""The load path's text index against a per-key reference.
+"""The load path's text index against a per-key reference, and both
+against the store's history.
 
 A :class:`~repro.DocumentStore` indexes each loaded document as one
 token stream whose objects are spans of it
-(:meth:`~repro.text.TextIndex.add_document`).  The reference indexes
-every object on its own, ``add(oid, text(oid))``.  Over articles with
-resolved cross references, letters, a recursive DTD and mixed content,
-both must give the same probes — words, regex words, phrases across
-sibling boundaries — the same ``posting_size``, ``document_count``,
-``current()`` and occurrence total, on a fresh index, after removals
-and after ``update_text``.
+(:meth:`~repro.text.TextIndex.add_document`), from one walk of the
+database.  The reference indexes every object on its own, ``add(oid,
+text(oid))``.  Over articles with resolved cross references, letters, a
+recursive DTD and mixed content, both must give the same probes —
+words, regex words, phrases across sibling boundaries — the same
+``posting_size``, ``document_count``, indexed keys and occurrence
+total, on a fresh index, after ``update_text`` and after removals.
+
+``text()`` and the index are read from the database, so neither
+depends on how the store got there: after a reload, an edit and its
+revert, or a second ``build_text_index()``, every object's text and
+every stream and span equal the fresh store's; after an edit they
+equal those of a fresh store loading the exported documents.
 """
 
 import pytest
@@ -18,7 +25,7 @@ from repro.corpus import ARTICLE_DTD, SAMPLE_ARTICLE, article_dtd
 from repro.corpus.generator import generate_corpus
 from repro.corpus.letters import SAMPLE_LETTERS, generate_letters
 from repro.mapping.naming import TEXT_FIELD
-from repro.oodb.values import TupleValue
+from repro.oodb.values import ListValue, TupleValue
 from repro.sgml import write_document
 from repro.text import Pattern, TextIndex, tokenize
 from repro.text.nfa import is_literal_word
@@ -131,8 +138,7 @@ def assert_same(store: DocumentStore, expected: TextIndex) -> int:
     index = store.text_index
     assert index.document_count == expected.document_count
     assert index.occurrence_total == expected.occurrence_total
-    assert set(index.current()) == set(expected.current())
-    assert index.stale == expected.stale
+    assert set(index.indexed()) == set(expected.indexed())
     assert sorted(index.vocabulary()) == sorted(expected.vocabulary())
     for word in expected.vocabulary():
         assert index.posting_size(word) == expected.posting_size(word)
@@ -161,20 +167,19 @@ def test_the_load_path_index_matches_a_per_key_reference(corpus, live):
     expected = reference(store)
     assert assert_same(store, expected) > expected.vocabulary_size
 
+    # edits: the edited object's document is indexed again; emptied,
+    # the object leaves the index, and its next edit still finds the
+    # document it was reached from
+    target = edit_target(store)
+    for words in ("Zanzibar heading words", "", "second edit words"):
+        store.update_text(target, words)
+        assert_same(store, reference(store))
+
     # removals: a stream keeps answering for the keys left in it
+    expected = reference(store)
     for oid in list(store.instance.all_oids())[1::4]:
         assert store.text_index.remove(oid) == expected.remove(oid)
     assert_same(store, expected)
-
-    # two edits: the first one also stops vouching for every key
-    target = edit_target(store)
-    for words in ("Zanzibar heading words", "second edit words"):
-        store.update_text(target, words)
-        if not expected.stale:
-            expected.mark_stale()
-        for oid in store._ancestry(target):
-            expected.replace(oid, store.text(oid) or "")
-        assert_same(store, expected)
 
 
 class TestOwnStreamKeys:
@@ -212,14 +217,112 @@ class TestOwnStreamKeys:
             oid for oid in store.instance.all_oids()
             if oid.class_name == "B"}
 
-    def test_objects_without_provenance_get_their_own(self, tmp_path):
+    def test_a_reloaded_store_joins_its_streams_too(self, tmp_path):
         store = DocumentStore(ARTICLE_DTD)
         store.load_text(SAMPLE_ARTICLE)
         store.save(tmp_path / "snapshot")
         reloaded = DocumentStore.load(tmp_path / "snapshot")
         reloaded.enable_metrics()
         index = reloaded.build_text_index()
-        counters = self.own_stream_counters(reloaded)
-        assert counters == {
-            "text.own_stream_keys": index.document_count,
-            "text.own_stream_keys.no_provenance": index.document_count}
+        assert self.own_stream_counters(reloaded) == {}
+        assert len(index._streams) == 1
+
+
+def layout(index: TextIndex) -> dict:
+    """Every stream and span of the index, by key: the stream's tokens
+    and document, the key's ``[lo, hi)`` and its parent key."""
+    found = {}
+    for key, (sid, slot) in index._keys.items():
+        stream = index._streams[sid]
+        parent = stream.parents[slot]
+        found[key] = (stream.tokens, stream.document, stream.lo[slot],
+                      stream.hi[slot],
+                      None if parent < 0 else stream.keys[parent])
+    return found
+
+
+def texts(store: DocumentStore) -> dict:
+    return {oid: store.text(oid) for oid in store.instance.all_oids()}
+
+
+HISTORIES = ("reloaded", "reverted", "rebuilt", "edited")
+
+
+@pytest.mark.parametrize("history", HISTORIES)
+@pytest.mark.parametrize("corpus", sorted(CORPORA))
+def test_text_and_index_do_not_depend_on_history(corpus, history,
+                                                 tmp_path):
+    fresh = loaded(corpus, live=False)
+    store = loaded(corpus, live=True)
+    if history == "reloaded":
+        store.save(tmp_path / "snapshot")
+        store = DocumentStore.load(tmp_path / "snapshot")
+    elif history in ("reverted", "edited"):
+        target = edit_target(store)
+        before = store.text(target)
+        store.update_text(target, "Zanzibar heading words")
+        if history == "reverted":
+            store.update_text(target, before)
+    store.build_text_index()
+    if history == "rebuilt":
+        store.build_text_index()
+    if history == "edited":
+        # the reference: a fresh load of the documents the store now
+        # holds, exported by the inverse mapping — it allocates the
+        # same oids in the same order
+        dtd = CORPORA[corpus][0]
+        fresh = DocumentStore(dtd)
+        for document in store.instance.root(store.mapped.root_name):
+            fresh.load_text(store.export_text(document), validate=False)
+        fresh.build_text_index()
+        assert "Zanzibar" in store.text(edit_target(store))
+    assert texts(store) == texts(fresh)
+    assert layout(store.text_index) == layout(fresh.text_index)
+    assert len(store.text_index._streams) == len(
+        fresh.text_index._streams)
+
+
+def test_an_object_no_document_reaches_is_indexed_alone():
+    """An object made by hand belongs to no loaded document: the
+    rebuilt index holds it in a stream of its own, and an edit
+    re-indexes it alone."""
+    store = DocumentStore(ARTICLE_DTD)
+    store.load_text(SAMPLE_ARTICLE)
+    loose = store.instance.new_object(
+        "Title", TupleValue([(TEXT_FIELD, "Loose heading words")]))
+    index = store.build_text_index()
+    assert index.keys_with_word("Loose") == {loose}
+    assert index.document_of(loose) is None
+    streams = len(index._streams)
+    store.update_text(loose, "Zanzibar")
+    assert index.keys_with_word("Zanzibar") == {loose}
+    assert index.keys_with_word("Loose") == set()
+    assert len(index._streams) == streams
+    assert_same(store, reference(store))
+
+
+def test_content_that_is_not_a_tree_is_not_spanned():
+    """A second paragraph made by hand to share the first one's bold
+    child: ``text()`` of the second paragraph walks the child again,
+    so neither it nor the document is a span of the document's walk.
+    Every indexed key's tokens are its ``text()``'s, and the algebra
+    answers as the calculus does."""
+    answers = {}
+    for backend in ("algebra", "calculus"):
+        store = DocumentStore(MIXED_DTD, backend=backend)
+        document = store.load_text(
+            "<doc><p>one <b>shared</b></p><p>two</p></doc>")
+        first, second = store.instance.deref(document).get("ps")
+        bold = store.instance.deref(first).get("texts")[1].get("b")
+        store.instance.set_value(second, TupleValue([("texts", ListValue([
+            TupleValue([(TEXT_FIELD, "two ")]),
+            TupleValue([("b", bold)])]))]))
+        index = store.build_text_index()
+        assert set(index.indexed()) == {first, bold}
+        for key, (tokens, _, lo, hi, _) in layout(index).items():
+            assert list(tokens[lo:hi]) == tokenize(store.text(key))
+        assert store.text(second) == "two shared"
+        answers[backend] = store.query(
+            'select p from d in Docs, p in d.ps where p contains ("shared")')
+    assert answers["algebra"] == answers["calculus"]
+    assert len(answers["algebra"]) == 1

@@ -325,8 +325,7 @@ class TestPostingStatistics:
         tokens once for it and once for each key around it."""
         index = TextIndex()
         index.add_document("word other word", [
-            ("doc", -1, 0, 15, "word other word"),
-            ("part", 0, 5, 15, "other word")])
+            ("doc", -1, 0, 15), ("part", 0, 5, 15)], "doc")
         assert (index.occurrence_total, index.document_count) == (5, 2)
         assert sum(map(len, (offsets for group in index._postings.values()
                              for offsets in group.values()))) == 3

@@ -169,17 +169,17 @@ TEXTS = st.lists(st.sampled_from(WORDS), max_size=8).map(" ".join)
 #: What separates the children of an element: "" glues a word to the
 #: element next to it.
 JOINERS = st.sampled_from([" ", " ", "  ", ""])
-#: A nested document: ``(key, children, joiner, other_text)`` per
-#: element, a child a word or an element; ``other_text`` (when not
-#: ``None``) is what the key stands for instead of its region's text.
+#: A nested document: ``(key, children, joiner)`` per element, a child
+#: a word or an element.
 ELEMENTS = st.recursive(
     st.sampled_from(WORDS),
     lambda children: st.tuples(
-        KEYS, st.lists(children, max_size=3), JOINERS,
-        st.one_of(st.none(), st.none(), st.none(), TEXTS)),
+        KEYS, st.lists(children, max_size=3), JOINERS),
     max_leaves=10)
 DOCUMENTS = st.tuples(KEYS, st.lists(ELEMENTS, min_size=1, max_size=3),
-                      JOINERS, st.none())
+                      JOINERS)
+#: The keys a document is filed under.
+FILINGS = st.sampled_from(["D0", "D1"])
 
 
 def lay_out(document):
@@ -188,7 +188,7 @@ def lay_out(document):
     spans = []
 
     def walk(element, parent, start):
-        key, children, joiner, other_text = element
+        key, children, joiner = element
         slot = len(spans)
         spans.append(None)
         pieces = []
@@ -197,46 +197,62 @@ def lay_out(document):
             pieces.append(child if isinstance(child, str)
                           else walk(child, slot, at))
         text = joiner.join(pieces)
-        spans[slot] = (key, parent, start, start + len(text),
-                       text if other_text is None else other_text)
+        spans[slot] = (key, parent, start, start + len(text))
         return text
 
     return walk(document, -1, 0), spans
 
 
 class IndexAgreesWithOccurrenceLists(RuleBasedStateMachine):
-    """Random ``add``/``add_document``/``replace``/``remove`` sequences:
-    the stream index and the occurrence-list model answer every probe
-    alike."""
+    """Random ``add``/``add_document``/``replace``/``remove`` sequences,
+    each document filed under one of two keys: the stream index and the
+    occurrence-list model answer every probe alike."""
 
     def __init__(self):
         super().__init__()
         self.index = TextIndex()
         self.model = OccurrenceLists()
+        # filing -> the keys whose stream is filed under it
+        self.filed = {"D0": set(), "D1": set()}
+
+    def unfile(self, key):
+        for keys in self.filed.values():
+            keys.discard(key)
 
     @rule(key=KEYS, text=TEXTS)
     def add(self, key, text):
         assert self.index.add(key, text) == len(text.split())
         self.model.add(key, text)
+        self.unfile(key)
 
     @rule(key=KEYS, text=TEXTS)
     def replace(self, key, text):
         self.index.replace(key, text)
         self.model.replace(key, text)
+        self.unfile(key)
 
-    @rule(document=DOCUMENTS)
-    def add_document(self, document):
-        # one stream for the keys that fit their region, the rest on
-        # their own: the model adds every key's text, in order
+    @rule(document=DOCUMENTS, filing=FILINGS)
+    def add_document(self, document, filing):
+        # what was filed under ``filing`` goes first; then one stream
+        # for the keys that fit their region, the rest on their own:
+        # the model adds every key's text, in order
         text, spans = lay_out(document)
-        self.index.add_document(text, spans)
-        for key, _, _, _, key_text in spans:
-            self.model.add(key, key_text)
+        self.index.add_document(text, spans, filing)
+        for key in self.filed[filing]:
+            self.model.remove(key)
+        self.filed[filing] = set()
+        for key, _, start, end in spans:
+            self.model.add(key, text[start:end])
+            self.unfile(key)
+            self.filed[filing].add(key)
+        for key, _, _, _ in spans:
+            assert self.index.document_of(key) == filing
 
     @rule(key=KEYS)
     def remove(self, key):
         assert self.index.remove(key) == self.model.lengths.get(key, 0)
         self.model.remove(key)
+        self.unfile(key)
 
     @invariant()
     def words_and_sizes_agree(self):

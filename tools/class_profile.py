@@ -32,7 +32,13 @@ share: the algebra compilation and the plan verification), every
 ``compile`` spans, and the ``plancheck.verifications`` one more cold
 variant counts (exact).
 
-The ``lint`` CI job prints both into every PR's log.  Timings are
+After edits (``--edits N``): builds the warm store, takes each query
+class's warm median, then updates the text of ``N`` section titles
+spread over the corpus to words no class asks for and takes each
+median again: the two side by side, with their ratio — what an
+unrelated edit costs the reads after it once they are warm.
+
+The ``lint`` CI job prints all three into every PR's log.  Timings are
 indicative (one process, no alternation); the rows and counters are
 exact.
 
@@ -40,6 +46,7 @@ Usage::
 
     python tools/class_profile.py [--articles 300] [--seed 42]
     python tools/class_profile.py --cold [--articles 20] [--repeats 15]
+    python tools/class_profile.py --edits 8
     python tools/class_profile.py --src /other/checkout/src
 """
 
@@ -101,17 +108,23 @@ def first_build(store) -> None:
           f"nodes_indexed={nodes}  (the first query's index build)")
 
 
+def warm_p50(store, text: str, repeats: int) -> float:
+    """The median ms of ``repeats`` warm runs of ``text`` (one run
+    before them compiles it and refreshes the indexes)."""
+    store.query(text)
+    samples = []
+    for _ in range(repeats):
+        started = time.perf_counter()
+        store.query(text)
+        samples.append(time.perf_counter() - started)
+    return statistics.median(samples) * 1000
+
+
 def warm(store, spec: dict, repeats: int) -> None:
     first_build(store)
     whole_pass = whole_self = 0.0
     for name, text in spec["query_classes"].items():
-        store.query(text)
-        samples = []
-        for _ in range(repeats):
-            started = time.perf_counter()
-            store.query(text)
-            samples.append(time.perf_counter() - started)
-        median = statistics.median(samples) * 1000
+        median = warm_p50(store, text, repeats)
         whole_pass += median
         reports = [store.explain_analyze(text) for _ in range(repeats)]
         counters = reports[0].metrics["counters"]
@@ -136,6 +149,33 @@ def warm(store, spec: dict, repeats: int) -> None:
           f"({1000 * len(spec['query_classes']) / whole_pass:.1f} ops/s)"
           f"  operators' self {whole_self:.2f} ms")
     index_memory(store, spec)
+
+
+def after_edits(store, spec: dict, repeats: int, edits: int) -> None:
+    """Each class's warm p50 on the fresh store and after ``edits``
+    title edits that no class's answer depends on."""
+    classes = spec["query_classes"]
+    fresh = {name: warm_p50(store, text, repeats)
+             for name, text in classes.items()}
+    titles = sorted(
+        store.query("select s.title from a in Articles, s in a.sections"),
+        key=lambda oid: oid.number)
+    step = max(1, len(titles) // max(1, edits))
+    started = time.perf_counter()
+    for number, title in enumerate(titles[::step][:edits]):
+        store.update_text(title, f"Edited heading words {number}")
+    spent = (time.perf_counter() - started) * 1000
+    print(f"{edits} title edits in {spent:.2f} ms")
+    print(f"{'class':<18}{'fresh':>9}{'edited':>9}{'ratio':>8}  (p50 ms)")
+    total_fresh = total_edited = 0.0
+    for name, text in classes.items():
+        edited = warm_p50(store, text, repeats)
+        total_fresh += fresh[name]
+        total_edited += edited
+        print(f"{name:<18}{fresh[name]:9.2f}{edited:9.2f}"
+              f"{edited / fresh[name]:8.2f}")
+    print(f"{'one pass':<18}{total_fresh:9.2f}{total_edited:9.2f}"
+          f"{total_edited / total_fresh:8.2f}")
 
 
 def index_memory(store, spec: dict) -> None:
@@ -288,6 +328,9 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--cold", action="store_true",
                         help="profile the compile_cold templates")
+    parser.add_argument("--edits", type=int, default=0,
+                        help="compare warm p50s before and after this "
+                             "many unrelated title edits")
     parser.add_argument("--articles", type=int, default=None,
                         help="corpus size (default: the workload's)")
     parser.add_argument("--seed", type=int, default=42)
@@ -303,7 +346,10 @@ def main() -> None:
     articles = (args.articles if args.articles is not None
                 else workload["articles"])
     store = build_store(articles, args.seed)
-    (cold if args.cold else warm)(store, spec, args.repeats)
+    if args.edits:
+        after_edits(store, spec, args.repeats, args.edits)
+    else:
+        (cold if args.cold else warm)(store, spec, args.repeats)
 
 
 if __name__ == "__main__":

@@ -7,18 +7,18 @@ four steps of one ``load_text`` cost — parse, validate, ``load_tree``
 into an index-free store, and the live text index on top of it — the
 late-over-early ratio of a live load (the first document loaded again
 into the loaded store, over the same document into an empty one), two
-``update_text`` calls on the loaded store (the first also builds the
-store's parent map), and, for a pass of loads and for the second edit
-(a separate, counted pass: exact, not timed), how many oids they
+``update_text`` calls on the loaded store (each indexes the edited
+title's document again), and, for a pass of loads and for the second
+edit (a separate, counted pass: exact, not timed), how many oids they
 construct (``Oid(...)``: one interning-table lookup each) and how many
 ``==`` tests between oids they write out (an oid is its own identity:
 the dict and set lookups of the write path compare in C and call no
 Python ``__eq__``) — the table a change to the write path quotes
 before and after.  The counted pass also reports the text index's
 shape per loaded document: keys, token streams, keys that did not join
-their document's stream, stored occurrences (offsets held in postings)
-and posting entries.  On an older checkout (``--src``) only the rows
-its index can tell are printed.
+their document's stream (in all and per reason), stored occurrences
+(offsets held in postings) and posting entries.  On an older checkout
+(``--src``) only the rows its index can tell are printed.
 Timings are indicative (one process, best of ``--repeats`` whole
 passes); the counts are exact.
 
@@ -173,8 +173,7 @@ def main() -> None:
                           f"({1000 / whole:.0f} ops/s)"),
         ("late over early", f"{late / early:9.2f} (the first document "
                             f"again: {late:.3f} / {early:.3f} ms)"),
-        ("first update_text", f"{first_update_ms:9.3f} ms "
-                              "(builds the parent map)"),
+        ("first update_text", f"{first_update_ms:9.3f} ms"),
         ("next update_text", f"{update_ms:9.3f} ms"),
         (f"Oid() / {len(docs)} loads", f"{load_calls['new']:9d}"),
         ("Oid() / update_text", f"{update_calls['new']:9d}"),
@@ -200,6 +199,13 @@ def index_shape(index, counters: dict,
         rows.append(("streams / doc", len(index._streams)))
         rows.append(("own-stream keys / doc",
                      counters.get("text.own_stream_keys", 0)))
+        # the reasons this checkout gives, and any an older one counted
+        prefix = "text.own_stream_keys."
+        reasons = {"glued_boundary"}.union(
+            name[len(prefix):] for name in counters
+            if name.startswith(prefix))
+        rows += [(f"  {reason} / doc", counters.get(prefix + reason, 0))
+                 for reason in sorted(reasons)]
     else:
         postings = getattr(index, "_groups", None)
     if postings is not None:
