@@ -14,11 +14,11 @@ attribute or path variables**.
   term or atom over a whole column (the interpreter being the general
   case),
 * :mod:`repro.algebra.compile` — calculus → algebra, including the
-  schema-driven variable elimination,
-* :mod:`repro.algebra.optimizer` — rewrites (structural scans,
-  selection pushdown, the common-prefix factoring that turns
-  union-of-plans trees into shared-work DAGs, and the
-  statistics-driven cost stage),
+  schema-driven variable elimination and the fused structural scans
+  and interval joins,
+* :mod:`repro.algebra.optimizer` — rewrites (selection pushdown and
+  the common-prefix factoring that turns union-of-plans trees into
+  shared-work DAGs),
 * :mod:`repro.algebra.execute` — plan execution (one batch per
   operator per run).
 

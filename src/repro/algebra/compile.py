@@ -19,8 +19,9 @@ Concretely, each path predicate is compiled against a *frontier* of
 * a path variable is compiled by one of two strategies, chosen by the
   caller (``structural=``): the default is one pre/post range scan over
   :mod:`repro.structindex` (:class:`StructuralScanOp`, with a directly
-  following selection fused into a :class:`StructuralAttrScanOp`) — the
-  plan a store serves; ``structural=False`` is the paper's fan-out over
+  following selection fused into a :class:`StructuralAttrScanOp` and a
+  directly following bound variable into an :class:`IntervalJoinOp`)
+  — the plan a store serves; ``structural=False`` is the paper's fan-out over
   every schema path from the current candidate types, each branch the
   step chain plus a :class:`MakePathOp` that reconstructs the
   first-class path value — the union-of-plans reference.  Only the
@@ -95,6 +96,7 @@ from repro.paths.schema_paths import (
 from repro.algebra.operators import (
     BindOp,
     FormulaOp,
+    IntervalJoinOp,
     MakePathOp,
     NegationOp,
     Operator,
@@ -107,6 +109,14 @@ from repro.algebra.operators import (
     UnionOp,
     UnnestOp,
 )
+
+
+#: Test-only corruption switch for the plancheck mutation test: set to
+#: ``"interval_probe_misbound"`` (the fused interval join probes the
+#: variable the scan itself binds) to seed a broken plan the verifier
+#: must catch under the stage tag ``compile``.  Production value is
+#: ``None``; never set it outside tests.
+_TEST_MUTATION: str | None = None
 
 
 def compile_query(query: Query, schema: Schema,
@@ -367,6 +377,9 @@ class _Compiler:
         if isinstance(component, Bind):
             variable = component.variable
             if variable in bound:
+                if _plain_scan_of(plan, current):
+                    return [(self._fuse_interval_join(plan, variable),
+                             current, types, bound)]
                 return [(SelectOp(plan, Eq(variable, current)),
                          current, types, bound)]
             self.candidates.setdefault(variable, []).extend(types)
@@ -393,9 +406,7 @@ class _Compiler:
                      types: list[Type], component: Sel,
                      bound: set) -> list:
         attribute = component.attribute
-        if (isinstance(plan, StructuralScanOp)
-                and not isinstance(plan, StructuralAttrScanOp)
-                and current is plan.out_var):
+        if _plain_scan_of(plan, current):
             fused = self._fuse_scan_sel(plan, types, component, bound)
             if fused is not None:
                 return fused
@@ -474,6 +485,21 @@ class _Compiler:
             scan.child, scan.source_var, scan.path_var, scan.out_var,
             None, attribute, out),
             out, _dedup(targets), bound | {attribute})]
+
+    def _fuse_interval_join(self, scan: StructuralScanOp,
+                            probe: DataVar) -> IntervalJoinOp:
+        """Fuse the equality of a structural scan's endpoint with an
+        already-bound variable into one :class:`IntervalJoinOp` — the
+        ancestor/descendant interval join (experiment P9): the join
+        probes the block's occurrences of the bound value instead of
+        enumerating the subtree and filtering it."""
+        atom = Eq(probe, scan.out_var)
+        if _TEST_MUTATION == "interval_probe_misbound":
+            # seeded bug: probe the variable the scan itself binds — the
+            # join then consumes a variable nothing upstream produces
+            probe = scan.out_var
+        return IntervalJoinOp(scan.child, scan.source_var, scan.path_var,
+                              scan.out_var, probe, atom)
 
     def _advance_index(self, plan: Operator, current: DataVar,
                        types: list[Type], component: Index,
@@ -587,6 +613,14 @@ class _Compiler:
             entries.append((leaf, cursor, [schema_path.target],
                             bound | {component}))
         return entries
+
+
+def _plain_scan_of(plan: Operator, current: DataVar) -> bool:
+    """``plan`` is a structural scan (not yet fused with a selection)
+    whose endpoint is the frontier's current variable."""
+    return (isinstance(plan, StructuralScanOp)
+            and not isinstance(plan, StructuralAttrScanOp)
+            and current is plan.out_var)
 
 
 def _all_attrs(tp: Type) -> list[tuple[str, Type]]:

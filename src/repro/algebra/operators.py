@@ -155,15 +155,10 @@ class Operator:
     child: "Operator"
     branches: list["Operator"]
 
-    #: Estimated output cardinality, stamped by the optimizer's cost
-    #: stage (:mod:`repro.stats`); ``None`` on plans that were never
-    #: costed.  ``explain_analyze`` shows it next to the actual row
-    #: count.
-    est_rows: float | None = None
-    #: :class:`repro.stats.CostEvidence` on unions the cost stage
-    #: pruned — the audit record the plancheck verifier's ``PC-COST``
-    #: checks re-validate.  ``None`` everywhere else.
-    cost_evidence: Any = None
+    #: Inert (always ``None``): read only by the e2e benchmark
+    #: harness; ROADMAP item 11 deletes it.  Row estimates live in an
+    #: ``explain_analyze`` report, never on a plan node.
+    est_rows: ClassVar[None] = None
     #: The operator's term or atom kernel
     #: (:mod:`repro.algebra.kernels`), chosen when it first executes.
     _kernel: Any = None
@@ -205,9 +200,9 @@ class Operator:
 
     def with_children(self, children: list["Operator"]) -> "Operator":
         """This operator over other inputs, rebuilt through the
-        constructor: everything stamped on a node after construction
-        (estimates, cost evidence, memoized probes) stays behind on the
-        original."""
+        constructor: everything a node memoizes after construction
+        (its kernel, a union's gating selects, memoized probes) stays
+        behind on the original."""
         if self._input is None:
             return self
         construct: Callable[..., Operator] = type(self)
@@ -640,8 +635,7 @@ class SelectOp(Operator):
     candidate types are all classes).  Oids are exactly what the index
     covers, so under ``oid_only`` an *empty* key set means the filter
     passes nothing — which lets :class:`UnionOp` skip the whole branch
-    before it runs (:meth:`proves_empty`) and the cost stage prune it
-    statically.
+    before it runs (:meth:`proves_empty`).
     """
 
     params = ("atom", "oid_only")
@@ -762,7 +756,8 @@ class UnionOp(Operator):
     :meth:`~SelectOp.proves_empty` cannot yield a row, so the branch is
     skipped without touching the store (``algebra.branches_pruned``).
     Only oid-covered selects participate — see
-    :attr:`SelectOp.oid_only`.
+    :attr:`SelectOp.oid_only`.  That run-time skip is the only pruning
+    of union branches.
     """
 
     def __init__(self, branches: list[Operator]) -> None:

@@ -1,12 +1,7 @@
 """Plan rewriting (the Section 4.1 / 6 "optimization is crucial" hook).
 
-:func:`optimize` runs up to four rewrites, in this order:
+:func:`optimize` runs two rewrites, in this order:
 
-* **interval joins** (``structural=True`` only, the default) — an
-  equality select directly above a :class:`StructuralScanOp` (the
-  pre/post range scan the compiler emits for a path variable when it
-  compiles with ``structural=True``) is fused into an
-  :class:`IntervalJoinOp` (experiment P9).
 * **selection pushdown** — a ground :class:`SelectOp` sitting above an
   operator that does not bind any of the atom's variables commutes below
   it, shrinking intermediate streams.
@@ -17,30 +12,22 @@
   structurally hashes every subtree and merges equal ones into a
   single :class:`SharedOp`, turning the plan tree into a DAG whose
   shared streams execute once per run (experiment P7).
-* the statistics-driven **cost stage**, when a
-  :class:`~repro.stats.Statistics` snapshot is supplied (``stats=...``):
-  union branches gated by an oid-only ``contains`` select whose
-  pattern has a posting-size upper bound of **zero** are pruned
-  statically — before any index probe is issued at execution time
-  (``algebra.branches_pruned_static``); the surviving branches keep
-  their compile order.
 
-Full-text index utilisation (Section 4.1) is not a rewrite: a
-``contains(X, <constant pattern>)`` :class:`SelectOp` *is* the
-index-backed filter — its kernel reads the probed key set, and the
+Two things that look like rewrites are not stages.  The interval join
+(experiment P9) is built by the compiler, next to the fused attribute
+scan: a bound variable directly after a structural scan compiles to
+one :class:`~repro.algebra.operators.IntervalJoinOp`.  Full-text index
+utilisation (Section 4.1) is a ``contains(X, <constant pattern>)``
+:class:`SelectOp`: its kernel reads the probed key set, and the
 compiler flags it ``oid_only`` when an empty key set proves it passes
-nothing (experiment P1).
-
-Every pruned union carries a
-:class:`~repro.stats.CostEvidence` record, and the stage runs under the
-same plancheck gate as every other rewrite: the verifier's ``PC-COST``
-checks re-validate the evidence (experiment P12).
+nothing — which lets a :class:`UnionOp` skip that branch at run time
+(``algebra.branches_pruned``; experiments P1 and P12).
 
 None of the rewrites knows how to rebuild or hash an operator class:
 nodes are reconstructed with
 :meth:`~repro.algebra.operators.Operator.with_children` (through the
-constructor, so estimates, cost evidence and memoized probes never
-travel onto a rewritten node) and the factoring keys on
+constructor, so memoized probes never travel onto a rewritten node)
+and the factoring keys on
 :meth:`~repro.algebra.operators.Operator.param_key`.  The ``isinstance``
 tests left in this module choose *which* nodes a rewrite applies to.
 """
@@ -51,8 +38,6 @@ import warnings
 from collections import Counter
 from typing import Any, Callable
 
-from repro.calculus.formulas import Eq
-from repro.calculus.terms import AttVar, DataVar, PathVar
 from repro.algebra.operators import (
     BindOp,
     IntervalJoinOp,
@@ -62,51 +47,34 @@ from repro.algebra.operators import (
     SelectOp,
     SharedOp,
     StepOp,
-    StructuralAttrScanOp,
     StructuralScanOp,
     UnionOp,
     UnnestOp,
-    gating_index_filters,
     walk_once,
 )
 
 
 #: Test-only corruption switch for the plancheck mutation test: set to
-#: ``"pushdown_unguarded"`` (the pushdown ignores its producer guard),
-#: ``"interval_probe_misbound"`` (the interval join probes the variable
-#: the scan itself binds), ``"branch_order_scrambled"`` (the cost stage
-#: keeps one branch twice, so its evidence no longer partitions the
-#: original branches) or ``"prune_nonempty_branch"`` (the cost stage
-#: prunes a branch without zero evidence) to seed a broken rewrite the
-#: verifier must catch.  The cost-stage seeds corrupt only a union the
-#: stage prunes.  Production value is ``None``; never set it
-#: outside tests.
+#: ``"pushdown_unguarded"`` (the pushdown ignores its producer guard)
+#: to seed a broken rewrite the verifier must catch.  Production value
+#: is ``None``; never set it outside tests.
 _TEST_MUTATION: str | None = None
 
 
-def optimize(plan: Operator, structural: bool = True,
-             verify: str = "warn", query: object = None,
-             metrics: object = None, tracer: Any = None,
-             stats: object = None,
-             # inert: the e2e benchmark harness still passes it;
-             # ROADMAP item 11 deletes it
+def optimize(plan: Operator, verify: str = "warn", query: object = None,
+             metrics: object = None, tracer: Any = None, *,
+             # inert: the e2e benchmark harness still passes these;
+             # ROADMAP item 11 deletes them
+             structural: object = None, stats: object = None,
              plan_key: object = None) -> Operator:
     """Return a rewritten plan.  The input's structure is not mutated;
     a stage that changes nothing returns its input, so the result
-    shares every node no rewrite touched with the input — and the cost
-    stage stamps ``est_rows`` on every node of the result, the input's
-    shared nodes included.
+    shares every node no rewrite touched with the input.
 
-    The stage sequence is fixed: (``structural=True`` only)
-    :func:`structuralize`, :func:`sink_selections`,
-    :func:`factor_shared_prefixes` and —
-    when a ``stats`` snapshot is supplied — :func:`apply_cost_stage`.
-    Each stage is a public function of one plan; a test or ablation
-    that isolates one rewrite calls that function.
-
-    ``structural`` names the plan the compiler built: with ``True``
-    (range scans, the default) the interval-join fusion runs; a
-    ``structural=False`` union-of-plans has no scan to fuse.
+    The stage sequence is fixed: :func:`sink_selections`, then
+    :func:`factor_shared_prefixes`.  Each stage is a public function of
+    one plan; a test or ablation that isolates one rewrite calls that
+    function.
 
     Every plan is gated by the :mod:`repro.plancheck` verifier: the
     compiler's plan once, under the stage tag ``compile``, then each
@@ -127,16 +95,6 @@ def optimize(plan: Operator, structural: bool = True,
     """
     if verify not in ("raise", "warn"):
         raise ValueError(f"unknown verify policy {verify!r}")
-    stages: list[tuple[str, Callable[[Operator], Operator]]] = []
-    if structural:
-        stages.append(("structuralize", structuralize))
-    stages += [("pushdown", sink_selections),
-               ("factor", factor_shared_prefixes)]
-    if stats is not None:
-        stages.append(("cost",
-                       lambda p: apply_cost_stage(p, stats,
-                                                  metrics=metrics)))
-
     from repro.observe.trace import NULL_TRACER
     from repro.plancheck.diagnostics import PlanVerificationWarning
     from repro.plancheck.verifier import check_plan, verify_plan
@@ -147,10 +105,10 @@ def optimize(plan: Operator, structural: bool = True,
                  fallback: str) -> bool:
         if verify == "raise":
             check_plan(candidate, query=query, stage=name,
-                       metrics=metrics, stats=stats)
+                       metrics=metrics)
             return True
         faults = verify_plan(candidate, query=query, stage=name,
-                             metrics=metrics, stats=stats)
+                             metrics=metrics)
         if not faults:
             return True
         # a broken plan must never reach execution when a verified one
@@ -166,7 +124,8 @@ def optimize(plan: Operator, structural: bool = True,
     if not verified(plan, "compile", "the compiler",
                     "serving it unoptimized"):
         return plan
-    for name, stage in stages:
+    for name, stage in (("pushdown", sink_selections),
+                        ("factor", factor_shared_prefixes)):
         with tracer.span(f"optimize.{name}"):
             rewritten = stage(plan)
         if rewritten is not plan and verified(
@@ -174,42 +133,6 @@ def optimize(plan: Operator, structural: bool = True,
                 "keeping the pre-stage plan"):
             plan = rewritten
     return plan
-
-
-def structuralize(plan: Operator) -> Operator:
-    """The ``structuralize`` stage: fuse interval joins."""
-    plan = _rebuild(plan, structuralize)
-    if isinstance(plan, SelectOp):
-        return _try_interval_join(plan) or plan
-    return plan
-
-
-def _try_interval_join(select: SelectOp) -> IntervalJoinOp | None:
-    """Fuse ``Select (out ≡ probe)`` directly above a structural scan
-    into the ancestor/descendant interval join."""
-    scan = select.child
-    if (not isinstance(scan, StructuralScanOp)
-            or isinstance(scan, StructuralAttrScanOp)):
-        return None
-    atom = select.atom
-    if not isinstance(atom, Eq):
-        return None
-    if atom.left is scan.out_var:
-        probe = atom.right
-    elif atom.right is scan.out_var:
-        probe = atom.left
-    else:
-        return None
-    if not isinstance(probe, (DataVar, PathVar, AttVar)):
-        return None
-    if probe is scan.out_var or probe is scan.path_var:
-        return None
-    if _TEST_MUTATION == "interval_probe_misbound":
-        # seeded bug: probe the variable the scan itself binds — the
-        # join then consumes a variable nothing upstream produces
-        probe = scan.out_var
-    return IntervalJoinOp(scan.child, scan.source_var, scan.path_var,
-                          scan.out_var, probe, atom)
 
 
 def sink_selections(plan: Operator) -> Operator:
@@ -334,101 +257,3 @@ def factor_shared_prefixes(plan: Operator) -> Operator:
 def _shareable(node: Operator) -> bool:
     # a Seed stream is free to recompute; nested SharedOps add nothing
     return not isinstance(node, (SeedOp, SharedOp))
-
-
-# -- the cost stage ---------------------------------------------------------
-
-
-def apply_cost_stage(plan: Operator, stats: Any,
-                     metrics: Any = None) -> Operator:
-    """The statistics-driven rewrite: provable-empty branch pruning,
-    and ``est_rows`` annotations on every node.
-
-    The transform is memoized by node *identity* so the DAG the factor
-    stage built survives intact: both consumers of a :class:`SharedOp`
-    resolve to the same rebuilt object.  Nodes whose subtree the stage
-    does not prune are returned as-is (the input plan is only ever
-    annotated, never restructured in place), so a plan with nothing to
-    prune comes back as the input itself.
-    """
-    from repro.stats.cost import annotate_estimates
-
-    memo: dict[int, Operator] = {}
-
-    def transform(node: Operator) -> Operator:
-        done = memo.get(id(node))
-        if done is not None:
-            return done
-        children = [transform(child) for child in node.children()]
-        if children == node.children():
-            rebuilt = node
-        else:
-            rebuilt = node.with_children(children)
-        if isinstance(rebuilt, UnionOp):
-            rebuilt = _prune(rebuilt, stats, metrics)
-        memo[id(node)] = rebuilt
-        return rebuilt
-
-    rebuilt = transform(plan)
-    annotate_estimates(rebuilt, stats)
-    return rebuilt
-
-
-def _zero_evidence(branch: Operator,
-                   stats: Any) -> tuple[str, Any] | None:
-    """Provable-emptiness evidence for one union branch, or ``None``.
-
-    A branch gated by an ``oid_only`` ``contains`` select whose
-    pattern has a posting-size upper bound of **zero** cannot yield a
-    row — the runtime probe would prune it anyway, but statically
-    removing it skips the probe and the branch setup entirely.  The
-    returned ``("empty_candidates", pattern)`` pair is what the
-    verifier's ``PC-COST`` check re-validates against the statistics
-    snapshot.
-    """
-    for select in gating_index_filters(branch):
-        if stats.candidate_upper_bound(select.pattern) == 0:
-            return ("empty_candidates", select.pattern)
-    return None
-
-
-def _prune(union: UnionOp, stats: Any, metrics: Any) -> UnionOp:
-    """Drop a union's branches with zero evidence, keeping the rest in
-    compile order and attaching the :class:`~repro.stats.CostEvidence`
-    audit record the verifier re-checks; a union with nothing to prune
-    is returned as it is."""
-    from repro.stats.statistics import CostEvidence
-
-    branches = union.branches
-    pruned: dict[int, tuple[str, Any]] = {}
-    kept: list[int] = []
-    for index, branch in enumerate(branches):
-        evidence = _zero_evidence(branch, stats)
-        if evidence is not None:
-            pruned[index] = evidence
-        else:
-            kept.append(index)
-    if not kept:
-        # a union of zero plans is malformed; keep the first branch —
-        # its runtime probe prunes it at negligible cost
-        del pruned[0]
-        kept.append(0)
-    if not pruned:
-        return union
-    if metrics is not None:
-        metrics.inc("algebra.branches_pruned_static", len(pruned))
-    if _TEST_MUTATION == "branch_order_scrambled":
-        # seeded bug: keep a branch twice — kept + pruned no longer
-        # partition the original branches
-        kept.append(kept[0])
-    if _TEST_MUTATION == "prune_nonempty_branch":
-        # seeded bug: prune a kept branch without zero evidence, and
-        # keep a provably empty one in its place
-        swap = min(pruned)
-        del pruned[swap]
-        pruned[kept[0]] = ("mutation", None)
-        kept[0] = swap
-    rebuilt = UnionOp([branches[index] for index in kept])
-    rebuilt.cost_evidence = CostEvidence(len(branches), tuple(kept),
-                                         pruned)
-    return rebuilt

@@ -10,8 +10,8 @@ own stage sequence (:meth:`QueryEngine.compile
 
 * ``algebra``    — ``DocumentStore(backend="algebra",
   structural=False)``: the paper-faithful reference — the Section-5.4
-  union-of-plans compilation, selection pushdown, the shared-prefix
-  DAG and the statistics-driven cost stage;
+  union-of-plans compilation, selection pushdown and the shared-prefix
+  DAG, whose unions skip provably empty branches at run time;
 * ``structural`` — ``DocumentStore(backend="algebra")`` (the default
   ``structural=True``): the same pipeline compiling path variables to
   pre/post interval range scans over :mod:`repro.structindex` — the

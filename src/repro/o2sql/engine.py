@@ -110,8 +110,9 @@ class QueryEngine:
         #: part of the plan-cache key.
         self.structural = structural
         #: Optional :class:`~repro.stats.StatisticsManager` (the store
-        #: installs one).  When set, the optimizer runs its cost stage
-        #: against the current snapshot and executed plans are counted.
+        #: installs one).  When set, executed plans are counted and
+        #: :meth:`profile` estimates the rows of an algebra plan's
+        #: nodes against the current snapshot; no compile reads it.
         self.stats = None
 
     # -- pipeline stages ------------------------------------------------------
@@ -141,13 +142,6 @@ class QueryEngine:
         one is installed (compiling on miss or staleness)."""
         entry, _ = self._artifacts(text, NULL_TRACER, self.ctx.metrics)
         return entry
-
-    def _cost_snapshot(self):
-        """The statistics the cost stage reads (algebra backend with a
-        statistics manager installed), else ``None``."""
-        if self.stats is not None and self.backend == "algebra":
-            return self.stats.snapshot()
-        return None
 
     def _artifacts(self, text: str, tracer, metrics):
         """Resolve (artifacts, was_cache_hit) for one query text: the
@@ -196,11 +190,10 @@ class QueryEngine:
         front end (and through it ``python -m repro.plancheck
         --verify``) ends here, and :mod:`repro.diffcheck`, which
         generates calculus queries, not text, enters here.
-        ``key``/``epoch`` tag the artifacts for the plan cache.  The
-        cost stage reads the statistics snapshot taken here: a
-        cache hit takes none.
+        ``key``/``epoch`` tag the artifacts for the plan cache.  No
+        statistics snapshot is taken: a plan's shape depends on the
+        query and the schema alone.
         """
-        snapshot = self._cost_snapshot()
         plan = None
         if self.backend != "calculus":
             from repro.algebra.compile import compile_query
@@ -211,9 +204,8 @@ class QueryEngine:
                     query, self.instance.schema,
                     path_semantics=self.ctx.path_semantics,
                     structural=self.structural)
-                plan = optimize(plan, structural=self.structural,
-                                query=query, metrics=metrics,
-                                tracer=tracer, stats=snapshot)
+                plan = optimize(plan, query=query, metrics=metrics,
+                                tracer=tracer)
                 if span.recording:
                     nodes = walk_once(plan)
                     span.annotate("operators", len(nodes))
@@ -325,8 +317,7 @@ class QueryEngine:
                 result = execute_plan(entry.plan, ctx)
             plan = entry.plan
         if self.stats is not None:
-            self.stats.record_execution(entry.key, entry.plan.est_rows,
-                                        len(result))
+            self.stats.record_execution(entry.key, None, len(result))
         return result, plan, sql
 
     # -- observability --------------------------------------------------------
@@ -343,6 +334,13 @@ class QueryEngine:
         through the plan cache like any other — on a warm cache the
         span tree carries no compile-side stages and the ``cache.hits``
         counter appears in the snapshot.
+
+        On the algebra backend with a statistics manager, the report
+        also carries each executed node's row estimate
+        (:func:`repro.stats.estimate` against a snapshot taken after
+        the run, inside the observed scope, so a collection it causes
+        counts ``stats.collections`` here).  The estimates are keyed by
+        node id in the report; no plan node is written.
         """
         from repro.observe import (
             ExplainReport,
@@ -354,13 +352,23 @@ class QueryEngine:
         metrics = MetricsRegistry()
         tracer = Tracer()
         profiler = PlanProfiler() if self.backend != "calculus" else None
+        estimates = None
         with observed(self.ctx, metrics=metrics, tracer=tracer,
                       profiler=profiler, layers=self.metered_layers()):
             result, plan, sql = self._run(text, tracer)
+            if (plan is not None and self.stats is not None
+                    and self.backend == "algebra"):
+                from repro.algebra.operators import walk_once
+                from repro.stats import estimate
+                snapshot = self.stats.snapshot()
+                estimates = {}
+                for node in walk_once(plan):
+                    estimate(node, snapshot, estimates)
         return ExplainReport(text=text, backend=self.backend,
                              result=result, plan=plan, profiler=profiler,
                              metrics=metrics.snapshot(),
-                             trace=tracer.last_root, sql=sql)
+                             trace=tracer.last_root, sql=sql,
+                             estimates=estimates)
 
     explain_analyze = profile
 

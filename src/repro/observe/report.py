@@ -14,10 +14,11 @@ indented tree::
 
 ``time`` is inclusive of the subtree, ``self`` is the operator's own
 share of it (the self times of the distinct nodes add up to the root's
-``time``).  ``est`` is the cost stage's predicted cardinality (absent
-on uncosted plans); :meth:`ExplainReport.estimation_errors` ranks the
-nodes by q-error and :meth:`ExplainReport.estimation_summary`
-aggregates them.
+``time``).  ``est`` is the row model's predicted cardinality
+(:func:`repro.stats.estimate`, computed for the report; absent without
+statistics); :meth:`ExplainReport.estimation_errors` ranks the nodes
+by q-error and :meth:`ExplainReport.estimation_summary` aggregates
+them.
 Row counts and plan shapes are deterministic; times are informational.
 """
 
@@ -28,8 +29,11 @@ from repro.observe.trace import Span
 
 
 def plan_tree(operator, profiler: PlanProfiler | None = None,
+              estimates: dict[int, float] | None = None,
               _labels: dict[int, str] | None = None) -> dict:
-    """Nested ``{operator, label, rows, pulls, elapsed, self, children}``.
+    """Nested ``{operator, label, rows, pulls, elapsed, self, est_rows,
+    children}``; ``est_rows`` is read from ``estimates`` (keyed by node
+    id), ``None`` without it.
 
     Factored plans are DAGs: a shared subplan is expanded only at its
     first occurrence; later references render as a stub node with
@@ -49,10 +53,11 @@ def plan_tree(operator, profiler: PlanProfiler | None = None,
         "pulls": stats.pulls if stats is not None else None,
         "elapsed": stats.elapsed if stats is not None else None,
         "self": stats.self_time if stats is not None else None,
-        "est_rows": operator.est_rows,
+        "est_rows": (estimates.get(id(operator))
+                     if estimates is not None else None),
         "ref": ref,
         "children": ([] if ref else
-                     [plan_tree(child, profiler, _labels)
+                     [plan_tree(child, profiler, estimates, _labels)
                       for child in operator.children()]),
     }
 
@@ -90,7 +95,9 @@ class ExplainReport:
 
     def __init__(self, text: str, backend: str, result, plan,
                  profiler: PlanProfiler | None, metrics: dict,
-                 trace: Span | None, sql: str | None = None) -> None:
+                 trace: Span | None,
+                 estimates: dict[int, float] | None,
+                 sql: str | None = None) -> None:
         self.text = text
         self.backend = backend
         self.result = result
@@ -102,6 +109,9 @@ class ExplainReport:
         #: the emitted SQL statement(s) when the run was served by the
         #: relational backend's hybrid; ``None`` on every other path
         self.sql = sql
+        #: each plan node's estimated rows, keyed by ``id(node)`` —
+        #: ``None`` when the run was not estimated
+        self.estimates = estimates
 
     # -- structured access ---------------------------------------------------
 
@@ -110,7 +120,7 @@ class ExplainReport:
         """The annotated plan tree (``None`` for the calculus backend)."""
         if self.plan is None:
             return None
-        return plan_tree(self.plan, self.profiler)
+        return plan_tree(self.plan, self.profiler, self.estimates)
 
     def operators(self) -> list[dict]:
         """Flat pre-order list of annotated plan nodes."""
@@ -148,10 +158,10 @@ class ExplainReport:
 
     def estimation_errors(self) -> list[dict]:
         """Per-operator estimation quality, worst first: every executed
-        node that carries both a cost-stage estimate (``est_rows``) and
+        node that carries both a row estimate (``est_rows``) and
         a measured actual row count, with its q-error (the symmetric
         ratio; 1.0 = perfect).  Shared nodes are counted once (ref
-        stubs are skipped).  Empty on uncosted or unprofiled runs."""
+        stubs are skipped).  Empty on unestimated or unprofiled runs."""
         from repro.stats import q_error
         found: list[dict] = []
 

@@ -8,9 +8,8 @@ Examples::
 
 Queries are checked against the Figure-1 article DTD with the Figure-2
 document loaded as ``my_article`` and its text index built — the
-shape the benchmark serves, so a ``contains`` on an absent word
-reaches the cost stage's static prune — unless ``--dtd`` supplies
-another DTD, whose store stays empty.  ``--verify`` additionally
+shape the benchmark serves — unless ``--dtd`` supplies another DTD,
+whose store stays empty.  ``--verify`` additionally
 prepares each clean query on a store of each algebra configuration —
 the ``structural=False`` union-of-plans reference and the served
 ``structural=True`` range scans, through the engine's own stage
@@ -58,7 +57,7 @@ def _verify_query(text: str, stores: dict) -> list:
             faults.extend(rejected.faults)
             continue
         faults.extend(verify_plan(prepared.plan, query=prepared.calculus,
-                                  stage=label, stats=store.statistics()))
+                                  stage=label))
     return faults
 
 

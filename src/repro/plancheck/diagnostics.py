@@ -33,9 +33,9 @@ class PlanFault:
         #: One-line rendering of the offending operator (its class name
         #: and parameters), never the whole subtree.
         self.operator = operator
-        #: The optimizer stage after which the fault was observed
-        #: (``compile``, ``structuralize``, ``pushdown``,
-        #: ``factor``, ``cost``) — ``None`` for direct verifier calls.
+        #: The stage after which the fault was observed (``compile``
+        #: for the compiler's plan, then the optimizer's ``pushdown``
+        #: and ``factor``) — ``None`` for direct verifier calls.
         self.stage = stage
         self.hint = hint
 

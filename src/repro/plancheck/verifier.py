@@ -16,11 +16,7 @@ rejects any plan in which
   of a fixed name and an attribute variable, an interval join whose
   recheck atom is not the fused ``out ≡ probe`` equality),
 * the root projection does not bind its head, or does not match the
-  query head it was compiled from,
-* a union the cost stage pruned carries inconsistent
-  :class:`~repro.stats.CostEvidence` — the kept+pruned indices do not
-  partition the original branches, or a pruned branch lacks
-  re-checkable zero evidence (``PC-COST``).
+  query head it was compiled from.
 
 The pass is *sound for its contracts*, not a full type system: an
 operator may over-approximate ``produces()`` (see
@@ -52,7 +48,6 @@ from repro.algebra.operators import (
     SharedOp,
     StructuralAttrScanOp,
     StructuralScanOp,
-    UnionOp,
     walk_once,
 )
 from repro.calculus.formulas import Eq, Query
@@ -127,14 +122,15 @@ def _meet(envs: list[Env]) -> Env:
 def verify_plan(plan: Operator, query: Query | None = None,
                 stage: str | None = None,
                 metrics: Any = None,
+                # inert: the e2e benchmark harness still passes it;
+                # ROADMAP item 11 deletes it
                 stats: Any = None) -> list[PlanFault]:
     """Run every static check over ``plan``; returns the faults found.
 
     ``query`` (the calculus form) enables the head-match check;
     ``stage`` tags faults with the optimizer stage they appeared after;
     ``metrics`` receives ``plancheck.verifications`` /
-    ``plancheck.faults`` counters; ``stats`` (the snapshot the cost
-    stage read) lets the ``PC-COST`` check re-derive zero evidence.
+    ``plancheck.faults`` counters.
     """
     faults: list[PlanFault] = []
     nodes = walk_once(plan)
@@ -143,7 +139,6 @@ def verify_plan(plan: Operator, query: Query | None = None,
     active: set[int] = set()
     _env_of(plan, envs, active, stage, faults)
     _check_root(plan, nodes, query, envs, stage, faults)
-    _check_cost(nodes, stats, stage, faults)
     if metrics is not None:
         metrics.inc("plancheck.verifications")
         if faults:
@@ -153,11 +148,9 @@ def verify_plan(plan: Operator, query: Query | None = None,
 
 def check_plan(plan: Operator, query: Query | None = None,
                stage: str | None = None,
-               metrics: Any = None,
-               stats: Any = None) -> None:
+               metrics: Any = None) -> None:
     """:func:`verify_plan`, raising on any fault."""
-    faults = verify_plan(plan, query=query, stage=stage, metrics=metrics,
-                         stats=stats)
+    faults = verify_plan(plan, query=query, stage=stage, metrics=metrics)
     if faults:
         where = f" after stage {stage!r}" if stage else ""
         summary = "; ".join(f"{f.code}: {f.message}" for f in faults[:3])
@@ -347,57 +340,6 @@ def _check_types(nodes: list[Operator], var_types: dict,
                 node.label(), stage,
                 hint="oid_only lets unions prune whole branches; "
                      "a non-class candidate makes that unsound"))
-
-
-# -- cost-evidence checks ---------------------------------------------------
-
-
-def _check_cost(nodes: list[Operator], stats: Any, stage: str | None,
-                faults: list[PlanFault]) -> None:
-    """Re-validate every :class:`~repro.stats.CostEvidence` record.
-
-    The cost stage may only *remove* branches it can prove empty, so
-    the evidence's kept indices plus its pruned indices must partition
-    the original branch list, and every pruned entry must carry zero
-    evidence the verifier can re-derive: when ``stats`` is given, the
-    posting-size bound is recomputed and must still be 0.
-    """
-    for node in nodes:
-        evidence = node.cost_evidence
-        if evidence is None:
-            continue
-
-        def fault(message: str, hint: str | None = None) -> None:
-            faults.append(PlanFault("PC-COST", message,
-                                    node.label(), stage, hint=hint))
-
-        if not isinstance(node, UnionOp):
-            fault("cost evidence attached to a non-union operator")
-            continue
-        accounted = sorted(list(evidence.order)
-                           + list(evidence.pruned))
-        if accounted != list(range(evidence.original)):
-            fault(f"kept order {list(evidence.order)} + pruned "
-                  f"{sorted(evidence.pruned)} do not partition the "
-                  f"{evidence.original} original branches",
-                  hint="the cost stage may only remove provably "
-                       "empty branches")
-            continue
-        if len(node.branches) != len(evidence.order):
-            fault(f"union has {len(node.branches)} branches but the "
-                  f"evidence keeps {len(evidence.order)}")
-            continue
-        for index, (kind, detail) in sorted(evidence.pruned.items()):
-            if kind != "empty_candidates":
-                fault(f"pruned branch {index} carries unverifiable "
-                      f"evidence kind {kind!r}",
-                      hint="only posting-size zero proofs justify "
-                           "static pruning")
-                continue
-            if (stats is not None
-                    and stats.candidate_upper_bound(detail) != 0):
-                fault(f"pruned branch {index}'s pattern is not "
-                      "provably empty under the statistics snapshot")
 
 
 # -- structural-index invariants --------------------------------------------

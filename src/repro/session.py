@@ -112,9 +112,9 @@ class DocumentStore:
         self._engine = QueryEngine(
             self.instance, path_semantics=path_semantics, backend=backend,
             cache=self.plan_cache, structural=structural)
-        #: Table statistics for the optimizer's cost stage: snapshots
-        #: follow the plan-cache epoch; executed plans feed actual
-        #: cardinalities back.
+        #: Table statistics for ``explain_analyze``'s row estimates:
+        #: snapshots follow the plan-cache epoch; executed plans are
+        #: counted.
         self.stats_manager = StatisticsManager(
             self.instance, epoch_source=self.plan_cache,
             context=self._engine.ctx)
@@ -278,7 +278,11 @@ class DocumentStore:
 
         The index is built off to the side and published by atomic
         assignment, so concurrent readers see either no index or the
-        complete one — never a half-built state."""
+        complete one — never a half-built state.  The store epoch does
+        not move: a cached plan stays valid, and its ``contains``
+        selects probe the new index on their next run (which is also
+        when a union first skips the branches the index proves empty).
+        """
         with self._write_lock:
             index = TextIndex()
             reached = self._index_documents(index, self._documents())
@@ -291,9 +295,9 @@ class DocumentStore:
             index.metrics = self._metrics
             self.text_index = index
             self._engine.ctx.text_index = index
-            # costing must see the new index — the store epoch did not
-            # move, so the memoized statistics snapshot would otherwise
-            # stay index-blind until the next data mutation
+            # estimates must see the new index — the store epoch did
+            # not move, so the memoized statistics snapshot would
+            # otherwise stay index-blind until the next data mutation
             self.stats_manager.invalidate()
             return index
 

@@ -1,25 +1,25 @@
-"""Table statistics and the row model (the cost stage's data).
+"""Table statistics and the row model (what ``explain_analyze`` estimates
+with).
 
 The subsystem folds what the engine already measures — class/root
 cardinalities, text-index posting sizes, structural-index node and
 attribute counts — into an epoch-versioned :class:`Statistics`
 snapshot, and estimates every algebra operator's output rows with
-:func:`estimate`.  The optimizer's verifier-gated ``cost`` stage
-(:func:`repro.algebra.optimizer.optimize` with ``stats=...``) reads
-the snapshot to prune union branches that are provably empty before
-any index probe runs, and stamps the ``est_rows`` that
-``explain_analyze`` prints beside the actual counts.
+:func:`estimate`.  Only ``explain_analyze`` reads them: it takes a
+snapshot inside its own observed scope and prints each node's
+estimate beside the actual count.  No compile reads a snapshot and no
+plan node carries an estimate; a union's provably empty branches are
+skipped at run time by their index probes
+(:class:`~repro.algebra.operators.UnionOp`).
 """
 
-from repro.stats.cost import annotate_estimates, estimate
+from repro.stats.cost import estimate
 from repro.stats.manager import StatisticsManager, q_error
-from repro.stats.statistics import CostEvidence, Statistics
+from repro.stats.statistics import Statistics
 
 __all__ = [
-    "CostEvidence",
     "Statistics",
     "StatisticsManager",
-    "annotate_estimates",
     "estimate",
     "q_error",
 ]

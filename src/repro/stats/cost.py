@@ -5,10 +5,9 @@ identity so a :class:`~repro.algebra.operators.SharedOp` subtree is
 estimated once.
 
 ``rows`` predicts the cardinality of the operator's output stream —
-the ``est_rows`` column ``explain_analyze`` prints beside the actual
-count.  The cost stage's one decision, provable-empty pruning, reads
-posting bounds directly (:meth:`Statistics.candidate_upper_bound`),
-not these estimates.
+the ``est=`` column ``explain_analyze`` prints beside the actual
+count.  Nothing else reads an estimate: no plan is chosen or pruned by
+one.
 
 What makes the estimates data-driven rather than guesses:
 
@@ -36,7 +35,6 @@ from repro.algebra.operators import (
     StructuralScanOp,
     UnionOp,
     UnnestOp,
-    walk_once,
 )
 from repro.stats.statistics import DEFAULT_SELECTIVITY, Statistics
 
@@ -113,14 +111,3 @@ def _estimate_node(node: Operator, stats: Statistics,
     # a formula, an interval join, a bind/step/path or a projection
     # passes its input's cardinality through
     return rows
-
-
-def annotate_estimates(plan: Operator, stats: Statistics,
-                       memo: dict[int, float] | None = None) -> float:
-    """Stamp ``est_rows`` on every node of the plan DAG (the EXPLAIN
-    ANALYZE ``est_rows`` column); returns the root estimate."""
-    if memo is None:
-        memo = {}
-    for node in walk_once(plan):
-        node.est_rows = estimate(node, stats, memo)
-    return estimate(plan, stats, memo)

@@ -1,10 +1,11 @@
 """Statistics lifecycle: collection and epochs.
 
-:class:`StatisticsManager` sits between the store and the optimizer's
-cost stage.  It owns one :class:`~repro.stats.statistics.Statistics`
-snapshot at a time and keeps it coherent with the store's
-data/schema **epoch** (read off the same ``epoch_source`` the plan
-cache and structural index use): a snapshot collected under an older
+:class:`StatisticsManager` sits between the store and
+``explain_analyze``'s row estimates.  It owns one
+:class:`~repro.stats.statistics.Statistics` snapshot at a time and
+keeps it coherent with the store's data/schema **epoch** (read off
+the same ``epoch_source`` the plan cache and structural index use): a
+snapshot collected under an older
 epoch is recollected lazily on the next :meth:`snapshot` call, and
 collection is O(classes + roots), never O(objects).  Executed plans
 are counted (:meth:`record_execution`); nothing they measure feeds
@@ -139,8 +140,9 @@ class StatisticsManager:
 
     def record_execution(self, key: Any, est_rows: float | None,
                          actual_rows: int) -> None:
-        """Count one executed plan.  Its result cardinality is not
-        kept: estimation error is reported by ``explain_analyze``
+        """Count one executed plan.  ``est_rows`` and the result
+        cardinality are not kept (the engine passes ``None`` for the
+        first): estimation error is reported by ``explain_analyze``
         (:func:`q_error`)."""
         with self._lock:
             self._recorded_queries += 1

@@ -1,25 +1,19 @@
 """The epoch-versioned table-statistics snapshot.
 
 :class:`Statistics` folds what the engine already measures into one
-immutable-by-convention record the optimizer's cost stage can read
-without touching the store:
+immutable-by-convention record the row model
+(:func:`repro.stats.estimate`) reads without touching the store:
 
 * per-class cardinalities (disjoint extents) and persistence-root
   collection sizes, from the :class:`~repro.oodb.instance.Instance`;
 * text-index document frequencies — the number of documents a
   literal word matches, an *upper bound* for the patterns built from
-  it, which is exactly what row estimation and provable-empty
-  pruning need (:mod:`repro.text`);
+  it (:mod:`repro.text`);
 * structural-index sizes (node and root counts, per-attribute
   occurrence counts) from :mod:`repro.structindex`.
 
 A snapshot carries the store's data/schema ``epoch``: a mutation
 produces a fresh snapshot (the manager recollects lazily).
-
-:class:`CostEvidence` is the audit record the cost stage attaches to
-every union it prunes; :mod:`repro.plancheck` re-validates it (the
-``PC-COST`` checks), so an unsound prune is caught before it can
-execute — the same gating policy every other rewrite follows.
 """
 
 from __future__ import annotations
@@ -32,31 +26,6 @@ from repro.text.patterns import (
     Pattern,
     PatternExpr,
 )
-
-
-class CostEvidence:
-    """Why a union has fewer branches after the cost stage.
-
-    ``order`` holds the *original* indices of the kept branches, in
-    compile order; ``pruned`` maps each removed original index to its
-    justification ``(kind, detail)``.  Together they must partition
-    ``range(original)`` — the verifier's ``PC-COST`` check — and every
-    pruned entry must carry re-checkable zero evidence (currently the
-    single kind ``"empty_candidates"``: a pattern whose posting-size
-    upper bound is provably zero).
-    """
-
-    __slots__ = ("original", "order", "pruned")
-
-    def __init__(self, original: int, order: tuple[int, ...],
-                 pruned: Mapping[int, tuple[str, Any]]) -> None:
-        self.original = original
-        self.order = tuple(order)
-        self.pruned = dict(pruned)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (f"CostEvidence(original={self.original}, "
-                f"order={self.order}, pruned={sorted(self.pruned)})")
 
 
 #: Default selectivity of a selection whose predicate the model cannot
@@ -144,9 +113,8 @@ class Statistics:
         a phrase's words, the sum over a disjunction.  ``None`` means
         the model cannot bound it — a negation-dominated or regex-only
         pattern.  A return of ``0`` is a *proof* of emptiness: a
-        literal word no document contains matches nothing, so the cost
-        stage may prune a branch gated on it before any index probe
-        runs.
+        literal word no document contains matches nothing, so the
+        index probe of the same pattern finds no key either.
         """
         if not isinstance(expression, PatternExpr):
             return None

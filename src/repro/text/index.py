@@ -444,8 +444,8 @@ class TextIndex:
     def posting_size(self, word: str) -> int:
         """Document frequency of a literal token: the exact number of
         keys containing ``word``, read off the memoized key set.  ``0``
-        is a proof of absence: the cost model prunes union branches
-        gated on such patterns before any probe runs."""
+        is a proof of absence: no probe of a pattern that needs the
+        word finds a key."""
         return len(self._word_keys(word))
 
     # -- probing --------------------------------------------------------------

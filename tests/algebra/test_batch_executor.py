@@ -103,8 +103,10 @@ def build_store() -> DocumentStore:
 
 def profile_of(store: DocumentStore, text: str) -> dict:
     """Per-operator actual rows (plan pre-order) and the work
-    counters of one warm execution."""
+    counters of one warm execution: the plan is cached and the
+    statistics snapshot the report estimates with is collected."""
     store.query(text)
+    store.statistics()
     report = store.explain_analyze(text)
     counters = report.metrics["counters"]
     return {
@@ -118,8 +120,7 @@ def order_digests(harness: DiffHarness, index: int) -> dict:
     """One digest per config of the result *sequence* (or the error
     label) of the ``index``-th generated case.  ``structural`` and
     ``sql`` are the harness stores' served plans; ``factored`` is the
-    plain pipeline *without* the cost stage (whose branch reordering
-    legitimately reorders results), i.e. ``optimize`` called directly."""
+    plain pipeline, i.e. ``optimize`` called directly."""
     case = QueryGenerator(ORDER_SEED).case(index)
     stores = harness.stores_for(case.corpus)
     plain = stores["algebra"]._engine
@@ -131,7 +132,7 @@ def order_digests(harness: DiffHarness, index: int) -> dict:
         "factored": lambda: execute_plan(
             optimize(compile_query(case.query, plain.instance.schema,
                                    structural=False),
-                     structural=False, verify="raise", query=case.query),
+                     verify="raise", query=case.query),
             plain.ctx.fork()),
         "structural": lambda: served(stores["structural"]._engine),
         "sql": lambda: served(stores["sql"]._engine),

@@ -110,8 +110,7 @@ class TestRandomPathPredicates:
         interpreted = evaluate_query(query, CTX)
         for structural in (False, True):
             plan = optimize(compile_query(query, DB.schema,
-                                          structural=structural),
-                            structural=structural)
+                                          structural=structural))
             assert execute_plan(plan, CTX) == interpreted, structural
 
     @given(path_components())
@@ -252,7 +251,7 @@ class TestFactoredDagDifferential:
         plan = compile_query(query, engine.instance.schema,
                              path_semantics="restricted", structural=False)
         unfactored = sink_selections(plan)
-        factored = optimize(plan, structural=False)
+        factored = optimize(plan)
         ctx = engine.ctx.fork()
         factored_result = execute_plan(factored, ctx)
         assert factored_result == execute_plan(unfactored, ctx)
@@ -263,29 +262,6 @@ class TestFactoredDagDifferential:
         # .json, replayed in tier 1)
         reference = evaluate_query(query, engine.ctx.fork())
         assert factored_result == reference
-
-    @given(components=article_components(),
-           size=st.sampled_from([4, 9]),
-           seed=st.sampled_from([3, 11]),
-           mode=st.sampled_from(["plain", "negation", "forall"]))
-    @settings(max_examples=15, deadline=None, derandomize=True,
-              suppress_health_check=[HealthCheck.too_slow])
-    def test_costed_equals_unfactored(self, components, size, seed,
-                                      mode):
-        """The cost stage (branch reordering, provable-empty
-        pruning) must be observationally invisible —
-        and every costed plan must pass the PC-COST verifier gate
-        (``verify="raise"``)."""
-        store = corpus_store(size, seed)
-        engine = store._engine
-        query = _article_query(components, mode)
-        plan = compile_query(query, engine.instance.schema,
-                             path_semantics="restricted", structural=False)
-        unfactored = sink_selections(plan)
-        costed = optimize(plan, structural=False, verify="raise",
-                          query=query, stats=store.stats_manager.snapshot())
-        ctx = engine.ctx.fork()
-        assert execute_plan(costed, ctx) == execute_plan(unfactored, ctx)
 
     @pytest.mark.parametrize("query", [
         "select t from my_article PATH_p.title(t)",

@@ -49,7 +49,6 @@ from repro.algebra.optimizer import (
     factor_shared_prefixes,
     optimize,
     sink_selections,
-    structuralize,
 )
 from repro.calculus.formulas import Pred
 from repro.calculus.terms import Const, DataVar
@@ -98,9 +97,9 @@ ALTERNATES = {
     "shared_id": 2,
 }
 
-#: Everything stamped on a node after construction; a rebuild through
+#: Everything a node memoizes after construction; a rebuild through
 #: the constructor must leave all of it behind.
-ANNOTATIONS = ("est_rows", "cost_evidence")
+ANNOTATIONS = ("_kernel",)
 
 
 def sample(cls: type, changed: str | None = None) -> Operator:
@@ -287,7 +286,7 @@ def prefactoring_plans(plan: Operator,
     un-rewritten shape)."""
     return {"raw": plan,
             "rewritten": sink_selections(plan),
-            "structural": sink_selections(structuralize(scans))}
+            "structural": sink_selections(scans)}
 
 
 class TestFactoringHash:
@@ -326,7 +325,7 @@ class TestFactoringHash:
         query = store._engine.translate(text)
         plan = compile_query(query, store.schema, structural=False)
         pushed = sink_selections(plan)
-        factored = optimize(plan, structural=False)
+        factored = optimize(plan)
         structural = optimize(compile_query(query, store.schema))
         assert (plan_size(pushed),
                 plan_size(factored), count_shared(factored),
@@ -346,8 +345,7 @@ class TestRendering:
         text = ('select name(ATT_a) from my_article PATH_p.ATT_a(val) '
                 'where val contains ("final")')
         plan = optimize(compile_query(store._engine.translate(text),
-                                      store.schema, structural=False),
-                        structural=False)
+                                      store.schema, structural=False))
         labelled: Counter = Counter()
 
         def counting(label):

@@ -72,8 +72,7 @@ class TestRangeScansReplaceUnions:
         factored, structural = stores
         query = structural._engine.translate(text)
         factored_size = plan_size(optimize(
-            compile_query(query, structural.schema, structural=False),
-            structural=False))
+            compile_query(query, structural.schema, structural=False)))
         structural_size = plan_size(optimize(
             compile_query(query, structural.schema)))
         assert structural_size < factored_size

@@ -1,16 +1,20 @@
 """The harness reaches plans only through a store's engine.
 
 Three contracts of that: (1) the ``structural`` configuration is the
-one the e2e benchmark measures — structural scans *plus* the cost
-stage; (2) a seeded optimizer bug (every ``_TEST_MUTATION`` the
-plancheck mutation tests know) surfaces as a divergence, because the
-harness escalates the engine's ``"warn"`` verification policy;
+one the e2e benchmark measures — structural scans, with the compiler's
+fused interval joins; (2) a seeded compiler or optimizer bug (every
+``_TEST_MUTATION`` the plancheck mutation tests know) surfaces as a
+divergence, because the harness escalates the engine's ``"warn"``
+verification policy;
 (3) compile once, execute twice — the re-run is a plan-cache hit's
 execution, not a second compile.
 """
 
+import warnings
+
 import pytest
 
+import repro.algebra.compile as compiler
 import repro.algebra.optimizer as optimizer
 from repro.algebra.operators import (
     IntervalJoinOp,
@@ -23,6 +27,7 @@ from repro.diffcheck import DiffHarness, QueryGenerator
 from repro.diffcheck.generator import CorpusSpec
 from repro.diffcheck.harness import RERUN
 from repro.o2sql.engine import QueryEngine
+from repro.plancheck import PlanVerificationWarning
 
 SPEC = CorpusSpec(count=2, seed=5)
 
@@ -49,25 +54,7 @@ def _translate(stores, text):
     return stores["algebra"]._engine.translate(text)
 
 
-@pytest.fixture(scope="module")
-def pruned_query(stores):
-    """An attribute-variable union gated by a word no article
-    contains: the cost stage prunes its branches in the structural
-    plan too."""
-    return _translate(stores, "select v from a in Articles, a.ATT_b(v) "
-                      'where a contains ("xyzzynotthere")')
-
-
 class TestServedConfiguration:
-    def test_structural_plan_is_costed(self, stores, pruned_query):
-        entry = stores["structural"]._engine.compile(pruned_query)
-        assert entry.plan.est_rows is not None
-        unions = [node for node in walk_once(entry.plan)
-                  if isinstance(node, UnionOp)]
-        assert any(union.cost_evidence is not None
-                   and union.cost_evidence.pruned
-                   for union in unions)
-
     def test_algebra_config_compiles_the_fan_out(self, stores):
         # the paper-faithful reference is asked for by name; the served
         # configurations compile the range scan and no fan-out at all
@@ -118,9 +105,10 @@ class TestSeededMutationsDiverge:
     """Each seeded rewrite bug reads as a divergence of exactly the
     configurations whose pipeline contains the broken stage."""
 
-    def _divergent(self, harness, query, mutation, monkeypatch):
+    def _divergent(self, harness, query, mutation, monkeypatch,
+                   module=optimizer):
         assert not harness.compare(SPEC, query).divergent
-        monkeypatch.setattr(optimizer, "_TEST_MUTATION", mutation)
+        monkeypatch.setattr(module, "_TEST_MUTATION", mutation)
         comparison = harness.compare(SPEC, query)
         assert all(comparison.outcomes[name].error
                    == "PlanVerificationWarning"
@@ -141,16 +129,16 @@ class TestSeededMutationsDiverge:
         plan = stores["structural"]._engine.compile(query).plan
         assert any(isinstance(node, IntervalJoinOp)
                    for node in walk_once(plan))
-        # only the structural pipelines fuse interval joins
+        # only the structural pipelines fuse interval joins; the fault
+        # is in the compiler's plan
         assert self._divergent(harness, query,
-                               "interval_probe_misbound", monkeypatch) \
+                               "interval_probe_misbound", monkeypatch,
+                               module=compiler) \
             == {"structural", "sql"}
-
-    @pytest.mark.parametrize("mutation", ["branch_order_scrambled",
-                                          "prune_nonempty_branch"])
-    def test_cost_stage_seeds(self, harness, pruned_query, mutation,
-                              monkeypatch):
-        # the cost stage runs where the engine serves it: both algebra
-        # stores (the sql backend compiles uncosted plans)
-        assert self._divergent(harness, pruned_query, mutation,
-                               monkeypatch) == {"algebra", "structural"}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", PlanVerificationWarning)
+            with pytest.raises(PlanVerificationWarning) as raised:
+                stores["structural"]._engine.compile(query)
+        faults = raised.value.faults
+        assert {fault.stage for fault in faults} == {"compile"}
+        assert {fault.code for fault in faults} & {"PC-JOIN", "PC-UNBOUND"}

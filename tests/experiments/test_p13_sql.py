@@ -64,7 +64,7 @@ def run_both(engine, schema, backend, text):
     query = engine.translate(text)
     structural = optimize(
         compile_query(query, schema, path_semantics="restricted"),
-        structural=True, verify="raise", query=query)
+        verify="raise", query=query)
     hybrid = backend.compile(structural)
     return (execute_plan(structural, engine.ctx.fork()),
             backend.execute(hybrid, engine.ctx.fork()),

@@ -60,8 +60,8 @@ def test_p4_algebra(store, name):
 @pytest.mark.parametrize("name", sorted(QUERIES))
 def test_p4_algebra_optimized(store, name):
     query, result = interpreted(store, name)
-    plan = optimize(compile_query(query, store.schema, structural=False),
-                    structural=False)
+    plan = optimize(compile_query(query, store.schema,
+                                  structural=False))
     assert execute_plan(plan, store._engine.ctx) == result
 
 

@@ -182,8 +182,7 @@ class TestAnEditKeepsTheIndexExact:
         report = self.edited(store).explain_analyze(
             'select t from a in Articles, a PATH_p.title(t) '
             'where a contains ("xyzzynotthere")')
-        assert report.counter("algebra.branches_pruned_static") == 13
-        assert report.counter("algebra.branches_pruned") == 1
+        assert report.counter("algebra.branches_pruned") == 14
 
     @pytest.mark.parametrize("emptied", [False, True],
                              ids=["titled", "emptied"])

@@ -38,7 +38,7 @@ class TestVerify:
         assert main(["--verify", CLEAN]) == 0
 
     def test_verifies_the_pipeline_as_served(self, capsys):
-        # both stores ran the engine's own stages, cost stage included,
+        # both stores ran the engine's own stages
         # over the Figure-2 document the built-in DTD comes with
         assert main(["--verify",
                      "select t from my_article PATH_p.title(t)"]) == 0

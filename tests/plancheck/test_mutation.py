@@ -1,12 +1,13 @@
 """Mutation testing for the verifier gate: corrupt one optimizer
-rewrite under the test-only ``_TEST_MUTATION`` flag and prove the
-verifier catches the broken plan before it can execute — then prove
-the intact optimizer sails through the same gate."""
+rewrite or compiler fusion under a test-only ``_TEST_MUTATION`` flag
+and prove the verifier catches the broken plan before it can execute —
+then prove the intact pipeline sails through the same gate."""
 
 import warnings
 
 import pytest
 
+import repro.algebra.compile as compiler
 import repro.algebra.optimizer as optimizer
 from repro import DocumentStore
 from repro.algebra.compile import compile_query
@@ -22,15 +23,13 @@ Q_PUSHDOWN = "select t from my_article PATH_p.title(t) where t = 'On Sets'"
 #: path; misbound, it probes the variable the scan itself binds.
 Q_JOIN = "select v from my_article PATH_p(v), my_old_article PATH_q(v)"
 
-#: Cost-stage victim: a path variable compiles (``structural=False``) to
-#: a multi-branch union, whose branches the cost stage prunes — the
-#: ``contains`` word is absent from the corpus.
-Q_COST = ('select t from a in Articles, a PATH_p.title(t) '
-          'where a contains ("xyzzynotthere")')
-#: The same union with a word the corpus holds: the stage prunes
-#: nothing from it.
-Q_UNPRUNED = ('select t from a in Articles, a PATH_p.title(t) '
-              'where a contains ("SGML")')
+#: A path variable compiles (``structural=False``) to a multi-branch
+#: union gated by ``contains``: with a word the corpus lacks every
+#: branch is skipped at run time, with one it holds none is.
+Q_ABSENT = ('select t from a in Articles, a PATH_p.title(t) '
+            'where a contains ("xyzzynotthere")')
+Q_PRESENT = ('select t from a in Articles, a PATH_p.title(t) '
+             'where a contains ("SGML")')
 
 
 @pytest.fixture(scope="module")
@@ -58,39 +57,16 @@ class TestSeededBreakage:
         assert any(f.code == "PC-UNBOUND" for f in exc.value.faults)
 
     def test_misbound_interval_probe_is_caught(self, store, monkeypatch):
-        query, plan = _plan_for(store, Q_JOIN)
-        monkeypatch.setattr(optimizer, "_TEST_MUTATION",
+        # the interval join is the compiler's own fusion: the fault is
+        # in the compiler's plan, before any rewrite runs
+        monkeypatch.setattr(compiler, "_TEST_MUTATION",
                             "interval_probe_misbound")
+        query, plan = _plan_for(store, Q_JOIN)
         with pytest.raises(PlanVerificationError) as exc:
-            optimizer.optimize(plan, structural=True, verify="raise",
-                               query=query)
+            optimizer.optimize(plan, verify="raise", query=query)
         assert any(f.code in ("PC-JOIN", "PC-UNBOUND")
                    for f in exc.value.faults)
-
-    def test_scrambled_branch_order_is_caught(self, store, monkeypatch):
-        """A cost stage that keeps one branch twice no longer carries a
-        partition of the original branches in its evidence —
-        PC-COST."""
-        query, plan = _plan_for(store, Q_COST, structural=False)
-        snapshot = store.stats_manager.snapshot()
-        monkeypatch.setattr(optimizer, "_TEST_MUTATION",
-                            "branch_order_scrambled")
-        with pytest.raises(PlanVerificationError) as exc:
-            optimizer.optimize(plan, structural=False, verify="raise",
-                               query=query, stats=snapshot)
-        assert any(f.code == "PC-COST" for f in exc.value.faults)
-
-    def test_pruning_nonempty_branch_is_caught(self, store, monkeypatch):
-        """A cost stage that prunes a branch without re-checkable zero
-        evidence is rejected — PC-COST."""
-        query, plan = _plan_for(store, Q_COST, structural=False)
-        snapshot = store.stats_manager.snapshot()
-        monkeypatch.setattr(optimizer, "_TEST_MUTATION",
-                            "prune_nonempty_branch")
-        with pytest.raises(PlanVerificationError) as exc:
-            optimizer.optimize(plan, structural=False, verify="raise",
-                               query=query, stats=snapshot)
-        assert any(f.code == "PC-COST" for f in exc.value.faults)
+        assert {f.stage for f in exc.value.faults} == {"compile"}
 
     def test_warn_policy_keeps_last_verified_plan(self, store,
                                                   monkeypatch):
@@ -156,22 +132,14 @@ class TestFaultyCompilerPlan:
 
 
 class TestIntactOptimizer:
-    @pytest.mark.parametrize("text", [Q_PUSHDOWN, Q_JOIN])
+    @pytest.mark.parametrize("text", [Q_PUSHDOWN, Q_JOIN, Q_ABSENT,
+                                      Q_PRESENT])
     @pytest.mark.parametrize("structural", [False, True])
     def test_raise_gate_stays_silent(self, store, text, structural):
         assert optimizer._TEST_MUTATION is None
         query, plan = _plan_for(store, text, structural)
-        optimizer.optimize(plan, structural=structural, verify="raise",
-                           query=query)
-
-    @pytest.mark.parametrize("text", [Q_PUSHDOWN, Q_JOIN, Q_COST,
-                                      Q_UNPRUNED])
-    def test_cost_stage_passes_raise_gate(self, store, text):
-        assert optimizer._TEST_MUTATION is None
-        query, plan = _plan_for(store, text, structural=False)
-        optimizer.optimize(plan, structural=False, verify="raise",
-                           query=query,
-                           stats=store.stats_manager.snapshot())
+        optimizer.optimize(plan, verify="raise", query=query)
 
     def test_mutation_flag_defaults_off(self):
         assert optimizer._TEST_MUTATION is None
+        assert compiler._TEST_MUTATION is None

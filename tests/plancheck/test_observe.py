@@ -9,11 +9,7 @@ import pytest
 
 from repro import DocumentStore
 from repro.algebra.compile import compile_query
-from repro.algebra.optimizer import (
-    apply_cost_stage,
-    factor_shared_prefixes,
-    sink_selections,
-)
+from repro.algebra.optimizer import factor_shared_prefixes, sink_selections
 from repro.corpus import ARTICLE_DTD, SAMPLE_ARTICLE
 from repro.corpus.generator import generate_corpus
 from repro.observe import MetricsRegistry
@@ -35,8 +31,7 @@ class TestCounters:
         store.query(QUERY)
         counters = store.metrics()["counters"]
         # the compiler's plan once, then each stage that changed it:
-        # pushdown (the filter enters the union) and factor — the cost
-        # stage prunes nothing here, so it returns its input
+        # pushdown (the filter enters the union) and factor
         assert counters["plancheck.verifications"] == 3
         assert "plancheck.faults" not in counters
 
@@ -84,12 +79,10 @@ class TestVerifiedOnce:
     def test_union_plans_verify_each_change(self, text):
         store = served_store(False)
         engine = store._engine
-        snapshot = engine._cost_snapshot()
         plan = compile_query(engine.translate(text), store.schema,
                              structural=False)
         changed = 0
-        for stage in (sink_selections, factor_shared_prefixes,
-                      lambda p: apply_cost_stage(p, snapshot)):
+        for stage in (sink_selections, factor_shared_prefixes):
             rewritten = stage(plan)
             changed += rewritten is not plan
             plan = rewritten
@@ -102,20 +95,22 @@ class TestCompileBreakdown:
         compile_span = report.trace.child("compile")
         assert compile_span is not None
         names = compile_span.path_names()
-        assert names == ["optimize.pushdown", "optimize.factor",
-                         "optimize.cost"]
+        assert names == ["optimize.pushdown", "optimize.factor"]
         for span in compile_span.children:
             assert span.elapsed >= 0.0
         assert compile_span.attributes["verified"] is True
 
-    def test_structural_store_adds_structuralize_stage(self):
+    def test_structural_store_runs_the_same_stages(self):
+        # the compiler fuses the structural scans and joins itself:
+        # no optimizer stage of its own
         s = DocumentStore(ARTICLE_DTD, backend="algebra")
         s.load_text(SAMPLE_ARTICLE, name="my_article")
         s.build_structural_index()
         report = s.explain_analyze("select t from my_article"
                                    " PATH_p.title(t)")
         compile_span = report.trace.child("compile")
-        assert compile_span.path_names()[0] == "optimize.structuralize"
+        assert compile_span.path_names() == ["optimize.pushdown",
+                                             "optimize.factor"]
 
     def test_cache_hit_skips_compile_side_spans(self, store):
         store.query(QUERY)  # warm the plan cache

@@ -39,8 +39,7 @@ def test_every_generated_plan_verifies(seed):
             except CompilationError:
                 continue  # statically rejected on both sides: no plan
             check_plan(plan, query=case.query, stage="compile")
-            optimize(plan, structural=structural, verify="raise",
-                     query=case.query)
+            optimize(plan, verify="raise", query=case.query)
 
 
 def test_raw_compile_gate_over_the_diffcheck_generator():

@@ -69,8 +69,7 @@ class TestCleanPlans:
     def test_optimized_plan_verifies(self, store, text, structural):
         query = store._engine.translate(text)
         plan = compile_query(query, store.schema, structural=structural)
-        rewritten = optimize(plan, structural=structural,
-                             verify="raise", query=query)
+        rewritten = optimize(plan, verify="raise", query=query)
         assert verify_plan(rewritten, query=query) == []
 
     def test_trivial_plan(self):

@@ -39,7 +39,7 @@ def structural_hybrid(store, text):
     plan = optimize(
         compile_query(query, store.schema,
                       path_semantics="restricted"),
-        structural=True, verify="raise", query=query)
+        verify="raise", query=query)
     backend = SQLBackend(store.instance,
                          epoch_source=store.plan_cache)
     return backend, backend.compile(plan), plan

@@ -48,7 +48,7 @@ class TestEmitProgram:
         plan = optimize(
             compile_query(query, store.schema,
                           path_semantics="restricted"),
-            structural=True, verify="raise", query=query)
+            verify="raise", query=query)
         program = emit_program(plan.child, store.instance.root_names)
         assert program.sql.startswith("WITH ")
         assert program.has_scans

@@ -12,7 +12,7 @@ QUERY = ('select t from a in Articles, a PATH_p.title(t) '
 
 
 def build_store(articles=8):
-    # the union-of-plans: the plans whose unions the cost stage reads
+    # the union-of-plans: the plans with unions to estimate
     store = DocumentStore(ARTICLE_DTD, backend="algebra", structural=False)
     for tree in generate_corpus(articles, seed=7):
         store.load_tree(tree, validate=False)
@@ -43,7 +43,7 @@ class TestCacheStatsInvalidation:
         cache.store(key, _entry(key, generation=3))
         assert cache.lookup(key, stats_generation=None) is not None
 
-    def test_warm_hit_takes_no_snapshot(self, monkeypatch):
+    def test_compile_takes_no_snapshot(self, monkeypatch):
         store = build_store()
         manager = store.stats_manager
         taken = []
@@ -54,10 +54,12 @@ class TestCacheStatsInvalidation:
             return collect()
 
         monkeypatch.setattr(manager, "snapshot", counted)
-        first = store.query(QUERY)          # miss: the compile reads one
-        assert len(taken) == 1
+        first = store.query(QUERY)          # miss: compiles
         assert store.query(QUERY) == first  # warm: plan-cache hit
-        assert len(taken) == 1
+        assert taken == []
+        report = store.explain_analyze(QUERY)
+        assert len(taken) == 1              # its row estimates read one
+        assert report.estimation_summary() is not None
 
 
 class TestGeneration:
@@ -121,6 +123,17 @@ class TestExplainEstimation:
         # worst-first ordering
         qs = [entry["q_error"] for entry in errors]
         assert qs == sorted(qs, reverse=True)
+
+    def test_every_executed_node_is_estimated(self):
+        from repro.algebra.operators import walk_once
+        store = build_store()
+        report = store.explain_analyze(QUERY)
+        nodes = walk_once(report.plan)
+        assert set(report.estimates) == {id(node) for node in nodes}
+        assert all(isinstance(rows, float) and rows >= 0.0
+                   for rows in report.estimates.values())
+        # the estimates live in the report, never on a plan node
+        assert not any("est_rows" in vars(node) for node in nodes)
 
     def test_summary_and_render(self):
         store = build_store()

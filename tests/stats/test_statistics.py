@@ -178,13 +178,42 @@ class TestRowModel:
         query = engine.translate(
             "select t from a in Articles, a PATH_p.title(t)")
         # the union-of-plans: its factoring is what makes a DAG
-        plan = optimize(compile_query(query, store.schema, structural=False),
-                        structural=False)
+        plan = optimize(compile_query(query, store.schema,
+                                      structural=False))
         snap = store.statistics()
         memo = {}
         estimate(plan, snap, memo)
         # the memo holds one entry per distinct DAG node
         assert len(memo) == len(set(memo))
+
+    @staticmethod
+    def _contains_select(store, pattern):
+        """The optimized union-of-plans' one ``contains`` select, and
+        the row estimates of its DAG."""
+        from repro.algebra.compile import compile_query
+        from repro.algebra.operators import SelectOp, walk_once
+        from repro.algebra.optimizer import optimize
+        query = store._engine.translate(
+            "select t from a in Articles, a PATH_p.title(t) "
+            f"where a contains ({pattern})")
+        plan = optimize(compile_query(query, store.schema,
+                                      structural=False))
+        (select,) = [node for node in walk_once(plan)
+                     if isinstance(node, SelectOp)
+                     and node.pattern is not None]
+        memo = {}
+        estimate(plan, store.statistics(), memo)
+        return select, memo
+
+    def test_contains_select_is_bounded_by_its_postings(self, store):
+        select, memo = self._contains_select(store, '"SGML"')
+        assert select.oid_only
+        bound = store.statistics().candidate_upper_bound(select.pattern)
+        assert memo[id(select)] == min(memo[id(select.child)], bound)
+
+    def test_unbounded_select_keeps_the_default(self, store):
+        select, memo = self._contains_select(store, 'not "SGML"')
+        assert memo[id(select)] == 0.5 * memo[id(select.child)]
 
 
 class TestQError:

@@ -52,8 +52,8 @@ def store():
 
 def both_plans(store, name):
     query = store._engine.translate(QUERIES[name])
-    return (optimize(compile_query(query, store.schema, structural=False),
-                     structural=False),
+    return (optimize(compile_query(query, store.schema,
+                                   structural=False)),
             optimize(compile_query(query, store.schema)))
 
 

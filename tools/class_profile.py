@@ -26,9 +26,9 @@ articles by default) and runs distinct variants of every
 every lookup misses the plan cache.  It prints per template the median
 and p95 latency and the compile-phase split read from the engine's own
 spans on further distinct variants: ``inference``, ``compile`` (its own
-share: the algebra compilation and the plan verification), every
-``optimize.<stage>`` and
-``execute`` (medians), then the p95 of the ``inference`` and
+share: the algebra compilation, its fused scans and joins included,
+and the plan verification), the two optimizer stages ``pushdown`` and
+``factor``, and ``execute`` (medians), then the p95 of the ``inference`` and
 ``compile`` spans, and the ``plancheck.verifications`` one more cold
 variant counts (exact).
 
