@@ -156,8 +156,7 @@ class Operator:
     branches: list["Operator"]
 
     #: Inert (always ``None``): read only by the e2e benchmark
-    #: harness; ROADMAP item 11 deletes it.  Row estimates live in an
-    #: ``explain_analyze`` report, never on a plan node.
+    #: harness; ROADMAP item 11 deletes it.
     est_rows: ClassVar[None] = None
     #: The operator's term or atom kernel
     #: (:mod:`repro.algebra.kernels`), chosen when it first executes.

@@ -110,9 +110,8 @@ class QueryEngine:
         #: part of the plan-cache key.
         self.structural = structural
         #: Optional :class:`~repro.stats.StatisticsManager` (the store
-        #: installs one).  When set, executed plans are counted and
-        #: :meth:`profile` estimates the rows of an algebra plan's
-        #: nodes against the current snapshot; no compile reads it.
+        #: installs one).  When set, executed plans are counted; no
+        #: compile and no :meth:`profile` reads a snapshot.
         self.stats = None
 
     # -- pipeline stages ------------------------------------------------------
@@ -334,13 +333,6 @@ class QueryEngine:
         through the plan cache like any other — on a warm cache the
         span tree carries no compile-side stages and the ``cache.hits``
         counter appears in the snapshot.
-
-        On the algebra backend with a statistics manager, the report
-        also carries each executed node's row estimate
-        (:func:`repro.stats.estimate` against a snapshot taken after
-        the run, inside the observed scope, so a collection it causes
-        counts ``stats.collections`` here).  The estimates are keyed by
-        node id in the report; no plan node is written.
         """
         from repro.observe import (
             ExplainReport,
@@ -352,23 +344,13 @@ class QueryEngine:
         metrics = MetricsRegistry()
         tracer = Tracer()
         profiler = PlanProfiler() if self.backend != "calculus" else None
-        estimates = None
         with observed(self.ctx, metrics=metrics, tracer=tracer,
                       profiler=profiler, layers=self.metered_layers()):
             result, plan, sql = self._run(text, tracer)
-            if (plan is not None and self.stats is not None
-                    and self.backend == "algebra"):
-                from repro.algebra.operators import walk_once
-                from repro.stats import estimate
-                snapshot = self.stats.snapshot()
-                estimates = {}
-                for node in walk_once(plan):
-                    estimate(node, snapshot, estimates)
         return ExplainReport(text=text, backend=self.backend,
                              result=result, plan=plan, profiler=profiler,
                              metrics=metrics.snapshot(),
-                             trace=tracer.last_root, sql=sql,
-                             estimates=estimates)
+                             trace=tracer.last_root, sql=sql)
 
     explain_analyze = profile
 

@@ -16,14 +16,7 @@ from typing import Iterable, Iterator, Mapping
 
 from repro.errors import SchemaError
 from repro.oodb import subtyping
-from repro.oodb.types import (
-    ListType,
-    SetType,
-    TupleType,
-    Type,
-    UnionType,
-    referenced_classes,
-)
+from repro.oodb.types import Type, referenced_classes
 
 
 class MethodSignature:
@@ -269,48 +262,6 @@ class Schema:
 
     def common_supertype(self, left: Type, right: Type) -> Type:
         return self.hierarchy.common_supertype(left, right)
-
-    # -- schema navigation ---------------------------------------------------
-
-    def attribute_carriers(self, attribute: str) -> list[Type]:
-        """Every tuple/union type in the schema that carries ``attribute``.
-
-        Used by the algebraizer to find candidate valuations of attribute
-        variables (Section 5.4).
-        """
-        carriers: list[Type] = []
-        seen: set[Type] = set()
-        for class_name in self.hierarchy.class_names:
-            for sub in _iter_schema_types(self.structure(class_name)):
-                if sub in seen:
-                    continue
-                seen.add(sub)
-                if isinstance(sub, TupleType) and sub.has_attribute(attribute):
-                    carriers.append(sub)
-                elif isinstance(sub, UnionType) and sub.has_marker(attribute):
-                    carriers.append(sub)
-        for root_type in self.roots.values():
-            for sub in _iter_schema_types(root_type):
-                if sub in seen:
-                    continue
-                seen.add(sub)
-                if isinstance(sub, TupleType) and sub.has_attribute(attribute):
-                    carriers.append(sub)
-                elif isinstance(sub, UnionType) and sub.has_marker(attribute):
-                    carriers.append(sub)
-        return carriers
-
-
-def _iter_schema_types(tp: Type) -> Iterator[Type]:
-    yield tp
-    if isinstance(tp, (ListType, SetType)):
-        yield from _iter_schema_types(tp.element)
-    elif isinstance(tp, TupleType):
-        for _, field in tp.fields:
-            yield from _iter_schema_types(field)
-    elif isinstance(tp, UnionType):
-        for _, branch in tp.branches:
-            yield from _iter_schema_types(branch)
 
 
 def schema_from_classes(classes: Mapping[str, Type],

@@ -177,21 +177,3 @@ def _walk(schema: Schema, tp: Type, prefix: tuple[SchemaStep, ...],
                              crossed | {class_name})
     elif isinstance(tp, (AtomicType, AnyType)):
         return
-
-
-def paths_ending_with_attribute(schema: Schema, root_type: Type,
-                                attribute: str) -> list[SchemaPath]:
-    """Candidate valuations for ``PATH_p . attribute`` (Section 5.4).
-
-    Every schema path whose *next* step from its target could be
-    ``.attribute`` — i.e. paths reaching a tuple with that attribute or a
-    union with that marker.
-    """
-    matches = []
-    for schema_path in enumerate_schema_paths(schema, root_type):
-        target = schema_path.target
-        if isinstance(target, TupleType) and target.has_attribute(attribute):
-            matches.append(schema_path)
-        elif isinstance(target, UnionType) and target.has_marker(attribute):
-            matches.append(schema_path)
-    return matches

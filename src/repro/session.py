@@ -112,7 +112,7 @@ class DocumentStore:
         self._engine = QueryEngine(
             self.instance, path_semantics=path_semantics, backend=backend,
             cache=self.plan_cache, structural=structural)
-        #: Table statistics for ``explain_analyze``'s row estimates:
+        #: The counts :meth:`stats` and :meth:`statistics` report:
         #: snapshots follow the plan-cache epoch; executed plans are
         #: counted.
         self.stats_manager = StatisticsManager(
@@ -295,7 +295,7 @@ class DocumentStore:
             index.metrics = self._metrics
             self.text_index = index
             self._engine.ctx.text_index = index
-            # estimates must see the new index — the store epoch did
+            # the counts must see the new index — the store epoch did
             # not move, so the memoized statistics snapshot would
             # otherwise stay index-blind until the next data mutation
             self.stats_manager.invalidate()
@@ -561,7 +561,7 @@ class DocumentStore:
         return report
 
     def statistics(self):
-        """The current optimizer-statistics snapshot (collected lazily,
+        """The current statistics snapshot (collected lazily,
         recollected after the store's epoch moves or an index is
         built)."""
         return self.stats_manager.snapshot()

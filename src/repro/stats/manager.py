@@ -1,42 +1,25 @@
 """Statistics lifecycle: collection and epochs.
 
-:class:`StatisticsManager` sits between the store and
-``explain_analyze``'s row estimates.  It owns one
-:class:`~repro.stats.statistics.Statistics` snapshot at a time and
-keeps it coherent with the store's data/schema **epoch** (read off
-the same ``epoch_source`` the plan cache and structural index use): a
-snapshot collected under an older
-epoch is recollected lazily on the next :meth:`snapshot` call, and
-collection is O(classes + roots), never O(objects).  Executed plans
-are counted (:meth:`record_execution`); nothing they measure feeds
-back into a later plan.
+:class:`StatisticsManager` collects the counts
+``DocumentStore.stats()`` and ``DocumentStore.statistics()`` report.
+It owns one :class:`~repro.stats.statistics.Statistics` snapshot at a
+time and keeps it coherent with the store's data/schema **epoch**
+(read off the same ``epoch_source`` the plan cache and structural
+index use): a snapshot collected under an older epoch is recollected
+lazily on the next :meth:`snapshot` call, and collection is
+O(classes + roots), never O(objects).  No compile and no
+``explain_analyze`` reads a snapshot.  Executed plans are counted
+(:meth:`record_execution`); nothing they measure feeds back into a
+later plan.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 from typing import Any
 
 from repro.oodb.values import ListValue, SetValue
 from repro.stats.statistics import Statistics
-
-
-def q_error(estimated: float, actual: float) -> float:
-    """The symmetric ratio error ((max+1)/(min+1); 1.0 = perfect).
-
-    Total on degenerate inputs instead of propagating garbage: a NaN
-    on either side reports ``inf`` (worst possible), negative values —
-    a cost annotation that went wrong upstream — clamp to the zero
-    floor (so ``low = -1`` cannot divide by zero), and an infinite
-    estimate against a finite actual reports ``inf``."""
-    if math.isnan(estimated) or math.isnan(actual):
-        return math.inf
-    high = max(estimated, actual, 0.0)
-    low = max(min(estimated, actual), 0.0)
-    if math.isinf(high):
-        return 1.0 if math.isinf(low) else math.inf
-    return (high + 1.0) / (low + 1.0)
 
 
 class StatisticsManager:
@@ -133,7 +116,6 @@ class StatisticsManager:
             index_nodes=index_nodes,
             index_roots=index_roots,
             attr_occurrences=attr_occurrences,
-            text_index=text_index,
         )
 
     # -- executions -----------------------------------------------------------
@@ -142,8 +124,8 @@ class StatisticsManager:
                          actual_rows: int) -> None:
         """Count one executed plan.  ``est_rows`` and the result
         cardinality are not kept (the engine passes ``None`` for the
-        first): estimation error is reported by ``explain_analyze``
-        (:func:`q_error`)."""
+        first); the parameters stay for the e2e benchmark harness's
+        traced run, which ROADMAP item 11 rewrites."""
         with self._lock:
             self._recorded_queries += 1
 

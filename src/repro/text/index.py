@@ -439,7 +439,7 @@ class TextIndex:
     def vocabulary(self) -> Iterable[str]:
         return self._postings.keys()
 
-    # -- statistics (read by repro.stats, no probe issued) --------------------
+    # -- statistics (no probe issued) -----------------------------------------
 
     def posting_size(self, word: str) -> int:
         """Document frequency of a literal token: the exact number of

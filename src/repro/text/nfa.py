@@ -10,6 +10,11 @@ simulation.  Supported syntax (close to classic grep):
 * ``[abc]`` / ``[a-z]`` / ``[^...]`` — character classes,
 * ``(...)`` — grouping, ``|`` — alternation,
 * postfix ``*`` ``+`` ``?``.
+
+The simulation is kept rather than the stdlib ``re`` because ``re``
+backtracks: a pattern such as ``(a|a)*c`` takes time exponential in
+the length of the token it is matched against, and the patterns come
+from queries.
 """
 
 from __future__ import annotations

@@ -103,10 +103,8 @@ def build_store() -> DocumentStore:
 
 def profile_of(store: DocumentStore, text: str) -> dict:
     """Per-operator actual rows (plan pre-order) and the work
-    counters of one warm execution: the plan is cached and the
-    statistics snapshot the report estimates with is collected."""
+    counters of one warm execution: the plan is cached."""
     store.query(text)
-    store.statistics()
     report = store.explain_analyze(text)
     counters = report.metrics["counters"]
     return {

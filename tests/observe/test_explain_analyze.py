@@ -12,6 +12,7 @@ import pytest
 from repro import DocumentStore
 from repro.corpus import ARTICLE_DTD, SAMPLE_ARTICLE
 from repro.observe import ExplainReport
+from repro.observe.report import plan_tree, render_plan_tree
 
 Q3 = "select t from my_article PATH_p.title(t)"
 
@@ -94,6 +95,12 @@ class TestAlgebraReport:
                             if "Project" in line)
         assert lines[project_line + 1].startswith("  ")
 
+    def test_nothing_is_estimated(self, algebra_store):
+        report = algebra_store.explain_analyze(Q3)
+        assert "est=" not in str(report)
+        assert report.operators()
+        assert not any("est_rows" in node for node in report.operators())
+
     def test_self_times_add_up_to_the_root(self, algebra_store):
         # the q1_contains shape, over a factored plan whose shared
         # nodes are pulled by several consumers: every distinct node's
@@ -121,6 +128,59 @@ class TestAlgebraReport:
         # no text index here: every title is tokenised, none answered
         assert report.counter("algebra.contains_rechecks") == 2
         assert report.counter("algebra.contains_index_answered") == 0
+
+    def test_operator_entries_carry_the_measured_fields(self,
+                                                       algebra_store):
+        report = algebra_store.explain_analyze(Q3)
+        for node in report.operators():
+            assert set(node) == {"operator", "label", "rows", "pulls",
+                                 "elapsed", "self", "ref"}
+
+    def test_shared_references_are_leaves(self, algebra_store):
+        tree = algebra_store.explain_analyze(Q3).tree
+        refs = []
+
+        def visit(node):
+            if node["ref"]:
+                refs.append(node)
+                assert node["children"] == []
+                assert node["label"].endswith("(ref)")
+            for child in node["children"]:
+                visit(child)
+
+        visit(tree)
+        assert refs
+
+    def test_an_unprofiled_plan_renders_labels_only(self, algebra_store):
+        report = algebra_store.explain_analyze(Q3)
+        bare = plan_tree(report.plan)
+        assert bare["rows"] is None and bare["pulls"] is None
+        rendered = render_plan_tree(bare)
+        assert "rows=" not in rendered
+        assert rendered.splitlines()[0] == bare["label"]
+
+    def test_rows_for_an_absent_operator_is_empty(self, algebra_store):
+        report = algebra_store.explain_analyze(Q3)
+        assert report.rows_for("NoSuchOp") == []
+
+    @pytest.mark.parametrize("query", [
+        Q3,
+        "select s.title from s in my_article.sections "
+        'where s.title contains ("SGML")',
+        "select a from a in my_article.authors",
+    ])
+    def test_the_root_emits_the_result(self, algebra_store, query):
+        report = algebra_store.explain_analyze(query)
+        assert report.operators()[0]["rows"] == len(report.result)
+        assert report.result == algebra_store.query(query)
+
+    def test_every_counter_is_rendered(self, algebra_store):
+        report = algebra_store.explain_analyze(Q3)
+        counters = report.metrics["counters"]
+        assert counters
+        lines = str(report).splitlines()
+        for name, value in counters.items():
+            assert f"  {name} = {value}" in lines
 
     def test_observers_are_uninstalled_afterwards(self, algebra_store):
         algebra_store.explain_analyze(Q3)
@@ -189,10 +249,10 @@ class TestStoreMetricsFacade:
         # the report used its own registry; the store's stays empty
         assert store.metrics()["counters"] == {}
         # ... and it holds every layer's counters, the rebuild of the
-        # structural index and the statistics collection included
+        # structural index included; it collects no statistics
         assert report.counter("structindex.block_rebuilds") == 2
         assert report.counter("structindex.nodes_indexed") == 111
-        assert report.counter("stats.collections") == 1
+        assert report.counter("stats.collections") == 0
 
     def test_the_sql_shred_counts_into_the_report(self):
         store = DocumentStore(ARTICLE_DTD, backend="sql")

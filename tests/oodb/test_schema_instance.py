@@ -135,14 +135,6 @@ class TestSchema:
         with pytest.raises(SchemaError):
             schema.method("display", "Article")
 
-    def test_attribute_carriers(self, article_schema):
-        carriers = article_schema.attribute_carriers("title")
-        # title appears in the a1-tuple (structurally identical to
-        # Subsectn's tuple, so deduplicated), the a2-tuple and Article.
-        assert len(carriers) == 3
-        carriers_subsectns = article_schema.attribute_carriers("subsectns")
-        assert len(carriers_subsectns) == 1
-
 
 class TestInstance:
     def test_allocation_and_deref(self, article_schema):

@@ -17,7 +17,6 @@ from repro.paths.schema_paths import (
     SchemaDeref,
     SchemaElem,
     SchemaIndex,
-    paths_ending_with_attribute,
 )
 
 
@@ -79,22 +78,6 @@ class TestEnumeration:
 
 
 class TestAttributeTargets:
-    def test_paths_ending_with_title(self, schema):
-        matches = paths_ending_with_attribute(
-            schema, c("Article"), "title")
-        # Article tuple, a1 tuple, a2 tuple, Subsectn tuple
-        assert len(matches) == 4
-
-    def test_paths_ending_with_marker(self, schema):
-        matches = paths_ending_with_attribute(schema, c("Article"), "a1")
-        assert len(matches) == 1
-        target = matches[0].target
-        assert target.has_marker("a1")
-
-    def test_no_match_for_unknown_attribute(self, schema):
-        assert paths_ending_with_attribute(
-            schema, c("Article"), "ghost") == []
-
     def test_last_attribute_property(self, schema):
         paths = enumerate_schema_paths(schema, c("Article"))
         with_title = [p for p in paths if p.last_attribute == "title"]

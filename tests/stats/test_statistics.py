@@ -1,12 +1,15 @@
-"""The statistics snapshot: collection, posting bounds, row model."""
+"""The statistics snapshot: what it counts, and when it recollects."""
+
+import importlib
+import threading
+from types import SimpleNamespace
 
 import pytest
 
 from repro import DocumentStore
 from repro.corpus import ARTICLE_DTD, SAMPLE_ARTICLE
-from repro.stats import Statistics, estimate, q_error
-from repro.stats.statistics import DEFAULT_FANOUT
-from repro.text.patterns import Pattern, parse_pattern_expr
+from repro.corpus.generator import generate_corpus
+from repro.stats import Statistics, StatisticsManager
 
 
 @pytest.fixture(scope="module")
@@ -22,16 +25,16 @@ def store():
 class TestCollection:
     def test_snapshot_measures_the_store(self, store):
         snap = store.statistics()
-        assert snap.class_cardinality("Article") == 2
-        assert snap.root_cardinality("Articles") == 2
-        assert snap.root_cardinality("my_article") == 1
+        assert snap.class_cardinalities["Article"] == 2
+        assert snap.root_cardinalities["Articles"] == 2
+        assert snap.root_cardinalities["my_article"] == 1
         assert snap.object_count == store.instance.object_count()
         assert snap.document_count > 0
         assert snap.vocabulary_size > 0
         # the structural index was built over every root
         assert snap.index_nodes > 0
         assert snap.index_roots > 0
-        assert snap.attr_density("title") >= 1.0
+        assert snap.attr_occurrences["title"] >= snap.index_roots
 
     def test_snapshot_is_memoized_per_epoch(self, store):
         assert store.statistics() is store.statistics()
@@ -44,13 +47,13 @@ class TestCollection:
         after = s.statistics()
         assert after is not before
         assert after.epoch > before.epoch
-        assert (after.class_cardinality("Article")
-                == before.class_cardinality("Article") + 1)
+        assert (after.class_cardinalities["Article"]
+                == before.class_cardinalities["Article"] + 1)
 
     def test_index_built_after_queries_refreshes_snapshot(self):
         """Building an index moves no store epoch, so the facade must
-        refresh the memoized snapshot explicitly — otherwise costing
-        stays index-blind until the next data mutation."""
+        refresh the memoized snapshot explicitly — otherwise the
+        counts stay index-blind until the next data mutation."""
         s = DocumentStore(ARTICLE_DTD, backend="algebra")
         s.load_text(SAMPLE_ARTICLE, name="my_article")
         before = s.statistics()
@@ -65,6 +68,21 @@ class TestCollection:
     def test_report_block_in_store_stats(self, store):
         block = store.stats()["statistics"]
         assert block["classes"] > 0
+
+    def test_report_block_on_a_corpus(self):
+        """Every count of the sample article and 40 generated ones,
+        with both indexes built."""
+        s = DocumentStore(ARTICLE_DTD)
+        s.load_text(SAMPLE_ARTICLE, name="my_article")
+        for tree in generate_corpus(40, seed=42):
+            s.load_tree(tree, validate=False)
+        s.build_text_index()
+        s.build_structural_index()
+        assert s.stats()["statistics"] == {
+            "epoch": 41, "classes": 15, "objects": 1429,
+            "documents": 1391, "vocabulary": 122, "index_nodes": 4661,
+            "index_roots": 2, "attrs_tracked": 22,
+            "recorded_queries": 0}
 
     def test_statistics_count_the_current_structural_index(self):
         """A collection reads the index as of the store's epoch, not
@@ -84,145 +102,142 @@ class TestCollection:
         s.load_text(SAMPLE_ARTICLE, name="my_old_article")
         assert index_nodes() > one
 
-    def test_fanout_defaults_without_structural_index(self):
-        empty = Statistics()
-        assert empty.avg_fanout() == DEFAULT_FANOUT
-        assert empty.avg_subtree_size() == DEFAULT_FANOUT ** 3
+
+class TestStatisticsRecord:
+    """The snapshot is a plain count record."""
+
+    def test_an_empty_record_counts_nothing(self):
+        assert Statistics().to_dict() == {
+            "epoch": 0, "classes": 0, "objects": 0, "documents": 0,
+            "vocabulary": 0, "index_nodes": 0, "index_roots": 0,
+            "attrs_tracked": 0}
+
+    def test_mappings_are_reported_by_size(self):
+        snap = Statistics(epoch=3,
+                          class_cardinalities={"Article": 2, "Title": 0},
+                          root_cardinalities={"Articles": 2},
+                          attr_occurrences={"title": 6})
+        block = snap.to_dict()
+        assert block["epoch"] == 3
+        assert block["classes"] == 2
+        assert block["attrs_tracked"] == 1
+
+    def test_mappings_are_copied(self):
+        cards = {"Article": 2}
+        snap = Statistics(class_cardinalities=cards)
+        cards["Title"] = 3
+        assert snap.class_cardinalities == {"Article": 2}
+
+    def test_generation_is_always_zero(self):
+        assert Statistics.generation == 0
+        assert Statistics(epoch=9).generation == 0
+
+    def test_the_row_model_is_gone(self):
+        """Nothing estimates rows: the model's entry points are
+        deleted, not left unused."""
+        import repro.stats
+        for name in ("candidate_upper_bound", "avg_fanout",
+                     "avg_subtree_size", "attr_density",
+                     "class_cardinality", "root_cardinality",
+                     "DEFAULT_SELECTIVITY", "DEFAULT_FANOUT"):
+            assert not hasattr(Statistics, name), name
+        assert not hasattr(repro.stats, "estimate")
+        assert not hasattr(StatisticsManager, "q_error")
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.stats.cost")
 
 
-class TestPostingBounds:
-    def test_literal_word_bound_is_posting_size(self, store):
-        snap = store.statistics()
-        expr = parse_pattern_expr('"SGML"')
-        bound = snap.candidate_upper_bound(expr)
-        assert bound == store.text_index.posting_size("SGML")
-        assert bound > 0
+class TestManager:
+    """One collection per store epoch, on demand."""
 
-    def test_absent_word_bound_is_zero_proof(self, store):
-        snap = store.statistics()
-        assert snap.candidate_upper_bound(
-            parse_pattern_expr('"xyzzynotthere"')) == 0
+    def test_one_collection_per_epoch(self):
+        s = DocumentStore(ARTICLE_DTD, backend="algebra")
+        s.load_text(SAMPLE_ARTICLE, name="my_article")
+        registry = s.enable_metrics()
+        s.statistics()
+        s.statistics()
+        s.stats()
+        assert registry.get("stats.collections") == 1
+        s.load_text(SAMPLE_ARTICLE, name="another")
+        s.statistics()
+        assert registry.get("stats.collections") == 2
 
-    def test_bound_is_remembered_by_text_not_by_object_id(self, store):
-        # the snapshot outlives the plans it costs: a collected
-        # pattern's id() is handed to the next pattern allocated
-        snap = store.statistics()
-        expected = store.text_index.posting_size("SGML")
-        for _ in range(50):
-            absent = Pattern("xyzzynotthere")
-            assert snap.candidate_upper_bound(absent) == 0
-            freed = id(absent)
-            del absent
-            present = Pattern("SGML")
-            assert snap.candidate_upper_bound(present) == expected
-            if id(present) == freed:
-                break
+    def test_invalidate_recollects_at_the_same_epoch(self, store):
+        manager = store.stats_manager
+        before = manager.snapshot()
+        manager.invalidate()
+        after = manager.snapshot()
+        assert after is not before
+        assert after.epoch == before.epoch
+        assert after.to_dict() == before.to_dict()
 
-    def test_conjunction_takes_the_min(self, store):
-        snap = store.statistics()
-        both = snap.candidate_upper_bound(
-            parse_pattern_expr('"SGML" and "xyzzynotthere"'))
-        assert both == 0
+    def test_without_a_context_no_index_is_counted(self, store):
+        manager = StatisticsManager(store.instance,
+                                    epoch_source=store.plan_cache)
+        snap = manager.snapshot()
+        assert snap.class_cardinalities == \
+            store.statistics().class_cardinalities
+        assert snap.document_count == snap.vocabulary_size == 0
+        assert snap.index_nodes == snap.index_roots == 0
+        assert snap.attr_occurrences == {}
 
-    def test_disjunction_adds(self, store):
-        snap = store.statistics()
-        left = snap.candidate_upper_bound(parse_pattern_expr('"SGML"'))
-        right = snap.candidate_upper_bound(
-            parse_pattern_expr('"OODBMS"'))
-        union = snap.candidate_upper_bound(
-            parse_pattern_expr('"SGML" or "OODBMS"'))
-        assert union == left + right
+    def test_the_epoch_is_read_off_its_source(self, store):
+        source = SimpleNamespace(epoch=5)
+        manager = StatisticsManager(store.instance, epoch_source=source)
+        assert manager.snapshot().epoch == 5
+        source.epoch = 6
+        assert manager.snapshot().epoch == 6
+        # a source without an epoch reads as epoch 0
+        blind = StatisticsManager(store.instance, epoch_source=object())
+        assert blind.epoch == 0
 
-    def test_negation_is_unbounded(self, store):
-        snap = store.statistics()
-        assert snap.candidate_upper_bound(
-            parse_pattern_expr('not "SGML"')) is None
+    def test_class_cardinalities_partition_the_objects(self):
+        """Extents are disjoint: every object is counted under exactly
+        one class."""
+        s = DocumentStore(ARTICLE_DTD)
+        s.load_text(SAMPLE_ARTICLE, name="my_article")
+        for tree in generate_corpus(5, seed=3):
+            s.load_tree(tree, validate=False)
+        snap = s.statistics()
+        assert sum(snap.class_cardinalities.values()) == snap.object_count
+        assert snap.class_cardinalities["Article"] == 6
 
-    def test_an_edit_keeps_the_zero_proof(self):
-        """The index is re-indexed with every edit, so its bounds stay
-        exact: an absent word still bounds at 0 after ``update_text``,
-        and the edited words are counted."""
-        private = DocumentStore(ARTICLE_DTD, backend="algebra")
-        private.load_text(SAMPLE_ARTICLE, name="my_article")
-        private.build_text_index()
-        absent = parse_pattern_expr('"xyzzynotthere"')
-        edited = parse_pattern_expr('"Zanzibar"')
-        assert private.statistics().candidate_upper_bound(edited) == 0
-        title = next(oid for oid in private.instance.all_oids()
-                     if oid.class_name == "Title")
-        private.update_text(title, "Zanzibar heading words")
-        snap = private.statistics()
-        assert snap.candidate_upper_bound(absent) == 0
-        # the article's title and the article
-        assert snap.candidate_upper_bound(edited) == 2
+    def test_a_new_name_is_a_new_root(self):
+        s = DocumentStore(ARTICLE_DTD)
+        s.load_text(SAMPLE_ARTICLE, name="my_article")
+        before = s.statistics()
+        s.define_name("extra", s.instance.root("my_article"))
+        after = s.statistics()
+        assert after.epoch > before.epoch
+        assert after.root_cardinalities["extra"] == 1
+        assert after.object_count == before.object_count
 
+    def test_concurrent_readers_share_one_collection(self):
+        s = DocumentStore(ARTICLE_DTD)
+        s.load_text(SAMPLE_ARTICLE, name="my_article")
+        registry = s.enable_metrics()
+        barrier = threading.Barrier(4)
+        seen = []
 
-class TestRowModel:
-    def test_estimates_are_nonnegative_rows(self, store):
-        from repro.algebra.compile import compile_query
-        engine = store._engine
-        query = engine.translate(
-            "select t from a in Articles, a PATH_p.title(t)")
-        plan = compile_query(query, store.schema, structural=False)
-        snap = store.statistics()
-        root = estimate(plan, snap)
-        assert isinstance(root, float)
-        assert root >= 0.0
-        # the root projection passes its input's rows through
-        assert estimate(plan.children()[0], snap) == root
+        def read():
+            barrier.wait()
+            seen.append(s.statistics())
 
-    def test_shared_memo_costs_dag_nodes_once(self, store):
-        from repro.algebra.compile import compile_query
-        from repro.algebra.optimizer import optimize
-        engine = store._engine
-        query = engine.translate(
-            "select t from a in Articles, a PATH_p.title(t)")
-        # the union-of-plans: its factoring is what makes a DAG
-        plan = optimize(compile_query(query, store.schema,
-                                      structural=False))
-        snap = store.statistics()
-        memo = {}
-        estimate(plan, snap, memo)
-        # the memo holds one entry per distinct DAG node
-        assert len(memo) == len(set(memo))
+        threads = [threading.Thread(target=read) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert len(seen) == 4
+        assert all(snap is seen[0] for snap in seen)
+        assert registry.get("stats.collections") == 1
 
-    @staticmethod
-    def _contains_select(store, pattern):
-        """The optimized union-of-plans' one ``contains`` select, and
-        the row estimates of its DAG."""
-        from repro.algebra.compile import compile_query
-        from repro.algebra.operators import SelectOp, walk_once
-        from repro.algebra.optimizer import optimize
-        query = store._engine.translate(
-            "select t from a in Articles, a PATH_p.title(t) "
-            f"where a contains ({pattern})")
-        plan = optimize(compile_query(query, store.schema,
-                                      structural=False))
-        (select,) = [node for node in walk_once(plan)
-                     if isinstance(node, SelectOp)
-                     and node.pattern is not None]
-        memo = {}
-        estimate(plan, store.statistics(), memo)
-        return select, memo
-
-    def test_contains_select_is_bounded_by_its_postings(self, store):
-        select, memo = self._contains_select(store, '"SGML"')
-        assert select.oid_only
-        bound = store.statistics().candidate_upper_bound(select.pattern)
-        assert memo[id(select)] == min(memo[id(select.child)], bound)
-
-    def test_unbounded_select_keeps_the_default(self, store):
-        select, memo = self._contains_select(store, 'not "SGML"')
-        assert memo[id(select)] == 0.5 * memo[id(select.child)]
-
-
-class TestQError:
-    def test_perfect_estimate_is_one(self):
-        assert q_error(10, 10) == 1.0
-        assert q_error(0, 0) == 1.0
-
-    def test_symmetric(self):
-        assert q_error(3, 12) == q_error(12, 3)
-
-    def test_grows_with_the_miss(self):
-        assert q_error(1, 100) > q_error(1, 10) > 1.0
+    def test_a_profiled_run_counts_as_one_execution(self):
+        s = DocumentStore(ARTICLE_DTD)
+        s.load_text(SAMPLE_ARTICLE, name="my_article")
+        before = s.stats()["statistics"]
+        s.explain_analyze("select t from my_article PATH_p.title(t)")
+        after = s.stats()["statistics"]
+        assert after.pop("recorded_queries") == \
+            before.pop("recorded_queries") + 1
+        assert after == before

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import PatternError
-from repro.text.nfa import compile_pattern_text, parse_regex
+from repro.text.nfa import Nfa, compile_pattern_text, parse_regex
 
 
 def matches(pattern: str, text: str) -> bool:
@@ -131,3 +131,53 @@ class TestLiteralWordsSkipTheNfa:
                        "colou?r", "x*"]:
             assert not is_literal_word(source)
             assert isinstance(cached_matcher(source), Nfa)
+
+
+#: Shapes on which a backtracking matcher takes exponential time: a
+#: star or plus over a sub-pattern that reads the same run in many ways.
+PATHOLOGICAL = ["(a|a)*c", "(a*)*c", "(a+)+c", "(a|aa)*c", "(a?)*c",
+                "(.*)*c", "([a-z]*)*c"]
+
+
+@pytest.fixture
+def steps(monkeypatch):
+    """The characters ``Nfa._step`` is called on, in order."""
+    seen = []
+    step = Nfa._step
+
+    def counted(self, states, char):
+        seen.append(char)
+        return step(self, states, char)
+
+    monkeypatch.setattr(Nfa, "_step", counted)
+    return seen
+
+
+class TestLinearTime:
+    """Patterns on which a backtracking matcher takes exponential time
+    are simulated one state set per character read."""
+
+    @pytest.mark.parametrize("pattern", PATHOLOGICAL)
+    def test_one_step_per_character(self, pattern, steps):
+        text = "a" * 5000
+        assert not matches(pattern, text)
+        assert len(steps) == len(text)
+
+    @pytest.mark.parametrize("pattern", PATHOLOGICAL)
+    def test_an_accepted_run_is_one_step_per_character(self, pattern,
+                                                       steps):
+        text = "a" * 5000 + "c"
+        assert matches(pattern, text)
+        assert len(steps) == len(text)
+
+    @pytest.mark.parametrize("pattern", PATHOLOGICAL)
+    def test_search_steps_grow_linearly(self, pattern, steps):
+        """A substring search restarts at every position, yet the
+        distinct state sets it carries stay few: doubling the text at
+        most doubles the steps."""
+        assert not searches(pattern, "a" * 2000)
+        short = len(steps)
+        steps.clear()
+        assert not searches(pattern, "a" * 4000)
+        assert short <= 3 * 2000
+        assert len(steps) <= 2 * short + 3
