@@ -133,6 +133,25 @@ class DocumentLoader:
 
     def _load_shape(self, shape: Shape, cursor: "_Children",
                     element: Element) -> object:
+        # the most frequent shapes are tested first
+        if isinstance(shape, ElemShape):
+            if cursor.next_is(shape.element_name):
+                return self._load_element(cursor.advance())
+            raise MappingError(
+                f"expected <{shape.element_name}> in <{element.name}>, "
+                f"found {cursor.peek()!r}")
+        if isinstance(shape, TextShape):
+            if shape.single:
+                child = cursor.peek()
+                if isinstance(child, Text):
+                    cursor.advance()
+                    return child.content
+                raise MappingError(
+                    f"expected character data in <{element.name}>")
+            pieces = []
+            while isinstance(cursor.peek(), Text):
+                pieces.append(cursor.advance().content)
+            return " ".join(pieces) if pieces else ""
         if isinstance(shape, EmptyShape):
             return TupleValue([("data", NIL)])
         if isinstance(shape, TupleShape):
@@ -156,7 +175,13 @@ class DocumentLoader:
                 f"no union branch matches content of <{element.name}>")
         if isinstance(shape, ListShape):
             items = []
+            # a list of elements ends at the first child that is not
+            # one: the condition under which the item would raise
+            name = (shape.element.element_name
+                    if isinstance(shape.element, ElemShape) else None)
             while True:
+                if name is not None and not cursor.next_is(name):
+                    break
                 saved = cursor.position
                 mark = self._checkpoint()
                 try:
@@ -180,27 +205,6 @@ class DocumentLoader:
                 cursor.position = saved
                 self._rollback(mark)
                 return NIL
-        if isinstance(shape, ElemShape):
-            child = cursor.peek()
-            if (isinstance(child, Element)
-                    and child.name == shape.element_name):
-                cursor.advance()
-                return self._load_element(child)
-            raise MappingError(
-                f"expected <{shape.element_name}> in <{element.name}>, "
-                f"found {child!r}")
-        if isinstance(shape, TextShape):
-            if shape.single:
-                child = cursor.peek()
-                if isinstance(child, Text):
-                    cursor.advance()
-                    return child.content
-                raise MappingError(
-                    f"expected character data in <{element.name}>")
-            pieces = []
-            while isinstance(cursor.peek(), Text):
-                pieces.append(cursor.advance().content)
-            return " ".join(pieces) if pieces else ""
         raise MappingError(f"unknown shape {shape!r}")
 
     # -- attributes -----------------------------------------------------------
@@ -302,6 +306,11 @@ class _Children:
         if self.position < len(self.nodes):
             return self.nodes[self.position]
         return None
+
+    def next_is(self, name: str) -> bool:
+        """Whether the next child is a ``name`` element."""
+        child = self.peek()
+        return isinstance(child, Element) and child.name == name
 
     def advance(self) -> Node:
         node = self.nodes[self.position]

@@ -2,7 +2,8 @@
 
 A :class:`Dtd` collects element declarations (with their content models
 and tag-omission indicators), attribute-list declarations and entity
-declarations.  Content automatons are built lazily per element and cached.
+declarations.  Each element's :class:`ElementRecord` (its content
+automaton, EMPTY flag and attribute defaults) is built lazily and cached.
 """
 
 from __future__ import annotations
@@ -132,6 +133,34 @@ class EntityDecl:
         return f"EntityDecl({flavor}{self.name} = {body})"
 
 
+class ElementRecord:
+    """What parsing an instance needs of one element, built once per
+    DTD: the content automaton (its ``step`` and ``accepting``), whether
+    the element is EMPTY or may omit its end tag, the attribute defaults
+    in declaration order, and the attribute each bare enumerated token
+    stands for (``<article final>``)."""
+
+    __slots__ = ("automaton", "step", "accepting", "empty", "omit_end",
+                 "defaults", "minimized")
+
+    def __init__(self, automaton: ContentAutomaton, empty: bool,
+                 omit_end: bool, attlist: AttlistDecl | None) -> None:
+        self.automaton = automaton
+        self.step = automaton.step
+        self.accepting = automaton.is_accepting
+        self.empty = empty
+        self.omit_end = omit_end
+        definitions = attlist.definitions if attlist is not None else ()
+        self.defaults = tuple(
+            (d.name, d.default_value) for d in definitions
+            if d.has_default and d.default_value is not None)
+        self.minimized: dict[str, str] = {}
+        for definition in definitions:
+            if definition.kind == ATT_NAME_GROUP:
+                for token in definition.allowed_values:
+                    self.minimized.setdefault(token, definition.name)
+
+
 class Dtd:
     """A parsed document type definition."""
 
@@ -140,6 +169,7 @@ class Dtd:
                  attlists: Iterable[AttlistDecl] = (),
                  entities: Iterable[EntityDecl] = ()) -> None:
         self.doctype = doctype
+        self._records: dict[str, ElementRecord] = {}
         self.elements: dict[str, ElementDecl] = {}
         for declaration in elements:
             self.add_element(declaration)
@@ -150,7 +180,6 @@ class Dtd:
         self.parameter_entities: dict[str, EntityDecl] = {}
         for entity in entities:
             self.add_entity(entity)
-        self._automatons: dict[str, ContentAutomaton] = {}
 
     # -- construction ---------------------------------------------------------
 
@@ -161,6 +190,7 @@ class Dtd:
         self.elements[declaration.name] = declaration
 
     def add_attlist(self, attlist: AttlistDecl) -> None:
+        self._records.pop(attlist.element_name, None)
         existing = self.attlists.get(attlist.element_name)
         if existing is None:
             self.attlists[attlist.element_name] = attlist
@@ -196,13 +226,20 @@ class Dtd:
     def entity(self, name: str) -> EntityDecl | None:
         return self.entities.get(name)
 
+    def record(self, element_name: str) -> ElementRecord:
+        """The (cached) parsing record of a declared element."""
+        cached = self._records.get(element_name)
+        if cached is None:
+            declaration = self.element(element_name)
+            cached = ElementRecord(
+                ContentAutomaton(declaration.model), declaration.is_empty(),
+                declaration.omit_end, self.attlist(element_name))
+            self._records[element_name] = cached
+        return cached
+
     def automaton(self, element_name: str) -> ContentAutomaton:
         """The (cached) content DFA of an element."""
-        cached = self._automatons.get(element_name)
-        if cached is None:
-            cached = ContentAutomaton(self.element(element_name).model)
-            self._automatons[element_name] = cached
-        return cached
+        return self.record(element_name).automaton
 
     @property
     def element_names(self) -> tuple[str, ...]:

@@ -25,17 +25,40 @@ from __future__ import annotations
 import re
 
 from repro.errors import DocumentSyntaxError, EntityError
-from repro.sgml.contentmodel import PCDATA_NAME
-from repro.sgml.dtd import ATT_NAME_GROUP, Dtd
+from repro.sgml.automata import ContentAutomaton
+from repro.sgml.contentmodel import PCDATA_NAME, AnyContent
+from repro.sgml.dtd import Dtd, ElementRecord
 from repro.sgml.instance import Element
-from repro.sgml.tokens import Cursor, NAME_RUN, NAME_START_CHARS
+from repro.sgml.tokens import Cursor, NAME_RUN, is_name
 
 _PREDEFINED_ENTITIES = {
     "amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'",
 }
 
-#: Character data: everything up to the next markup-start character.
-_TEXT_RUN = re.compile(r"[^<]*")
+_NAME = r"[A-Za-z][A-Za-z0-9._-]*+"
+_VALUE = r"""(?:"[^"]*+"|'[^']*+'|[A-Za-z0-9._-]++)"""
+
+#: One step of the main loop: a text run (group 1), a whole start tag —
+#: name (2), attribute run (3) and the ``/`` of ``/>`` (4) — or an end
+#: tag (5).  Every repetition is possessive, so a tag that never closes
+#: fails in time linear in its length.  Comments, CDATA, declarations
+#: and malformed markup match nothing and go to the cursor handlers.
+_TOKEN = re.compile(
+    r"([^<]++)"
+    rf"|<({_NAME})((?:\s++{_NAME}(?:\s*+=\s*+{_VALUE})?+)*+)\s*+(/?)>"
+    rf"|</({_NAME})\s*+>")
+
+#: One attribute of a matched start tag's attribute run: its name (1)
+#: and its value, double-quoted (2), single-quoted (3) or unquoted (4);
+#: no value is a minimized attribute.
+_ATTRIBUTE = re.compile(
+    rf"""\s++({_NAME})(?:\s*+=\s*+(?:"([^"]*+)"|'([^']*+)'"""
+    r"|([A-Za-z0-9._-]++)))?+")
+
+#: The record of an element parsed without a DTD: any content, no
+#: defaults, every tag explicit.
+_FREE = ElementRecord(ContentAutomaton(AnyContent()), empty=False,
+                      omit_end=False, attlist=None)
 
 #: Safety bound on recursive entity substitution.
 _MAX_ENTITY_DEPTH = 16
@@ -55,16 +78,18 @@ def parse_document(text: str, dtd: Dtd | None = None,
 
 
 class _OpenElement:
-    __slots__ = ("element", "state")
+    __slots__ = ("element", "state", "record")
 
-    def __init__(self, element: Element, state: int) -> None:
+    def __init__(self, element: Element, record: ElementRecord) -> None:
         self.element = element
-        self.state = state
+        self.state = 0
+        self.record = record
 
 
 class _InstanceParser:
     def __init__(self, text: str, dtd: Dtd | None,
                  keep_whitespace: bool) -> None:
+        self.text = text
         self.cursor = Cursor(text)
         self.dtd = dtd
         self.keep_whitespace = keep_whitespace
@@ -74,35 +99,52 @@ class _InstanceParser:
     # -- main loop ------------------------------------------------------------
 
     def parse(self) -> Element:
-        cursor = self.cursor
-        while not cursor.at_end():
-            if cursor.startswith("<!--"):
-                cursor.advance(4)
-                cursor.take_until("-->", DocumentSyntaxError)
-                cursor.advance(3)
-            elif cursor.startswith("<![CDATA["):
-                self._handle_cdata()
-            elif cursor.startswith("<!"):
-                # An embedded DOCTYPE or other declaration: skip it whole.
-                self._skip_declaration()
-            elif cursor.startswith("</"):
-                self._handle_end_tag()
-            elif cursor.startswith("<") and self._next_is_name(1):
-                self._handle_start_tag()
-            elif cursor.startswith("<"):
-                raise cursor.error(
-                    f"stray '<' before {cursor.peek(8)!r}",
-                    DocumentSyntaxError)
+        text, cursor = self.text, self.cursor
+        match = _TOKEN.match
+        end = len(text)
+        while cursor.pos < end:
+            token = match(text, cursor.pos)
+            if token is None:
+                self._handle_markup()
+                continue
+            cursor.pos = token.end()
+            kind = token.lastindex
+            if kind == 4:
+                self._handle_start_tag(token)
+            elif kind == 5:
+                self._handle_end_tag(token.group(5))
             else:
-                self._handle_text()
+                self._handle_text(token.group(1))
         self._close_remaining_at_eof()
         if self.root is None:
             raise DocumentSyntaxError("document contains no element")
         return self.root
 
-    def _next_is_name(self, offset: int) -> bool:
-        ahead = self.cursor.peek(offset + 1)
-        return len(ahead) > offset and ahead[offset] in NAME_START_CHARS
+    def _handle_markup(self) -> None:
+        """What the token pattern does not match: comments, CDATA,
+        declarations and malformed tags, read on the cursor."""
+        cursor = self.cursor
+        if cursor.startswith("<!--"):
+            cursor.advance(4)
+            cursor.take_until("-->", DocumentSyntaxError)
+            cursor.advance(3)
+        elif cursor.startswith("<![CDATA["):
+            self._handle_cdata()
+        elif cursor.startswith("<!"):
+            # An embedded DOCTYPE or other declaration: skip it whole.
+            self._skip_declaration()
+        elif cursor.startswith("</"):
+            cursor.advance(2)
+            name = cursor.take_name(DocumentSyntaxError)
+            cursor.skip_whitespace()
+            cursor.expect(">", DocumentSyntaxError)
+            self._handle_end_tag(name)
+        elif is_name(cursor.peek(2)[1:]):
+            self._read_start_tag()
+        else:
+            raise cursor.error(
+                f"stray '<' before {cursor.peek(8)!r}",
+                DocumentSyntaxError)
 
     def _handle_cdata(self) -> None:
         """``<![CDATA[ ... ]]>`` — literal character data, no markup
@@ -111,22 +153,13 @@ class _InstanceParser:
         cursor.advance(len("<![CDATA["))
         raw = cursor.take_until("]]>", DocumentSyntaxError)
         cursor.advance(3)
-        if self.root is None or not self.stack:
+        if not self.stack:
             if raw.strip():
                 raise cursor.error(
                     "CDATA outside the document element",
                     DocumentSyntaxError)
             return
-        self._make_room_for(PCDATA_NAME)
-        top = self.stack[-1]
-        next_state = self._step(top, PCDATA_NAME)
-        if next_state is None:
-            raise cursor.error(
-                f"character data not allowed inside "
-                f"{top.element.name!r}", DocumentSyntaxError)
-        top.state = next_state
-        content = raw if self.keep_whitespace else " ".join(raw.split())
-        top.element.append_text(content)
+        self._append_text(raw)
 
     def _skip_declaration(self) -> None:
         # Handles <!DOCTYPE name [ internal subset ]> and simple <!...>.
@@ -145,98 +178,106 @@ class _InstanceParser:
 
     # -- tags -----------------------------------------------------------------
 
-    def _handle_start_tag(self) -> None:
+    def _handle_start_tag(self, token: re.Match[str]) -> None:
+        name = token.group(2)
+        attributes: dict[str, str] = {}
+        if token.start(3) < token.end(3):
+            cursor = self.cursor
+            for attribute in _ATTRIBUTE.finditer(
+                    self.text, token.start(3), token.end(3)):
+                attribute_name = attribute.group(1)
+                if attribute.lastindex == 1:  # no value: minimized
+                    cursor.pos = attribute.end()
+                    cursor.skip_whitespace()
+                    attributes[self._minimized(name, attribute_name)] = \
+                        attribute_name
+                else:
+                    attributes[attribute_name] = self._resolve_entities(
+                        attribute.group(attribute.lastindex), depth=0)
+            cursor.pos = token.end()
+        self._open_element(name, attributes, token.group(4) == "/")
+
+    def _read_start_tag(self) -> None:
+        """A start tag the token pattern did not match, read on the
+        cursor: it is either irregular (attributes not separated by
+        whitespace) or malformed, and then fails where it goes wrong."""
         cursor = self.cursor
         cursor.advance()  # '<'
         name = cursor.take_name(DocumentSyntaxError)
         attributes = self._parse_attributes(name)
         cursor.skip_whitespace()
-        if cursor.startswith("/>"):  # tolerated XML-ish empty element
-            cursor.advance(2)
-            self._open_element(name, attributes)
-            self._close_innermost(explicit=True)
-            return
-        cursor.expect(">", DocumentSyntaxError)
-        self._open_element(name, attributes)
+        empty = cursor.startswith("/>")  # tolerated XML-ish empty element
+        cursor.expect("/>" if empty else ">", DocumentSyntaxError)
+        self._open_element(name, attributes, empty)
 
-    def _open_element(self, name: str, attributes: dict[str, str]) -> None:
-        if self.dtd is not None and not self.dtd.has_element(name):
+    def _open_element(self, name: str, attributes: dict[str, str],
+                      empty: bool) -> None:
+        if self.dtd is None:
+            record = _FREE
+        elif name in self.dtd.elements:
+            record = self.dtd.record(name)
+        else:
             raise self.cursor.error(
                 f"element {name!r} is not declared in the DTD",
                 DocumentSyntaxError)
-        if self.root is None:
-            self._push(name, attributes, start_inferred=False)
-            return
-        if not self.stack:
+        state = 0
+        if self.stack:
+            state = self._make_room_for(name)
+        elif self.root is not None:
             raise self.cursor.error(
                 f"element {name!r} after the document element closed",
                 DocumentSyntaxError)
-        self._make_room_for(name)
-        self._push(name, attributes, start_inferred=False)
+        self._push(state, name, attributes, record, False)
+        if empty:  # ``/>``
+            self._close_innermost()
 
-    def _push(self, name: str, attributes: dict[str, str],
-              start_inferred: bool) -> None:
+    def _push(self, state: int, name: str, attributes: dict[str, str],
+              record: ElementRecord, start_inferred: bool) -> None:
+        """Append a new child to the innermost element, which moves to
+        ``state`` (or make it the root), and open it unless it is EMPTY
+        (no end tag will come)."""
+        for attribute, value in record.defaults:
+            attributes.setdefault(attribute, value)
         element = Element(name, attributes, start_inferred=start_inferred)
-        if self.dtd is not None:
-            self._apply_attribute_defaults(element)
         if self.stack:
             top = self.stack[-1]
-            next_state = self._step(top, name)
-            if next_state is None:
-                raise self.cursor.error(
-                    f"element {name!r} not allowed inside "
-                    f"{top.element.name!r} here", DocumentSyntaxError)
-            top.state = next_state
+            top.state = state
             top.element.append(element)
         else:
             self.root = element
-        self.stack.append(_OpenElement(element, 0))
-        if self.dtd is not None and self.dtd.element(name).is_empty():
-            # EMPTY elements close immediately; no end tag will come.
-            self.stack.pop()
+        if not record.empty:
+            self.stack.append(_OpenElement(element, record))
 
-    def _step(self, open_element: _OpenElement, symbol: str) -> int | None:
-        if self.dtd is None:
-            return 0
-        automaton = self.dtd.automaton(open_element.element.name)
-        return automaton.step(open_element.state, symbol)
-
-    def _content_complete(self, open_element: _OpenElement) -> bool:
-        if self.dtd is None:
-            return True
-        automaton = self.dtd.automaton(open_element.element.name)
-        return automaton.is_accepting(open_element.state)
-
-    def _make_room_for(self, symbol: str) -> None:
-        """Apply inference moves until ``symbol`` fits the innermost model."""
+    def _make_room_for(self, symbol: str) -> int:
+        """Apply inference moves until ``symbol`` fits the innermost
+        model; returns the innermost element's state after it."""
+        stack = self.stack
         guard = 0
         while True:
             guard += 1
             if guard > 1000:
                 raise self.cursor.error(
                     "tag inference did not converge", DocumentSyntaxError)
-            if not self.stack:
+            if not stack:
                 raise self.cursor.error(
                     f"no open element can contain {symbol!r}",
                     DocumentSyntaxError)
-            top = self.stack[-1]
-            if self._step(top, symbol) is not None:
-                return
-            if self.dtd is None:
-                raise self.cursor.error(
-                    f"unexpected {symbol!r} inside "
-                    f"{top.element.name!r}", DocumentSyntaxError)
+            top = stack[-1]
+            record = top.record
+            state = record.step(top.state, symbol)
+            if state is not None:
+                return state
             # Move 1: infer an omissible start tag of an allowed child.
             inferred = self._inferable_start(top, symbol)
             if inferred is not None:
-                self._push(inferred, {}, start_inferred=True)
+                self._push(record.step(top.state, inferred), inferred, {},
+                           self.dtd.record(inferred), True)
                 continue
             # Move 2: infer the end of the innermost element.
-            if (len(self.stack) > 1
-                    and self.dtd.element(top.element.name).omit_end
-                    and self._content_complete(top)):
+            if (len(stack) > 1 and record.omit_end
+                    and record.accepting(top.state)):
                 top.element.end_inferred = True
-                self.stack.pop()
+                stack.pop()
                 continue
             raise self.cursor.error(
                 f"{symbol!r} not allowed in {top.element.name!r} and no "
@@ -247,7 +288,7 @@ class _InstanceParser:
         """An allowed child with omissible start tag whose content can
         begin (transitively) with ``symbol``."""
         assert self.dtd is not None
-        automaton = self.dtd.automaton(open_element.element.name)
+        automaton = open_element.record.automaton
         for candidate in sorted(automaton.allowed(open_element.state)):
             if candidate == PCDATA_NAME or candidate == symbol:
                 continue
@@ -275,49 +316,41 @@ class _InstanceParser:
                     return True
         return False
 
-    def _handle_end_tag(self) -> None:
-        cursor = self.cursor
-        cursor.advance(2)  # '</'
-        name = cursor.take_name(DocumentSyntaxError)
-        cursor.skip_whitespace()
-        cursor.expect(">", DocumentSyntaxError)
+    def _handle_end_tag(self, name: str) -> None:
+        stack = self.stack
         # Close inferred-end elements until we reach ``name``.
-        while self.stack and self.stack[-1].element.name != name:
-            top = self.stack[-1]
-            can_infer = (self.dtd is not None
-                         and self.dtd.element(top.element.name).omit_end
-                         and self._content_complete(top))
-            if not can_infer:
-                raise cursor.error(
+        while stack and stack[-1].element.name != name:
+            top = stack[-1]
+            if not (top.record.omit_end
+                    and top.record.accepting(top.state)):
+                raise self.cursor.error(
                     f"end tag </{name}> does not match open element "
                     f"{top.element.name!r}", DocumentSyntaxError)
             top.element.end_inferred = True
-            self.stack.pop()
-        if not self.stack:
-            raise cursor.error(
+            stack.pop()
+        if not stack:
+            raise self.cursor.error(
                 f"end tag </{name}> matches no open element",
                 DocumentSyntaxError)
-        self._close_innermost(explicit=True)
+        self._close_innermost()
 
-    def _close_innermost(self, explicit: bool) -> None:
+    def _close_innermost(self) -> None:
+        """Close the innermost element at its explicit end."""
         top = self.stack[-1]
-        if not self._content_complete(top):
+        if not top.record.accepting(top.state):
             raise self.cursor.error(
                 f"content of {top.element.name!r} is incomplete",
                 DocumentSyntaxError)
-        top.element.end_inferred = not explicit
         self.stack.pop()
 
     def _close_remaining_at_eof(self) -> None:
         while self.stack:
             top = self.stack[-1]
-            can_infer = (self.dtd is not None
-                         and self.dtd.element(top.element.name).omit_end)
-            if not can_infer:
+            if not top.record.omit_end:
                 raise self.cursor.error(
                     f"unclosed element {top.element.name!r} at end of "
                     "document", DocumentSyntaxError)
-            if not self._content_complete(top):
+            if not top.record.accepting(top.state):
                 raise self.cursor.error(
                     f"content of {top.element.name!r} is incomplete at end "
                     "of document", DocumentSyntaxError)
@@ -342,15 +375,7 @@ class _InstanceParser:
                 value = self._parse_attribute_value()
                 attributes[token] = value
             else:
-                # Minimized attribute: a bare enumerated token stands for
-                # its attribute (<article final> == status="final").
-                resolved = self._resolve_minimized(element_name, token)
-                if resolved is None:
-                    raise cursor.error(
-                        f"bare token {token!r} matches no enumerated "
-                        f"attribute of {element_name!r}",
-                        DocumentSyntaxError)
-                attributes[resolved] = token
+                attributes[self._minimized(element_name, token)] = token
 
     def _parse_attribute_value(self) -> str:
         cursor = self.cursor
@@ -366,61 +391,45 @@ class _InstanceParser:
                     "expected an attribute value", DocumentSyntaxError)
         return self._resolve_entities(raw, depth=0)
 
-    def _resolve_minimized(self, element_name: str,
-                           token: str) -> str | None:
-        if self.dtd is None:
-            return None
-        attlist = self.dtd.attlist(element_name)
-        if attlist is None:
-            return None
-        for definition in attlist:
-            if (definition.kind == ATT_NAME_GROUP
-                    and token in definition.allowed_values):
-                return definition.name
-        return None
-
-    def _apply_attribute_defaults(self, element: Element) -> None:
-        assert self.dtd is not None
-        attlist = self.dtd.attlist(element.name)
-        if attlist is None:
-            return
-        for definition in attlist:
-            if (definition.name not in element.attributes
-                    and definition.has_default
-                    and definition.default_value is not None):
-                element.attributes[definition.name] = (
-                    definition.default_value)
+    def _minimized(self, element_name: str, token: str) -> str:
+        """The attribute a bare enumerated token stands for
+        (``<article final>`` == ``status="final"``); an error at the
+        cursor when there is none."""
+        dtd = self.dtd
+        if dtd is not None and element_name in dtd.elements:
+            resolved = dtd.record(element_name).minimized.get(token)
+            if resolved is not None:
+                return resolved
+        raise self.cursor.error(
+            f"bare token {token!r} matches no enumerated "
+            f"attribute of {element_name!r}", DocumentSyntaxError)
 
     # -- character data -------------------------------------------------------
 
-    def _handle_text(self) -> None:
-        cursor = self.cursor
-        raw = cursor.take(_TEXT_RUN)
+    def _handle_text(self, raw: str) -> None:
         content = self._resolve_entities(raw, depth=0)
-        if self.root is None or not self.stack:
-            if content.strip():
-                raise cursor.error(
-                    "character data outside the document element",
-                    DocumentSyntaxError)
-            return
-        top = self.stack[-1]
-        if not content.strip():
+        stack = self.stack
+        if not content or content.isspace():
             # Separator whitespace: keep only where #PCDATA is live.
-            live = self._step(top, PCDATA_NAME) is not None
-            if self.keep_whitespace and live:
-                top.element.append_text(content)
+            if (self.keep_whitespace and stack
+                    and stack[-1].record.step(
+                        stack[-1].state, PCDATA_NAME) is not None):
+                stack[-1].element.append_text(content)
             return
-        self._make_room_for(PCDATA_NAME)
+        if not stack:
+            raise self.cursor.error(
+                "character data outside the document element",
+                DocumentSyntaxError)
+        self._append_text(content)
+
+    def _append_text(self, content: str) -> None:
+        """Character data into the element that can hold it, its
+        whitespace runs collapsed unless whitespace is kept."""
+        state = self._make_room_for(PCDATA_NAME)
         top = self.stack[-1]
-        next_state = self._step(top, PCDATA_NAME)
-        if next_state is None:
-            raise cursor.error(
-                f"character data not allowed inside "
-                f"{top.element.name!r}", DocumentSyntaxError)
-        top.state = next_state
-        normalized = content if self.keep_whitespace else (
-            " ".join(content.split()))
-        top.element.append_text(normalized)
+        top.state = state
+        top.element.append_text(content if self.keep_whitespace
+                                else " ".join(content.split()))
 
     def _resolve_entities(self, text: str, depth: int) -> str:
         if "&" not in text:

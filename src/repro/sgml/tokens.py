@@ -11,10 +11,6 @@ import re
 
 from repro.errors import SgmlError
 
-#: Characters allowed as the first character of a name (NAMESTART).
-NAME_START_CHARS = set(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-
 _NAMECHAR = "[A-Za-z0-9._-]"
 
 #: A (possibly empty) run of the characters allowed in SGML names after

@@ -439,15 +439,6 @@ class TextIndex:
     def vocabulary(self) -> Iterable[str]:
         return self._postings.keys()
 
-    # -- statistics (no probe issued) -----------------------------------------
-
-    def posting_size(self, word: str) -> int:
-        """Document frequency of a literal token: the exact number of
-        keys containing ``word``, read off the memoized key set.  ``0``
-        is a proof of absence: no probe of a pattern that needs the
-        word finds a key."""
-        return len(self._word_keys(word))
-
     # -- probing --------------------------------------------------------------
 
     def _word_keys(self, word: str) -> frozenset:

@@ -28,6 +28,12 @@ def test_ingest_profile_smoke():
     # oids across the corpus
     assert int(rows["Oid == / 4 loads"][0]) == 0
     assert int(rows["Oid == / update_text"][0]) < 10
+    # the loader's abandoned attempts: a union branch that does not fit
+    # raises, and undoes what it allocated; a list of elements ends
+    # without raising
+    raised = float(rows["MappingError raised / load"][0])
+    rolled_back = float(rows["objects rolled back / load"][0])
+    assert raised > 0 and rolled_back >= 0
     # the text index's shape: every article object is a span of its
     # document's one stream, so a document's tokens are stored once
     shape = {label: float(rows[label][0]) for label in (

@@ -13,14 +13,16 @@ edit (a separate, counted pass: exact, not timed), how many oids they
 construct (``Oid(...)``: one interning-table lookup each) and how many
 ``==`` tests between oids they write out (an oid is its own identity:
 the dict and set lookups of the write path compare in C and call no
-Python ``__eq__``) — the table a change to the write path quotes
-before and after.  The counted pass also reports the text index's
-shape per loaded document: keys, token streams, keys that did not join
-their document's stream (in all and per reason), stored occurrences
-(offsets held in postings) and posting entries.  On an older checkout
-(``--src``) only the rows its index can tell are printed.
-Timings are indicative (one process, best of ``--repeats`` whole
-passes); the counts are exact.
+Python ``__eq__``), how many ``MappingError``s the loader raises (a
+union branch or optional part that does not fit is tried and
+abandoned) and how many objects it rolls back with them — the table a
+change to the write path quotes before and after.  The counted pass
+also reports the text index's shape per loaded document: keys, token
+streams, keys that did not join their document's stream (in all and
+per reason), stored occurrences (offsets held in postings) and posting
+entries.  On an older checkout (``--src``) only the rows its index can
+tell are printed.  Timings are indicative (one process, best of
+``--repeats`` whole passes); the counts are exact.
 
 Usage::
 
@@ -53,6 +55,8 @@ def main() -> None:
     from repro import DocumentStore
     from repro.corpus import ARTICLE_DTD, SAMPLE_ARTICLE, article_dtd
     from repro.corpus.generator import generate_corpus
+    from repro.errors import MappingError
+    from repro.mapping.loader import DocumentLoader
     from repro.oodb.values import Oid
     from repro.sgml import parse_document, write_document
     from repro.sgml.validator import validation_problems
@@ -125,9 +129,10 @@ def main() -> None:
     update_ms = 1000 * (time.perf_counter() - started)
 
     # the counted pass: exact, and slowed by the counting itself
-    calls = {"==": 0, "new": 0}
+    calls = {"==": 0, "new": 0, "raised": 0, "rolled back": 0}
     plain = {name: vars(Oid).get(name) for name in ("__eq__", "__new__")}
     plain_eq, plain_new = Oid.__eq__, Oid.__new__
+    plain_rollback = DocumentLoader._rollback
 
     def counting_eq(self, other):
         calls["=="] += 1
@@ -139,13 +144,23 @@ def main() -> None:
         return (plain_new(cls, *args) if plain["__new__"] is not None
                 else plain_new(cls))
 
+    def counting_init(self, *args):
+        calls["raised"] += 1
+        Exception.__init__(self, *args)
+
+    def counting_rollback(self, mark):
+        calls["rolled back"] += len(self._trail) - mark
+        plain_rollback(self, mark)
+
     def counted_calls(action) -> dict[str, int]:
-        calls.update({"==": 0, "new": 0})
+        calls.update(dict.fromkeys(calls, 0))
         action()
         return dict(calls)
 
     Oid.__eq__ = counting_eq
     Oid.__new__ = counting_new
+    MappingError.__init__ = counting_init
+    DocumentLoader._rollback = counting_rollback
     try:
         counted = new_store(True)
         counted.enable_metrics()
@@ -155,6 +170,8 @@ def main() -> None:
         update_calls = counted_calls(lambda: counted.update_text(
             target, "Heading Words Edited Again"))
     finally:
+        del MappingError.__init__
+        DocumentLoader._rollback = plain_rollback
         for name, method in plain.items():
             if method is None:  # inherited from object
                 delattr(Oid, name)
@@ -179,6 +196,12 @@ def main() -> None:
         ("Oid() / update_text", f"{update_calls['new']:9d}"),
         (f"Oid == / {len(docs)} loads", f"{load_calls['==']:9d}"),
         ("Oid == / update_text", f"{update_calls['==']:9d}"),
+        ("MappingError raised / load",
+         f"{load_calls['raised'] / len(docs):9.2f} "
+         f"({load_calls['raised']} in all)"),
+        ("objects rolled back / load",
+         f"{load_calls['rolled back'] / len(docs):9.2f} "
+         f"({load_calls['rolled back']} in all)"),
     ]
     rows += index_shape(counted.text_index, counted.metrics()["counters"],
                         documents=len(docs) + 1)  # + the sample article
