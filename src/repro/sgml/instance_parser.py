@@ -35,25 +35,27 @@ _PREDEFINED_ENTITIES = {
     "amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'",
 }
 
-_NAME = r"[A-Za-z][A-Za-z0-9._-]*+"
-_VALUE = r"""(?:"[^"]*+"|'[^']*+'|[A-Za-z0-9._-]++)"""
+_NAME = r"[A-Za-z][A-Za-z0-9._-]*"
+_VALUE = r"""(?:"[^"]*"|'[^']*'|[A-Za-z0-9._-]+)"""
 
 #: One step of the main loop: a text run (group 1), a whole start tag —
 #: name (2), attribute run (3) and the ``/`` of ``/>`` (4) — or an end
-#: tag (5).  Every repetition is possessive, so a tag that never closes
-#: fails in time linear in its length.  Comments, CDATA, declarations
-#: and malformed markup match nothing and go to the cursor handlers.
+#: tag (5).  No repetition can match a string in two ways (a name or a
+#: value never runs into whitespace, ``=``, ``/`` or ``>``), so a tag
+#: that never closes fails in time linear in its length.  Comments,
+#: CDATA, declarations and malformed markup match nothing and go to the
+#: cursor handlers.
 _TOKEN = re.compile(
-    r"([^<]++)"
-    rf"|<({_NAME})((?:\s++{_NAME}(?:\s*+=\s*+{_VALUE})?+)*+)\s*+(/?)>"
-    rf"|</({_NAME})\s*+>")
+    r"([^<]+)"
+    rf"|<({_NAME})((?:\s+{_NAME}(?:\s*=\s*{_VALUE})?)*)\s*(/?)>"
+    rf"|</({_NAME})\s*>")
 
 #: One attribute of a matched start tag's attribute run: its name (1)
 #: and its value, double-quoted (2), single-quoted (3) or unquoted (4);
 #: no value is a minimized attribute.
 _ATTRIBUTE = re.compile(
-    rf"""\s++({_NAME})(?:\s*+=\s*+(?:"([^"]*+)"|'([^']*+)'"""
-    r"|([A-Za-z0-9._-]++)))?+")
+    rf"""\s+({_NAME})(?:\s*=\s*(?:"([^"]*)"|'([^']*)'"""
+    r"|([A-Za-z0-9._-]+)))?")
 
 #: The record of an element parsed without a DTD: any content, no
 #: defaults, every tag explicit.
@@ -134,11 +136,12 @@ class _InstanceParser:
             # An embedded DOCTYPE or other declaration: skip it whole.
             self._skip_declaration()
         elif cursor.startswith("</"):
+            # the token pattern reads every well-formed end tag, so
+            # these reads only ever raise
             cursor.advance(2)
-            name = cursor.take_name(DocumentSyntaxError)
+            cursor.take_name(DocumentSyntaxError)
             cursor.skip_whitespace()
             cursor.expect(">", DocumentSyntaxError)
-            self._handle_end_tag(name)
         elif is_name(cursor.peek(2)[1:]):
             self._read_start_tag()
         else:
@@ -228,7 +231,7 @@ class _InstanceParser:
                 f"element {name!r} after the document element closed",
                 DocumentSyntaxError)
         self._push(state, name, attributes, record, False)
-        if empty:  # ``/>``
+        if empty and not record.empty:  # ``/>`` on an element not EMPTY
             self._close_innermost()
 
     def _push(self, state: int, name: str, attributes: dict[str, str],

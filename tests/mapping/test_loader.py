@@ -280,3 +280,30 @@ class TestBacktrackingCostsWhatItAllocated:
         assert first == last
         assert first[1] > 0  # the document does backtrack
         loader.instance.check()
+
+
+class TestListsEndWithoutRaising:
+    """A list of elements ends at the first child that is not one: the
+    loader looks at that child instead of trying one more item and
+    catching the ``MappingError`` it raises."""
+
+    def test_a_list_of_elements_raises_nothing(self, monkeypatch):
+        dtd = parse_dtd("""
+            <!ELEMENT doc - - (p+, note)>
+            <!ELEMENT (p|note) - O (#PCDATA)>
+        """)
+        tree = parse_document(
+            "<doc><p>one<p>two<p>three<note>end</doc>", dtd)
+        raised = 0
+        plain_init = MappingError.__init__
+
+        def counting_init(self, *args):
+            nonlocal raised
+            raised += 1
+            plain_init(self, *args)
+
+        monkeypatch.setattr(MappingError, "__init__", counting_init)
+        loader = load_document(map_dtd(dtd), tree)
+        doc = loader.instance.deref(loader.instance.root("Docs")[0])
+        assert len(doc.get("ps")) == 3
+        assert raised == 0

@@ -3,18 +3,17 @@ start tag or end tag, and the cursor handlers for everything else.
 
 The edge cases below pin what a tag-level pattern could get wrong
 (``>`` inside a quoted value, value kinds, minimized attributes,
-entity references, markup declarations between tags; ``/>`` and a
-stray ``<`` are golden cases and ``TestErrorPositions``).  A property
-test checks that wherever the pattern reads a start
-tag, it reads what the cursor's attribute reader reads.  A start tag
-that never ends is rejected at the same position however long it is,
-with the parser's work linear in its length: the pattern holds no
-repetition that can backtrack, and the calls the parse makes are
-counted, not timed.
+entity references, ``/>`` on a declared-EMPTY element, markup
+declarations between tags; a stray ``<`` is a golden case and in
+``TestErrorPositions``).  A property test checks that wherever the
+pattern reads a start tag, it reads what the cursor's attribute reader
+reads.  A start tag that never ends is rejected at the same position
+however long it is, with the parser's work linear in its length: no
+repetition of the patterns can match one string in two ways, and the
+calls the parse makes are counted, not timed.
 """
 
-import re._constants as sre_constants
-import re._parser as sre_parse
+import re
 import sys
 
 import pytest
@@ -29,6 +28,15 @@ from repro.sgml.instance_parser import (
     _InstanceParser,
     parse_document,
 )
+
+try:  # the regular expression compiler's modules, renamed in 3.11
+    from re import _compiler as sre_compile
+    from re import _constants as sre_constants
+    from re import _parser as sre_parse
+except ImportError:
+    import sre_compile
+    import sre_constants
+    import sre_parse
 
 ENUM = parse_dtd("""
     <!ELEMENT doc - - (#PCDATA | doc)*>
@@ -71,6 +79,22 @@ class TestAttributeValues:
         assert tree.attributes["note"] == "x & I.N.R.I.A. C"
 
 
+class TestSlashOnDeclaredEmpty:
+    EMPTY = parse_dtd("""
+        <!ELEMENT doc - - (p, br, p)>
+        <!ELEMENT p - O (#PCDATA)>
+        <!ELEMENT br - O EMPTY>
+    """)
+
+    def test_closes_only_the_empty_element(self):
+        tree = parse_document("<doc><p>one<br/><p>two</doc>", self.EMPTY)
+        assert [child.name for child in tree.child_elements()] == [
+            "p", "br", "p"]
+
+    def test_an_empty_root(self):
+        assert parse_document("<br/>", self.EMPTY).name == "br"
+
+
 class TestMarkupBetweenTags:
     def test_comments_cdata_and_declarations_between_tags(self):
         tree = parse_document(
@@ -85,23 +109,88 @@ class TestMarkupBetweenTags:
         assert tree.first("b").text_content() == "x"
 
 
-def unbounded_backtracking_repeats(parsed) -> list:
-    """The greedy or lazy repetitions without an upper bound anywhere
-    in a parsed pattern (possessive ones never give characters back)."""
-    found = []
-    for op, argument in parsed:
-        if (op in (sre_constants.MAX_REPEAT, sre_constants.MIN_REPEAT)
-                and argument[1] == sre_constants.MAXREPEAT):
-            found.append((op, argument))
-        for part in (argument if isinstance(argument, (tuple, list))
-                     else (argument,)):
-            if isinstance(part, sre_parse.SubPattern):
-                found += unbounded_backtracking_repeats(part)
-            elif isinstance(part, list):
-                for branch in part:
-                    if isinstance(branch, sre_parse.SubPattern):
-                        found += unbounded_backtracking_repeats(branch)
-    return found
+#: All of ASCII and every character ``\s`` matches.
+ALPHABET = [chr(code) for code in range(0x3001)]
+
+
+def position_automaton(pattern: re.Pattern) -> tuple[list, list]:
+    """The pattern's position (Glushkov) automaton, as the regular
+    expression engine parsed it: one state per character position, with
+    the characters it reads, and ``edges[state]`` listing the states
+    that can follow it, once per way they can (a repetition nested in a
+    repetition lists an edge twice); the last state is the start."""
+    parsed = sre_parse.parse(pattern.pattern, pattern.flags)
+    chars: list[frozenset[str]] = []
+    edges: list[list[int]] = []
+
+    def walk(items) -> tuple[int, list[int], list[int]]:
+        """The ways ``items`` match the empty string (2 for two or
+        more), and the states they begin and end on, once per way."""
+        empty, first, last = 1, [], []
+        for op, argument in items:
+            if op in (sre_constants.LITERAL, sre_constants.NOT_LITERAL,
+                      sre_constants.IN, sre_constants.ANY):
+                reads = sre_compile.compile(
+                    sre_parse.SubPattern(parsed.state, [(op, argument)]),
+                    pattern.flags).fullmatch
+                chars.append(frozenset(c for c in ALPHABET if reads(c)))
+                edges.append([])
+                part = (0, [len(chars) - 1], [len(chars) - 1])
+            elif op is sre_constants.SUBPATTERN:
+                part = walk(argument[-1])
+            elif op is sre_constants.BRANCH:
+                parts = [walk(branch) for branch in argument[1]]
+                part = (min(2, sum(p[0] for p in parts)),
+                        [state for p in parts for state in p[1]],
+                        [state for p in parts for state in p[2]])
+            elif (op is sre_constants.MAX_REPEAT and argument[0] <= 1
+                  and argument[1] in (1, sre_constants.MAXREPEAT)):
+                body = walk(argument[2])
+                if argument[1] == sre_constants.MAXREPEAT:
+                    for state in body[2]:
+                        edges[state] += body[1]
+                    repeated = 2 if body[0] else 0
+                else:
+                    repeated = body[0]
+                part = (min(2, repeated + 1 - argument[0]), body[1],
+                        body[2])
+            else:
+                raise NotImplementedError(f"{op} is not modelled")
+            for state in last:
+                edges[state] += part[1]
+            first += part[1] * empty
+            last = part[2] + last * part[0]
+            empty = min(2, empty * part[0])
+        return empty, first, last
+
+    edges.append(walk(parsed)[1])
+    chars.append(frozenset())
+    return chars, edges
+
+
+def unambiguous(pattern: re.Pattern) -> bool:
+    """Whether every prefix of every input reaches each state of the
+    pattern's position automaton along one path at most.  A
+    backtracking matcher follows each path once, so its work is then
+    linear in the input, however the match fails."""
+    chars, edges = position_automaton(pattern)
+    classes = {tuple(c in reads for reads in chars): c for c in ALPHABET}
+    start = (0,) * (len(chars) - 1) + (1,)
+    seen, todo = {start}, [start]
+    while todo:  # the path counts per state, capped at 2, after a prefix
+        counts = todo.pop()
+        for c in classes.values():
+            after = [0] * len(chars)
+            for state, count in enumerate(counts):
+                for target in edges[state]:
+                    if c in chars[target]:
+                        after[target] = min(2, after[target] + count)
+            if 2 in after:
+                return False
+            if tuple(after) not in seen:
+                seen.add(tuple(after))
+                todo.append(tuple(after))
+    return True
 
 
 def long_tag(attributes: int) -> str:
@@ -109,13 +198,14 @@ def long_tag(attributes: int) -> str:
 
 
 class TestUnterminatedStartTag:
-    def test_the_patterns_cannot_backtrack(self):
-        for pattern in (_TOKEN, _ATTRIBUTE):
-            assert unbounded_backtracking_repeats(
-                sre_parse.parse(pattern.pattern)) == []
-        # the walker does see a backtracking repetition
-        assert len(unbounded_backtracking_repeats(
-            sre_parse.parse(r"(?:\s+a)*"))) == 2
+    def test_the_patterns_are_unambiguous(self):
+        assert unambiguous(_TOKEN) and unambiguous(_ATTRIBUTE)
+        assert unambiguous(re.compile(r"(?:\s+a)*\s*>"))
+        # what backtracks without bound: nested or adjacent repetitions
+        # that read the same characters
+        for pattern in (r"(?:\s+)+>", r"(?:\s*a*)*>", r"\s*\s*>",
+                        r"(?:a|a)*c", r"(?:a*)*c"):
+            assert not unambiguous(re.compile(pattern))
 
     def test_a_100_kB_tag_is_rejected_at_its_end(self):
         text = long_tag(11_112)

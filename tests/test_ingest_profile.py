@@ -30,10 +30,10 @@ def test_ingest_profile_smoke():
     assert int(rows["Oid == / update_text"][0]) < 10
     # the loader's abandoned attempts: a union branch that does not fit
     # raises, and undoes what it allocated; a list of elements ends
-    # without raising
+    # without raising (16.25 raised per load here when it raised)
     raised = float(rows["MappingError raised / load"][0])
     rolled_back = float(rows["objects rolled back / load"][0])
-    assert raised > 0 and rolled_back >= 0
+    assert 0 < raised < 10 and rolled_back > 0
     # the text index's shape: every article object is a span of its
     # document's one stream, so a document's tokens are stored once
     shape = {label: float(rows[label][0]) for label in (
